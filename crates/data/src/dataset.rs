@@ -5,14 +5,20 @@
 //! distributed across the 40 disks with no replication; a scale unit is
 //! 6 M rows (TPC-H SF1 ≈ 6.0 M LINEITEM rows) in 8 partitions, so 5× → 30 M
 //! rows in 40 partitions, 100× → 600 M rows in 800 partitions.
+//!
+//! A dataset also owns its splits' generated contents ([`Dataset::batch`]):
+//! each split version is generated on its first read and shared by every
+//! later reader, whichever job or input format asks.
 
 use std::collections::HashMap;
-use std::sync::RwLock;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use incmr_dfs::{BlockId, BlockSpec, FileId, Namespace, PlacementPolicy};
 use incmr_simkit::rng::DetRng;
 
-use crate::generator::SplitSpec;
+use crate::batch::RecordBatch;
+use crate::generator::{SplitGenerator, SplitSpec};
 use crate::lineitem::LineItemFactory;
 use crate::queries::{PaperPredicate, SkewLevel, PAPER_SELECTIVITY};
 use crate::skew;
@@ -111,18 +117,52 @@ struct PlanState {
     by_block: HashMap<BlockId, usize>,
 }
 
+/// Which generated form of a split [`Dataset::batch`] hands out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BatchKind {
+    /// Every record, in position order ([`SplitGenerator::full_batch`]).
+    Full,
+    /// Only the planted matches ([`SplitGenerator::planted_batch`]).
+    Planted,
+}
+
+/// Generated split batches keyed by `(block, kind)`, each tagged with the
+/// plan version it was generated from.
+type BatchMap = HashMap<(BlockId, BatchKind), (u32, Arc<RecordBatch>)>;
+
+/// A dataset's generated batches: at most one per `(block, kind)`, always
+/// of the block's current version.
+#[derive(Default)]
+struct BatchStore(Mutex<BatchMap>);
+
+impl BatchStore {
+    fn entries(&self) -> MutexGuard<'_, BatchMap> {
+        self.0.lock().expect("batch store")
+    }
+}
+
+/// Batches are whole splits: too large to print, so `Debug` omits them.
+impl fmt::Debug for BatchStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BatchStore").finish_non_exhaustive()
+    }
+}
+
 /// A materialised (planned) dataset: the DFS file plus per-split plans.
 ///
 /// Plans are interior-mutable so an `Arc<Dataset>` handed to the runtime's
 /// input format stays valid while the dataset evolves ([`Dataset::append`] /
-/// [`Dataset::mutate`]) between job runs.
+/// [`Dataset::mutate`]) between job runs. Generated split contents live in
+/// a store shared by every reader of the dataset ([`Dataset::batch`]).
 #[derive(Debug)]
 pub struct Dataset {
     spec: DatasetSpec,
     file: FileId,
     state: RwLock<PlanState>,
+    batches: BatchStore,
 }
 
+/// A clone copies the plans; its batch store starts empty.
 impl Clone for Dataset {
     fn clone(&self) -> Self {
         let state = self.state.read().expect("dataset plans");
@@ -133,6 +173,7 @@ impl Clone for Dataset {
                 plans: state.plans.clone(),
                 by_block: state.by_block.clone(),
             }),
+            batches: BatchStore::default(),
         }
     }
 }
@@ -195,6 +236,7 @@ impl Dataset {
             spec,
             file,
             state: RwLock::new(PlanState { plans, by_block }),
+            batches: BatchStore::default(),
         }
     }
 
@@ -253,7 +295,8 @@ impl Dataset {
     /// content seed forked from `(index, version)`, so version `v ≥ 1` of
     /// a split generates different rows than version `v−1` — which is
     /// what makes stale memoized map output observably wrong if it were
-    /// ever reused. Returns the new versions, in argument order.
+    /// ever reused. The batch store drops the rewritten blocks' old
+    /// batches. Returns the new versions, in argument order.
     ///
     /// # Panics
     /// Panics if a block does not belong to this dataset.
@@ -278,7 +321,58 @@ impl Dataset {
                 seed_root.fork(index).fork(version as u64).seed(),
             );
         }
+        drop(state);
+        self.batches
+            .entries()
+            .retain(|(block, _), _| !blocks.contains(block));
         versions
+    }
+
+    /// The current plan of `block` and its contents as a shared columnar
+    /// batch of the given kind.
+    ///
+    /// The first read of a split version generates the batch and keeps it
+    /// in the dataset's store; every later read — from any job or input
+    /// format over this dataset — is a reference-count bump. Generation
+    /// runs outside the store's lock: readers racing on one block each
+    /// build a copy, the first to land is kept and the rest are dropped,
+    /// which is harmless because a batch is a pure function of its plan's
+    /// [`SplitSpec`].
+    ///
+    /// # Panics
+    /// Panics if the block does not belong to this dataset.
+    pub fn batch(&self, block: BlockId, kind: BatchKind) -> (SplitPlan, Arc<RecordBatch>) {
+        let plan = self.plan(block);
+        let key = (block, kind);
+        if let Some((version, hit)) = self.batches.entries().get(&key) {
+            if *version == plan.version {
+                return (plan, Arc::clone(hit));
+            }
+        }
+        let factory = self.factory();
+        let generator = SplitGenerator::new(&factory, plan.spec);
+        let built = Arc::new(match kind {
+            BatchKind::Full => generator.full_batch(),
+            BatchKind::Planted => generator.planted_batch(),
+        });
+        let mut store = self.batches.entries();
+        let held = store
+            .entry(key)
+            .or_insert_with(|| (plan.version, Arc::clone(&built)));
+        if held.0 == plan.version {
+            return (plan, Arc::clone(&held.1));
+        }
+        // This read raced a rewrite: keep whichever version is newer.
+        if held.0 < plan.version {
+            *held = (plan.version, Arc::clone(&built));
+        }
+        (plan, built)
+    }
+
+    /// How many generated batches the store currently holds, across
+    /// blocks and kinds.
+    pub fn stored_batches(&self) -> usize {
+        self.batches.entries().len()
     }
 
     /// The spec this dataset was built from.
@@ -494,6 +588,32 @@ mod tests {
         assert_ne!(after.spec.seed, before.spec.seed, "rewrite draws new rows");
         assert_eq!(ds.total_matching(), 15_000, "matching total is invariant");
         assert_eq!(ns.version_of(target), 1, "DFS counter stays in lockstep");
+    }
+
+    #[test]
+    fn mutate_releases_the_stored_batch_and_the_next_read_regenerates() {
+        let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+        let mut rng = DetRng::seed_from(12);
+        let spec = DatasetSpec::small("t", 4, 300, SkewLevel::High, 12);
+        let ds = Dataset::build(&mut ns, spec, &mut EvenRoundRobin::new(), &mut rng);
+        let block = ds.splits()[2].block;
+        let (_, held) = ds.batch(block, BatchKind::Full);
+        let (_, again) = ds.batch(block, BatchKind::Full);
+        assert!(Arc::ptr_eq(&held, &again), "a repeated read is a store hit");
+        drop(again);
+        assert_eq!(ds.clone().stored_batches(), 0, "a clone starts empty");
+
+        ds.mutate(&mut ns, &[block], &mut EvenRoundRobin::new(), &mut rng);
+        let (plan, fresh) = ds.batch(block, BatchKind::Full);
+        assert_eq!(plan.version, 1);
+        let factory = ds.factory();
+        assert_eq!(
+            *fresh,
+            SplitGenerator::new(&factory, plan.spec).full_batch()
+        );
+        assert_ne!(*fresh, *held, "the rewrite generates different rows");
+        assert_eq!(Arc::strong_count(&held), 1, "the store released it");
+        assert_eq!(ds.stored_batches(), 1);
     }
 
     #[test]

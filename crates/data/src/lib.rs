@@ -22,7 +22,8 @@
 //!   mode (only matching records materialised; equivalence is
 //!   property-tested),
 //! * [`dataset`] — end-to-end dataset construction onto an `incmr-dfs`
-//!   namespace (Table II), and
+//!   namespace (Table II), and the store that generates each split
+//!   version's batch once for every reader, and
 //! * [`queries`] — the experiment predicates, one per skew level
 //!   (Table III).
 
@@ -40,7 +41,8 @@ pub use batch::{
     BatchBuilder, BatchSelection, ColumnData, RecordBatch, SelectionVector, StrColumn,
 };
 pub use dataset::{
-    Dataset, DatasetSpec, SplitPlan, Table2Row, PARTITIONS_PER_SCALE, ROWS_PER_SCALE, ROW_BYTES,
+    BatchKind, Dataset, DatasetSpec, SplitPlan, Table2Row, PARTITIONS_PER_SCALE, ROWS_PER_SCALE,
+    ROW_BYTES,
 };
 pub use generator::{RecordFactory, SplitGenerator, SplitSpec};
 pub use lineitem::LineItemFactory;

@@ -355,6 +355,14 @@ fn resolve_aggregates(
         .collect()
 }
 
+/// The memoization plane's identity for a plan: a signature over the
+/// semantic parts of the query. Jobs sharing a signature share cached
+/// per-split map output, so `parts` must name everything the map output
+/// depends on — and nothing else, so re-plans still hit.
+fn semantic_signature(parts: &[(&str, &str)]) -> u64 {
+    incmr_mapreduce::signature_of_conf(parts.iter().copied(), 1)
+}
+
 /// Compile a query against a catalog under the session's policy, scan mode,
 /// and sample mode. `seed` drives the sampling/estimating provider's random
 /// split selection; `agg_rounds` bounds the growth loop of error-bounded
@@ -414,11 +422,22 @@ pub fn compile_query(
             .collect::<Vec<_>>()
             .join(", ");
 
+        // Memo identity parts, rendered from resolved columns so spelling
+        // variants of one query share a signature.
+        let pred_rendered = predicate.display(&schema).to_string();
+        let aggs_rendered = format!("{resolved:?}");
+
         // Whole-table exact aggregation keeps the one-partial-per-split
         // shape (MIN/MAX supported).
         if query.group_by.is_none() && query.error_bound.is_none() {
+            let signature = semantic_signature(&[
+                ("query.table", &query.table),
+                ("query.predicate", &pred_rendered),
+                ("query.aggs", &aggs_rendered),
+            ]);
             let spec = JobSpec::builder()
                 .set(keys::JOB_NAME, format!("agg-{}", query.table))
+                .set(keys::JOB_SIGNATURE, signature)
                 .input(incmr_mapreduce::DatasetInputFormat::new(
                     Arc::clone(dataset),
                     scan_mode,
@@ -451,6 +470,7 @@ pub fn compile_query(
             Some(g) => Some(resolve_column(&schema, g)?),
             None => None,
         };
+        let group_rendered = format!("{group_idx:?}");
         let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
         let total = blocks.len() as u64;
         let mapper =
@@ -461,10 +481,19 @@ pub fn compile_query(
         // observation records ARE the result; a cap would drop them.
         match &query.error_bound {
             None => {
+                // No AGG_TOTAL_SPLITS in the identity: per-split map output
+                // does not depend on it, so the cache survives appends.
+                let signature = semantic_signature(&[
+                    ("query.table", &query.table),
+                    ("query.predicate", &pred_rendered),
+                    ("query.group", &group_rendered),
+                    ("query.aggs", &aggs_rendered),
+                ]);
                 let conf = JobConf::new()
                     .with(keys::JOB_NAME, format!("groupagg-{}", query.table))
                     .with(keys::AGG_FUNCS, encode_funcs(&funcs))
-                    .with(keys::AGG_TOTAL_SPLITS, total);
+                    .with(keys::AGG_TOTAL_SPLITS, total)
+                    .with(keys::JOB_SIGNATURE, signature);
                 let spec = JobSpec::builder()
                     .conf(conf)
                     .reduces(1)
@@ -490,21 +519,14 @@ pub fn compile_query(
                 // Memo identity: the semantic computation — table,
                 // predicate, grouping, aggregate list, and the bound
                 // itself. Warm re-runs share cached per-split map output.
-                let pred_rendered = predicate.display(&schema).to_string();
                 let bound_rendered = format!("{}@{}", bound.error, bound.confidence);
-                let group_rendered = query.group_by.clone().unwrap_or_default();
-                let funcs_rendered = encode_funcs(&funcs);
-                let signature = incmr_mapreduce::signature_of_conf(
-                    [
-                        ("query.table", query.table.as_str()),
-                        ("query.predicate", pred_rendered.as_str()),
-                        ("query.group", group_rendered.as_str()),
-                        ("query.aggs", funcs_rendered.as_str()),
-                        ("query.bound", bound_rendered.as_str()),
-                    ]
-                    .into_iter(),
-                    1,
-                );
+                let signature = semantic_signature(&[
+                    ("query.table", &query.table),
+                    ("query.predicate", &pred_rendered),
+                    ("query.group", &group_rendered),
+                    ("query.aggs", &aggs_rendered),
+                    ("query.bound", &bound_rendered),
+                ]);
                 let conf = JobConf::new()
                     .with(keys::JOB_NAME, format!("approx-{}", query.table))
                     .with(keys::DYNAMIC_JOB, true)
@@ -577,14 +599,15 @@ fn compile_scan_or_sample(
     seed: u64,
 ) -> Result<CompiledQuery, CompileError> {
     let schema = dataset.factory().schema();
+    // Memoization plane: a semantic signature over the query's
+    // computation. Re-running the same query (however the
+    // submission-level conf varies) shares cached per-split map output
+    // under this identity.
+    let pred_rendered = predicate.display(&schema).to_string();
+    let proj_rendered = format!("{projection:?}");
 
     match query.limit {
         Some(k) => {
-            // Memoization plane: a semantic signature over the query's
-            // computation — table, predicate, projection, k. Re-running
-            // the same query (however the submission-level conf varies)
-            // shares cached per-split map output under this identity.
-            let pred_rendered = predicate.display(&schema).to_string();
             let (mut spec, driver) = build_sampling_job_with(
                 dataset,
                 predicate,
@@ -596,17 +619,12 @@ fn compile_scan_or_sample(
                 seed,
             );
             let k_rendered = k.to_string();
-            let proj_rendered = format!("{projection:?}");
-            let signature = incmr_mapreduce::signature_of_conf(
-                [
-                    ("query.table", query.table.as_str()),
-                    ("query.predicate", pred_rendered.as_str()),
-                    ("query.projection", proj_rendered.as_str()),
-                    ("query.k", k_rendered.as_str()),
-                ]
-                .into_iter(),
-                1,
-            );
+            let signature = semantic_signature(&[
+                ("query.table", &query.table),
+                ("query.predicate", &pred_rendered),
+                ("query.projection", &proj_rendered),
+                ("query.k", &k_rendered),
+            ]);
             spec.conf.set(keys::JOB_SIGNATURE, signature);
             Ok(CompiledQuery {
                 spec,
@@ -621,8 +639,15 @@ fn compile_scan_or_sample(
         }
         None => {
             let materialize = matches!(scan_mode, ScanMode::Full | ScanMode::FullRows);
+            let signature = semantic_signature(&[
+                ("query.table", &query.table),
+                ("query.predicate", &pred_rendered),
+                ("query.projection", &proj_rendered),
+                ("query.materialize", &materialize.to_string()),
+            ]);
             let spec = JobSpec::builder()
                 .set(keys::JOB_NAME, format!("scan-{}", query.table))
+                .set(keys::JOB_SIGNATURE, signature)
                 .input(incmr_mapreduce::DatasetInputFormat::new(
                     Arc::clone(dataset),
                     scan_mode,

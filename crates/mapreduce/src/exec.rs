@@ -23,10 +23,9 @@
 //! dummy key), so sharing one allocation per distinct key instead of one
 //! `String` per pair removes the dominant allocation on the shuffle path.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use incmr_data::{BatchSelection, Dataset, Record, RecordBatch, SplitGenerator};
+use incmr_data::{BatchKind, BatchSelection, Dataset, Record, RecordBatch, SplitGenerator};
 use incmr_dfs::BlockId;
 
 /// An interned map-output key. Cloning is a reference-count bump, so a
@@ -36,7 +35,7 @@ pub type Key = Arc<str>;
 /// The contents of one input split as handed to a mapper.
 ///
 /// The batch variants are the hot path: the split travels as a shared
-/// columnar [`RecordBatch`] (an `Arc` bump per read once cached), and a
+/// columnar [`RecordBatch`] (an `Arc` bump per read once stored), and a
 /// batch-aware mapper answers with selection vectors into it instead of
 /// materialised records. The row variants remain for exotic mappers and as
 /// the reference path equivalence tests compare against; a legacy mapper
@@ -118,71 +117,53 @@ pub trait InputFormat: Send + Sync {
 
 /// Reads splits from a planned [`Dataset`].
 ///
-/// Batch scan modes cache each block's generated [`RecordBatch`]: the first
-/// read generates columnar data (zero per-record allocation), and every
-/// subsequent read of the same block — re-executions, speculative backups,
-/// repeated bench iterations — is a reference-count bump. Generation is a
-/// pure function of the block *version*, so a cache hit is byte-identical
-/// to a regeneration and a mutated block (new version) misses cleanly; the
-/// row modes stay uncached to remain the plain reference path.
+/// Batch scan modes hand out the dataset's stored [`RecordBatch`] for the
+/// block's current version ([`Dataset::batch`]): the first read of a split
+/// version anywhere generates it, and every later read — by this job, a
+/// re-execution, or any other job over the same dataset — is a
+/// reference-count bump. The row modes generate on every read and stay
+/// uncached, the plain reference path.
 pub struct DatasetInputFormat {
     dataset: Arc<Dataset>,
     mode: ScanMode,
-    cache: Mutex<HashMap<(BlockId, u32), Arc<RecordBatch>>>,
 }
 
 impl DatasetInputFormat {
     /// Bind to a dataset with the given scan mode.
     pub fn new(dataset: Arc<Dataset>, mode: ScanMode) -> Self {
-        DatasetInputFormat {
-            dataset,
-            mode,
-            cache: Mutex::new(HashMap::new()),
-        }
+        DatasetInputFormat { dataset, mode }
     }
 
     /// The underlying dataset.
     pub fn dataset(&self) -> &Arc<Dataset> {
         &self.dataset
     }
-
-    fn cached_batch(
-        &self,
-        block: BlockId,
-        version: u32,
-        generate: impl Fn() -> RecordBatch,
-    ) -> Arc<RecordBatch> {
-        let key = (block, version);
-        if let Some(hit) = self.cache.lock().expect("batch cache").get(&key) {
-            return Arc::clone(hit);
-        }
-        // Generate outside the lock: concurrent workers may race to build
-        // the same block, but generation is pure, so the loser's copy is
-        // identical and simply dropped.
-        let built = Arc::new(generate());
-        let mut cache = self.cache.lock().expect("batch cache");
-        Arc::clone(cache.entry(key).or_insert(built))
-    }
 }
 
 impl InputFormat for DatasetInputFormat {
     fn read(&self, block: BlockId) -> SplitData {
-        let plan = self.dataset.plan(block);
-        let factory = self.dataset.factory();
-        let generator = SplitGenerator::new(&factory, plan.spec);
         match self.mode {
-            ScanMode::Full => {
-                SplitData::Batch(self.cached_batch(block, plan.version, || generator.full_batch()))
+            ScanMode::Full => SplitData::Batch(self.dataset.batch(block, BatchKind::Full).1),
+            ScanMode::Planted => {
+                let (plan, matches) = self.dataset.batch(block, BatchKind::Planted);
+                SplitData::PlantedBatch {
+                    total_records: plan.spec.records,
+                    matches,
+                }
             }
-            ScanMode::Planted => SplitData::PlantedBatch {
-                total_records: plan.spec.records,
-                matches: self.cached_batch(block, plan.version, || generator.planted_batch()),
-            },
-            ScanMode::FullRows => SplitData::Records(generator.full_iter().collect()),
-            ScanMode::PlantedRows => SplitData::Planted {
-                total_records: plan.spec.records,
-                matches: generator.planted_matches(),
-            },
+            ScanMode::FullRows | ScanMode::PlantedRows => {
+                let plan = self.dataset.plan(block);
+                let factory = self.dataset.factory();
+                let generator = SplitGenerator::new(&factory, plan.spec);
+                if self.mode == ScanMode::FullRows {
+                    SplitData::Records(generator.full_iter().collect())
+                } else {
+                    SplitData::Planted {
+                        total_records: plan.spec.records,
+                        matches: generator.planted_matches(),
+                    }
+                }
+            }
         }
     }
 }
@@ -425,15 +406,40 @@ mod tests {
     #[test]
     fn batch_reads_share_one_generation() {
         let (_, ds) = small_dataset();
-        let input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
         let block = ds.splits()[0].block;
-        let SplitData::Batch(a) = input.read(block) else {
+        let format = |mode| DatasetInputFormat::new(Arc::clone(&ds), mode);
+        let rows = [format(ScanMode::FullRows), format(ScanMode::PlantedRows)];
+        for input in &rows {
+            input.read(block);
+        }
+        assert_eq!(ds.stored_batches(), 0, "row reads bypass the store");
+
+        // Two formats over one dataset, as two statements' jobs hold.
+        let (first, second) = (format(ScanMode::Full), format(ScanMode::Full));
+        let (SplitData::Batch(a), SplitData::Batch(b)) = (first.read(block), second.read(block))
+        else {
             panic!()
         };
-        let SplitData::Batch(b) = input.read(block) else {
+        assert!(Arc::ptr_eq(&a, &b), "full reads share one generation");
+        let (first, second) = (format(ScanMode::Planted), format(ScanMode::Planted));
+        let (
+            SplitData::PlantedBatch { matches: c, .. },
+            SplitData::PlantedBatch { matches: d, .. },
+        ) = (first.read(block), second.read(block))
+        else {
             panic!()
         };
-        assert!(Arc::ptr_eq(&a, &b), "second read is a cache hit");
+        assert!(Arc::ptr_eq(&c, &d), "planted reads share one generation");
+        assert_eq!(ds.stored_batches(), 2, "one batch per block and kind");
+
+        for input in &rows {
+            input.read(block);
+        }
+        let SplitData::Batch(e) = format(ScanMode::Full).read(block) else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(&a, &e), "row reads leave the store untouched");
+        assert_eq!(ds.stored_batches(), 2);
     }
 
     #[test]

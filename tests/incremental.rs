@@ -487,3 +487,82 @@ fn a_standing_query_parks_and_is_woken_by_arriving_data() {
         );
     }
 }
+
+/// A full-mode HiveQL session over an 8×2000 table, memoized or not.
+fn sql_session(memoize: bool) -> Session {
+    let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+    let mut rng = DetRng::seed_from(31);
+    let spec = DatasetSpec::small("lineitem", 8, 2_000, SkewLevel::High, 31);
+    let ds = Arc::new(Dataset::build(
+        &mut ns,
+        spec,
+        &mut EvenRoundRobin::new(),
+        &mut rng,
+    ));
+    let mut rt = MrRuntime::new(
+        ClusterConfig::paper_single_user(),
+        CostModel::paper_default(),
+        ns,
+        Box::new(FifoScheduler::new()),
+    );
+    if memoize {
+        rt.enable_memoization();
+    }
+    Session::builder()
+        .runtime(rt)
+        .table("lineitem", ds)
+        .scan_mode(ScanMode::Full)
+        .try_build()
+        .expect("well-formed session")
+}
+
+/// Statement pairs whose map outputs differ only in what the conf alone
+/// does not name: the predicate, the grouping column, or an aggregate's
+/// column. One pair per plan shape.
+const DISTINCT_QUESTIONS: [(&str, &str); 4] = [
+    (
+        "SELECT L_QUANTITY FROM lineitem WHERE L_QUANTITY < 3",
+        "SELECT L_QUANTITY FROM lineitem WHERE L_QUANTITY > 48",
+    ),
+    (
+        "SELECT COUNT(*) FROM lineitem WHERE L_QUANTITY < 3",
+        "SELECT COUNT(*) FROM lineitem WHERE L_QUANTITY > 48",
+    ),
+    (
+        "SELECT COUNT(*), SUM(L_QUANTITY) FROM lineitem GROUP BY L_RETURNFLAG",
+        "SELECT COUNT(*), SUM(L_QUANTITY) FROM lineitem GROUP BY L_LINESTATUS",
+    ),
+    (
+        "SELECT SUM(L_QUANTITY) FROM lineitem GROUP BY L_RETURNFLAG \
+         WITH ERROR 0.05 CONFIDENCE 0.95",
+        "SELECT SUM(L_EXTENDEDPRICE) FROM lineitem GROUP BY L_RETURNFLAG \
+         WITH ERROR 0.05 CONFIDENCE 0.95",
+    ),
+];
+
+/// Memoization is an optimisation only: a statement answers the same with
+/// the memo on as with it off, even right after a different statement of
+/// the same plan shape over the same table.
+#[test]
+fn memoized_answers_equal_unmemoized_answers() {
+    let answers = |memoize: bool, first: &str, second: &str| {
+        let mut s = sql_session(memoize);
+        [first, second].map(|sql| match s.execute(sql).expect("statement runs") {
+            QueryOutput::Rows { rows, .. } => rows,
+            other => panic!("{sql}: expected rows, got {other:?}"),
+        })
+    };
+    for (first, second) in DISTINCT_QUESTIONS {
+        let [cold_first, cold_second] = answers(false, first, second);
+        assert!(cold_first != cold_second, "the pair must differ: {second}");
+        let [memo_first, memo_second] = answers(true, first, second);
+        assert!(memo_first == cold_first, "{first}");
+        assert!(
+            memo_second == cold_second,
+            "the memo served another statement's map output to `{second}`: \
+             {} rows memoized, {} without the memo",
+            memo_second.len(),
+            cold_second.len()
+        );
+    }
+}
