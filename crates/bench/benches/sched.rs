@@ -3,13 +3,11 @@
 //! Two views of the same question — what does one scheduling decision
 //! cost when thousands of dynamic jobs are queued?
 //!
-//! * `assign/*` — the schedulers alone, handed a synthetic complete view
-//!   of 1k / 10k runnable jobs: the linear FIFO/Fair dispatch loops
-//!   against their index-backed equivalents. On a complete view the win
-//!   shows for Fair (the linear share-sort loop re-scans every job per
-//!   slot); indexed FIFO pays a per-call order build here and collects
-//!   its payoff from the runtime's O(free slots) prefix views instead,
-//!   which `heartbeat/*` measures.
+//! * `assign/*` — the FIFO and Fair schedulers alone, with 1k / 10k
+//!   runnable jobs queued, each handed the view the runtime builds for
+//!   it: the first `free slots + VIEW_JOB_SLACK` jobs in the order its
+//!   [`ViewPolicy`] names, marked incomplete. Its cost should not depend
+//!   on how many jobs are queued behind that prefix.
 //! * `heartbeat/*` — the whole runtime: one `MrRuntime::step()` with a
 //!   steady backlog of 1k / 10k queued sampling jobs (completed jobs are
 //!   resubmitted, so the backlog never drains). This is the number the
@@ -27,19 +25,23 @@ use incmr_core::{build_sampling_job, Policy, SampleMode};
 use incmr_data::{Dataset, DatasetSpec, SkewLevel};
 use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
 use incmr_mapreduce::{
-    ClusterConfig, CostModel, FairScheduler, FifoScheduler, IndexedFairScheduler,
-    IndexedFifoScheduler, JobId, MrRuntime, ScanMode, SchedJob, SchedView, TaskId, TaskScheduler,
+    ClusterConfig, CostModel, FairScheduler, FifoScheduler, JobId, MrRuntime, ScanMode, SchedJob,
+    SchedView, TaskId, TaskScheduler, ViewPolicy,
 };
 use incmr_simkit::rng::DetRng;
 use incmr_simkit::SimTime;
 
 const NODES: usize = 10;
 
-/// A synthetic complete view: `jobs` runnable jobs, four pending tasks
-/// each with two local replicas, over a 10-node cluster with a handful
-/// of free slots — the shape a heartbeat sees under a deep backlog.
-fn synthetic_view(jobs: u32) -> SchedView {
-    let jobs = (0..jobs)
+/// Jobs a prefix view holds beyond the free-slot count; the runtime's
+/// `VIEW_JOB_SLACK` (`crates/mapreduce/src/runtime.rs`).
+const VIEW_JOB_SLACK: usize = 64;
+
+/// `jobs` runnable jobs, four pending tasks each with two local
+/// replicas, over a 10-node cluster — the shape a heartbeat sees under a
+/// deep backlog.
+fn synthetic_jobs(jobs: u32) -> Vec<SchedJob> {
+    (0..jobs)
         .map(|j| {
             let tasks: Vec<TaskId> = (0..4).map(TaskId).collect();
             let mut local_by_node = vec![Vec::new(); NODES];
@@ -58,38 +60,48 @@ fn synthetic_view(jobs: u32) -> SchedView {
                 banned_nodes: Vec::new(),
             }
         })
-        .collect();
+        .collect()
+}
+
+/// The view the runtime hands `scheduler` at a heartbeat with one free
+/// slot per node: the first `free + VIEW_JOB_SLACK` jobs in submit or
+/// share order, presented in submit order.
+fn runtime_view(scheduler: &dyn TaskScheduler, mut jobs: Vec<SchedJob>) -> SchedView {
+    let free_slots = vec![1; NODES];
+    let cap = free_slots.iter().sum::<u32>() as usize + VIEW_JOB_SLACK;
+    let total = jobs.len();
+    match scheduler.view_policy() {
+        ViewPolicy::Complete => {}
+        ViewPolicy::SubmitOrder => jobs.truncate(cap),
+        ViewPolicy::ShareOrder => {
+            jobs.sort_by_key(|j| (j.running, j.submit_seq));
+            jobs.truncate(cap);
+            jobs.sort_by_key(|j| j.submit_seq);
+        }
+    }
     SchedView {
         now: SimTime::from_secs(30),
-        free_slots: vec![1; NODES],
+        free_slots,
+        complete: jobs.len() == total,
         jobs,
-        complete: true,
     }
 }
 
 fn bench_assign(c: &mut Criterion) {
     let mut g = c.benchmark_group("assign");
     for &jobs in &[1_000u32, 10_000] {
-        let view = synthetic_view(jobs);
         let mut cases: Vec<(String, Box<dyn TaskScheduler>)> = vec![
             (
-                format!("fifo_linear_{jobs}"),
+                format!("fifo_{jobs}_queued"),
                 Box::new(FifoScheduler::new()),
             ),
             (
-                format!("fifo_indexed_{jobs}"),
-                Box::new(IndexedFifoScheduler::new()),
-            ),
-            (
-                format!("fair_linear_{jobs}"),
+                format!("fair_{jobs}_queued"),
                 Box::new(FairScheduler::paper_default()),
-            ),
-            (
-                format!("fair_indexed_{jobs}"),
-                Box::new(IndexedFairScheduler::paper_default()),
             ),
         ];
         for (name, scheduler) in &mut cases {
+            let view = runtime_view(scheduler.as_ref(), synthetic_jobs(jobs));
             g.throughput(Throughput::Elements(NODES as u64));
             g.bench_function(name.as_str(), |b| {
                 b.iter(|| black_box(scheduler.assign(&view).len()))

@@ -360,29 +360,6 @@ impl Session {
         }
     }
 
-    /// A session over a runtime and catalog, with the built-in Table I
-    /// policies registered and `LA` (the paper's best all-rounder) active.
-    #[deprecated(since = "0.2.0", note = "use `Session::builder()`")]
-    pub fn new(runtime: MrRuntime, catalog: Catalog) -> Self {
-        Session::from_parts(
-            runtime,
-            catalog,
-            SessionState::new(),
-            TenantProfile::default(),
-        )
-    }
-
-    /// Use `Full` scan mode: every record is materialised and arbitrary
-    /// predicates are evaluable (small datasets / examples).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Session::builder().scan_mode(ScanMode::Full)`"
-    )]
-    pub fn with_full_scan(mut self) -> Self {
-        self.state.set_scan_mode(ScanMode::Full);
-        self
-    }
-
     /// Replace the policy registry from a policy-file text (the
     /// `policy.xml` equivalent). The active policy is reset to the first
     /// entry.
@@ -599,32 +576,6 @@ mod tests {
                 .unwrap(),
             Submitted::Done(QueryOutput::Explained(_))
         ));
-    }
-
-    #[test]
-    fn deprecated_constructor_still_works() {
-        #![allow(deprecated)]
-        let mut ns = Namespace::new(ClusterTopology::paper_cluster());
-        let mut rng = DetRng::seed_from(9);
-        let ds = Arc::new(Dataset::build(
-            &mut ns,
-            DatasetSpec::small("lineitem", 20, 2_000, SkewLevel::High, 9),
-            &mut EvenRoundRobin::new(),
-            &mut rng,
-        ));
-        let mut catalog = Catalog::new();
-        catalog.register("lineitem", ds);
-        let rt = MrRuntime::new(
-            ClusterConfig::paper_single_user(),
-            CostModel::paper_default(),
-            ns,
-            Box::new(FifoScheduler::new()),
-        );
-        let mut s = Session::new(rt, catalog).with_full_scan();
-        let out = s
-            .execute("SELECT L_ORDERKEY FROM LINEITEM WHERE L_QUANTITY <= 25 LIMIT 3")
-            .unwrap();
-        assert!(matches!(out, QueryOutput::Rows { .. }));
     }
 
     #[test]

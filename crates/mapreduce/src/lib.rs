@@ -91,8 +91,8 @@ pub use parallel::{
 };
 pub use runtime::{FaultPlan, MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS, MATERIALIZE_CAP_KEY};
 pub use scheduler::{
-    Assignment, Claims, FairScheduler, FifoScheduler, IndexedFairScheduler, IndexedFifoScheduler,
-    SchedJob, SchedView, TaskScheduler, ViewPolicy,
+    Assignment, Claims, FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler,
+    ViewPolicy,
 };
 pub use shuffle::{fnv1a, partition_of, PartitionBuffer, PartitionedPairs, ShuffleState, ValueSeq};
 pub use trace::{job_timeline, render_timeline, JobTimeline, TraceEvent, TraceKind};

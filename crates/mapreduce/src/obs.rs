@@ -8,9 +8,9 @@
 //! runs.
 //!
 //! * [`encode_event`] / [`parse_event`] — a stable, hand-rolled JSONL
-//!   codec for [`TraceEvent`] (no serde; the build is offline). Every
-//!   [`TraceKind`] is encoded by an exhaustive `match`, so adding a
-//!   variant without an encoding is a compile error.
+//!   codec for [`TraceEvent`] (no serde; the build is offline). The
+//!   payload half is generated from the one [`TraceKind`] declaration in
+//!   `trace.rs`, so every kind has an encoding by construction.
 //! * [`TraceSink`] — where the runtime streams events: [`MemorySink`]
 //!   (the classic `Vec<TraceEvent>` behaviour) or [`JsonlSink`] (encodes
 //!   eagerly to JSONL text).
@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use incmr_dfs::NodeId;
+use incmr_dfs::{BlockId, DiskId, NodeId};
 use incmr_simkit::stats::LogHistogram;
 use incmr_simkit::SimTime;
 
@@ -40,48 +40,10 @@ use crate::trace::{TraceEvent, TraceKind};
 // JSONL codec
 // ---------------------------------------------------------------------------
 
-/// The stable wire name of a [`TraceKind`] variant.
-///
-/// The exhaustive `match` (no wildcard arm) is deliberate: a future
-/// variant without a wire name fails compilation here, which is the
-/// build-time guard the round-trip test suite relies on.
+/// The stable wire name of a [`TraceKind`] variant: its entry in
+/// [`TraceKind::NAMES`].
 pub fn kind_name(kind: &TraceKind) -> &'static str {
-    match kind {
-        TraceKind::JobSubmitted { .. } => "JobSubmitted",
-        TraceKind::InputAdded { .. } => "InputAdded",
-        TraceKind::EndOfInput { .. } => "EndOfInput",
-        TraceKind::MapStarted { .. } => "MapStarted",
-        TraceKind::MapFinished { .. } => "MapFinished",
-        TraceKind::MapFailed { .. } => "MapFailed",
-        TraceKind::ShuffleReady { .. } => "ShuffleReady",
-        TraceKind::ReduceStarted { .. } => "ReduceStarted",
-        TraceKind::ReduceFinished { .. } => "ReduceFinished",
-        TraceKind::JobCompleted { .. } => "JobCompleted",
-        TraceKind::ReduceFailed { .. } => "ReduceFailed",
-        TraceKind::NodeLost { .. } => "NodeLost",
-        TraceKind::NodeRejoined { .. } => "NodeRejoined",
-        TraceKind::SpeculativeLaunch { .. } => "SpeculativeLaunch",
-        TraceKind::AttemptKilled { .. } => "AttemptKilled",
-        TraceKind::NodeBlacklisted { .. } => "NodeBlacklisted",
-        TraceKind::ProviderFault { .. } => "ProviderFault",
-        TraceKind::GrabLimitClamped { .. } => "GrabLimitClamped",
-        TraceKind::DuplicateInputDropped { .. } => "DuplicateInputDropped",
-        TraceKind::JobWedged { .. } => "JobWedged",
-        TraceKind::DeadlineExceeded { .. } => "DeadlineExceeded",
-        TraceKind::PartialSample { .. } => "PartialSample",
-        TraceKind::QueryAdmitted { .. } => "QueryAdmitted",
-        TraceKind::QueryRejected { .. } => "QueryRejected",
-        TraceKind::QuotaDeferred { .. } => "QuotaDeferred",
-        TraceKind::SplitReused { .. } => "SplitReused",
-        TraceKind::SplitDirty { .. } => "SplitDirty",
-        TraceKind::InputArrived { .. } => "InputArrived",
-        TraceKind::ReplicaLost { .. } => "ReplicaLost",
-        TraceKind::ReplicaRestored { .. } => "ReplicaRestored",
-        TraceKind::ReadFailover { .. } => "ReadFailover",
-        TraceKind::InputLost { .. } => "InputLost",
-        TraceKind::ErrorBoundProbe { .. } => "ErrorBoundProbe",
-        TraceKind::BoundMet { .. } => "BoundMet",
-    }
+    kind.name()
 }
 
 /// Encode one event as a single JSON object (one JSONL line, no trailing
@@ -93,204 +55,7 @@ pub fn encode_event(event: &TraceEvent) -> String {
         event.time.as_millis(),
         kind_name(&event.kind)
     );
-    {
-        let mut field = |k: &str, v: u64| {
-            s.push_str(&format!(",\"{k}\":{v}"));
-        };
-        // Exhaustive over every TraceKind: adding a variant without an
-        // encoding is a compile error (the round-trip suite's build guard).
-        match &event.kind {
-            TraceKind::JobSubmitted { job } => field("job", job.0 as u64),
-            TraceKind::InputAdded { job, splits } => {
-                field("job", job.0 as u64);
-                field("splits", *splits as u64);
-            }
-            TraceKind::EndOfInput { job } => field("job", job.0 as u64),
-            TraceKind::MapStarted {
-                job,
-                task,
-                node,
-                local,
-            } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-                field("node", node.0 as u64);
-                s.push_str(&format!(",\"local\":{local}"));
-            }
-            TraceKind::MapFinished { job, task } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-            }
-            TraceKind::MapFailed { job, task, attempt } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-                field("attempt", *attempt as u64);
-            }
-            TraceKind::ShuffleReady {
-                job,
-                partitions,
-                combiner_in,
-                combiner_out,
-                max_partition_bytes,
-                min_partition_bytes,
-            } => {
-                field("job", job.0 as u64);
-                field("partitions", *partitions as u64);
-                field("combiner_in", *combiner_in);
-                field("combiner_out", *combiner_out);
-                field("max_partition_bytes", *max_partition_bytes);
-                field("min_partition_bytes", *min_partition_bytes);
-            }
-            TraceKind::ReduceStarted { job, reduce, node } => {
-                field("job", job.0 as u64);
-                field("reduce", *reduce as u64);
-                field("node", node.0 as u64);
-            }
-            TraceKind::ReduceFinished { job, reduce } => {
-                field("job", job.0 as u64);
-                field("reduce", *reduce as u64);
-            }
-            TraceKind::JobCompleted { job, failed } => {
-                field("job", job.0 as u64);
-                s.push_str(&format!(",\"failed\":{failed}"));
-            }
-            TraceKind::ReduceFailed {
-                job,
-                reduce,
-                attempt,
-            } => {
-                field("job", job.0 as u64);
-                field("reduce", *reduce as u64);
-                field("attempt", *attempt as u64);
-            }
-            TraceKind::NodeLost { node } => field("node", node.0 as u64),
-            TraceKind::NodeRejoined { node } => field("node", node.0 as u64),
-            TraceKind::SpeculativeLaunch { job, task, node } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-                field("node", node.0 as u64);
-            }
-            TraceKind::AttemptKilled { job, task, node } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-                field("node", node.0 as u64);
-            }
-            TraceKind::NodeBlacklisted { job, node } => {
-                field("job", job.0 as u64);
-                field("node", node.0 as u64);
-            }
-            TraceKind::ProviderFault { job, fatal } => {
-                field("job", job.0 as u64);
-                s.push_str(&format!(",\"fatal\":{fatal}"));
-            }
-            TraceKind::GrabLimitClamped {
-                job,
-                requested,
-                granted,
-            } => {
-                field("job", job.0 as u64);
-                field("requested", *requested as u64);
-                field("granted", *granted as u64);
-            }
-            TraceKind::DuplicateInputDropped { job, splits } => {
-                field("job", job.0 as u64);
-                field("splits", *splits as u64);
-            }
-            TraceKind::JobWedged {
-                job,
-                idle_evaluations,
-            } => {
-                field("job", job.0 as u64);
-                field("idle_evaluations", *idle_evaluations as u64);
-            }
-            TraceKind::DeadlineExceeded { job, graceful } => {
-                field("job", job.0 as u64);
-                s.push_str(&format!(",\"graceful\":{graceful}"));
-            }
-            TraceKind::PartialSample {
-                job,
-                found,
-                requested,
-            } => {
-                field("job", job.0 as u64);
-                field("found", *found);
-                field("requested", *requested);
-            }
-            TraceKind::QueryAdmitted { tenant, job } => {
-                field("tenant", *tenant as u64);
-                field("job", job.0 as u64);
-            }
-            TraceKind::QueryRejected { tenant, queued } => {
-                field("tenant", *tenant as u64);
-                field("queued", *queued as u64);
-            }
-            TraceKind::QuotaDeferred { tenant, depth } => {
-                field("tenant", *tenant as u64);
-                field("depth", *depth as u64);
-            }
-            TraceKind::SplitReused { job, task } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-            }
-            TraceKind::SplitDirty { job, task } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-            }
-            TraceKind::InputArrived { splits } => {
-                field("splits", *splits as u64);
-            }
-            TraceKind::ReplicaLost { block, node } => {
-                field("block", block.0 as u64);
-                field("node", node.0 as u64);
-            }
-            TraceKind::ReplicaRestored { block, node } => {
-                field("block", block.0 as u64);
-                field("node", node.0 as u64);
-            }
-            TraceKind::ReadFailover {
-                job,
-                task,
-                from,
-                to,
-            } => {
-                field("job", job.0 as u64);
-                field("task", task.0 as u64);
-                field("from", from.0 as u64);
-                field("to", to.0 as u64);
-            }
-            TraceKind::InputLost {
-                job,
-                blocks,
-                graceful,
-            } => {
-                field("job", job.0 as u64);
-                field("blocks", *blocks as u64);
-                s.push_str(&format!(",\"graceful\":{graceful}"));
-            }
-            TraceKind::ErrorBoundProbe {
-                job,
-                completed,
-                groups,
-                worst_ppm,
-                bound_met,
-            } => {
-                field("job", job.0 as u64);
-                field("completed", *completed as u64);
-                field("groups", *groups as u64);
-                field("worst_ppm", *worst_ppm);
-                s.push_str(&format!(",\"bound_met\":{bound_met}"));
-            }
-            TraceKind::BoundMet {
-                job,
-                completed,
-                total,
-            } => {
-                field("job", job.0 as u64);
-                field("completed", *completed as u64);
-                field("total", *total as u64);
-            }
-        }
-    }
+    event.kind.encode_payload(&mut s);
     s.push('}');
     s
 }
@@ -312,7 +77,8 @@ pub enum TraceParseError {
     Malformed(String),
     /// The `kind` field names no known [`TraceKind`].
     UnknownKind(String),
-    /// A payload field required by the kind is absent or mistyped.
+    /// A payload field required by the kind is absent or mistyped (a
+    /// number too wide for the field counts as mistyped).
     MissingField {
         /// The event kind being decoded.
         kind: String,
@@ -335,304 +101,181 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
+/// One decoded JSON value.
+pub(crate) enum JsonValue<'a> {
     Num(u64),
     Bool(bool),
-    Str(String),
+    Str(&'a str),
 }
 
-/// Minimal parser for the flat JSON objects [`encode_event`] emits:
-/// string keys mapping to unsigned integers, booleans, or plain strings.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, TraceParseError> {
-    let bad = |m: &str| TraceParseError::Malformed(format!("{m} in {line:?}"));
-    let mut chars = line.trim().char_indices().peekable();
-    let s = line.trim();
-    let mut fields = Vec::new();
-    let expect =
-        |c: char, chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>| match chars.next() {
-            Some((_, got)) if got == c => Ok(()),
-            _ => Err(bad(&format!("expected {c:?}"))),
+/// Parse the flat JSON objects [`encode_event`] emits: quoted keys mapping
+/// to unsigned integers, `true`/`false`, or strings without escapes,
+/// commas or quotes. Anything else, a repeated key included, is
+/// [`TraceParseError::Malformed`].
+fn parse_flat_object(line: &str) -> Result<Vec<(&str, JsonValue<'_>)>, TraceParseError> {
+    let bad = |m: &str| malformed(m, line);
+    let body = line
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or_else(|| bad("not a JSON object"))?;
+    let mut fields: Vec<(&str, JsonValue)> = Vec::new();
+    for member in body.split(',') {
+        let (key, value) = member.split_once(':').ok_or_else(|| bad("expected ':'"))?;
+        let key = quoted(key).ok_or_else(|| bad("expected a quoted key"))?;
+        let value = match value {
+            "true" => JsonValue::Bool(true),
+            "false" => JsonValue::Bool(false),
+            v if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => {
+                JsonValue::Num(v.parse().map_err(|_| bad("number overflows u64"))?)
+            }
+            v => JsonValue::Str(quoted(v).ok_or_else(|| bad("unsupported value"))?),
         };
-    expect('{', &mut chars)?;
-    loop {
-        match chars.peek() {
-            Some((_, '}')) => {
-                chars.next();
-                break;
-            }
-            Some((_, ',')) if !fields.is_empty() => {
-                chars.next();
-            }
-            Some(_) if fields.is_empty() => {}
-            _ => return Err(bad("expected ',' or '}'")),
+        if fields.iter().any(|(k, _)| *k == key) {
+            return Err(bad(&format!("duplicate key {key:?}")));
         }
-        // Key.
-        expect('"', &mut chars)?;
-        let start = chars.peek().ok_or_else(|| bad("truncated key"))?.0;
-        let mut end = start;
-        for (i, c) in chars.by_ref() {
-            if c == '"' {
-                end = i;
-                break;
-            }
-        }
-        let key = s[start..end].to_string();
-        expect(':', &mut chars)?;
-        // Value.
-        let value = match chars.peek() {
-            Some((_, '"')) => {
-                chars.next();
-                let start = chars.peek().ok_or_else(|| bad("truncated string"))?.0;
-                let mut end = start;
-                for (i, c) in chars.by_ref() {
-                    if c == '"' {
-                        end = i;
-                        break;
-                    }
-                }
-                JsonValue::Str(s[start..end].to_string())
-            }
-            Some((_, 't')) => {
-                for _ in 0..4 {
-                    chars.next();
-                }
-                JsonValue::Bool(true)
-            }
-            Some((_, 'f')) => {
-                for _ in 0..5 {
-                    chars.next();
-                }
-                JsonValue::Bool(false)
-            }
-            Some((_, c)) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some((_, c)) = chars.peek() {
-                    let Some(d) = c.to_digit(10) else { break };
-                    n = n
-                        .checked_mul(10)
-                        .and_then(|n| n.checked_add(d as u64))
-                        .ok_or_else(|| bad("number overflows u64"))?;
-                    chars.next();
-                }
-                JsonValue::Num(n)
-            }
-            _ => return Err(bad("unsupported value")),
-        };
         fields.push((key, value));
-    }
-    if chars.next().is_some() {
-        return Err(bad("trailing garbage"));
     }
     Ok(fields)
 }
 
-struct FieldReader<'a> {
-    kind: &'a str,
-    fields: &'a [(String, JsonValue)],
+fn malformed(problem: &str, line: &str) -> TraceParseError {
+    TraceParseError::Malformed(format!("{problem} in {line:?}"))
 }
 
-impl<'a> FieldReader<'a> {
-    fn missing(&self, field: &'static str) -> TraceParseError {
-        TraceParseError::MissingField {
-            kind: self.kind.to_string(),
-            field,
+/// The inside of a `"..."` token that holds no other quote.
+fn quoted(token: &str) -> Option<&str> {
+    token
+        .strip_prefix('"')?
+        .strip_suffix('"')
+        .filter(|s| !s.contains('"'))
+}
+
+/// One payload field's JSONL value. Every field type in the
+/// [`TraceKind`] table implements it, so the table plus these impls are
+/// the whole payload codec.
+pub(crate) trait WireField: Sized {
+    /// Append the value.
+    fn encode(&self, out: &mut String);
+    /// Read the value back: `None` if it is mistyped or too wide for `Self`.
+    fn decode(value: &JsonValue<'_>) -> Option<Self>;
+    /// The job this field names, if it is one; [`TraceKind::job`] reads it.
+    fn as_job(&self) -> Option<JobId> {
+        None
+    }
+}
+
+impl WireField for u64 {
+    fn encode(&self, out: &mut String) {
+        out.push_str(&self.to_string());
+    }
+
+    fn decode(value: &JsonValue<'_>) -> Option<Self> {
+        match value {
+            JsonValue::Num(n) => Some(*n),
+            _ => None,
         }
     }
+}
 
-    fn num(&self, field: &'static str) -> Result<u64, TraceParseError> {
-        match self.fields.iter().find(|(k, _)| k == field) {
-            Some((_, JsonValue::Num(n))) => Ok(*n),
-            _ => Err(self.missing(field)),
+impl WireField for bool {
+    fn encode(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn decode(value: &JsonValue<'_>) -> Option<Self> {
+        match value {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
         }
     }
+}
 
-    fn boolean(&self, field: &'static str) -> Result<bool, TraceParseError> {
-        match self.fields.iter().find(|(k, _)| k == field) {
-            Some((_, JsonValue::Bool(b))) => Ok(*b),
-            _ => Err(self.missing(field)),
+/// Narrower integers travel as `u64` and refuse values they cannot hold
+/// rather than truncate them.
+macro_rules! narrow_wire_field {
+    ($($int:ty),*) => {$(
+        impl WireField for $int {
+            fn encode(&self, out: &mut String) {
+                u64::from(*self).encode(out);
+            }
+
+            fn decode(value: &JsonValue<'_>) -> Option<Self> {
+                u64::decode(value)?.try_into().ok()
+            }
         }
+    )*};
+}
+
+narrow_wire_field!(u16, u32);
+
+/// Id newtypes travel as their bare integer.
+macro_rules! id_wire_field {
+    ($($id:ident),*) => {$(
+        impl WireField for $id {
+            fn encode(&self, out: &mut String) {
+                self.0.encode(out);
+            }
+
+            fn decode(value: &JsonValue<'_>) -> Option<Self> {
+                WireField::decode(value).map($id)
+            }
+        }
+    )*};
+}
+
+id_wire_field!(TaskId, NodeId, BlockId, DiskId);
+
+impl WireField for JobId {
+    fn encode(&self, out: &mut String) {
+        self.0.encode(out);
     }
 
-    fn job(&self) -> Result<JobId, TraceParseError> {
-        Ok(JobId(self.num("job")? as u32))
+    fn decode(value: &JsonValue<'_>) -> Option<Self> {
+        WireField::decode(value).map(JobId)
     }
 
-    fn task(&self) -> Result<TaskId, TraceParseError> {
-        Ok(TaskId(self.num("task")? as u32))
+    fn as_job(&self) -> Option<JobId> {
+        Some(*self)
     }
+}
 
-    fn node(&self) -> Result<NodeId, TraceParseError> {
-        Ok(NodeId(self.num("node")? as u16))
+/// Looks up a decoded event's payload fields by name.
+pub(crate) struct FieldReader<'a> {
+    kind: &'a str,
+    fields: &'a [(&'a str, JsonValue<'a>)],
+}
+
+impl FieldReader<'_> {
+    /// Decode `field`. Absent, mistyped and too-wide values are all
+    /// [`TraceParseError::MissingField`].
+    pub(crate) fn read<T: WireField>(&self, field: &'static str) -> Result<T, TraceParseError> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == field)
+            .and_then(|(_, v)| T::decode(v))
+            .ok_or_else(|| TraceParseError::MissingField {
+                kind: self.kind.to_string(),
+                field,
+            })
     }
 }
 
 /// Parse one JSONL line produced by [`encode_event`] back into the event.
 pub fn parse_event(line: &str) -> Result<TraceEvent, TraceParseError> {
     let fields = parse_flat_object(line)?;
-    let kind_field = match fields.iter().find(|(k, _)| k == "kind") {
-        Some((_, JsonValue::Str(k))) => k.clone(),
-        _ => {
-            return Err(TraceParseError::Malformed(format!(
-                "no \"kind\" field in {line:?}"
-            )))
-        }
+    let Some((_, JsonValue::Str(kind))) = fields.iter().find(|(k, _)| *k == "kind") else {
+        return Err(malformed("no \"kind\" field", line));
     };
     let r = FieldReader {
-        kind: &kind_field,
+        kind,
         fields: &fields,
     };
-    let time = SimTime::from_millis(
-        r.num("t")
-            .map_err(|_| TraceParseError::Malformed(format!("no \"t\" field in {line:?}")))?,
-    );
-    let kind = match kind_field.as_str() {
-        "JobSubmitted" => TraceKind::JobSubmitted { job: r.job()? },
-        "InputAdded" => TraceKind::InputAdded {
-            job: r.job()?,
-            splits: r.num("splits")? as u32,
-        },
-        "EndOfInput" => TraceKind::EndOfInput { job: r.job()? },
-        "MapStarted" => TraceKind::MapStarted {
-            job: r.job()?,
-            task: r.task()?,
-            node: r.node()?,
-            local: r.boolean("local")?,
-        },
-        "MapFinished" => TraceKind::MapFinished {
-            job: r.job()?,
-            task: r.task()?,
-        },
-        "MapFailed" => TraceKind::MapFailed {
-            job: r.job()?,
-            task: r.task()?,
-            attempt: r.num("attempt")? as u32,
-        },
-        "ShuffleReady" => TraceKind::ShuffleReady {
-            job: r.job()?,
-            partitions: r.num("partitions")? as u32,
-            combiner_in: r.num("combiner_in")?,
-            combiner_out: r.num("combiner_out")?,
-            max_partition_bytes: r.num("max_partition_bytes")?,
-            min_partition_bytes: r.num("min_partition_bytes")?,
-        },
-        "ReduceStarted" => TraceKind::ReduceStarted {
-            job: r.job()?,
-            reduce: r.num("reduce")? as u32,
-            node: r.node()?,
-        },
-        "ReduceFinished" => TraceKind::ReduceFinished {
-            job: r.job()?,
-            reduce: r.num("reduce")? as u32,
-        },
-        "JobCompleted" => TraceKind::JobCompleted {
-            job: r.job()?,
-            failed: r.boolean("failed")?,
-        },
-        "ReduceFailed" => TraceKind::ReduceFailed {
-            job: r.job()?,
-            reduce: r.num("reduce")? as u32,
-            attempt: r.num("attempt")? as u32,
-        },
-        "NodeLost" => TraceKind::NodeLost { node: r.node()? },
-        "NodeRejoined" => TraceKind::NodeRejoined { node: r.node()? },
-        "SpeculativeLaunch" => TraceKind::SpeculativeLaunch {
-            job: r.job()?,
-            task: r.task()?,
-            node: r.node()?,
-        },
-        "AttemptKilled" => TraceKind::AttemptKilled {
-            job: r.job()?,
-            task: r.task()?,
-            node: r.node()?,
-        },
-        "NodeBlacklisted" => TraceKind::NodeBlacklisted {
-            job: r.job()?,
-            node: r.node()?,
-        },
-        "ProviderFault" => TraceKind::ProviderFault {
-            job: r.job()?,
-            fatal: r.boolean("fatal")?,
-        },
-        "GrabLimitClamped" => TraceKind::GrabLimitClamped {
-            job: r.job()?,
-            requested: r.num("requested")? as u32,
-            granted: r.num("granted")? as u32,
-        },
-        "DuplicateInputDropped" => TraceKind::DuplicateInputDropped {
-            job: r.job()?,
-            splits: r.num("splits")? as u32,
-        },
-        "JobWedged" => TraceKind::JobWedged {
-            job: r.job()?,
-            idle_evaluations: r.num("idle_evaluations")? as u32,
-        },
-        "DeadlineExceeded" => TraceKind::DeadlineExceeded {
-            job: r.job()?,
-            graceful: r.boolean("graceful")?,
-        },
-        "PartialSample" => TraceKind::PartialSample {
-            job: r.job()?,
-            found: r.num("found")?,
-            requested: r.num("requested")?,
-        },
-        "QueryAdmitted" => TraceKind::QueryAdmitted {
-            tenant: r.num("tenant")? as u32,
-            job: r.job()?,
-        },
-        "QueryRejected" => TraceKind::QueryRejected {
-            tenant: r.num("tenant")? as u32,
-            queued: r.num("queued")? as u32,
-        },
-        "QuotaDeferred" => TraceKind::QuotaDeferred {
-            tenant: r.num("tenant")? as u32,
-            depth: r.num("depth")? as u32,
-        },
-        "SplitReused" => TraceKind::SplitReused {
-            job: r.job()?,
-            task: r.task()?,
-        },
-        "SplitDirty" => TraceKind::SplitDirty {
-            job: r.job()?,
-            task: r.task()?,
-        },
-        "InputArrived" => TraceKind::InputArrived {
-            splits: r.num("splits")? as u32,
-        },
-        "ReplicaLost" => TraceKind::ReplicaLost {
-            block: incmr_dfs::BlockId(r.num("block")? as u32),
-            node: r.node()?,
-        },
-        "ReplicaRestored" => TraceKind::ReplicaRestored {
-            block: incmr_dfs::BlockId(r.num("block")? as u32),
-            node: r.node()?,
-        },
-        "ReadFailover" => TraceKind::ReadFailover {
-            job: r.job()?,
-            task: r.task()?,
-            from: incmr_dfs::DiskId(r.num("from")? as u32),
-            to: incmr_dfs::DiskId(r.num("to")? as u32),
-        },
-        "InputLost" => TraceKind::InputLost {
-            job: r.job()?,
-            blocks: r.num("blocks")? as u32,
-            graceful: r.boolean("graceful")?,
-        },
-        "ErrorBoundProbe" => TraceKind::ErrorBoundProbe {
-            job: r.job()?,
-            completed: r.num("completed")? as u32,
-            groups: r.num("groups")? as u32,
-            worst_ppm: r.num("worst_ppm")?,
-            bound_met: r.boolean("bound_met")?,
-        },
-        "BoundMet" => TraceKind::BoundMet {
-            job: r.job()?,
-            completed: r.num("completed")? as u32,
-            total: r.num("total")? as u32,
-        },
-        other => return Err(TraceParseError::UnknownKind(other.to_string())),
-    };
-    Ok(TraceEvent { time, kind })
+    let time = SimTime::from_millis(r.read("t").map_err(|_| malformed("no \"t\" field", line))?);
+    Ok(TraceEvent {
+        time,
+        kind: TraceKind::decode_payload(kind, &r)?,
+    })
 }
 
 /// Parse a whole JSONL document (blank lines are skipped).

@@ -306,6 +306,51 @@ mod tests {
     }
 
     #[test]
+    fn incomplete_view_keeps_wait_clocks_alive() {
+        let mut s = FairScheduler::paper_default();
+        // Decline at t=0 starts job 0's wait clock.
+        let v0 = view(
+            SimTime::ZERO,
+            vec![1, 0],
+            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
+        );
+        assert!(s.assign(&v0).is_empty());
+        // An incomplete prefix view that omits job 0 must NOT drop its
+        // clock...
+        let mut v1 = view(
+            SimTime::from_secs(5),
+            vec![0, 0],
+            vec![sched_job(7, 7, 0, &[(0, &[0])], 2)],
+        );
+        v1.complete = false;
+        let _ = s.assign(&v1);
+        // ...so at t=16 the matured clock still launches non-locally.
+        let v2 = view(
+            SimTime::from_secs(16),
+            vec![1, 0],
+            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
+        );
+        let a = s.assign(&v2);
+        assert_eq!(a.len(), 1, "wait clock survived the incomplete view");
+    }
+
+    #[test]
+    fn complete_view_gcs_departed_jobs() {
+        let mut s = FairScheduler::paper_default();
+        let v0 = view(
+            SimTime::ZERO,
+            vec![1, 0],
+            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
+        );
+        assert!(s.assign(&v0).is_empty());
+        assert_eq!(s.waiting_since.len(), 1);
+        // A complete view without job 0 proves it left; the clock is GCed.
+        let v1 = view(SimTime::from_secs(5), vec![0], vec![]);
+        let _ = s.assign(&v1);
+        assert!(s.waiting_since.is_empty(), "departed job's clock dropped");
+    }
+
+    #[test]
     fn spreads_slots_fairly_across_jobs() {
         let tasks: Vec<(u32, &[u16])> = (0..4).map(|i| (i, &[0u16][..])).collect();
         let v = view(

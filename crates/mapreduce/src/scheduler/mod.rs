@@ -30,13 +30,11 @@
 
 pub mod fair;
 pub mod fifo;
-pub mod indexed;
 #[cfg(test)]
 mod proptests;
 
 pub use fair::FairScheduler;
 pub use fifo::FifoScheduler;
-pub use indexed::{IndexedFairScheduler, IndexedFifoScheduler};
 
 use std::collections::{HashMap, HashSet};
 

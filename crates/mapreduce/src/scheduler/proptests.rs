@@ -2,9 +2,7 @@
 //! schedulers produce assignments that respect slot limits, never assign a
 //! task twice, only assign offered tasks, never dispatch to a dead (zero
 //! free slots) or blacklisted node, and are deterministic. The speculation
-//! picker's one-backup-per-task rule is proptested alongside, and the
-//! indexed schedulers are pinned assignment-for-assignment to the linear
-//! implementations as oracle.
+//! picker's one-backup-per-task rule is proptested alongside.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -12,10 +10,7 @@ use std::collections::HashSet;
 use incmr_dfs::NodeId;
 use incmr_simkit::SimTime;
 
-use super::{
-    FairScheduler, FifoScheduler, IndexedFairScheduler, IndexedFifoScheduler, SchedJob, SchedView,
-    TaskScheduler,
-};
+use super::{FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler};
 use crate::faults::{pick_speculative, SpecCandidate, SpeculationConfig};
 use crate::job::{JobId, TaskId};
 
@@ -272,39 +267,5 @@ proptest! {
                 Some(task)
             );
         }
-    }
-
-    /// The indexed FIFO scheduler is assignment-for-assignment identical
-    /// to the linear implementation (the oracle) on any view.
-    #[test]
-    fn indexed_fifo_matches_linear_oracle(view in arb_view(6, 8, 8)) {
-        let oracle = FifoScheduler::new().assign(&view);
-        let indexed = IndexedFifoScheduler::new().assign(&view);
-        prop_assert_eq!(indexed, oracle);
-    }
-
-    /// The indexed Fair scheduler matches the linear oracle across a
-    /// *sequence* of views, so stateful delay-scheduling (wait clocks
-    /// starting, maturing, and resetting) is pinned too.
-    #[test]
-    fn indexed_fair_matches_linear_oracle(views in prop::collection::vec(arb_view(5, 6, 6), 1..5)) {
-        let mut oracle = FairScheduler::paper_default();
-        let mut indexed = IndexedFairScheduler::paper_default();
-        for (round, view) in views.into_iter().enumerate() {
-            // Advance time so wait clocks from earlier rounds can mature.
-            let mut view = view;
-            view.now = SimTime::from_secs(100 + 20 * round as u64);
-            prop_assert_eq!(indexed.assign(&view), oracle.assign(&view), "round {}", round);
-        }
-    }
-
-    /// The indexed schedulers honour the same dispatch contract directly
-    /// (belt and braces on top of the oracle equivalence).
-    #[test]
-    fn indexed_schedulers_respect_the_contract(view in arb_view(6, 5, 8)) {
-        let a = IndexedFifoScheduler::new().assign(&view);
-        check_contract(&view, &a);
-        let a = IndexedFairScheduler::paper_default().assign(&view);
-        check_contract(&view, &a);
     }
 }

@@ -13,6 +13,7 @@ use incmr_dfs::{BlockId, DiskId, NodeId};
 use incmr_simkit::{SimDuration, SimTime};
 
 use crate::job::{JobId, TaskId};
+use crate::obs::{FieldReader, TraceParseError, WireField};
 
 /// One traced occurrence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,349 +24,385 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// The kinds of traced occurrences.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A job was submitted.
-    JobSubmitted {
-        /// The job.
-        job: JobId,
-    },
-    /// A growth driver added input splits.
-    InputAdded {
-        /// The job.
-        job: JobId,
-        /// Number of splits added in this step.
-        splits: u32,
-    },
-    /// The driver declared end-of-input.
-    EndOfInput {
-        /// The job.
-        job: JobId,
-    },
-    /// A map attempt was dispatched to a slot.
-    MapStarted {
-        /// The job.
-        job: JobId,
-        /// The task.
-        task: TaskId,
-        /// The node whose slot it took.
-        node: NodeId,
-        /// Whether the read is data-local.
-        local: bool,
-    },
-    /// A map attempt completed successfully.
-    MapFinished {
-        /// The job.
-        job: JobId,
-        /// The task.
-        task: TaskId,
-    },
-    /// A map attempt failed (fault injection).
-    MapFailed {
-        /// The job.
-        job: JobId,
-        /// The task.
-        task: TaskId,
-        /// Which attempt failed (1-based).
-        attempt: u32,
-    },
-    /// The shuffle closed: every map completed and the per-reduce buffers
-    /// are final. Carries only deterministic counters (records/bytes), so
-    /// traces stay thread-count-invariant.
-    ShuffleReady {
-        /// The job.
-        job: JobId,
-        /// Reduce partitions created.
-        partitions: u32,
-        /// Records fed to the map-side combiner (0 when the job has none).
-        combiner_in: u64,
-        /// Records surviving the combiner.
-        combiner_out: u64,
-        /// Largest modeled partition share in bytes (skew numerator).
-        max_partition_bytes: u64,
-        /// Smallest modeled partition share in bytes (skew denominator).
-        min_partition_bytes: u64,
-    },
-    /// A reduce task started on a reduce slot.
-    ReduceStarted {
-        /// The job.
-        job: JobId,
-        /// Reduce partition index.
-        reduce: u32,
-        /// Host node.
-        node: NodeId,
-    },
-    /// A reduce task committed.
-    ReduceFinished {
-        /// The job.
-        job: JobId,
-        /// Reduce partition index.
-        reduce: u32,
-    },
-    /// The job finished (successfully or not).
-    JobCompleted {
-        /// The job.
-        job: JobId,
-        /// True if the job was aborted.
-        failed: bool,
-    },
-    /// A reduce attempt failed (fault injection).
-    ReduceFailed {
-        /// The job.
-        job: JobId,
-        /// Reduce partition index.
-        reduce: u32,
-        /// Which attempt failed (1-based).
-        attempt: u32,
-    },
-    /// A node (TaskTracker) died; its slots, running attempts, and stored
-    /// map output are gone.
-    NodeLost {
-        /// The dead node.
-        node: NodeId,
-    },
-    /// A dead node rejoined the cluster with fresh slots.
-    NodeRejoined {
-        /// The recovered node.
-        node: NodeId,
-    },
-    /// A speculative attempt of a laggard map task was launched.
-    SpeculativeLaunch {
-        /// The job.
-        job: JobId,
-        /// The task being speculated.
-        task: TaskId,
-        /// The node hosting the backup attempt.
-        node: NodeId,
-    },
-    /// A running attempt was killed (node death or losing a speculative
-    /// race) — killed, not failed: it does not count against the task's
-    /// attempt budget.
-    AttemptKilled {
-        /// The job.
-        job: JobId,
-        /// The task.
-        task: TaskId,
-        /// The node the attempt was running on.
-        node: NodeId,
-    },
-    /// A job blacklisted a node after repeated counted failures on it.
-    NodeBlacklisted {
-        /// The job.
-        job: JobId,
-        /// The banned node.
-        node: NodeId,
-    },
-    /// The job's Input Provider (or growth driver) misbehaved — a caught
-    /// panic or an invalid directive. Non-fatal occurrences consumed one
-    /// unit of the job's retry budget; fatal ones failed the job.
-    ProviderFault {
-        /// The job.
-        job: JobId,
-        /// True if the fault failed the job (retry budget exhausted).
-        fatal: bool,
-    },
-    /// An `AddInput` directive exceeded the driver's grab limit and was
-    /// truncated to it.
-    GrabLimitClamped {
-        /// The job.
-        job: JobId,
-        /// Splits the directive asked for.
-        requested: u32,
-        /// Splits actually granted (the grab limit).
-        granted: u32,
-    },
-    /// `AddInput` entries naming splits the job already claimed were
-    /// dropped (dedup within and across directives).
-    DuplicateInputDropped {
-        /// The job.
-        job: JobId,
-        /// Number of duplicate entries dropped.
-        splits: u32,
-    },
-    /// The livelock watchdog terminated the job: too many consecutive
-    /// unproductive evaluations with nothing running or pending.
-    JobWedged {
-        /// The job.
-        job: JobId,
-        /// Consecutive idle evaluations observed at termination.
-        idle_evaluations: u32,
-    },
-    /// The job's simulated-time deadline expired.
-    DeadlineExceeded {
-        /// The job.
-        job: JobId,
-        /// True if the job degrades to a partial result
-        /// (`mapred.job.allow.partial`) instead of failing.
-        graceful: bool,
-    },
-    /// A sampling job completed with fewer than its requested `k` matches
-    /// (paper semantics: the answer set is still correct, just smaller).
-    PartialSample {
-        /// The job.
-        job: JobId,
-        /// Matches actually produced.
-        found: u64,
-        /// The configured sample size `k`.
-        requested: u64,
-    },
-    /// A query service admitted a tenant's query to the cluster (recorded
-    /// by the front end via [`crate::MrRuntime::record_event`]).
-    QueryAdmitted {
-        /// The tenant that submitted the query.
-        tenant: u32,
-        /// The job it became.
-        job: JobId,
-    },
-    /// Admission control rejected a tenant's query: its per-tenant queue
-    /// was already at its depth cap.
-    QueryRejected {
-        /// The tenant whose query bounced.
-        tenant: u32,
-        /// Queue depth observed at rejection (the cap).
-        queued: u32,
-    },
-    /// A tenant's query was accepted but parked in its queue — the tenant
-    /// is at its in-flight quota (or the service at its global cap) and
-    /// must wait for the weighted-fair release.
-    QuotaDeferred {
-        /// The tenant whose query waits.
-        tenant: u32,
-        /// Queue depth after parking this query.
-        depth: u32,
-    },
-    /// The memo store satisfied a map task from cached output: the attempt
-    /// kept its simulated schedule but skipped host recomputation.
-    SplitReused {
-        /// The job.
-        job: JobId,
-        /// The reused task.
-        task: TaskId,
-    },
-    /// A memo entry for this split existed but at a stale block version —
-    /// the split was rewritten since it was cached and must recompute.
-    SplitDirty {
-        /// The job.
-        job: JobId,
-        /// The dirty task.
-        task: TaskId,
-    },
-    /// New blocks landed on the DFS while the cluster was live; parked
-    /// standing queries were woken to consider them. Cluster-level: the
-    /// arrival precedes any job claiming the splits.
-    InputArrived {
-        /// Number of blocks that arrived in this evolve step.
-        splits: u32,
-    },
-    /// A node death destroyed a stored replica of a block (data-loss mode).
-    /// Cluster-level: replica loss precedes any job-level consequence.
-    ReplicaLost {
-        /// The block that lost a copy.
-        block: BlockId,
-        /// The dead node that hosted it.
-        node: NodeId,
-    },
-    /// The re-replication daemon restored a copy of an under-replicated
-    /// block onto a live node. Cluster-level.
-    ReplicaRestored {
-        /// The block that regained a copy.
-        block: BlockId,
-        /// The node now hosting the new replica.
-        node: NodeId,
-    },
-    /// A dispatched map attempt's intended replica died before the read
-    /// began; the read failed over to a surviving replica.
-    ReadFailover {
-        /// The job.
-        job: JobId,
-        /// The task whose read moved.
-        task: TaskId,
-        /// The (now dead) disk the attempt was dispatched against.
-        from: DiskId,
-        /// The live replica the read failed over to.
-        to: DiskId,
-    },
-    /// Every replica of one or more of the job's input blocks is gone. The
-    /// job either fails with `JobError::InputLost` or, with
-    /// `mapred.job.allow.partial`, abandons those splits and degrades to a
-    /// partial sample.
-    InputLost {
-        /// The job.
-        job: JobId,
-        /// Number of distinct lost blocks.
-        blocks: u32,
-        /// True if the job degrades to a partial result instead of failing.
-        graceful: bool,
-    },
-    /// Estimating aggregate job: the runtime folded per-group accumulators
-    /// from completed map output and probed the CLT stopping rule ahead of
-    /// a driver evaluation.
-    ErrorBoundProbe {
-        /// The job.
-        job: JobId,
-        /// Completed splits folded into this probe.
-        completed: u32,
-        /// Distinct groups observed so far.
-        groups: u32,
-        /// Worst per-group/per-aggregate relative half-width, in parts
-        /// per million (`u64::MAX` when a group is still unresolved).
-        worst_ppm: u64,
-        /// True if every group and aggregate met the error bound.
-        bound_met: bool,
-    },
-    /// Estimating aggregate job: the error bound held at the requested
-    /// confidence, so the provider stopped growing the job early.
-    BoundMet {
-        /// The job.
-        job: JobId,
-        /// Splits processed when the bound was met.
-        completed: u32,
-        /// Candidate splits a full scan would have processed.
-        total: u32,
-    },
+/// Declares [`TraceKind`] once and derives everything that lists its
+/// kinds from that one declaration: the enum itself, [`TraceKind::NAMES`]
+/// (each variant's name is its stable wire name), [`TraceKind::job`] (the
+/// payload's `JobId` field, if it has one), and the JSONL payload codec
+/// behind [`crate::obs::encode_event`] and [`crate::obs::parse_event`]
+/// (fields in declaration order, each written and read by its
+/// [`WireField`] impl). Adding a kind is one entry here plus its
+/// `Display` arm.
+macro_rules! trace_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceKind {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident {
+                    $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum TraceKind {
+            $(
+                $(#[$variant_meta])*
+                $variant {
+                    $( $(#[$field_meta])* $field: $ty, )*
+                },
+            )*
+        }
+
+        impl TraceKind {
+            /// Every kind's stable wire name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($variant)),*];
+
+            /// The job this event belongs to (`None` for cluster-level events
+            /// such as node loss).
+            pub fn job(&self) -> Option<JobId> {
+                match self {
+                    $(TraceKind::$variant { $($field),* } => None$(.or($field.as_job()))*,)*
+                }
+            }
+
+            /// This kind's entry in [`TraceKind::NAMES`].
+            pub(crate) fn name(&self) -> &'static str {
+                match self {
+                    $(TraceKind::$variant { .. } => stringify!($variant),)*
+                }
+            }
+
+            /// Append `,"field":value` for every payload field.
+            pub(crate) fn encode_payload(&self, out: &mut String) {
+                match self {
+                    $(TraceKind::$variant { $($field),* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.encode(out);
+                        )*
+                    })*
+                }
+            }
+
+            /// Rebuild the kind named `name` from its decoded payload fields.
+            pub(crate) fn decode_payload(
+                name: &str,
+                fields: &FieldReader<'_>,
+            ) -> Result<Self, TraceParseError> {
+                Ok(match name {
+                    $(stringify!($variant) => TraceKind::$variant {
+                        $($field: fields.read(stringify!($field))?,)*
+                    },)*
+                    other => return Err(TraceParseError::UnknownKind(other.to_string())),
+                })
+            }
+        }
+    };
 }
 
-impl TraceKind {
-    /// The job this event belongs to (`None` for cluster-level events
-    /// such as node loss).
-    pub fn job(&self) -> Option<JobId> {
-        match self {
-            TraceKind::JobSubmitted { job }
-            | TraceKind::InputAdded { job, .. }
-            | TraceKind::EndOfInput { job }
-            | TraceKind::MapStarted { job, .. }
-            | TraceKind::MapFinished { job, .. }
-            | TraceKind::MapFailed { job, .. }
-            | TraceKind::ShuffleReady { job, .. }
-            | TraceKind::ReduceStarted { job, .. }
-            | TraceKind::ReduceFinished { job, .. }
-            | TraceKind::JobCompleted { job, .. }
-            | TraceKind::ReduceFailed { job, .. }
-            | TraceKind::SpeculativeLaunch { job, .. }
-            | TraceKind::AttemptKilled { job, .. }
-            | TraceKind::NodeBlacklisted { job, .. }
-            | TraceKind::ProviderFault { job, .. }
-            | TraceKind::GrabLimitClamped { job, .. }
-            | TraceKind::DuplicateInputDropped { job, .. }
-            | TraceKind::JobWedged { job, .. }
-            | TraceKind::DeadlineExceeded { job, .. }
-            | TraceKind::PartialSample { job, .. }
-            | TraceKind::QueryAdmitted { job, .. }
-            | TraceKind::SplitReused { job, .. }
-            | TraceKind::SplitDirty { job, .. }
-            | TraceKind::ReadFailover { job, .. }
-            | TraceKind::InputLost { job, .. }
-            | TraceKind::ErrorBoundProbe { job, .. }
-            | TraceKind::BoundMet { job, .. } => Some(*job),
-            TraceKind::NodeLost { .. }
-            | TraceKind::NodeRejoined { .. }
-            | TraceKind::QueryRejected { .. }
-            | TraceKind::QuotaDeferred { .. }
-            | TraceKind::InputArrived { .. }
-            | TraceKind::ReplicaLost { .. }
-            | TraceKind::ReplicaRestored { .. } => None,
-        }
+trace_kinds! {
+    /// The kinds of traced occurrences.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum TraceKind {
+        /// A job was submitted.
+        JobSubmitted {
+            /// The job.
+            job: JobId,
+        },
+        /// A growth driver added input splits.
+        InputAdded {
+            /// The job.
+            job: JobId,
+            /// Number of splits added in this step.
+            splits: u32,
+        },
+        /// The driver declared end-of-input.
+        EndOfInput {
+            /// The job.
+            job: JobId,
+        },
+        /// A map attempt was dispatched to a slot.
+        MapStarted {
+            /// The job.
+            job: JobId,
+            /// The task.
+            task: TaskId,
+            /// The node whose slot it took.
+            node: NodeId,
+            /// Whether the read is data-local.
+            local: bool,
+        },
+        /// A map attempt completed successfully.
+        MapFinished {
+            /// The job.
+            job: JobId,
+            /// The task.
+            task: TaskId,
+        },
+        /// A map attempt failed (fault injection).
+        MapFailed {
+            /// The job.
+            job: JobId,
+            /// The task.
+            task: TaskId,
+            /// Which attempt failed (1-based).
+            attempt: u32,
+        },
+        /// The shuffle closed: every map completed and the per-reduce buffers
+        /// are final. Carries only deterministic counters (records/bytes), so
+        /// traces stay thread-count-invariant.
+        ShuffleReady {
+            /// The job.
+            job: JobId,
+            /// Reduce partitions created.
+            partitions: u32,
+            /// Records fed to the map-side combiner (0 when the job has none).
+            combiner_in: u64,
+            /// Records surviving the combiner.
+            combiner_out: u64,
+            /// Largest modeled partition share in bytes (skew numerator).
+            max_partition_bytes: u64,
+            /// Smallest modeled partition share in bytes (skew denominator).
+            min_partition_bytes: u64,
+        },
+        /// A reduce task started on a reduce slot.
+        ReduceStarted {
+            /// The job.
+            job: JobId,
+            /// Reduce partition index.
+            reduce: u32,
+            /// Host node.
+            node: NodeId,
+        },
+        /// A reduce task committed.
+        ReduceFinished {
+            /// The job.
+            job: JobId,
+            /// Reduce partition index.
+            reduce: u32,
+        },
+        /// The job finished (successfully or not).
+        JobCompleted {
+            /// The job.
+            job: JobId,
+            /// True if the job was aborted.
+            failed: bool,
+        },
+        /// A reduce attempt failed (fault injection).
+        ReduceFailed {
+            /// The job.
+            job: JobId,
+            /// Reduce partition index.
+            reduce: u32,
+            /// Which attempt failed (1-based).
+            attempt: u32,
+        },
+        /// A node (TaskTracker) died; its slots, running attempts, and stored
+        /// map output are gone.
+        NodeLost {
+            /// The dead node.
+            node: NodeId,
+        },
+        /// A dead node rejoined the cluster with fresh slots.
+        NodeRejoined {
+            /// The recovered node.
+            node: NodeId,
+        },
+        /// A speculative attempt of a laggard map task was launched.
+        SpeculativeLaunch {
+            /// The job.
+            job: JobId,
+            /// The task being speculated.
+            task: TaskId,
+            /// The node hosting the backup attempt.
+            node: NodeId,
+        },
+        /// A running attempt was killed (node death or losing a speculative
+        /// race) — killed, not failed: it does not count against the task's
+        /// attempt budget.
+        AttemptKilled {
+            /// The job.
+            job: JobId,
+            /// The task.
+            task: TaskId,
+            /// The node the attempt was running on.
+            node: NodeId,
+        },
+        /// A job blacklisted a node after repeated counted failures on it.
+        NodeBlacklisted {
+            /// The job.
+            job: JobId,
+            /// The banned node.
+            node: NodeId,
+        },
+        /// The job's Input Provider (or growth driver) misbehaved — a caught
+        /// panic or an invalid directive. Non-fatal occurrences consumed one
+        /// unit of the job's retry budget; fatal ones failed the job.
+        ProviderFault {
+            /// The job.
+            job: JobId,
+            /// True if the fault failed the job (retry budget exhausted).
+            fatal: bool,
+        },
+        /// An `AddInput` directive exceeded the driver's grab limit and was
+        /// truncated to it.
+        GrabLimitClamped {
+            /// The job.
+            job: JobId,
+            /// Splits the directive asked for.
+            requested: u32,
+            /// Splits actually granted (the grab limit).
+            granted: u32,
+        },
+        /// `AddInput` entries naming splits the job already claimed were
+        /// dropped (dedup within and across directives).
+        DuplicateInputDropped {
+            /// The job.
+            job: JobId,
+            /// Number of duplicate entries dropped.
+            splits: u32,
+        },
+        /// The livelock watchdog terminated the job: too many consecutive
+        /// unproductive evaluations with nothing running or pending.
+        JobWedged {
+            /// The job.
+            job: JobId,
+            /// Consecutive idle evaluations observed at termination.
+            idle_evaluations: u32,
+        },
+        /// The job's simulated-time deadline expired.
+        DeadlineExceeded {
+            /// The job.
+            job: JobId,
+            /// True if the job degrades to a partial result
+            /// (`mapred.job.allow.partial`) instead of failing.
+            graceful: bool,
+        },
+        /// A sampling job completed with fewer than its requested `k` matches
+        /// (paper semantics: the answer set is still correct, just smaller).
+        PartialSample {
+            /// The job.
+            job: JobId,
+            /// Matches actually produced.
+            found: u64,
+            /// The configured sample size `k`.
+            requested: u64,
+        },
+        /// A query service admitted a tenant's query to the cluster (recorded
+        /// by the front end via [`crate::MrRuntime::record_event`]).
+        QueryAdmitted {
+            /// The tenant that submitted the query.
+            tenant: u32,
+            /// The job it became.
+            job: JobId,
+        },
+        /// Admission control rejected a tenant's query: its per-tenant queue
+        /// was already at its depth cap.
+        QueryRejected {
+            /// The tenant whose query bounced.
+            tenant: u32,
+            /// Queue depth observed at rejection (the cap).
+            queued: u32,
+        },
+        /// A tenant's query was accepted but parked in its queue — the tenant
+        /// is at its in-flight quota (or the service at its global cap) and
+        /// must wait for the weighted-fair release.
+        QuotaDeferred {
+            /// The tenant whose query waits.
+            tenant: u32,
+            /// Queue depth after parking this query.
+            depth: u32,
+        },
+        /// The memo store satisfied a map task from cached output: the attempt
+        /// kept its simulated schedule but skipped host recomputation.
+        SplitReused {
+            /// The job.
+            job: JobId,
+            /// The reused task.
+            task: TaskId,
+        },
+        /// A memo entry for this split existed but at a stale block version —
+        /// the split was rewritten since it was cached and must recompute.
+        SplitDirty {
+            /// The job.
+            job: JobId,
+            /// The dirty task.
+            task: TaskId,
+        },
+        /// New blocks landed on the DFS while the cluster was live; parked
+        /// standing queries were woken to consider them. Cluster-level: the
+        /// arrival precedes any job claiming the splits.
+        InputArrived {
+            /// Number of blocks that arrived in this evolve step.
+            splits: u32,
+        },
+        /// A node death destroyed a stored replica of a block (data-loss mode).
+        /// Cluster-level: replica loss precedes any job-level consequence.
+        ReplicaLost {
+            /// The block that lost a copy.
+            block: BlockId,
+            /// The dead node that hosted it.
+            node: NodeId,
+        },
+        /// The re-replication daemon restored a copy of an under-replicated
+        /// block onto a live node. Cluster-level.
+        ReplicaRestored {
+            /// The block that regained a copy.
+            block: BlockId,
+            /// The node now hosting the new replica.
+            node: NodeId,
+        },
+        /// A dispatched map attempt's intended replica died before the read
+        /// began; the read failed over to a surviving replica.
+        ReadFailover {
+            /// The job.
+            job: JobId,
+            /// The task whose read moved.
+            task: TaskId,
+            /// The (now dead) disk the attempt was dispatched against.
+            from: DiskId,
+            /// The live replica the read failed over to.
+            to: DiskId,
+        },
+        /// Every replica of one or more of the job's input blocks is gone. The
+        /// job either fails with `JobError::InputLost` or, with
+        /// `mapred.job.allow.partial`, abandons those splits and degrades to a
+        /// partial sample.
+        InputLost {
+            /// The job.
+            job: JobId,
+            /// Number of distinct lost blocks.
+            blocks: u32,
+            /// True if the job degrades to a partial result instead of failing.
+            graceful: bool,
+        },
+        /// Estimating aggregate job: the runtime folded per-group accumulators
+        /// from completed map output and probed the CLT stopping rule ahead of
+        /// a driver evaluation.
+        ErrorBoundProbe {
+            /// The job.
+            job: JobId,
+            /// Completed splits folded into this probe.
+            completed: u32,
+            /// Distinct groups observed so far.
+            groups: u32,
+            /// Worst per-group/per-aggregate relative half-width, in parts
+            /// per million (`u64::MAX` when a group is still unresolved).
+            worst_ppm: u64,
+            /// True if every group and aggregate met the error bound.
+            bound_met: bool,
+        },
+        /// Estimating aggregate job: the error bound held at the requested
+        /// confidence, so the provider stopped growing the job early.
+        BoundMet {
+            /// The job.
+            job: JobId,
+            /// Splits processed when the bound was met.
+            completed: u32,
+            /// Candidate splits a full scan would have processed.
+            total: u32,
+        },
     }
 }
 

@@ -1,14 +1,13 @@
 //! Observability-plane invariants: lossless trace round-trips, histogram
 //! algebra, and byte-identical output across data-plane thread counts.
 //!
-//! The round-trip suite leans on two build-time exhaustiveness guards:
-//! `obs::kind_name`/`obs::encode_event` match every [`TraceKind`] without
-//! a wildcard arm (encoder side), and [`kind_index`] below does the same
-//! (generator side) — adding a variant without extending both the codec
-//! and this suite's generator refuses to compile.
+//! The codec is generated from the one `TraceKind` table, so the
+//! round-trip suite walks [`TraceKind::NAMES`]: a kind added to the table
+//! but not to the hand-written generator [`kind_from`] fails it.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::fs;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use incmr::mapreduce::{encode_event, kind_name, parse_event, TaskId, TraceParseError};
@@ -17,59 +16,14 @@ use incmr::simkit::stats::LogHistogram;
 
 use incmr::dfs::DiskId;
 
-/// Keep in sync with [`kind_index`]'s exhaustive match (which is what
-/// actually enforces the count at build time).
-const NUM_KINDS: usize = 34;
-
-/// Generator-side build guard: exhaustive, no wildcard. A new `TraceKind`
-/// variant fails compilation here until [`kind_from`] can produce it.
-fn kind_index(kind: &TraceKind) -> usize {
-    match kind {
-        TraceKind::JobSubmitted { .. } => 0,
-        TraceKind::InputAdded { .. } => 1,
-        TraceKind::EndOfInput { .. } => 2,
-        TraceKind::MapStarted { .. } => 3,
-        TraceKind::MapFinished { .. } => 4,
-        TraceKind::MapFailed { .. } => 5,
-        TraceKind::ShuffleReady { .. } => 6,
-        TraceKind::ReduceStarted { .. } => 7,
-        TraceKind::ReduceFinished { .. } => 8,
-        TraceKind::JobCompleted { .. } => 9,
-        TraceKind::ReduceFailed { .. } => 10,
-        TraceKind::NodeLost { .. } => 11,
-        TraceKind::NodeRejoined { .. } => 12,
-        TraceKind::SpeculativeLaunch { .. } => 13,
-        TraceKind::AttemptKilled { .. } => 14,
-        TraceKind::NodeBlacklisted { .. } => 15,
-        TraceKind::ProviderFault { .. } => 16,
-        TraceKind::GrabLimitClamped { .. } => 17,
-        TraceKind::DuplicateInputDropped { .. } => 18,
-        TraceKind::JobWedged { .. } => 19,
-        TraceKind::DeadlineExceeded { .. } => 20,
-        TraceKind::PartialSample { .. } => 21,
-        TraceKind::QueryAdmitted { .. } => 22,
-        TraceKind::QueryRejected { .. } => 23,
-        TraceKind::QuotaDeferred { .. } => 24,
-        TraceKind::SplitReused { .. } => 25,
-        TraceKind::SplitDirty { .. } => 26,
-        TraceKind::InputArrived { .. } => 27,
-        TraceKind::ReplicaLost { .. } => 28,
-        TraceKind::ReplicaRestored { .. } => 29,
-        TraceKind::ReadFailover { .. } => 30,
-        TraceKind::InputLost { .. } => 31,
-        TraceKind::ErrorBoundProbe { .. } => 32,
-        TraceKind::BoundMet { .. } => 33,
-    }
-}
-
-/// Build the `which`-th kind with payloads drawn from four arbitrary
-/// words, covering every field's full width.
+/// Build the kind named `TraceKind::NAMES[which]` with payloads drawn
+/// from four arbitrary words, covering every field's full width.
 fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
     let job = JobId(a as u32);
     let task = TaskId(b as u32);
     let node = NodeId(c as u16);
     let flag = d.is_multiple_of(2);
-    match which % NUM_KINDS {
+    match which {
         0 => TraceKind::JobSubmitted { job },
         1 => TraceKind::InputAdded {
             job,
@@ -93,8 +47,8 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
             partitions: b as u32,
             combiner_in: c,
             combiner_out: d,
-            max_partition_bytes: a ^ b,
-            min_partition_bytes: c ^ d,
+            max_partition_bytes: a | b,
+            min_partition_bytes: c | d,
         },
         7 => TraceKind::ReduceStarted {
             job,
@@ -185,21 +139,17 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
             completed: b as u32,
             total: c as u32,
         },
-        _ => unreachable!(),
+        other => panic!("kind_from cannot build {}", TraceKind::NAMES[other]),
     }
 }
 
 #[test]
 fn all_kinds_are_generated_distinct_and_round_trip() {
-    let mut names = HashSet::new();
-    for which in 0..NUM_KINDS {
+    // Variant names are unique, so matching `NAMES[which]` also makes
+    // every generated kind distinct.
+    for (which, &name) in TraceKind::NAMES.iter().enumerate() {
         let kind = kind_from(which, 7, 11, 3, 2);
-        assert_eq!(kind_index(&kind), which, "generator covers index {which}");
-        assert!(
-            names.insert(kind_name(&kind)),
-            "duplicate wire name {}",
-            kind_name(&kind)
-        );
+        assert_eq!(kind_name(&kind), name, "generator covers index {which}");
         let event = TraceEvent {
             time: SimTime::from_millis(1_000 * which as u64 + 1),
             kind,
@@ -207,7 +157,37 @@ fn all_kinds_are_generated_distinct_and_round_trip() {
         let line = encode_event(&event);
         assert_eq!(parse_event(&line).unwrap(), event, "kind {which}: {line}");
     }
-    assert_eq!(names.len(), NUM_KINDS);
+}
+
+/// Pins the JSONL bytes of every kind at two payload widths: small
+/// values, and every field at its maximum. Regenerate after an
+/// intentional wire-format change with
+/// `UPDATE_GOLDEN=1 cargo test --test obs jsonl_bytes`.
+#[test]
+fn jsonl_bytes_of_every_kind_match_golden_file() {
+    let events: Vec<TraceEvent> = (0..TraceKind::NAMES.len())
+        .flat_map(|which| {
+            [(which as u64 + 1, [7, 11, 3, 2]), (u64::MAX, [u64::MAX; 4])].map(
+                |(t, [a, b, c, d])| TraceEvent {
+                    time: SimTime::from_millis(t),
+                    kind: kind_from(which, a, b, c, d),
+                },
+            )
+        })
+        .collect();
+    let got = encode_trace(&events);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/jsonl_kinds.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        fs::write(&path, &got).expect("write golden JSONL kinds");
+        return;
+    }
+    let want = fs::read_to_string(&path)
+        .expect("tests/golden/jsonl_kinds.txt missing — generate it with UPDATE_GOLDEN=1");
+    assert_eq!(
+        got, want,
+        "JSONL encoding diverged from tests/golden/jsonl_kinds.txt"
+    );
+    assert_eq!(parse_trace(&want).unwrap(), events);
 }
 
 #[test]
@@ -222,6 +202,33 @@ fn parse_rejects_garbage_and_unknown_kinds() {
     ));
     // A known kind with a missing payload field.
     assert!(parse_event("{\"t\":3,\"kind\":\"InputAdded\",\"job\":1}").is_err());
+    // Bad literals and repeated keys are malformed, not guessed at.
+    for line in [
+        "{\"t\":3,\"kind\":\"MapStarted\",\"job\":1,\"task\":2,\"node\":3,\"local\":txyz}",
+        "{\"t\":3,\"kind\":\"JobCompleted\",\"job\":1,\"failed\":fals!}",
+        "{\"t\":3,\"kind\":\"JobSubmitted\",\"job\":1,\"job\":2}",
+    ] {
+        assert!(
+            matches!(parse_event(line), Err(TraceParseError::Malformed(_))),
+            "{line}"
+        );
+    }
+    // A value too wide for its field is rejected, not truncated.
+    for (line, field) in [
+        ("{\"t\":3,\"kind\":\"NodeLost\",\"node\":70000}", "node"),
+        (
+            "{\"t\":3,\"kind\":\"JobSubmitted\",\"job\":4294967297}",
+            "job",
+        ),
+    ] {
+        assert!(
+            matches!(
+                parse_event(line),
+                Err(TraceParseError::MissingField { field: f, .. }) if f == field
+            ),
+            "{line}"
+        );
+    }
 }
 
 proptest! {
@@ -231,7 +238,7 @@ proptest! {
     /// kind and arbitrary payloads.
     #[test]
     fn any_event_round_trips(
-        which in 0usize..NUM_KINDS,
+        which in 0..TraceKind::NAMES.len(),
         t in any::<u64>(),
         a in any::<u64>(),
         b in any::<u64>(),
@@ -249,7 +256,7 @@ proptest! {
     #[test]
     fn whole_traces_round_trip(
         raws in prop::collection::vec(
-            (0usize..NUM_KINDS, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            (0..TraceKind::NAMES.len(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
             0..64,
         ),
     ) {
