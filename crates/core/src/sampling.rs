@@ -13,7 +13,7 @@
 //!   reservoir sample.
 
 use incmr_data::{BatchSelection, Predicate, Record, RecordBatch};
-use incmr_mapreduce::{Combiner, Key, KeyedBatch, MapResult, Mapper, Reducer, SplitData};
+use incmr_mapreduce::{Combiner, Key, KeyedBatch, MapResult, Mapper, Reducer, SplitData, ValueSeq};
 use incmr_simkit::rng::DetRng;
 use rand::Rng;
 
@@ -171,37 +171,68 @@ pub struct SamplingReducer {
     mode: SampleMode,
 }
 
+/// Which values of a group the sample keeps, in output order.
+enum Kept {
+    /// The first `n` values.
+    Prefix(usize),
+    /// The values at these positions.
+    Picks(Vec<usize>),
+}
+
 impl SamplingReducer {
     /// A reducer producing a sample of at most `k` values.
     pub fn new(k: u64, mode: SampleMode) -> Self {
         assert!(k > 0, "sample size must be positive");
         SamplingReducer { k, mode }
     }
+
+    /// The values a group of `len` keeps: all of them when they fit, else
+    /// the first `k`, or the `k` winners of Vitter's Algorithm R drawn
+    /// over positions.
+    fn kept(&self, len: usize) -> Kept {
+        let k = self.k as usize;
+        if len <= k {
+            return Kept::Prefix(len);
+        }
+        match self.mode {
+            SampleMode::FirstK => Kept::Prefix(k),
+            SampleMode::RandomK { seed } => {
+                let mut rng = DetRng::seed_from(seed);
+                let mut reservoir: Vec<usize> = (0..k).collect();
+                for i in k..len {
+                    let j = rng.gen_range(0..=i);
+                    if j < k {
+                        reservoir[j] = i;
+                    }
+                }
+                Kept::Picks(reservoir)
+            }
+        }
+    }
 }
 
 impl Reducer for SamplingReducer {
     fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>) {
-        let k = self.k as usize;
-        if values.len() <= k {
-            output.extend(values.iter().map(|v| (Key::clone(key), v.clone())));
-            return;
+        let pair = |v: &Record| (Key::clone(key), v.clone());
+        match self.kept(values.len()) {
+            Kept::Prefix(n) => output.extend(values[..n].iter().map(pair)),
+            Kept::Picks(positions) => output.extend(positions.iter().map(|&i| pair(&values[i]))),
         }
-        match self.mode {
-            SampleMode::FirstK => {
-                output.extend(values[..k].iter().map(|v| (Key::clone(key), v.clone())));
+    }
+
+    /// Builds only the kept rows.
+    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
+        match self.kept(values.len()) {
+            Kept::Prefix(n) => {
+                output.reserve(n);
+                output.extend(values.into_records().take(n).map(|v| (Key::clone(key), v)));
             }
-            SampleMode::RandomK { seed } => {
-                // Vitter's Algorithm R over the value list.
-                let mut rng = DetRng::seed_from(seed);
-                let mut reservoir: Vec<&Record> = values[..k].iter().collect();
-                for (i, v) in values.iter().enumerate().skip(k) {
-                    let j = rng.gen_range(0..=i);
-                    if j < k {
-                        reservoir[j] = v;
-                    }
-                }
-                output.extend(reservoir.into_iter().map(|v| (Key::clone(key), v.clone())));
-            }
+            Kept::Picks(positions) => output.extend(
+                values
+                    .select(&positions)
+                    .into_iter()
+                    .map(|v| (Key::clone(key), v)),
+            ),
         }
     }
 }

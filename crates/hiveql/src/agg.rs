@@ -15,7 +15,7 @@
 //! would silently drop partials. The compiler never sets it on aggregate
 //! plans.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use incmr_data::{ColumnData, Predicate, Record, RecordBatch, Value};
 use incmr_mapreduce::{encode_group_part, Key, MapResult, Mapper, Reducer, SplitData};
@@ -315,110 +315,132 @@ impl GroupAggMapper {
         }
     }
 
-    fn absorb(&self, groups: &mut BTreeMap<Key, GroupObs>, record: &Record) {
-        let key = match self.group {
-            Some(g) => group_key(record.get(g)),
-            None => Key::from(AGG_KEY),
-        };
-        let obs = groups
-            .entry(key)
-            .or_insert_with(|| GroupObs::new(self.aggs.len()));
-        obs.n += 1;
-        for (j, agg) in self.aggs.iter().enumerate() {
-            obs.sums[j] += match (agg.func, agg.column) {
-                (AggFunc::Count, _) => 1.0,
-                (_, Some(c)) => numeric(record.get(c)),
-                (_, None) => unreachable!("SUM/AVG always have a column"),
+    /// The row reference path: one ordered-map lookup per record.
+    fn absorb_rows<'a>(
+        &self,
+        records: impl Iterator<Item = &'a Record>,
+    ) -> BTreeMap<Key, GroupObs> {
+        let mut groups = BTreeMap::new();
+        for record in records {
+            let key = match self.group {
+                Some(g) => group_key(record.get(g)),
+                None => Key::from(AGG_KEY),
             };
+            let obs = groups
+                .entry(key)
+                .or_insert_with(|| GroupObs::new(self.aggs.len()));
+            obs.n += 1;
+            for (j, agg) in self.aggs.iter().enumerate() {
+                obs.sums[j] += match (agg.func, agg.column) {
+                    (AggFunc::Count, _) => 1.0,
+                    (_, Some(c)) => numeric(record.get(c)),
+                    (_, None) => unreachable!("SUM/AVG always have a column"),
+                };
+            }
         }
+        groups
     }
 
-    /// Columnar absorb: materialise the selected rows' group keys once,
-    /// then sweep each aggregate's column vector — values come straight
-    /// out of the batch, no `Record` is ever built.
-    fn absorb_batch(&self, groups: &mut BTreeMap<Key, GroupObs>, batch: &RecordBatch, sel: &[u32]) {
-        let keys: Vec<Key> = match self.group {
-            None => sel.iter().map(|_| Key::from(AGG_KEY)).collect(),
-            Some(g) => match batch.column(g) {
-                ColumnData::Int(v) => sel
-                    .iter()
-                    .map(|&r| group_key(&Value::Int(v[r as usize])))
-                    .collect(),
-                ColumnData::Float(v) => sel
-                    .iter()
-                    .map(|&r| group_key(&Value::Float(v[r as usize])))
-                    .collect(),
-                ColumnData::Date(v) => sel
-                    .iter()
-                    .map(|&r| group_key(&Value::Date(v[r as usize])))
-                    .collect(),
-                // Dictionary-encoded strings: the dict entry is already an
-                // `Arc<str>` — exactly a `Key` — so this is a refcount bump.
-                ColumnData::Str(v) => sel.iter().map(|&r| Key::clone(v.get(r as usize))).collect(),
-            },
+    /// Columnar absorb: give each selected row a dense group slot, then
+    /// sweep each aggregate's column vector into the slots. No `Record` is
+    /// built and each group's key is rendered once. Every slot adds its
+    /// rows in selection order, as the row path does, so the sums are
+    /// bit-identical to it.
+    fn absorb_batch(&self, batch: &RecordBatch, sel: &[u32]) -> BTreeMap<Key, GroupObs> {
+        let (slots, keys) = match self.group.map(|g| batch.column(g)) {
+            None => (vec![0; sel.len()], vec![Key::from(AGG_KEY)]),
+            // One slot per dictionary code. A batch dictionary holds each
+            // string once, and its entries are already `Key`s.
+            Some(ColumnData::Str(c)) => (
+                sel.iter().map(|&r| c.codes[r as usize]).collect(),
+                c.dict.clone(),
+            ),
+            Some(ColumnData::Int(v)) => value_slots(sel.iter().map(|&r| Value::Int(v[r as usize]))),
+            Some(ColumnData::Float(v)) => {
+                value_slots(sel.iter().map(|&r| Value::Float(v[r as usize])))
+            }
+            Some(ColumnData::Date(v)) => {
+                value_slots(sel.iter().map(|&r| Value::Date(v[r as usize])))
+            }
         };
-        for key in &keys {
-            groups
-                .entry(Key::clone(key))
-                .or_insert_with(|| GroupObs::new(self.aggs.len()))
-                .n += 1;
+        let mut obs: Vec<GroupObs> = keys
+            .iter()
+            .map(|_| GroupObs::new(self.aggs.len()))
+            .collect();
+        for &s in &slots {
+            obs[s as usize].n += 1;
         }
         for (j, agg) in self.aggs.iter().enumerate() {
             if agg.func == AggFunc::Count {
-                for key in &keys {
-                    groups.get_mut(key).expect("seeded above").sums[j] += 1.0;
+                // The row path adds 1.0 per record, which sums exactly to n.
+                for o in &mut obs {
+                    o.sums[j] = o.n as f64;
                 }
                 continue;
             }
             let c = agg.column.expect("SUM/AVG always have a column");
+            let rows = sel.iter().map(|&r| r as usize);
             match batch.column(c) {
-                ColumnData::Int(v) => {
-                    for (key, &r) in keys.iter().zip(sel) {
-                        groups.get_mut(key).expect("seeded above").sums[j] += v[r as usize] as f64;
-                    }
-                }
-                ColumnData::Float(v) => {
-                    for (key, &r) in keys.iter().zip(sel) {
-                        groups.get_mut(key).expect("seeded above").sums[j] += v[r as usize];
-                    }
-                }
-                ColumnData::Date(v) => {
-                    for (key, &r) in keys.iter().zip(sel) {
-                        groups.get_mut(key).expect("seeded above").sums[j] += v[r as usize] as f64;
-                    }
-                }
+                ColumnData::Int(v) => add_to_slots(&mut obs, j, &slots, rows.map(|r| v[r] as f64)),
+                ColumnData::Float(v) => add_to_slots(&mut obs, j, &slots, rows.map(|r| v[r])),
+                ColumnData::Date(v) => add_to_slots(&mut obs, j, &slots, rows.map(|r| v[r] as f64)),
                 ColumnData::Str(_) => unreachable!("compiler rejects string aggregates"),
             }
         }
+        keys.into_iter().zip(obs).filter(|(_, o)| o.n > 0).collect()
     }
+}
+
+/// Add the `i`-th value to aggregate `j` of the `i`-th row's slot.
+fn add_to_slots(obs: &mut [GroupObs], j: usize, slots: &[u32], values: impl Iterator<Item = f64>) {
+    for (&s, v) in slots.iter().zip(values) {
+        obs[s as usize].sums[j] += v;
+    }
+}
+
+/// Dense group slots for a numeric group column: the first row holding a
+/// value opens its slot and renders its key. Values are looked up by bit
+/// pattern, with every NaN as one, so the slots are exactly the distinct
+/// rendered keys.
+fn value_slots(values: impl Iterator<Item = Value>) -> (Vec<u32>, Vec<Key>) {
+    let mut index: HashMap<u64, u32> = HashMap::new();
+    let mut keys = Vec::new();
+    let slots = values
+        .map(|v| {
+            let raw = match v {
+                Value::Int(i) => i as u64,
+                Value::Float(f) if f.is_nan() => f64::NAN.to_bits(),
+                Value::Float(f) => f.to_bits(),
+                Value::Date(d) => u64::from(d),
+                Value::Str(_) => unreachable!("string groups use dictionary codes"),
+            };
+            *index.entry(raw).or_insert_with(|| {
+                keys.push(group_key(&v));
+                (keys.len() - 1) as u32
+            })
+        })
+        .collect();
+    (slots, keys)
 }
 
 impl Mapper for GroupAggMapper {
     fn run(&self, data: SplitData) -> MapResult {
-        let mut groups: BTreeMap<Key, GroupObs> = BTreeMap::new();
         let records_read = data.total_records();
-        match &data {
-            SplitData::Batch(batch) => {
-                let sel = self.predicate.eval_batch(batch);
-                self.absorb_batch(&mut groups, batch, &sel);
-            }
+        let groups = match &data {
+            SplitData::Batch(batch) => self.absorb_batch(batch, &self.predicate.eval_batch(batch)),
             SplitData::PlantedBatch { matches, .. } => {
                 debug_assert_eq!(self.predicate.eval_batch(matches).len(), matches.len());
                 let sel: Vec<u32> = (0..matches.len() as u32).collect();
-                self.absorb_batch(&mut groups, matches, &sel);
+                self.absorb_batch(matches, &sel)
             }
             SplitData::Records(records) => {
-                for r in records.iter().filter(|r| self.predicate.eval(r)) {
-                    self.absorb(&mut groups, r);
-                }
+                self.absorb_rows(records.iter().filter(|r| self.predicate.eval(r)))
             }
             SplitData::Planted { matches, .. } => {
                 debug_assert!(matches.iter().all(|r| self.predicate.eval(r)));
-                for r in matches {
-                    self.absorb(&mut groups, r);
-                }
+                self.absorb_rows(matches.iter())
             }
-        }
+        };
         // BTreeMap iteration: pairs come out key-sorted, so the map output
         // is a pure function of the split's contents.
         MapResult {
@@ -760,6 +782,92 @@ mod tests {
             matches: Arc::new(gen.planted_batch()),
         });
         assert_eq!(planted_batch.pairs, planted_rows.pairs);
+    }
+
+    /// The part's key, then the bits of every value, for an exact
+    /// comparison (`-0.0` and NaN payloads included).
+    fn part_bits(pairs: &[(Key, Record)]) -> Vec<(String, Vec<u64>)> {
+        pairs
+            .iter()
+            .map(|(k, r)| {
+                let bits = r
+                    .values()
+                    .iter()
+                    .map(|v| match v {
+                        Value::Int(i) => *i as u64,
+                        Value::Float(f) => f.to_bits(),
+                        other => panic!("group parts hold numbers only: {other:?}"),
+                    })
+                    .collect();
+                (k.to_string(), bits)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The columnar grouped map equals the row path on the same split:
+        /// the same keys in the same order, and counts and sums with the
+        /// same bits, for a group column of every type and for no group.
+        #[test]
+        fn grouped_batch_matches_rows_bit_for_bit(
+            rows in proptest::collection::vec(
+                (0i64..5, 0usize..6, 0u32..4, 0usize..3, 0usize..6, -1_000i64..1_000),
+                0..60,
+            ),
+            group in 0usize..5,
+            threshold in proptest::option::of(0i64..5),
+        ) {
+            use incmr_data::predicate::CmpOp;
+            use incmr_data::schema::{ColumnType, Schema};
+            use incmr_data::RecordBatch;
+            use std::sync::Arc;
+
+            let floats = [0.0, -0.0, f64::NAN, -f64::NAN, 1.5, 0.1];
+            let strs = ["A", "N", "R"];
+            let schema = Schema::new(vec![
+                ("gi", ColumnType::Int),
+                ("gf", ColumnType::Float),
+                ("gd", ColumnType::Date),
+                ("gs", ColumnType::Str),
+                ("v", ColumnType::Float),
+                ("w", ColumnType::Int),
+            ]);
+            let records: Vec<Record> = rows
+                .iter()
+                .map(|&(i, f, d, s, v, w)| {
+                    Record::new(vec![
+                        Value::Int(i),
+                        Value::Float(floats[f]),
+                        Value::Date(d),
+                        Value::Str(strs[s].into()),
+                        Value::Float(floats[v] * w as f64),
+                        Value::Int(w),
+                    ])
+                })
+                .collect();
+            let predicate = match threshold {
+                Some(t) => Predicate::Compare {
+                    column: 0,
+                    op: CmpOp::Ge,
+                    literal: Value::Int(t),
+                },
+                None => Predicate::True,
+            };
+            let aggs = vec![
+                ResolvedAgg { func: AggFunc::Count, column: None },
+                ResolvedAgg { func: AggFunc::Sum, column: Some(4) },
+                ResolvedAgg { func: AggFunc::Avg, column: Some(5) },
+                ResolvedAgg { func: AggFunc::Sum, column: Some(2) },
+            ];
+            let mapper = GroupAggMapper::new(predicate, (group < 4).then_some(group), aggs);
+            let split = SplitData::Batch(Arc::new(RecordBatch::from_records(&schema, &records)));
+            let batch = mapper.run(split.clone());
+            let rows = mapper.run(split.into_rows());
+            proptest::prop_assert_eq!(part_bits(&batch.pairs), part_bits(&rows.pairs));
+            proptest::prop_assert_eq!(batch.records_read, rows.records_read);
+        }
     }
 
     #[test]

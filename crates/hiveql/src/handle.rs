@@ -19,8 +19,9 @@ pub enum Submitted {
     Done(QueryOutput),
 }
 
-/// A submitted query: a typed name for an in-flight job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A submitted query: a typed name for an in-flight job. Collecting the
+/// result consumes the handle, so a job's rows are handed out once.
+#[derive(Debug, PartialEq, Eq)]
 pub struct QueryHandle {
     job: JobId,
     requested_k: Option<u64>,
@@ -57,16 +58,22 @@ impl QueryHandle {
     }
 
     /// The result, if the job has completed (does not advance the
-    /// runtime).
-    pub fn try_result(&self, session: &Session) -> Option<QueryResult> {
-        self.poll(session)
-            .then(|| collect_result(session.runtime(), self.job, self.requested_k))
+    /// runtime); otherwise the handle comes back to poll again.
+    pub fn try_result(self, session: &mut Session) -> Result<QueryResult, QueryHandle> {
+        if !self.poll(session) {
+            return Err(self);
+        }
+        Ok(collect_result(
+            session.runtime_mut(),
+            self.job,
+            self.requested_k,
+        ))
     }
 
     /// Drive the runtime until this job completes and collect its
     /// result (the awaiting shape of the API).
     pub fn wait(self, session: &mut Session) -> QueryResult {
-        session.drive_to_completion(&self)
+        session.drive_to_completion(self)
     }
 }
 
@@ -98,14 +105,20 @@ pub struct QueryResult {
     pub failed: bool,
 }
 
-/// Build a [`QueryResult`] from a completed job. Shared by
-/// [`QueryHandle`] and the multi-tenant query service (which drives its
-/// own runtime).
-pub fn collect_result(runtime: &MrRuntime, job: JobId, requested_k: Option<u64>) -> QueryResult {
+/// Build a [`QueryResult`] from a completed job, moving its rows out of
+/// the runtime ([`MrRuntime::take_job_output`]): collect each job once.
+/// Shared by [`QueryHandle`] and the multi-tenant query service (which
+/// drives its own runtime).
+pub fn collect_result(
+    runtime: &mut MrRuntime,
+    job: JobId,
+    requested_k: Option<u64>,
+) -> QueryResult {
+    let output = runtime.take_job_output(job);
     let result = runtime.job_result(job);
     let outcome = match requested_k {
         Some(requested) if !result.failed => {
-            let found = result.output.len() as u64;
+            let found = output.len() as u64;
             Some(if found < requested {
                 SampleOutcome::Partial { found, requested }
             } else {
@@ -114,7 +127,8 @@ pub fn collect_result(runtime: &MrRuntime, job: JobId, requested_k: Option<u64>)
         }
         _ => None,
     };
-    let mut rows: Vec<Record> = result.output.iter().map(|(_, r)| r.clone()).collect();
+    let mut rows: Vec<Record> = Vec::with_capacity(output.len());
+    rows.extend(output.into_iter().map(|(_, r)| r));
     // Aggregate estimates cover only the sampled splits: expand SUM/COUNT
     // by the report's M/m scale (AVG is a ratio estimate and is already
     // unbiased). Exact finishes have scale 1.0, so this is a no-op there.

@@ -428,11 +428,11 @@ impl Session {
     }
 
     /// Drive the runtime until `job` completes, then collect its result.
-    pub(crate) fn drive_to_completion(&mut self, handle: &QueryHandle) -> crate::QueryResult {
+    pub(crate) fn drive_to_completion(&mut self, handle: QueryHandle) -> crate::QueryResult {
         while !self.runtime.is_complete(handle.job()) {
             assert!(self.runtime.step(), "runtime drained before job completion");
         }
-        collect_result(&self.runtime, handle.job(), handle.requested_k())
+        collect_result(&mut self.runtime, handle.job(), handle.requested_k())
     }
 
     /// Execute one statement to completion (blocking shim over
@@ -520,13 +520,20 @@ mod tests {
         };
         assert_eq!(handle.requested_k(), Some(10));
         assert!(!handle.poll(&s), "job cannot be complete before stepping");
-        assert!(handle.try_result(&s).is_none());
+        let handle = handle
+            .try_result(&mut s)
+            .expect_err("an incomplete job hands the handle back");
         // Step the runtime to completion by hand.
         while !handle.poll(&s) {
             assert!(s.runtime_mut().step());
         }
-        let result = handle.try_result(&s).expect("complete");
+        let job = handle.job();
+        let result = handle.try_result(&mut s).expect("complete");
         assert_eq!(result.rows.len(), 10);
+        assert!(
+            s.runtime().job_result(job).output.is_empty(),
+            "the rows moved into the result; none are left to hand out again"
+        );
         assert!(!result.failed);
         assert_eq!(result.outcome, Some(SampleOutcome::Full { requested: 10 }));
         assert!(result.response_time > SimDuration::ZERO);

@@ -28,6 +28,8 @@ use std::sync::Arc;
 use incmr_data::{BatchKind, BatchSelection, Dataset, Record, RecordBatch, SplitGenerator};
 use incmr_dfs::BlockId;
 
+use crate::shuffle::ValueSeq;
+
 /// An interned map-output key. Cloning is a reference-count bump, so a
 /// mapper emitting a million pairs under one key performs one allocation.
 pub type Key = Arc<str>;
@@ -309,9 +311,24 @@ pub trait Combiner: Send + Sync {
 
 /// User reduce logic. Invoked once per distinct key with all of that key's
 /// values, in map-completion order.
+///
+/// The reduce unit calls [`Reducer::reduce_group`], handing over the
+/// shuffled group by value. Its default materialises the group and calls
+/// [`Reducer::reduce`], so a reducer that implements only `reduce` works
+/// unchanged; a reducer that outputs some of its input rows overrides
+/// `reduce_group` to build only those, once.
 pub trait Reducer: Send + Sync {
     /// Produce output pairs for one key group.
     fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>);
+
+    /// Produce output pairs for one key group, owning its values. Must
+    /// output exactly what [`Reducer::reduce`] outputs for
+    /// `values.to_rows()`.
+    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
+        let mut rows = Vec::with_capacity(values.len());
+        rows.extend(values.into_records());
+        self.reduce(key, &rows, output);
+    }
 }
 
 /// The identity reducer: passes every value through unchanged.
@@ -321,6 +338,12 @@ pub struct IdentityReducer;
 impl Reducer for IdentityReducer {
     fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>) {
         output.extend(values.iter().map(|v| (Key::clone(key), v.clone())));
+    }
+
+    /// Moves materialised rows through and builds each batch row once.
+    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
+        output.reserve(values.len());
+        output.extend(values.into_records().map(|v| (Key::clone(key), v)));
     }
 }
 

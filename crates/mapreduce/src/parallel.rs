@@ -9,8 +9,8 @@
 //!   schedulers, growth-driver evaluations — stays single-threaded and
 //!   deterministic. Simulated time is a pure function of the seed.
 //! * The **data plane** — `InputFormat::read` + `Mapper::run` for each
-//!   dispatched split, combining, partitioning, and `Reducer::reduce` over
-//!   each partition's groups — is pure host computation whose *result*
+//!   dispatched split, combining, partitioning, and `Reducer::reduce_group`
+//!   over each partition's groups — is pure host computation whose *result*
 //!   feeds the simulation but whose *duration on the host* is irrelevant
 //!   to simulated time (task durations come from the cost model, not wall
 //!   clock).
@@ -189,9 +189,9 @@ pub struct ReduceUnit {
     pub reducer: Arc<dyn Reducer>,
     /// Distinct keys in first-seen order.
     pub key_order: Vec<Key>,
-    /// Values per key, in arrival order. Batch segments stay zero-copy
-    /// until this unit materialises them — the reduce boundary is where
-    /// rows come back into existence.
+    /// Values per key, in arrival order. Each group is handed to
+    /// [`Reducer::reduce_group`] by value, so batch segments stay
+    /// zero-copy until the reducer builds the rows it outputs.
     pub groups: HashMap<Key, ValueSeq>,
 }
 
@@ -210,9 +210,10 @@ impl WorkUnit for ReduceUnit {
     fn compute(self) -> ReduceTaskResult {
         let start = Instant::now();
         let mut output = Vec::new();
+        let mut groups = self.groups;
         for key in &self.key_order {
-            let values = self.groups[key].to_rows();
-            self.reducer.reduce(key, &values, &mut output);
+            let values = groups.remove(key).expect("every ordered key has a group");
+            self.reducer.reduce_group(key, values, &mut output);
         }
         ReduceTaskResult {
             output,

@@ -1138,6 +1138,21 @@ impl MrRuntime {
         self.job(id).result.as_ref().expect("job not yet complete")
     }
 
+    /// Move a completed job's output pairs out of its [`JobResult`],
+    /// leaving the output empty. The result rows are handed out once this
+    /// way instead of copied; every scalar in the result stays readable.
+    ///
+    /// # Panics
+    /// Panics if the job has not completed.
+    pub fn take_job_output(&mut self, id: JobId) -> Vec<(Key, Record)> {
+        let result = self
+            .job_mut(id)
+            .result
+            .as_mut()
+            .expect("job not yet complete");
+        std::mem::take(&mut result.output)
+    }
+
     /// A submitted job's configuration (readable for the job's whole
     /// lifetime, including after completion).
     pub fn job_conf(&self, id: JobId) -> &crate::conf::JobConf {
@@ -1150,9 +1165,10 @@ impl MrRuntime {
     }
 
     /// Release a completed job's bulky state (result output records, task
-    /// tables, reduce buffers), keeping only the scalar accounting in its
-    /// [`JobResult`]. Long-running closed-loop drivers call this after
-    /// reading a result so memory stays bounded by *active* jobs.
+    /// tables, reduce buffers, per-split group parts), keeping only the
+    /// scalar accounting in its [`JobResult`]. Long-running closed-loop
+    /// drivers call this after reading a result so memory stays bounded by
+    /// *active* jobs.
     ///
     /// # Panics
     /// Panics if the job has not completed.
@@ -1167,6 +1183,9 @@ impl MrRuntime {
         job.known_blocks = HashSet::new();
         job.reduces = Vec::new();
         job.shuffle = ShuffleState::default();
+        // Read only while the job runs and by `finalize_job`; the final
+        // fold already lives in the result's `AggReport`.
+        job.agg_parts = BTreeMap::new();
         // The task table is gone; the speculation index over it goes too
         // (a Done job is already absent from every runnable index).
         job.spec_candidates = BTreeSet::new();
@@ -3268,11 +3287,16 @@ impl MrRuntime {
     fn finalize_job(&mut self, id: JobId, now: SimTime) {
         let job = self.job_mut(id);
         job.phase = JobPhase::Done;
-        let output: Vec<(Key, Record)> = job
+        // Concatenate in reduce order. The first reduce's output moves as
+        // is (most jobs have one reduce); later ones append to it.
+        let mut outputs = job
             .reduces
             .iter_mut()
-            .flat_map(|e| std::mem::take(&mut e.output))
-            .collect();
+            .map(|e| std::mem::take(&mut e.output));
+        let mut output = outputs.next().unwrap_or_default();
+        for mut more in outputs {
+            output.append(&mut more);
+        }
         // A sampling job that ran out of matching input (or hit a graceful
         // deadline) below its `k` still completes: the paper's answer set
         // is correct, just smaller. Surface that as a typed trace event
@@ -3358,4 +3382,67 @@ impl MrRuntime {
 /// Convenience: read the configured sample size `k` from a job's conf.
 pub fn sample_size_of(conf: &crate::conf::JobConf) -> Option<u64> {
     conf.get(keys::SAMPLING_K).and_then(|v| v.parse().ok())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use incmr_data::{Dataset, DatasetSpec, SkewLevel};
+    use incmr_dfs::{ClusterTopology, EvenRoundRobin};
+
+    use super::*;
+    use crate::approx::{encode_funcs, encode_group_part, AggKind};
+    use crate::exec::{DatasetInputFormat, MapResult, Mapper, ScanMode, SplitData};
+    use crate::job::{JobSpec, StaticDriver};
+    use crate::scheduler::FifoScheduler;
+
+    /// Emits one group part per split: the split's record count, under
+    /// one group.
+    struct CountPartMapper;
+
+    impl Mapper for CountPartMapper {
+        fn run(&self, data: SplitData) -> MapResult {
+            let n = data.total_records();
+            MapResult {
+                pairs: vec![(Key::from("g"), encode_group_part(n, &[n as f64]))],
+                records_read: n,
+                ..MapResult::default()
+            }
+        }
+    }
+
+    #[test]
+    fn release_drops_an_estimating_jobs_group_parts() {
+        let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+        let mut rng = DetRng::seed_from(3);
+        let spec = DatasetSpec::small("t", 8, 500, SkewLevel::Zero, 3);
+        let ds = Arc::new(Dataset::build(
+            &mut ns,
+            spec,
+            &mut EvenRoundRobin::new(),
+            &mut rng,
+        ));
+        let mut rt = MrRuntime::new(
+            ClusterConfig::paper_single_user(),
+            CostModel::paper_default(),
+            ns,
+            Box::new(FifoScheduler::new()),
+        );
+        let blocks: Vec<BlockId> = ds.splits().iter().map(|p| p.block).collect();
+        let spec = JobSpec::builder()
+            .input(DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Planted))
+            .mapper(CountPartMapper)
+            .error_bound(0.05, 0.95)
+            .set(keys::AGG_FUNCS, encode_funcs(&[AggKind::Count]))
+            .set(keys::AGG_TOTAL_SPLITS, blocks.len())
+            .build();
+        let id = rt.submit(spec, Box::new(StaticDriver::new(blocks)));
+        rt.run_until_idle();
+        let report = rt.job_result(id).agg.expect("an estimating job reports");
+        assert_eq!(rt.job(id).agg_parts.len(), 8, "one entry per split");
+        rt.release_job_result(id);
+        assert!(rt.job(id).agg_parts.is_empty(), "parts released");
+        assert_eq!(rt.job_result(id).agg, Some(report), "report kept");
+    }
 }

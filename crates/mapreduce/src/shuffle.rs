@@ -191,10 +191,13 @@ enum ValueSeg {
 
 /// One key group's values: an ordered run of segments totalling `len`
 /// records. Grows row-by-row from classic pairs and run-at-a-time from
-/// [`KeyedBatch`]es; [`ValueSeq::to_rows`] materialises at the reduce
-/// boundary. Equality (used by the shuffle equivalence proptests) compares
-/// the materialised record streams, so a batch segment equals the rows it
-/// would produce.
+/// [`KeyedBatch`]es. The reduce unit hands each group to its reducer by
+/// value ([`Reducer::reduce_group`](crate::exec::Reducer::reduce_group)),
+/// which builds only the rows it outputs: [`ValueSeq::into_records`] moves
+/// materialised rows and builds batch rows on demand, and
+/// [`ValueSeq::select`] builds rows at chosen positions. Equality (used by
+/// the shuffle equivalence proptests) compares the materialised record
+/// streams, so a batch segment equals the rows it would produce.
 #[derive(Debug, Clone, Default)]
 pub struct ValueSeq {
     segs: Vec<ValueSeg>,
@@ -228,17 +231,54 @@ impl ValueSeq {
         self.len == 0
     }
 
-    /// Materialise every record, in arrival order — the row boundary where
-    /// the reduce phase leaves columnar-land.
+    /// Materialise every record, in arrival order, leaving the group
+    /// intact (a copy of each row).
     pub fn to_rows(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(self.len);
+        self.clone().into_records().collect()
+    }
+
+    /// Consume the group into its records, in arrival order. Materialised
+    /// rows move out; a batch row is built when the iterator reaches it,
+    /// so `into_records().take(n)` builds at most `n` rows.
+    pub fn into_records(self) -> impl Iterator<Item = Record> {
+        self.segs.into_iter().flat_map(|seg| {
+            let (rows, sel) = match seg {
+                ValueSeg::Rows(rows) => (rows, None),
+                ValueSeg::Batch(sel) => (Vec::new(), Some(sel)),
+            };
+            let built = sel
+                .into_iter()
+                .flat_map(|sel| (0..sel.len()).map(move |i| sel.record(i)));
+            rows.into_iter().chain(built)
+        })
+    }
+
+    /// Build the records at `positions` (arrival-order indices, each below
+    /// [`ValueSeq::len`]), in the order given. Only those rows are built.
+    ///
+    /// # Panics
+    /// Panics if a position is out of range.
+    pub fn select(&self, positions: &[usize]) -> Vec<Record> {
+        let mut starts = Vec::with_capacity(self.segs.len());
+        let mut start = 0;
         for seg in &self.segs {
-            match seg {
-                ValueSeg::Rows(rows) => out.extend(rows.iter().cloned()),
-                ValueSeg::Batch(sel) => out.extend(sel.iter_records()),
-            }
+            starts.push(start);
+            start += match seg {
+                ValueSeg::Rows(rows) => rows.len(),
+                ValueSeg::Batch(sel) => sel.len(),
+            };
         }
-        out
+        positions
+            .iter()
+            .map(|&p| {
+                assert!(p < self.len, "position {p} out of a group of {}", self.len);
+                let s = starts.partition_point(|&st| st <= p) - 1;
+                match &self.segs[s] {
+                    ValueSeg::Rows(rows) => rows[p - starts[s]].clone(),
+                    ValueSeg::Batch(sel) => sel.record(p - starts[s]),
+                }
+            })
+            .collect()
     }
 }
 

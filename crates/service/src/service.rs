@@ -330,7 +330,7 @@ impl QueryService {
             };
             let t = &mut self.tenants[tenant.0 as usize];
             let active = t.active.remove(&job).expect("active job tracked");
-            let result = collect_result(&self.runtime, job, active.requested_k);
+            let result = collect_result(&mut self.runtime, job, active.requested_k);
             self.runtime.release_job_result(job);
             let t = &mut self.tenants[tenant.0 as usize];
             t.histograms.merge(&result.histograms);

@@ -8,7 +8,7 @@ use incmr::core::policy_file::{parse_grab_limit, parse_policy_file};
 use incmr::data::generator::{RecordFactory, SplitGenerator, SplitSpec};
 use incmr::data::lineitem::{col, LineItemFactory};
 use incmr::data::skew::assign_matching;
-use incmr::mapreduce::{TaskScheduler, TraceEvent, TraceKind};
+use incmr::mapreduce::{TaskScheduler, TraceEvent, TraceKind, ValueSeq};
 use incmr::prelude::*;
 use incmr::simkit::dist::Zipf;
 use incmr::simkit::resource::PsResource;
@@ -348,5 +348,94 @@ proptest! {
         let waits = result.histograms.queue_wait(expected).expect("scheduler-keyed waits");
         prop_assert_eq!(waits.count(), dispatches, "one queue-wait sample per dispatch");
         prop_assert_eq!(result.histograms.queue_wait_total().count(), dispatches);
+    }
+}
+
+/// A key group built from `segments`, each a run of rows carried either
+/// materialised or as a selection into a batch of its own (with one
+/// unselected leading row). `projected` keeps columns 2 and 3 of every
+/// row; either way the rows are `[Float, Int]*`, the partial-aggregate
+/// wire format `AggReducer` reads (its counts must not be negative).
+fn value_seq(segments: &[(bool, Vec<(i64, i64)>)], projected: bool) -> ValueSeq {
+    use incmr::data::schema::{ColumnType, Schema};
+    use incmr::data::{BatchSelection, RecordBatch};
+
+    let schema = Schema::new(vec![
+        ("a", ColumnType::Float),
+        ("b", ColumnType::Int),
+        ("c", ColumnType::Float),
+        ("d", ColumnType::Int),
+    ]);
+    let projection: Vec<usize> = if projected { vec![2, 3] } else { vec![] };
+    let row = |&(x, y): &(i64, i64)| {
+        Record::new(vec![
+            Value::Float(x as f64 / 4.0),
+            Value::Int(y),
+            Value::Float(y as f64),
+            Value::Int(x),
+        ])
+    };
+    let mut seq = ValueSeq::default();
+    for (as_batch, rows) in segments {
+        if *as_batch {
+            let records: Vec<Record> = std::iter::once(&(0, 0)).chain(rows).map(row).collect();
+            let batch = Arc::new(RecordBatch::from_records(&schema, &records));
+            let sel = (1..records.len() as u32).collect();
+            seq.push_batch(BatchSelection::new(batch, sel, projection.clone().into()));
+        } else {
+            for r in rows {
+                let record = row(r);
+                seq.push(if projected {
+                    record.project(&projection)
+                } else {
+                    record
+                });
+            }
+        }
+    }
+    seq
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Reducer::reduce_group` over an owned group outputs exactly what
+    /// `reduce` outputs over the materialised group: for the identity
+    /// reducer, for first-k and random-k sampling with k below, at and
+    /// above the group size, and for a reducer that keeps the default.
+    #[test]
+    fn reduce_group_matches_reduce_over_rows(
+        segments in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec((0i64..50, 0i64..1_000), 0..8)),
+            0..6,
+        ),
+        projected in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use incmr::hiveql::{AggFunc, AggReducer, ResolvedAgg};
+        use incmr::mapreduce::{IdentityReducer, Reducer};
+
+        let seq = value_seq(&segments, projected);
+        let len = seq.len() as u64;
+        let aggs = [AggFunc::Count, AggFunc::Sum]
+            .into_iter()
+            .take(if projected { 1 } else { 2 })
+            .map(|func| ResolvedAgg { func, column: Some(0) })
+            .collect();
+        let mut reducers: Vec<Box<dyn Reducer>> =
+            vec![Box::new(IdentityReducer), Box::new(AggReducer::new(aggs))];
+        for k in [len.saturating_sub(1).max(1), len.max(1), len + 1] {
+            reducers.push(Box::new(SamplingReducer::new(k, SampleMode::FirstK)));
+            reducers.push(Box::new(SamplingReducer::new(k, SampleMode::RandomK { seed })));
+        }
+        let key = Key::from("g");
+        let rows = seq.to_rows();
+        for reducer in &reducers {
+            let mut by_group = Vec::new();
+            reducer.reduce_group(&key, seq.clone(), &mut by_group);
+            let mut by_rows = Vec::new();
+            reducer.reduce(&key, &rows, &mut by_rows);
+            prop_assert_eq!(by_group, by_rows);
+        }
     }
 }
