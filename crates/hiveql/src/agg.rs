@@ -1,11 +1,14 @@
-//! Whole-table aggregate execution: `SELECT COUNT(*)/SUM/AVG/MIN/MAX …
-//! FROM t WHERE p` as a MapReduce job.
+//! Aggregate execution: `SELECT COUNT(*)/SUM/AVG/MIN/MAX … FROM t WHERE p
+//! [GROUP BY g]` as one MapReduce job.
 //!
-//! Each map task emits **one** partial-aggregate record per split under a
-//! shared key; the single reducer merges partials and produces the final
-//! one-row result. This is the classic MapReduce aggregation shape and
-//! exercises the framework's shuffle/grouping machinery beyond the
-//! sampling use case.
+//! Each map task emits **one partial per group per split**, in the wire
+//! format `incmr_mapreduce::encode_group_part` defines (`[Int n, Float
+//! acc_0, …]`); the single reducer merges each group's partials and emits
+//! one row per group. Without `GROUP BY` the one group is [`AGG_KEY`],
+//! and its partial is emitted on every split, even one where nothing
+//! matched, so a whole-table statement always returns one row. Exact and
+//! error-bounded plans run the same pair; under a bound the runtime's
+//! estimator also folds the parts (see `DESIGN.md` §15.2).
 //!
 //! Zero-match semantics (this subset has no NULL): `COUNT` and `SUM`
 //! produce 0 / 0.0; `AVG`, `MIN`, and `MAX` produce 0.0.
@@ -18,7 +21,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use incmr_data::{ColumnData, Predicate, Record, RecordBatch, Value};
-use incmr_mapreduce::{encode_group_part, Key, MapResult, Mapper, Reducer, SplitData};
+use incmr_mapreduce::{
+    decode_group_part, encode_group_part, Key, MapResult, Mapper, Reducer, SplitData,
+};
 
 use crate::ast::AggFunc;
 
@@ -34,54 +39,34 @@ pub struct ResolvedAgg {
     pub column: Option<usize>,
 }
 
-/// Partial state for one aggregate: an accumulator and a value count.
-#[derive(Debug, Clone, Copy)]
-struct Partial {
-    acc: f64,
-    n: u64,
+/// The accumulator of `func` before any value is folded in.
+fn identity(func: AggFunc) -> f64 {
+    match func {
+        AggFunc::Min => f64::INFINITY,
+        AggFunc::Max => f64::NEG_INFINITY,
+        AggFunc::Count | AggFunc::Sum | AggFunc::Avg => 0.0,
+    }
 }
 
-impl Partial {
-    fn identity(func: AggFunc) -> Partial {
-        let acc = match func {
-            AggFunc::Min => f64::INFINITY,
-            AggFunc::Max => f64::NEG_INFINITY,
-            _ => 0.0,
-        };
-        Partial { acc, n: 0 }
-    }
-
-    fn absorb_value(&mut self, func: AggFunc, v: f64) {
-        self.n += 1;
-        match func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => self.acc += v,
-            AggFunc::Min => self.acc = self.acc.min(v),
-            AggFunc::Max => self.acc = self.acc.max(v),
+/// Fold `v` into an accumulator of `func`. Both mapper arms and the
+/// reducer fold through this one function. Rust leaves the sign of a NaN
+/// sum, and which of two equal zeros `f64::min`/`f64::max` return, to
+/// code generation, so a NaN sum is made canonical and MIN/MAX keep the
+/// accumulator on a tie (and skip NaN, as `f64::min` does): the arms then
+/// agree to the bit in every build profile.
+fn combine(func: AggFunc, acc: f64, v: f64) -> f64 {
+    let keep_v = match func {
+        AggFunc::Min => v < acc,
+        AggFunc::Max => v > acc,
+        AggFunc::Count | AggFunc::Sum | AggFunc::Avg => {
+            let sum = acc + v;
+            return if sum.is_nan() { f64::NAN } else { sum };
         }
-    }
-
-    fn merge(&mut self, func: AggFunc, other: Partial) {
-        self.n += other.n;
-        match func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => self.acc += other.acc,
-            AggFunc::Min => self.acc = self.acc.min(other.acc),
-            AggFunc::Max => self.acc = self.acc.max(other.acc),
-        }
-    }
-
-    fn finish(self, func: AggFunc) -> Value {
-        match func {
-            AggFunc::Count => Value::Int(self.n as i64),
-            AggFunc::Sum => Value::Float(self.acc),
-            AggFunc::Avg => Value::Float(if self.n == 0 {
-                0.0
-            } else {
-                self.acc / self.n as f64
-            }),
-            AggFunc::Min | AggFunc::Max => Value::Float(if self.n == 0 { 0.0 } else { self.acc }),
-        }
+    };
+    if keep_v {
+        v
+    } else {
+        acc
     }
 }
 
@@ -91,165 +76,6 @@ fn numeric(v: &Value) -> f64 {
         Value::Float(f) => *f,
         Value::Date(d) => *d as f64,
         Value::Str(_) => unreachable!("compiler rejects string aggregates"),
-    }
-}
-
-fn encode(partials: &[Partial]) -> Record {
-    let mut values = Vec::with_capacity(partials.len() * 2);
-    for p in partials {
-        values.push(Value::Float(p.acc));
-        values.push(Value::Int(p.n as i64));
-    }
-    Record::new(values)
-}
-
-fn decode(record: &Record, n_aggs: usize) -> Vec<Partial> {
-    (0..n_aggs)
-        .map(|i| {
-            let Value::Float(acc) = record.get(2 * i) else {
-                panic!("corrupt partial")
-            };
-            let Value::Int(n) = record.get(2 * i + 1) else {
-                panic!("corrupt partial")
-            };
-            Partial {
-                acc: *acc,
-                n: *n as u64,
-            }
-        })
-        .collect()
-}
-
-/// Map side: filter with the predicate and emit one partial per split.
-#[derive(Debug, Clone)]
-pub struct AggMapper {
-    predicate: Predicate,
-    aggs: Vec<ResolvedAgg>,
-}
-
-impl AggMapper {
-    /// Aggregate `aggs` over records matching `predicate`.
-    pub fn new(predicate: Predicate, aggs: Vec<ResolvedAgg>) -> Self {
-        assert!(!aggs.is_empty());
-        AggMapper { predicate, aggs }
-    }
-
-    fn absorb(&self, partials: &mut [Partial], record: &Record) {
-        for (p, agg) in partials.iter_mut().zip(&self.aggs) {
-            match agg.column {
-                None => p.absorb_value(agg.func, 0.0),
-                Some(c) => p.absorb_value(agg.func, numeric(record.get(c))),
-            }
-        }
-    }
-
-    /// Columnar absorb: one pass per aggregate over its column vector,
-    /// reading numeric values straight out of the batch — no `Record` is
-    /// ever built.
-    fn absorb_batch(&self, partials: &mut [Partial], batch: &RecordBatch, sel: &[u32]) {
-        for (p, agg) in partials.iter_mut().zip(&self.aggs) {
-            match agg.column {
-                None => {
-                    for _ in sel {
-                        p.absorb_value(agg.func, 0.0);
-                    }
-                }
-                Some(c) => match batch.column(c) {
-                    ColumnData::Int(v) => {
-                        for &row in sel {
-                            p.absorb_value(agg.func, v[row as usize] as f64);
-                        }
-                    }
-                    ColumnData::Float(v) => {
-                        for &row in sel {
-                            p.absorb_value(agg.func, v[row as usize]);
-                        }
-                    }
-                    ColumnData::Date(v) => {
-                        for &row in sel {
-                            p.absorb_value(agg.func, v[row as usize] as f64);
-                        }
-                    }
-                    ColumnData::Str(_) => unreachable!("compiler rejects string aggregates"),
-                },
-            }
-        }
-    }
-}
-
-impl Mapper for AggMapper {
-    fn run(&self, data: SplitData) -> MapResult {
-        let mut partials: Vec<Partial> = self
-            .aggs
-            .iter()
-            .map(|a| Partial::identity(a.func))
-            .collect();
-        let records_read = data.total_records();
-        match &data {
-            SplitData::Batch(batch) => {
-                let sel = self.predicate.eval_batch(batch);
-                self.absorb_batch(&mut partials, batch, &sel);
-            }
-            SplitData::PlantedBatch { matches, .. } => {
-                debug_assert_eq!(self.predicate.eval_batch(matches).len(), matches.len());
-                let sel: Vec<u32> = (0..matches.len() as u32).collect();
-                self.absorb_batch(&mut partials, matches, &sel);
-            }
-            SplitData::Records(records) => {
-                for r in records.iter().filter(|r| self.predicate.eval(r)) {
-                    self.absorb(&mut partials, r);
-                }
-            }
-            SplitData::Planted { matches, .. } => {
-                debug_assert!(matches.iter().all(|r| self.predicate.eval(r)));
-                for r in matches {
-                    self.absorb(&mut partials, r);
-                }
-            }
-        }
-        MapResult {
-            pairs: vec![(Key::from(AGG_KEY), encode(&partials))],
-            records_read,
-            ..MapResult::default()
-        }
-    }
-}
-
-/// Reduce side: merge all partials and emit the single final row.
-#[derive(Debug, Clone)]
-pub struct AggReducer {
-    aggs: Vec<ResolvedAgg>,
-}
-
-impl AggReducer {
-    /// Reducer matching an [`AggMapper`]'s aggregate list.
-    pub fn new(aggs: Vec<ResolvedAgg>) -> Self {
-        assert!(!aggs.is_empty());
-        AggReducer { aggs }
-    }
-}
-
-impl Reducer for AggReducer {
-    fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>) {
-        let mut totals: Vec<Partial> = self
-            .aggs
-            .iter()
-            .map(|a| Partial::identity(a.func))
-            .collect();
-        for record in values {
-            for (total, (partial, agg)) in totals
-                .iter_mut()
-                .zip(decode(record, self.aggs.len()).into_iter().zip(&self.aggs))
-            {
-                total.merge(agg.func, partial);
-            }
-        }
-        let finals: Vec<Value> = totals
-            .into_iter()
-            .zip(&self.aggs)
-            .map(|(p, a)| p.finish(a.func))
-            .collect();
-        output.push((Key::clone(key), Record::new(finals)));
     }
 }
 
@@ -265,32 +91,28 @@ fn group_key(v: &Value) -> Key {
     }
 }
 
-/// Per-group observation accumulated over one split: the record count and
-/// one running sum per aggregate (`COUNT` contributes 1.0 per record, so
-/// its sum *is* the count).
+/// One group's partial over one split: the matching-row count and one
+/// accumulator per aggregate (`COUNT` folds 1.0 per row, so its
+/// accumulator *is* the count).
 struct GroupObs {
     n: u64,
-    sums: Vec<f64>,
+    accs: Vec<f64>,
 }
 
 impl GroupObs {
-    fn new(n_aggs: usize) -> GroupObs {
+    fn new(aggs: &[ResolvedAgg]) -> GroupObs {
         GroupObs {
             n: 0,
-            sums: vec![0.0; n_aggs],
+            accs: aggs.iter().map(|a| identity(a.func)).collect(),
         }
     }
 }
 
-/// Map side of grouped (and error-bounded) aggregation: emit **one
-/// observation record per group per split**, keyed by the rendered group
-/// value — the wire format `incmr_mapreduce::encode_group_part` defines
-/// (`[Int n, Float sum_0, …]`), which the runtime's estimator decodes
-/// into its per-group accumulator plane.
-///
-/// Only `COUNT`/`SUM`/`AVG` are supported: the accumulator plane carries
-/// running moments, which have no MIN/MAX analogue. The compiler rejects
-/// the rest with a typed error.
+/// Map side of every aggregate plan: emit **one partial per group per
+/// split**, keyed by the rendered group value (or [`AGG_KEY`] for a
+/// whole-table aggregate) — the `encode_group_part` wire format, which
+/// the runtime's estimator also decodes into its per-group accumulator
+/// plane.
 #[derive(Debug, Clone)]
 pub struct GroupAggMapper {
     predicate: Predicate,
@@ -303,11 +125,6 @@ impl GroupAggMapper {
     /// group under [`AGG_KEY`]) over records matching `predicate`.
     pub fn new(predicate: Predicate, group: Option<usize>, aggs: Vec<ResolvedAgg>) -> Self {
         assert!(!aggs.is_empty());
-        assert!(
-            aggs.iter()
-                .all(|a| matches!(a.func, AggFunc::Count | AggFunc::Sum | AggFunc::Avg)),
-            "grouped aggregation supports COUNT/SUM/AVG only"
-        );
         GroupAggMapper {
             predicate,
             group,
@@ -321,6 +138,10 @@ impl GroupAggMapper {
         records: impl Iterator<Item = &'a Record>,
     ) -> BTreeMap<Key, GroupObs> {
         let mut groups = BTreeMap::new();
+        if self.group.is_none() {
+            // The whole-table partial exists on every split, matches or not.
+            groups.insert(Key::from(AGG_KEY), GroupObs::new(&self.aggs));
+        }
         for record in records {
             let key = match self.group {
                 Some(g) => group_key(record.get(g)),
@@ -328,14 +149,15 @@ impl GroupAggMapper {
             };
             let obs = groups
                 .entry(key)
-                .or_insert_with(|| GroupObs::new(self.aggs.len()));
+                .or_insert_with(|| GroupObs::new(&self.aggs));
             obs.n += 1;
-            for (j, agg) in self.aggs.iter().enumerate() {
-                obs.sums[j] += match (agg.func, agg.column) {
+            for (acc, agg) in obs.accs.iter_mut().zip(&self.aggs) {
+                let v = match (agg.func, agg.column) {
                     (AggFunc::Count, _) => 1.0,
                     (_, Some(c)) => numeric(record.get(c)),
-                    (_, None) => unreachable!("SUM/AVG always have a column"),
+                    (_, None) => unreachable!("only COUNT takes *"),
                 };
+                *acc = combine(agg.func, *acc, v);
             }
         }
         groups
@@ -343,9 +165,9 @@ impl GroupAggMapper {
 
     /// Columnar absorb: give each selected row a dense group slot, then
     /// sweep each aggregate's column vector into the slots. No `Record` is
-    /// built and each group's key is rendered once. Every slot adds its
-    /// rows in selection order, as the row path does, so the sums are
-    /// bit-identical to it.
+    /// built and each group's key is rendered once. Every slot folds its
+    /// rows in selection order, as the row path does, so the accumulators
+    /// are bit-identical to it.
     fn absorb_batch(&self, batch: &RecordBatch, sel: &[u32]) -> BTreeMap<Key, GroupObs> {
         let (slots, keys) = match self.group.map(|g| batch.column(g)) {
             None => (vec![0; sel.len()], vec![Key::from(AGG_KEY)]),
@@ -363,38 +185,48 @@ impl GroupAggMapper {
                 value_slots(sel.iter().map(|&r| Value::Date(v[r as usize])))
             }
         };
-        let mut obs: Vec<GroupObs> = keys
-            .iter()
-            .map(|_| GroupObs::new(self.aggs.len()))
-            .collect();
+        let mut obs: Vec<GroupObs> = keys.iter().map(|_| GroupObs::new(&self.aggs)).collect();
         for &s in &slots {
             obs[s as usize].n += 1;
         }
         for (j, agg) in self.aggs.iter().enumerate() {
             if agg.func == AggFunc::Count {
-                // The row path adds 1.0 per record, which sums exactly to n.
+                // The row path folds 1.0 per record, which sums exactly to n.
                 for o in &mut obs {
-                    o.sums[j] = o.n as f64;
+                    o.accs[j] = o.n as f64;
                 }
                 continue;
             }
-            let c = agg.column.expect("SUM/AVG always have a column");
+            let c = agg.column.expect("only COUNT takes *");
             let rows = sel.iter().map(|&r| r as usize);
+            let (func, obs) = (agg.func, &mut obs);
             match batch.column(c) {
-                ColumnData::Int(v) => add_to_slots(&mut obs, j, &slots, rows.map(|r| v[r] as f64)),
-                ColumnData::Float(v) => add_to_slots(&mut obs, j, &slots, rows.map(|r| v[r])),
-                ColumnData::Date(v) => add_to_slots(&mut obs, j, &slots, rows.map(|r| v[r] as f64)),
+                ColumnData::Int(v) => fold_slots(obs, j, func, &slots, rows.map(|r| v[r] as f64)),
+                ColumnData::Float(v) => fold_slots(obs, j, func, &slots, rows.map(|r| v[r])),
+                ColumnData::Date(v) => fold_slots(obs, j, func, &slots, rows.map(|r| v[r] as f64)),
                 ColumnData::Str(_) => unreachable!("compiler rejects string aggregates"),
             }
         }
-        keys.into_iter().zip(obs).filter(|(_, o)| o.n > 0).collect()
+        // A dictionary code no selected row holds is no group of this
+        // split; the whole-table partial is emitted on every split.
+        keys.into_iter()
+            .zip(obs)
+            .filter(|(_, o)| o.n > 0 || self.group.is_none())
+            .collect()
     }
 }
 
-/// Add the `i`-th value to aggregate `j` of the `i`-th row's slot.
-fn add_to_slots(obs: &mut [GroupObs], j: usize, slots: &[u32], values: impl Iterator<Item = f64>) {
+/// Fold the `i`-th value into aggregate `j` of the `i`-th row's slot.
+fn fold_slots(
+    obs: &mut [GroupObs],
+    j: usize,
+    func: AggFunc,
+    slots: &[u32],
+    values: impl Iterator<Item = f64>,
+) {
     for (&s, v) in slots.iter().zip(values) {
-        obs[s as usize].sums[j] += v;
+        let acc = &mut obs[s as usize].accs[j];
+        *acc = combine(func, *acc, v);
     }
 }
 
@@ -446,7 +278,7 @@ impl Mapper for GroupAggMapper {
         MapResult {
             pairs: groups
                 .into_iter()
-                .map(|(key, obs)| (key, encode_group_part(obs.n, &obs.sums)))
+                .map(|(key, obs)| (key, encode_group_part(obs.n, &obs.accs)))
                 .collect(),
             records_read,
             ..MapResult::default()
@@ -454,9 +286,9 @@ impl Mapper for GroupAggMapper {
     }
 }
 
-/// Reduce side of grouped aggregation: merge each group's per-split
-/// observation records and emit one output row per group. When `grouped`,
-/// the row leads with the group value (as a string — the key rendering);
+/// Reduce side of every aggregate plan: merge each group's per-split
+/// partials and emit one output row per group. When `grouped`, the row
+/// leads with the group value (as a string — the key rendering);
 /// whole-table rows carry the aggregates only.
 ///
 /// For error-bounded jobs the emitted totals cover only the **sampled**
@@ -479,41 +311,36 @@ impl GroupAggReducer {
 
 impl Reducer for GroupAggReducer {
     fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>) {
-        let mut n_total = 0u64;
-        let mut sums = vec![0.0; self.aggs.len()];
-        for record in values {
-            if record.arity() != 1 + self.aggs.len() {
-                panic!("corrupt group part: arity {}", record.arity());
-            }
-            let Value::Int(n) = record.get(0) else {
-                panic!("corrupt group part: non-int count")
-            };
-            n_total += *n as u64;
-            for (j, s) in sums.iter_mut().enumerate() {
-                let Value::Float(v) = record.get(1 + j) else {
-                    panic!("corrupt group part: non-float sum")
-                };
-                *s += *v;
+        let mut total = GroupObs::new(&self.aggs);
+        // A record that is not a partial of this aggregate list is skipped,
+        // as the runtime's estimator skips it.
+        for part in values
+            .iter()
+            .filter_map(|r| decode_group_part(key, r, self.aggs.len()))
+        {
+            total.n += part.n;
+            for ((acc, agg), v) in total.accs.iter_mut().zip(&self.aggs).zip(part.sums) {
+                *acc = combine(agg.func, *acc, v);
             }
         }
+        let n = total.n;
         let mut row = Vec::with_capacity(self.grouped as usize + self.aggs.len());
         if self.grouped {
             row.push(Value::Str(key.to_string()));
         }
-        for (j, agg) in self.aggs.iter().enumerate() {
-            row.push(match agg.func {
-                AggFunc::Count => Value::Int(sums[j].round() as i64),
-                AggFunc::Sum => Value::Float(sums[j]),
-                AggFunc::Avg => Value::Float(if n_total == 0 {
-                    0.0
-                } else {
-                    sums[j] / n_total as f64
+        row.extend(
+            total
+                .accs
+                .into_iter()
+                .zip(&self.aggs)
+                .map(|(acc, agg)| match agg.func {
+                    AggFunc::Count => Value::Int(n as i64),
+                    AggFunc::Sum => Value::Float(acc),
+                    _ if n == 0 => Value::Float(0.0),
+                    AggFunc::Avg => Value::Float(acc / n as f64),
+                    AggFunc::Min | AggFunc::Max => Value::Float(acc),
                 }),
-                AggFunc::Min | AggFunc::Max => {
-                    unreachable!("grouped aggregation supports COUNT/SUM/AVG only")
-                }
-            });
-        }
+        );
         output.push((Key::clone(key), Record::new(row)));
     }
 }
@@ -556,11 +383,11 @@ mod tests {
 
     #[test]
     fn map_reduce_agg_round_trip() {
-        let mapper = AggMapper::new(Predicate::True, aggs());
+        let mapper = GroupAggMapper::new(Predicate::True, None, aggs());
         let out_a = mapper.run(SplitData::Records(vec![rec(2, 10.0), rec(4, 20.0)]));
         let out_b = mapper.run(SplitData::Records(vec![rec(6, 30.0)]));
         assert_eq!(out_a.pairs.len(), 1);
-        let reducer = AggReducer::new(aggs());
+        let reducer = GroupAggReducer::new(aggs(), false);
         let mut rows = Vec::new();
         let partials = vec![out_a.pairs[0].1.clone(), out_b.pairs[0].1.clone()];
         reducer.reduce(&Key::from(AGG_KEY), &partials, &mut rows);
@@ -580,8 +407,9 @@ mod tests {
             op: incmr_data::predicate::CmpOp::Ge,
             literal: Value::Int(4),
         };
-        let mapper = AggMapper::new(
+        let mapper = GroupAggMapper::new(
             p,
+            None,
             vec![ResolvedAgg {
                 func: AggFunc::Count,
                 column: None,
@@ -593,10 +421,13 @@ mod tests {
             rec(9, 1.0),
         ]));
         assert_eq!(out.records_read, 3);
-        let reducer = AggReducer::new(vec![ResolvedAgg {
-            func: AggFunc::Count,
-            column: None,
-        }]);
+        let reducer = GroupAggReducer::new(
+            vec![ResolvedAgg {
+                func: AggFunc::Count,
+                column: None,
+            }],
+            false,
+        );
         let mut rows = Vec::new();
         reducer.reduce(&Key::from(AGG_KEY), &[out.pairs[0].1.clone()], &mut rows);
         assert_eq!(rows[0].1.get(0), &Value::Int(2));
@@ -604,9 +435,9 @@ mod tests {
 
     #[test]
     fn zero_matches_produce_zeros() {
-        let mapper = AggMapper::new(Predicate::Not(Box::new(Predicate::True)), aggs());
+        let mapper = GroupAggMapper::new(Predicate::Not(Box::new(Predicate::True)), None, aggs());
         let out = mapper.run(SplitData::Records(vec![rec(1, 1.0)]));
-        let reducer = AggReducer::new(aggs());
+        let reducer = GroupAggReducer::new(aggs(), false);
         let mut rows = Vec::new();
         reducer.reduce(&Key::from(AGG_KEY), &[out.pairs[0].1.clone()], &mut rows);
         let row = &rows[0].1;
@@ -626,8 +457,9 @@ mod tests {
         use incmr_data::lineitem::LineItemFactory;
         let factory = LineItemFactory::new(col::TAX, Value::Float(0.77));
         let gen = SplitGenerator::new(&factory, SplitSpec::new(2_000, 13, 5));
-        let mapper = AggMapper::new(
+        let mapper = GroupAggMapper::new(
             factory.predicate(),
+            None,
             vec![ResolvedAgg {
                 func: AggFunc::Count,
                 column: None,
@@ -661,7 +493,7 @@ mod tests {
                 column: Some(col::EXTENDEDPRICE),
             });
         }
-        let mapper = AggMapper::new(factory.predicate(), all);
+        let mapper = GroupAggMapper::new(factory.predicate(), None, all);
         let rows = mapper.run(SplitData::Records(gen.full_iter().collect()));
         let batch = mapper.run(SplitData::Batch(Arc::new(gen.full_batch())));
         assert_eq!(batch.pairs, rows.pairs, "full batch ≡ full rows");
@@ -708,7 +540,7 @@ mod tests {
         assert_eq!(out.pairs.len(), 2);
         assert_eq!(&*out.pairs[0].0, "a");
         assert_eq!(&*out.pairs[1].0, "b");
-        // Part format: [Int n, Float sum_count, Float sum_sum, Float sum_avg].
+        // Part format: [Int n, Float acc_count, Float acc_sum, Float acc_avg].
         assert_eq!(out.pairs[1].1.get(0), &Value::Int(2));
         assert_eq!(out.pairs[1].1.get(1), &Value::Float(2.0));
         assert_eq!(out.pairs[1].1.get(2), &Value::Float(6.0));
@@ -808,8 +640,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
         /// The columnar grouped map equals the row path on the same split:
-        /// the same keys in the same order, and counts and sums with the
-        /// same bits, for a group column of every type and for no group.
+        /// the same keys in the same order, and counts and accumulators of
+        /// every function with the same bits (MIN over ±0.0 and NaN
+        /// included), for a group column of every type and for no group.
         #[test]
         fn grouped_batch_matches_rows_bit_for_bit(
             rows in proptest::collection::vec(
@@ -860,6 +693,8 @@ mod tests {
                 ResolvedAgg { func: AggFunc::Sum, column: Some(4) },
                 ResolvedAgg { func: AggFunc::Avg, column: Some(5) },
                 ResolvedAgg { func: AggFunc::Sum, column: Some(2) },
+                ResolvedAgg { func: AggFunc::Min, column: Some(4) },
+                ResolvedAgg { func: AggFunc::Max, column: Some(5) },
             ];
             let mapper = GroupAggMapper::new(predicate, (group < 4).then_some(group), aggs);
             let split = SplitData::Batch(Arc::new(RecordBatch::from_records(&schema, &records)));

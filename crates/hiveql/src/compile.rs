@@ -10,7 +10,10 @@
 //! * `SELECT … WHERE p LIMIT k` → a **dynamic sampling job** (Algorithms
 //!   1–2, `SamplingInputProvider`, the session's configured policy);
 //! * `SELECT … [WHERE p]` without `LIMIT` → a **static scan job** over the
-//!   entire table.
+//!   entire table;
+//! * `SELECT <aggregates> … [GROUP BY g]` → a **static aggregate job**
+//!   (`GroupAggMapper`/`GroupAggReducer`), or under `WITH ERROR e` a
+//!   dynamic estimating job running the same pair.
 //!
 //! In `Planted` scan mode, only the table's planted experiment predicate
 //! can be evaluated (the data generator materialises matches for that
@@ -31,9 +34,8 @@ use incmr_mapreduce::{
     encode_funcs, keys, AggKind, GrowthDriver, JobConf, JobSpec, ScanMode, StaticDriver,
 };
 
-use crate::ast::AggFunc;
-
-use crate::ast::{CmpOp, Expr, Literal, Projection, Query};
+use crate::agg::{GroupAggMapper, GroupAggReducer, ResolvedAgg};
+use crate::ast::{AggExpr, AggFunc, CmpOp, Expr, Literal, Projection, Query};
 use crate::catalog::Catalog;
 
 /// Compilation failures.
@@ -70,8 +72,8 @@ pub enum CompileError {
     GroupByWithoutAggregates,
     /// `WITH ERROR` on a non-aggregate projection.
     ErrorBoundWithoutAggregates,
-    /// `MIN`/`MAX` cannot run grouped or under an error bound: the
-    /// estimator's accumulator plane carries running moments only.
+    /// `MIN`/`MAX` cannot run under an error bound: the estimator's
+    /// accumulator plane carries running moments only.
     UnsupportedGroupedAggregate {
         /// The offending aggregate expression.
         agg: String,
@@ -106,10 +108,7 @@ impl fmt::Display for CompileError {
                 write!(f, "WITH ERROR requires an aggregate SELECT list")
             }
             CompileError::UnsupportedGroupedAggregate { agg } => {
-                write!(
-                    f,
-                    "{agg} cannot run grouped or error-bounded; only COUNT/SUM/AVG"
-                )
+                write!(f, "{agg} cannot run error-bounded; only COUNT/SUM/AVG")
             }
         }
     }
@@ -129,17 +128,12 @@ pub enum JobPlan {
     },
     /// A conventional full-input scan.
     StaticScan,
-    /// A full-input scan feeding whole-table aggregates.
+    /// A full-input scan feeding exact aggregates.
     AggregateScan {
         /// Rendered aggregate list, e.g. `COUNT(*), AVG(L_QUANTITY)`.
         aggregates: String,
-    },
-    /// A full-input scan feeding per-group aggregates.
-    GroupedAggregateScan {
-        /// Rendered aggregate list.
-        aggregates: String,
-        /// The grouping column.
-        group_by: String,
+        /// The grouping column, if any.
+        group_by: Option<String>,
     },
     /// Error-bounded approximate aggregation: a dynamic job growing its
     /// input in rounds until the CLT bound holds (EARL-style early
@@ -156,17 +150,6 @@ pub enum JobPlan {
     },
 }
 
-/// Result-shaping metadata for approximate-aggregation plans: what the
-/// session layer needs to scale the sampled totals by the job's expansion
-/// factor (SUM/COUNT scale by M/m; AVG is a ratio and does not).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApproxInfo {
-    /// Aggregate functions, in output-column order.
-    pub funcs: Vec<crate::ast::AggFunc>,
-    /// Whether rows lead with a group-value column.
-    pub grouped: bool,
-}
-
 /// A compiled, ready-to-submit job.
 pub struct CompiledQuery {
     /// The job spec (conf, mapper, reducer, input format).
@@ -177,8 +160,6 @@ pub struct CompiledQuery {
     pub plan: JobPlan,
     /// Resolved projection column indices (empty = all columns).
     pub projection: Vec<usize>,
-    /// Present on `ApproxAggregate` plans: how to scale result rows.
-    pub approx: Option<ApproxInfo>,
 }
 
 impl fmt::Debug for CompiledQuery {
@@ -207,14 +188,13 @@ impl CompiledQuery {
                 "Dynamic MapReduce job: predicate-based sampling\n  sample size (k): {k}\n  policy: {policy}\n  input provider: SamplingInputProvider\n  map: SamplingMapper (emit ≤ k matches per split under dummy key)\n  reduce: SamplingReducer (first k of the candidate list)"
             ),
             JobPlan::StaticScan => "Static MapReduce job: full select-project scan\n  map: ScanMapper\n  reduce: identity".to_string(),
-            JobPlan::AggregateScan { aggregates } => format!(
-                "Static MapReduce job: whole-table aggregation\n  aggregates: {aggregates}\n  map: AggMapper (one partial per split)\n  reduce: AggReducer (merge partials, emit one row)"
-            ),
-            JobPlan::GroupedAggregateScan {
+            JobPlan::AggregateScan {
                 aggregates,
                 group_by,
             } => format!(
-                "Static MapReduce job: grouped aggregation\n  aggregates: {aggregates}\n  group by: {group_by}\n  map: GroupAggMapper (one observation per group per split)\n  reduce: GroupAggReducer (merge observations, emit one row per group)"
+                "Static MapReduce job: {} aggregation\n  aggregates: {aggregates}\n  group by: {}\n  map: GroupAggMapper (one partial per group per split)\n  reduce: GroupAggReducer (merge partials, emit one row per group)",
+                if group_by.is_some() { "grouped" } else { "whole-table" },
+                group_by.as_deref().unwrap_or("(whole table)")
             ),
             JobPlan::ApproxAggregate {
                 aggregates,
@@ -222,7 +202,7 @@ impl CompiledQuery {
                 error,
                 confidence,
             } => format!(
-                "Dynamic MapReduce job: error-bounded approximate aggregation\n  aggregates: {aggregates}\n  group by: {}\n  error bound: {error} at confidence {confidence}\n  input provider: EstimatingInputProvider (random splits, grown in rounds)\n  map: GroupAggMapper (one observation per group per split)\n  reduce: GroupAggReducer (merge observations; session scales by M/m)",
+                "Dynamic MapReduce job: error-bounded approximate aggregation\n  aggregates: {aggregates}\n  group by: {}\n  error bound: {error} at confidence {confidence}\n  input provider: EstimatingInputProvider (random splits, grown in rounds)\n  map: GroupAggMapper (one partial per group per split)\n  reduce: GroupAggReducer (merge partials; session scales by M/m)",
                 group_by.as_deref().unwrap_or("(whole table)")
             ),
         }
@@ -327,10 +307,7 @@ fn agg_kind(func: AggFunc) -> Option<AggKind> {
     }
 }
 
-fn resolve_aggregates(
-    schema: &Schema,
-    aggs: &[crate::ast::AggExpr],
-) -> Result<Vec<crate::agg::ResolvedAgg>, CompileError> {
+fn resolve_aggregates(schema: &Schema, aggs: &[AggExpr]) -> Result<Vec<ResolvedAgg>, CompileError> {
     aggs.iter()
         .map(|a| {
             let column = match &a.column {
@@ -347,7 +324,7 @@ fn resolve_aggregates(
                     Some(idx)
                 }
             };
-            Ok(crate::agg::ResolvedAgg {
+            Ok(ResolvedAgg {
                 func: a.func,
                 column,
             })
@@ -399,180 +376,15 @@ pub fn compile_query(
         }
     }
 
-    // GROUP BY / WITH ERROR only make sense over an aggregate SELECT list.
-    if !matches!(query.projection, Projection::Aggregates(_)) {
+    let Projection::Aggregates(aggs) = &query.projection else {
+        // GROUP BY / WITH ERROR only make sense over an aggregate list.
         if query.group_by.is_some() {
             return Err(CompileError::GroupByWithoutAggregates);
         }
         if query.error_bound.is_some() {
             return Err(CompileError::ErrorBoundWithoutAggregates);
         }
-    }
-
-    // Aggregate queries: a static scan-aggregate job, its grouped
-    // variant, or (under WITH ERROR) a dynamic estimating job.
-    if let Projection::Aggregates(aggs) = &query.projection {
-        if query.limit.is_some() {
-            return Err(CompileError::AggregateWithLimit);
-        }
-        let resolved = resolve_aggregates(&schema, aggs)?;
-        let rendered = aggs
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-
-        // Memo identity parts, rendered from resolved columns so spelling
-        // variants of one query share a signature.
-        let pred_rendered = predicate.display(&schema).to_string();
-        let aggs_rendered = format!("{resolved:?}");
-
-        // Whole-table exact aggregation keeps the one-partial-per-split
-        // shape (MIN/MAX supported).
-        if query.group_by.is_none() && query.error_bound.is_none() {
-            let signature = semantic_signature(&[
-                ("query.table", &query.table),
-                ("query.predicate", &pred_rendered),
-                ("query.aggs", &aggs_rendered),
-            ]);
-            let spec = JobSpec::builder()
-                .set(keys::JOB_NAME, format!("agg-{}", query.table))
-                .set(keys::JOB_SIGNATURE, signature)
-                .input(incmr_mapreduce::DatasetInputFormat::new(
-                    Arc::clone(dataset),
-                    scan_mode,
-                ))
-                .mapper(crate::agg::AggMapper::new(predicate, resolved.clone()))
-                .reducer(crate::agg::AggReducer::new(resolved))
-                .build();
-            let blocks = dataset.splits().iter().map(|p| p.block).collect();
-            return Ok(CompiledQuery {
-                spec,
-                driver: Box::new(StaticDriver::new(blocks)),
-                plan: JobPlan::AggregateScan {
-                    aggregates: rendered,
-                },
-                projection,
-                approx: None,
-            });
-        }
-
-        // Grouped / error-bounded: the per-group observation plane. Only
-        // COUNT/SUM/AVG have moment-based estimators.
-        let funcs: Vec<AggKind> = aggs
-            .iter()
-            .map(|a| {
-                agg_kind(a.func)
-                    .ok_or_else(|| CompileError::UnsupportedGroupedAggregate { agg: a.to_string() })
-            })
-            .collect::<Result<_, _>>()?;
-        let group_idx = match &query.group_by {
-            Some(g) => Some(resolve_column(&schema, g)?),
-            None => None,
-        };
-        let group_rendered = format!("{group_idx:?}");
-        let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
-        let total = blocks.len() as u64;
-        let mapper =
-            crate::agg::GroupAggMapper::new(predicate.clone(), group_idx, resolved.clone());
-        let reducer = crate::agg::GroupAggReducer::new(resolved, group_idx.is_some());
-
-        // NOTE: no MATERIALIZE_CAP on any aggregate plan — the per-split
-        // observation records ARE the result; a cap would drop them.
-        match &query.error_bound {
-            None => {
-                // No AGG_TOTAL_SPLITS in the identity: per-split map output
-                // does not depend on it, so the cache survives appends.
-                let signature = semantic_signature(&[
-                    ("query.table", &query.table),
-                    ("query.predicate", &pred_rendered),
-                    ("query.group", &group_rendered),
-                    ("query.aggs", &aggs_rendered),
-                ]);
-                let conf = JobConf::new()
-                    .with(keys::JOB_NAME, format!("groupagg-{}", query.table))
-                    .with(keys::AGG_FUNCS, encode_funcs(&funcs))
-                    .with(keys::AGG_TOTAL_SPLITS, total)
-                    .with(keys::JOB_SIGNATURE, signature);
-                let spec = JobSpec::builder()
-                    .conf(conf)
-                    .reduces(1)
-                    .input(incmr_mapreduce::DatasetInputFormat::new(
-                        Arc::clone(dataset),
-                        scan_mode,
-                    ))
-                    .mapper(mapper)
-                    .reducer(reducer)
-                    .build();
-                Ok(CompiledQuery {
-                    spec,
-                    driver: Box::new(StaticDriver::new(blocks)),
-                    plan: JobPlan::GroupedAggregateScan {
-                        aggregates: rendered,
-                        group_by: query.group_by.clone().expect("grouped-exact path"),
-                    },
-                    projection,
-                    approx: None,
-                })
-            }
-            Some(bound) => {
-                // Memo identity: the semantic computation — table,
-                // predicate, grouping, aggregate list, and the bound
-                // itself. Warm re-runs share cached per-split map output.
-                let bound_rendered = format!("{}@{}", bound.error, bound.confidence);
-                let signature = semantic_signature(&[
-                    ("query.table", &query.table),
-                    ("query.predicate", &pred_rendered),
-                    ("query.group", &group_rendered),
-                    ("query.aggs", &aggs_rendered),
-                    ("query.bound", &bound_rendered),
-                ]);
-                let conf = JobConf::new()
-                    .with(keys::JOB_NAME, format!("approx-{}", query.table))
-                    .with(keys::DYNAMIC_JOB, true)
-                    .with(keys::DYNAMIC_JOB_POLICY, &policy.name)
-                    .with(keys::DYNAMIC_INPUT_PROVIDER, "EstimatingInputProvider")
-                    .with(keys::AGG_ERROR, bound.error)
-                    .with(keys::AGG_CONFIDENCE, bound.confidence)
-                    .with(keys::AGG_ROUNDS, agg_rounds)
-                    .with(keys::AGG_FUNCS, encode_funcs(&funcs))
-                    .with(keys::AGG_TOTAL_SPLITS, total)
-                    .with(keys::JOB_SIGNATURE, signature);
-                let spec = JobSpec::builder()
-                    .conf(conf)
-                    .reduces(1)
-                    .input(incmr_mapreduce::DatasetInputFormat::new(
-                        Arc::clone(dataset),
-                        scan_mode,
-                    ))
-                    .mapper(mapper)
-                    .reducer(reducer)
-                    .build();
-                let provider = EstimatingInputProvider::new(blocks.clone(), agg_rounds, seed);
-                let driver = Box::new(DynamicDriver::new(
-                    Box::new(provider),
-                    policy.clone(),
-                    total as u32,
-                ));
-                Ok(CompiledQuery {
-                    spec,
-                    driver,
-                    plan: JobPlan::ApproxAggregate {
-                        aggregates: rendered,
-                        group_by: query.group_by.clone(),
-                        error: bound.error,
-                        confidence: bound.confidence,
-                    },
-                    projection,
-                    approx: Some(ApproxInfo {
-                        funcs: aggs.iter().map(|a| a.func).collect(),
-                        grouped: query.group_by.is_some(),
-                    }),
-                })
-            }
-        }
-    } else {
-        compile_scan_or_sample(
+        return compile_scan_or_sample(
             query,
             dataset,
             predicate,
@@ -581,8 +393,108 @@ pub fn compile_query(
             scan_mode,
             sample_mode,
             seed,
-        )
+        );
+    };
+    // Aggregate queries, grouped or not: a static scan-aggregate job, or
+    // (under WITH ERROR) a dynamic estimating job. Both run
+    // GroupAggMapper/GroupAggReducer.
+    if query.limit.is_some() {
+        return Err(CompileError::AggregateWithLimit);
     }
+    let resolved = resolve_aggregates(&schema, aggs)?;
+    let rendered = aggs
+        .iter()
+        .map(|a| a.to_string())
+        .collect::<Vec<_>>()
+        .join(", ");
+    let group_idx = match &query.group_by {
+        Some(g) => Some(resolve_column(&schema, g)?),
+        None => None,
+    };
+
+    // Memo identity: the semantic computation — table, predicate,
+    // grouping, aggregate list (and a bound, below), rendered from
+    // resolved columns so spelling variants of one query share a
+    // signature. No AGG_TOTAL_SPLITS: per-split map output does not
+    // depend on it, so the cache survives appends.
+    let pred_rendered = predicate.display(&schema).to_string();
+    let group_rendered = format!("{group_idx:?}");
+    let aggs_rendered = format!("{resolved:?}");
+    let mut identity = vec![
+        ("query.table", query.table.as_str()),
+        ("query.predicate", &pred_rendered),
+        ("query.group", &group_rendered),
+        ("query.aggs", &aggs_rendered),
+    ];
+    let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
+    let total = blocks.len() as u64;
+    // NOTE: no MATERIALIZE_CAP on any aggregate plan — the per-split
+    // partials ARE the result; a cap would drop them.
+    let spec = |conf: JobConf| {
+        JobSpec::builder()
+            .conf(conf.with(keys::AGG_TOTAL_SPLITS, total))
+            .reduces(1)
+            .input(incmr_mapreduce::DatasetInputFormat::new(
+                Arc::clone(dataset),
+                scan_mode,
+            ))
+            .mapper(GroupAggMapper::new(predicate, group_idx, resolved.clone()))
+            .reducer(GroupAggReducer::new(resolved, group_idx.is_some()))
+            .build()
+    };
+
+    let Some(bound) = &query.error_bound else {
+        let conf = JobConf::new()
+            .with(keys::JOB_NAME, format!("agg-{}", query.table))
+            .with(keys::JOB_SIGNATURE, semantic_signature(&identity));
+        return Ok(CompiledQuery {
+            spec: spec(conf),
+            driver: Box::new(StaticDriver::new(blocks)),
+            plan: JobPlan::AggregateScan {
+                aggregates: rendered,
+                group_by: query.group_by.clone(),
+            },
+            projection,
+        });
+    };
+    // Only COUNT/SUM/AVG have moment-based estimators.
+    let funcs: Vec<AggKind> = aggs
+        .iter()
+        .map(|a| {
+            agg_kind(a.func)
+                .ok_or_else(|| CompileError::UnsupportedGroupedAggregate { agg: a.to_string() })
+        })
+        .collect::<Result<_, _>>()?;
+    // The bound joins the identity: warm re-runs of the same bounded
+    // statement share cached per-split map output.
+    let bound_rendered = format!("{}@{}", bound.error, bound.confidence);
+    identity.push(("query.bound", &bound_rendered));
+    let conf = JobConf::new()
+        .with(keys::JOB_NAME, format!("approx-{}", query.table))
+        .with(keys::DYNAMIC_JOB, true)
+        .with(keys::DYNAMIC_JOB_POLICY, &policy.name)
+        .with(keys::DYNAMIC_INPUT_PROVIDER, "EstimatingInputProvider")
+        .with(keys::AGG_ERROR, bound.error)
+        .with(keys::AGG_CONFIDENCE, bound.confidence)
+        .with(keys::AGG_ROUNDS, agg_rounds)
+        .with(keys::AGG_FUNCS, encode_funcs(&funcs))
+        .with(keys::JOB_SIGNATURE, semantic_signature(&identity));
+    let provider = EstimatingInputProvider::new(blocks, agg_rounds, seed);
+    Ok(CompiledQuery {
+        spec: spec(conf),
+        driver: Box::new(DynamicDriver::new(
+            Box::new(provider),
+            policy.clone(),
+            total as u32,
+        )),
+        plan: JobPlan::ApproxAggregate {
+            aggregates: rendered,
+            group_by: query.group_by.clone(),
+            error: bound.error,
+            confidence: bound.confidence,
+        },
+        projection,
+    })
 }
 
 /// The non-aggregate plans: dynamic predicate-based sampling (`LIMIT k`)
@@ -634,7 +546,6 @@ fn compile_scan_or_sample(
                     policy: policy.name.clone(),
                 },
                 projection,
-                approx: None,
             })
         }
         None => {
@@ -660,7 +571,6 @@ fn compile_scan_or_sample(
                 driver: Box::new(StaticDriver::new(blocks)),
                 plan: JobPlan::StaticScan,
                 projection,
-                approx: None,
             })
         }
     }
@@ -843,16 +753,16 @@ mod tests {
         .unwrap();
         assert_eq!(
             c.plan,
-            JobPlan::GroupedAggregateScan {
+            JobPlan::AggregateScan {
                 aggregates: "SUM(L_QUANTITY), COUNT(*)".into(),
-                group_by: "L_RETURNFLAG".into(),
+                group_by: Some("L_RETURNFLAG".into()),
             }
         );
         assert!(!c.spec.conf.get_bool(keys::DYNAMIC_JOB));
-        assert_eq!(c.spec.conf.get(keys::AGG_FUNCS), Some("sum,count"));
+        // Only estimating jobs read the function list; exact runs never
+        // scale their rows.
+        assert_eq!(c.spec.conf.get(keys::AGG_FUNCS), None);
         assert_eq!(c.spec.conf.get(keys::AGG_TOTAL_SPLITS), Some("8"));
-        // Exact grouped runs never scale their rows.
-        assert!(c.approx.is_none());
         assert!(c.explain().contains("group by: L_RETURNFLAG"));
     }
 
@@ -907,7 +817,7 @@ mod tests {
     #[test]
     fn grouped_and_bounded_plans_reject_min_max() {
         for sql in [
-            "SELECT MIN(L_TAX) FROM lineitem GROUP BY L_RETURNFLAG",
+            "SELECT MIN(L_TAX) FROM lineitem GROUP BY L_RETURNFLAG WITH ERROR 0.05",
             "SELECT MAX(L_TAX) FROM lineitem WITH ERROR 0.05",
         ] {
             let err = compile(sql, ScanMode::Full).unwrap_err();
@@ -916,6 +826,14 @@ mod tests {
                 "{sql}: {err:?}"
             );
             assert!(err.to_string().contains("COUNT/SUM/AVG"));
+        }
+        // Exact plans, grouped or not, run MIN/MAX.
+        for sql in [
+            "SELECT MIN(L_TAX) FROM lineitem GROUP BY L_RETURNFLAG",
+            "SELECT MAX(L_TAX) FROM lineitem",
+        ] {
+            let c = compile(sql, ScanMode::Full).unwrap();
+            assert!(matches!(c.plan, JobPlan::AggregateScan { .. }), "{sql}");
         }
     }
 

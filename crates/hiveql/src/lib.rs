@@ -28,11 +28,11 @@ pub mod lexer;
 pub mod parser;
 pub mod session;
 
-pub use agg::{AggMapper, AggReducer, GroupAggMapper, GroupAggReducer, ResolvedAgg};
+pub use agg::{GroupAggMapper, GroupAggReducer, ResolvedAgg};
 pub use ast::{AggExpr, AggFunc, ErrorBound, Expr, Literal, Projection, Query, Statement};
 pub use builder::{SessionBuilder, SessionConfigError, TenantProfile};
 pub use catalog::Catalog;
-pub use compile::{compile_query, ApproxInfo, CompileError, CompiledQuery, JobPlan};
+pub use compile::{compile_query, CompileError, CompiledQuery, JobPlan};
 pub use handle::{collect_result, QueryHandle, QueryResult, Submitted};
 pub use lexer::{lex, LexError, Token};
 pub use parser::{parse, ParseError};

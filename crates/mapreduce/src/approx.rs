@@ -97,8 +97,10 @@ pub struct SplitAggPart {
     pub sums: Vec<f64>,
 }
 
-/// Encode one group observation as the map-output [`Record`] the grouped
-/// aggregate mapper emits (`[Int n, Float sum_0, …, Float sum_{k-1}]`).
+/// Encode one group observation as the map-output [`Record`] the
+/// aggregate mapper emits (`[Int n, Float acc_0, …, Float acc_{k-1}]`).
+/// Each accumulator is the split total of its aggregate's argument, or
+/// for an exact plan's `MIN`/`MAX` the split's minimum or maximum.
 pub fn encode_group_part(n: u64, sums: &[f64]) -> Record {
     let mut values = Vec::with_capacity(1 + sums.len());
     values.push(Value::Int(n as i64));

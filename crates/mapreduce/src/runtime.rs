@@ -2439,12 +2439,15 @@ impl MrRuntime {
             // Keyed by task id, so the fold is a pure function of the
             // completed task set — identical across thread counts and
             // fault schedules. An empty entry still counts the split as a
-            // zero observation for every group.
+            // zero observation for every group, so a part with n = 0 (the
+            // whole-table partial of a split with no match) is dropped: it
+            // is the same zero observation.
             if let Some(n_aggs) = self.job(id).agg_plan.as_ref().map(|p| p.funcs.len()) {
                 let parts: Vec<SplitAggPart> = result
                     .pairs
                     .iter_pairs()
                     .filter_map(|(k, r)| decode_group_part(k, r, n_aggs))
+                    .filter(|p| p.n > 0)
                     .collect();
                 self.job_mut(id).agg_parts.insert(task.0, parts);
             }
@@ -3306,9 +3309,9 @@ impl MrRuntime {
             .filter(|&(found, k)| found < k);
         // Approximate-aggregation plane: classify the finish. Estimating
         // jobs re-fold at the final task set (deterministic, so a warm
-        // re-run reports byte-identical statistics); exact grouped
-        // aggregates (`mapred.agg.total.splits` without an error bound)
-        // are always `Exact`.
+        // re-run reports byte-identical statistics); exact aggregates
+        // (`mapred.agg.total.splits` without an error bound) are always
+        // `Exact`.
         let agg = if let Some(plan) = &job.agg_plan {
             let m = job.agg_parts.len() as u32;
             let accums = fold_parts(&job.agg_parts, plan.funcs.len());

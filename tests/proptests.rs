@@ -354,8 +354,7 @@ proptest! {
 /// A key group built from `segments`, each a run of rows carried either
 /// materialised or as a selection into a batch of its own (with one
 /// unselected leading row). `projected` keeps columns 2 and 3 of every
-/// row; either way the rows are `[Float, Int]*`, the partial-aggregate
-/// wire format `AggReducer` reads (its counts must not be negative).
+/// row.
 fn value_seq(segments: &[(bool, Vec<(i64, i64)>)], projected: bool) -> ValueSeq {
     use incmr::data::schema::{ColumnType, Schema};
     use incmr::data::{BatchSelection, RecordBatch};
@@ -396,6 +395,17 @@ fn value_seq(segments: &[(bool, Vec<(i64, i64)>)], projected: bool) -> ValueSeq 
     seq
 }
 
+/// A reducer that implements only `reduce`, so `reduce_group` runs the
+/// provided default. It echoes the group in reverse, so its output pins
+/// every row and their order.
+struct ReverseReducer;
+
+impl incmr::mapreduce::Reducer for ReverseReducer {
+    fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>) {
+        output.extend(values.iter().rev().map(|r| (Key::clone(key), r.clone())));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -412,18 +422,12 @@ proptest! {
         projected in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        use incmr::hiveql::{AggFunc, AggReducer, ResolvedAgg};
         use incmr::mapreduce::{IdentityReducer, Reducer};
 
         let seq = value_seq(&segments, projected);
         let len = seq.len() as u64;
-        let aggs = [AggFunc::Count, AggFunc::Sum]
-            .into_iter()
-            .take(if projected { 1 } else { 2 })
-            .map(|func| ResolvedAgg { func, column: Some(0) })
-            .collect();
         let mut reducers: Vec<Box<dyn Reducer>> =
-            vec![Box::new(IdentityReducer), Box::new(AggReducer::new(aggs))];
+            vec![Box::new(IdentityReducer), Box::new(ReverseReducer)];
         for k in [len.saturating_sub(1).max(1), len.max(1), len + 1] {
             reducers.push(Box::new(SamplingReducer::new(k, SampleMode::FirstK)));
             reducers.push(Box::new(SamplingReducer::new(k, SampleMode::RandomK { seed })));
