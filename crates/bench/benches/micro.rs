@@ -73,18 +73,23 @@ fn bench_zipf(c: &mut Criterion) {
     g.finish();
 }
 
+/// The generation a split version pays on its first read, through the
+/// batch paths `Dataset::batch` takes.
 fn bench_generator(c: &mut Criterion) {
     let factory = LineItemFactory::new(col::TAX, Value::Float(0.77));
     let mut g = c.benchmark_group("data/generator");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("full_scan_10k_records", |b| {
-        let gen = SplitGenerator::new(&factory, SplitSpec::new(10_000, 50, 3));
-        b.iter(|| black_box(gen.full_iter().count()))
+    // A split of the end-to-end benchmark's full-mode tables (40 x 5k),
+    // planted at the paper's 0.05% selectivity.
+    g.throughput(Throughput::Elements(5_000));
+    g.bench_function("full_batch_5k_records", |b| {
+        let gen = SplitGenerator::new(&factory, SplitSpec::new(5_000, 3, 3));
+        b.iter(|| black_box(gen.full_batch().len()))
     });
+    // A split of a planted table at scale 20: 750k records, 375 matches.
     g.throughput(Throughput::Elements(375));
-    g.bench_function("planted_scan_375_matches", |b| {
+    g.bench_function("planted_batch_375_matches", |b| {
         let gen = SplitGenerator::new(&factory, SplitSpec::new(750_000, 375, 3));
-        b.iter(|| black_box(gen.planted_matches().len()))
+        b.iter(|| black_box(gen.planted_batch().len()))
     });
     g.finish();
 }

@@ -33,9 +33,13 @@ use crate::value::{Record, Value};
 pub type SelectionVector = Vec<u32>;
 
 /// A dictionary-encoded string column: one `u32` code per row into a
-/// per-batch dictionary. Lookup is a linear scan — batch dictionaries stay
-/// tiny (LINEITEM's widest string column has 8 distinct values); a
-/// high-cardinality column would want a hash index here.
+/// per-batch dictionary, which holds each string once, in first-seen
+/// order. The LINEITEM generator never looks a string up: it caches each
+/// domain value's code on first sight (`lineitem.rs`). [`StrColumn::intern`]
+/// serves the row path ([`RecordBatch::from_records`]) with a linear scan,
+/// which is fine while dictionaries stay tiny (LINEITEM's widest string
+/// column has 8 distinct values); a high-cardinality column would want a
+/// hash index there.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StrColumn {
     /// Per-row dictionary codes.
@@ -119,9 +123,9 @@ impl ColumnData {
     }
 }
 
-/// An immutable SoA batch of records. Built once by a [`BatchBuilder`],
-/// then shared as `Arc<RecordBatch>` — clones of the handle are
-/// reference-count bumps, never data copies.
+/// An immutable SoA batch of records. Built once, by a [`BatchBuilder`]
+/// or a generator's column writer, then shared as `Arc<RecordBatch>` —
+/// clones of the handle are reference-count bumps, never data copies.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecordBatch {
     columns: Vec<ColumnData>,
@@ -191,14 +195,28 @@ impl RecordBatch {
         (0..self.rows).map(|r| self.record(r, &[])).collect()
     }
 
-    /// Build a batch from rows (the scalar path; generators use
-    /// [`BatchBuilder`] directly and never materialise rows).
+    /// Build a batch from rows (the scalar path; the LINEITEM generator
+    /// writes its columns directly and never materialises rows).
     pub fn from_records(schema: &Schema, records: &[Record]) -> RecordBatch {
         let mut b = BatchBuilder::new(schema, records.len());
         for r in records {
             b.push_record(r);
         }
         b.finish()
+    }
+
+    /// Seal columns written outside a [`BatchBuilder`].
+    ///
+    /// # Panics
+    /// Panics if the columns differ in length.
+    pub(crate) fn from_columns(columns: Vec<ColumnData>) -> RecordBatch {
+        let rows = columns.first().map_or(0, ColumnData::len);
+        assert!(
+            columns.iter().all(|c| c.len() == rows),
+            "column lengths differ: {:?}",
+            columns.iter().map(ColumnData::len).collect::<Vec<_>>()
+        );
+        RecordBatch { columns, rows }
     }
 }
 
@@ -254,24 +272,6 @@ impl BatchBuilder {
             panic!("column {col} is not Date");
         };
         vec.push(v);
-    }
-
-    /// Intern `s` in column `col`'s dictionary and return its code
-    /// (without appending a row — pair with [`BatchBuilder::push_code`]).
-    pub fn intern(&mut self, col: usize, s: &str) -> u32 {
-        let ColumnData::Str(c) = &mut self.columns[col] else {
-            panic!("column {col} is not Str");
-        };
-        c.intern(s)
-    }
-
-    /// Append an already-interned dictionary code to column `col`.
-    pub fn push_code(&mut self, col: usize, code: u32) {
-        let ColumnData::Str(c) = &mut self.columns[col] else {
-            panic!("column {col} is not Str");
-        };
-        debug_assert!((code as usize) < c.dict.len(), "unknown dict code");
-        c.codes.push(code);
     }
 
     /// Append a string to column `col` (interning as needed).

@@ -18,13 +18,22 @@
 //! The two paths share RNG streams by construction (separate forks for
 //! positions, matching contents, and filler contents), so *planted ≡
 //! filter(full)* exactly; `tests/` pins that with a property test.
+//!
+//! Production reads neither row path. [`SplitGenerator::full_batch`] and
+//! [`SplitGenerator::planted_batch`] hand the same streams to the factory's
+//! one split-level method, [`RecordFactory::split_batch`], which writes the
+//! rows straight into typed columns. `full_batch` tells planted rows from
+//! fillers with a cursor over the sorted
+//! [`SplitGenerator::matching_positions`]. The row paths stay as the
+//! reference the batch ≡ row proptests (`tests/batch_equivalence.rs`)
+//! compare whole batches against.
 
 use std::collections::HashSet;
 
 use incmr_simkit::rng::DetRng;
 use rand::Rng;
 
-use crate::batch::{BatchBuilder, RecordBatch};
+use crate::batch::RecordBatch;
 use crate::predicate::Predicate;
 use crate::schema::Schema;
 use crate::value::Record;
@@ -40,18 +49,21 @@ pub trait RecordFactory {
     /// Generate one record guaranteed not to match.
     fn filler(&self, rng: &mut DetRng) -> Record;
 
-    /// Append one matching record to a columnar builder. Must consume the
-    /// RNG exactly as [`RecordFactory::matching`] does and append the same
-    /// values; factories override it to skip the `Record` materialisation.
-    fn append_matching(&self, rng: &mut DetRng, out: &mut BatchBuilder) {
-        out.push_record(&self.matching(rng));
-    }
-
-    /// Append one filler record to a columnar builder (same contract as
-    /// [`RecordFactory::append_matching`], against `filler`).
-    fn append_filler(&self, rng: &mut DetRng, out: &mut BatchBuilder) {
-        out.push_record(&self.filler(rng));
-    }
+    /// Generate `rows` records straight into one columnar batch. Row `pos`
+    /// is a matching record drawn from `match_rng` when `is_match(pos)`,
+    /// else a filler drawn from `fill_rng`; `is_match` is called once per
+    /// row, in ascending `pos` order.
+    ///
+    /// The batch must equal [`RecordBatch::from_records`] over the records
+    /// the same sequence of [`RecordFactory::matching`] and
+    /// [`RecordFactory::filler`] calls returns, dictionary order included.
+    fn split_batch(
+        &self,
+        rows: u64,
+        is_match: impl FnMut(u64) -> bool,
+        match_rng: &mut DetRng,
+        fill_rng: &mut DetRng,
+    ) -> RecordBatch;
 }
 
 /// Size and seed of one split's contents.
@@ -139,33 +151,28 @@ impl<'f, F: RecordFactory> SplitGenerator<'f, F> {
     /// The whole split as one columnar batch, rows in position order.
     /// Consumes the RNG streams exactly as [`SplitGenerator::full_iter`]
     /// does, so `full_batch().to_records() == full_iter().collect()`
-    /// byte-for-byte (pinned by a test below).
+    /// byte-for-byte (pinned by a test below). A cursor walks the sorted
+    /// [`SplitGenerator::matching_positions`] alongside the rows, so
+    /// telling a planted row from a filler is one comparison.
     pub fn full_batch(&self) -> RecordBatch {
-        let schema = self.factory.schema();
-        let mut out = BatchBuilder::new(&schema, self.spec.records as usize);
-        let positions: HashSet<u64> = self.matching_positions().into_iter().collect();
-        let mut match_rng = self.root().fork_named("matching");
-        let mut fill_rng = self.root().fork_named("filler");
-        for pos in 0..self.spec.records {
-            if positions.contains(&pos) {
-                self.factory.append_matching(&mut match_rng, &mut out);
-            } else {
-                self.factory.append_filler(&mut fill_rng, &mut out);
-            }
-        }
-        out.finish()
+        let mut planted = self.matching_positions().into_iter().peekable();
+        self.factory.split_batch(
+            self.spec.records,
+            |pos| planted.next_if_eq(&pos).is_some(),
+            &mut self.root().fork_named("matching"),
+            &mut self.root().fork_named("filler"),
+        )
     }
 
     /// Only the matching records as a columnar batch — the batched
     /// counterpart of [`SplitGenerator::planted_matches`].
     pub fn planted_batch(&self) -> RecordBatch {
-        let schema = self.factory.schema();
-        let mut out = BatchBuilder::new(&schema, self.spec.matching as usize);
-        let mut match_rng = self.root().fork_named("matching");
-        for _ in 0..self.spec.matching {
-            self.factory.append_matching(&mut match_rng, &mut out);
-        }
-        out.finish()
+        self.factory.split_batch(
+            self.spec.matching,
+            |_| true,
+            &mut self.root().fork_named("matching"),
+            &mut self.root().fork_named("filler"),
+        )
     }
 
     /// Only the matching records, in the same order the full scan would

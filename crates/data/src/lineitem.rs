@@ -10,11 +10,24 @@
 //! natural generators draw from the TPC-H value domains, and matching
 //! records override one *sentinel column* with a value outside its natural
 //! domain.
+//!
+//! One draw function, `draw_natural`, feeds both generation paths, so their
+//! RNG streams agree by construction. It yields the three string columns
+//! as indices into their value domains. The row path
+//! ([`RecordFactory::matching`]/[`RecordFactory::filler`]) turns a draw into
+//! a [`Record`]. The batch path ([`RecordFactory::split_batch`]) pushes it
+//! into a private column writer: typed `Vec`s for the numeric and date
+//! columns, and for each string column a dictionary code per domain index
+//! (the sentinel string included), assigned on first sight and cached.
+//! Dictionaries therefore keep the first-seen order that interning the
+//! strings row by row gives, and no row allocates or looks a string up.
+
+use std::sync::Arc;
 
 use incmr_simkit::rng::DetRng;
 use rand::Rng;
 
-use crate::batch::BatchBuilder;
+use crate::batch::{ColumnData, RecordBatch, StrColumn};
 use crate::generator::RecordFactory;
 use crate::predicate::Predicate;
 use crate::schema::{ColumnType, Schema};
@@ -72,10 +85,15 @@ const RETURN_FLAGS: [&str; 3] = ["R", "A", "N"];
 const LINE_STATUS: [&str; 2] = ["O", "F"];
 const SHIP_MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
 
+/// The `shipmode` index a planted row carries when the sentinel column is
+/// `L_SHIPMODE`: one past the natural domain.
+const PLANTED_MODE: usize = SHIP_MODES.len();
+
 /// One natural LINEITEM row before materialisation — the single source of
 /// truth both the row and the columnar generation paths build from, so
-/// their RNG streams are identical by construction.
-struct NaturalRow<'a> {
+/// their RNG streams are identical by construction. String columns hold
+/// indices into their value domains.
+struct NaturalRow {
     orderkey: i64,
     partkey: i64,
     suppkey: i64,
@@ -84,10 +102,10 @@ struct NaturalRow<'a> {
     extendedprice: f64,
     discount: f64,
     tax: f64,
-    returnflag: &'a str,
-    linestatus: &'a str,
+    returnflag: usize,
+    linestatus: usize,
     shipdate: u32,
-    shipmode: &'a str,
+    shipmode: usize,
 }
 
 /// Natural value domains: quantity 1–50, discount 0.00–0.10, tax 0.00–0.08,
@@ -95,8 +113,15 @@ struct NaturalRow<'a> {
 ///
 /// The RNG draw order (quantity, unit price, then the fields in struct
 /// order) is load-bearing: committed golden traces and planted splits
-/// depend on it byte-for-byte.
-fn draw_natural(rng: &mut DetRng) -> NaturalRow<'static> {
+/// depend on it byte-for-byte. So are the draw types: the domain indices
+/// are drawn as `usize`, as they were when they indexed the string tables
+/// directly.
+///
+/// Always inlined: the batch path's row loop then keeps the RNG state in
+/// registers across the twelve draws and the column writes, which halves
+/// its cost per row against an out-of-line call.
+#[inline(always)]
+fn draw_natural(rng: &mut DetRng) -> NaturalRow {
     let quantity = rng.gen_range(1..=50i64);
     let price_per_unit = rng.gen_range(900.0..=105_000.0f64) / 100.0;
     NaturalRow {
@@ -108,14 +133,14 @@ fn draw_natural(rng: &mut DetRng) -> NaturalRow<'static> {
         extendedprice: (quantity as f64 * price_per_unit * 100.0).round() / 100.0,
         discount: rng.gen_range(0..=10i64) as f64 / 100.0,
         tax: rng.gen_range(0..=8i64) as f64 / 100.0,
-        returnflag: RETURN_FLAGS[rng.gen_range(0..RETURN_FLAGS.len())],
-        linestatus: LINE_STATUS[rng.gen_range(0..LINE_STATUS.len())],
+        returnflag: rng.gen_range(0..RETURN_FLAGS.len()),
+        linestatus: rng.gen_range(0..LINE_STATUS.len()),
         shipdate: rng.gen_range(0..2557),
-        shipmode: SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())],
+        shipmode: rng.gen_range(0..SHIP_MODES.len()),
     }
 }
 
-impl NaturalRow<'_> {
+impl NaturalRow {
     fn into_record(self) -> Record {
         Record::new(vec![
             Value::Int(self.orderkey),
@@ -126,34 +151,124 @@ impl NaturalRow<'_> {
             Value::Float(self.extendedprice),
             Value::Float(self.discount),
             Value::Float(self.tax),
-            Value::Str(self.returnflag.to_string()),
-            Value::Str(self.linestatus.to_string()),
+            Value::Str(RETURN_FLAGS[self.returnflag].to_string()),
+            Value::Str(LINE_STATUS[self.linestatus].to_string()),
             Value::Date(self.shipdate),
-            Value::Str(self.shipmode.to_string()),
+            Value::Str(SHIP_MODES[self.shipmode].to_string()),
         ])
-    }
-
-    /// Append as one columnar row: typed pushes plus dictionary codes for
-    /// the three string columns — no per-row heap allocation at all.
-    fn append(&self, out: &mut BatchBuilder) {
-        out.push_int(col::ORDERKEY, self.orderkey);
-        out.push_int(col::PARTKEY, self.partkey);
-        out.push_int(col::SUPPKEY, self.suppkey);
-        out.push_int(col::LINENUMBER, self.linenumber);
-        out.push_int(col::QUANTITY, self.quantity);
-        out.push_float(col::EXTENDEDPRICE, self.extendedprice);
-        out.push_float(col::DISCOUNT, self.discount);
-        out.push_float(col::TAX, self.tax);
-        out.push_str(col::RETURNFLAG, self.returnflag);
-        out.push_str(col::LINESTATUS, self.linestatus);
-        out.push_date(col::SHIPDATE, self.shipdate);
-        out.push_str(col::SHIPMODE, self.shipmode);
-        out.finish_row();
     }
 }
 
 fn natural_record(rng: &mut DetRng) -> Record {
     draw_natural(rng).into_record()
+}
+
+/// A string column written from domain indices. Each index's dictionary
+/// code is assigned on first sight and cached, so the dictionary holds
+/// each string once, in first-seen order: the dictionary that interning
+/// the same strings row by row builds.
+struct DictWriter<'a, const N: usize> {
+    strings: [&'a str; N],
+    code_of: [Option<u32>; N],
+    column: StrColumn,
+}
+
+impl<'a, const N: usize> DictWriter<'a, N> {
+    fn new(strings: [&'a str; N], rows: usize) -> Self {
+        DictWriter {
+            strings,
+            code_of: [None; N],
+            column: StrColumn {
+                codes: Vec::with_capacity(rows),
+                dict: Vec::new(),
+            },
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, index: usize) {
+        let dict = &mut self.column.dict;
+        let string = self.strings[index];
+        let code = *self.code_of[index].get_or_insert_with(|| {
+            dict.push(Arc::from(string));
+            (dict.len() - 1) as u32
+        });
+        self.column.codes.push(code);
+    }
+}
+
+/// Writes LINEITEM rows straight into the schema's typed columns, with no
+/// per-row allocation and no dictionary lookup.
+struct LineItemWriter<'a> {
+    orderkey: Vec<i64>,
+    partkey: Vec<i64>,
+    suppkey: Vec<i64>,
+    linenumber: Vec<i64>,
+    quantity: Vec<i64>,
+    extendedprice: Vec<f64>,
+    discount: Vec<f64>,
+    tax: Vec<f64>,
+    returnflag: DictWriter<'a, 3>,
+    linestatus: DictWriter<'a, 2>,
+    shipdate: Vec<u32>,
+    shipmode: DictWriter<'a, { SHIP_MODES.len() + 1 }>,
+}
+
+impl<'a> LineItemWriter<'a> {
+    /// A writer for `rows` rows whose `shipmode` index [`PLANTED_MODE`]
+    /// stands for `planted_mode`.
+    fn new(planted_mode: &'a str, rows: usize) -> Self {
+        let mut modes = [planted_mode; SHIP_MODES.len() + 1];
+        modes[..SHIP_MODES.len()].copy_from_slice(&SHIP_MODES);
+        LineItemWriter {
+            orderkey: Vec::with_capacity(rows),
+            partkey: Vec::with_capacity(rows),
+            suppkey: Vec::with_capacity(rows),
+            linenumber: Vec::with_capacity(rows),
+            quantity: Vec::with_capacity(rows),
+            extendedprice: Vec::with_capacity(rows),
+            discount: Vec::with_capacity(rows),
+            tax: Vec::with_capacity(rows),
+            returnflag: DictWriter::new(RETURN_FLAGS, rows),
+            linestatus: DictWriter::new(LINE_STATUS, rows),
+            shipdate: Vec::with_capacity(rows),
+            shipmode: DictWriter::new(modes, rows),
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, row: &NaturalRow) {
+        self.orderkey.push(row.orderkey);
+        self.partkey.push(row.partkey);
+        self.suppkey.push(row.suppkey);
+        self.linenumber.push(row.linenumber);
+        self.quantity.push(row.quantity);
+        self.extendedprice.push(row.extendedprice);
+        self.discount.push(row.discount);
+        self.tax.push(row.tax);
+        self.returnflag.push(row.returnflag);
+        self.linestatus.push(row.linestatus);
+        self.shipdate.push(row.shipdate);
+        self.shipmode.push(row.shipmode);
+    }
+
+    /// The batch, columns in [`schema`] order.
+    fn finish(self) -> RecordBatch {
+        RecordBatch::from_columns(vec![
+            ColumnData::Int(self.orderkey),
+            ColumnData::Int(self.partkey),
+            ColumnData::Int(self.suppkey),
+            ColumnData::Int(self.linenumber),
+            ColumnData::Int(self.quantity),
+            ColumnData::Float(self.extendedprice),
+            ColumnData::Float(self.discount),
+            ColumnData::Float(self.tax),
+            ColumnData::Str(self.returnflag.column),
+            ColumnData::Str(self.linestatus.column),
+            ColumnData::Date(self.shipdate),
+            ColumnData::Str(self.shipmode.column),
+        ])
+    }
 }
 
 /// A record factory that plants matches by overriding one sentinel column
@@ -192,6 +307,20 @@ impl LineItemFactory {
     pub fn sentinel_column(&self) -> usize {
         self.sentinel_column
     }
+
+    /// Override the sentinel column of a natural row in place, as
+    /// [`RecordFactory::matching`] does to its record. The row is drawn
+    /// whole first, so the RNG stream matches the row path and
+    /// `extendedprice` keeps the *natural* quantity.
+    fn plant(&self, row: &mut NaturalRow) {
+        match (self.sentinel_column, &self.sentinel_value) {
+            (col::QUANTITY, Value::Int(v)) => row.quantity = *v,
+            (col::DISCOUNT, Value::Float(v)) => row.discount = *v,
+            (col::TAX, Value::Float(v)) => row.tax = *v,
+            (col::SHIPMODE, Value::Str(_)) => row.shipmode = PLANTED_MODE,
+            _ => unreachable!("sentinel validated in LineItemFactory::new"),
+        }
+    }
 }
 
 impl RecordFactory for LineItemFactory {
@@ -213,24 +342,28 @@ impl RecordFactory for LineItemFactory {
         natural_record(rng)
     }
 
-    fn append_matching(&self, rng: &mut DetRng, out: &mut BatchBuilder) {
-        let mut row = draw_natural(rng);
-        // Same construction as `matching`: draw the full natural row (so
-        // the RNG stream is byte-identical to the row path, and
-        // extendedprice keeps the *natural* quantity), then override the
-        // sentinel column in place.
-        match (self.sentinel_column, &self.sentinel_value) {
-            (col::QUANTITY, Value::Int(v)) => row.quantity = *v,
-            (col::DISCOUNT, Value::Float(v)) => row.discount = *v,
-            (col::TAX, Value::Float(v)) => row.tax = *v,
-            (col::SHIPMODE, Value::Str(v)) => row.shipmode = v.as_str(),
-            _ => unreachable!("sentinel validated in LineItemFactory::new"),
+    fn split_batch(
+        &self,
+        rows: u64,
+        mut is_match: impl FnMut(u64) -> bool,
+        match_rng: &mut DetRng,
+        fill_rng: &mut DetRng,
+    ) -> RecordBatch {
+        let planted_mode = match &self.sentinel_value {
+            Value::Str(s) => s.as_str(),
+            _ => "",
+        };
+        let mut out = LineItemWriter::new(planted_mode, rows as usize);
+        for pos in 0..rows {
+            if is_match(pos) {
+                let mut row = draw_natural(match_rng);
+                self.plant(&mut row);
+                out.push(&row);
+            } else {
+                out.push(&draw_natural(fill_rng));
+            }
         }
-        row.append(out);
-    }
-
-    fn append_filler(&self, rng: &mut DetRng, out: &mut BatchBuilder) {
-        draw_natural(rng).append(out);
+        out.finish()
     }
 }
 

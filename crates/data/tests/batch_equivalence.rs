@@ -6,10 +6,11 @@
 //!    floats and type-mismatched literals) and arbitrary predicate trees,
 //!    `Predicate::eval_batch` selects exactly the rows the scalar
 //!    `Predicate::eval` accepts.
-//! 2. **Generation equivalence** — for arbitrary split specs,
-//!    `SplitGenerator::full_batch` / `planted_batch` materialise
-//!    byte-for-byte the records `full_iter` / `planted_matches` produce,
-//!    i.e. the columnar generator consumes the RNG streams identically.
+//! 2. **Generation equivalence** — for arbitrary split specs and every
+//!    sentinel kind, `SplitGenerator::full_batch` / `planted_batch` equal
+//!    the batches `RecordBatch::from_records` builds from `full_iter` /
+//!    `planted_matches`, dictionary order included, i.e. the columnar
+//!    generator consumes the RNG streams identically.
 
 use proptest::prelude::*;
 
@@ -157,19 +158,22 @@ proptest! {
     }
 
     /// Columnar split generation consumes the RNG streams exactly as the
-    /// row path does: full scans agree byte-for-byte...
+    /// row path does: full scans agree byte-for-byte, and so do whole
+    /// batches, whose dictionaries `to_records` cannot see...
     #[test]
     fn full_batch_equals_full_iter(
         records in 1u64..600,
         frac in 0.0f64..1.0,
         seed in any::<u64>(),
-        sentinel in 0usize..3,
+        sentinel in 0usize..4,
     ) {
         let factory = sentinel_factory(sentinel);
         let matching = (records as f64 * frac) as u64;
         let g = SplitGenerator::new(&factory, SplitSpec::new(records, matching, seed));
         let rows: Vec<Record> = g.full_iter().collect();
-        prop_assert_eq!(g.full_batch().to_records(), rows);
+        let batch = g.full_batch();
+        prop_assert_eq!(batch.to_records(), rows.clone());
+        prop_assert_eq!(batch, RecordBatch::from_records(&factory.schema(), &rows));
     }
 
     /// ...and so do planted scans, with `eval_batch` recovering exactly
@@ -179,12 +183,15 @@ proptest! {
         records in 1u64..600,
         frac in 0.0f64..1.0,
         seed in any::<u64>(),
-        sentinel in 0usize..3,
+        sentinel in 0usize..4,
     ) {
         let factory = sentinel_factory(sentinel);
         let matching = (records as f64 * frac) as u64;
         let g = SplitGenerator::new(&factory, SplitSpec::new(records, matching, seed));
-        prop_assert_eq!(g.planted_batch().to_records(), g.planted_matches());
+        let planted = g.planted_matches();
+        let batch = g.planted_batch();
+        prop_assert_eq!(batch.to_records(), planted.clone());
+        prop_assert_eq!(batch, RecordBatch::from_records(&factory.schema(), &planted));
         let sel = factory.predicate().eval_batch(&g.full_batch());
         let expect: Vec<u32> = g.matching_positions().iter().map(|&p| p as u32).collect();
         prop_assert_eq!(sel, expect);
@@ -195,6 +202,7 @@ fn sentinel_factory(which: usize) -> LineItemFactory {
     match which {
         0 => LineItemFactory::new(col::QUANTITY, Value::Int(200)),
         1 => LineItemFactory::new(col::DISCOUNT, Value::Float(0.99)),
+        2 => LineItemFactory::new(col::TAX, Value::Float(0.77)),
         _ => LineItemFactory::new(col::SHIPMODE, Value::Str("WARP".into())),
     }
 }

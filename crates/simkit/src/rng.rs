@@ -81,10 +81,12 @@ impl DetRng {
 }
 
 impl RngCore for DetRng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.inner.next_u32()
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
     }

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use incmr::prelude::*;
 
+#[derive(Debug)]
 struct Options {
     partitions: u32,
     records: u64,
@@ -23,15 +24,25 @@ struct Options {
     statements: Vec<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: incmr [--partitions N] [--records N] [--skew 0|1|2] [--seed N] [--full-scan] [-e SQL]...\n\
-         without -e, reads statements from stdin (one per line; 'quit' exits)"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: incmr [--partitions N] [--records N] [--skew 0|1|2] [--seed N] [--full-scan] [-e SQL]...\n\
+     without -e, reads statements from stdin (one per line; 'quit' exits)";
+
+/// A count that must be at least 1: the dataset needs partitions and
+/// records to plant its matches in.
+fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    match value.parse::<T>() {
+        Ok(n) if n != T::from(0) => Ok(n),
+        Ok(_) => Err(format!("{flag} must be at least 1")),
+        Err(_) => Err(format!("bad {flag} {value:?}")),
+    }
 }
 
-fn parse_args() -> Options {
+/// Parse the arguments after the program name. `Err` carries the message
+/// to print above the usage text (empty for `--help`).
+fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         partitions: 40,
         records: 20_000,
@@ -40,38 +51,31 @@ fn parse_args() -> Options {
         full_scan: false,
         statements: Vec::new(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
-            "--partitions" => {
-                opts.partitions = value("--partitions").parse().unwrap_or_else(|_| usage())
+            "--partitions" => opts.partitions = positive("--partitions", value("--partitions")?)?,
+            "--records" => opts.records = positive("--records", value("--records")?)?,
+            "--seed" => {
+                let v = value("--seed")?;
+                opts.seed = v.parse().map_err(|_| format!("bad --seed {v:?}"))?;
             }
-            "--records" => opts.records = value("--records").parse().unwrap_or_else(|_| usage()),
-            "--seed" => opts.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
             "--skew" => {
-                opts.skew = match value("--skew").as_str() {
+                opts.skew = match value("--skew")?.as_str() {
                     "0" => SkewLevel::Zero,
                     "1" => SkewLevel::Moderate,
                     "2" => SkewLevel::High,
-                    _ => usage(),
+                    other => return Err(format!("--skew takes 0, 1 or 2, got {other:?}")),
                 }
             }
             "--full-scan" => opts.full_scan = true,
-            "-e" => opts.statements.push(value("-e")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
+            "-e" => opts.statements.push(value("-e")?.clone()),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    opts
+    Ok(opts)
 }
 
 fn execute(session: &mut Session, sql: &str) -> bool {
@@ -111,7 +115,14 @@ fn execute(session: &mut Session, sql: &str) -> bool {
 }
 
 fn main() {
-    let opts = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse(&args).unwrap_or_else(|e| {
+        if !e.is_empty() {
+            eprintln!("{e}");
+        }
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(opts.seed);
     let spec = DatasetSpec::small(
@@ -178,5 +189,59 @@ fn main() {
             break;
         }
         execute(&mut session, line);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &[&str]) -> Vec<String> {
+        line.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parses_the_documented_command_lines() {
+        let o = parse(&args(&[
+            "--partitions",
+            "40",
+            "--records",
+            "20000",
+            "--skew",
+            "2",
+            "--full-scan",
+        ]))
+        .unwrap();
+        assert_eq!(
+            (o.partitions, o.records, o.skew),
+            (40, 20_000, SkewLevel::High)
+        );
+        assert!(o.full_scan && o.statements.is_empty());
+        let sql = "SELECT COUNT(*) FROM lineitem WHERE L_TAX = 0.77";
+        let o = parse(&args(&["-e", sql])).unwrap();
+        assert_eq!(o.statements, vec![sql.to_string()]);
+        assert!(!o.full_scan);
+    }
+
+    #[test]
+    fn rejects_zero_sizes() {
+        for flag in ["--records", "--partitions"] {
+            let e = parse(&args(&[flag, "0"])).unwrap_err();
+            assert_eq!(e, format!("{flag} must be at least 1"));
+        }
+    }
+
+    #[test]
+    fn rejects_bad_command_lines() {
+        for bad in [
+            &["--records", "x"][..],
+            &["--partitions", "-1"],
+            &["--skew", "3"],
+            &["--seed"],
+            &["--frobnicate"],
+            &["--help"],
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 }
