@@ -22,7 +22,11 @@
 //! partition.
 //!
 //! * `reduce_sampling_k{100,10000}` — `SamplingReducer` (first k, paper
-//!   Algorithm 2) over the dummy-key shuffle: 120k batch rows in one group;
+//!   Algorithm 2) over the dummy-key shuffle: 120k batch rows in one group,
+//!   every row unprojected (all twelve LINEITEM columns);
+//! * `reduce_sampling_k10000_proj3` — the same over rows projected to
+//!   `L_ORDERKEY, L_PARTKEY, L_SUPPKEY`, the shape a sampling statement
+//!   builds;
 //! * `reduce_identity_scan` — `IdentityReducer` over scan-shaped row pairs:
 //!   every row of every split, projected to three columns, under the
 //!   per-row keys `r0, r1, …` that `ScanMapper` emits for a materialised
@@ -55,11 +59,22 @@ const COMBINER_K: u64 = 100;
 
 /// An *uncapped* mapper: emits every record of the split as keyed batch
 /// runs, row `i` under key `k{i mod distinct_keys}` (1 key = the sampling
-/// job's dummy key). This is the shape that makes a combiner matter —
-/// `SamplingMapper` already caps its own output, so it never ships more
-/// than `k` rows per task.
+/// job's dummy key), projected to `projection` (empty = every column).
+/// This is the shape that makes a combiner matter — `SamplingMapper`
+/// already caps its own output, so it never ships more than `k` rows per
+/// task.
 struct FanOutMapper {
     distinct_keys: usize,
+    projection: Arc<[usize]>,
+}
+
+impl FanOutMapper {
+    fn unprojected(distinct_keys: usize) -> Self {
+        FanOutMapper {
+            distinct_keys,
+            projection: Arc::from([]),
+        }
+    }
 }
 
 impl Mapper for FanOutMapper {
@@ -76,7 +91,7 @@ impl Mapper for FanOutMapper {
                     (j as u32..rows as u32)
                         .step_by(self.distinct_keys)
                         .collect(),
-                    Arc::from([]),
+                    Arc::clone(&self.projection),
                 ),
             })
             .collect();
@@ -143,7 +158,7 @@ fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelE
         for with_combiner in [false, true] {
             let combiner: Option<Arc<dyn Combiner>> =
                 with_combiner.then(|| Arc::new(SampleCombiner::new(COMBINER_K)) as _);
-            let mapper = Arc::new(FanOutMapper { distinct_keys });
+            let mapper = Arc::new(FanOutMapper::unprojected(distinct_keys));
             let units = map_units(ds, mapper, reduce_tasks, combiner);
             let materialized =
                 merge_batch(executor, units.clone(), reduce_tasks).materialized_records();
@@ -193,15 +208,22 @@ fn bench_reduce_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut Parall
         let mut buffers = merge_batch(executor, units, 1).into_buffers();
         buffers.pop().expect("one reduce partition")
     };
-    let sample_input = one_partition(Arc::new(FanOutMapper { distinct_keys: 1 }), executor);
+    let sample_input = one_partition(Arc::new(FanOutMapper::unprojected(1)), executor);
     let projection = vec![col::ORDERKEY, col::PARTKEY, col::SUPPKEY];
+    let sample_proj3_input = one_partition(
+        Arc::new(FanOutMapper {
+            distinct_keys: 1,
+            projection: Arc::from(projection.as_slice()),
+        }),
+        executor,
+    );
     let scan_input = one_partition(
         Arc::new(ScanMapper::new(Predicate::True, projection, true)),
         executor,
     );
     let all_rows = MAPS as usize * RECORDS_PER_SPLIT as usize;
 
-    let cases: [(&str, Arc<dyn Reducer>, &PartitionBuffer, usize); 3] = [
+    let cases: [(&str, Arc<dyn Reducer>, &PartitionBuffer, usize); 4] = [
         (
             "reduce_sampling_k100",
             Arc::new(SamplingReducer::new(100, SampleMode::FirstK)),
@@ -212,6 +234,12 @@ fn bench_reduce_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut Parall
             "reduce_sampling_k10000",
             Arc::new(SamplingReducer::new(10_000, SampleMode::FirstK)),
             &sample_input,
+            10_000,
+        ),
+        (
+            "reduce_sampling_k10000_proj3",
+            Arc::new(SamplingReducer::new(10_000, SampleMode::FirstK)),
+            &sample_proj3_input,
             10_000,
         ),
         (

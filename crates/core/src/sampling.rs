@@ -225,14 +225,12 @@ impl Reducer for SamplingReducer {
         match self.kept(values.len()) {
             Kept::Prefix(n) => {
                 output.reserve(n);
-                output.extend(values.into_records().take(n).map(|v| (Key::clone(key), v)));
+                values.into_records(n, |v| output.push((Key::clone(key), v)));
             }
-            Kept::Picks(positions) => output.extend(
-                values
-                    .select(&positions)
-                    .into_iter()
-                    .map(|v| (Key::clone(key), v)),
-            ),
+            Kept::Picks(positions) => {
+                output.reserve(positions.len());
+                values.select(&positions, |v| output.push((Key::clone(key), v)));
+            }
         }
     }
 }

@@ -10,14 +10,15 @@
 
 use std::sync::Arc;
 
-use incmr_data::{Predicate, Record, RecordBatch};
+use incmr_data::{BatchSelection, Predicate, Record, RecordBatch, SelectionVector};
 use incmr_mapreduce::{Key, MapResult, Mapper, SplitData};
 
 /// A select-project mapper: `SELECT columns FROM t WHERE predicate`.
 #[derive(Debug, Clone)]
 pub struct ScanMapper {
     predicate: Predicate,
-    projection: Vec<usize>,
+    /// Shared, so a split's selection takes it without a copy.
+    projection: Arc<[usize]>,
     materialize: bool,
 }
 
@@ -28,7 +29,7 @@ impl ScanMapper {
     pub fn new(predicate: Predicate, projection: Vec<usize>, materialize: bool) -> Self {
         ScanMapper {
             predicate,
-            projection,
+            projection: projection.into(),
             materialize,
         }
     }
@@ -67,31 +68,23 @@ impl ScanMapper {
     /// vectors. Records are only built in the (small-job) materialised
     /// path, where per-row keys force real pairs; the simulated-load path
     /// never constructs a `Record` at all.
-    fn emit_batch(&self, batch: &Arc<RecordBatch>, sel: &[u32], total: u64) -> MapResult {
+    fn emit_batch(&self, batch: Arc<RecordBatch>, sel: SelectionVector, total: u64) -> MapResult {
+        let rows = BatchSelection::new(batch, sel, Arc::clone(&self.projection));
         if self.materialize {
             MapResult {
-                pairs: sel
-                    .iter()
+                pairs: rows
+                    .iter_records()
                     .enumerate()
-                    .map(|(i, &row)| {
-                        (
-                            Key::from(format!("r{i}")),
-                            batch.record(row as usize, &self.projection),
-                        )
-                    })
+                    .map(|(i, r)| (Key::from(format!("r{i}")), r))
                     .collect(),
                 records_read: total,
                 ..MapResult::default()
             }
         } else {
-            let bytes: u64 = sel
-                .iter()
-                .map(|&row| batch.row_width(row as usize, &self.projection) + 8)
-                .sum();
             MapResult {
                 records_read: total,
-                unmaterialized_outputs: sel.len() as u64,
-                unmaterialized_bytes: bytes,
+                unmaterialized_outputs: rows.len() as u64,
+                unmaterialized_bytes: rows.total_width() + 8 * rows.len() as u64,
                 ..MapResult::default()
             }
         }
@@ -103,15 +96,16 @@ impl Mapper for ScanMapper {
         match data {
             SplitData::Batch(batch) => {
                 let sel = self.predicate.eval_batch(&batch);
-                self.emit_batch(&batch, &sel, batch.len() as u64)
+                let total = batch.len() as u64;
+                self.emit_batch(batch, sel, total)
             }
             SplitData::PlantedBatch {
                 total_records,
                 matches,
             } => {
                 debug_assert_eq!(self.predicate.eval_batch(&matches).len(), matches.len());
-                let sel: Vec<u32> = (0..matches.len() as u32).collect();
-                self.emit_batch(&matches, &sel, total_records)
+                let sel = (0..matches.len() as u32).collect();
+                self.emit_batch(matches, sel, total_records)
             }
             SplitData::Records(records) => {
                 let matches: Vec<&Record> =

@@ -17,6 +17,20 @@
 //! projection). Nothing is copied until the reduce/result boundary
 //! materialises selected rows back into [`Record`]s.
 //!
+//! Two kernels cross that boundary, each once per call rather than once
+//! per row:
+//!
+//! * **Width.** [`BatchSelection::total_width`] sums a selection's
+//!   serialized bytes a column at a time: `8·n` for an Int or Float
+//!   column, `4·n` for a Date column, one pass over the selected codes for
+//!   a Str column. Shuffle byte accounting never walks a row.
+//! * **Rows.** One row kernel (`RecordBatch::build_rows`) builds each
+//!   selected row as an exact-capacity `Vec<Value>` in one loop over the
+//!   projected columns, inlined into the caller. Every batch→row
+//!   conversion ([`RecordBatch::record`], [`RecordBatch::to_records`],
+//!   [`BatchSelection::record`], [`BatchSelection::iter_records`], and
+//!   through them the shuffle and the reducers) runs it.
+//!
 //! The row-oriented [`Record`]/[`Value`] model stays as the boundary
 //! format (reducer inputs, job results, exotic mappers) and as the
 //! reference implementation that property tests pin the columnar path
@@ -102,23 +116,24 @@ impl ColumnData {
     }
 
     /// Materialise the value at `row`.
+    #[inline(always)]
     pub fn value(&self, row: usize) -> Value {
         match self {
             ColumnData::Int(v) => Value::Int(v[row]),
             ColumnData::Float(v) => Value::Float(v[row]),
             ColumnData::Date(v) => Value::Date(v[row]),
-            ColumnData::Str(c) => Value::Str(c.get(row).to_string()),
+            ColumnData::Str(c) => Value::Str(String::from(&**c.get(row))),
         }
     }
 
-    /// Serialized width in bytes of the value at `row` (matches
-    /// [`Value::width`]).
-    pub fn width(&self, row: usize) -> u64 {
+    /// Serialized width in bytes of the values at `rows`: the sum of
+    /// their [`Value::width`]s, computed for the whole column at once.
+    fn width_of(&self, rows: &[u32]) -> u64 {
+        let n = rows.len() as u64;
         match self {
-            ColumnData::Int(_) => 8,
-            ColumnData::Float(_) => 8,
-            ColumnData::Date(_) => 4,
-            ColumnData::Str(c) => c.get(row).len() as u64,
+            ColumnData::Int(_) | ColumnData::Float(_) => 8 * n,
+            ColumnData::Date(_) => 4 * n,
+            ColumnData::Str(c) => rows.iter().map(|&r| c.get(r as usize).len() as u64).sum(),
         }
     }
 }
@@ -163,36 +178,57 @@ impl RecordBatch {
         &self.columns
     }
 
-    /// Materialise the value at (`row`, `col`).
-    pub fn value(&self, row: usize, col: usize) -> Value {
-        self.columns[col].value(row)
+    /// The one row kernel: build the rows at `rows`, in the order given,
+    /// each projected to `projection`'s column indices (empty = all
+    /// columns). Each row is one exact-capacity `Vec<Value>`, filled by
+    /// one loop over the projected columns that inlines into the caller:
+    /// no call per row or per value, and no adapter chain. Rows are built
+    /// lazily, so `take(n)` builds at most `n`. Byte-identical to what the
+    /// row-oriented generator would have produced.
+    ///
+    /// # Panics
+    /// Panics (when iterated) if a row or a projected column is out of
+    /// range.
+    #[inline]
+    fn build_rows<'a, I>(
+        &'a self,
+        rows: I,
+        projection: &'a [usize],
+    ) -> impl ExactSizeIterator<Item = Record> + 'a
+    where
+        I: IntoIterator<Item = u32>,
+        I::IntoIter: ExactSizeIterator + 'a,
+    {
+        let columns = &self.columns;
+        rows.into_iter().map(move |row| {
+            let row = row as usize;
+            let mut values;
+            if projection.is_empty() {
+                values = Vec::with_capacity(columns.len());
+                for c in columns {
+                    values.push(c.value(row));
+                }
+            } else {
+                values = Vec::with_capacity(projection.len());
+                for &c in projection {
+                    values.push(columns[c].value(row));
+                }
+            }
+            Record::new(values)
+        })
     }
 
     /// Materialise one row as a [`Record`], optionally projected to the
-    /// given column indices (empty = all columns). Byte-identical to what
-    /// the row-oriented generator would have produced.
+    /// given column indices (empty = all columns), through the row kernel.
     pub fn record(&self, row: usize, projection: &[usize]) -> Record {
-        if projection.is_empty() {
-            Record::new((0..self.arity()).map(|c| self.value(row, c)).collect())
-        } else {
-            Record::new(projection.iter().map(|&c| self.value(row, c)).collect())
-        }
+        let mut one = self.build_rows([row as u32], projection);
+        one.next().expect("one row requested")
     }
 
-    /// Serialized width in bytes of one (optionally projected) row —
-    /// matches [`Record::width`] of [`RecordBatch::record`] without
-    /// materialising it.
-    pub fn row_width(&self, row: usize, projection: &[usize]) -> u64 {
-        if projection.is_empty() {
-            self.columns.iter().map(|c| c.width(row)).sum()
-        } else {
-            projection.iter().map(|&c| self.columns[c].width(row)).sum()
-        }
-    }
-
-    /// Materialise every row, in order (tests and the scalar fallback).
+    /// Materialise every row, in order (tests and the scalar fallback),
+    /// through the row kernel.
     pub fn to_records(&self) -> Vec<Record> {
-        (0..self.rows).map(|r| self.record(r, &[])).collect()
+        self.build_rows(0..self.rows as u32, &[]).collect()
     }
 
     /// Build a batch from rows (the scalar path; the LINEITEM generator
@@ -381,22 +417,28 @@ impl BatchSelection {
         self.batch.record(self.sel[i] as usize, &self.projection)
     }
 
-    /// Serialized width of the `i`-th selected row, without materialising.
-    pub fn width(&self, i: usize) -> u64 {
-        self.batch.row_width(self.sel[i] as usize, &self.projection)
-    }
-
-    /// Total serialized width of all selected rows.
+    /// Total serialized width of all selected rows — the sum of their
+    /// [`Record::width`]s — computed a projected column at a time,
+    /// without materialising a row.
     pub fn total_width(&self) -> u64 {
-        self.sel
-            .iter()
-            .map(|&r| self.batch.row_width(r as usize, &self.projection))
-            .sum()
+        let columns = self.batch.columns();
+        if self.projection.is_empty() {
+            columns.iter().map(|c| c.width_of(&self.sel)).sum()
+        } else {
+            self.projection
+                .iter()
+                .map(|&c| columns[c].width_of(&self.sel))
+                .sum()
+        }
     }
 
-    /// Materialising iterator over selected rows, in selection order.
-    pub fn iter_records(&self) -> impl Iterator<Item = Record> + '_ {
-        (0..self.len()).map(|i| self.record(i))
+    /// Materialising iterator over selected rows, in selection order: the
+    /// row kernel over the selection. Rows are built lazily, so `take(n)`
+    /// builds only the first `n`.
+    #[inline]
+    pub fn iter_records(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
+        self.batch
+            .build_rows(self.sel.iter().copied(), &self.projection)
     }
 }
 
@@ -456,17 +498,14 @@ mod tests {
 
     #[test]
     fn widths_match_record_widths() {
-        let batch = sample();
-        for row in 0..batch.len() {
-            assert_eq!(
-                batch.row_width(row, &[]),
-                batch.record(row, &[]).width(),
-                "row {row}"
-            );
-            assert_eq!(
-                batch.row_width(row, &[2, 0]),
-                batch.record(row, &[2, 0]).width()
-            );
+        let batch = Arc::new(sample());
+        let projections: [&[usize]; 4] = [&[], &[2, 0], &[2, 2], &[3]];
+        for projection in projections {
+            for sel in [vec![], vec![1], vec![0, 2], vec![0, 1, 2]] {
+                let rows = BatchSelection::new(Arc::clone(&batch), sel, Arc::from(projection));
+                let expect: u64 = rows.iter_records().map(|r| r.width()).sum();
+                assert_eq!(rows.total_width(), expect, "{:?} {projection:?}", rows.sel);
+            }
         }
     }
 
@@ -484,7 +523,7 @@ mod tests {
         assert_eq!(sel.len(), 2);
         assert_eq!(sel.record(0).values(), &[Value::Int(3)]);
         assert_eq!(sel.record(1).values(), &[Value::Int(1)]);
-        assert_eq!(sel.width(0), 8);
+        assert_eq!(sel.total_width(), 16);
         let all = BatchSelection::all(Arc::clone(&batch));
         assert_eq!(all.len(), 3);
         assert_eq!(

@@ -11,10 +11,15 @@
 //!    the batches `RecordBatch::from_records` builds from `full_iter` /
 //!    `planted_matches`, dictionary order included, i.e. the columnar
 //!    generator consumes the RNG streams identically.
+//! 3. **Boundary kernels** — for arbitrary batches, selections and
+//!    projections, the row kernel builds exactly the projected input rows
+//!    and the width kernel counts exactly their bytes.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use incmr_data::batch::RecordBatch;
+use incmr_data::batch::{BatchSelection, RecordBatch};
 use incmr_data::generator::{RecordFactory, SplitGenerator, SplitSpec};
 use incmr_data::lineitem::{col, LineItemFactory};
 use incmr_data::predicate::{CmpOp, Predicate};
@@ -31,7 +36,9 @@ fn schema() -> Schema {
     ])
 }
 
-const MODES: [&str; 4] = ["AIR", "SHIP", "RAIL", ""];
+/// String values, including one whose bytes outnumber its characters:
+/// widths count bytes.
+const MODES: [&str; 5] = ["AIR", "SHIP", "RAIL", "", "FLÜG✈"];
 
 /// One row of the test schema. Floats include NaN and infinities.
 fn arb_row() -> impl Strategy<Value = (i64, f64, usize, u32)> {
@@ -131,30 +138,43 @@ proptest! {
         prop_assert_eq!(pred.eval_batch_scalar(&batch), expect);
     }
 
-    /// Batch materialisation round-trips rows byte-for-byte.
+    /// Batch materialisation round-trips rows byte-for-byte, and the row
+    /// and width kernels agree with the input rows under any ascending
+    /// selection and any projection: empty (every column), a subset, or
+    /// one that repeats a column.
     #[test]
-    fn batch_roundtrips_records(rows in proptest::collection::vec(arb_row(), 0..60)) {
+    fn batch_roundtrips_records(
+        rows in proptest::collection::vec(arb_row(), 0..60),
+        keep in proptest::collection::vec(any::<bool>(), 60),
+        projection in prop_oneof![
+            Just(Vec::new()),
+            proptest::collection::vec(any::<bool>(), 4).prop_map(|cols| {
+                (0..4).filter(|&c| cols[c]).collect::<Vec<usize>>()
+            }),
+            proptest::collection::vec(0usize..4, 1..5).prop_map(|mut cols| {
+                cols.push(cols[0]);
+                cols
+            }),
+        ],
+    ) {
         let (batch, records) = to_batch(&rows);
-        // NaN != NaN under Value's PartialEq, so compare via bit patterns.
-        let bits = |rs: &[Record]| -> Vec<Vec<u64>> {
-            rs.iter()
-                .map(|r| {
-                    r.values()
-                        .iter()
-                        .map(|v| match v {
-                            Value::Int(i) => *i as u64,
-                            Value::Float(f) => f.to_bits(),
-                            Value::Date(d) => *d as u64,
-                            Value::Str(s) => s.len() as u64 ^ 0xdead_0000,
-                        })
-                        .collect()
-                })
-                .collect()
-        };
         prop_assert_eq!(bits(&batch.to_records()), bits(&records));
-        for (i, r) in records.iter().enumerate() {
-            prop_assert_eq!(batch.row_width(i, &[]), r.width());
-        }
+
+        let sel: Vec<u32> = (0..records.len() as u32).filter(|&r| keep[r as usize]).collect();
+        let columns: Vec<usize> = if projection.is_empty() {
+            (0..schema().arity()).collect()
+        } else {
+            projection.clone()
+        };
+        let expect: Vec<Record> = sel
+            .iter()
+            .map(|&r| records[r as usize].project(&columns))
+            .collect();
+        let rows = BatchSelection::new(Arc::new(batch), sel, projection.into());
+        let built: Vec<Record> = rows.iter_records().collect();
+        prop_assert_eq!(bits(&built), bits(&expect));
+        prop_assert!(built.iter().all(|r| r.values().len() == columns.len()));
+        prop_assert_eq!(rows.total_width(), expect.iter().map(Record::width).sum::<u64>());
     }
 
     /// Columnar split generation consumes the RNG streams exactly as the
@@ -196,6 +216,24 @@ proptest! {
         let expect: Vec<u32> = g.matching_positions().iter().map(|&p| p as u32).collect();
         prop_assert_eq!(sel, expect);
     }
+}
+
+/// Rows as comparable, type-tagged keys: floats by bit pattern, because
+/// NaN != NaN under `Value`'s `PartialEq`, and strings by content.
+fn bits(rows: &[Record]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|r| {
+            r.values()
+                .iter()
+                .map(|v| match v {
+                    Value::Int(i) => format!("i{i}"),
+                    Value::Float(f) => format!("f{:016x}", f.to_bits()),
+                    Value::Date(d) => format!("d{d}"),
+                    Value::Str(s) => format!("s{s}"),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 fn sentinel_factory(which: usize) -> LineItemFactory {

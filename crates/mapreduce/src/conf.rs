@@ -156,24 +156,32 @@ impl JobConf {
 
     /// Integer lookup with a default for absent keys.
     pub fn get_u64_or(&self, key: &str, default: u64) -> Result<u64, ConfError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ConfError {
-                key: key.to_string(),
-                value: v.to_string(),
-                wanted: "u64",
-            }),
-        }
+        self.parse_or(key, default, "u64")
+    }
+
+    /// 32-bit count lookup with a default for absent keys. A value wider
+    /// than `u32` is an error, not a truncation.
+    pub fn get_u32_or(&self, key: &str, default: u32) -> Result<u32, ConfError> {
+        self.parse_or(key, default, "u32")
     }
 
     /// Float lookup with a default for absent keys.
     pub fn get_f64_or(&self, key: &str, default: f64) -> Result<f64, ConfError> {
+        self.parse_or(key, default, "f64")
+    }
+
+    fn parse_or<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        wanted: &'static str,
+    ) -> Result<T, ConfError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ConfError {
                 key: key.to_string(),
                 value: v.to_string(),
-                wanted: "f64",
+                wanted,
             }),
         }
     }
@@ -240,6 +248,21 @@ mod tests {
         assert_eq!(err.wanted, "u64");
         assert!(err.to_string().contains("abc"));
         assert!(conf.get_f64_or("n", 0.0).is_err());
+    }
+
+    #[test]
+    fn u32_counts_reject_wider_values() {
+        let conf = JobConf::new()
+            .with("max", u32::MAX)
+            .with("wide", 1u64 << 32)
+            .with("neg", -1);
+        assert_eq!(conf.get_u32_or("max", 0).unwrap(), u32::MAX);
+        assert_eq!(conf.get_u32_or("absent", 7).unwrap(), 7);
+        for key in ["wide", "neg"] {
+            let err = conf.get_u32_or(key, 0).unwrap_err();
+            assert_eq!(err.key, key);
+            assert_eq!(err.wanted, "u32");
+        }
     }
 
     #[test]

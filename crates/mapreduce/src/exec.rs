@@ -190,10 +190,8 @@ impl KeyedBatch {
 
     /// Materialise into classic pairs (the compatibility boundary).
     pub fn into_pairs(self, out: &mut Vec<(Key, Record)>) {
-        out.reserve(self.rows.len());
-        for i in 0..self.rows.len() {
-            out.push((Key::clone(&self.key), self.rows.record(i)));
-        }
+        let key = &self.key;
+        out.extend(self.rows.iter_records().map(|r| (Key::clone(key), r)));
     }
 }
 
@@ -326,7 +324,7 @@ pub trait Reducer: Send + Sync {
     /// `values.to_rows()`.
     fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
         let mut rows = Vec::with_capacity(values.len());
-        rows.extend(values.into_records());
+        values.into_records(usize::MAX, |r| rows.push(r));
         self.reduce(key, &rows, output);
     }
 }
@@ -343,7 +341,7 @@ impl Reducer for IdentityReducer {
     /// Moves materialised rows through and builds each batch row once.
     fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
         output.reserve(values.len());
-        output.extend(values.into_records().map(|v| (Key::clone(key), v)));
+        values.into_records(usize::MAX, |v| output.push((Key::clone(key), v)));
     }
 }
 

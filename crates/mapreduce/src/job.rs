@@ -228,19 +228,20 @@ impl JobSpecBuilder {
     /// Finish building, returning a typed error for incomplete or
     /// malformed specs: a missing input format or mapper, a numeric
     /// configuration key (reduce-task count, materialize cap, guard-rail
-    /// knobs) that does not parse, or a zero deadline.
+    /// knobs) that does not parse, a count wider than `u32`, or a zero
+    /// deadline.
     pub fn try_build(self) -> Result<JobSpec, JobConfigError> {
         self.conf
-            .get_u64_or(keys::NUM_REDUCE_TASKS, 1)
+            .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
             .map_err(JobConfigError::BadConf)?;
         self.conf
             .get_u64_or(crate::runtime::MATERIALIZE_CAP_KEY, u64::MAX)
             .map_err(JobConfigError::BadConf)?;
         self.conf
-            .get_u64_or(keys::PROVIDER_RETRY_BUDGET, 0)
+            .get_u32_or(keys::PROVIDER_RETRY_BUDGET, 0)
             .map_err(JobConfigError::BadConf)?;
         self.conf
-            .get_u64_or(keys::MAX_IDLE_EVALUATIONS, 0)
+            .get_u32_or(keys::MAX_IDLE_EVALUATIONS, 0)
             .map_err(JobConfigError::BadConf)?;
         let deadline = self
             .conf
@@ -870,6 +871,32 @@ mod tests {
                 .try_build(),
             Err(JobConfigError::BadConf(_))
         ));
+    }
+
+    #[test]
+    fn try_build_rejects_counts_wider_than_u32() {
+        let build = |key: &str, value: u64| {
+            JobSpec::builder()
+                .input(NullInput2)
+                .mapper(NullMapper2)
+                .set(key, value)
+                .try_build()
+        };
+        for key in [
+            keys::NUM_REDUCE_TASKS,
+            keys::PROVIDER_RETRY_BUDGET,
+            keys::MAX_IDLE_EVALUATIONS,
+        ] {
+            match build(key, 1 << 32).err() {
+                Some(JobConfigError::BadConf(e)) => {
+                    assert_eq!(e.key, key);
+                    assert_eq!(e.value, "4294967296");
+                    assert_eq!(e.wanted, "u32");
+                }
+                other => panic!("{key}: expected BadConf, got {other:?}"),
+            }
+        }
+        assert!(build(keys::MAX_IDLE_EVALUATIONS, u64::from(u32::MAX)).is_ok());
     }
 
     #[test]

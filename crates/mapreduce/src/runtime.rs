@@ -864,10 +864,11 @@ impl MrRuntime {
     }
 
     /// Submit a job, rejecting a malformed configuration (unparseable
-    /// numeric keys, zero deadline) with a typed error instead of
-    /// panicking. The driver's `initial_input` runs under the provider
-    /// sandbox: a panic or invalid directive there consumes the job's
-    /// retry budget or fails the job, but always yields a valid `JobId`.
+    /// numeric keys, counts wider than `u32`, zero deadline) with a typed
+    /// error instead of panicking. The driver's `initial_input` runs under
+    /// the provider sandbox: a panic or invalid directive there consumes
+    /// the job's retry budget or fails the job, but always yields a valid
+    /// `JobId`.
     pub fn try_submit(
         &mut self,
         spec: JobSpec,
@@ -880,20 +881,17 @@ impl MrRuntime {
             .map_err(JobConfigError::BadConf)?;
         let reduce_tasks = spec
             .conf
-            .get_u64_or(keys::NUM_REDUCE_TASKS, 1)
+            .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
             .map_err(JobConfigError::BadConf)?
-            .max(1) as u32;
+            .max(1);
         let provider_retries_left = spec
             .conf
-            .get_u64_or(keys::PROVIDER_RETRY_BUDGET, 0)
-            .map_err(JobConfigError::BadConf)? as u32;
+            .get_u32_or(keys::PROVIDER_RETRY_BUDGET, 0)
+            .map_err(JobConfigError::BadConf)?;
         let max_idle_evaluations = spec
             .conf
-            .get_u64_or(
-                keys::MAX_IDLE_EVALUATIONS,
-                DEFAULT_MAX_IDLE_EVALUATIONS as u64,
-            )
-            .map_err(JobConfigError::BadConf)? as u32;
+            .get_u32_or(keys::MAX_IDLE_EVALUATIONS, DEFAULT_MAX_IDLE_EVALUATIONS)
+            .map_err(JobConfigError::BadConf)?;
         // `u64::MAX` is the no-deadline sentinel; an explicit 0 would
         // expire at submission and is rejected, mirroring `try_build`.
         let deadline_ms = spec

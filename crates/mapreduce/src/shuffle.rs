@@ -15,6 +15,13 @@
 //!   first-seen key order and exact byte/record shares. Reduce-begin is
 //!   then O(`reduce_tasks`): the buffers *are* the reduce inputs.
 //!
+//! Batch runs stay selection vectors through both halves. Their bytes
+//! come from [`KeyedBatch::shuffle_bytes`], which sums a run a column at
+//! a time ([`BatchSelection::total_width`]): a numeric column costs one
+//! multiply, a string column one pass over its selected codes, and no
+//! row is walked. Their rows are built only at the reduce boundary, by
+//! [`ValueSeq`], through the one row kernel in `incmr_data::batch`.
+//!
 //! The job-level materialise cap (`mapred.job.materialize.cap`) is honoured
 //! exactly as the old monolithic path did — the first `cap` pairs in
 //! (map-task, emission) order are kept. [`PartitionedPairs`] records
@@ -189,14 +196,25 @@ enum ValueSeg {
     Batch(BatchSelection),
 }
 
+impl ValueSeg {
+    fn len(&self) -> usize {
+        match self {
+            ValueSeg::Rows(rows) => rows.len(),
+            ValueSeg::Batch(sel) => sel.len(),
+        }
+    }
+}
+
 /// One key group's values: an ordered run of segments totalling `len`
 /// records. Grows row-by-row from classic pairs and run-at-a-time from
 /// [`KeyedBatch`]es. The reduce unit hands each group to its reducer by
 /// value ([`Reducer::reduce_group`](crate::exec::Reducer::reduce_group)),
 /// which builds only the rows it outputs: [`ValueSeq::into_records`] moves
-/// materialised rows and builds batch rows on demand, and
-/// [`ValueSeq::select`] builds rows at chosen positions. Equality (used by
-/// the shuffle equivalence proptests) compares the materialised record
+/// materialised rows and builds a prefix of batch rows, and
+/// [`ValueSeq::select`] builds rows at chosen positions. Every batch row
+/// is built by the one row kernel behind
+/// [`BatchSelection::iter_records`], a segment at a time. Equality (used
+/// by the shuffle equivalence proptests) compares the materialised record
 /// streams, so a batch segment equals the rows it would produce.
 #[derive(Debug, Clone, Default)]
 pub struct ValueSeq {
@@ -234,51 +252,51 @@ impl ValueSeq {
     /// Materialise every record, in arrival order, leaving the group
     /// intact (a copy of each row).
     pub fn to_rows(&self) -> Vec<Record> {
-        self.clone().into_records().collect()
+        let mut rows = Vec::with_capacity(self.len);
+        self.clone().into_records(usize::MAX, |r| rows.push(r));
+        rows
     }
 
-    /// Consume the group into its records, in arrival order. Materialised
-    /// rows move out; a batch row is built when the iterator reaches it,
-    /// so `into_records().take(n)` builds at most `n` rows.
-    pub fn into_records(self) -> impl Iterator<Item = Record> {
-        self.segs.into_iter().flat_map(|seg| {
-            let (rows, sel) = match seg {
-                ValueSeg::Rows(rows) => (rows, None),
-                ValueSeg::Batch(sel) => (Vec::new(), Some(sel)),
-            };
-            let built = sel
-                .into_iter()
-                .flat_map(|sel| (0..sel.len()).map(move |i| sel.record(i)));
-            rows.into_iter().chain(built)
-        })
+    /// Consume the group, handing its first `limit` records to `emit` in
+    /// arrival order (`usize::MAX` for all of them). Materialised rows
+    /// move out; batch rows are built a segment at a time, and only as
+    /// far as the prefix reaches.
+    pub fn into_records(self, limit: usize, mut emit: impl FnMut(Record)) {
+        let mut left = limit.min(self.len);
+        for seg in self.segs {
+            if left == 0 {
+                break;
+            }
+            let n = left.min(seg.len());
+            match seg {
+                ValueSeg::Rows(rows) => rows.into_iter().take(n).for_each(&mut emit),
+                ValueSeg::Batch(sel) => sel.iter_records().take(n).for_each(&mut emit),
+            }
+            left -= n;
+        }
     }
 
     /// Build the records at `positions` (arrival-order indices, each below
-    /// [`ValueSeq::len`]), in the order given. Only those rows are built.
+    /// [`ValueSeq::len`]), handing them to `emit` in the order given. Only
+    /// those rows are built.
     ///
     /// # Panics
     /// Panics if a position is out of range.
-    pub fn select(&self, positions: &[usize]) -> Vec<Record> {
+    pub fn select(&self, positions: &[usize], mut emit: impl FnMut(Record)) {
         let mut starts = Vec::with_capacity(self.segs.len());
         let mut start = 0;
         for seg in &self.segs {
             starts.push(start);
-            start += match seg {
-                ValueSeg::Rows(rows) => rows.len(),
-                ValueSeg::Batch(sel) => sel.len(),
-            };
+            start += seg.len();
         }
-        positions
-            .iter()
-            .map(|&p| {
-                assert!(p < self.len, "position {p} out of a group of {}", self.len);
-                let s = starts.partition_point(|&st| st <= p) - 1;
-                match &self.segs[s] {
-                    ValueSeg::Rows(rows) => rows[p - starts[s]].clone(),
-                    ValueSeg::Batch(sel) => sel.record(p - starts[s]),
-                }
-            })
-            .collect()
+        for &p in positions {
+            assert!(p < self.len, "position {p} out of a group of {}", self.len);
+            let s = starts.partition_point(|&st| st <= p) - 1;
+            emit(match &self.segs[s] {
+                ValueSeg::Rows(rows) => rows[p - starts[s]].clone(),
+                ValueSeg::Batch(sel) => sel.record(p - starts[s]),
+            });
+        }
     }
 }
 

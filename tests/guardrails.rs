@@ -68,7 +68,47 @@ fn try_submit_rejects_bad_guardrail_configuration() {
         other => panic!("expected BadConf, got {other:?}"),
     }
 
-    // Rejection leaves the runtime reusable: a valid job still runs.
+    // A count wider than u32 is rejected, not truncated: 2^32 reduce
+    // tasks would wrap to zero, and 2^32 idle evaluations would disable
+    // the wedge watchdog.
+    for key in [
+        keys::NUM_REDUCE_TASKS,
+        keys::PROVIDER_RETRY_BUDGET,
+        keys::MAX_IDLE_EVALUATIONS,
+    ] {
+        let (mut spec, driver) = build_sampling_job(
+            &ds,
+            5,
+            Policy::ha(),
+            ScanMode::Planted,
+            SampleMode::FirstK,
+            1,
+        );
+        spec.conf.set(key, 1u64 << 32);
+        match rt.try_submit(spec, driver) {
+            Err(JobConfigError::BadConf(e)) => {
+                assert_eq!(e.key, key);
+                assert_eq!(e.value, "4294967296");
+                assert_eq!(e.wanted, "u32");
+            }
+            other => panic!("{key}: expected BadConf, got {other:?}"),
+        }
+    }
+
+    // Rejection leaves the runtime reusable: a valid job still runs, and
+    // so does one at the widest idle-evaluation count.
+    let (mut spec, driver) = build_sampling_job(
+        &ds,
+        5,
+        Policy::ha(),
+        ScanMode::Planted,
+        SampleMode::FirstK,
+        1,
+    );
+    spec.conf.set(keys::MAX_IDLE_EVALUATIONS, u32::MAX);
+    let id = rt.try_submit(spec, driver).expect("u32::MAX submits");
+    rt.run_until_idle();
+    assert!(!rt.job_result(id).failed);
     let (spec, driver) = build_sampling_job(
         &ds,
         5,

@@ -353,9 +353,9 @@ proptest! {
 
 /// A key group built from `segments`, each a run of rows carried either
 /// materialised or as a selection into a batch of its own (with one
-/// unselected leading row). `projected` keeps columns 2 and 3 of every
-/// row.
-fn value_seq(segments: &[(bool, Vec<(i64, i64)>)], projected: bool) -> ValueSeq {
+/// unselected leading row), and the rows it holds, built value by value.
+/// `projected` keeps columns 2 and 3 of every row.
+fn value_seq(segments: &[(bool, Vec<(i64, i64)>)], projected: bool) -> (ValueSeq, Vec<Record>) {
     use incmr::data::schema::{ColumnType, Schema};
     use incmr::data::{BatchSelection, RecordBatch};
 
@@ -374,8 +374,17 @@ fn value_seq(segments: &[(bool, Vec<(i64, i64)>)], projected: bool) -> ValueSeq 
             Value::Int(x),
         ])
     };
+    let project = |record: Record| {
+        if projected {
+            record.project(&projection)
+        } else {
+            record
+        }
+    };
     let mut seq = ValueSeq::default();
+    let mut expect = Vec::new();
     for (as_batch, rows) in segments {
+        expect.extend(rows.iter().map(row).map(project));
         if *as_batch {
             let records: Vec<Record> = std::iter::once(&(0, 0)).chain(rows).map(row).collect();
             let batch = Arc::new(RecordBatch::from_records(&schema, &records));
@@ -383,16 +392,11 @@ fn value_seq(segments: &[(bool, Vec<(i64, i64)>)], projected: bool) -> ValueSeq 
             seq.push_batch(BatchSelection::new(batch, sel, projection.clone().into()));
         } else {
             for r in rows {
-                let record = row(r);
-                seq.push(if projected {
-                    record.project(&projection)
-                } else {
-                    record
-                });
+                seq.push(project(row(r)));
             }
         }
     }
-    seq
+    (seq, expect)
 }
 
 /// A reducer that implements only `reduce`, so `reduce_group` runs the
@@ -413,6 +417,8 @@ proptest! {
     /// `reduce` outputs over the materialised group: for the identity
     /// reducer, for first-k and random-k sampling with k below, at and
     /// above the group size, and for a reducer that keeps the default.
+    /// The materialised group itself equals the rows built value by
+    /// value, so the row kernel is checked against rows it did not build.
     #[test]
     fn reduce_group_matches_reduce_over_rows(
         segments in prop::collection::vec(
@@ -424,7 +430,7 @@ proptest! {
     ) {
         use incmr::mapreduce::{IdentityReducer, Reducer};
 
-        let seq = value_seq(&segments, projected);
+        let (seq, expect) = value_seq(&segments, projected);
         let len = seq.len() as u64;
         let mut reducers: Vec<Box<dyn Reducer>> =
             vec![Box::new(IdentityReducer), Box::new(ReverseReducer)];
@@ -434,6 +440,7 @@ proptest! {
         }
         let key = Key::from("g");
         let rows = seq.to_rows();
+        prop_assert_eq!(&rows, &expect);
         for reducer in &reducers {
             let mut by_group = Vec::new();
             reducer.reduce_group(&key, seq.clone(), &mut by_group);
