@@ -1,12 +1,12 @@
 //! Data-plane scan micro-benchmark: how fast the host computes a batch of
-//! scan map tasks at different worker-pool sizes, on both record paths.
+//! scan map tasks at different worker-pool sizes.
 //!
-//! Variants of the same 40 × 20k workload:
+//! Variants of the same 40 × 20k workload, all in `ScanMode::Full`:
 //!
-//! * `scan/full_batch_40x20k` — `ScanMode::Full`, the columnar path: each
-//!   split is a shared `Arc<RecordBatch>` from the dataset's batch store
-//!   and the mapper runs the vectorised `eval_batch` kernel over the
-//!   column vectors. The same map units run every iteration.
+//! * `scan/full_batch_40x20k` — each split is a shared `Arc<RecordBatch>`
+//!   from the dataset's batch store, and the mapper's `SplitData::select`
+//!   runs the vectorised `eval_batch` kernel over the column vectors. The
+//!   same map units run every iteration.
 //! * `scan/full_batch_40x20k_fresh_format` — the same wave, but every
 //!   iteration builds a new `DatasetInputFormat` over the same `Dataset`,
 //!   as every HiveQL statement does. **This is the row production
@@ -15,9 +15,6 @@
 //! * `scan/full_batch_40x20k_cold` — a new `Dataset` every iteration, so
 //!   every read generates its split: the cost each split version pays
 //!   once, on its first read.
-//! * `scan/full_rows_40x20k` — `ScanMode::FullRows`, the legacy reference
-//!   path: every read materialises `Vec<Record>` and the predicate is
-//!   evaluated record by record.
 //!
 //! This measures the *host* wall clock of the two-plane split (see
 //! `incmr-mapreduce::parallel`): simulated results are identical at every
@@ -40,26 +37,16 @@ use incmr_mapreduce::{
 };
 use incmr_simkit::rng::DetRng;
 
-/// The paper's scan-side map logic in miniature: evaluate the planted
-/// predicate over every record — vectorised when the split arrives
-/// columnar, record-at-a-time on the row reference path.
+/// The paper's scan-side map logic in miniature: select every record the
+/// planted predicate accepts and count them.
 struct PredicateCountMapper {
     predicate: incmr_data::Predicate,
 }
 
 impl Mapper for PredicateCountMapper {
     fn run(&self, data: SplitData) -> MapResult {
-        let (records_read, matches) = match data {
-            SplitData::Batch(batch) => (
-                batch.len() as u64,
-                self.predicate.eval_batch(&batch).len() as u64,
-            ),
-            SplitData::Records(records) => (
-                records.len() as u64,
-                records.iter().filter(|r| self.predicate.eval(r)).count() as u64,
-            ),
-            other => panic!("scan bench uses full modes, got {other:?}"),
-        };
+        let records_read = data.total_records();
+        let matches = data.select(&self.predicate, usize::MAX).1.len() as u64;
         MapResult {
             records_read,
             unmaterialized_outputs: matches,
@@ -83,10 +70,12 @@ fn scan_dataset() -> Arc<Dataset> {
     ))
 }
 
-/// One map unit per split, all sharing a new input format over `ds`.
-fn scan_units(ds: &Arc<Dataset>, mode: ScanMode) -> Vec<MapUnit> {
+/// One map unit per split, all sharing a new full-scan input format over
+/// `ds`.
+fn scan_units(ds: &Arc<Dataset>) -> Vec<MapUnit> {
     let predicate = ds.factory().predicate();
-    let input: Arc<dyn InputFormat> = Arc::new(DatasetInputFormat::new(Arc::clone(ds), mode));
+    let input: Arc<dyn InputFormat> =
+        Arc::new(DatasetInputFormat::new(Arc::clone(ds), ScanMode::Full));
     let mapper: Arc<dyn Mapper> = Arc::new(PredicateCountMapper { predicate });
     ds.splits()
         .iter()
@@ -102,8 +91,8 @@ fn scan_units(ds: &Arc<Dataset>, mode: ScanMode) -> Vec<MapUnit> {
 
 const RECORDS_TOTAL: u64 = 40 * 20_000;
 
-fn bench_scan_wave(c: &mut Criterion, group: &str, mode: ScanMode) {
-    let units = scan_units(&scan_dataset(), mode);
+fn bench_scan_wave(c: &mut Criterion, group: &str) {
+    let units = scan_units(&scan_dataset());
     let mut g = c.benchmark_group(group);
     g.throughput(Throughput::Elements(RECORDS_TOTAL));
     for threads in [1u32, 2, 4, 8] {
@@ -128,18 +117,17 @@ fn bench_rebuilt_wave(c: &mut Criterion, group: &str, units: impl Fn() -> Vec<Ma
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
-    bench_scan_wave(&mut c, "scan/full_batch_40x20k", ScanMode::Full);
+    bench_scan_wave(&mut c, "scan/full_batch_40x20k");
     let shared = scan_dataset();
     bench_rebuilt_wave(&mut c, "scan/full_batch_40x20k_fresh_format", || {
-        scan_units(&shared, ScanMode::Full)
+        scan_units(&shared)
     });
-    // Free the warm dataset's ~80 MB of batches: left live, they slowed
-    // the row path measured later in this process.
+    // Free the warm dataset's ~80 MB of batches before the cold wave
+    // builds its own.
     drop(shared);
     bench_rebuilt_wave(&mut c, "scan/full_batch_40x20k_cold", || {
-        scan_units(&scan_dataset(), ScanMode::Full)
+        scan_units(&scan_dataset())
     });
-    bench_scan_wave(&mut c, "scan/full_rows_40x20k", ScanMode::FullRows);
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

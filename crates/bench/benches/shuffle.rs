@@ -79,7 +79,7 @@ impl FanOutMapper {
 
 impl Mapper for FanOutMapper {
     fn run(&self, data: SplitData) -> MapResult {
-        let SplitData::Batch(batch) = data else {
+        let SplitData::Full(batch) = data else {
             unreachable!("the bench reads ScanMode::Full splits")
         };
         let rows = batch.len();

@@ -12,7 +12,9 @@
 //!   results" variant is [`SampleMode::RandomK`], implemented as a
 //!   reservoir sample.
 
-use incmr_data::{BatchSelection, Predicate, Record, RecordBatch};
+use std::sync::Arc;
+
+use incmr_data::{BatchSelection, Predicate, Record};
 use incmr_mapreduce::{Combiner, Key, KeyedBatch, MapResult, Mapper, Reducer, SplitData, ValueSeq};
 use incmr_simkit::rng::DetRng;
 use rand::Rng;
@@ -38,7 +40,7 @@ pub enum SampleMode {
 pub struct SamplingMapper {
     predicate: Predicate,
     k: u64,
-    projection: std::sync::Arc<[usize]>,
+    projection: Arc<[usize]>,
     dummy: Key,
 }
 
@@ -66,100 +68,23 @@ impl SamplingMapper {
     pub fn predicate(&self) -> &Predicate {
         &self.predicate
     }
-
-    fn emit(&self, r: Record) -> (Key, Record) {
-        let value = if self.projection.is_empty() {
-            r
-        } else {
-            r.project(&self.projection)
-        };
-        (Key::clone(&self.dummy), value)
-    }
-
-    /// Wrap a capped selection over `batch` into the single keyed batch
-    /// this mapper emits — zero row materialisation.
-    fn emit_batch(&self, batch: std::sync::Arc<RecordBatch>, mut sel: Vec<u32>) -> MapResult {
-        let records_read = batch.len() as u64;
-        sel.truncate(self.k as usize);
-        MapResult {
-            batches: vec![KeyedBatch {
-                key: Key::clone(&self.dummy),
-                rows: BatchSelection::new(batch, sel, std::sync::Arc::clone(&self.projection)),
-            }],
-            records_read,
-            ..MapResult::default()
-        }
-    }
 }
 
 impl Mapper for SamplingMapper {
+    /// The Algorithm 1 loop: select the split's first `k` matches in scan
+    /// order and emit them as one keyed batch under the dummy key. The
+    /// payload is an `Arc` bump plus the selection indices; no `Record` is
+    /// built until the reduce boundary.
     fn run(&self, data: SplitData) -> MapResult {
-        match data {
-            // Full batch mode: the real Algorithm 1 loop, vectorised —
-            // one branch-free predicate pass fills the selection vector,
-            // then the per-task cap truncates it. The emitted payload is
-            // an `Arc` bump plus the selection indices; no `Record` is
-            // built until the reduce boundary.
-            SplitData::Batch(batch) => {
-                let sel = self.predicate.eval_batch(&batch);
-                self.emit_batch(batch, sel)
-            }
-            // Planted batch mode: every row matches by construction, so
-            // the selection is the identity prefix of length min(k, n).
-            SplitData::PlantedBatch {
-                total_records,
-                matches,
-            } => {
-                debug_assert_eq!(
-                    self.predicate.eval_batch(&matches).len(),
-                    matches.len(),
-                    "planted contract violated"
-                );
-                let keep = (self.k as usize).min(matches.len());
-                let mut out = self.emit_batch(matches, (0..keep as u32).collect());
-                out.records_read = total_records;
-                out
-            }
-            // Row reference path: scan everything, evaluate the predicate
-            // scalar, emit while found < k. Records are moved, not cloned.
-            SplitData::Records(records) => {
-                let records_read = records.len() as u64;
-                let mut pairs = Vec::new();
-                for record in records {
-                    if (pairs.len() as u64) < self.k && self.predicate.eval(&record) {
-                        pairs.push(self.emit(record));
-                    }
-                }
-                MapResult {
-                    pairs,
-                    records_read,
-                    ..MapResult::default()
-                }
-            }
-            // Planted rows: `matches` are by construction exactly the
-            // records the predicate accepts, in scan order; the cap and the
-            // counters behave identically. Overflow beyond k is accounted
-            // (it would be shuffled in Hadoop) but not materialised.
-            SplitData::Planted {
-                total_records,
-                matches,
-            } => {
-                debug_assert!(
-                    matches.iter().all(|r| self.predicate.eval(r)),
-                    "planted contract violated"
-                );
-                let keep = (self.k as usize).min(matches.len());
-                let pairs = matches
-                    .into_iter()
-                    .take(keep)
-                    .map(|r| self.emit(r))
-                    .collect();
-                MapResult {
-                    pairs,
-                    records_read: total_records,
-                    ..MapResult::default()
-                }
-            }
+        let records_read = data.total_records();
+        let (batch, sel) = data.select(&self.predicate, self.k as usize);
+        MapResult {
+            batches: vec![KeyedBatch {
+                key: Key::clone(&self.dummy),
+                rows: BatchSelection::new(batch, sel, Arc::clone(&self.projection)),
+            }],
+            records_read,
+            ..MapResult::default()
         }
     }
 }
@@ -291,39 +216,39 @@ mod tests {
         LineItemFactory::new(col::QUANTITY, Value::Int(200))
     }
 
+    fn generator(
+        f: &LineItemFactory,
+        records: u64,
+        matching: u64,
+        seed: u64,
+    ) -> SplitGenerator<'_, LineItemFactory> {
+        SplitGenerator::new(f, SplitSpec::new(records, matching, seed))
+    }
+
     fn full_split(records: u64, matching: u64, seed: u64) -> SplitData {
         let f = factory();
-        SplitData::Records(
-            SplitGenerator::new(&f, SplitSpec::new(records, matching, seed))
-                .full_iter()
-                .collect(),
-        )
+        SplitData::Full(Arc::new(
+            generator(&f, records, matching, seed).full_batch(),
+        ))
     }
 
     fn planted_split(records: u64, matching: u64, seed: u64) -> SplitData {
         let f = factory();
         SplitData::Planted {
             total_records: records,
-            matches: SplitGenerator::new(&f, SplitSpec::new(records, matching, seed))
-                .planted_matches(),
+            matches: Arc::new(generator(&f, records, matching, seed).planted_batch()),
         }
     }
 
-    fn batch_split(records: u64, matching: u64, seed: u64) -> SplitData {
+    /// The row reference: the split's records, generated one at a time and
+    /// filtered by the scalar predicate, in scan order.
+    fn oracle(records: u64, matching: u64, seed: u64) -> Vec<Record> {
         let f = factory();
-        SplitData::Batch(std::sync::Arc::new(
-            SplitGenerator::new(&f, SplitSpec::new(records, matching, seed)).full_batch(),
-        ))
-    }
-
-    fn planted_batch_split(records: u64, matching: u64, seed: u64) -> SplitData {
-        let f = factory();
-        SplitData::PlantedBatch {
-            total_records: records,
-            matches: std::sync::Arc::new(
-                SplitGenerator::new(&f, SplitSpec::new(records, matching, seed)).planted_batch(),
-            ),
-        }
+        let p = f.predicate();
+        generator(&f, records, matching, seed)
+            .full_iter()
+            .filter(|r| p.eval(r))
+            .collect()
     }
 
     /// Flatten a MapResult (pairs then batch rows) into concrete pairs.
@@ -339,17 +264,18 @@ mod tests {
     fn full_mode_emits_matches_under_dummy_key() {
         let m = SamplingMapper::new(factory().predicate(), 100);
         let out = m.run(full_split(1_000, 17, 3));
-        assert_eq!(out.pairs.len(), 17);
+        let pairs = all_pairs(&out);
+        assert_eq!(pairs.len(), 17);
         assert_eq!(out.records_read, 1_000, "Algorithm 1 scans the whole split");
-        assert!(out.pairs.iter().all(|(k, _)| &**k == DUMMY_KEY));
-        assert!(out.pairs.iter().all(|(_, r)| m.predicate().eval(r)));
+        assert!(pairs.iter().all(|(k, _)| &**k == DUMMY_KEY));
+        assert!(pairs.iter().all(|(_, r)| m.predicate().eval(r)));
     }
 
     #[test]
     fn map_output_caps_at_k_per_task() {
         let m = SamplingMapper::new(factory().predicate(), 5);
         let out = m.run(full_split(1_000, 17, 3));
-        assert_eq!(out.pairs.len(), 5);
+        assert_eq!(out.materialized_records(), 5);
         assert_eq!(out.records_read, 1_000);
     }
 
@@ -361,9 +287,9 @@ mod tests {
             vec![col::ORDERKEY, col::SUPPKEY],
         );
         for data in [full_split(1_000, 9, 4), planted_split(1_000, 9, 4)] {
-            let out = m.run(data);
-            assert_eq!(out.pairs.len(), 9);
-            assert!(out.pairs.iter().all(|(_, r)| r.arity() == 2));
+            let pairs = all_pairs(&m.run(data));
+            assert_eq!(pairs.len(), 9);
+            assert!(pairs.iter().all(|(_, r)| r.arity() == 2));
         }
     }
 
@@ -373,55 +299,51 @@ mod tests {
         let a = m.run(full_split(2_000, 30, 7));
         let b = m.run(planted_split(2_000, 30, 7));
         assert_eq!(a.records_read, b.records_read);
-        assert_eq!(a.pairs, b.pairs);
+        assert_eq!(all_pairs(&a), all_pairs(&b));
+        assert_eq!(a.materialized_bytes(), b.materialized_bytes());
     }
 
     #[test]
-    fn batch_modes_match_row_modes_exactly() {
+    fn batch_modes_match_the_row_oracle() {
         // The vectorised map over a columnar split must agree with the
-        // scalar row path pair-for-pair, including the per-task cap and
-        // the shuffle-byte accounting, in both scan modes.
-        for (m, label) in [
-            (SamplingMapper::new(factory().predicate(), 8), "capped"),
-            (
-                SamplingMapper::new(factory().predicate(), 1_000),
-                "uncapped",
-            ),
-            (
-                SamplingMapper::with_projection(
-                    factory().predicate(),
-                    8,
-                    vec![col::ORDERKEY, col::SUPPKEY],
-                ),
-                "projected",
-            ),
+        // scalar row reference pair-for-pair, including the per-task cap
+        // and the shuffle-byte accounting, in both scan modes.
+        let projected = vec![col::ORDERKEY, col::SUPPKEY];
+        for (k, projection, label) in [
+            (8, vec![], "capped"),
+            (1_000, vec![], "uncapped"),
+            (8, projected, "projected"),
         ] {
-            let rows = m.run(full_split(2_000, 30, 7));
-            let batch = m.run(batch_split(2_000, 30, 7));
-            assert_eq!(all_pairs(&batch), all_pairs(&rows), "full/{label}");
-            assert_eq!(batch.records_read, rows.records_read, "full/{label}");
-            assert_eq!(
-                batch.materialized_bytes(),
-                rows.materialized_bytes(),
-                "full/{label}"
-            );
-
-            let rows = m.run(planted_split(2_000, 30, 7));
-            let batch = m.run(planted_batch_split(2_000, 30, 7));
-            assert_eq!(all_pairs(&batch), all_pairs(&rows), "planted/{label}");
-            assert_eq!(batch.records_read, rows.records_read, "planted/{label}");
-            assert_eq!(
-                batch.materialized_bytes(),
-                rows.materialized_bytes(),
-                "planted/{label}"
-            );
+            let m = SamplingMapper::with_projection(factory().predicate(), k, projection.clone());
+            let want: Vec<(Key, Record)> = oracle(2_000, 30, 7)
+                .into_iter()
+                .take(k as usize)
+                .map(|r| {
+                    if projection.is_empty() {
+                        r
+                    } else {
+                        r.project(&projection)
+                    }
+                })
+                .map(|r| (Key::from(DUMMY_KEY), r))
+                .collect();
+            let want_bytes: u64 = want.iter().map(|(k, r)| k.len() as u64 + r.width()).sum();
+            for (data, mode) in [
+                (full_split(2_000, 30, 7), "full"),
+                (planted_split(2_000, 30, 7), "planted"),
+            ] {
+                let out = m.run(data);
+                assert_eq!(all_pairs(&out), want, "{mode}/{label}");
+                assert_eq!(out.records_read, 2_000, "{mode}/{label}");
+                assert_eq!(out.materialized_bytes(), want_bytes, "{mode}/{label}");
+            }
         }
     }
 
     #[test]
     fn combiner_batch_path_truncates_without_materialising() {
         let m = SamplingMapper::new(factory().predicate(), 1_000);
-        let out = m.run(batch_split(2_000, 30, 7));
+        let out = m.run(full_split(2_000, 30, 7));
         let c = SampleCombiner::new(9);
         let combined = c
             .combine_batches(out.batches)
@@ -429,8 +351,12 @@ mod tests {
         let total: usize = combined.iter().map(|b| b.rows.len()).sum();
         assert_eq!(total, 9);
         // Same survivors the row combine would keep: the selection prefix.
-        let rows = m.run(full_split(2_000, 30, 7));
-        let expect = c.combine(rows.pairs);
+        let key = Key::from(DUMMY_KEY);
+        let rows = oracle(2_000, 30, 7)
+            .into_iter()
+            .map(|r| (Key::clone(&key), r))
+            .collect();
+        let expect = c.combine(rows);
         let got: Vec<(Key, Record)> = combined
             .iter()
             .flat_map(|b| b.rows.iter_records().map(|r| (Key::clone(&b.key), r)))

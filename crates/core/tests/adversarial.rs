@@ -23,13 +23,14 @@ struct MatchAllMapper;
 impl Mapper for MatchAllMapper {
     fn run(&self, data: SplitData) -> MapResult {
         let total_records = data.total_records();
-        let (SplitData::Planted { matches, .. } | SplitData::Records(matches)) = data.into_rows()
-        else {
-            unreachable!()
-        };
+        let (SplitData::Full(matches) | SplitData::Planted { matches, .. }) = data;
         let key = Key::from("k");
         MapResult {
-            pairs: matches.into_iter().map(|r| (Key::clone(&key), r)).collect(),
+            pairs: matches
+                .to_records()
+                .into_iter()
+                .map(|r| (Key::clone(&key), r))
+                .collect(),
             records_read: total_records,
             ..MapResult::default()
         }

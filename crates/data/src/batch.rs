@@ -225,7 +225,7 @@ impl RecordBatch {
         one.next().expect("one row requested")
     }
 
-    /// Materialise every row, in order (tests and the scalar fallback),
+    /// Materialise every row, in order (tests, and mappers that want rows),
     /// through the row kernel.
     pub fn to_records(&self) -> Vec<Record> {
         self.build_rows(0..self.rows as u32, &[]).collect()

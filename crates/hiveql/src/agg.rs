@@ -48,12 +48,13 @@ fn identity(func: AggFunc) -> f64 {
     }
 }
 
-/// Fold `v` into an accumulator of `func`. Both mapper arms and the
-/// reducer fold through this one function. Rust leaves the sign of a NaN
-/// sum, and which of two equal zeros `f64::min`/`f64::max` return, to
-/// code generation, so a NaN sum is made canonical and MIN/MAX keep the
-/// accumulator on a tie (and skip NaN, as `f64::min` does): the arms then
-/// agree to the bit in every build profile.
+/// Fold `v` into an accumulator of `func`. The mapper, the reducer and
+/// the tests' row-at-a-time reference fold all go through this one
+/// function. Rust leaves the sign of a NaN sum, and which of two equal
+/// zeros `f64::min`/`f64::max` return, to code generation, so a NaN sum is
+/// made canonical and MIN/MAX keep the accumulator on a tie (and skip NaN,
+/// as `f64::min` does): two folds over the same values in the same order
+/// then agree to the bit in every build profile.
 fn combine(func: AggFunc, acc: f64, v: f64) -> f64 {
     let keep_v = match func {
         AggFunc::Min => v < acc,
@@ -70,18 +71,8 @@ fn combine(func: AggFunc, acc: f64, v: f64) -> f64 {
     }
 }
 
-fn numeric(v: &Value) -> f64 {
-    match v {
-        Value::Int(i) => *i as f64,
-        Value::Float(f) => *f,
-        Value::Date(d) => *d as f64,
-        Value::Str(_) => unreachable!("compiler rejects string aggregates"),
-    }
-}
-
 /// Render a group value as its map-output key. Strings stay as-is
-/// (unquoted); everything else uses a canonical numeric rendering, so
-/// the row and batch arms produce byte-identical keys.
+/// (unquoted); everything else uses a canonical numeric rendering.
 fn group_key(v: &Value) -> Key {
     match v {
         Value::Str(s) => Key::from(s.as_str()),
@@ -132,42 +123,11 @@ impl GroupAggMapper {
         }
     }
 
-    /// The row reference path: one ordered-map lookup per record.
-    fn absorb_rows<'a>(
-        &self,
-        records: impl Iterator<Item = &'a Record>,
-    ) -> BTreeMap<Key, GroupObs> {
-        let mut groups = BTreeMap::new();
-        if self.group.is_none() {
-            // The whole-table partial exists on every split, matches or not.
-            groups.insert(Key::from(AGG_KEY), GroupObs::new(&self.aggs));
-        }
-        for record in records {
-            let key = match self.group {
-                Some(g) => group_key(record.get(g)),
-                None => Key::from(AGG_KEY),
-            };
-            let obs = groups
-                .entry(key)
-                .or_insert_with(|| GroupObs::new(&self.aggs));
-            obs.n += 1;
-            for (acc, agg) in obs.accs.iter_mut().zip(&self.aggs) {
-                let v = match (agg.func, agg.column) {
-                    (AggFunc::Count, _) => 1.0,
-                    (_, Some(c)) => numeric(record.get(c)),
-                    (_, None) => unreachable!("only COUNT takes *"),
-                };
-                *acc = combine(agg.func, *acc, v);
-            }
-        }
-        groups
-    }
-
     /// Columnar absorb: give each selected row a dense group slot, then
     /// sweep each aggregate's column vector into the slots. No `Record` is
     /// built and each group's key is rendered once. Every slot folds its
-    /// rows in selection order, as the row path does, so the accumulators
-    /// are bit-identical to it.
+    /// rows in selection order, so the accumulators are bit-identical to a
+    /// row-at-a-time fold.
     fn absorb_batch(&self, batch: &RecordBatch, sel: &[u32]) -> BTreeMap<Key, GroupObs> {
         let (slots, keys) = match self.group.map(|g| batch.column(g)) {
             None => (vec![0; sel.len()], vec![Key::from(AGG_KEY)]),
@@ -191,7 +151,7 @@ impl GroupAggMapper {
         }
         for (j, agg) in self.aggs.iter().enumerate() {
             if agg.func == AggFunc::Count {
-                // The row path folds 1.0 per record, which sums exactly to n.
+                // Folding 1.0 per row sums exactly to n.
                 for o in &mut obs {
                     o.accs[j] = o.n as f64;
                 }
@@ -258,21 +218,8 @@ fn value_slots(values: impl Iterator<Item = Value>) -> (Vec<u32>, Vec<Key>) {
 impl Mapper for GroupAggMapper {
     fn run(&self, data: SplitData) -> MapResult {
         let records_read = data.total_records();
-        let groups = match &data {
-            SplitData::Batch(batch) => self.absorb_batch(batch, &self.predicate.eval_batch(batch)),
-            SplitData::PlantedBatch { matches, .. } => {
-                debug_assert_eq!(self.predicate.eval_batch(matches).len(), matches.len());
-                let sel: Vec<u32> = (0..matches.len() as u32).collect();
-                self.absorb_batch(matches, &sel)
-            }
-            SplitData::Records(records) => {
-                self.absorb_rows(records.iter().filter(|r| self.predicate.eval(r)))
-            }
-            SplitData::Planted { matches, .. } => {
-                debug_assert!(matches.iter().all(|r| self.predicate.eval(r)));
-                self.absorb_rows(matches.iter())
-            }
-        };
+        let (batch, sel) = data.select(&self.predicate, usize::MAX);
+        let groups = self.absorb_batch(&batch, &sel);
         // BTreeMap iteration: pairs come out key-sorted, so the map output
         // is a pure function of the split's contents.
         MapResult {
@@ -348,12 +295,61 @@ impl Reducer for GroupAggReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incmr_data::lineitem::col;
+    use incmr_data::generator::{RecordFactory, SplitGenerator, SplitSpec};
+    use incmr_data::lineitem::{col, LineItemFactory};
+    use incmr_data::schema::{ColumnType, Schema};
     use incmr_data::Predicate;
+    use std::sync::Arc;
 
     fn rec(q: i64, price: f64) -> Record {
         // Minimal two-column record standing in for (quantity, price).
         Record::new(vec![Value::Int(q), Value::Float(price)])
+    }
+
+    /// A full split of two-column rows, typed after the first row:
+    /// `rec`'s (quantity, price) or `grec`'s (group, price).
+    fn split(records: &[Record]) -> SplitData {
+        let first = match records[0].get(0) {
+            Value::Str(_) => ColumnType::Str,
+            _ => ColumnType::Int,
+        };
+        let schema = Schema::new(vec![("a", first), ("price", ColumnType::Float)]);
+        SplitData::Full(Arc::new(RecordBatch::from_records(&schema, records)))
+    }
+
+    /// The row-at-a-time reference for [`GroupAggMapper::run`]: filter
+    /// `records` with the scalar predicate and fold each survivor into its
+    /// group through one ordered-map lookup.
+    fn fold_rows(mapper: &GroupAggMapper, records: &[Record]) -> Vec<(Key, Record)> {
+        let mut groups = BTreeMap::new();
+        if mapper.group.is_none() {
+            // The whole-table partial exists on every split, matches or not.
+            groups.insert(Key::from(AGG_KEY), GroupObs::new(&mapper.aggs));
+        }
+        for record in records.iter().filter(|r| mapper.predicate.eval(r)) {
+            let key = match mapper.group {
+                Some(g) => group_key(record.get(g)),
+                None => Key::from(AGG_KEY),
+            };
+            let obs = groups
+                .entry(key)
+                .or_insert_with(|| GroupObs::new(&mapper.aggs));
+            obs.n += 1;
+            for (acc, agg) in obs.accs.iter_mut().zip(&mapper.aggs) {
+                let v = match (agg.func, agg.column.map(|c| record.get(c))) {
+                    (AggFunc::Count, _) => 1.0,
+                    (_, Some(Value::Int(i))) => *i as f64,
+                    (_, Some(Value::Float(f))) => *f,
+                    (_, Some(Value::Date(d))) => *d as f64,
+                    (_, other) => unreachable!("not an aggregate argument: {other:?}"),
+                };
+                *acc = combine(agg.func, *acc, v);
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(key, obs)| (key, encode_group_part(obs.n, &obs.accs)))
+            .collect()
     }
 
     fn aggs() -> Vec<ResolvedAgg> {
@@ -384,8 +380,8 @@ mod tests {
     #[test]
     fn map_reduce_agg_round_trip() {
         let mapper = GroupAggMapper::new(Predicate::True, None, aggs());
-        let out_a = mapper.run(SplitData::Records(vec![rec(2, 10.0), rec(4, 20.0)]));
-        let out_b = mapper.run(SplitData::Records(vec![rec(6, 30.0)]));
+        let out_a = mapper.run(split(&[rec(2, 10.0), rec(4, 20.0)]));
+        let out_b = mapper.run(split(&[rec(6, 30.0)]));
         assert_eq!(out_a.pairs.len(), 1);
         let reducer = GroupAggReducer::new(aggs(), false);
         let mut rows = Vec::new();
@@ -415,11 +411,7 @@ mod tests {
                 column: None,
             }],
         );
-        let out = mapper.run(SplitData::Records(vec![
-            rec(2, 1.0),
-            rec(4, 1.0),
-            rec(9, 1.0),
-        ]));
+        let out = mapper.run(split(&[rec(2, 1.0), rec(4, 1.0), rec(9, 1.0)]));
         assert_eq!(out.records_read, 3);
         let reducer = GroupAggReducer::new(
             vec![ResolvedAgg {
@@ -436,7 +428,7 @@ mod tests {
     #[test]
     fn zero_matches_produce_zeros() {
         let mapper = GroupAggMapper::new(Predicate::Not(Box::new(Predicate::True)), None, aggs());
-        let out = mapper.run(SplitData::Records(vec![rec(1, 1.0)]));
+        let out = mapper.run(split(&[rec(1, 1.0)]));
         let reducer = GroupAggReducer::new(aggs(), false);
         let mut rows = Vec::new();
         reducer.reduce(&Key::from(AGG_KEY), &[out.pairs[0].1.clone()], &mut rows);
@@ -451,10 +443,19 @@ mod tests {
         assert_eq!(row.get(3), &Value::Float(0.0));
     }
 
+    /// A generated split in each scan mode.
+    fn full_and_planted(gen: &SplitGenerator<'_, LineItemFactory>) -> [SplitData; 2] {
+        [
+            SplitData::Full(Arc::new(gen.full_batch())),
+            SplitData::Planted {
+                total_records: gen.spec().records,
+                matches: Arc::new(gen.planted_batch()),
+            },
+        ]
+    }
+
     #[test]
     fn planted_mode_aggregates_the_matches() {
-        use incmr_data::generator::{RecordFactory, SplitGenerator, SplitSpec};
-        use incmr_data::lineitem::LineItemFactory;
         let factory = LineItemFactory::new(col::TAX, Value::Float(0.77));
         let gen = SplitGenerator::new(&factory, SplitSpec::new(2_000, 13, 5));
         let mapper = GroupAggMapper::new(
@@ -465,22 +466,16 @@ mod tests {
                 column: None,
             }],
         );
-        let full = mapper.run(SplitData::Records(gen.full_iter().collect()));
-        let planted = mapper.run(SplitData::Planted {
-            total_records: 2_000,
-            matches: gen.planted_matches(),
-        });
+        let [full, planted] = full_and_planted(&gen).map(|data| mapper.run(data));
         assert_eq!(
             full.pairs[0].1, planted.pairs[0].1,
             "identical partials in both modes"
         );
+        assert_eq!(full.pairs[0].1.get(0), &Value::Int(13));
     }
 
     #[test]
     fn batch_aggregation_matches_row_aggregation() {
-        use incmr_data::generator::{RecordFactory, SplitGenerator, SplitSpec};
-        use incmr_data::lineitem::LineItemFactory;
-        use std::sync::Arc;
         let factory = LineItemFactory::new(col::QUANTITY, Value::Int(200));
         let gen = SplitGenerator::new(&factory, SplitSpec::new(2_000, 13, 5));
         let mut all = vec![ResolvedAgg {
@@ -494,18 +489,12 @@ mod tests {
             });
         }
         let mapper = GroupAggMapper::new(factory.predicate(), None, all);
-        let rows = mapper.run(SplitData::Records(gen.full_iter().collect()));
-        let batch = mapper.run(SplitData::Batch(Arc::new(gen.full_batch())));
-        assert_eq!(batch.pairs, rows.pairs, "full batch ≡ full rows");
-        let rows = mapper.run(SplitData::Planted {
-            total_records: 2_000,
-            matches: gen.planted_matches(),
-        });
-        let pbatch = mapper.run(SplitData::PlantedBatch {
-            total_records: 2_000,
-            matches: Arc::new(gen.planted_batch()),
-        });
-        assert_eq!(pbatch.pairs, rows.pairs, "planted batch ≡ planted rows");
+        let rows = fold_rows(&mapper, &gen.full_iter().collect::<Vec<_>>());
+        for data in full_and_planted(&gen) {
+            let batch = mapper.run(data);
+            assert_eq!(batch.pairs, rows, "batch ≡ row fold");
+            assert_eq!(batch.records_read, 2_000);
+        }
     }
 
     fn grouped_aggs() -> Vec<ResolvedAgg> {
@@ -532,11 +521,7 @@ mod tests {
     #[test]
     fn grouped_map_emits_one_part_per_group_in_key_order() {
         let mapper = GroupAggMapper::new(Predicate::True, Some(0), grouped_aggs());
-        let out = mapper.run(SplitData::Records(vec![
-            grec("b", 2.0),
-            grec("a", 1.0),
-            grec("b", 4.0),
-        ]));
+        let out = mapper.run(split(&[grec("b", 2.0), grec("a", 1.0), grec("b", 4.0)]));
         assert_eq!(out.pairs.len(), 2);
         assert_eq!(&*out.pairs[0].0, "a");
         assert_eq!(&*out.pairs[1].0, "b");
@@ -549,8 +534,8 @@ mod tests {
     #[test]
     fn grouped_map_reduce_round_trip() {
         let mapper = GroupAggMapper::new(Predicate::True, Some(0), grouped_aggs());
-        let a = mapper.run(SplitData::Records(vec![grec("x", 1.0), grec("y", 10.0)]));
-        let b = mapper.run(SplitData::Records(vec![grec("x", 3.0)]));
+        let a = mapper.run(split(&[grec("x", 1.0), grec("y", 10.0)]));
+        let b = mapper.run(split(&[grec("x", 3.0)]));
         let reducer = GroupAggReducer::new(grouped_aggs(), true);
         let mut rows = Vec::new();
         let x_parts = vec![a.pairs[0].1.clone(), b.pairs[0].1.clone()];
@@ -570,7 +555,7 @@ mod tests {
     #[test]
     fn ungrouped_mapper_uses_the_shared_key_and_reducer_omits_it() {
         let mapper = GroupAggMapper::new(Predicate::True, None, grouped_aggs());
-        let out = mapper.run(SplitData::Records(vec![grec("x", 1.0), grec("y", 2.0)]));
+        let out = mapper.run(split(&[grec("x", 1.0), grec("y", 2.0)]));
         assert_eq!(out.pairs.len(), 1);
         assert_eq!(&*out.pairs[0].0, AGG_KEY);
         let reducer = GroupAggReducer::new(grouped_aggs(), false);
@@ -582,9 +567,6 @@ mod tests {
 
     #[test]
     fn grouped_batch_matches_grouped_rows() {
-        use incmr_data::generator::{RecordFactory, SplitGenerator, SplitSpec};
-        use incmr_data::lineitem::LineItemFactory;
-        use std::sync::Arc;
         let factory = LineItemFactory::new(col::QUANTITY, Value::Int(200));
         let gen = SplitGenerator::new(&factory, SplitSpec::new(2_000, 13, 5));
         let aggs = vec![
@@ -602,18 +584,11 @@ mod tests {
             },
         ];
         let mapper = GroupAggMapper::new(factory.predicate(), Some(col::RETURNFLAG), aggs);
-        let rows = mapper.run(SplitData::Records(gen.full_iter().collect()));
-        let batch = mapper.run(SplitData::Batch(Arc::new(gen.full_batch())));
-        assert_eq!(batch.pairs, rows.pairs, "full batch ≡ full rows");
-        let planted_rows = mapper.run(SplitData::Planted {
-            total_records: 2_000,
-            matches: gen.planted_matches(),
-        });
-        let planted_batch = mapper.run(SplitData::PlantedBatch {
-            total_records: 2_000,
-            matches: Arc::new(gen.planted_batch()),
-        });
-        assert_eq!(planted_batch.pairs, planted_rows.pairs);
+        let rows = fold_rows(&mapper, &gen.full_iter().collect::<Vec<_>>());
+        assert!(rows.len() > 1, "the matches fall into several groups");
+        for data in full_and_planted(&gen) {
+            assert_eq!(mapper.run(data).pairs, rows, "batch ≡ row fold");
+        }
     }
 
     /// The part's key, then the bits of every value, for an exact
@@ -639,10 +614,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// The columnar grouped map equals the row path on the same split:
-        /// the same keys in the same order, and counts and accumulators of
-        /// every function with the same bits (MIN over ±0.0 and NaN
-        /// included), for a group column of every type and for no group.
+        /// The columnar grouped map equals the row-at-a-time fold over the
+        /// same records: the same keys in the same order, and counts and
+        /// accumulators of every function with the same bits (MIN over
+        /// ±0.0 and NaN included), for a group column of every type and
+        /// for no group.
         #[test]
         fn grouped_batch_matches_rows_bit_for_bit(
             rows in proptest::collection::vec(
@@ -653,9 +629,6 @@ mod tests {
             threshold in proptest::option::of(0i64..5),
         ) {
             use incmr_data::predicate::CmpOp;
-            use incmr_data::schema::{ColumnType, Schema};
-            use incmr_data::RecordBatch;
-            use std::sync::Arc;
 
             let floats = [0.0, -0.0, f64::NAN, -f64::NAN, 1.5, 0.1];
             let strs = ["A", "N", "R"];
@@ -697,18 +670,18 @@ mod tests {
                 ResolvedAgg { func: AggFunc::Max, column: Some(5) },
             ];
             let mapper = GroupAggMapper::new(predicate, (group < 4).then_some(group), aggs);
-            let split = SplitData::Batch(Arc::new(RecordBatch::from_records(&schema, &records)));
-            let batch = mapper.run(split.clone());
-            let rows = mapper.run(split.into_rows());
-            proptest::prop_assert_eq!(part_bits(&batch.pairs), part_bits(&rows.pairs));
-            proptest::prop_assert_eq!(batch.records_read, rows.records_read);
+            let split = SplitData::Full(Arc::new(RecordBatch::from_records(&schema, &records)));
+            let batch = mapper.run(split);
+            let rows = fold_rows(&mapper, &records);
+            proptest::prop_assert_eq!(part_bits(&batch.pairs), part_bits(&rows));
+            proptest::prop_assert_eq!(batch.records_read, records.len() as u64);
         }
     }
 
     #[test]
     fn group_parts_decode_into_the_estimator_plane() {
         let mapper = GroupAggMapper::new(Predicate::True, Some(0), grouped_aggs());
-        let out = mapper.run(SplitData::Records(vec![grec("g", 5.0), grec("g", 7.0)]));
+        let out = mapper.run(split(&[grec("g", 5.0), grec("g", 7.0)]));
         let part = incmr_mapreduce::decode_group_part(&out.pairs[0].0, &out.pairs[0].1, 3)
             .expect("mapper output is the estimator wire format");
         assert_eq!(&*part.group, "g");

@@ -366,8 +366,9 @@ pub fn compile_query(
         Some(expr) => lower_expr(&schema, expr)?,
         None => predicate::Predicate::True,
     };
-    // Planted-mode evaluability check (batch or row reference flavour).
-    if matches!(scan_mode, ScanMode::Planted | ScanMode::PlantedRows) {
+    // Planted-mode evaluability check: a planted split holds only the
+    // planted predicate's matches, so `SplitData::select` skips its pass.
+    if scan_mode == ScanMode::Planted {
         let planted = dataset.factory().predicate();
         if predicate != planted {
             return Err(CompileError::PredicateNotPlanted {
@@ -549,7 +550,7 @@ fn compile_scan_or_sample(
             })
         }
         None => {
-            let materialize = matches!(scan_mode, ScanMode::Full | ScanMode::FullRows);
+            let materialize = scan_mode == ScanMode::Full;
             let signature = semantic_signature(&[
                 ("query.table", &query.table),
                 ("query.predicate", &pred_rendered),

@@ -245,20 +245,19 @@ impl SessionState {
     pub fn prepare(&mut self, sql: &str, catalog: &Catalog) -> Result<Prepared, SessionError> {
         match parse(sql)? {
             Statement::Set { key, value } => {
-                if key.eq_ignore_ascii_case(keys::DYNAMIC_JOB_POLICY) {
+                // Keys are case-insensitive: store the lower-case form the
+                // lookups below and in `agg_rounds` use.
+                let key = key.to_ascii_lowercase();
+                if key == keys::DYNAMIC_JOB_POLICY {
                     self.set_active_policy(&value)?;
                 }
                 // Replication is validated at SET time — a bad value is a
                 // typed session error, never a panic at submission.
-                if key.eq_ignore_ascii_case(keys::DFS_REPLICATION)
-                    && !matches!(value.parse::<u8>(), Ok(r) if r > 0)
-                {
+                if key == keys::DFS_REPLICATION && !matches!(value.parse::<u8>(), Ok(r) if r > 0) {
                     return Err(SessionError::BadReplication { value });
                 }
                 // Same for the approximate-aggregation round budget.
-                if key.eq_ignore_ascii_case(keys::AGG_ROUNDS)
-                    && !matches!(value.parse::<u64>(), Ok(r) if r > 0)
-                {
+                if key == keys::AGG_ROUNDS && !matches!(value.parse::<u64>(), Ok(r) if r > 0) {
                     return Err(SessionError::BadAggRounds { value });
                 }
                 self.settings.insert(key.clone(), value.clone());
@@ -615,13 +614,13 @@ mod tests {
     fn set_replication_is_validated_and_plumbed_onto_jobs() {
         let mut s = session(SkewLevel::High);
         for bad in ["0", "banana", "300"] {
-            let err = s
-                .execute(&format!("SET dfs.replication = {bad}"))
-                .unwrap_err();
-            assert!(
-                matches!(err, SessionError::BadReplication { ref value } if value == bad),
-                "{bad}: {err}"
-            );
+            for key in ["dfs.replication", "DFS.REPLICATION"] {
+                let err = s.execute(&format!("SET {key} = {bad}")).unwrap_err();
+                assert!(
+                    matches!(err, SessionError::BadReplication { ref value } if value == bad),
+                    "{key} = {bad}: {err}"
+                );
+            }
         }
         s.execute("SET dfs.replication = 3;").unwrap();
         // Plumbing: the setting lands on the compiled spec's conf while
@@ -636,22 +635,30 @@ mod tests {
         ));
         let mut catalog = Catalog::new();
         catalog.register("lineitem", ds);
-        let mut state = SessionState::new();
-        state.prepare("SET dfs.replication = 2", &catalog).unwrap();
-        let prepared = state
-            .prepare(
-                "SELECT * FROM LINEITEM WHERE L_TAX = 0.77 LIMIT 5",
-                &catalog,
-            )
-            .unwrap();
-        let Prepared::Submit(compiled) = prepared else {
-            panic!()
-        };
-        assert_eq!(compiled.spec.conf.get(keys::DFS_REPLICATION), Some("2"));
-        assert!(
-            compiled.spec.conf.get(keys::JOB_SIGNATURE).is_some(),
-            "semantic signature still present"
-        );
+        // Keys are case-insensitive: an upper-case key is stored, echoed
+        // and plumbed as the lower-case one.
+        for key in ["dfs.replication", "DFS.Replication"] {
+            let mut state = SessionState::new();
+            let set = state.prepare(&format!("SET {key} = 2"), &catalog).unwrap();
+            let Prepared::Immediate(QueryOutput::SetOk { key, .. }) = set else {
+                panic!()
+            };
+            assert_eq!(key, keys::DFS_REPLICATION);
+            let prepared = state
+                .prepare(
+                    "SELECT * FROM LINEITEM WHERE L_TAX = 0.77 LIMIT 5",
+                    &catalog,
+                )
+                .unwrap();
+            let Prepared::Submit(compiled) = prepared else {
+                panic!()
+            };
+            assert_eq!(compiled.spec.conf.get(keys::DFS_REPLICATION), Some("2"));
+            assert!(
+                compiled.spec.conf.get(keys::JOB_SIGNATURE).is_some(),
+                "semantic signature still present"
+            );
+        }
     }
 
     #[test]
@@ -844,11 +851,16 @@ mod tests {
     fn set_agg_rounds_is_validated_and_plumbed() {
         let mut s = session_with(SkewLevel::High, true);
         for bad in ["0", "-3", "many"] {
-            let err = s
-                .execute(&format!("SET mapred.agg.rounds = {bad}"))
-                .unwrap_err();
-            assert!(err.to_string().contains("positive integer"), "{bad}: {err}");
+            for key in ["mapred.agg.rounds", "MAPRED.AGG.ROUNDS"] {
+                let err = s.execute(&format!("SET {key} = {bad}")).unwrap_err();
+                assert!(
+                    err.to_string().contains("positive integer"),
+                    "{key} = {bad}: {err}"
+                );
+            }
         }
+        s.execute("SET MAPRED.AGG.ROUNDS = 1").unwrap();
+        assert_eq!(s.state().agg_rounds(), 1, "keys are case-insensitive");
         s.execute("SET mapred.agg.rounds = 5").unwrap();
         assert_eq!(s.state().agg_rounds(), 5);
         let Submitted::Pending(handle) = s

@@ -8,9 +8,11 @@
 //!
 //! [`InputFormat`] abstracts where split data comes from.
 //! [`DatasetInputFormat`] binds it to an `incmr-data` dataset with a chosen
-//! [`ScanMode`] — `Full` materialises every record, `Planted` only the
+//! [`ScanMode`] — `Full` hands over every record, `Planted` only the
 //! predicate-matching ones (see the `incmr-data::generator` docs for why
-//! the two are interchangeable).
+//! the two are interchangeable). Either way a split is one shared columnar
+//! batch, and every mapper reads it through [`SplitData::select`], the one
+//! place that knows a planted split needs no predicate pass.
 //!
 //! All traits here are `Send + Sync`: the runtime's data plane executes
 //! map- and reduce-task record work on a persistent worker pool (see
@@ -25,7 +27,9 @@
 
 use std::sync::Arc;
 
-use incmr_data::{BatchKind, BatchSelection, Dataset, Record, RecordBatch, SplitGenerator};
+use incmr_data::{
+    BatchKind, BatchSelection, Dataset, Predicate, Record, RecordBatch, SelectionVector,
+};
 use incmr_dfs::BlockId;
 
 use crate::shuffle::ValueSeq;
@@ -34,30 +38,17 @@ use crate::shuffle::ValueSeq;
 /// mapper emitting a million pairs under one key performs one allocation.
 pub type Key = Arc<str>;
 
-/// The contents of one input split as handed to a mapper.
-///
-/// The batch variants are the hot path: the split travels as a shared
-/// columnar [`RecordBatch`] (an `Arc` bump per read once stored), and a
-/// batch-aware mapper answers with selection vectors into it instead of
-/// materialised records. The row variants remain for exotic mappers and as
-/// the reference path equivalence tests compare against; a legacy mapper
-/// handed a batch can fall back through [`SplitData::into_rows`].
+/// The contents of one input split as handed to a mapper: a shared
+/// columnar [`RecordBatch`] (an `Arc` bump per read once stored). A mapper
+/// reads it through [`SplitData::select`] and answers with selection
+/// vectors into the batch instead of materialised records.
 #[derive(Debug, Clone)]
 pub enum SplitData {
-    /// Every record, in position order (row-materialised reference path).
-    Records(Vec<Record>),
+    /// Every record, in position order.
+    Full(Arc<RecordBatch>),
     /// Only the records known to match the dataset's planted predicate,
     /// plus the total count the split holds.
     Planted {
-        /// Total records in the split (matching + filler).
-        total_records: u64,
-        /// The matching records, in scan order.
-        matches: Vec<Record>,
-    },
-    /// Every record, columnar — shared, never copied per read.
-    Batch(Arc<RecordBatch>),
-    /// Only the planted matches, columnar.
-    PlantedBatch {
         /// Total records in the split (matching + filler).
         total_records: u64,
         /// The matching records, in scan order.
@@ -69,45 +60,49 @@ impl SplitData {
     /// Total records this split represents.
     pub fn total_records(&self) -> u64 {
         match self {
-            SplitData::Records(rs) => rs.len() as u64,
+            SplitData::Full(batch) => batch.len() as u64,
             SplitData::Planted { total_records, .. } => *total_records,
-            SplitData::Batch(b) => b.len() as u64,
-            SplitData::PlantedBatch { total_records, .. } => *total_records,
         }
     }
 
-    /// Collapse to the row-oriented variants, materialising batch contents.
-    /// The compatibility shim for mappers without a batch arm — costs one
-    /// `Record` per row, exactly what the batched path avoids.
-    pub fn into_rows(self) -> SplitData {
+    /// The map side's scan (paper Algorithm 1): the first `limit` rows
+    /// satisfying `predicate`, in scan order, as a selection into the
+    /// split's shared batch. A full split runs the vectorised predicate
+    /// pass. A planted split holds only matches, because the compiler
+    /// admits no other predicate in planted mode, so its selection is the
+    /// prefix `0..min(limit, n)`: O(limit) rather than O(n).
+    pub fn select(
+        self,
+        predicate: &Predicate,
+        limit: usize,
+    ) -> (Arc<RecordBatch>, SelectionVector) {
         match self {
-            SplitData::Batch(b) => SplitData::Records(b.to_records()),
-            SplitData::PlantedBatch {
-                total_records,
-                matches,
-            } => SplitData::Planted {
-                total_records,
-                matches: matches.to_records(),
-            },
-            rows => rows,
+            SplitData::Full(batch) => {
+                let mut sel = predicate.eval_batch(&batch);
+                sel.truncate(limit);
+                (batch, sel)
+            }
+            SplitData::Planted { matches, .. } => {
+                debug_assert_eq!(
+                    predicate.eval_batch(&matches).len(),
+                    matches.len(),
+                    "planted contract violated"
+                );
+                let keep = limit.min(matches.len()) as u32;
+                (matches, (0..keep).collect())
+            }
         }
     }
 }
 
-/// How a [`DatasetInputFormat`] materialises split contents.
+/// How a [`DatasetInputFormat`] materialises split contents. Either way
+/// the split is a shared columnar batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
-    /// Hand over every record as a shared columnar batch (the default
-    /// full-scan path).
+    /// Every record (the default full-scan path).
     Full,
-    /// Only the planted matches, as a shared columnar batch (large
-    /// simulated runs).
+    /// Only the planted matches (large simulated runs).
     Planted,
-    /// Every record, row-materialised on each read — the legacy reference
-    /// path the determinism suite compares `Full` against.
-    FullRows,
-    /// Only the planted matches, row-materialised on each read.
-    PlantedRows,
 }
 
 /// Source of split contents, keyed by DFS block. `Send + Sync` so reads can
@@ -119,12 +114,11 @@ pub trait InputFormat: Send + Sync {
 
 /// Reads splits from a planned [`Dataset`].
 ///
-/// Batch scan modes hand out the dataset's stored [`RecordBatch`] for the
+/// Both scan modes hand out the dataset's stored [`RecordBatch`] for the
 /// block's current version ([`Dataset::batch`]): the first read of a split
 /// version anywhere generates it, and every later read — by this job, a
 /// re-execution, or any other job over the same dataset — is a
-/// reference-count bump. The row modes generate on every read and stay
-/// uncached, the plain reference path.
+/// reference-count bump.
 pub struct DatasetInputFormat {
     dataset: Arc<Dataset>,
     mode: ScanMode,
@@ -145,25 +139,12 @@ impl DatasetInputFormat {
 impl InputFormat for DatasetInputFormat {
     fn read(&self, block: BlockId) -> SplitData {
         match self.mode {
-            ScanMode::Full => SplitData::Batch(self.dataset.batch(block, BatchKind::Full).1),
+            ScanMode::Full => SplitData::Full(self.dataset.batch(block, BatchKind::Full).1),
             ScanMode::Planted => {
                 let (plan, matches) = self.dataset.batch(block, BatchKind::Planted);
-                SplitData::PlantedBatch {
+                SplitData::Planted {
                     total_records: plan.spec.records,
                     matches,
-                }
-            }
-            ScanMode::FullRows | ScanMode::PlantedRows => {
-                let plan = self.dataset.plan(block);
-                let factory = self.dataset.factory();
-                let generator = SplitGenerator::new(&factory, plan.spec);
-                if self.mode == ScanMode::FullRows {
-                    SplitData::Records(generator.full_iter().collect())
-                } else {
-                    SplitData::Planted {
-                        total_records: plan.spec.records,
-                        matches: generator.planted_matches(),
-                    }
                 }
             }
         }
@@ -270,9 +251,9 @@ impl MapResult {
 /// User map logic. Invoked once per split, potentially from a worker
 /// thread — implementations must be pure with respect to `&self`.
 ///
-/// `run` takes the split data *by value*: a batch-aware mapper keeps the
-/// shared `Arc<RecordBatch>` and emits selections into it, and even a
-/// row-oriented mapper can move records it emits instead of cloning them.
+/// `run` takes the split data *by value*, so a mapper keeps the shared
+/// `Arc<RecordBatch>` that [`SplitData::select`] hands back and emits
+/// selections into it.
 pub trait Mapper: Send + Sync {
     /// Process a split and return emitted pairs plus counters.
     fn run(&self, data: SplitData) -> MapResult;
@@ -348,7 +329,8 @@ impl Reducer for IdentityReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incmr_data::{DatasetSpec, SkewLevel, Value};
+    use incmr_data::generator::RecordFactory;
+    use incmr_data::{ColumnType, DatasetSpec, Schema, SkewLevel, SplitGenerator, Value};
     use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
     use incmr_simkit::rng::DetRng;
 
@@ -360,68 +342,54 @@ mod tests {
         (ns, Arc::new(ds))
     }
 
-    #[test]
-    fn full_and_planted_modes_agree_on_matches() {
-        let (_, ds) = small_dataset();
-        let pred = ds.factory();
-        let full = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
-        let planted = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Planted);
-        use incmr_data::generator::RecordFactory;
-        let p = pred.predicate();
-        for plan in ds.splits() {
-            let SplitData::Records(all) = full.read(plan.block).into_rows() else {
-                panic!()
-            };
-            let SplitData::Planted {
-                total_records,
-                matches,
-            } = planted.read(plan.block).into_rows()
-            else {
-                panic!()
-            };
-            assert_eq!(total_records, all.len() as u64);
-            let filtered: Vec<&Record> = all.iter().filter(|r| p.eval(r)).collect();
-            assert_eq!(filtered.len(), matches.len());
-            assert!(filtered.iter().zip(&matches).all(|(a, b)| *a == b));
-        }
+    /// The rows `select` keeps, built once.
+    fn selected(data: SplitData, predicate: &Predicate, limit: usize) -> Vec<Record> {
+        let (batch, sel) = data.select(predicate, limit);
+        BatchSelection::new(batch, sel, Arc::from([]))
+            .iter_records()
+            .collect()
     }
 
     #[test]
-    fn batch_modes_match_row_reference_modes() {
+    fn full_and_planted_modes_agree_on_matches() {
         let (_, ds) = small_dataset();
-        for (batch_mode, row_mode) in [
-            (ScanMode::Full, ScanMode::FullRows),
-            (ScanMode::Planted, ScanMode::PlantedRows),
-        ] {
-            let batched = DatasetInputFormat::new(Arc::clone(&ds), batch_mode);
-            let rows = DatasetInputFormat::new(Arc::clone(&ds), row_mode);
+        let p = ds.factory().predicate();
+        let full = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
+        let planted = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Planted);
+        for plan in ds.splits() {
+            let (a, b) = (full.read(plan.block), planted.read(plan.block));
+            assert!(matches!(a, SplitData::Full(_)));
+            assert!(matches!(b, SplitData::Planted { .. }));
+            assert_eq!(a.total_records(), b.total_records());
+            assert_eq!(selected(a, &p, usize::MAX), selected(b, &p, usize::MAX));
+        }
+    }
+
+    /// `select` in either mode keeps exactly the first `limit` rows of
+    /// the row-at-a-time reference scan: the generator's rows filtered by
+    /// the scalar predicate.
+    #[test]
+    fn select_matches_the_row_oracle_in_both_modes() {
+        let (_, ds) = small_dataset();
+        let factory = ds.factory();
+        let p = factory.predicate();
+        let mut matched = 0;
+        for mode in [ScanMode::Full, ScanMode::Planted] {
+            let input = DatasetInputFormat::new(Arc::clone(&ds), mode);
             for plan in ds.splits() {
-                let a = batched.read(plan.block);
-                assert!(
-                    matches!(a, SplitData::Batch(_) | SplitData::PlantedBatch { .. }),
-                    "batch modes hand out columnar splits"
-                );
-                let a = a.into_rows();
-                let b = rows.read(plan.block);
-                match (a, b) {
-                    (SplitData::Records(x), SplitData::Records(y)) => assert_eq!(x, y),
-                    (
-                        SplitData::Planted {
-                            total_records: tx,
-                            matches: x,
-                        },
-                        SplitData::Planted {
-                            total_records: ty,
-                            matches: y,
-                        },
-                    ) => {
-                        assert_eq!(tx, ty);
-                        assert_eq!(x, y);
-                    }
-                    other => panic!("variant mismatch: {other:?}"),
+                let gen = SplitGenerator::new(&factory, plan.spec);
+                let oracle: Vec<Record> = gen.full_iter().filter(|r| p.eval(r)).collect();
+                matched += oracle.len();
+                for limit in [0, 1, 3, usize::MAX] {
+                    let data = input.read(plan.block);
+                    assert_eq!(data.total_records(), plan.spec.records, "{mode:?}");
+                    let got = selected(data, &p, limit);
+                    let want = &oracle[..limit.min(oracle.len())];
+                    assert_eq!(got, want, "{mode:?} limit {limit}");
                 }
             }
         }
+        assert!(matched > 0, "the dataset plants matches");
     }
 
     #[test]
@@ -429,52 +397,34 @@ mod tests {
         let (_, ds) = small_dataset();
         let block = ds.splits()[0].block;
         let format = |mode| DatasetInputFormat::new(Arc::clone(&ds), mode);
-        let rows = [format(ScanMode::FullRows), format(ScanMode::PlantedRows)];
-        for input in &rows {
-            input.read(block);
-        }
-        assert_eq!(ds.stored_batches(), 0, "row reads bypass the store");
+        assert_eq!(ds.stored_batches(), 0, "nothing read yet");
 
         // Two formats over one dataset, as two statements' jobs hold.
         let (first, second) = (format(ScanMode::Full), format(ScanMode::Full));
-        let (SplitData::Batch(a), SplitData::Batch(b)) = (first.read(block), second.read(block))
+        let (SplitData::Full(a), SplitData::Full(b)) = (first.read(block), second.read(block))
         else {
             panic!()
         };
         assert!(Arc::ptr_eq(&a, &b), "full reads share one generation");
         let (first, second) = (format(ScanMode::Planted), format(ScanMode::Planted));
-        let (
-            SplitData::PlantedBatch { matches: c, .. },
-            SplitData::PlantedBatch { matches: d, .. },
-        ) = (first.read(block), second.read(block))
+        let (SplitData::Planted { matches: c, .. }, SplitData::Planted { matches: d, .. }) =
+            (first.read(block), second.read(block))
         else {
             panic!()
         };
         assert!(Arc::ptr_eq(&c, &d), "planted reads share one generation");
         assert_eq!(ds.stored_batches(), 2, "one batch per block and kind");
-
-        for input in &rows {
-            input.read(block);
-        }
-        let SplitData::Batch(e) = format(ScanMode::Full).read(block) else {
-            panic!()
-        };
-        assert!(Arc::ptr_eq(&a, &e), "row reads leave the store untouched");
-        assert_eq!(ds.stored_batches(), 2);
     }
 
     #[test]
     fn split_data_total_records() {
-        let d = SplitData::Records(vec![Record::new(vec![Value::Int(1)])]);
-        assert_eq!(d.total_records(), 1);
+        let schema = Schema::new(vec![("v", ColumnType::Int)]);
+        let one = RecordBatch::from_records(&schema, &[Record::new(vec![Value::Int(1)])]);
+        assert_eq!(SplitData::Full(Arc::new(one)).total_records(), 1);
+        assert_eq!(SplitData::Full(Arc::default()).total_records(), 0);
         let d = SplitData::Planted {
-            total_records: 99,
-            matches: vec![],
-        };
-        assert_eq!(d.total_records(), 99);
-        let d = SplitData::PlantedBatch {
             total_records: 7,
-            matches: Arc::new(incmr_data::RecordBatch::default()),
+            matches: Arc::default(),
         };
         assert_eq!(d.total_records(), 7);
     }
@@ -483,7 +433,7 @@ mod tests {
     fn keyed_batch_accounting_matches_materialised_pairs() {
         let (_, ds) = small_dataset();
         let input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
-        let SplitData::Batch(batch) = input.read(ds.splits()[0].block) else {
+        let SplitData::Full(batch) = input.read(ds.splits()[0].block) else {
             panic!()
         };
         let kb = KeyedBatch {

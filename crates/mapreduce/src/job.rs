@@ -704,7 +704,7 @@ mod tests {
         struct NullInput;
         impl InputFormat for NullInput {
             fn read(&self, _block: BlockId) -> crate::exec::SplitData {
-                crate::exec::SplitData::Records(vec![])
+                crate::exec::SplitData::Full(Arc::default())
             }
         }
         struct NullMapper;
@@ -734,7 +734,7 @@ mod tests {
         struct NullInput;
         impl InputFormat for NullInput {
             fn read(&self, _block: BlockId) -> crate::exec::SplitData {
-                crate::exec::SplitData::Records(vec![])
+                crate::exec::SplitData::Full(Arc::default())
             }
         }
         struct NullMapper;
@@ -768,7 +768,7 @@ mod tests {
         struct NullInput;
         impl InputFormat for NullInput {
             fn read(&self, _block: BlockId) -> crate::exec::SplitData {
-                crate::exec::SplitData::Records(vec![])
+                crate::exec::SplitData::Full(Arc::default())
             }
         }
         let _ = JobSpec::builder().input(NullInput).build();
@@ -777,7 +777,7 @@ mod tests {
     struct NullInput2;
     impl InputFormat for NullInput2 {
         fn read(&self, _block: BlockId) -> crate::exec::SplitData {
-            crate::exec::SplitData::Records(vec![])
+            crate::exec::SplitData::Full(Arc::default())
         }
     }
     struct NullMapper2;

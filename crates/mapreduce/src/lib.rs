@@ -24,13 +24,12 @@
 //!   on a simulated schedule, map/reduce attempt faults, stragglers,
 //!   speculative execution, per-job blacklisting — with Hadoop's
 //!   re-execution semantics, deterministically (see DESIGN.md §8);
-//! * a **columnar data plane** (DESIGN.md §12): `ScanMode::Full`/
-//!   `Planted` splits arrive as shared `Arc<RecordBatch>`es
-//!   ([`exec::SplitData`]), mappers may emit [`exec::KeyedBatch`]
-//!   selection-vector handles instead of pairs, and the shuffle carries
-//!   them unmaterialised ([`shuffle::ValueSeq`]) until the reduce
-//!   boundary; `FullRows`/`PlantedRows` keep the row-at-a-time
-//!   reference path;
+//! * a **columnar data plane** (DESIGN.md §12): every split arrives as a
+//!   shared `Arc<RecordBatch>` ([`exec::SplitData`]), mappers read it
+//!   through one selection ([`exec::SplitData::select`]) and may emit
+//!   [`exec::KeyedBatch`] selection-vector handles instead of pairs, and
+//!   the shuffle carries them unmaterialised ([`shuffle::ValueSeq`])
+//!   until the reduce boundary;
 //! * the **replication plane** (DESIGN.md §14): opt-in DataNode-death
 //!   semantics ([`runtime::MrRuntime::enable_data_loss`]) over rack-aware
 //!   replica placement, read failover, typed input-loss handling
@@ -136,14 +135,14 @@ mod tests {
     use crate::ClusterStatus;
     use incmr_dfs::BlockId;
 
-    /// A mapper that emits every matching record under one dummy key —
-    /// zero-copy when the split arrives as a batch, rows otherwise.
+    /// A mapper that emits a planted split's matches under one dummy key,
+    /// zero-copy, and only counts a full split's records.
     struct MatchAllMapper;
 
     impl Mapper for MatchAllMapper {
         fn run(&self, data: SplitData) -> MapResult {
             match data {
-                SplitData::PlantedBatch {
+                SplitData::Planted {
                     total_records,
                     matches,
                 } => MapResult {
@@ -154,17 +153,6 @@ mod tests {
                     records_read: total_records,
                     ..MapResult::default()
                 },
-                SplitData::Planted {
-                    total_records,
-                    matches,
-                } => {
-                    let key = Key::from("k");
-                    MapResult {
-                        pairs: matches.into_iter().map(|r| (Key::clone(&key), r)).collect(),
-                        records_read: total_records,
-                        ..MapResult::default()
-                    }
-                }
                 full => MapResult {
                     records_read: full.total_records(),
                     ..MapResult::default()
@@ -416,7 +404,7 @@ mod tests {
         }
         impl Mapper for FilterMapper {
             fn run(&self, data: SplitData) -> MapResult {
-                let SplitData::Batch(batch) = data else {
+                let SplitData::Full(batch) = data else {
                     panic!("expected full batch mode")
                 };
                 let records_read = batch.len() as u64;
@@ -567,13 +555,10 @@ mod tests {
     impl Mapper for ManyKeyMapper {
         fn run(&self, data: SplitData) -> MapResult {
             let records_read = data.total_records();
-            let (SplitData::Planted { matches, .. } | SplitData::Records(matches)) =
-                data.into_rows()
-            else {
-                unreachable!()
-            };
+            let (SplitData::Full(matches) | SplitData::Planted { matches, .. }) = data;
             MapResult {
                 pairs: matches
+                    .to_records()
                     .into_iter()
                     .enumerate()
                     .map(|(i, r)| (Key::from(format!("key{}", i % 7)), r))

@@ -379,18 +379,18 @@ impl ParallelExecutor {
 mod tests {
     use super::*;
     use crate::exec::{MapResult, SplitData};
-    use incmr_data::{Record, Value};
+    use incmr_data::{ColumnType, Record, RecordBatch, Schema, Value};
 
     /// Yields `block.0` synthetic records for any block.
     struct CountingInput;
 
     impl InputFormat for CountingInput {
         fn read(&self, block: BlockId) -> SplitData {
-            SplitData::Records(
-                (0..block.0)
-                    .map(|i| Record::new(vec![Value::Int(i as i64)]))
-                    .collect(),
-            )
+            let records: Vec<Record> = (0..block.0)
+                .map(|i| Record::new(vec![Value::Int(i as i64)]))
+                .collect();
+            let schema = Schema::new(vec![("i", ColumnType::Int)]);
+            SplitData::Full(Arc::new(RecordBatch::from_records(&schema, &records)))
         }
     }
 
@@ -399,9 +399,10 @@ mod tests {
 
     impl Mapper for CountMapper {
         fn run(&self, data: SplitData) -> MapResult {
-            let SplitData::Records(rs) = data else {
+            let SplitData::Full(batch) = data else {
                 panic!()
             };
+            let rs = batch.to_records();
             let key = Key::from(format!("n{}", rs.len()));
             let records_read = rs.len() as u64;
             MapResult {

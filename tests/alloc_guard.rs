@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use incmr::data::{Dataset, DatasetSpec, RecordFactory, SkewLevel};
+use incmr::data::{Dataset, DatasetSpec, RecordFactory, SkewLevel, SplitGenerator};
 use incmr::mapreduce::{DatasetInputFormat, InputFormat, Mapper, ScanMode};
 use incmr::prelude::*;
 
@@ -62,27 +62,41 @@ fn batched_scan_reads_allocate_orders_of_magnitude_less_than_row_reads() {
         &mut EvenRoundRobin::new(),
         &mut rng,
     ));
-    let block = ds.splits()[0].block;
-    let mapper = incmr::core::SamplingMapper::new(ds.factory().predicate(), 100);
-
+    let plan = &ds.splits()[0];
+    let factory = ds.factory();
+    let predicate = factory.predicate();
+    let mapper = incmr::core::SamplingMapper::new(predicate.clone(), 100);
     let batch_input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Full);
-    let row_input = DatasetInputFormat::new(Arc::clone(&ds), ScanMode::FullRows);
+    // The row baseline: generate the split a record at a time and run
+    // Algorithm 1's scalar loop over it.
+    let row_scan = || {
+        let rows: Vec<Record> = SplitGenerator::new(&factory, plan.spec)
+            .full_iter()
+            .collect();
+        let kept: Vec<&Record> = rows
+            .iter()
+            .filter(|r| predicate.eval(r))
+            .take(100)
+            .collect();
+        (rows.len() as u64, kept.len())
+    };
 
     // Warm the batch cache (first read generates the batch) and page in
     // any lazily-initialised state on both paths.
-    let warm = mapper.run(batch_input.read(block));
+    let warm = mapper.run(batch_input.read(plan.block));
     assert_eq!(warm.records_read, RECORDS);
-    let warm = mapper.run(row_input.read(block));
-    assert_eq!(warm.records_read, RECORDS);
+    let (read, kept) = row_scan();
+    assert_eq!(read, RECORDS);
+    assert_eq!(kept as u64, warm.materialized_records());
 
     let batch_allocs = allocations_during(|| {
         for _ in 0..ITERS {
-            std::hint::black_box(mapper.run(batch_input.read(block)));
+            std::hint::black_box(mapper.run(batch_input.read(plan.block)));
         }
     });
     let row_allocs = allocations_during(|| {
         for _ in 0..ITERS {
-            std::hint::black_box(mapper.run(row_input.read(block)));
+            std::hint::black_box(row_scan());
         }
     });
 

@@ -113,7 +113,7 @@ fn result_rows_and_group_keys_are_built_once() {
     let spec = DatasetSpec::small("groups", 1, 20_000, SkewLevel::Zero, 11);
     let table = dataset(spec, &mut ns);
     let input = DatasetInputFormat::new(Arc::clone(&table), ScanMode::Full);
-    let SplitData::Batch(batch) = input.read(table.splits()[0].block) else {
+    let SplitData::Full(batch) = input.read(table.splits()[0].block) else {
         panic!("a full scan reads a columnar batch")
     };
     let aggs = vec![
@@ -131,7 +131,7 @@ fn result_rows_and_group_keys_are_built_once() {
         },
     ];
     let mapper = GroupAggMapper::new(Predicate::True, Some(col::LINENUMBER), aggs);
-    let (allocs, out) = allocations_during(|| mapper.run(SplitData::Batch(Arc::clone(&batch))));
+    let (allocs, out) = allocations_during(|| mapper.run(SplitData::Full(Arc::clone(&batch))));
     assert_eq!(out.pairs.len(), 7, "L_LINENUMBER takes 7 values");
     assert_eq!(out.records_read, 20_000);
     assert!(

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use incmr::data::{RecordFactory, SplitGenerator};
 use incmr::mapreduce::{
     DatasetInputFormat, FaultPlan, MapResult, Mapper, ShuffleMetrics, SplitData, StaticDriver,
     TraceEvent,
@@ -117,6 +118,18 @@ fn workload_runs_are_reproducible() {
     assert_eq!(run(), run(), "bit-identical workload reports across runs");
 }
 
+/// The dataset [`scan_mode_fingerprint`] samples, placed on `ns`.
+fn scan_mode_dataset(ns: &mut Namespace) -> Arc<Dataset> {
+    let mut rng = DetRng::seed_from(17);
+    let spec = DatasetSpec::small("t", 32, 4_000, SkewLevel::Moderate, 17);
+    Arc::new(Dataset::build(
+        ns,
+        spec,
+        &mut EvenRoundRobin::new(),
+        &mut rng,
+    ))
+}
+
 /// Run the same dynamic sampling job with a given data-plane thread count
 /// and scan mode; return everything observable about the simulated run:
 /// the result scalars, the full reduce output, and the complete trace
@@ -127,14 +140,7 @@ fn scan_mode_fingerprint(
     mode: ScanMode,
 ) -> (JobResult, Vec<TraceEvent>) {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
-    let mut rng = DetRng::seed_from(17);
-    let spec = DatasetSpec::small("t", 32, 4_000, SkewLevel::Moderate, 17);
-    let ds = Arc::new(Dataset::build(
-        &mut ns,
-        spec,
-        &mut EvenRoundRobin::new(),
-        &mut rng,
-    ));
+    let ds = scan_mode_dataset(&mut ns);
     let mut rt = MrRuntime::new(
         ClusterConfig::paper_single_user().with_parallelism(Parallelism::threads(threads)),
         CostModel::paper_default(),
@@ -155,33 +161,50 @@ fn parallel_fingerprint(threads: u32, faults: Option<FaultPlan>) -> (JobResult, 
     scan_mode_fingerprint(threads, faults, ScanMode::Planted)
 }
 
-/// The columnar scan path is an *implementation* of the same scan, not a
-/// different scan: switching a job from the row reference modes to the
-/// batch modes must leave every observable — sampled output, counters,
-/// and the full trace timeline — byte-identical, at every thread count.
-/// Batch boundaries must not leak into sampling decisions.
+/// The planted scan is an *implementation* of the full scan, not a
+/// different scan: switching a job between the two modes must leave every
+/// observable — sampled output, counters, and the full trace timeline —
+/// byte-identical, at every thread count, and every sampled row must be
+/// one the row oracle accepts (the generator's records filtered by the
+/// scalar predicate). Batch boundaries must not leak into sampling
+/// decisions.
 #[test]
-fn columnar_scan_modes_reproduce_row_reference_modes() {
-    for (batch, rows) in [
-        (ScanMode::Planted, ScanMode::PlantedRows),
-        (ScanMode::Full, ScanMode::FullRows),
-    ] {
-        let (ref_result, ref_trace) = scan_mode_fingerprint(1, None, rows);
-        assert!(!ref_trace.is_empty());
+fn full_and_planted_scan_modes_agree_with_the_row_oracle() {
+    let (reference, ref_trace) = scan_mode_fingerprint(1, None, ScanMode::Full);
+    assert!(!ref_trace.is_empty());
+    assert!(!reference.output.is_empty());
+    for mode in [ScanMode::Full, ScanMode::Planted] {
         for threads in [1, 4, 8] {
-            let (result, trace) = scan_mode_fingerprint(threads, None, batch);
+            let (result, trace) = scan_mode_fingerprint(threads, None, mode);
             assert_eq!(
-                result.output, ref_result.output,
-                "{batch:?}@{threads} threads diverged from {rows:?}"
+                result.output, reference.output,
+                "{mode:?}@{threads} threads diverged from Full@1"
             );
-            assert_eq!(result.response_time(), ref_result.response_time());
-            assert_eq!(result.records_processed, ref_result.records_processed);
-            assert_eq!(result.splits_processed, ref_result.splits_processed);
+            assert_eq!(result.response_time(), reference.response_time());
+            assert_eq!(result.records_processed, reference.records_processed);
+            assert_eq!(result.splits_processed, reference.splits_processed);
             assert_eq!(
                 trace, ref_trace,
-                "{batch:?}@{threads} threads: timeline diverged from {rows:?}"
+                "{mode:?}@{threads} threads: timeline diverged from Full@1"
             );
         }
+    }
+
+    let ds = scan_mode_dataset(&mut Namespace::new(ClusterTopology::paper_cluster()));
+    let factory = ds.factory();
+    let predicate = factory.predicate();
+    let oracle: Vec<Record> = ds
+        .splits()
+        .iter()
+        .flat_map(|plan| {
+            SplitGenerator::new(&factory, plan.spec)
+                .full_iter()
+                .filter(|r| predicate.eval(r))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    for (_, row) in &reference.output {
+        assert!(oracle.contains(row), "{row:?} is no oracle match");
     }
 }
 
@@ -244,12 +267,10 @@ struct FanOutMapper;
 impl Mapper for FanOutMapper {
     fn run(&self, data: SplitData) -> MapResult {
         let total_records = data.total_records();
-        let (SplitData::Planted { matches, .. } | SplitData::Records(matches)) = data.into_rows()
-        else {
-            unreachable!()
-        };
+        let (SplitData::Full(matches) | SplitData::Planted { matches, .. }) = data;
         MapResult {
             pairs: matches
+                .to_records()
                 .into_iter()
                 .enumerate()
                 .map(|(i, r)| (Key::from(format!("g{}", i % 5)), r))
