@@ -15,6 +15,21 @@
 //!   requires, the driver waits without consulting the provider;
 //! * the **grab limit** is evaluated against the live cluster status
 //!   (`TS`, `AS`) and passed to the provider to bound each increment.
+//!
+//! The driver may also hold a *ladder* of policies, ordered from most to
+//! least aggressive, and re-select a rung at every evaluation from the
+//! observed cluster utilisation — the paper's future work: "it could be
+//! interesting to implement a more flexible model wherein a job could
+//! decide and change the policy at runtime, based on the discovered
+//! characteristics of the input data together with the existing load on
+//! the cluster" (Section VII). A mostly-idle cluster gets the aggressive
+//! rung (the single-user result: aggressive wins when resources would
+//! otherwise idle), a busy one the conservative rung (the multi-user
+//! result: conservative policies maximise shared throughput), and the
+//! middle rung sits in between. The three knobs always come from the
+//! *current* rung, so a job that started aggressively on an idle cluster
+//! backs off as co-tenants arrive — and vice versa. A single policy is
+//! the one-rung ladder.
 
 use incmr_dfs::BlockId;
 use incmr_mapreduce::{ClusterStatus, EvalContext, GrowthDirective, GrowthDriver};
@@ -23,14 +38,35 @@ use incmr_simkit::SimDuration;
 use crate::input_provider::{InputProvider, InputResponse};
 use crate::policy::Policy;
 
-/// Adapter: `InputProvider` + `Policy` → `GrowthDriver`.
+/// Utilisation thresholds separating a policy ladder's rungs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdaptiveThresholds {
+    /// Below this busy-slot fraction the aggressive rung is used.
+    pub idle_below: f64,
+    /// At or above this busy-slot fraction the conservative rung is used.
+    pub busy_above: f64,
+}
+
+impl Default for AdaptiveThresholds {
+    fn default() -> Self {
+        AdaptiveThresholds {
+            idle_below: 1.0 / 3.0,
+            busy_above: 2.0 / 3.0,
+        }
+    }
+}
+
+/// Adapter: `InputProvider` + a ladder of policies → `GrowthDriver`.
 pub struct DynamicDriver {
     provider: Box<dyn InputProvider>,
-    policy: Policy,
+    ladder: Vec<Policy>,
+    thresholds: AdaptiveThresholds,
     total_input_splits: u32,
     completed_at_last_invocation: u32,
     invocations: u64,
     gated: u64,
+    current_rung: usize,
+    switches: u64,
 }
 
 impl DynamicDriver {
@@ -38,19 +74,61 @@ impl DynamicDriver {
     /// the job's complete candidate input (the base for the work-threshold
     /// percentage).
     pub fn new(provider: Box<dyn InputProvider>, policy: Policy, total_input_splits: u32) -> Self {
+        DynamicDriver::with_ladder(
+            provider,
+            vec![policy],
+            AdaptiveThresholds::default(),
+            total_input_splits,
+        )
+    }
+
+    /// Wrap a provider under a ladder of policies ordered most- to
+    /// least-aggressive, re-selecting a rung at every evaluation.
+    ///
+    /// # Panics
+    /// Panics on an empty ladder.
+    pub fn with_ladder(
+        provider: Box<dyn InputProvider>,
+        ladder: Vec<Policy>,
+        thresholds: AdaptiveThresholds,
+        total_input_splits: u32,
+    ) -> Self {
+        assert!(
+            !ladder.is_empty(),
+            "adaptive ladder needs at least one policy"
+        );
         DynamicDriver {
             provider,
-            policy,
+            ladder,
+            thresholds,
             total_input_splits,
             completed_at_last_invocation: 0,
             invocations: 0,
             gated: 0,
+            current_rung: 0,
+            switches: 0,
         }
     }
 
-    /// The policy in force.
+    /// The paper-flavoured default ladder: HA on an idle cluster, MA in the
+    /// mid range, LA under load.
+    pub fn paper_ladder(provider: Box<dyn InputProvider>, total_input_splits: u32) -> Self {
+        DynamicDriver::with_ladder(
+            provider,
+            vec![Policy::ha(), Policy::ma(), Policy::la()],
+            AdaptiveThresholds::default(),
+            total_input_splits,
+        )
+    }
+
+    /// The policy in force (the current rung of the ladder).
     pub fn policy(&self) -> &Policy {
-        &self.policy
+        &self.ladder[self.current_rung]
+    }
+
+    /// How many times the rung changed so far (always 0 for one policy).
+    pub fn switches(&self) -> u64 {
+        self.switches
     }
 
     /// How many times the Input Provider has actually been consulted
@@ -66,30 +144,57 @@ impl DynamicDriver {
     pub fn gated_evaluations(&self) -> u64 {
         self.gated
     }
+
+    fn select_rung(&self, cluster: &ClusterStatus) -> usize {
+        let busy = if cluster.total_map_slots == 0 {
+            1.0
+        } else {
+            cluster.occupied_map_slots as f64 / cluster.total_map_slots as f64
+        };
+        let last = self.ladder.len() - 1;
+        if busy < self.thresholds.idle_below {
+            0
+        } else if busy >= self.thresholds.busy_above {
+            last
+        } else {
+            last / 2
+        }
+    }
+
+    fn adapt(&mut self, cluster: &ClusterStatus) {
+        let rung = self.select_rung(cluster);
+        if rung != self.current_rung {
+            self.current_rung = rung;
+            self.switches += 1;
+        }
+    }
 }
 
 impl GrowthDriver for DynamicDriver {
     fn initial_input(&mut self, cluster: &ClusterStatus) -> Vec<BlockId> {
+        self.adapt(cluster);
         let grab = self.grab_limit(cluster);
         self.provider.initial_input(cluster, grab)
     }
 
-    /// The policy's grab-limit formula over the live cluster status. Also
-    /// the bound the runtime clamps `AddInput` directives against, so a
-    /// provider that ignores its `EvalContext::grab_limit` cannot
-    /// over-grab.
+    /// The current rung's grab-limit formula over the live cluster status
+    /// — no re-adaptation here, so when the runtime clamps an `AddInput`
+    /// directive it uses exactly the limit the provider was handed during
+    /// the evaluation that produced it, and a provider that ignores its
+    /// `EvalContext::grab_limit` cannot over-grab.
     fn grab_limit(&self, cluster: &ClusterStatus) -> u64 {
-        self.policy
+        self.policy()
             .grab_limit
             .evaluate(cluster.total_map_slots, cluster.available_map_slots())
     }
 
     fn evaluate(&mut self, ctx: EvalContext<'_>) -> GrowthDirective {
+        self.adapt(ctx.cluster);
         // Work-threshold gate: "Between successive evaluations, if a job
         // has not done enough new work in terms of finishing new map tasks,
         // it may not be worthwhile for the input provider to re-evaluate."
         let progress = ctx.progress;
-        let threshold = self.policy.work_threshold_splits(self.total_input_splits);
+        let threshold = self.policy().work_threshold_splits(self.total_input_splits);
         let new_work = progress
             .splits_completed
             .saturating_sub(self.completed_at_last_invocation);
@@ -119,13 +224,14 @@ impl GrowthDriver for DynamicDriver {
     }
 
     fn evaluation_interval(&self) -> SimDuration {
-        self.policy.evaluation_interval
+        self.policy().evaluation_interval
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::continuous::ContinuousSampling;
     use crate::sampling_provider::SamplingInputProvider;
     use incmr_mapreduce::{JobId, JobProgress};
 
@@ -248,5 +354,108 @@ mod tests {
             &status(40, 0),
         ));
         assert_eq!(dir, GrowthDirective::EndOfInput, "pool exhausted");
+    }
+
+    fn ladder_driver(n: u32, k: u64) -> DynamicDriver {
+        DynamicDriver::paper_ladder(Box::new(SamplingInputProvider::new(blocks(n), k, 1)), n)
+    }
+
+    #[test]
+    fn rung_selection_tracks_utilisation() {
+        let d = ladder_driver(40, 100);
+        assert_eq!(d.select_rung(&status(40, 40)), 0, "idle → aggressive");
+        assert_eq!(d.select_rung(&status(40, 20)), 1, "half busy → middle");
+        assert_eq!(d.select_rung(&status(40, 0)), 2, "saturated → conservative");
+        assert_eq!(
+            d.select_rung(&status(0, 0)),
+            2,
+            "degenerate cluster counts as busy"
+        );
+    }
+
+    #[test]
+    fn initial_grab_matches_selected_rung() {
+        // Idle: HA grab = max(0.5*40, 40) = 40 → all 30 splits.
+        let mut d = ladder_driver(30, 1_000_000);
+        assert_eq!(d.initial_input(&status(40, 40)).len(), 30);
+        assert_eq!(d.policy().name, "HA");
+        // Saturated: LA grab = 0.1*TS = 4 (AS = 0).
+        let mut d = ladder_driver(30, 1_000_000);
+        assert_eq!(d.initial_input(&status(40, 0)).len(), 4);
+        assert_eq!(d.policy().name, "LA");
+    }
+
+    #[test]
+    fn rung_switches_are_counted() {
+        let mut d = ladder_driver(40, 1_000_000);
+        let _ = d.initial_input(&status(40, 40)); // HA
+        assert_eq!(d.switches(), 0, "starting rung is not a switch");
+        let p = progress(40, 10, 10_000, 10);
+        let _ = d.evaluate(EvalContext::unlimited(&p, &status(40, 0))); // now saturated → LA
+        assert_eq!(d.policy().name, "LA");
+        assert_eq!(d.switches(), 1);
+        let _ = d.evaluate(EvalContext::unlimited(&p, &status(40, 40))); // idle again → HA
+        assert_eq!(d.switches(), 2);
+    }
+
+    #[test]
+    fn interval_follows_the_current_rung() {
+        let mut ladder = vec![Policy::ha(), Policy::la()];
+        ladder[0].evaluation_interval = SimDuration::from_secs(2);
+        ladder[1].evaluation_interval = SimDuration::from_secs(8);
+        let mut d = DynamicDriver::with_ladder(
+            Box::new(SamplingInputProvider::new(blocks(10), 5, 1)),
+            ladder,
+            AdaptiveThresholds::default(),
+            10,
+        );
+        let _ = d.initial_input(&status(40, 40));
+        assert_eq!(d.evaluation_interval(), SimDuration::from_secs(2));
+        let _ = d.evaluate(EvalContext::unlimited(
+            &progress(10, 1, 100, 0),
+            &status(40, 0),
+        ));
+        assert_eq!(d.evaluation_interval(), SimDuration::from_secs(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one policy")]
+    fn empty_ladder_panics() {
+        let _ = DynamicDriver::with_ladder(
+            Box::new(SamplingInputProvider::new(blocks(1), 1, 1)),
+            vec![],
+            AdaptiveThresholds::default(),
+            1,
+        );
+    }
+
+    /// Arrivals are delivered exactly once, so the work-threshold gate
+    /// must let them through on a ladder too: a standing query whose
+    /// evaluation carries new blocks consults its provider even when too
+    /// little work completed since the last invocation.
+    #[test]
+    fn arrivals_bypass_the_gate_on_a_ladder() {
+        let mut d = DynamicDriver::with_ladder(
+            Box::new(ContinuousSampling::new(blocks(40), 1_000_000, 1)),
+            vec![Policy::ha(), Policy::la()],
+            AdaptiveThresholds::default(),
+            40,
+        );
+        let _ = d.initial_input(&status(40, 0)); // saturated → LA
+        let _ = d.evaluate(EvalContext::unlimited(
+            &progress(4, 1, 1_000, 1),
+            &status(40, 0),
+        ));
+        assert_eq!(d.provider_invocations(), 1);
+        // One more completion, below LA's 4-split threshold, with maps
+        // still running — but two blocks arrived.
+        let arrived = [BlockId(40), BlockId(41)];
+        let _ = d.evaluate(
+            EvalContext::unlimited(&progress(4, 2, 2_000, 2), &status(40, 0))
+                .with_arrived(&arrived),
+        );
+        assert_eq!(d.policy().name, "LA");
+        assert_eq!(d.gated_evaluations(), 0, "arrivals must reach the provider");
+        assert_eq!(d.provider_invocations(), 2);
     }
 }

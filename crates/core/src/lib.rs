@@ -24,7 +24,8 @@
 //!   parks and is re-awoken when new blocks land (`MrRuntime::evolve`);
 //! * [`dynamic_driver::DynamicDriver`] — the JobClient-side evaluation loop
 //!   that gates provider invocations by the work threshold and caps intake
-//!   by the grab limit;
+//!   by the grab limit, optionally re-selecting its policy from a ladder
+//!   as cluster load changes (the paper's future work);
 //! * [`sampling`] — Algorithms 1 and 2 (the sampling mapper and reducer,
 //!   plus the footnote's reservoir-sampling "random k" variant);
 //! * [`scan`] — the select-project mapper used by the *Non-Sampling* job
@@ -32,7 +33,6 @@
 //! * [`sampling_job`] — convenience assembly of a complete dynamic
 //!   sampling job from a dataset, a policy, and `k`.
 
-pub mod adaptive;
 pub mod continuous;
 pub mod dynamic_driver;
 pub mod estimating_provider;
@@ -45,9 +45,8 @@ pub mod sampling_job;
 pub mod sampling_provider;
 pub mod scan;
 
-pub use adaptive::{AdaptiveDriver, AdaptiveThresholds};
 pub use continuous::ContinuousSampling;
-pub use dynamic_driver::DynamicDriver;
+pub use dynamic_driver::{AdaptiveThresholds, DynamicDriver};
 pub use estimating_provider::{EstimatingInputProvider, INITIAL_AGG_SPLITS};
 pub use estimator::{ProgressEstimate, SelectivityEstimator};
 pub use input_provider::{InputProvider, InputResponse};

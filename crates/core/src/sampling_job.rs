@@ -136,16 +136,16 @@ pub fn build_sampling_job_with(
     (spec, driver)
 }
 
-/// Like [`build_sampling_job`] but under an [`crate::AdaptiveDriver`]
-/// (the paper's future-work runtime policy adaptation) instead of a fixed
-/// policy.
+/// Like [`build_sampling_job`] but under the paper ladder
+/// ([`DynamicDriver::paper_ladder`], the paper's future-work runtime
+/// policy adaptation) instead of a fixed policy.
 pub fn build_adaptive_sampling_job(
     dataset: &Arc<Dataset>,
     k: u64,
     scan_mode: ScanMode,
     sample_mode: SampleMode,
     seed: u64,
-) -> (JobSpec, Box<crate::AdaptiveDriver>) {
+) -> (JobSpec, Box<DynamicDriver>) {
     let predicate = {
         use incmr_data::generator::RecordFactory;
         dataset.factory().predicate()
@@ -171,10 +171,7 @@ pub fn build_adaptive_sampling_job(
     let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
     let total = blocks.len() as u32;
     let provider = SamplingInputProvider::new(blocks, k, seed);
-    let driver = Box::new(crate::AdaptiveDriver::paper_ladder(
-        Box::new(provider),
-        total,
-    ));
+    let driver = Box::new(DynamicDriver::paper_ladder(Box::new(provider), total));
     (spec, driver)
 }
 

@@ -41,13 +41,6 @@ pub mod keys {
     /// Guard-rail plane: boolean — on deadline expiry, finish with the
     /// output gathered so far instead of failing the job.
     pub const ALLOW_PARTIAL: &str = "mapred.job.allow.partial";
-    /// Observability plane: trace sink the runtime should enable at
-    /// submission — `"memory"` (buffered [`TraceEvent`]s, the
-    /// `enable_tracing` behaviour) or `"jsonl"` (eager JSONL encoding).
-    /// Absent means tracing stays as the caller configured it.
-    ///
-    /// [`TraceEvent`]: crate::trace::TraceEvent
-    pub const TRACE_SINK: &str = "mapred.job.trace.sink";
     /// Memoization plane: stable identity of the job's *computation*
     /// (mapper, predicate, projection, `k` — not the submission). Jobs
     /// sharing a signature share memoized per-split map output. Absent,
@@ -67,12 +60,6 @@ pub mod keys {
     /// (see `incmr_dfs`'s `ReplicatedPlacement`) — but a malformed or
     /// zero value is rejected at build/submit time.
     pub const DFS_REPLICATION: &str = "dfs.replication";
-    /// Observability plane: boolean (default **true**) — record this
-    /// job's latencies into the runtime's histogram
-    /// [`MetricsRegistry`](crate::obs::MetricsRegistry). Set false to
-    /// exclude a job from both its per-job and the cluster-wide
-    /// histograms.
-    pub const HISTOGRAM_ENABLED: &str = "mapred.job.histogram.enabled";
     /// Approximate-aggregation plane: relative error bound `e` ∈ (0, 1)
     /// for `WITH ERROR e` queries. Presence of this key makes the job an
     /// *estimating* aggregate job: the runtime folds per-group

@@ -14,9 +14,11 @@ use std::sync::Arc;
 use incmr_dfs::BlockId;
 use incmr_simkit::SimDuration;
 
+use crate::approx::{agg_plan_of, AggPlan};
 use crate::cluster::ClusterStatus;
 use crate::conf::{keys, ConfError, JobConf};
 use crate::exec::{Combiner, IdentityReducer, InputFormat, Key, Mapper, Reducer};
+use crate::memo::signature_of_conf;
 use incmr_data::Record;
 
 /// Identifier of a submitted job.
@@ -188,22 +190,6 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Trace sink to enable at submission: `"memory"` (buffered events,
-    /// the `enable_tracing` behaviour) or `"jsonl"` (eager JSONL text).
-    /// Any other value is rejected at build/submit time (sets
-    /// [`keys::TRACE_SINK`]).
-    pub fn trace_sink(mut self, sink: &str) -> Self {
-        self.conf.set(keys::TRACE_SINK, sink);
-        self
-    }
-
-    /// Whether this job's latencies feed the runtime's histogram
-    /// `MetricsRegistry` (default true; sets [`keys::HISTOGRAM_ENABLED`]).
-    pub fn histograms(mut self, enabled: bool) -> Self {
-        self.conf.set(keys::HISTOGRAM_ENABLED, enabled);
-        self
-    }
-
     /// Error-bounded approximate aggregation: grow the job only until the
     /// relative error bound `error` holds at `confidence` for every group
     /// and aggregate (sets [`keys::AGG_ERROR`] and
@@ -226,49 +212,13 @@ impl JobSpecBuilder {
     }
 
     /// Finish building, returning a typed error for incomplete or
-    /// malformed specs: a missing input format or mapper, a numeric
-    /// configuration key (reduce-task count, materialize cap, guard-rail
-    /// knobs) that does not parse, a count wider than `u32`, or a zero
-    /// deadline.
+    /// malformed specs: a missing input format or mapper, or any
+    /// configuration key [`MrRuntime::try_submit`] would reject (see
+    /// `parse_conf`).
+    ///
+    /// [`MrRuntime::try_submit`]: crate::MrRuntime::try_submit
     pub fn try_build(self) -> Result<JobSpec, JobConfigError> {
-        self.conf
-            .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
-            .map_err(JobConfigError::BadConf)?;
-        self.conf
-            .get_u64_or(crate::runtime::MATERIALIZE_CAP_KEY, u64::MAX)
-            .map_err(JobConfigError::BadConf)?;
-        self.conf
-            .get_u32_or(keys::PROVIDER_RETRY_BUDGET, 0)
-            .map_err(JobConfigError::BadConf)?;
-        self.conf
-            .get_u32_or(keys::MAX_IDLE_EVALUATIONS, 0)
-            .map_err(JobConfigError::BadConf)?;
-        let deadline = self
-            .conf
-            .get_u64_or(keys::JOB_DEADLINE_MS, u64::MAX)
-            .map_err(JobConfigError::BadConf)?;
-        if deadline == 0 {
-            return Err(JobConfigError::ZeroDeadline);
-        }
-        if let Some(sink) = self.conf.get(keys::TRACE_SINK) {
-            if sink != "memory" && sink != "jsonl" {
-                return Err(JobConfigError::BadConf(crate::conf::ConfError {
-                    key: keys::TRACE_SINK.to_string(),
-                    value: sink.to_string(),
-                    wanted: "trace sink (\"memory\" or \"jsonl\")",
-                }));
-            }
-        }
-        if let Some(v) = self.conf.get(keys::DFS_REPLICATION) {
-            if !matches!(v.parse::<u8>(), Ok(r) if r > 0) {
-                return Err(JobConfigError::BadConf(crate::conf::ConfError {
-                    key: keys::DFS_REPLICATION.to_string(),
-                    value: v.to_string(),
-                    wanted: "replication factor (1..=255)",
-                }));
-            }
-        }
-        crate::approx::agg_plan_of(&self.conf).map_err(JobConfigError::BadConf)?;
+        parse_conf(&self.conf)?;
         Ok(JobSpec {
             conf: self.conf,
             input_format: self.input_format.ok_or(JobConfigError::MissingInput)?,
@@ -291,6 +241,88 @@ impl JobSpecBuilder {
             Err(e) => panic!("invalid job configuration: {e}"),
         }
     }
+}
+
+/// The typed values of a job's configuration, parsed by [`parse_conf`].
+pub(crate) struct ParsedConf {
+    /// `mapred.reduce.tasks`, at least 1.
+    pub(crate) reduce_tasks: u32,
+    /// [`crate::runtime::MATERIALIZE_CAP_KEY`] (`u64::MAX` = uncapped).
+    pub(crate) materialize_cap: u64,
+    /// [`keys::PROVIDER_RETRY_BUDGET`].
+    pub(crate) provider_retries: u32,
+    /// [`keys::MAX_IDLE_EVALUATIONS`] (`0` disables the watchdog).
+    pub(crate) max_idle_evaluations: u32,
+    /// [`keys::JOB_DEADLINE_MS`] (`u64::MAX` = no deadline; never 0).
+    pub(crate) deadline_ms: u64,
+    /// [`keys::JOB_SIGNATURE`] when set, else a hash of the full conf (so
+    /// distinct queries never share memoized map output by accident).
+    pub(crate) signature: u64,
+    /// The `mapred.agg.*` plan (`Some` only for estimating jobs).
+    pub(crate) agg_plan: Option<AggPlan>,
+}
+
+/// Parse and validate every typed configuration key a job is submitted
+/// with — the one parse behind both [`JobSpecBuilder::try_build`] (which
+/// discards the values) and `MrRuntime::try_submit` (which uses them).
+/// Rejects unparseable numbers, counts wider than `u32`, a zero deadline,
+/// a malformed or zero `dfs.replication` (informational at job level, but
+/// caught here rather than mid-chaos) and a malformed `mapred.agg.*` set.
+pub(crate) fn parse_conf(conf: &JobConf) -> Result<ParsedConf, JobConfigError> {
+    let bad = JobConfigError::BadConf;
+    let reduce_tasks = conf
+        .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
+        .map_err(bad)?
+        .max(1);
+    let materialize_cap = conf
+        .get_u64_or(crate::runtime::MATERIALIZE_CAP_KEY, u64::MAX)
+        .map_err(bad)?;
+    let provider_retries = conf
+        .get_u32_or(keys::PROVIDER_RETRY_BUDGET, 0)
+        .map_err(bad)?;
+    let max_idle_evaluations = conf
+        .get_u32_or(
+            keys::MAX_IDLE_EVALUATIONS,
+            crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS,
+        )
+        .map_err(bad)?;
+    let deadline_ms = conf
+        .get_u64_or(keys::JOB_DEADLINE_MS, u64::MAX)
+        .map_err(bad)?;
+    if deadline_ms == 0 {
+        return Err(JobConfigError::ZeroDeadline);
+    }
+    let rejected = |key: &str, value: &str, wanted| {
+        JobConfigError::BadConf(ConfError {
+            key: key.to_string(),
+            value: value.to_string(),
+            wanted,
+        })
+    };
+    if let Some(v) = conf.get(keys::DFS_REPLICATION) {
+        if !matches!(v.parse::<u8>(), Ok(r) if r > 0) {
+            return Err(rejected(
+                keys::DFS_REPLICATION,
+                v,
+                "replication factor (1..=255)",
+            ));
+        }
+    }
+    let signature = match conf.get(keys::JOB_SIGNATURE) {
+        Some(v) => v
+            .parse()
+            .map_err(|_| rejected(keys::JOB_SIGNATURE, v, "u64"))?,
+        None => signature_of_conf(conf.iter(), reduce_tasks),
+    };
+    Ok(ParsedConf {
+        reduce_tasks,
+        materialize_cap,
+        provider_retries,
+        max_idle_evaluations,
+        deadline_ms,
+        signature,
+        agg_plan: agg_plan_of(conf).map_err(bad)?,
+    })
 }
 
 /// A rejected job spec: what was missing or malformed at build time.
@@ -829,6 +861,27 @@ mod tests {
             .expect("malformed materialize cap must be rejected");
         assert!(matches!(err, JobConfigError::BadConf(_)));
         assert!(err.to_string().contains("not a valid u64"), "{err}");
+    }
+
+    /// `try_build` and `MrRuntime::try_submit` share one parse, so a spec
+    /// that builds also submits: a signature `submit` would reject is
+    /// rejected here first.
+    #[test]
+    fn try_build_rejects_a_non_numeric_signature() {
+        let err = JobSpec::builder()
+            .input(NullInput2)
+            .mapper(NullMapper2)
+            .set(keys::JOB_SIGNATURE, "x")
+            .try_build()
+            .err()
+            .expect("a non-numeric signature must be rejected");
+        match err {
+            JobConfigError::BadConf(e) => {
+                assert_eq!(e.key, keys::JOB_SIGNATURE);
+                assert_eq!(e.value, "x");
+            }
+            other => panic!("expected BadConf, got {other:?}"),
+        }
     }
 
     #[test]

@@ -82,8 +82,7 @@ pub use metrics::{
 };
 pub use obs::{
     audited_splits_added, encode_event, encode_trace, kind_name, parse_event, parse_trace,
-    render_audit, render_swimlanes, AuditDirective, AuditRecord, JsonlSink, MemorySink,
-    MetricsRegistry, TraceParseError, TraceSink,
+    render_audit, render_swimlanes, AuditDirective, AuditRecord, MetricsRegistry, TraceParseError,
 };
 pub use parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle, WorkUnit,
@@ -110,7 +109,7 @@ pub mod prelude {
         EvalContext, GrowthDirective, GrowthDriver, GrowthOutcome, JobError, JobId, JobProgress,
         JobResult, JobSpec, ProviderError, ProviderStage, StaticDriver, TaskId,
     };
-    pub use crate::obs::{AuditRecord, MetricsRegistry, TraceSink};
+    pub use crate::obs::{AuditRecord, MetricsRegistry};
     pub use crate::runtime::MrRuntime;
     pub use crate::scheduler::{FairScheduler, FifoScheduler, TaskScheduler};
 }

@@ -4,6 +4,13 @@
 //! cluster … averaged over the 40 cores and 40 disks" (Section V-D), plus
 //! the locality % and slot-occupancy % measurements of Section V-F.
 //!
+//! Every counter that has a trace event is a fold over the recorded
+//! events: `ClusterMetrics::absorb` is its only writer (the runtime
+//! calls it on each event it records, traced or not), and
+//! [`ClusterMetrics::from_trace`] replays an exported trace through the
+//! same fold. The few counters with no event of their own stay live
+//! increments behind crate-private accessors.
+//!
 //! Two extra counter families instrument the streaming shuffle:
 //! [`ShuffleMetrics`] (deterministic record/byte counters — combiner
 //! effect and partition skew) and [`HostPhaseNanos`] (host wall-clock
@@ -16,8 +23,12 @@ use incmr_simkit::{SimDuration, SimTime};
 
 use crate::trace::{TraceEvent, TraceKind};
 
+/// Interval at which resource counters are folded into metrics series (the
+/// paper samples at 30 s).
+pub(crate) const METRICS_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
 /// Deterministic shuffle counters, aggregated across jobs whose shuffle
-/// closed inside the metrics window.
+/// closed inside the metrics window (one `ShuffleReady` event each).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShuffleMetrics {
     /// Jobs whose shuffle completed (reduce phase began).
@@ -48,67 +59,24 @@ impl ShuffleMetrics {
 }
 
 /// Deterministic fault-plane counters: node churn and the Hadoop-semantics
-/// responses (re-execution, speculation, kills, blacklisting). All driven
-/// by simulated time and seeded draws, so they are identical across thread
+/// responses (re-execution, speculation, blacklisting). All driven by
+/// simulated time and seeded draws, so they are identical across thread
 /// counts for a fixed fault schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultMetrics {
-    /// Nodes that died (TaskTracker loss).
+    /// Nodes that died (`NodeLost`).
     pub nodes_lost: u64,
-    /// Nodes that rejoined after dying.
+    /// Nodes that rejoined after dying (`NodeRejoined`).
     pub nodes_rejoined: u64,
     /// Completed map tasks re-executed because their node (and its stored
-    /// map output) was lost.
+    /// map output) was lost. Live-only: no event of its own.
     pub maps_reexecuted: u64,
-    /// Speculative attempts launched for laggard maps.
+    /// Speculative attempts launched for laggard maps (`SpeculativeLaunch`).
     pub speculative_launched: u64,
-    /// Speculative races where the loser was killed after the winner
-    /// committed (launched − wasted = races the backup won or inherited).
-    pub speculative_wasted: u64,
-    /// Attempts killed (node death or losing a speculative race) — these
-    /// never count against a task's attempt budget.
-    pub attempts_killed: u64,
-    /// Reduce attempts failed by fault injection.
+    /// Reduce attempts failed by fault injection (`ReduceFailed`).
     pub reduce_failures: u64,
-    /// (job, node) blacklist entries created.
+    /// (job, node) blacklist entries created (`NodeBlacklisted`).
     pub nodes_blacklisted: u64,
-}
-
-impl FaultMetrics {
-    /// Recompute the trace-derivable counters from an exported trace. The
-    /// counters with no dedicated trace event (`maps_reexecuted`,
-    /// `speculative_wasted`, `attempts_killed` — reduce attempts killed by
-    /// node death release no `AttemptKilled` event) stay zero; compare
-    /// against [`FaultMetrics::derivable`] of the live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> FaultMetrics {
-        let mut m = FaultMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::NodeLost { .. } => m.nodes_lost += 1,
-                TraceKind::NodeRejoined { .. } => m.nodes_rejoined += 1,
-                TraceKind::SpeculativeLaunch { .. } => m.speculative_launched += 1,
-                TraceKind::ReduceFailed { .. } => m.reduce_failures += 1,
-                TraceKind::NodeBlacklisted { .. } => m.nodes_blacklisted += 1,
-                _ => {}
-            }
-        }
-        m
-    }
-
-    /// This counter set restricted to the fields [`FaultMetrics::from_trace`]
-    /// can recompute (the rest zeroed), for direct equality checks.
-    pub fn derivable(&self) -> FaultMetrics {
-        FaultMetrics {
-            nodes_lost: self.nodes_lost,
-            nodes_rejoined: self.nodes_rejoined,
-            maps_reexecuted: 0,
-            speculative_launched: self.speculative_launched,
-            speculative_wasted: 0,
-            attempts_killed: 0,
-            reduce_failures: self.reduce_failures,
-            nodes_blacklisted: self.nodes_blacklisted,
-        }
-    }
 }
 
 /// Deterministic guard-rail counters: how often the runtime had to defend
@@ -119,71 +87,34 @@ impl FaultMetrics {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardrailMetrics {
     /// Provider/driver invocations that panicked (caught by the sandbox).
+    /// Live-only: panics surface as a plain `ProviderFault`.
     pub provider_panics: u64,
-    /// Provider failures of any kind (panics plus invalid directives).
+    /// Provider failures of any kind, panics plus invalid directives
+    /// (`ProviderFault`).
     pub provider_errors: u64,
     /// `AddInput` directives naming a block outside the namespace.
+    /// Live-only: they surface as a plain `ProviderFault`.
     pub unknown_blocks: u64,
-    /// Provider failures absorbed by the job's retry budget.
+    /// Provider failures absorbed by the job's retry budget (non-fatal
+    /// `ProviderFault`).
     pub provider_retries: u64,
     /// Splits dropped because the job already claimed them (duplicate
-    /// `AddInput` entries, within or across directives).
+    /// `AddInput` entries, within or across directives;
+    /// `DuplicateInputDropped`).
     pub duplicate_splits_dropped: u64,
-    /// `AddInput` directives truncated to the driver's grab limit.
+    /// `AddInput` directives truncated to the driver's grab limit
+    /// (`GrabLimitClamped`).
     pub grab_limit_clamps: u64,
-    /// Jobs terminated by the idle-evaluation (livelock) watchdog.
+    /// Jobs terminated by the idle-evaluation (livelock) watchdog
+    /// (`JobWedged`).
     pub jobs_wedged: u64,
     /// Jobs whose simulated-time deadline expired (failed or degraded to
-    /// a partial result, depending on `mapred.job.allow.partial`).
+    /// a partial result, depending on `mapred.job.allow.partial`;
+    /// `DeadlineExceeded`).
     pub deadlines_exceeded: u64,
-    /// Sampling jobs that completed with fewer than `k` matches.
+    /// Sampling jobs that completed with fewer than `k` matches
+    /// (`PartialSample`).
     pub partial_samples: u64,
-}
-
-impl GuardrailMetrics {
-    /// Recompute the trace-derivable counters from an exported trace.
-    /// `provider_panics` and `unknown_blocks` have no dedicated trace
-    /// event (both surface as `ProviderFault`) and stay zero; compare
-    /// against [`GuardrailMetrics::derivable`] of the live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> GuardrailMetrics {
-        let mut m = GuardrailMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::ProviderFault { fatal, .. } => {
-                    m.provider_errors += 1;
-                    if !fatal {
-                        m.provider_retries += 1;
-                    }
-                }
-                TraceKind::DuplicateInputDropped { splits, .. } => {
-                    m.duplicate_splits_dropped += splits as u64
-                }
-                TraceKind::GrabLimitClamped { .. } => m.grab_limit_clamps += 1,
-                TraceKind::JobWedged { .. } => m.jobs_wedged += 1,
-                TraceKind::DeadlineExceeded { .. } => m.deadlines_exceeded += 1,
-                TraceKind::PartialSample { .. } => m.partial_samples += 1,
-                _ => {}
-            }
-        }
-        m
-    }
-
-    /// This counter set restricted to the fields
-    /// [`GuardrailMetrics::from_trace`] can recompute (the rest zeroed),
-    /// for direct equality checks.
-    pub fn derivable(&self) -> GuardrailMetrics {
-        GuardrailMetrics {
-            provider_panics: 0,
-            provider_errors: self.provider_errors,
-            unknown_blocks: 0,
-            provider_retries: self.provider_retries,
-            duplicate_splits_dropped: self.duplicate_splits_dropped,
-            grab_limit_clamps: self.grab_limit_clamps,
-            jobs_wedged: self.jobs_wedged,
-            deadlines_exceeded: self.deadlines_exceeded,
-            partial_samples: self.partial_samples,
-        }
-    }
 }
 
 /// Deterministic memoization-plane counters: how the incremental
@@ -193,54 +124,24 @@ impl GuardrailMetrics {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoMetrics {
     /// Map attempts satisfied from the memo store (host recomputation
-    /// skipped; the simulated schedule was preserved).
+    /// skipped; the simulated schedule was preserved; `SplitReused`).
     pub splits_reused: u64,
     /// Splits whose memo entry existed at a stale block version and were
-    /// recomputed.
+    /// recomputed (`SplitDirty`).
     pub splits_dirty: u64,
     /// Map attempts that ran the mapper for real while memoization was
     /// enabled (new splits, dirty splits, and invalidated entries).
+    /// Live-only: no event of its own.
     pub splits_computed: u64,
-    /// Evolve steps that delivered new blocks while jobs were live.
+    /// Evolve steps that delivered new blocks while jobs were live
+    /// (`InputArrived`).
     pub input_arrivals: u64,
-    /// Input records whose re-scan a memo hit avoided.
+    /// Input records whose re-scan a memo hit avoided. Live-only:
+    /// `SplitReused` carries no record count.
     pub records_saved: u64,
     /// Memo entries discarded because the node holding the cached map
-    /// output died.
+    /// output died. Live-only: no event of its own.
     pub entries_invalidated: u64,
-}
-
-impl MemoMetrics {
-    /// Recompute the trace-derivable counters from an exported trace.
-    /// `splits_computed` and `entries_invalidated` have no dedicated
-    /// trace event (computation is visible only as the *absence* of
-    /// `SplitReused` on a finished map) and stay zero; compare against
-    /// [`MemoMetrics::derivable`] of the live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> MemoMetrics {
-        let mut m = MemoMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::SplitReused { .. } => m.splits_reused += 1,
-                TraceKind::SplitDirty { .. } => m.splits_dirty += 1,
-                TraceKind::InputArrived { .. } => m.input_arrivals += 1,
-                _ => {}
-            }
-        }
-        m
-    }
-
-    /// This counter set restricted to the fields [`MemoMetrics::from_trace`]
-    /// can recompute (the rest zeroed), for direct equality checks.
-    pub fn derivable(&self) -> MemoMetrics {
-        MemoMetrics {
-            splits_reused: self.splits_reused,
-            splits_dirty: self.splits_dirty,
-            splits_computed: 0,
-            input_arrivals: self.input_arrivals,
-            records_saved: 0,
-            entries_invalidated: 0,
-        }
-    }
 }
 
 /// Deterministic replication-plane counters: replica loss under
@@ -250,60 +151,25 @@ impl MemoMetrics {
 /// thread counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaMetrics {
-    /// Individual replicas stripped because their DataNode died.
+    /// Individual replicas stripped because their DataNode died
+    /// (`ReplicaLost`).
     pub replicas_lost: u64,
-    /// Replicas recreated by the re-replication daemon.
+    /// Replicas recreated by the re-replication daemon
+    /// (`ReplicaRestored`).
     pub replicas_restored: u64,
     /// Map reads that failed over from their intended replica to a
-    /// surviving one.
+    /// surviving one (`ReadFailover`).
     pub read_failovers: u64,
     /// Blocks that lost their *last* replica (unreadable until rewritten).
+    /// Live-only: no event of its own.
     pub blocks_lost: u64,
     /// Jobs that hit the input-lost path (failed, or degraded to a partial
-    /// result under `mapred.job.allow.partial`).
+    /// result under `mapred.job.allow.partial`; `InputLost`).
     pub input_lost_jobs: u64,
     /// Completed maps on a dead node whose re-execution was skipped
     /// because a live replica of their input block survives (the merged
-    /// shuffle output is retained).
+    /// shuffle output is retained). Live-only: no event of its own.
     pub reexecutions_avoided: u64,
-    /// Memo entries moved from a dead holder to a surviving replica holder
-    /// instead of being invalidated.
-    pub memo_rehomed: u64,
-}
-
-impl ReplicaMetrics {
-    /// Recompute the trace-derivable counters from an exported trace.
-    /// `blocks_lost`, `reexecutions_avoided`, and `memo_rehomed` have no
-    /// dedicated trace event and stay zero; compare against
-    /// [`ReplicaMetrics::derivable`] of the live counters.
-    pub fn from_trace(events: &[TraceEvent]) -> ReplicaMetrics {
-        let mut m = ReplicaMetrics::default();
-        for e in events {
-            match e.kind {
-                TraceKind::ReplicaLost { .. } => m.replicas_lost += 1,
-                TraceKind::ReplicaRestored { .. } => m.replicas_restored += 1,
-                TraceKind::ReadFailover { .. } => m.read_failovers += 1,
-                TraceKind::InputLost { .. } => m.input_lost_jobs += 1,
-                _ => {}
-            }
-        }
-        m
-    }
-
-    /// This counter set restricted to the fields
-    /// [`ReplicaMetrics::from_trace`] can recompute (the rest zeroed), for
-    /// direct equality checks.
-    pub fn derivable(&self) -> ReplicaMetrics {
-        ReplicaMetrics {
-            replicas_lost: self.replicas_lost,
-            replicas_restored: self.replicas_restored,
-            read_failovers: self.read_failovers,
-            blocks_lost: 0,
-            input_lost_jobs: self.input_lost_jobs,
-            reexecutions_avoided: 0,
-            memo_rehomed: 0,
-        }
-    }
 }
 
 /// Host-side wall-clock nanoseconds spent on data-plane work, by phase.
@@ -383,6 +249,73 @@ impl ClusterMetrics {
         }
     }
 
+    /// Replay an exported trace through `ClusterMetrics::absorb`: the
+    /// result holds exactly the event-backed counters (locality and every
+    /// counter family, live-only fields zero) a runtime that recorded
+    /// these events holds. It has no cluster capacities and no resource
+    /// series, so only its counters are meaningful.
+    pub fn from_trace(events: &[TraceEvent]) -> ClusterMetrics {
+        let mut m = ClusterMetrics::new(SimTime::ZERO, 0, 0, 0, METRICS_INTERVAL);
+        for e in events {
+            m.absorb(&e.kind);
+        }
+        m
+    }
+
+    /// Fold one recorded event into the counters it backs — the only
+    /// writer of every counter that has an event. The runtime calls it on
+    /// each event it records, whether or not tracing is on.
+    pub(crate) fn absorb(&mut self, kind: &TraceKind) {
+        match *kind {
+            TraceKind::MapStarted { local, .. } => {
+                self.total_assignments += 1;
+                self.local_assignments += u64::from(local);
+            }
+            TraceKind::ShuffleReady {
+                combiner_in,
+                combiner_out,
+                max_partition_bytes,
+                min_partition_bytes,
+                ..
+            } => {
+                let s = &mut self.shuffle;
+                s.combiner_input_records += combiner_in;
+                s.combiner_output_records += combiner_out;
+                s.max_partition_bytes = s.max_partition_bytes.max(max_partition_bytes);
+                s.min_partition_bytes = if s.jobs == 0 {
+                    min_partition_bytes
+                } else {
+                    s.min_partition_bytes.min(min_partition_bytes)
+                };
+                s.jobs += 1;
+            }
+            TraceKind::NodeLost { .. } => self.faults.nodes_lost += 1,
+            TraceKind::NodeRejoined { .. } => self.faults.nodes_rejoined += 1,
+            TraceKind::SpeculativeLaunch { .. } => self.faults.speculative_launched += 1,
+            TraceKind::ReduceFailed { .. } => self.faults.reduce_failures += 1,
+            TraceKind::NodeBlacklisted { .. } => self.faults.nodes_blacklisted += 1,
+            TraceKind::ProviderFault { fatal, .. } => {
+                self.guardrails.provider_errors += 1;
+                self.guardrails.provider_retries += u64::from(!fatal);
+            }
+            TraceKind::GrabLimitClamped { .. } => self.guardrails.grab_limit_clamps += 1,
+            TraceKind::DuplicateInputDropped { splits, .. } => {
+                self.guardrails.duplicate_splits_dropped += u64::from(splits)
+            }
+            TraceKind::JobWedged { .. } => self.guardrails.jobs_wedged += 1,
+            TraceKind::DeadlineExceeded { .. } => self.guardrails.deadlines_exceeded += 1,
+            TraceKind::PartialSample { .. } => self.guardrails.partial_samples += 1,
+            TraceKind::SplitReused { .. } => self.memo.splits_reused += 1,
+            TraceKind::SplitDirty { .. } => self.memo.splits_dirty += 1,
+            TraceKind::InputArrived { .. } => self.memo.input_arrivals += 1,
+            TraceKind::ReplicaLost { .. } => self.replica.replicas_lost += 1,
+            TraceKind::ReplicaRestored { .. } => self.replica.replicas_restored += 1,
+            TraceKind::ReadFailover { .. } => self.replica.read_failovers += 1,
+            TraceKind::InputLost { .. } => self.replica.input_lost_jobs += 1,
+            _ => {}
+        }
+    }
+
     /// Report cumulative resource totals (core-µs of CPU work drained,
     /// bytes read from disk) as of `now`.
     pub fn observe(&mut self, now: SimTime, cpu_core_us_total: f64, disk_bytes_total: f64) {
@@ -395,38 +328,9 @@ impl ClusterMetrics {
         self.occupied_slots.add(now, delta);
     }
 
-    /// Record one task assignment and whether it was data-local.
-    pub fn record_assignment(&mut self, local: bool) {
-        self.total_assignments += 1;
-        if local {
-            self.local_assignments += 1;
-        }
-    }
-
-    /// Number of assignments recorded so far.
+    /// Number of map dispatches (`MapStarted` events) recorded so far.
     pub fn assignments(&self) -> u64 {
         self.total_assignments
-    }
-
-    /// Record one job's closed shuffle: combiner totals and the modeled
-    /// byte share of its largest and smallest partitions.
-    pub fn record_shuffle(
-        &mut self,
-        combiner_input_records: u64,
-        combiner_output_records: u64,
-        max_partition_bytes: u64,
-        min_partition_bytes: u64,
-    ) {
-        let s = &mut self.shuffle;
-        s.combiner_input_records += combiner_input_records;
-        s.combiner_output_records += combiner_output_records;
-        s.max_partition_bytes = s.max_partition_bytes.max(max_partition_bytes);
-        s.min_partition_bytes = if s.jobs == 0 {
-            min_partition_bytes
-        } else {
-            s.min_partition_bytes.min(min_partition_bytes)
-        };
-        s.jobs += 1;
     }
 
     /// Shuffle counters accumulated so far.
@@ -456,9 +360,9 @@ impl ClusterMetrics {
         self.host
     }
 
-    /// Mutable fault-plane counters (the runtime bumps these as the fault
-    /// state machine fires).
-    pub fn faults_mut(&mut self) -> &mut FaultMetrics {
+    /// The live-only fault counter (`maps_reexecuted`); every other field
+    /// is written by `ClusterMetrics::absorb`.
+    pub(crate) fn faults_mut(&mut self) -> &mut FaultMetrics {
         &mut self.faults
     }
 
@@ -467,9 +371,9 @@ impl ClusterMetrics {
         self.faults
     }
 
-    /// Mutable guard-rail counters (the runtime bumps these as provider
-    /// sandboxing, directive validation, watchdogs, and deadlines fire).
-    pub fn guardrails_mut(&mut self) -> &mut GuardrailMetrics {
+    /// The live-only guard-rail counters (`provider_panics`,
+    /// `unknown_blocks`).
+    pub(crate) fn guardrails_mut(&mut self) -> &mut GuardrailMetrics {
         &mut self.guardrails
     }
 
@@ -478,9 +382,9 @@ impl ClusterMetrics {
         self.guardrails
     }
 
-    /// Mutable memoization counters (the runtime bumps these as the memo
-    /// store classifies splits).
-    pub fn memo_mut(&mut self) -> &mut MemoMetrics {
+    /// The live-only memoization counters (`splits_computed`,
+    /// `records_saved`, `entries_invalidated`).
+    pub(crate) fn memo_mut(&mut self) -> &mut MemoMetrics {
         &mut self.memo
     }
 
@@ -489,9 +393,9 @@ impl ClusterMetrics {
         self.memo
     }
 
-    /// Mutable replication-plane counters (the runtime bumps these as
-    /// replicas are lost, reads fail over, and repairs land).
-    pub fn replica_mut(&mut self) -> &mut ReplicaMetrics {
+    /// The live-only replication counters (`blocks_lost`,
+    /// `reexecutions_avoided`).
+    pub(crate) fn replica_mut(&mut self) -> &mut ReplicaMetrics {
         &mut self.replica
     }
 
@@ -524,6 +428,28 @@ impl ClusterMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobId, TaskId};
+    use incmr_dfs::{BlockId, DiskId, NodeId};
+
+    fn metrics() -> ClusterMetrics {
+        ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30))
+    }
+
+    fn at(s: u64, kind: TraceKind) -> TraceEvent {
+        TraceEvent {
+            time: SimTime::from_secs(s),
+            kind,
+        }
+    }
+
+    fn map_started(task: u32, local: bool) -> TraceKind {
+        TraceKind::MapStarted {
+            job: JobId(0),
+            task: TaskId(task),
+            node: NodeId(0),
+            local,
+        }
+    }
 
     #[test]
     fn cpu_and_disk_rates_normalise_to_capacity() {
@@ -549,9 +475,9 @@ mod tests {
 
     #[test]
     fn locality_percent() {
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
+        let mut m = metrics();
         for i in 0..10 {
-            m.record_assignment(i < 7);
+            m.absorb(&map_started(i, i < 7));
         }
         assert!((m.report(SimTime::from_secs(1)).locality_pct - 70.0).abs() < 1e-9);
         assert_eq!(m.assignments(), 10);
@@ -559,16 +485,27 @@ mod tests {
 
     #[test]
     fn locality_of_no_assignments_is_zero() {
-        let m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
-        assert_eq!(m.report(SimTime::from_secs(1)).locality_pct, 0.0);
+        assert_eq!(metrics().report(SimTime::from_secs(1)).locality_pct, 0.0);
     }
 
     #[test]
     fn shuffle_counters_aggregate_across_jobs() {
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
+        let mut m = metrics();
         assert_eq!(m.shuffle().skew_ratio(), None);
-        m.record_shuffle(100, 10, 800, 200);
-        m.record_shuffle(50, 50, 1000, 500);
+        for (job, (combiner_in, combiner_out, max, min)) in
+            [(100, 10, 800, 200), (50, 50, 1000, 500)]
+                .into_iter()
+                .enumerate()
+        {
+            m.absorb(&TraceKind::ShuffleReady {
+                job: JobId(job as u32),
+                partitions: 2,
+                combiner_in,
+                combiner_out,
+                max_partition_bytes: max,
+                min_partition_bytes: min,
+            });
+        }
         let s = m.shuffle();
         assert_eq!(s.jobs, 2);
         assert_eq!(s.combiner_input_records, 150);
@@ -581,7 +518,7 @@ mod tests {
 
     #[test]
     fn host_phase_nanos_accumulate() {
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
+        let mut m = metrics();
         m.add_host_map_ns(10);
         m.add_host_map_ns(5);
         m.add_host_shuffle_merge_ns(3);
@@ -598,29 +535,40 @@ mod tests {
 
     #[test]
     fn fault_counters_accumulate() {
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
+        let mut m = metrics();
         assert_eq!(m.faults(), FaultMetrics::default());
-        m.faults_mut().nodes_lost += 1;
+        m.absorb(&TraceKind::NodeLost { node: NodeId(1) });
         m.faults_mut().maps_reexecuted += 3;
-        m.faults_mut().attempts_killed += 2;
         let f = m.faults();
         assert_eq!(f.nodes_lost, 1);
         assert_eq!(f.maps_reexecuted, 3);
-        assert_eq!(f.attempts_killed, 2);
         assert_eq!(f.speculative_launched, 0);
     }
 
     #[test]
     fn guardrail_counters_accumulate() {
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
+        let mut m = metrics();
         assert_eq!(m.guardrails(), GuardrailMetrics::default());
         m.guardrails_mut().provider_panics += 1;
-        m.guardrails_mut().provider_errors += 2;
-        m.guardrails_mut().duplicate_splits_dropped += 5;
-        m.guardrails_mut().partial_samples += 1;
+        for fatal in [false, true] {
+            m.absorb(&TraceKind::ProviderFault {
+                job: JobId(0),
+                fatal,
+            });
+        }
+        m.absorb(&TraceKind::DuplicateInputDropped {
+            job: JobId(0),
+            splits: 5,
+        });
+        m.absorb(&TraceKind::PartialSample {
+            job: JobId(0),
+            found: 3,
+            requested: 5,
+        });
         let g = m.guardrails();
         assert_eq!(g.provider_panics, 1);
         assert_eq!(g.provider_errors, 2);
+        assert_eq!(g.provider_retries, 1);
         assert_eq!(g.duplicate_splits_dropped, 5);
         assert_eq!(g.partial_samples, 1);
         assert_eq!(g.jobs_wedged, 0);
@@ -628,12 +576,6 @@ mod tests {
 
     #[test]
     fn counters_recompute_from_trace_events() {
-        use crate::job::{JobId, TaskId};
-        use incmr_dfs::NodeId;
-        let at = |s: u64, kind: TraceKind| TraceEvent {
-            time: SimTime::from_secs(s),
-            kind,
-        };
         let events = vec![
             at(1, TraceKind::NodeLost { node: NodeId(3) }),
             at(
@@ -644,6 +586,7 @@ mod tests {
                     node: NodeId(2),
                 },
             ),
+            at(2, map_started(1, false)),
             at(3, TraceKind::NodeRejoined { node: NodeId(3) }),
             at(
                 4,
@@ -675,42 +618,37 @@ mod tests {
                 },
             ),
         ];
-        let f = FaultMetrics::from_trace(&events);
-        assert_eq!(f.nodes_lost, 1);
-        assert_eq!(f.nodes_rejoined, 1);
-        assert_eq!(f.speculative_launched, 1);
-        assert_eq!(f.reduce_failures, 0);
-        let g = GuardrailMetrics::from_trace(&events);
-        assert_eq!(g.provider_errors, 2);
-        assert_eq!(g.provider_retries, 1);
-        assert_eq!(g.duplicate_splits_dropped, 4);
-        assert_eq!(g.grab_limit_clamps, 1);
-        // `derivable` zeroes exactly the fields `from_trace` cannot see.
-        let mut live = FaultMetrics::from_trace(&events);
-        live.maps_reexecuted = 7;
-        live.attempts_killed = 9;
-        live.speculative_wasted = 2;
-        assert_eq!(live.derivable(), f);
-        let mut live = GuardrailMetrics::from_trace(&events);
-        live.provider_panics = 3;
-        live.unknown_blocks = 1;
-        assert_eq!(live.derivable(), g);
+        let m = ClusterMetrics::from_trace(&events);
+        assert_eq!(
+            m.faults(),
+            FaultMetrics {
+                nodes_lost: 1,
+                nodes_rejoined: 1,
+                speculative_launched: 1,
+                ..FaultMetrics::default()
+            }
+        );
+        assert_eq!(
+            m.guardrails(),
+            GuardrailMetrics {
+                provider_errors: 2,
+                provider_retries: 1,
+                duplicate_splits_dropped: 4,
+                grab_limit_clamps: 1,
+                ..GuardrailMetrics::default()
+            }
+        );
+        assert_eq!(m.assignments(), 1);
+        assert_eq!(m.report(SimTime::ZERO).locality_pct, 0.0);
     }
 
     #[test]
     fn memo_counters_accumulate_and_recompute_from_trace() {
-        use crate::job::{JobId, TaskId};
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
+        let mut m = metrics();
         assert_eq!(m.memo(), MemoMetrics::default());
-        m.memo_mut().splits_reused += 2;
         m.memo_mut().records_saved += 500;
-        assert_eq!(m.memo().splits_reused, 2);
         assert_eq!(m.memo().records_saved, 500);
 
-        let at = |s: u64, kind: TraceKind| TraceEvent {
-            time: SimTime::from_secs(s),
-            kind,
-        };
         let events = vec![
             at(1, TraceKind::InputArrived { splits: 3 }),
             at(
@@ -735,32 +673,24 @@ mod tests {
                 },
             ),
         ];
-        let t = MemoMetrics::from_trace(&events);
-        assert_eq!(t.splits_reused, 2);
-        assert_eq!(t.splits_dirty, 1);
-        assert_eq!(t.input_arrivals, 1);
-        let mut live = t;
-        live.splits_computed = 4;
-        live.records_saved = 99;
-        live.entries_invalidated = 1;
-        assert_eq!(live.derivable(), t);
+        assert_eq!(
+            ClusterMetrics::from_trace(&events).memo(),
+            MemoMetrics {
+                splits_reused: 2,
+                splits_dirty: 1,
+                input_arrivals: 1,
+                ..MemoMetrics::default()
+            }
+        );
     }
 
     #[test]
     fn replica_counters_accumulate_and_recompute_from_trace() {
-        use crate::job::{JobId, TaskId};
-        use incmr_dfs::{BlockId, DiskId, NodeId};
-        let mut m = ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30));
+        let mut m = metrics();
         assert_eq!(m.replica(), ReplicaMetrics::default());
-        m.replica_mut().replicas_lost += 2;
         m.replica_mut().reexecutions_avoided += 1;
-        assert_eq!(m.replica().replicas_lost, 2);
         assert_eq!(m.replica().reexecutions_avoided, 1);
 
-        let at = |s: u64, kind: TraceKind| TraceEvent {
-            time: SimTime::from_secs(s),
-            kind,
-        };
         let events = vec![
             at(
                 1,
@@ -801,16 +731,16 @@ mod tests {
                 },
             ),
         ];
-        let t = ReplicaMetrics::from_trace(&events);
-        assert_eq!(t.replicas_lost, 2);
-        assert_eq!(t.replicas_restored, 1);
-        assert_eq!(t.read_failovers, 1);
-        assert_eq!(t.input_lost_jobs, 1);
-        let mut live = t;
-        live.blocks_lost = 1;
-        live.reexecutions_avoided = 3;
-        live.memo_rehomed = 2;
-        assert_eq!(live.derivable(), t);
+        assert_eq!(
+            ClusterMetrics::from_trace(&events).replica(),
+            ReplicaMetrics {
+                replicas_lost: 2,
+                replicas_restored: 1,
+                read_failovers: 1,
+                input_lost_jobs: 1,
+                ..ReplicaMetrics::default()
+            }
+        );
     }
 
     #[test]

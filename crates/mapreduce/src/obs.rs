@@ -11,11 +11,9 @@
 //!   codec for [`TraceEvent`] (no serde; the build is offline). The
 //!   payload half is generated from the one [`TraceKind`] declaration in
 //!   `trace.rs`, so every kind has an encoding by construction.
-//! * [`TraceSink`] — where the runtime streams events: [`MemorySink`]
-//!   (the classic `Vec<TraceEvent>` behaviour) or [`JsonlSink`] (encodes
-//!   eagerly to JSONL text).
+//!   A run's JSONL export is `encode_trace(&rt.take_trace())`.
 //! * [`MetricsRegistry`] — simulated-time latency histograms
-//!   ([`LogHistogram`]) for the six families DESIGN.md §10 documents,
+//!   ([`LogHistogram`]) for the seven families DESIGN.md §10 documents,
 //!   mergeable across jobs.
 //! * [`AuditRecord`] — one entry per `GrowthDriver` consultation: the
 //!   inputs the driver saw (`JobProgress`, `ClusterStatus`, grab limit),
@@ -285,79 +283,6 @@ pub fn parse_trace(jsonl: &str) -> Result<Vec<TraceEvent>, TraceParseError> {
         .filter(|l| !l.trim().is_empty())
         .map(parse_event)
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Trace sinks
-// ---------------------------------------------------------------------------
-
-/// Where the runtime streams trace events.
-///
-/// Sinks observe exactly the event stream `MrRuntime::take_trace` would
-/// collect, in the same deterministic order.
-pub trait TraceSink: Send {
-    /// Observe one event.
-    fn record(&mut self, event: &TraceEvent);
-    /// Drain everything observed so far as JSONL text (sinks that buffer
-    /// decoded events encode them here).
-    fn drain_jsonl(&mut self) -> String;
-}
-
-/// The classic in-memory sink: buffers decoded [`TraceEvent`]s.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Vec<TraceEvent>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// Events observed so far.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Take the buffered events, leaving the sink empty.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.push(event.clone());
-    }
-
-    fn drain_jsonl(&mut self) -> String {
-        encode_trace(&self.take_events())
-    }
-}
-
-/// Encodes every event to JSONL eagerly; holds only text.
-#[derive(Debug, Default)]
-pub struct JsonlSink {
-    out: String,
-}
-
-impl JsonlSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        JsonlSink::default()
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.out.push_str(&encode_event(event));
-        self.out.push('\n');
-    }
-
-    fn drain_jsonl(&mut self) -> String {
-        std::mem::take(&mut self.out)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1032,23 +957,6 @@ mod tests {
             parse_event("{\"t\":1,\"kind\":\"EndOfInput\",\"job\":0} extra"),
             Err(TraceParseError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn memory_and_jsonl_sinks_agree() {
-        let events = vec![
-            ev(0, TraceKind::JobSubmitted { job: JobId(1) }),
-            ev(3, TraceKind::EndOfInput { job: JobId(1) }),
-        ];
-        let mut mem = MemorySink::new();
-        let mut jsonl = JsonlSink::new();
-        for e in &events {
-            mem.record(e);
-            jsonl.record(e);
-        }
-        assert_eq!(mem.events(), &events[..]);
-        assert_eq!(mem.drain_jsonl(), jsonl.drain_jsonl());
-        assert!(mem.drain_jsonl().is_empty(), "drain leaves the sink empty");
     }
 
     #[test]

@@ -54,22 +54,22 @@ use incmr_simkit::rng::DetRng;
 use incmr_simkit::{EventId, Sim, SimDuration, SimTime};
 
 use crate::approx::{
-    agg_plan_of, decode_group_part, evaluate_bound, fold_parts, rel_to_ppm, AggOutcome, AggPlan,
-    AggProbe, AggReport, SplitAggPart,
+    decode_group_part, evaluate_bound, fold_parts, rel_to_ppm, AggOutcome, AggPlan, AggProbe,
+    AggReport, SplitAggPart,
 };
 use crate::cluster::{ClusterConfig, ClusterStatus};
-use crate::conf::{keys, ConfError};
+use crate::conf::keys;
 use crate::cost::CostModel;
 use crate::exec::Key;
 pub use crate::faults::FaultPlan;
 use crate::faults::{pick_speculative, ClusterFaultPlan, FaultConfigError, SpecCandidate};
 use crate::job::{
-    EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId, JobProgress,
-    JobResult, JobSpec, ProviderError, ProviderStage, TaskId,
+    parse_conf, EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId,
+    JobProgress, JobResult, JobSpec, ProviderError, ProviderStage, TaskId,
 };
-use crate::memo::{signature_of_conf, MemoProbe, MemoStore};
-use crate::metrics::ClusterMetrics;
-use crate::obs::{AuditDirective, AuditRecord, JsonlSink, MetricsRegistry, TraceSink};
+use crate::memo::{MemoProbe, MemoStore};
+use crate::metrics::{ClusterMetrics, METRICS_INTERVAL};
+use crate::obs::{AuditDirective, AuditRecord, MetricsRegistry};
 use crate::parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle,
 };
@@ -90,10 +90,6 @@ pub const MATERIALIZE_CAP_KEY: &str = "mapred.job.materialize.cap";
 /// generous: an honest provider with nothing outstanding either ends its
 /// input or asks for work within a handful of evaluations.
 pub const DEFAULT_MAX_IDLE_EVALUATIONS: u32 = 256;
-
-/// Interval at which resource counters are folded into metrics series (the
-/// paper samples at 30 s).
-const METRICS_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// Extra jobs (beyond the free-slot count) included in a prefix scheduling
 /// view (see [`ViewPolicy`]). One heartbeat launches at most `free_total`
@@ -320,11 +316,8 @@ struct JobEntry {
     /// A graceful deadline fired: input is closed and unfinished splits
     /// are abandoned rather than retried.
     deadline_hit: bool,
-    /// Per-job latency histograms (see [`crate::obs`]); stays empty when
-    /// the job opted out via `mapred.job.histogram.enabled=false`.
+    /// Per-job latency histograms (see [`crate::obs`]).
     hist: MetricsRegistry,
-    /// Whether this job records into `hist` and the cluster registry.
-    hist_enabled: bool,
     /// Last driver consultation (submission counts), feeding the
     /// provider-evaluation-interval histogram.
     last_eval_at: Option<SimTime>,
@@ -435,10 +428,7 @@ pub struct MrRuntime {
     faults: Option<(FaultPlan, DetRng)>,
     cluster_faults: Option<ClusterFaultState>,
     trace: Option<Vec<TraceEvent>>,
-    /// Structured trace export (see [`crate::obs`]): every recorded event
-    /// is forwarded here in addition to the legacy `trace` buffer.
-    sink: Option<Box<dyn TraceSink>>,
-    /// Cluster-wide latency histograms, merged across all opted-in jobs.
+    /// Cluster-wide latency histograms, merged across all jobs.
     obs_registry: MetricsRegistry,
     /// Provider-decision audit log, recording every driver consultation
     /// (`None` until `enable_audit`).
@@ -530,7 +520,6 @@ impl MrRuntime {
             faults: None,
             cluster_faults: None,
             trace: None,
-            sink: None,
             obs_registry: MetricsRegistry::new(),
             audit: None,
             executor: ParallelExecutor::new(cfg.parallelism),
@@ -611,23 +600,6 @@ impl MrRuntime {
         }
     }
 
-    /// Install a structured [`TraceSink`]: every trace event is forwarded
-    /// to it (in addition to the legacy buffer, if tracing is on),
-    /// replacing any previously installed sink.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// The installed trace sink, for draining mid-run.
-    pub fn trace_sink_mut(&mut self) -> Option<&mut (dyn TraceSink + 'static)> {
-        self.sink.as_deref_mut()
-    }
-
-    /// Remove and return the installed trace sink.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
     /// Start recording the provider-decision audit log (see
     /// [`crate::obs::AuditRecord`]). Only consultations after this call
     /// are audited, so enable it before submitting the jobs of interest.
@@ -653,41 +625,38 @@ impl MrRuntime {
         }
     }
 
-    /// The cluster-wide latency histograms, merged across every job that
-    /// did not opt out (always collected — simulated-time arithmetic only,
-    /// so the cost is a few integer increments per task).
+    /// The cluster-wide latency histograms, merged across every job
+    /// (always collected — simulated-time arithmetic only, so the cost is
+    /// a few integer increments per task).
     pub fn histograms(&self) -> &MetricsRegistry {
         &self.obs_registry
     }
 
     /// Record a trace event on behalf of an embedding layer (a query
     /// service front end, a workload harness): the event lands in the
-    /// runtime's trace buffer and structured sink exactly like the
-    /// runtime's own, so admission decisions interleave with task events
-    /// in one timeline.
+    /// runtime's trace buffer and counters exactly like the runtime's
+    /// own, so admission decisions interleave with task events in one
+    /// timeline.
     pub fn record_event(&mut self, kind: TraceKind) {
         self.record(kind);
     }
 
+    /// Record one event: fold it into the counters
+    /// (`ClusterMetrics::absorb`, the only writer of every event-backed
+    /// counter) and, when tracing is on, append it to the trace.
     fn record(&mut self, kind: TraceKind) {
-        let time = self.sim.now();
-        if let Some(sink) = &mut self.sink {
-            sink.record(&TraceEvent {
-                time,
-                kind: kind.clone(),
-            });
-        }
+        self.metrics.absorb(&kind);
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent { time, kind });
+            trace.push(TraceEvent {
+                time: self.sim.now(),
+                kind,
+            });
         }
     }
 
     /// Record one latency sample into the cluster-wide registry and the
-    /// job's own, honouring the job's histogram opt-out.
+    /// job's own.
     fn obs_record(&mut self, id: JobId, f: impl Fn(&mut MetricsRegistry)) {
-        if !self.job(id).hist_enabled {
-            return;
-        }
         f(&mut self.obs_registry);
         f(&mut self.job_mut(id).hist);
     }
@@ -789,7 +758,6 @@ impl MrRuntime {
             self.record(TraceKind::InputArrived {
                 splits: arrived.len() as u32,
             });
-            self.metrics.memo_mut().input_arrivals += 1;
             let ids: Vec<JobId> = self
                 .jobs
                 .iter()
@@ -863,98 +831,21 @@ impl MrRuntime {
         }
     }
 
-    /// Submit a job, rejecting a malformed configuration (unparseable
-    /// numeric keys, counts wider than `u32`, zero deadline) with a typed
-    /// error instead of panicking. The driver's `initial_input` runs under
-    /// the provider sandbox: a panic or invalid directive there consumes
-    /// the job's retry budget or fails the job, but always yields a valid
-    /// `JobId`.
+    /// Submit a job, rejecting a malformed configuration (the checks of
+    /// [`JobSpecBuilder::try_build`](crate::JobSpecBuilder::try_build))
+    /// with a typed error instead of panicking. The driver's
+    /// `initial_input` runs under the provider sandbox: a panic or invalid
+    /// directive there consumes the job's retry budget or fails the job,
+    /// but always yields a valid `JobId`.
     pub fn try_submit(
         &mut self,
         spec: JobSpec,
         driver: Box<dyn GrowthDriver>,
     ) -> Result<JobId, JobConfigError> {
         let id = JobId(self.jobs.len() as u32);
-        let materialize_cap = spec
-            .conf
-            .get_u64_or(MATERIALIZE_CAP_KEY, u64::MAX)
-            .map_err(JobConfigError::BadConf)?;
-        let reduce_tasks = spec
-            .conf
-            .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
-            .map_err(JobConfigError::BadConf)?
-            .max(1);
-        let provider_retries_left = spec
-            .conf
-            .get_u32_or(keys::PROVIDER_RETRY_BUDGET, 0)
-            .map_err(JobConfigError::BadConf)?;
-        let max_idle_evaluations = spec
-            .conf
-            .get_u32_or(keys::MAX_IDLE_EVALUATIONS, DEFAULT_MAX_IDLE_EVALUATIONS)
-            .map_err(JobConfigError::BadConf)?;
-        // `u64::MAX` is the no-deadline sentinel; an explicit 0 would
-        // expire at submission and is rejected, mirroring `try_build`.
-        let deadline_ms = spec
-            .conf
-            .get_u64_or(keys::JOB_DEADLINE_MS, u64::MAX)
-            .map_err(JobConfigError::BadConf)?;
-        if deadline_ms == 0 {
-            return Err(JobConfigError::ZeroDeadline);
-        }
-        // Replication plane: `dfs.replication` is informational at the
-        // job level (placement happened at dataset build), but a
-        // malformed or zero value is rejected here, not discovered
-        // mid-chaos.
-        if let Some(v) = spec.conf.get(keys::DFS_REPLICATION) {
-            if !matches!(v.parse::<u8>(), Ok(r) if r > 0) {
-                return Err(JobConfigError::BadConf(ConfError {
-                    key: keys::DFS_REPLICATION.to_string(),
-                    value: v.to_string(),
-                    wanted: "replication factor (1..=255)",
-                }));
-            }
-        }
+        let conf = parse_conf(&spec.conf)?;
         let allow_partial = spec.conf.get_bool(keys::ALLOW_PARTIAL);
-        // Observability knobs: the trace-sink request is honoured before
-        // the job exists (a bad value must reject the submission cleanly),
-        // and histograms default to enabled.
-        match spec.conf.get(keys::TRACE_SINK) {
-            None => {}
-            Some("memory") => self.enable_tracing(),
-            Some("jsonl") if self.sink.is_none() => {
-                self.sink = Some(Box::new(JsonlSink::new()));
-            }
-            Some("jsonl") => {} // a sink is already installed; keep it
-            Some(other) => {
-                return Err(JobConfigError::BadConf(ConfError {
-                    key: keys::TRACE_SINK.to_string(),
-                    value: other.to_string(),
-                    wanted: "trace sink (\"memory\" or \"jsonl\")",
-                }))
-            }
-        }
-        let hist_enabled = spec
-            .conf
-            .get(keys::HISTOGRAM_ENABLED)
-            .map(|v| v.eq_ignore_ascii_case("true"))
-            .unwrap_or(true);
-        // Memoization plane: a semantic signature when the submitter set
-        // one, else a hash of the full conf (so distinct queries never
-        // share cached map output by accident).
-        let signature = match spec.conf.get(keys::JOB_SIGNATURE) {
-            Some(v) => v.parse().map_err(|_| {
-                JobConfigError::BadConf(ConfError {
-                    key: keys::JOB_SIGNATURE.to_string(),
-                    value: v.to_string(),
-                    wanted: "u64",
-                })
-            })?,
-            None => signature_of_conf(spec.conf.iter(), reduce_tasks),
-        };
         let continuous = spec.conf.get_bool(keys::CONTINUOUS);
-        // Approximate-aggregation plane: a malformed `mapred.agg.*` set is
-        // rejected at submission, mirroring `try_build`.
-        let agg_plan = agg_plan_of(&spec.conf).map_err(JobConfigError::BadConf)?;
         // Snapshot before this job is registered, so the provider's first
         // look at the cluster excludes its own (not yet running) job.
         let status = self.cluster_status();
@@ -979,33 +870,32 @@ impl MrRuntime {
             shuffle_bytes: 0,
             local_tasks: 0,
             task_failures: 0,
-            shuffle: ShuffleState::new(reduce_tasks, materialize_cap),
+            shuffle: ShuffleState::new(conf.reduce_tasks, conf.materialize_cap),
             combiner_input_records: 0,
             combiner_output_records: 0,
-            reduce_tasks,
+            reduce_tasks: conf.reduce_tasks,
             reduces: Vec::new(),
             reduces_done: 0,
             map_ms_sum: 0,
             map_ms_count: 0,
             node_failures: vec![0; num_nodes],
             banned_nodes: vec![false; num_nodes],
-            provider_retries_left,
-            max_idle_evaluations,
+            provider_retries_left: conf.provider_retries,
+            max_idle_evaluations: conf.max_idle_evaluations,
             idle_evaluations: 0,
             allow_partial,
             deadline_hit: false,
             hist: MetricsRegistry::new(),
-            hist_enabled,
             last_eval_at: None,
             first_merge_at: None,
             share_key: None,
             counted_pending: 0,
             spec_candidates: BTreeSet::new(),
-            signature,
+            signature: conf.signature,
             continuous,
             parked: false,
             arrived: Vec::new(),
-            agg_plan,
+            agg_plan: conf.agg_plan,
             agg_parts: BTreeMap::new(),
             last_agg_probe_at: None,
             agg_probe: None,
@@ -1014,9 +904,9 @@ impl MrRuntime {
         self.jobs.push(entry);
         self.active_jobs += 1;
         self.record(TraceKind::JobSubmitted { job: id });
-        if deadline_ms != u64::MAX {
+        if conf.deadline_ms != u64::MAX {
             self.sim.schedule_after(
-                SimDuration::from_millis(deadline_ms),
+                SimDuration::from_millis(conf.deadline_ms),
                 Event::Deadline { job: id },
             );
         }
@@ -1394,7 +1284,6 @@ impl MrRuntime {
         // query; leaving the parked state here keeps the counter exact.
         self.unpark(id);
         let graceful = self.job(id).allow_partial;
-        self.metrics.guardrails_mut().deadlines_exceeded += 1;
         self.record(TraceKind::DeadlineExceeded { job: id, graceful });
         if !graceful {
             self.fail_job(id, JobError::DeadlineExceeded);
@@ -1508,7 +1397,6 @@ impl MrRuntime {
             let requested = blocks.len() as u32;
             blocks.truncate(limit as usize);
             clamped = true;
-            self.metrics.guardrails_mut().grab_limit_clamps += 1;
             self.record(TraceKind::GrabLimitClamped {
                 job: id,
                 requested,
@@ -1526,7 +1414,6 @@ impl MrRuntime {
         };
         let dupes = (blocks.len() - fresh.len()) as u32;
         if dupes > 0 {
-            self.metrics.guardrails_mut().duplicate_splits_dropped += dupes as u64;
             self.record(TraceKind::DuplicateInputDropped {
                 job: id,
                 splits: dupes,
@@ -1545,14 +1432,11 @@ impl MrRuntime {
     /// evaluation is treated as a `Wait` and the provider is re-consulted
     /// at the next tick; otherwise the job fails with the typed error.
     fn provider_failed(&mut self, id: JobId, err: ProviderError) {
-        let g = self.metrics.guardrails_mut();
-        g.provider_errors += 1;
         if matches!(err, ProviderError::Panicked { .. }) {
-            g.provider_panics += 1;
+            self.metrics.guardrails_mut().provider_panics += 1;
         }
         if self.job(id).provider_retries_left > 0 {
             self.job_mut(id).provider_retries_left -= 1;
-            self.metrics.guardrails_mut().provider_retries += 1;
             self.record(TraceKind::ProviderFault {
                 job: id,
                 fatal: false,
@@ -1808,7 +1692,6 @@ impl MrRuntime {
                 job: id,
                 idle_evaluations: idle,
             });
-            self.metrics.guardrails_mut().jobs_wedged += 1;
             self.fail_job(
                 id,
                 JobError::Wedged {
@@ -2028,9 +1911,7 @@ impl MrRuntime {
                         job: a.job,
                         task: a.task,
                     });
-                    let memo = self.metrics.memo_mut();
-                    memo.splits_reused += 1;
-                    memo.records_saved += result.records_read;
+                    self.metrics.memo_mut().records_saved += result.records_read;
                     MapWork::Cached(result)
                 }
                 probe => {
@@ -2039,7 +1920,6 @@ impl MrRuntime {
                             job: a.job,
                             task: a.task,
                         });
-                        self.metrics.memo_mut().splits_dirty += 1;
                     }
                     if self.memo.is_some() {
                         self.metrics.memo_mut().splits_computed += 1;
@@ -2131,7 +2011,6 @@ impl MrRuntime {
         assert!(n.free_slots > 0, "dispatch to a full node");
         n.free_slots -= 1;
         self.metrics.slots_delta(now, 1.0);
-        self.metrics.record_assignment(local);
         self.record(TraceKind::MapStarted {
             job: id,
             task,
@@ -2200,7 +2079,6 @@ impl MrRuntime {
                                 from,
                                 to,
                             });
-                            self.metrics.replica_mut().read_failovers += 1;
                         }
                         to
                     }
@@ -2469,7 +2347,6 @@ impl MrRuntime {
         // The speculative race (if any) has its winner: kill the siblings.
         while !self.job(id).tasks[task.0 as usize].running.is_empty() {
             self.kill_attempt(id, task, 0, true);
-            self.metrics.faults_mut().speculative_wasted += 1;
         }
         self.record(TraceKind::MapFinished { job: id, task });
         self.maybe_begin_reduce(id);
@@ -2527,7 +2404,6 @@ impl MrRuntime {
                 trip
             };
             if newly_banned {
-                self.metrics.faults_mut().nodes_blacklisted += 1;
                 self.record(TraceKind::NodeBlacklisted {
                     job: id,
                     node: a.node,
@@ -2607,7 +2483,6 @@ impl MrRuntime {
             self.nodes[a.node.0 as usize].free_slots += 1;
         }
         self.metrics.slots_delta(now, -1.0);
-        self.metrics.faults_mut().attempts_killed += 1;
         self.record(TraceKind::AttemptKilled {
             job: id,
             task,
@@ -2630,7 +2505,6 @@ impl MrRuntime {
         }
         self.nodes[node as usize].alive = false;
         self.record(TraceKind::NodeLost { node: NodeId(node) });
-        self.metrics.faults_mut().nodes_lost += 1;
         // DataNode-death semantics: the node's replicas die with it. Strip
         // them from the namespace (keeping `locations` the live set), tally
         // blocks now under-replicated or gone, and arm the repair daemon.
@@ -2642,7 +2516,6 @@ impl MrRuntime {
                     block,
                     node: NodeId(node),
                 });
-                self.metrics.replica_mut().replicas_lost += 1;
                 let b = self.namespace.block(block);
                 if b.locations.is_empty() {
                     self.metrics.replica_mut().blocks_lost += 1;
@@ -2659,14 +2532,13 @@ impl MrRuntime {
                 // holder of its input block: re-home the entry instead of
                 // recomputing; drop it only when no replica survives.
                 let namespace = &self.namespace;
-                let (rehomed, dropped) = memo.rehome_or_drop_node(NodeId(node), |b| {
+                let (_, dropped) = memo.rehome_or_drop_node(NodeId(node), |b| {
                     namespace
                         .block(b)
                         .locations
                         .first()
                         .map(|&d| namespace.topology().node_of(d))
                 });
-                self.metrics.replica_mut().memo_rehomed += rehomed;
                 self.metrics.memo_mut().entries_invalidated += dropped;
             } else {
                 // Cached map output lives on the node that produced (or
@@ -2761,7 +2633,6 @@ impl MrRuntime {
                 if let Some(timer) = timer {
                     self.sim.cancel(timer);
                 }
-                self.metrics.faults_mut().attempts_killed += 1;
                 self.pending_reduces.push_back((id, r as u32));
             }
             // Abandonment above (graceful deadline) can leave end-of-input
@@ -2784,7 +2655,6 @@ impl MrRuntime {
         n.free_slots = self.cfg.map_slots_per_node;
         n.free_reduce_slots = self.cfg.reduce_slots_per_node;
         self.record(TraceKind::NodeRejoined { node: NodeId(node) });
-        self.metrics.faults_mut().nodes_rejoined += 1;
         // A rejoined DataNode comes back empty but is a fresh placement
         // candidate for blocks the repair daemon previously had no home
         // for (e.g. replication target > alive nodes).
@@ -2845,7 +2715,6 @@ impl MrRuntime {
                 .expect("node has at least one disk");
             self.namespace.add_replica(block, disk);
             self.record(TraceKind::ReplicaRestored { block, node });
-            self.metrics.replica_mut().replicas_restored += 1;
             if self.namespace.block(block).locations.len() as u8 >= target {
                 self.under_replicated.remove(&block);
             }
@@ -2920,7 +2789,6 @@ impl MrRuntime {
             }
         }
         let graceful = self.job(id).allow_partial;
-        self.metrics.replica_mut().input_lost_jobs += 1;
         self.record(TraceKind::InputLost {
             job: id,
             blocks: blocks.len() as u32,
@@ -3014,7 +2882,6 @@ impl MrRuntime {
             task,
             node: NodeId(node),
         });
-        self.metrics.faults_mut().speculative_launched += 1;
         self.dispatch(id, task, NodeId(node), MapWork::Computed(handle), true);
     }
 
@@ -3114,12 +2981,6 @@ impl MrRuntime {
         let combiner_in = job.combiner_input_records;
         let combiner_out = job.combiner_output_records;
         job.reduces = reduces;
-        self.metrics.record_shuffle(
-            combiner_in,
-            combiner_out,
-            max_partition_bytes,
-            min_partition_bytes,
-        );
         // Shuffle-merge window: first map completion to shuffle-ready
         // (zero for a job that never ran a map).
         let merge_ms = self
@@ -3255,7 +3116,6 @@ impl MrRuntime {
                     reduce: r,
                     attempt: attempts,
                 });
-                self.metrics.faults_mut().reduce_failures += 1;
                 if attempts >= max {
                     self.fail_job(id, JobError::ReduceAttemptsExhausted { reduce: r });
                 } else {
@@ -3364,7 +3224,6 @@ impl MrRuntime {
             agg,
         });
         if let Some((found, requested)) = partial {
-            self.metrics.guardrails_mut().partial_samples += 1;
             self.record(TraceKind::PartialSample {
                 job: id,
                 found,

@@ -80,8 +80,8 @@ pub mod prelude {
         audited_splits_added, encode_trace, parse_trace, render_audit, render_swimlanes,
         AuditDirective, AuditRecord, ClusterConfig, ClusterStatus, Combiner, CostModel,
         EvalContext, FairScheduler, FifoScheduler, JobConf, JobError, JobId, JobResult, JobSpec,
-        JsonlSink, Key, MemorySink, MetricsRegistry, MrRuntime, Parallelism, ProviderError,
-        ScanMode, TraceEvent, TraceKind, TraceSink,
+        Key, MetricsRegistry, MrRuntime, Parallelism, ProviderError, ScanMode, TraceEvent,
+        TraceKind,
     };
     pub use incmr_service::{
         QueryService, ServiceConfig, ServiceError, ServiceReply, TenantId, Ticket,

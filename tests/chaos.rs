@@ -17,10 +17,14 @@ use std::sync::Arc;
 
 use incmr::mapreduce::faults::unresolved_speculations;
 use incmr::mapreduce::{
-    ClusterFaultPlan, FaultMetrics, GuardrailMetrics, MemoMetrics, NodeOutage, SpeculationConfig,
+    ClusterFaultPlan, ClusterMetrics, FaultMetrics, MemoMetrics, NodeOutage, SpeculationConfig,
     TaskId, TraceEvent, TraceKind,
 };
 use incmr::prelude::*;
+
+#[path = "support/replay.rs"]
+mod replay;
+use replay::assert_replay_matches_live;
 
 /// `ClusterTopology::paper_cluster()` node count.
 const NODES: u64 = 10;
@@ -84,13 +88,7 @@ fn run_sized(
     let result = rt.job_result(id).clone();
     let events = rt.take_trace();
     let faults = rt.metrics().faults();
-    assert_obs_invariants(
-        &result,
-        &events,
-        &faults,
-        rt.metrics().guardrails(),
-        rt.histograms(),
-    );
+    assert_obs_invariants(&result, &events, rt.metrics(), rt.histograms());
     (result, events, faults)
 }
 
@@ -100,17 +98,15 @@ fn run_sized(
 /// * trace timestamps never go backwards;
 /// * every `SpeculativeLaunch` resolves — an `AttemptKilled` on the task,
 ///   the task's `MapFinished` commit, or the job's completion;
-/// * fault and guard-rail counters recomputed from the exported trace
-///   equal the runtime's live counters (restricted to the trace-derivable
-///   fields);
+/// * every event-backed counter replayed from the exported trace equals
+///   the runtime's live counter;
 /// * histogram sample counts recomputed from the trace equal the
 ///   `MetricsRegistry` snapshot, and the job's own registry equals the
 ///   runtime-wide one (these runs hold a single job).
 fn assert_obs_invariants(
     result: &JobResult,
     events: &[TraceEvent],
-    faults: &FaultMetrics,
-    guards: GuardrailMetrics,
+    live: &ClusterMetrics,
     registry: &MetricsRegistry,
 ) {
     for w in events.windows(2) {
@@ -126,16 +122,7 @@ fn assert_obs_invariants(
         Vec::new(),
         "an exported trace must leave no speculative race unresolved"
     );
-    assert_eq!(
-        FaultMetrics::from_trace(events),
-        faults.derivable(),
-        "fault counters recomputed from the trace must match the runtime"
-    );
-    assert_eq!(
-        GuardrailMetrics::from_trace(events),
-        guards.derivable(),
-        "guard-rail counters recomputed from the trace must match the runtime"
-    );
+    assert_replay_matches_live(events, live);
 
     let mut map_started = 0u64;
     let mut map_finished = 0u64;
@@ -700,10 +687,12 @@ fn run_incremental(
     rt.run_until_idle();
     let result = rt.job_result(warm).clone();
     let primed = !rt.job_result(prime).failed;
+    let events = rt.take_trace();
+    assert_replay_matches_live(&events, rt.metrics());
     (
         result,
         primed,
-        rt.take_trace(),
+        events,
         rt.metrics().faults(),
         rt.metrics().memo(),
     )

@@ -31,6 +31,13 @@ use incmr::mapreduce::{AggOutcome, AggReport};
 use incmr::prelude::*;
 use incmr_data::queries::PaperPredicate;
 
+#[path = "support/golden_kinds.rs"]
+mod golden_kinds;
+#[path = "support/replay.rs"]
+mod replay;
+use golden_kinds::assert_plane_kinds;
+use replay::assert_replay_matches_live;
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/agg_trace.txt")
 }
@@ -71,8 +78,9 @@ fn submit_and_wait(s: &mut Session, sql: &str) -> AggReport {
 }
 
 /// One traced session, two estimating jobs: a bound-met finish and a
-/// budget-exhausted one.
-fn render_run() -> String {
+/// budget-exhausted one. Every event-backed counter must replay from the
+/// trace.
+fn run() -> Vec<TraceEvent> {
     let mut s = session_over(SkewLevel::High, 41);
     s.runtime_mut().enable_tracing();
 
@@ -108,17 +116,14 @@ fn render_run() -> String {
         "the golden starved run must classify BudgetExhausted: {starved:?}"
     );
 
-    let mut out = String::new();
-    for event in s.runtime_mut().take_trace() {
-        out.push_str(&event.to_string());
-        out.push('\n');
-    }
-    out
+    let events = s.runtime_mut().take_trace();
+    assert_replay_matches_live(&events, s.runtime().metrics());
+    events
 }
 
 #[test]
 fn agg_trace_matches_golden_file() {
-    let got = render_run();
+    let got: String = run().iter().map(|e| format!("{e}\n")).collect();
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::write(&path, &got).expect("write agg golden trace");
@@ -139,18 +144,17 @@ fn agg_trace_matches_golden_file() {
 /// bound), the trace would still "match" while guarding nothing.
 #[test]
 fn golden_schedule_exercises_every_agg_event_kind() {
-    let got = render_run();
-    for needle in ["error-bound probe:", "ppm (met)", "bound met at"] {
+    let events = run();
+    assert_plane_kinds("agg", &events);
+    // The starved job probes without ever meeting the bound: both probe
+    // outcomes must appear.
+    for met in [false, true] {
         assert!(
-            got.contains(needle),
-            "golden agg schedule no longer produces a \"{needle}\" event"
+            events.iter().any(|e| matches!(
+                e.kind,
+                TraceKind::ErrorBoundProbe { bound_met, .. } if bound_met == met
+            )),
+            "golden agg schedule has no probe with bound_met={met}"
         );
     }
-    // The starved job probes without ever meeting the bound: at least one
-    // probe line must report an unmet bound (no "(met)" suffix).
-    assert!(
-        got.lines()
-            .any(|l| l.contains("error-bound probe:") && !l.ends_with("(met)")),
-        "golden agg schedule no longer produces an unmet probe"
-    );
 }

@@ -22,6 +22,13 @@ use incmr::core::ContinuousSampling;
 use incmr::mapreduce::keys;
 use incmr::prelude::*;
 
+#[path = "support/golden_kinds.rs"]
+mod golden_kinds;
+#[path = "support/replay.rs"]
+mod replay;
+use golden_kinds::assert_plane_kinds;
+use replay::assert_replay_matches_live;
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/evolve_trace.txt")
 }
@@ -49,8 +56,9 @@ fn requery(ds: &Arc<Dataset>, rt: &mut MrRuntime) -> JobId {
     id
 }
 
-/// The fixed-seed evolve timeline.
-fn render_run() -> String {
+/// The fixed-seed evolve timeline; every event-backed counter must replay
+/// from it.
+fn run() -> Vec<TraceEvent> {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(23);
     let mut placement = EvenRoundRobin::new();
@@ -109,17 +117,14 @@ fn render_run() -> String {
     assert!(!rt.job_result(id).failed);
     assert_eq!(rt.job_result(id).output.len() as u64, k);
 
-    let mut out = String::new();
-    for event in rt.take_trace() {
-        out.push_str(&event.to_string());
-        out.push('\n');
-    }
-    out
+    let events = rt.take_trace();
+    assert_replay_matches_live(&events, rt.metrics());
+    events
 }
 
 #[test]
 fn evolve_trace_matches_golden_file() {
-    let got = render_run();
+    let got: String = run().iter().map(|e| format!("{e}\n")).collect();
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::write(&path, &got).expect("write golden evolve trace");
@@ -142,20 +147,19 @@ fn evolve_trace_matches_golden_file() {
 /// while still "matching".
 #[test]
 fn golden_timeline_exercises_every_incremental_event_kind() {
-    let got = render_run();
-    for needle in [
-        "reused from memo",
-        "dirty (stale memo version)",
-        "+4 blocks arrived",
-        "+2 blocks arrived",
-    ] {
+    let events = run();
+    assert_plane_kinds("evolve", &events);
+    for splits in [4, 2] {
         assert!(
-            got.contains(needle),
-            "golden evolve timeline no longer produces a \"{needle}\" event"
+            events
+                .iter()
+                .any(|e| e.kind == TraceKind::InputArrived { splits }),
+            "golden evolve timeline no longer delivers a {splits}-block arrival"
         );
     }
-    let reused = got.matches("reused from memo").count();
-    let dirty = got.matches("dirty (stale memo version)").count();
+    let count = |f: fn(&TraceKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+    let reused = count(|k| matches!(k, TraceKind::SplitReused { .. }));
+    let dirty = count(|k| matches!(k, TraceKind::SplitDirty { .. }));
     assert_eq!(
         dirty, 3,
         "job 2 must see exactly the three rewritten splits as dirty"

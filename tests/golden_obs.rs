@@ -19,6 +19,10 @@ use std::sync::Arc;
 use incmr::mapreduce::{ClusterFaultPlan, NodeOutage, SpeculationConfig};
 use incmr::prelude::*;
 
+#[path = "support/replay.rs"]
+mod replay;
+use replay::assert_replay_matches_live;
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs_timeline.txt")
 }
@@ -95,6 +99,7 @@ fn render_run_at(threads: u32) -> GoldenRun {
     );
 
     let events = rt.take_trace();
+    assert_replay_matches_live(&events, rt.metrics());
     let audit = rt.audit_log();
     let report = format!(
         "{}\nPROVIDER DECISIONS ({} evaluations)\n{}\n{}",

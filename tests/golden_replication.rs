@@ -31,11 +31,20 @@ use incmr::dfs::{DiskId, PinnedPlacement, ReplicatedPlacement};
 use incmr::mapreduce::{keys, ClusterFaultPlan, NodeOutage};
 use incmr::prelude::*;
 
+#[path = "support/golden_kinds.rs"]
+mod golden_kinds;
+#[path = "support/replay.rs"]
+mod replay;
+use golden_kinds::assert_plane_kinds;
+use replay::assert_replay_matches_live;
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/replication_trace.txt")
 }
 
-fn render_run() -> String {
+/// The fixed replication scenario's trace; every event-backed counter
+/// must replay from it.
+fn run() -> Vec<TraceEvent> {
     let topology = ClusterTopology::paper_cluster().with_racks(2);
     let mut ns = Namespace::new(topology);
     let mut rng = DetRng::seed_from(31);
@@ -138,17 +147,14 @@ fn render_run() -> String {
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed, "job 2 must degrade, not fail");
 
-    let mut out = String::new();
-    for event in rt.take_trace() {
-        out.push_str(&event.to_string());
-        out.push('\n');
-    }
-    out
+    let events = rt.take_trace();
+    assert_replay_matches_live(&events, rt.metrics());
+    events
 }
 
 #[test]
 fn replication_trace_matches_golden_file() {
-    let got = render_run();
+    let got: String = run().iter().map(|e| format!("{e}\n")).collect();
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::write(&path, &got).expect("write golden replication trace");
@@ -169,19 +175,16 @@ fn replication_trace_matches_golden_file() {
 /// plane would still "match" while guarding nothing.
 #[test]
 fn golden_schedule_exercises_every_replication_event_kind() {
-    let got = render_run();
-    for needle in [
-        "replica on node0 LOST",
-        "read failover",
-        "re-replicated ->",
-        "input lost:",
-        "(FATAL)",
-        "(partial)",
-        "node0 rejoined",
-    ] {
+    let events = run();
+    assert_plane_kinds("replication", &events);
+    // Both outcomes of input loss: the fatal job and the degraded one.
+    for graceful in [false, true] {
         assert!(
-            got.contains(needle),
-            "golden replication scenario no longer produces a \"{needle}\" event"
+            events.iter().any(|e| matches!(
+                e.kind,
+                TraceKind::InputLost { graceful: g, .. } if g == graceful
+            )),
+            "golden replication scenario has no InputLost with graceful={graceful}"
         );
     }
 }

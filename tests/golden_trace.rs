@@ -11,12 +11,20 @@
 //!
 //! and review the diff like any other code change.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use incmr::mapreduce::{ClusterFaultPlan, NodeOutage, SpeculationConfig};
 use incmr::prelude::*;
+
+#[path = "support/golden_kinds.rs"]
+mod golden_kinds;
+#[path = "support/replay.rs"]
+mod replay;
+use golden_kinds::{assert_plane_kinds, GOLDEN_KINDS};
+use replay::assert_replay_matches_live;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fault_trace.txt")
@@ -42,7 +50,14 @@ fn eventful_plan() -> ClusterFaultPlan {
     }
 }
 
-fn render_run() -> String {
+/// One line per event, as the golden files hold them.
+fn render(events: &[TraceEvent]) -> String {
+    events.iter().map(|e| format!("{e}\n")).collect()
+}
+
+/// The golden fault-plane run's trace; every event-backed counter must
+/// replay from it.
+fn run() -> Vec<TraceEvent> {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(17);
     // CPU-bound maps (~5 s of CPU per split) so the 0.3-speed node lags
@@ -67,17 +82,14 @@ fn render_run() -> String {
     let id = rt.submit(job, driver);
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed, "the golden run must complete");
-    let mut out = String::new();
-    for event in rt.take_trace() {
-        out.push_str(&event.to_string());
-        out.push('\n');
-    }
-    out
+    let events = rt.take_trace();
+    assert_replay_matches_live(&events, rt.metrics());
+    events
 }
 
 #[test]
 fn fault_trace_matches_golden_file() {
-    let got = render_run();
+    let got = render(&run());
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::write(&path, &got).expect("write golden trace");
@@ -98,25 +110,19 @@ fn fault_trace_matches_golden_file() {
 /// blacklisting), the trace would still "match" while guarding nothing.
 #[test]
 fn golden_schedule_exercises_every_event_kind() {
-    let got = render_run();
-    for needle in [
-        "LOST",
-        "rejoined",
-        "FAILED (attempt",
-        "speculative ->",
-        "killed on",
-        "blacklists",
-    ] {
-        assert!(
-            got.contains(needle),
-            "golden schedule no longer produces a \"{needle}\" event"
-        );
-    }
-    assert!(
-        got.lines()
-            .any(|l| l.contains("/r") && l.contains("FAILED (attempt")),
-        "golden schedule no longer produces a failed reduce attempt"
-    );
+    assert_plane_kinds("fault", &run());
+}
+
+/// The per-plane kind lists together name every trace kind, and nothing
+/// else: a kind added to `TraceKind` needs a golden scenario producing it.
+#[test]
+fn golden_kind_lists_cover_every_trace_kind() {
+    let listed: BTreeSet<&str> = GOLDEN_KINDS
+        .iter()
+        .flat_map(|(_, kinds)| kinds.iter().copied())
+        .collect();
+    let all: BTreeSet<&str> = TraceKind::NAMES.iter().copied().collect();
+    assert_eq!(listed, all, "golden kind lists vs TraceKind::NAMES");
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +216,7 @@ impl InputProvider for PanicOn {
 /// grab-limit clamping, duplicate dropping, the wedge watchdog, retried
 /// and fatal provider faults, and graceful/fatal deadlines with a
 /// partial sample.
-fn render_guardrail_run() -> String {
+fn guardrail_run() -> Vec<TraceEvent> {
     let make_world = || {
         let mut ns = Namespace::new(ClusterTopology::paper_cluster());
         let mut rng = DetRng::seed_from(23);
@@ -320,17 +326,14 @@ fn render_guardrail_run() -> String {
     rt.run_until_idle();
     assert!(rt.job_result(id).failed);
 
-    let mut out = String::new();
-    for event in rt.take_trace() {
-        out.push_str(&event.to_string());
-        out.push('\n');
-    }
-    out
+    let events = rt.take_trace();
+    assert_replay_matches_live(&events, rt.metrics());
+    events
 }
 
 #[test]
 fn guardrail_trace_matches_golden_file() {
-    let got = render_guardrail_run();
+    let got = render(&guardrail_run());
     let path = guardrail_golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::write(&path, &got).expect("write guardrail golden trace");
@@ -350,20 +353,25 @@ fn guardrail_trace_matches_golden_file() {
 /// producing every one of its event kinds.
 #[test]
 fn guardrail_schedule_exercises_every_guardrail_event_kind() {
-    let got = render_guardrail_run();
-    for needle in [
-        "grab clamped",
-        "duplicate splits",
-        "WEDGED",
-        "provider fault (FATAL)",
-        "provider fault (retrying)",
-        "deadline exceeded (partial)",
-        "deadline exceeded (FATAL)",
-        "partial sample",
-    ] {
+    let events = guardrail_run();
+    assert_plane_kinds("guardrail", &events);
+    // Both outcomes of the two kinds that carry one.
+    for fatal in [false, true] {
         assert!(
-            got.contains(needle),
-            "guardrail golden scenario no longer produces a \"{needle}\" event"
+            events.iter().any(|e| matches!(
+                e.kind,
+                TraceKind::ProviderFault { fatal: f, .. } if f == fatal
+            )),
+            "no ProviderFault with fatal={fatal}"
+        );
+    }
+    for graceful in [false, true] {
+        assert!(
+            events.iter().any(|e| matches!(
+                e.kind,
+                TraceKind::DeadlineExceeded { graceful: g, .. } if g == graceful
+            )),
+            "no DeadlineExceeded with graceful={graceful}"
         );
     }
 }

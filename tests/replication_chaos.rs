@@ -18,6 +18,10 @@ use incmr::dfs::ReplicatedPlacement;
 use incmr::mapreduce::{keys, ClusterFaultPlan, FaultMetrics, NodeOutage, ReplicaMetrics};
 use incmr::prelude::*;
 
+#[path = "support/replay.rs"]
+mod replay;
+use replay::assert_replay_matches_live;
+
 /// Re-replication daemon period for every armed run.
 const REPAIR: SimDuration = SimDuration::from_secs(5);
 
@@ -86,11 +90,7 @@ fn run_replicated(
             "trace timestamps must be nondecreasing"
         );
     }
-    assert_eq!(
-        ReplicaMetrics::from_trace(&events),
-        replica.derivable(),
-        "replica counters recomputed from the trace must match the runtime"
-    );
+    assert_replay_matches_live(&events, rt.metrics());
     (result, events, replica, faults)
 }
 
