@@ -4,7 +4,7 @@
 //! locality. When a cell looks off (why did LA's throughput dip at this
 //! fraction? what was the cluster doing?), re-run the cell through these
 //! helpers: they execute the identical configuration with the runtime's
-//! trace sink, decision audit log, and latency histograms enabled, and
+//! trace buffer, decision audit log, and latency histograms enabled, and
 //! render a per-node swimlane timeline plus the provider decisions and
 //! latency quantiles behind the aggregate numbers.
 

@@ -223,21 +223,20 @@ fn lower_literal(
 ) -> Result<Value, CompileError> {
     let ty = schema.field(column).ty;
     let value = match (ty, lit) {
-        (ColumnType::Int, Literal::Int(v)) => Value::Int(*v),
-        (ColumnType::Float, Literal::Float(v)) => Value::Float(*v),
-        (ColumnType::Float, Literal::Int(v)) => Value::Float(*v as f64),
-        (ColumnType::Str, Literal::Str(s)) => Value::Str(s.clone()),
-        // Dates are written as integer day offsets from the TPC-H epoch.
-        (ColumnType::Date, Literal::Int(v)) if *v >= 0 => Value::Date(*v as u32),
-        _ => {
-            return Err(CompileError::TypeMismatch {
-                column: column_name.to_string(),
-                expected: ty,
-                literal: lit.to_string(),
-            })
-        }
+        (ColumnType::Int, Literal::Int(v)) => Some(Value::Int(*v)),
+        (ColumnType::Float, Literal::Float(v)) => Some(Value::Float(*v)),
+        (ColumnType::Float, Literal::Int(v)) => Some(Value::Float(*v as f64)),
+        (ColumnType::Str, Literal::Str(s)) => Some(Value::Str(s.clone())),
+        // Dates are written as integer day offsets from the TPC-H epoch;
+        // an offset outside `u32` (negative or too large) matches no date.
+        (ColumnType::Date, Literal::Int(v)) => u32::try_from(*v).ok().map(Value::Date),
+        _ => None,
     };
-    Ok(value)
+    value.ok_or_else(|| CompileError::TypeMismatch {
+        column: column_name.to_string(),
+        expected: ty,
+        literal: lit.to_string(),
+    })
 }
 
 fn lower_cmp_op(op: CmpOp) -> predicate::CmpOp {
@@ -681,6 +680,27 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CompileError::TypeMismatch { .. }));
         assert!(err.to_string().contains("L_QUANTITY"));
+    }
+
+    #[test]
+    fn out_of_range_date_literal_is_rejected() {
+        // A DATE is a `u32` day offset: 2^32 and negative offsets do not fit.
+        for sql in [
+            "SELECT COUNT(*) FROM lineitem WHERE L_SHIPDATE = 4294967296",
+            "SELECT COUNT(*) FROM lineitem WHERE L_SHIPDATE > 4294967296",
+            "SELECT COUNT(*) FROM lineitem WHERE L_SHIPDATE < -1",
+        ] {
+            let err = compile(sql, ScanMode::Full).unwrap_err();
+            assert!(
+                matches!(err, CompileError::TypeMismatch { .. }),
+                "{sql}: {err}"
+            );
+        }
+        assert!(compile(
+            "SELECT COUNT(*) FROM lineitem WHERE L_SHIPDATE = 4294967295",
+            ScanMode::Full
+        )
+        .is_ok());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use incmr_simkit::SimTime;
 use crate::conf::{keys, ConfError, JobConf};
 use crate::exec::Key;
 use crate::job::JobId;
+use crate::shuffle::PartitionedPairs;
 use incmr_data::{Record, Value};
 
 /// Splits a probe must see before it may declare the bound met: variance
@@ -536,6 +537,100 @@ impl AggReport {
             1.0
         } else {
             self.total as f64 / self.completed as f64
+        }
+    }
+}
+
+/// One estimating job's estimator state inside the runtime: the plan, the
+/// group observations of every completed split, and when the last probe
+/// ran. The observations are keyed by map task id, so every fold is a
+/// pure function of the completed task set — identical across thread
+/// counts and fault schedules.
+pub(crate) struct Estimator {
+    plan: AggPlan,
+    parts: BTreeMap<u32, Vec<SplitAggPart>>,
+    last_probe_at: Option<SimTime>,
+}
+
+impl Estimator {
+    pub(crate) fn new(plan: AggPlan) -> Estimator {
+        Estimator {
+            plan,
+            parts: BTreeMap::new(),
+            last_probe_at: None,
+        }
+    }
+
+    /// Lift one completed map task's group parts out of its output. An
+    /// empty entry still counts the split as a zero observation for every
+    /// group, so a part with n = 0 (the whole-table partial of a split
+    /// with no match) is dropped: it is the same zero observation.
+    pub(crate) fn absorb(&mut self, task: u32, pairs: &PartitionedPairs) {
+        let n_aggs = self.plan.funcs.len();
+        let parts = pairs
+            .iter_pairs()
+            .filter_map(|(k, r)| decode_group_part(k, r, n_aggs))
+            .filter(|p| p.n > 0)
+            .collect();
+        self.parts.insert(task, parts);
+    }
+
+    /// The stopping rule over every split absorbed so far.
+    fn evaluate(&self) -> BoundEval {
+        let plan = &self.plan;
+        evaluate_bound(
+            &fold_parts(&self.parts, plan.funcs.len()),
+            self.parts.len() as u32,
+            plan.total_splits,
+            &plan.funcs,
+            plan.error,
+            plan.confidence,
+        )
+    }
+
+    /// Probe the stopping rule at `now`, for the growth driver. Also
+    /// returns the milliseconds since the previous probe (the first
+    /// counts from `submitted`).
+    pub(crate) fn probe(
+        &mut self,
+        job: JobId,
+        now: SimTime,
+        submitted: SimTime,
+    ) -> (AggProbe, u64) {
+        let eval = self.evaluate();
+        let gap = (now - self.last_probe_at.unwrap_or(submitted)).as_millis();
+        self.last_probe_at = Some(now);
+        let probe = AggProbe {
+            job,
+            completed: self.parts.len() as u32,
+            total: self.plan.total_splits,
+            groups: eval.groups,
+            bound_met: eval.bound_met,
+            worst_rel: eval.worst_rel,
+            suggested_splits: eval.suggested_splits,
+            at: now,
+        };
+        (probe, gap)
+    }
+
+    /// The completed job's verdict: exact once every split ran, else
+    /// whether the bound was met before the budget ran out.
+    pub(crate) fn report(&self) -> AggReport {
+        let eval = self.evaluate();
+        let completed = self.parts.len() as u32;
+        let outcome = if completed >= self.plan.total_splits {
+            AggOutcome::Exact
+        } else if eval.bound_met {
+            AggOutcome::BoundMet
+        } else {
+            AggOutcome::BudgetExhausted
+        };
+        AggReport {
+            outcome,
+            completed,
+            total: self.plan.total_splits,
+            groups: eval.groups,
+            worst_rel: eval.worst_rel,
         }
     }
 }

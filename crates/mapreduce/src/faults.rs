@@ -7,13 +7,12 @@
 //! statistics shaped by exactly those effects. This module defines the
 //! simulated counterparts:
 //!
-//! * [`FaultPlan`] — per-map-attempt failure injection (the original fault
-//!   knob, kept for narrow tests);
-//! * [`ClusterFaultPlan`] — the full model: [`NodeOutage`] schedules
+//! * [`ClusterFaultPlan`] — the model: [`NodeOutage`] schedules
 //!   (TaskTracker death and rejoin on simulated time), per-node speed
 //!   factors (stragglers), separate map and reduce attempt fault
 //!   probabilities, [`SpeculationConfig`], and a per-job blacklist
-//!   threshold;
+//!   threshold. Per-map-attempt failure injection alone is the plan
+//!   with only `map_fault_probability`, `max_attempts` and `seed` set;
 //! * [`FaultConfigError`] — typed validation, replacing the old
 //!   `assert!`-at-submit checks.
 //!
@@ -26,36 +25,6 @@ use std::fmt;
 
 use incmr_dfs::NodeId;
 use incmr_simkit::SimTime;
-
-/// Fault-injection configuration: each map-task attempt fails with
-/// `probability`, and a task that fails `max_attempts` times fails its job
-/// (Hadoop's `mapred.map.max.attempts` semantics, default 4).
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Per-attempt failure probability in `[0, 1)`.
-    pub probability: f64,
-    /// Attempts allowed per task before the job is failed.
-    pub max_attempts: u32,
-    /// Seed for the (deterministic) failure draws.
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// Check the plan's parameters, returning a typed error instead of
-    /// panicking (the old `assert!`-based validation).
-    pub fn validate(&self) -> Result<(), FaultConfigError> {
-        if !(0.0..1.0).contains(&self.probability) {
-            return Err(FaultConfigError::Probability {
-                what: "map attempt fault",
-                value: self.probability,
-            });
-        }
-        if self.max_attempts == 0 {
-            return Err(FaultConfigError::ZeroMaxAttempts);
-        }
-        Ok(())
-    }
-}
 
 /// One scheduled TaskTracker outage: the node dies at `down_at` (killing
 /// every attempt it hosts and stranding the map output it stored) and
@@ -194,9 +163,6 @@ pub enum FaultConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// `max_attempts` of zero on a [`FaultPlan`] (every attempt would
-    /// immediately exhaust the budget).
-    ZeroMaxAttempts,
     /// An outage or speed entry referencing a node outside the topology.
     UnknownNode {
         /// The out-of-range node.
@@ -232,9 +198,6 @@ impl fmt::Display for FaultConfigError {
         match self {
             FaultConfigError::Probability { what, value } => {
                 write!(f, "{what} probability {value} is outside [0, 1)")
-            }
-            FaultConfigError::ZeroMaxAttempts => {
-                write!(f, "max_attempts must be at least 1")
             }
             FaultConfigError::UnknownNode { node } => {
                 write!(f, "{node} is outside the cluster topology")
@@ -498,31 +461,20 @@ mod tests {
 
     #[test]
     fn fault_plan_validation_matches_old_asserts() {
-        assert!(FaultPlan {
-            probability: 0.5,
-            max_attempts: 4,
-            seed: 0
-        }
-        .validate()
-        .is_ok());
+        // The per-attempt model: only the map fault knobs set.
+        let per_attempt = |probability: f64, max_attempts: u32| ClusterFaultPlan {
+            map_fault_probability: probability,
+            max_attempts,
+            ..ClusterFaultPlan::default()
+        };
+        assert!(per_attempt(0.5, 4).validate(10).is_ok());
         assert!(matches!(
-            FaultPlan {
-                probability: 1.0,
-                max_attempts: 4,
-                seed: 0
-            }
-            .validate(),
+            per_attempt(1.0, 4).validate(10),
             Err(FaultConfigError::Probability { .. })
         ));
-        assert_eq!(
-            FaultPlan {
-                probability: 0.0,
-                max_attempts: 0,
-                seed: 0
-            }
-            .validate(),
-            Err(FaultConfigError::ZeroMaxAttempts)
-        );
+        // A zero budget is Hadoop's default, not an error.
+        assert!(per_attempt(0.0, 0).validate(10).is_ok());
+        assert_eq!(per_attempt(0.0, 0).effective_max_attempts(), 4);
     }
 
     #[test]

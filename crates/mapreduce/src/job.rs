@@ -671,9 +671,8 @@ pub struct JobResult {
     pub error: Option<JobError>,
     /// Final reduce output.
     pub output: Vec<(Key, Record)>,
-    /// This job's latency histograms (empty when the job opted out via
-    /// `mapred.job.histogram.enabled=false`). Merging these across jobs
-    /// reproduces the runtime-wide registry exactly.
+    /// This job's latency histograms (always collected). Merging these
+    /// across jobs reproduces the runtime-wide registry exactly.
     pub histograms: crate::obs::MetricsRegistry,
     /// For aggregate jobs (`mapred.agg.*`): how the estimator classified
     /// the finish — bound met early, growth budget exhausted, or exact

@@ -87,13 +87,13 @@ pub use obs::{
 pub use parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle, WorkUnit,
 };
-pub use runtime::{FaultPlan, MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS, MATERIALIZE_CAP_KEY};
+pub use runtime::{MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS, MATERIALIZE_CAP_KEY};
 pub use scheduler::{
     Assignment, Claims, FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler,
     ViewPolicy,
 };
 pub use shuffle::{fnv1a, partition_of, PartitionBuffer, PartitionedPairs, ShuffleState, ValueSeq};
-pub use trace::{job_timeline, render_timeline, JobTimeline, TraceEvent, TraceKind};
+pub use trace::{job_timeline, JobTimeline, TraceEvent, TraceKind};
 
 /// One-line import for framework users: `use incmr_mapreduce::prelude::*;`
 /// brings in the types almost every job-building call site needs.
@@ -481,10 +481,11 @@ mod tests {
     #[test]
     fn fault_injection_retries_and_still_completes() {
         let (mut rt, ds) = small_world(12, 2_000);
-        rt.inject_faults(crate::FaultPlan {
-            probability: 0.3,
+        rt.inject_cluster_faults(crate::ClusterFaultPlan {
+            map_fault_probability: 0.3,
             max_attempts: 10,
             seed: 5,
+            ..Default::default()
         })
         .expect("valid plan");
         let (spec, driver) = static_job(&ds);
@@ -507,10 +508,11 @@ mod tests {
     #[test]
     fn exhausted_attempts_fail_the_job() {
         let (mut rt, ds) = small_world(4, 500);
-        rt.inject_faults(crate::FaultPlan {
-            probability: 0.999,
+        rt.inject_cluster_faults(crate::ClusterFaultPlan {
+            map_fault_probability: 0.999,
             max_attempts: 2,
             seed: 7,
+            ..Default::default()
         })
         .expect("valid plan");
         let (spec, driver) = static_job(&ds);
@@ -534,10 +536,11 @@ mod tests {
     fn fault_injection_is_deterministic() {
         let run = || {
             let (mut rt, ds) = small_world(10, 1_000);
-            rt.inject_faults(crate::FaultPlan {
-                probability: 0.4,
+            rt.inject_cluster_faults(crate::ClusterFaultPlan {
+                map_fault_probability: 0.4,
                 max_attempts: 8,
                 seed: 11,
+                ..Default::default()
             })
             .expect("valid plan");
             let (spec, driver) = static_job(&ds);
@@ -650,7 +653,8 @@ mod tests {
 
     #[test]
     fn tracing_records_the_whole_job_lifecycle() {
-        use crate::trace::{job_timeline, render_timeline, TraceKind};
+        use crate::obs::render_swimlanes;
+        use crate::trace::{job_timeline, TraceKind};
         let (mut rt, ds) = small_world(6, 2_000);
         rt.enable_tracing();
         let (spec, driver) = static_job(&ds);
@@ -673,8 +677,8 @@ mod tests {
         // The clock runs on briefly (heartbeat chains drain); the traced
         // completion matches the job result exactly.
         assert_eq!(t.completed, Some(rt.job_result(id).finish_time));
-        let chart = render_timeline(&trace, 20);
-        assert!(chart.contains("job_0000 |"));
+        let chart = render_swimlanes(&trace, 20);
+        assert!(chart.contains('=') && chart.contains('R'), "{chart}");
         // Taking the trace leaves tracing enabled with a fresh buffer.
         assert!(rt.take_trace().is_empty());
     }
@@ -693,10 +697,11 @@ mod tests {
         use crate::trace::TraceKind;
         let (mut rt, ds) = small_world(4, 500);
         rt.enable_tracing();
-        rt.inject_faults(crate::FaultPlan {
-            probability: 0.999,
+        rt.inject_cluster_faults(crate::ClusterFaultPlan {
+            map_fault_probability: 0.999,
             max_attempts: 2,
             seed: 3,
+            ..Default::default()
         })
         .expect("valid plan");
         let (spec, driver) = static_job(&ds);

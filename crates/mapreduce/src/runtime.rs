@@ -45,7 +45,7 @@
 //! output is a pure function of the task set — identical across thread
 //! counts and, for completed jobs, identical to the fault-free run.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use incmr_dfs::{BlockId, DiskId, Namespace, NodeId, RackId};
@@ -53,15 +53,11 @@ use incmr_simkit::resource::{FlowId, PsResource};
 use incmr_simkit::rng::DetRng;
 use incmr_simkit::{EventId, Sim, SimDuration, SimTime};
 
-use crate::approx::{
-    decode_group_part, evaluate_bound, fold_parts, rel_to_ppm, AggOutcome, AggPlan, AggProbe,
-    AggReport, SplitAggPart,
-};
+use crate::approx::{rel_to_ppm, AggOutcome, AggProbe, AggReport, Estimator};
 use crate::cluster::{ClusterConfig, ClusterStatus};
 use crate::conf::keys;
 use crate::cost::CostModel;
 use crate::exec::Key;
-pub use crate::faults::FaultPlan;
 use crate::faults::{pick_speculative, ClusterFaultPlan, FaultConfigError, SpecCandidate};
 use crate::job::{
     parse_conf, EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId,
@@ -150,15 +146,19 @@ struct AddOutcome {
     duplicates: u32,
 }
 
+/// A completed job's output pairs and, for an aggregate job, the
+/// estimator's verdict.
+type JobOutput = (Vec<(Key, Record)>, Option<AggReport>);
+
 /// Which modelled stage a running map attempt is in, holding the pending
 /// event or resource flow so the attempt can be cancelled mid-stage when
 /// its node dies or it loses a speculative race.
 #[derive(Debug, Clone, Copy)]
 enum AttemptStage {
-    Overhead(EventId),
-    Disk { disk: u32, flow: FlowId },
-    Network(EventId),
-    Cpu { flow: FlowId },
+    /// Start-up overhead or a remote transfer: a timer event.
+    Timer(EventId),
+    /// Disk read or CPU: a flow on `MrRuntime::stations[station]`.
+    Flow { station: usize, flow: FlowId },
 }
 
 /// Where a map attempt's output comes from: freshly submitted data-plane
@@ -344,17 +344,9 @@ struct JobEntry {
     /// Blocks that arrived via `evolve` since the last driver consultation
     /// (delivered once through `EvalContext::arrived`).
     arrived: Vec<BlockId>,
-    /// Approximate-aggregation plane: the parsed `mapred.agg.*` plan.
-    /// `Some` only for estimating jobs (`mapred.agg.error` set).
-    agg_plan: Option<AggPlan>,
-    /// Decoded per-split group observations, keyed by map task id so the
-    /// estimator fold visits splits in a thread-count-independent order.
-    agg_parts: BTreeMap<u32, Vec<SplitAggPart>>,
-    /// When the previous error-bound probe ran (feeds `agg_probe_ms`).
-    last_agg_probe_at: Option<SimTime>,
-    /// Latest error-bound probe, handed to the growth driver through
-    /// `EvalContext::agg`.
-    agg_probe: Option<AggProbe>,
+    /// Approximate-aggregation plane: `Some` only for estimating jobs
+    /// (`mapred.agg.error` set).
+    estimator: Option<Estimator>,
     result: Option<JobResult>,
 }
 
@@ -382,15 +374,62 @@ struct NodeState {
     alive: bool,
     /// Whether this node's self-perpetuating heartbeat chain is running.
     chain_live: bool,
-    cpu: PsResource,
-    cpu_flows: HashMap<FlowId, (JobId, TaskId, u32)>,
-    cpu_wake: Option<EventId>,
 }
 
-struct DiskState {
+/// A processor-sharing station — a disk or a node's CPU: the shared
+/// resource, the map attempt each flow serves, and the wake-up event
+/// pending at its next completion.
+struct Station {
     res: PsResource,
     flows: HashMap<FlowId, (JobId, TaskId, u32)>,
     wake: Option<EventId>,
+    /// The event that wakes this station.
+    on_wake: Event,
+}
+
+impl Station {
+    fn new(capacity_per_sec: f64, on_wake: Event) -> Station {
+        Station {
+            res: PsResource::new(capacity_per_sec),
+            flows: HashMap::new(),
+            wake: None,
+            on_wake,
+        }
+    }
+
+    /// Start a flow of `amount` for an attempt and re-arm the wake-up.
+    fn start(&mut self, sim: &mut Sim<Event>, amount: f64, owner: (JobId, TaskId, u32)) -> FlowId {
+        let flow = self.res.add_flow(sim.now(), amount);
+        self.flows.insert(flow, owner);
+        self.rearm(sim);
+        flow
+    }
+
+    /// Abort a killed attempt's flow and re-arm the wake-up.
+    fn cancel(&mut self, sim: &mut Sim<Event>, flow: FlowId) {
+        self.res.cancel_flow(sim.now(), flow);
+        self.flows.remove(&flow);
+        self.rearm(sim);
+    }
+
+    /// At the wake-up: advance to `now` and take the completed flows. The
+    /// caller removes each flow's owner as it handles it, so an attempt
+    /// killed meanwhile is skipped, then re-arms.
+    fn drain(&mut self, now: SimTime) -> Vec<FlowId> {
+        self.wake = None;
+        self.res.advance(now);
+        self.res.take_completed()
+    }
+
+    /// Replace the pending wake-up with one at the next completion.
+    fn rearm(&mut self, sim: &mut Sim<Event>) {
+        if let Some(old) = self.wake.take() {
+            sim.cancel(old);
+        }
+        if let Some(at) = self.res.next_completion(sim.now()) {
+            self.wake = Some(sim.schedule_at(at, self.on_wake));
+        }
+    }
 }
 
 /// The simulated MapReduce cluster: submit jobs, run the clock, collect
@@ -403,7 +442,8 @@ pub struct MrRuntime {
     sim: Sim<Event>,
     jobs: Vec<JobEntry>,
     nodes: Vec<NodeState>,
-    disks: Vec<DiskState>,
+    /// Every disk (indexed by `DiskId`), then every node's CPU.
+    stations: Vec<Station>,
     completed: VecDeque<JobId>,
     /// Runnable jobs (map phase, pending work) by `(submit_seq, index)` —
     /// the FIFO dispatch order. Maintained by `refresh_sched_index`.
@@ -425,7 +465,6 @@ pub struct MrRuntime {
     /// Number of per-node heartbeat chains currently self-perpetuating.
     heartbeats_live: u32,
     active_jobs: u32,
-    faults: Option<(FaultPlan, DetRng)>,
     cluster_faults: Option<ClusterFaultState>,
     trace: Option<Vec<TraceEvent>>,
     /// Cluster-wide latency histograms, merged across all jobs.
@@ -479,18 +518,12 @@ impl MrRuntime {
                 free_reduce_slots: cfg.reduce_slots_per_node,
                 alive: true,
                 chain_live: false,
-                cpu: PsResource::new(topo.cores_per_node() as f64 * 1e6),
-                cpu_flows: HashMap::new(),
-                cpu_wake: None,
             })
             .collect();
         let disks = (0..topo.num_disks())
-            .map(|_| DiskState {
-                res: PsResource::new(cost.disk_bw_bytes_per_sec),
-                flows: HashMap::new(),
-                wake: None,
-            })
-            .collect();
+            .map(|disk| Station::new(cost.disk_bw_bytes_per_sec, Event::DiskWake { disk }));
+        let cpus = (0..topo.num_nodes())
+            .map(|node| Station::new(topo.cores_per_node() as f64 * 1e6, Event::CpuWake { node }));
         let metrics = ClusterMetrics::new(
             SimTime::ZERO,
             topo.num_cores(),
@@ -506,7 +539,7 @@ impl MrRuntime {
             sim: Sim::new(),
             jobs: Vec::new(),
             nodes,
-            disks,
+            stations: disks.chain(cpus).collect(),
             completed: VecDeque::new(),
             runnable_by_seq: BTreeSet::new(),
             runnable_by_share: BTreeSet::new(),
@@ -517,7 +550,6 @@ impl MrRuntime {
             metrics_base: (0.0, 0.0),
             heartbeats_live: 0,
             active_jobs: 0,
-            faults: None,
             cluster_faults: None,
             trace: None,
             obs_registry: MetricsRegistry::new(),
@@ -667,20 +699,10 @@ impl MrRuntime {
         }
     }
 
-    /// Disable fault injection (test helper).
+    /// Disarm the cluster fault model (test helper).
     #[doc(hidden)]
     pub fn faults_off_for_test(&mut self) {
-        self.faults = None;
-    }
-
-    /// Enable deterministic per-map-attempt fault injection. Rejects
-    /// out-of-range probabilities and a zero attempt budget with a typed
-    /// error (the old `assert!`-based validation).
-    pub fn inject_faults(&mut self, plan: FaultPlan) -> Result<(), FaultConfigError> {
-        plan.validate()?;
-        let rng = DetRng::seed_from(plan.seed);
-        self.faults = Some((plan, rng));
-        Ok(())
+        self.cluster_faults = None;
     }
 
     /// Arm the cluster-level fault model (node outages, stragglers, map and
@@ -699,7 +721,8 @@ impl MrRuntime {
         // slower (CPU dominates simulated map time, so speed ≈ slowdown).
         let cores_us = self.cfg.topology.cores_per_node() as f64 * 1e6;
         for (i, &speed) in plan.node_speed.iter().enumerate() {
-            self.nodes[i].cpu = PsResource::new(cores_us * speed);
+            let cpu = self.cpu_station(i as u16);
+            self.stations[cpu].res = PsResource::new(cores_us * speed);
         }
         for outage in &plan.outages {
             self.sim.schedule_at(
@@ -895,10 +918,7 @@ impl MrRuntime {
             continuous,
             parked: false,
             arrived: Vec::new(),
-            agg_plan: conf.agg_plan,
-            agg_parts: BTreeMap::new(),
-            last_agg_probe_at: None,
-            agg_probe: None,
+            estimator: conf.agg_plan.map(Estimator::new),
             result: None,
         };
         self.jobs.push(entry);
@@ -912,60 +932,12 @@ impl MrRuntime {
         }
         // Sandboxed initial input: a panicking provider costs its job (or
         // a retry), never the runtime.
-        let now = self.sim.now();
-        let progress = self.job(id).progress();
-        let outcome = {
-            let driver = &mut self.job_mut(id).driver;
-            catch_unwind(AssertUnwindSafe(|| driver.try_initial_input(&status)))
-                .unwrap_or_else(|p| Err(ProviderError::from_panic(ProviderStage::InitialInput, p)))
-        };
-        self.job_mut(id).last_eval_at = Some(now);
-        let limit = self.job(id).driver.grab_limit(&status);
-        let (directive, added, retried) = match outcome {
-            Ok(initial) => {
-                let requested = initial.len() as u32;
-                match self.validate_and_add_input(id, initial, limit) {
-                    Ok(added) => (AuditDirective::AddInput { requested }, added, false),
-                    Err(e) => {
-                        let retried = self.job(id).provider_retries_left > 0;
-                        self.provider_failed(id, e);
-                        (
-                            AuditDirective::Fault { fatal: !retried },
-                            AddOutcome::default(),
-                            retried,
-                        )
-                    }
-                }
-            }
-            Err(e) => {
-                let retried = self.job(id).provider_retries_left > 0;
-                self.provider_failed(id, e);
-                (
-                    AuditDirective::Fault { fatal: !retried },
-                    AddOutcome::default(),
-                    retried,
-                )
-            }
-        };
-        self.audit_push(AuditRecord {
-            time: now,
-            job: id,
-            stage: ProviderStage::InitialInput,
-            progress,
-            cluster: status,
-            grab_limit: limit,
-            directive,
-            granted: added.granted,
-            clamped: added.clamped,
-            duplicates_dropped: added.duplicates,
-            retried,
-        });
-        // First evaluation happens immediately: static drivers end their
-        // input here; dynamic providers typically wait for statistics. The
-        // initial tasks launch at the nodes' next heartbeats, as in Hadoop.
-        if self.job(id).phase != JobPhase::Done {
-            self.evaluate_job(id);
-        }
+        self.consult(id, ProviderStage::InitialInput, status, None, &[]);
+        // First evaluation happens immediately (a no-op for a job the
+        // consultation failed): static drivers end their input here;
+        // dynamic providers typically wait for statistics. The initial
+        // tasks launch at the nodes' next heartbeats, as in Hadoop.
+        self.evaluate_job(id);
         let job = self.job(id);
         if job.phase != JobPhase::Done && !job.end_of_input {
             self.sim
@@ -1073,7 +1045,7 @@ impl MrRuntime {
         job.shuffle = ShuffleState::default();
         // Read only while the job runs and by `finalize_job`; the final
         // fold already lives in the result's `AggReport`.
-        job.agg_parts = BTreeMap::new();
+        job.estimator = None;
         // The task table is gone; the speculation index over it goes too
         // (a Done job is already absent from every runnable index).
         job.spec_candidates = BTreeSet::new();
@@ -1259,9 +1231,9 @@ impl MrRuntime {
         match ev {
             Event::Heartbeat { node } => self.on_heartbeat(node),
             Event::OverheadDone { job, task, attempt } => self.on_overhead_done(job, task, attempt),
-            Event::DiskWake { disk } => self.on_disk_wake(disk),
+            Event::DiskWake { disk } => self.on_station_wake(disk as usize),
             Event::NetworkDone { job, task, attempt } => self.start_cpu(job, task, attempt),
-            Event::CpuWake { node } => self.on_cpu_wake(node),
+            Event::CpuWake { node } => self.on_station_wake(self.cpu_station(node)),
             Event::EvalTick { job } => self.on_eval_tick(job),
             Event::ReduceDone { job, reduce } => self.on_reduce_done(job, reduce),
             Event::NodeDown { node } => self.on_node_down(node),
@@ -1286,7 +1258,7 @@ impl MrRuntime {
         let graceful = self.job(id).allow_partial;
         self.record(TraceKind::DeadlineExceeded { job: id, graceful });
         if !graceful {
-            self.fail_job(id, JobError::DeadlineExceeded);
+            self.complete_job(id, Err(JobError::DeadlineExceeded));
             return;
         }
         let job = self.job_mut(id);
@@ -1333,19 +1305,14 @@ impl MrRuntime {
         }
     }
 
+    /// Work drained so far by every CPU and by every disk.
     fn resource_totals(&mut self) -> (f64, f64) {
         let now = self.sim.now();
-        let cpu: f64 = self
-            .nodes
-            .iter_mut()
-            .map(|n| n.cpu.drained_total(now))
-            .sum();
-        let disk: f64 = self
-            .disks
-            .iter_mut()
-            .map(|d| d.res.drained_total(now))
-            .sum();
-        (cpu, disk)
+        let first_cpu = self.cpu_station(0);
+        let (disks, cpus) = self.stations.split_at_mut(first_cpu);
+        let drained =
+            |s: &mut [Station]| -> f64 { s.iter_mut().map(|s| s.res.drained_total(now)).sum() };
+        (drained(cpus), drained(disks))
     }
 
     fn observe_metrics(&mut self) {
@@ -1376,11 +1343,11 @@ impl MrRuntime {
         );
     }
 
-    /// Vet one `AddInput` batch before it becomes tasks: a block outside
-    /// the namespace is a typed provider error, an over-long batch is
-    /// truncated to the driver's grab limit, and splits the job already
-    /// claimed (within or across directives) are dropped. Returns what the
-    /// guard rails did to the batch (feeding the audit log).
+    /// Vet one `AddInput` batch and queue what survives as map tasks: a
+    /// block outside the namespace is a typed provider error, an over-long
+    /// batch is truncated to the driver's grab limit, and splits the job
+    /// already claimed (within or across directives) are dropped. Returns
+    /// what the guard rails did to the batch (feeding the audit log).
     fn validate_and_add_input(
         &mut self,
         id: JobId,
@@ -1419,8 +1386,46 @@ impl MrRuntime {
                 splits: dupes,
             });
         }
+        let now = self.sim.now();
         let added = fresh.len() as u32;
-        self.add_input(id, fresh);
+        if added > 0 {
+            self.record(TraceKind::InputAdded {
+                job: id,
+                splits: added,
+            });
+        }
+        debug_assert!(
+            self.job(id).phase == JobPhase::Map,
+            "input added after map phase"
+        );
+        for block in fresh {
+            let job = self.job_mut(id);
+            job.known_blocks.insert(block);
+            let task = TaskId(job.tasks.len() as u32);
+            job.tasks.push(TaskEntry {
+                block,
+                added_at: now,
+                enqueued_at: now,
+                first_dispatched: false,
+                queued: false,
+                done: false,
+                merged: false,
+                completed_node: None,
+                attempts_started: 0,
+                failures: 0,
+                running: Vec::new(),
+                abandoned: false,
+                spec_key: None,
+            });
+            self.enqueue_task(id, task);
+        }
+        // A provider can hand over a block that already lost every replica
+        // (e.g. a split grabbed after the death that stripped it): settle
+        // the job's fate immediately rather than wedging on a replica-less
+        // pending task.
+        if self.data_loss {
+            self.handle_lost_input(id);
+        }
         Ok(AddOutcome {
             granted: added,
             clamped,
@@ -1446,145 +1451,39 @@ impl MrRuntime {
                 job: id,
                 fatal: true,
             });
-            self.fail_job(id, JobError::Provider(err));
+            self.complete_job(id, Err(JobError::Provider(err)));
         }
     }
 
-    fn add_input(&mut self, id: JobId, blocks: Vec<BlockId>) {
-        let now = self.sim.now();
-        let added = blocks.len() as u32;
-        if added > 0 {
-            self.record(TraceKind::InputAdded {
-                job: id,
-                splits: added,
-            });
-        }
-        // Resolve replica nodes before borrowing the job mutably.
-        let located: Vec<(BlockId, Vec<NodeId>)> = blocks
-            .into_iter()
-            .map(|b| {
-                let nodes = self
-                    .namespace
-                    .block(b)
-                    .locations
-                    .iter()
-                    .map(|&d| self.namespace.topology().node_of(d))
-                    .collect();
-                (b, nodes)
-            })
-            .collect();
-        let job = self.job_mut(id);
-        debug_assert!(job.phase == JobPhase::Map, "input added after map phase");
-        for (block, nodes) in located {
-            // Invariant: `validate_and_add_input` deduplicated the batch
-            // against `known_blocks` before this point.
-            if !job.known_blocks.insert(block) {
-                debug_assert!(false, "duplicate block {block} survived validation");
-                continue;
-            }
-            let task = TaskId(job.tasks.len() as u32);
-            job.tasks.push(TaskEntry {
-                block,
-                added_at: now,
-                enqueued_at: now,
-                first_dispatched: false,
-                queued: true,
-                done: false,
-                merged: false,
-                completed_node: None,
-                attempts_started: 0,
-                failures: 0,
-                running: Vec::new(),
-                abandoned: false,
-                spec_key: None,
-            });
-            job.pending.push(task);
-            for node in nodes {
-                job.pending_by_node[node.0 as usize].push_back(task);
-            }
-        }
-        self.refresh_sched_index(id);
-        // A provider can hand over a block that already lost every replica
-        // (e.g. a split grabbed after the death that stripped it): settle
-        // the job's fate immediately rather than wedging on a replica-less
-        // pending task.
-        if self.data_loss {
-            self.handle_lost_input(id);
-        }
-    }
-
-    fn evaluate_job(&mut self, id: JobId) {
-        let job = self.job(id);
-        if job.phase != JobPhase::Map || job.end_of_input {
-            return;
-        }
-        let progress = job.progress();
-        let status = self.cluster_status();
-        // Blocks that landed via `evolve` since the last consultation are
-        // delivered exactly once, then the buffer resets.
-        let arrived = std::mem::take(&mut self.job_mut(id).arrived);
-        // Approximate-aggregation plane: fold the completed splits' group
-        // accumulators and probe the CLT stopping rule ahead of the driver
-        // consultation, so the estimating provider decides on fresh
-        // statistics.
-        let probe: Option<AggProbe> = {
-            let now = self.sim.now();
-            let job = self.job(id);
-            job.agg_plan.as_ref().map(|plan| {
-                let m = job.agg_parts.len() as u32;
-                let accums = fold_parts(&job.agg_parts, plan.funcs.len());
-                let eval = evaluate_bound(
-                    &accums,
-                    m,
-                    plan.total_splits,
-                    &plan.funcs,
-                    plan.error,
-                    plan.confidence,
-                );
-                AggProbe {
-                    job: id,
-                    completed: m,
-                    total: plan.total_splits,
-                    groups: eval.groups,
-                    bound_met: eval.bound_met,
-                    worst_rel: eval.worst_rel,
-                    suggested_splits: eval.suggested_splits,
-                    at: now,
-                }
-            })
-        };
-        if let Some(p) = &probe {
-            let now = self.sim.now();
-            let since = self
-                .job(id)
-                .last_agg_probe_at
-                .unwrap_or(self.job(id).submit_time);
-            let gap = (now - since).as_millis();
-            self.obs_record(id, |r| r.record_agg_probe(gap));
-            self.record(TraceKind::ErrorBoundProbe {
-                job: id,
-                completed: p.completed,
-                groups: p.groups,
-                worst_ppm: rel_to_ppm(p.worst_rel),
-                bound_met: p.bound_met,
-            });
-            let job = self.job_mut(id);
-            job.last_agg_probe_at = Some(now);
-            job.agg_probe = probe.clone();
-        }
-        // Sandboxed evaluation: panics become typed provider errors.
+    /// One sandboxed consultation of a job's driver — its submission-time
+    /// `initial_input` (blocks arrive as `AddInput`) or a periodic
+    /// evaluation: a panic becomes a typed provider error, the directive
+    /// is applied under the guard rails, and the decision is audited.
+    /// Returns whether new splits were granted.
+    fn consult(
+        &mut self,
+        id: JobId,
+        stage: ProviderStage,
+        status: ClusterStatus,
+        probe: Option<&AggProbe>,
+        arrived: &[BlockId],
+    ) -> bool {
+        let progress = self.job(id).progress();
         let outcome = {
             let driver = &mut self.job_mut(id).driver;
-            catch_unwind(AssertUnwindSafe(|| {
-                driver.try_evaluate(
+            catch_unwind(AssertUnwindSafe(|| match stage {
+                ProviderStage::InitialInput => driver
+                    .try_initial_input(&status)
+                    .map(GrowthDirective::AddInput),
+                ProviderStage::Evaluate => driver.try_evaluate(
                     EvalContext::unlimited(&progress, &status)
-                        .with_arrived(&arrived)
-                        .with_agg(probe.as_ref()),
-                )
+                        .with_arrived(arrived)
+                        .with_agg(probe),
+                ),
             }))
-            .unwrap_or_else(|p| Err(ProviderError::from_panic(ProviderStage::Evaluate, p)))
+            .unwrap_or_else(|p| Err(ProviderError::from_panic(stage, p)))
         };
-        // The grab limit is read *after* the evaluation so policy ladders
+        // The grab limit is read *after* the consultation so policy ladders
         // that re-select a policy inside `evaluate` are clamped against
         // the limit their provider actually saw.
         let limit = self.job(id).driver.grab_limit(&status);
@@ -1594,70 +1493,44 @@ impl MrRuntime {
             self.obs_record(id, |r| r.record_provider_eval_interval(interval));
         }
         self.job_mut(id).last_eval_at = Some(now);
-        let (productive, directive, added, retried) = match outcome {
+        let mut added = AddOutcome::default();
+        let applied = match outcome {
             Ok(GrowthDirective::EndOfInput) => {
                 // An estimating job ending input with the bound met and
                 // splits left unscanned stopped *early* — the headline
                 // EARL event.
-                if let Some(p) = &probe {
-                    if p.bound_met && p.completed < p.total {
-                        self.record(TraceKind::BoundMet {
-                            job: id,
-                            completed: p.completed,
-                            total: p.total,
-                        });
-                    }
+                if let Some(p) = probe.filter(|p| p.bound_met && p.completed < p.total) {
+                    self.record(TraceKind::BoundMet {
+                        job: id,
+                        completed: p.completed,
+                        total: p.total,
+                    });
                 }
                 self.job_mut(id).end_of_input = true;
                 self.record(TraceKind::EndOfInput { job: id });
                 self.maybe_begin_reduce(id);
-                (
-                    true,
-                    AuditDirective::EndOfInput,
-                    AddOutcome::default(),
-                    false,
-                )
+                Ok(AuditDirective::EndOfInput)
             }
+            // New tasks launch at upcoming node heartbeats.
             Ok(GrowthDirective::AddInput(blocks)) => {
                 let requested = blocks.len() as u32;
-                // New tasks launch at upcoming node heartbeats.
-                match self.validate_and_add_input(id, blocks, limit) {
-                    Ok(added) => (
-                        added.granted > 0,
-                        AuditDirective::AddInput { requested },
-                        added,
-                        false,
-                    ),
-                    Err(e) => {
-                        let retried = self.job(id).provider_retries_left > 0;
-                        self.provider_failed(id, e);
-                        (
-                            false,
-                            AuditDirective::Fault { fatal: !retried },
-                            AddOutcome::default(),
-                            retried,
-                        )
-                    }
-                }
+                self.validate_and_add_input(id, blocks, limit).map(|a| {
+                    added = a;
+                    AuditDirective::AddInput { requested }
+                })
             }
-            Ok(GrowthDirective::Wait) => {
-                (false, AuditDirective::Wait, AddOutcome::default(), false)
-            }
-            Err(e) => {
-                let retried = self.job(id).provider_retries_left > 0;
-                self.provider_failed(id, e);
-                (
-                    false,
-                    AuditDirective::Fault { fatal: !retried },
-                    AddOutcome::default(),
-                    retried,
-                )
-            }
+            Ok(GrowthDirective::Wait) => Ok(AuditDirective::Wait),
+            Err(e) => Err(e),
         };
+        let retried = applied.is_err() && self.job(id).provider_retries_left > 0;
+        let directive = applied.unwrap_or_else(|e| {
+            self.provider_failed(id, e);
+            AuditDirective::Fault { fatal: !retried }
+        });
         self.audit_push(AuditRecord {
             time: now,
             job: id,
-            stage: ProviderStage::Evaluate,
+            stage,
             progress,
             cluster: status,
             grab_limit: limit,
@@ -1667,6 +1540,45 @@ impl MrRuntime {
             duplicates_dropped: added.duplicates,
             retried,
         });
+        added.granted > 0
+    }
+
+    fn evaluate_job(&mut self, id: JobId) {
+        let job = self.job(id);
+        if job.phase != JobPhase::Map || job.end_of_input {
+            return;
+        }
+        let status = self.cluster_status();
+        // Blocks that landed via `evolve` since the last consultation are
+        // delivered exactly once, then the buffer resets.
+        let arrived = std::mem::take(&mut self.job_mut(id).arrived);
+        // Approximate-aggregation plane: probe the CLT stopping rule over
+        // the completed splits ahead of the driver consultation, so the
+        // estimating provider decides on fresh statistics.
+        let now = self.sim.now();
+        let job = self.job_mut(id);
+        let probe = job
+            .estimator
+            .as_mut()
+            .map(|e| e.probe(id, now, job.submit_time));
+        if let Some((p, gap)) = &probe {
+            self.obs_record(id, |r| r.record_agg_probe(*gap));
+            self.record(TraceKind::ErrorBoundProbe {
+                job: id,
+                completed: p.completed,
+                groups: p.groups,
+                worst_ppm: rel_to_ppm(p.worst_rel),
+                bound_met: p.bound_met,
+            });
+        }
+        let probe = probe.map(|(p, _)| p);
+        let productive = self.consult(
+            id,
+            ProviderStage::Evaluate,
+            status,
+            probe.as_ref(),
+            &arrived,
+        );
         // Livelock watchdog: a driver that keeps producing nothing while
         // the job has nothing running or pending can never make progress
         // on its own — count such evaluations and cut the job loose at the
@@ -1692,19 +1604,14 @@ impl MrRuntime {
                 job: id,
                 idle_evaluations: idle,
             });
-            self.fail_job(
-                id,
-                JobError::Wedged {
-                    idle_evaluations: idle,
-                },
-            );
+            let error = JobError::Wedged {
+                idle_evaluations: idle,
+            };
+            self.complete_job(id, Err(error));
         }
     }
 
     fn on_eval_tick(&mut self, id: JobId) {
-        if self.job(id).phase != JobPhase::Map || self.job(id).end_of_input {
-            return;
-        }
         self.evaluate_job(id);
         let job = self.job(id);
         if job.phase != JobPhase::Map || job.end_of_input {
@@ -1734,20 +1641,12 @@ impl MrRuntime {
             .scheduler
             .maps_per_heartbeat()
             .unwrap_or(self.cost.maps_per_heartbeat);
-        let cap = self.nodes[node as usize].free_slots.min(per_heartbeat);
-        if cap == 0 {
-            return;
-        }
-        let mut free_slots = vec![0u32; self.nodes.len()];
-        free_slots[node as usize] = cap;
-        self.schedule_with(free_slots);
-    }
-
-    fn schedule_with(&mut self, free_slots: Vec<u32>) {
-        let free_total: u32 = free_slots.iter().sum();
+        let free_total = self.nodes[node as usize].free_slots.min(per_heartbeat);
         if free_total == 0 {
             return;
         }
+        let mut free_slots = vec![0u32; self.nodes.len()];
+        free_slots[node as usize] = free_total;
         #[cfg(debug_assertions)]
         if self.jobs.len() <= 512 {
             self.debug_check_indexes();
@@ -1924,21 +1823,24 @@ impl MrRuntime {
                     if self.memo.is_some() {
                         self.metrics.memo_mut().splits_computed += 1;
                     }
-                    let unit = {
-                        let job = self.job(a.job);
-                        MapUnit {
-                            input_format: std::sync::Arc::clone(&job.spec.input_format),
-                            mapper: std::sync::Arc::clone(&job.spec.mapper),
-                            combiner: job.spec.combiner.clone(),
-                            block,
-                            reduce_tasks: job.reduce_tasks,
-                        }
-                    };
-                    MapWork::Computed(self.executor.submit(unit))
+                    MapWork::Computed(self.submit_map(a.job, a.task))
                 }
             };
             self.dispatch(a.job, a.task, a.node, work, false);
         }
+    }
+
+    /// Submit one map task's data-plane work to the worker pool.
+    fn submit_map(&mut self, id: JobId, task: TaskId) -> UnitHandle<MapTaskResult> {
+        let job = self.job(id);
+        let unit = MapUnit {
+            input_format: std::sync::Arc::clone(&job.spec.input_format),
+            mapper: std::sync::Arc::clone(&job.spec.mapper),
+            combiner: job.spec.combiner.clone(),
+            block: job.tasks[task.0 as usize].block,
+            reduce_tasks: job.reduce_tasks,
+        };
+        self.executor.submit(unit)
     }
 
     fn dispatch(
@@ -1966,13 +1868,13 @@ impl MrRuntime {
             None
         };
         // The map function's work is already queued on the data plane (see
-        // `schedule_with`); its result is claimed when the modelled stages
+        // `schedule_node`); its result is claimed when the modelled stages
         // complete.
         let (attempt, queue_wait, split_wait) = {
             let job = self.job_mut(id);
             if !speculative {
                 // Invariant, not user-reachable: the scheduler was offered
-                // only this job's pending head (`schedule_with` builds it
+                // only this job's pending head (`schedule_node` builds it
                 // from `job.pending`), and the debug pass above rejects
                 // duplicate assignments.
                 let pos = job
@@ -2033,7 +1935,7 @@ impl MrRuntime {
                 local,
                 speculative,
                 started: now,
-                stage: AttemptStage::Overhead(ev),
+                stage: AttemptStage::Timer(ev),
                 result: Some(work),
                 read_disk,
             });
@@ -2041,7 +1943,6 @@ impl MrRuntime {
     }
 
     fn on_overhead_done(&mut self, id: JobId, task: TaskId, attempt: u32) {
-        let now = self.sim.now();
         let (block, node, local, read_disk) = {
             let entry = &self.job(id).tasks[task.0 as usize];
             let Some(a) = entry.running.iter().find(|a| a.id == attempt) else {
@@ -2099,73 +2000,79 @@ impl MrRuntime {
             }
         };
         let bytes = self.namespace.block(block).bytes as f64;
-        let d = &mut self.disks[disk.0 as usize];
-        let flow = d.res.add_flow(now, bytes);
-        d.flows.insert(flow, (id, task, attempt));
+        self.start_flow(id, task, attempt, disk.0 as usize, bytes);
+    }
+
+    /// The `stations` index of a node's CPU (every disk comes first).
+    fn cpu_station(&self, node: u16) -> usize {
+        self.cfg.topology.num_disks() as usize + node as usize
+    }
+
+    /// Put a running attempt's next stage on a station as a flow of
+    /// `amount`.
+    fn start_flow(&mut self, id: JobId, task: TaskId, attempt: u32, station: usize, amount: f64) {
+        let owner = (id, task, attempt);
+        let flow = self.stations[station].start(&mut self.sim, amount, owner);
+        self.set_stage(id, task, attempt, AttemptStage::Flow { station, flow });
+    }
+
+    fn set_stage(&mut self, id: JobId, task: TaskId, attempt: u32, stage: AttemptStage) {
         let entry = &mut self.job_mut(id).tasks[task.0 as usize];
         let a = entry
             .running
             .iter_mut()
             .find(|a| a.id == attempt)
-            .expect("attempt checked above");
-        a.stage = AttemptStage::Disk { disk: disk.0, flow };
-        self.refresh_disk_wake(disk.0);
+            .expect("attempt is running");
+        a.stage = stage;
     }
 
-    fn refresh_disk_wake(&mut self, disk: u32) {
+    /// A station's earliest flow finished: hand every attempt whose flow
+    /// completed to its next stage (a disk read to the network or CPU, a
+    /// CPU flow to completion), then re-arm the station.
+    fn on_station_wake(&mut self, station: usize) {
         let now = self.sim.now();
-        let d = &mut self.disks[disk as usize];
-        if let Some(old) = d.wake.take() {
-            self.sim.cancel(old);
-        }
-        if let Some(at) = d.res.next_completion(now) {
-            d.wake = Some(self.sim.schedule_at(at, Event::DiskWake { disk }));
-        }
-    }
-
-    fn on_disk_wake(&mut self, disk: u32) {
-        let now = self.sim.now();
-        self.disks[disk as usize].wake = None;
-        self.disks[disk as usize].res.advance(now);
-        let done = self.disks[disk as usize].res.take_completed();
-        for flow in done {
-            let Some((id, task, attempt)) = self.disks[disk as usize].flows.remove(&flow) else {
+        let cpu = station >= self.cpu_station(0);
+        for flow in self.stations[station].drain(now) {
+            let Some((id, task, attempt)) = self.stations[station].flows.remove(&flow) else {
                 continue; // attempt killed after the flow completed
             };
-            let (block, local) = {
-                let entry = &self.job(id).tasks[task.0 as usize];
-                let Some(a) = entry.running.iter().find(|a| a.id == attempt) else {
-                    continue;
-                };
-                (entry.block, a.local)
-            };
-            if local {
-                self.start_cpu(id, task, attempt);
+            if cpu {
+                self.finish_map_task(id, task, attempt);
             } else {
-                let bytes = self.namespace.block(block).bytes;
-                let transfer = self.cost.remote_transfer_ms(bytes);
-                let ev = self.sim.schedule_after(
-                    SimDuration::from_millis(transfer),
-                    Event::NetworkDone {
-                        job: id,
-                        task,
-                        attempt,
-                    },
-                );
-                let entry = &mut self.job_mut(id).tasks[task.0 as usize];
-                let a = entry
-                    .running
-                    .iter_mut()
-                    .find(|a| a.id == attempt)
-                    .expect("attempt checked above");
-                a.stage = AttemptStage::Network(ev);
+                self.finish_read(id, task, attempt);
             }
         }
-        self.refresh_disk_wake(disk);
+        self.stations[station].rearm(&mut self.sim);
+    }
+
+    /// A disk read finished: a local attempt computes next, a remote one
+    /// first transfers its split over the network.
+    fn finish_read(&mut self, id: JobId, task: TaskId, attempt: u32) {
+        let (block, local) = {
+            let entry = &self.job(id).tasks[task.0 as usize];
+            let Some(a) = entry.running.iter().find(|a| a.id == attempt) else {
+                return;
+            };
+            (entry.block, a.local)
+        };
+        if local {
+            self.start_cpu(id, task, attempt);
+        } else {
+            let bytes = self.namespace.block(block).bytes;
+            let transfer = self.cost.remote_transfer_ms(bytes);
+            let ev = self.sim.schedule_after(
+                SimDuration::from_millis(transfer),
+                Event::NetworkDone {
+                    job: id,
+                    task,
+                    attempt,
+                },
+            );
+            self.set_stage(id, task, attempt, AttemptStage::Timer(ev));
+        }
     }
 
     fn start_cpu(&mut self, id: JobId, task: TaskId, attempt: u32) {
-        let now = self.sim.now();
         let (block, node) = {
             let entry = &self.job(id).tasks[task.0 as usize];
             let Some(a) = entry.running.iter().find(|a| a.id == attempt) else {
@@ -2173,45 +2080,10 @@ impl MrRuntime {
             };
             (entry.block, a.node)
         };
-        let records = self.namespace.block(block).records;
-        let work = self.cost.map_cpu_work_us(records);
-        let n = &mut self.nodes[node.0 as usize];
-        let flow = n.cpu.add_flow(now, work);
-        n.cpu_flows.insert(flow, (id, task, attempt));
-        let entry = &mut self.job_mut(id).tasks[task.0 as usize];
-        let a = entry
-            .running
-            .iter_mut()
-            .find(|a| a.id == attempt)
-            .expect("attempt checked above");
-        a.stage = AttemptStage::Cpu { flow };
-        self.refresh_cpu_wake(node.0);
-    }
-
-    fn refresh_cpu_wake(&mut self, node: u16) {
-        let now = self.sim.now();
-        let n = &mut self.nodes[node as usize];
-        if let Some(old) = n.cpu_wake.take() {
-            self.sim.cancel(old);
-        }
-        if let Some(at) = n.cpu.next_completion(now) {
-            n.cpu_wake = Some(self.sim.schedule_at(at, Event::CpuWake { node }));
-        }
-    }
-
-    fn on_cpu_wake(&mut self, node: u16) {
-        let now = self.sim.now();
-        self.nodes[node as usize].cpu_wake = None;
-        self.nodes[node as usize].cpu.advance(now);
-        let done = self.nodes[node as usize].cpu.take_completed();
-        for flow in done {
-            let Some((id, task, attempt)) = self.nodes[node as usize].cpu_flows.remove(&flow)
-            else {
-                continue; // attempt killed after the flow completed
-            };
-            self.finish_map_task(id, task, attempt);
-        }
-        self.refresh_cpu_wake(node);
+        let work = self
+            .cost
+            .map_cpu_work_us(self.namespace.block(block).records);
+        self.start_flow(id, task, attempt, self.cpu_station(node.0), work);
     }
 
     fn finish_map_task(&mut self, id: JobId, task: TaskId, attempt: u32) {
@@ -2226,16 +2098,11 @@ impl MrRuntime {
         // Fault injection: decide whether this attempt fails before its
         // results are applied. Every completion draws (in simulated-time
         // order), so the stream is identical at any thread count.
-        let fault_budget = if let Some((plan, rng)) = &mut self.faults {
-            use rand::Rng;
-            (rng.gen_range(0.0..1.0) < plan.probability).then_some(plan.max_attempts)
-        } else if let Some(cf) = &mut self.cluster_faults {
+        let fault_budget = self.cluster_faults.as_mut().and_then(|cf| {
             use rand::Rng;
             let roll = cf.map_rng.gen_range(0.0..1.0);
             (roll < cf.plan.map_fault_probability).then_some(cf.plan.effective_max_attempts())
-        } else {
-            None
-        };
+        });
         if let Some(max) = fault_budget {
             self.fail_map_attempt(id, task, idx, max);
             return;
@@ -2312,20 +2179,8 @@ impl MrRuntime {
             }
             // Approximate-aggregation plane: lift the task's per-group
             // accumulator parts before the shuffle consumes the pairs.
-            // Keyed by task id, so the fold is a pure function of the
-            // completed task set — identical across thread counts and
-            // fault schedules. An empty entry still counts the split as a
-            // zero observation for every group, so a part with n = 0 (the
-            // whole-table partial of a split with no match) is dropped: it
-            // is the same zero observation.
-            if let Some(n_aggs) = self.job(id).agg_plan.as_ref().map(|p| p.funcs.len()) {
-                let parts: Vec<SplitAggPart> = result
-                    .pairs
-                    .iter_pairs()
-                    .filter_map(|(k, r)| decode_group_part(k, r, n_aggs))
-                    .filter(|p| p.n > 0)
-                    .collect();
-                self.job_mut(id).agg_parts.insert(task.0, parts);
+            if let Some(estimator) = &mut self.job_mut(id).estimator {
+                estimator.absorb(task.0, &result.pairs);
             }
             let merge_start = std::time::Instant::now();
             {
@@ -2383,7 +2238,7 @@ impl MrRuntime {
         };
         self.refresh_sched_index(id);
         if failures >= max_attempts {
-            self.fail_job(id, JobError::TaskAttemptsExhausted { task });
+            self.complete_job(id, Err(JobError::TaskAttemptsExhausted { task }));
             return;
         }
         // Per-job blacklisting (cluster fault model only): repeated counted
@@ -2410,7 +2265,7 @@ impl MrRuntime {
                 });
                 if self.job(id).banned_nodes.iter().all(|&b| b) {
                     // Nowhere left to run: fail rather than wedge forever.
-                    self.fail_job(id, JobError::AllNodesBlacklisted);
+                    self.complete_job(id, Err(JobError::AllNodesBlacklisted));
                     return;
                 }
             }
@@ -2425,14 +2280,14 @@ impl MrRuntime {
             } else {
                 // Requeue for another attempt (back of the queue, like
                 // Hadoop).
-                self.requeue_task(id, task);
+                self.enqueue_task(id, task);
             }
         }
     }
 
-    /// Put a task with no attempts in flight back in the pending queue and
-    /// the per-node locality indexes.
-    fn requeue_task(&mut self, id: JobId, task: TaskId) {
+    /// Put a task with no attempts in flight at the back of the pending
+    /// queue and of the locality index of every node holding its split.
+    fn enqueue_task(&mut self, id: JobId, task: TaskId) {
         let now = self.sim.now();
         let block = self.job(id).tasks[task.0 as usize].block;
         let replica_nodes: Vec<NodeId> = self
@@ -2463,20 +2318,11 @@ impl MrRuntime {
         let now = self.sim.now();
         let a = self.job_mut(id).tasks[task.0 as usize].running.remove(idx);
         match a.stage {
-            AttemptStage::Overhead(ev) | AttemptStage::Network(ev) => {
+            AttemptStage::Timer(ev) => {
                 self.sim.cancel(ev);
             }
-            AttemptStage::Disk { disk, flow } => {
-                let d = &mut self.disks[disk as usize];
-                d.res.cancel_flow(now, flow);
-                d.flows.remove(&flow);
-                self.refresh_disk_wake(disk);
-            }
-            AttemptStage::Cpu { flow } => {
-                let n = &mut self.nodes[a.node.0 as usize];
-                n.cpu.cancel_flow(now, flow);
-                n.cpu_flows.remove(&flow);
-                self.refresh_cpu_wake(a.node.0);
+            AttemptStage::Flow { station, flow } => {
+                self.stations[station].cancel(&mut self.sim, flow)
             }
         }
         if free_slot {
@@ -2575,7 +2421,7 @@ impl MrRuntime {
                         self.job_mut(id).tasks[t].abandoned = true;
                     } else {
                         // Stranded by the kills above: back in the queue.
-                        self.requeue_task(id, task);
+                        self.enqueue_task(id, task);
                     }
                 } else if entry.done
                     && entry.completed_node == Some(NodeId(node))
@@ -2602,7 +2448,7 @@ impl MrRuntime {
                             job.completed -= 1;
                         }
                         self.metrics.faults_mut().maps_reexecuted += 1;
-                        self.requeue_task(id, task);
+                        self.enqueue_task(id, task);
                     }
                 }
             }
@@ -2795,7 +2641,7 @@ impl MrRuntime {
             graceful,
         });
         if !graceful {
-            self.fail_job(id, JobError::InputLost { blocks });
+            self.complete_job(id, Err(JobError::InputLost { blocks }));
             return;
         }
         let lost_set: HashSet<TaskId> = lost.iter().copied().collect();
@@ -2863,20 +2709,10 @@ impl MrRuntime {
         let Some((id, task)) = launch else {
             return;
         };
-        let unit = {
-            let job = self.job(id);
-            MapUnit {
-                input_format: std::sync::Arc::clone(&job.spec.input_format),
-                mapper: std::sync::Arc::clone(&job.spec.mapper),
-                combiner: job.spec.combiner.clone(),
-                block: job.tasks[task.0 as usize].block,
-                reduce_tasks: job.reduce_tasks,
-            }
-        };
         // Speculative backups always submit real work (no memo probe): a
         // backup exists because the primary is suspect, and the dup-merge
         // guard absorbs whichever copy loses.
-        let handle = self.executor.submit(unit);
+        let handle = self.submit_map(id, task);
         self.record(TraceKind::SpeculativeLaunch {
             job: id,
             task,
@@ -2885,15 +2721,23 @@ impl MrRuntime {
         self.dispatch(id, task, NodeId(node), MapWork::Computed(handle), true);
     }
 
-    fn fail_job(&mut self, id: JobId, error: JobError) {
+    /// Close a job, failed (`Err`) or with its output and estimator
+    /// verdict: store its result, record `JobCompleted`, and queue it on
+    /// the completed list.
+    fn complete_job(&mut self, id: JobId, outcome: Result<JobOutput, JobError>) {
         let now = self.sim.now();
         self.unpark(id);
         let job = self.job_mut(id);
         debug_assert!(job.phase != JobPhase::Done);
         job.phase = JobPhase::Done;
-        // Drop any shuffle state already buffered; late attempts see the
+        // Drop any shuffle state still buffered; late attempts see the
         // Done phase and never merge.
         job.shuffle = ShuffleState::default();
+        let failed = outcome.is_err();
+        let (output, agg, error) = match outcome {
+            Ok((output, agg)) => (output, agg, None),
+            Err(error) => (Vec::new(), None, Some(error)),
+        };
         job.result = Some(JobResult {
             job: id,
             submit_time: job.submit_time,
@@ -2903,16 +2747,13 @@ impl MrRuntime {
             map_output_records: job.map_output_records,
             local_tasks: job.local_tasks,
             task_failures: job.task_failures,
-            failed: true,
-            error: Some(error),
-            output: Vec::new(),
+            failed,
+            error,
+            output,
             histograms: job.hist.clone(),
-            agg: None,
+            agg,
         });
-        self.record(TraceKind::JobCompleted {
-            job: id,
-            failed: true,
-        });
+        self.record(TraceKind::JobCompleted { job: id, failed });
         // Late attempts of a failed job keep their spec-index entries
         // consistent through `kill_attempt`/`finish_map_task`; the job
         // itself leaves every runnable index now.
@@ -3117,7 +2958,7 @@ impl MrRuntime {
                     attempt: attempts,
                 });
                 if attempts >= max {
-                    self.fail_job(id, JobError::ReduceAttemptsExhausted { reduce: r });
+                    self.complete_job(id, Err(JobError::ReduceAttemptsExhausted { reduce: r }));
                 } else {
                     self.pending_reduces.push_back((id, r));
                 }
@@ -3141,13 +2982,12 @@ impl MrRuntime {
         self.obs_record(id, |reg| reg.record_reduce(reduce_ms));
         self.record(TraceKind::ReduceFinished { job: id, reduce: r });
         if all_done {
-            self.finalize_job(id, now);
+            self.finalize_job(id);
         }
     }
 
-    fn finalize_job(&mut self, id: JobId, now: SimTime) {
+    fn finalize_job(&mut self, id: JobId) {
         let job = self.job_mut(id);
-        job.phase = JobPhase::Done;
         // Concatenate in reduce order. The first reduce's output moves as
         // is (most jobs have one reduce); later ones append to it.
         let mut outputs = job
@@ -3170,33 +3010,10 @@ impl MrRuntime {
         // re-run reports byte-identical statistics); exact aggregates
         // (`mapred.agg.total.splits` without an error bound) are always
         // `Exact`.
-        let agg = if let Some(plan) = &job.agg_plan {
-            let m = job.agg_parts.len() as u32;
-            let accums = fold_parts(&job.agg_parts, plan.funcs.len());
-            let eval = evaluate_bound(
-                &accums,
-                m,
-                plan.total_splits,
-                &plan.funcs,
-                plan.error,
-                plan.confidence,
-            );
-            let outcome = if m >= plan.total_splits {
-                AggOutcome::Exact
-            } else if eval.bound_met {
-                AggOutcome::BoundMet
-            } else {
-                AggOutcome::BudgetExhausted
-            };
-            Some(AggReport {
-                outcome,
-                completed: m,
-                total: plan.total_splits,
-                groups: eval.groups,
-                worst_rel: eval.worst_rel,
-            })
-        } else {
-            job.spec
+        let agg = match &job.estimator {
+            Some(estimator) => Some(estimator.report()),
+            None => job
+                .spec
                 .conf
                 .get(keys::AGG_TOTAL_SPLITS)
                 .and_then(|v| v.parse::<u32>().ok())
@@ -3206,23 +3023,8 @@ impl MrRuntime {
                     total,
                     groups: output.len() as u32,
                     worst_rel: 0.0,
-                })
+                }),
         };
-        job.result = Some(JobResult {
-            job: id,
-            submit_time: job.submit_time,
-            finish_time: now,
-            splits_processed: job.completed,
-            records_processed: job.records_processed,
-            map_output_records: job.map_output_records,
-            local_tasks: job.local_tasks,
-            task_failures: job.task_failures,
-            failed: false,
-            error: None,
-            output,
-            histograms: job.hist.clone(),
-            agg,
-        });
         if let Some((found, requested)) = partial {
             self.record(TraceKind::PartialSample {
                 job: id,
@@ -3230,12 +3032,7 @@ impl MrRuntime {
                 requested,
             });
         }
-        self.record(TraceKind::JobCompleted {
-            job: id,
-            failed: false,
-        });
-        self.active_jobs -= 1;
-        self.completed.push_back(id);
+        self.complete_job(id, Ok((output, agg)));
     }
 }
 
@@ -3246,6 +3043,7 @@ pub fn sample_size_of(conf: &crate::conf::JobConf) -> Option<u64> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use incmr_data::{Dataset, DatasetSpec, SkewLevel};
@@ -3300,9 +3098,223 @@ mod tests {
         let id = rt.submit(spec, Box::new(StaticDriver::new(blocks)));
         rt.run_until_idle();
         let report = rt.job_result(id).agg.expect("an estimating job reports");
-        assert_eq!(rt.job(id).agg_parts.len(), 8, "one entry per split");
+        let live = rt.job(id).estimator.as_ref().map(|e| e.report());
+        assert_eq!(live, Some(report), "every split's parts still held");
+        assert_eq!(report.completed, 8, "one entry per split");
         rt.release_job_result(id);
-        assert!(rt.job(id).agg_parts.is_empty(), "parts released");
+        assert!(rt.job(id).estimator.is_none(), "parts released");
         assert_eq!(rt.job_result(id).agg, Some(report), "report kept");
+    }
+
+    /// Deliver every queued event by hand, tallying deliveries per
+    /// `Event` variant.
+    fn drive(rt: &mut MrRuntime, tally: &mut BTreeMap<String, u64>) {
+        while let Some((_, ev)) = rt.sim.pop() {
+            let name = format!("{ev:?}");
+            let variant = name.split([' ', '{']).next().unwrap_or_default();
+            *tally.entry(variant.to_string()).or_default() += 1;
+            rt.handle(ev);
+        }
+    }
+
+    /// One line per run: deliveries per variant, then `Sim::counters()`.
+    fn traffic(rt: &MrRuntime, tally: &BTreeMap<String, u64>) -> String {
+        let (scheduled, delivered, cancelled) = rt.sim.counters();
+        let kinds: Vec<String> = tally.iter().map(|(k, n)| format!("{k}={n}")).collect();
+        format!(
+            "{} | scheduled={scheduled} delivered={delivered} cancelled={cancelled}",
+            kinds.join(" ")
+        )
+    }
+
+    fn dataset(
+        ns: &mut Namespace,
+        splits: u32,
+        records: u64,
+        placement: &mut dyn incmr_dfs::PlacementPolicy,
+        seed: u64,
+    ) -> Arc<Dataset> {
+        let name = format!("t{seed}");
+        let spec = DatasetSpec::small(&name, splits, records, SkewLevel::Moderate, seed);
+        Arc::new(Dataset::build(
+            ns,
+            spec,
+            placement,
+            &mut DetRng::seed_from(seed),
+        ))
+    }
+
+    fn runtime(ns: Namespace) -> MrRuntime {
+        let mut cfg = ClusterConfig::paper_single_user();
+        cfg.topology = *ns.topology();
+        MrRuntime::new(
+            cfg,
+            CostModel::paper_default(),
+            ns,
+            Box::new(FifoScheduler::new()),
+        )
+    }
+
+    fn scan(ds: &Arc<Dataset>) -> JobSpec {
+        JobSpec::builder()
+            .input(DatasetInputFormat::new(Arc::clone(ds), ScanMode::Planted))
+            .mapper(CountPartMapper)
+            .build()
+    }
+
+    fn all_blocks(ds: &Dataset) -> Vec<BlockId> {
+        ds.splits().iter().map(|p| p.block).collect()
+    }
+
+    /// Hands out `step` splits per consultation (submission included)
+    /// until its pool runs dry, then ends input; consultation `bad_at`
+    /// instead names a block outside the namespace.
+    struct Trickle {
+        blocks: Vec<BlockId>,
+        step: usize,
+        calls: u32,
+        bad_at: u32,
+    }
+
+    impl Trickle {
+        fn next(&mut self) -> Vec<BlockId> {
+            self.calls += 1;
+            if self.calls == self.bad_at {
+                return vec![BlockId(u32::MAX)];
+            }
+            let n = self.step.min(self.blocks.len());
+            self.blocks.drain(..n).collect()
+        }
+    }
+
+    impl GrowthDriver for Trickle {
+        fn initial_input(&mut self, _cluster: &ClusterStatus) -> Vec<BlockId> {
+            self.next()
+        }
+
+        fn evaluate(&mut self, _ctx: EvalContext<'_>) -> GrowthDirective {
+            if self.blocks.is_empty() {
+                GrowthDirective::EndOfInput
+            } else {
+                GrowthDirective::AddInput(self.next())
+            }
+        }
+
+        fn evaluation_interval(&self) -> SimDuration {
+            SimDuration::from_secs(2)
+        }
+    }
+
+    /// The event loop's traffic for four fixed shapes: how many events of
+    /// each kind are delivered, and how many are scheduled and cancelled
+    /// in total. Disk and CPU wakes are not traced, so no golden file pins
+    /// them; this does. A change that moves these counts on purpose (one
+    /// that elides idle heartbeats, say) updates the table and says why.
+    #[test]
+    fn event_loop_traffic_is_pinned() {
+        let mut got = Vec::new();
+
+        // A static job.
+        let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+        let ds = dataset(&mut ns, 12, 2_000, &mut EvenRoundRobin::new(), 1);
+        let mut rt = runtime(ns);
+        let mut tally = BTreeMap::new();
+        rt.submit(scan(&ds), Box::new(StaticDriver::new(all_blocks(&ds))));
+        drive(&mut rt, &mut tally);
+        got.push(traffic(&rt, &tally));
+
+        // A growth driver that adds splits over several evaluations and
+        // absorbs one bad directive, beside one whose first consultation
+        // fails its job at submission.
+        let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+        let ds = dataset(&mut ns, 12, 2_000, &mut EvenRoundRobin::new(), 2);
+        let mut rt = runtime(ns);
+        let mut tally = BTreeMap::new();
+        let trickle = |bad_at| Trickle {
+            blocks: all_blocks(&ds),
+            step: 3,
+            calls: 0,
+            bad_at,
+        };
+        let mut retrying = scan(&ds);
+        retrying.conf.set(keys::PROVIDER_RETRY_BUDGET, 1);
+        let grows = rt.submit(retrying, Box::new(trickle(3)));
+        let fails = rt.submit(scan(&ds), Box::new(trickle(1)));
+        drive(&mut rt, &mut tally);
+        assert!(!rt.job_result(grows).failed && rt.job_result(fails).failed);
+        got.push(traffic(&rt, &tally));
+
+        // The cluster fault model: an outage and rejoin, a straggler that
+        // draws speculation, map and reduce faults, blacklisting.
+        let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+        let ds = dataset(&mut ns, 24, 200_000, &mut EvenRoundRobin::new(), 3);
+        let mut rt = runtime(ns);
+        rt.inject_cluster_faults(ClusterFaultPlan {
+            outages: vec![crate::faults::NodeOutage {
+                node: NodeId(5),
+                down_at: SimTime::from_secs(10),
+                up_at: Some(SimTime::from_secs(25)),
+            }],
+            node_speed: vec![1.0, 1.0, 0.3],
+            map_fault_probability: 0.18,
+            reduce_fault_probability: 0.5,
+            max_attempts: 8,
+            speculation: Some(crate::faults::SpeculationConfig::default()),
+            blacklist_threshold: Some(2),
+            seed: 9,
+        })
+        .expect("valid plan");
+        let mut tally = BTreeMap::new();
+        let id = rt.submit(scan(&ds), Box::new(StaticDriver::new(all_blocks(&ds))));
+        drive(&mut rt, &mut tally);
+        let faults = rt.metrics().faults();
+        assert!(rt.job_result(id).task_failures > 0 && faults.reduce_failures > 0);
+        assert!(faults.speculative_launched > 0 && faults.nodes_rejoined == 1);
+        got.push(traffic(&rt, &tally));
+
+        // DataNode death with re-replication: a rack-aware r = 2 table
+        // survives the death and is repaired; an unreplicated one loses
+        // input and fails its job.
+        let topology = ClusterTopology::paper_cluster().with_racks(2);
+        let mut ns = Namespace::new(topology);
+        let replicated = incmr_dfs::ReplicatedPlacement::try_rack_aware(2, &topology);
+        let ds = dataset(&mut ns, 20, 2_000, &mut replicated.expect("fits"), 4);
+        let lossy = dataset(&mut ns, 12, 2_000, &mut EvenRoundRobin::new(), 5);
+        let mut rt = runtime(ns);
+        rt.enable_re_replication(SimDuration::from_secs(5))
+            .expect("nonzero interval");
+        rt.inject_cluster_faults(ClusterFaultPlan {
+            outages: vec![crate::faults::NodeOutage {
+                node: NodeId(0),
+                down_at: SimTime::from_millis(1_300),
+                up_at: Some(SimTime::from_secs(15)),
+            }],
+            seed: 13,
+            ..ClusterFaultPlan::default()
+        })
+        .expect("valid plan");
+        let mut tally = BTreeMap::new();
+        let survives = rt.submit(scan(&ds), Box::new(StaticDriver::new(all_blocks(&ds))));
+        drive(&mut rt, &mut tally);
+        let lost = rt.submit(
+            scan(&lossy),
+            Box::new(StaticDriver::new(all_blocks(&lossy))),
+        );
+        drive(&mut rt, &mut tally);
+        assert!(!rt.job_result(survives).failed && rt.job_result(lost).failed);
+        assert!(rt.metrics().replica().replicas_restored > 0);
+        got.push(traffic(&rt, &tally));
+
+        let want = [
+            "CpuWake=3 DiskWake=12 Heartbeat=23 OverheadDone=12 ReduceDone=1 \
+             | scheduled=60 delivered=51 cancelled=9",
+            "CpuWake=4 DiskWake=12 EvalTick=4 Heartbeat=43 NetworkDone=6 OverheadDone=12 \
+             ReduceDone=1 | scheduled=90 delivered=82 cancelled=8",
+            "CpuWake=14 DiskWake=37 Heartbeat=96 NetworkDone=12 NodeDown=1 NodeUp=1 \
+             OverheadDone=37 ReduceDone=2 | scheduled=226 delivered=200 cancelled=26",
+            "CpuWake=8 DiskWake=20 Heartbeat=35 NetworkDone=16 NodeDown=1 NodeUp=1 \
+             OverheadDone=20 ReduceDone=1 RepairTick=1 | scheduled=122 delivered=103 cancelled=19",
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -3,14 +3,14 @@
 //!
 //! Tracing is off by default (hot paths stay allocation-free); enable it
 //! with [`crate::MrRuntime::enable_tracing`] and collect the events with
-//! [`crate::MrRuntime::take_trace`]. [`render_timeline`] draws an ASCII
-//! chart of cluster occupancy, and [`JobTimeline`] summarises one job's
-//! phases.
+//! [`crate::MrRuntime::take_trace`]. [`JobTimeline`] summarises one job's
+//! phases; [`crate::obs::render_swimlanes`] draws the per-node occupancy
+//! chart.
 
 use std::fmt;
 
 use incmr_dfs::{BlockId, DiskId, NodeId};
-use incmr_simkit::{SimDuration, SimTime};
+use incmr_simkit::SimTime;
 
 use crate::job::{JobId, TaskId};
 use crate::obs::{FieldReader, TraceParseError, WireField};
@@ -630,76 +630,6 @@ pub fn job_timeline(events: &[TraceEvent], job: JobId) -> Option<JobTimeline> {
     timeline
 }
 
-/// Render an ASCII occupancy timeline: one row per job, one column per
-/// time bucket, cell = concurrently running map attempts (`.` none,
-/// `1`–`9`, `#` ten or more). A compact Gantt substitute for terminals.
-pub fn render_timeline(events: &[TraceEvent], buckets: usize) -> String {
-    if events.is_empty() {
-        return String::from("(empty trace)\n");
-    }
-    let start = events.first().expect("nonempty").time;
-    let end = events.last().expect("nonempty").time;
-    let span_ms = (end - start).as_millis().max(1);
-    let bucket_ms = span_ms.div_ceil(buckets as u64).max(1);
-
-    // Collect per-job running intervals from start/finish pairs.
-    let mut jobs: Vec<JobId> = Vec::new();
-    for e in events {
-        let Some(j) = e.kind.job() else { continue };
-        if !jobs.contains(&j) {
-            jobs.push(j);
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "timeline: {} → {} ({} buckets of {})\n",
-        start,
-        end,
-        buckets,
-        SimDuration::from_millis(bucket_ms)
-    ));
-    for job in jobs {
-        // Running-map deltas per bucket.
-        let mut delta = vec![0i64; buckets + 1];
-        let mut open: std::collections::HashMap<TaskId, usize> = std::collections::HashMap::new();
-        for e in events.iter().filter(|e| e.kind.job() == Some(job)) {
-            let b = (((e.time - start).as_millis()) / bucket_ms) as usize;
-            let b = b.min(buckets - 1);
-            match &e.kind {
-                TraceKind::MapStarted { task, .. } => {
-                    open.insert(*task, b);
-                }
-                TraceKind::MapFinished { task, .. }
-                | TraceKind::MapFailed { task, .. }
-                | TraceKind::AttemptKilled { task, .. } => {
-                    if let Some(sb) = open.remove(task) {
-                        delta[sb] += 1;
-                        delta[b + 1] -= 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Tasks still open at trace end run through the last bucket.
-        for (_, sb) in open {
-            delta[sb] += 1;
-        }
-        let mut running = 0i64;
-        let cells: String = (0..buckets)
-            .map(|b| {
-                running += delta[b];
-                match running {
-                    0 => '.',
-                    1..=9 => char::from_digit(running as u32, 10).expect("1..=9"),
-                    _ => '#',
-                }
-            })
-            .collect();
-        out.push_str(&format!("{job} |{cells}|\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,20 +723,6 @@ mod tests {
     #[test]
     fn timeline_of_unknown_job_is_none() {
         assert!(job_timeline(&sample_trace(), JobId(9)).is_none());
-    }
-
-    #[test]
-    fn render_shows_occupancy_shape() {
-        let out = render_timeline(&sample_trace(), 15);
-        assert!(out.contains("job_0000 |"));
-        let row = out.lines().find(|l| l.starts_with("job_0000")).unwrap();
-        assert!(row.contains('2'), "two concurrent maps early: {row}");
-        assert!(row.contains('.'), "idle tail during reduce: {row}");
-    }
-
-    #[test]
-    fn render_empty_trace() {
-        assert_eq!(render_timeline(&[], 10), "(empty trace)\n");
     }
 
     #[test]

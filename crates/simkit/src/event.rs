@@ -19,15 +19,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
-/// Why a driver loop returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// No events remained in the queue.
-    QueueEmpty,
-    /// The configured time limit was reached with events still pending.
-    TimeLimit,
-}
-
 #[derive(PartialEq, Eq)]
 struct HeapEntry {
     time: SimTime,
@@ -49,7 +40,9 @@ impl PartialOrd for HeapEntry {
 /// The simulation clock and pending-event queue.
 ///
 /// `Sim` is intentionally dumb: it knows nothing about what events *mean*.
-/// Domain logic lives in a [`crate::Handler`] driven by [`crate::run_until`].
+/// The owner runs the loop — [`Sim::pop`] the next event and handle it —
+/// so domain logic lives with the owner (the MapReduce runtime's
+/// `MrRuntime::step`).
 pub struct Sim<E> {
     now: SimTime,
     heap: BinaryHeap<Reverse<HeapEntry>>,

@@ -6,8 +6,8 @@
 //! The kernel deliberately contains no domain knowledge. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a millisecond-resolution virtual clock,
-//! * [`Sim`] — a cancelable future-event list plus the clock,
-//! * [`run_until`] / [`Handler`] — a minimal driver loop,
+//! * [`Sim`] — a cancelable future-event list plus the clock (the caller
+//!   owns the loop: pop an event, handle it, repeat),
 //! * [`rng::DetRng`] — seeded, forkable random-number streams,
 //! * [`dist`] — Zipfian / uniform / exponential samplers,
 //! * [`stats`] — online statistics (Welford, time-weighted means, sampled
@@ -27,106 +27,5 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventId, Sim, StopReason};
+pub use event::{EventId, Sim};
 pub use time::{SimDuration, SimTime};
-
-/// A simulation world: receives events popped from the queue.
-///
-/// The handler gets mutable access to the [`Sim`] so it can schedule and
-/// cancel follow-up events while processing the current one.
-pub trait Handler<E> {
-    /// Process one event. `sim.now()` is the event's timestamp.
-    fn handle(&mut self, sim: &mut Sim<E>, event: E);
-}
-
-impl<E, F: FnMut(&mut Sim<E>, E)> Handler<E> for F {
-    fn handle(&mut self, sim: &mut Sim<E>, event: E) {
-        self(sim, event)
-    }
-}
-
-/// Drive `handler` until the queue is exhausted or the clock passes `until`.
-///
-/// Events scheduled exactly at `until` are still delivered; the first event
-/// strictly later than `until` stops the run (and remains queued).
-pub fn run_until<E, H: Handler<E>>(
-    sim: &mut Sim<E>,
-    handler: &mut H,
-    until: Option<SimTime>,
-) -> StopReason {
-    loop {
-        let Some(at) = sim.peek_time() else {
-            return StopReason::QueueEmpty;
-        };
-        if let Some(limit) = until {
-            if at > limit {
-                sim.advance_to(limit);
-                return StopReason::TimeLimit;
-            }
-        }
-        let (_, ev) = sim.pop().expect("peeked event must pop");
-        handler.handle(sim, ev);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Debug, PartialEq)]
-    enum Ev {
-        Tick(u32),
-    }
-
-    struct Collect(Vec<(SimTime, u32)>);
-    impl Handler<Ev> for Collect {
-        fn handle(&mut self, sim: &mut Sim<Ev>, ev: Ev) {
-            let Ev::Tick(n) = ev;
-            self.0.push((sim.now(), n));
-            if n < 3 {
-                sim.schedule_after(SimDuration::from_secs(1), Ev::Tick(n + 1));
-            }
-        }
-    }
-
-    #[test]
-    fn run_until_drains_queue_in_time_order() {
-        let mut sim = Sim::new();
-        sim.schedule_at(SimTime::from_secs(5), Ev::Tick(1));
-        let mut h = Collect(Vec::new());
-        let reason = run_until(&mut sim, &mut h, None);
-        assert_eq!(reason, StopReason::QueueEmpty);
-        assert_eq!(
-            h.0,
-            vec![
-                (SimTime::from_secs(5), 1),
-                (SimTime::from_secs(6), 2),
-                (SimTime::from_secs(7), 3)
-            ]
-        );
-    }
-
-    #[test]
-    fn run_until_respects_time_limit() {
-        let mut sim = Sim::new();
-        sim.schedule_at(SimTime::from_secs(5), Ev::Tick(1));
-        let mut h = Collect(Vec::new());
-        let reason = run_until(&mut sim, &mut h, Some(SimTime::from_secs(6)));
-        assert_eq!(reason, StopReason::TimeLimit);
-        assert_eq!(h.0.len(), 2);
-        // The clock is advanced to the limit even though the next event is later.
-        assert_eq!(sim.now(), SimTime::from_secs(6));
-        // The unprocessed event survives.
-        assert_eq!(sim.peek_time(), Some(SimTime::from_secs(7)));
-    }
-
-    #[test]
-    fn closure_handlers_work() {
-        let mut sim = Sim::new();
-        sim.schedule_at(SimTime::from_millis(10), Ev::Tick(9));
-        let mut seen = 0u32;
-        let mut handler = |_: &mut Sim<Ev>, Ev::Tick(n): Ev| seen = n;
-        run_until(&mut sim, &mut handler, None);
-        assert_eq!(seen, 9);
-    }
-}

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use incmr::core::build_adaptive_sampling_job;
-use incmr::mapreduce::FaultPlan;
+use incmr::mapreduce::ClusterFaultPlan;
 use incmr::prelude::*;
 
 fn world() -> (MrRuntime, Arc<Dataset>) {
@@ -47,10 +47,11 @@ fn main() {
     for probability in [0.0, 0.1, 0.3, 0.5] {
         let (mut rt, ds) = world();
         if probability > 0.0 {
-            rt.inject_faults(FaultPlan {
-                probability,
+            rt.inject_cluster_faults(ClusterFaultPlan {
+                map_fault_probability: probability,
                 max_attempts: 10,
                 seed: 99,
+                ..ClusterFaultPlan::default()
             })
             .expect("valid plan");
         }

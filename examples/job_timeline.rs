@@ -1,17 +1,17 @@
 //! Visualise incremental job expansion: trace one sampling job per policy
-//! and print its growth curve and cluster-occupancy timeline.
+//! and print its growth curve and per-node slot swimlanes.
 //!
 //! ```text
 //! cargo run --release --example job_timeline
 //! ```
 //!
-//! The Hadoop policy's row fills instantly (all input up front); the
+//! The Hadoop policy's lanes fill at once (all input up front); the
 //! dynamic policies grow in steps as their Input Provider reacts to
 //! arriving statistics.
 
 use std::sync::Arc;
 
-use incmr::mapreduce::{job_timeline, render_timeline};
+use incmr::mapreduce::{job_timeline, render_swimlanes};
 use incmr::prelude::*;
 
 fn main() {
@@ -65,7 +65,7 @@ fn main() {
             rt.job_result(id).response_time().as_secs_f64(),
             rt.job_result(id).splits_processed,
         );
-        print!("{}", render_timeline(&trace, 64));
+        print!("{}", render_swimlanes(&trace, 64));
         println!();
     }
 }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use incmr::hiveql::{QueryOutput, Session, Submitted};
-use incmr::mapreduce::{AggOutcome, AggReport, FaultPlan, Parallelism};
+use incmr::mapreduce::{AggOutcome, AggReport, ClusterFaultPlan, Parallelism};
 use incmr::prelude::*;
 use incmr_data::Value;
 
@@ -27,7 +27,7 @@ fn session_over(
     seed: u64,
     threads: u32,
     memo: bool,
-    faults: Option<FaultPlan>,
+    faults: Option<ClusterFaultPlan>,
 ) -> Session {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(seed);
@@ -50,7 +50,7 @@ fn session_over(
         rt.enable_memoization();
     }
     if let Some(plan) = faults {
-        rt.inject_faults(plan).expect("valid fault plan");
+        rt.inject_cluster_faults(plan).expect("valid fault plan");
     }
     Session::builder()
         .runtime(rt)
@@ -162,7 +162,7 @@ fn coverage_holds_across_thirty_seeded_datasets() {
 }
 
 /// Everything observable about one estimating run, rendered to bytes.
-fn run_fingerprint(threads: u32, faults: Option<FaultPlan>) -> (String, AggReport, u32) {
+fn run_fingerprint(threads: u32, faults: Option<ClusterFaultPlan>) -> (String, AggReport, u32) {
     let mut s = session_over(SkewLevel::Moderate, 77, threads, false, faults);
     let Submitted::Pending(handle) = s.submit(&estimate_sql()).expect("plan") else {
         panic!()
@@ -194,10 +194,11 @@ fn fault_schedules_do_not_change_estimating_output() {
     for fault_seed in [11, 12, 13] {
         let faulted = run_fingerprint(
             4,
-            Some(FaultPlan {
-                probability: 0.3,
+            Some(ClusterFaultPlan {
+                map_fault_probability: 0.3,
                 max_attempts: 10,
                 seed: fault_seed,
+                ..ClusterFaultPlan::default()
             }),
         );
         assert_eq!(

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use incmr::data::{RecordFactory, SplitGenerator};
 use incmr::mapreduce::{
-    DatasetInputFormat, FaultPlan, MapResult, Mapper, ShuffleMetrics, SplitData, StaticDriver,
-    TraceEvent,
+    ClusterFaultPlan, DatasetInputFormat, MapResult, Mapper, ShuffleMetrics, SplitData,
+    StaticDriver, TraceEvent,
 };
 use incmr::prelude::*;
 
@@ -136,7 +136,7 @@ fn scan_mode_dataset(ns: &mut Namespace) -> Arc<Dataset> {
 /// timeline.
 fn scan_mode_fingerprint(
     threads: u32,
-    faults: Option<FaultPlan>,
+    faults: Option<&ClusterFaultPlan>,
     mode: ScanMode,
 ) -> (JobResult, Vec<TraceEvent>) {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
@@ -149,7 +149,7 @@ fn scan_mode_fingerprint(
     );
     rt.enable_tracing();
     if let Some(plan) = faults {
-        rt.inject_faults(plan).expect("valid plan");
+        rt.inject_cluster_faults(plan.clone()).expect("valid plan");
     }
     let (job, driver) = build_sampling_job(&ds, 15, Policy::ma(), mode, SampleMode::FirstK, 23);
     let id = rt.submit(job, driver);
@@ -157,7 +157,10 @@ fn scan_mode_fingerprint(
     (rt.job_result(id).clone(), rt.take_trace())
 }
 
-fn parallel_fingerprint(threads: u32, faults: Option<FaultPlan>) -> (JobResult, Vec<TraceEvent>) {
+fn parallel_fingerprint(
+    threads: u32,
+    faults: Option<&ClusterFaultPlan>,
+) -> (JobResult, Vec<TraceEvent>) {
     scan_mode_fingerprint(threads, faults, ScanMode::Planted)
 }
 
@@ -241,18 +244,19 @@ fn parallel_data_plane_reproduces_serial_results_exactly() {
 /// order; the worker pool must not perturb it.
 #[test]
 fn fault_injection_is_thread_count_invariant() {
-    let plan = FaultPlan {
-        probability: 0.25,
+    let plan = ClusterFaultPlan {
+        map_fault_probability: 0.25,
         max_attempts: 10,
         seed: 99,
+        ..ClusterFaultPlan::default()
     };
-    let (serial_result, serial_trace) = parallel_fingerprint(1, Some(plan));
+    let (serial_result, serial_trace) = parallel_fingerprint(1, Some(&plan));
     assert!(
         serial_result.task_failures > 0,
         "the plan must actually inject failures"
     );
     for threads in [4, 8] {
-        let (result, trace) = parallel_fingerprint(threads, Some(plan));
+        let (result, trace) = parallel_fingerprint(threads, Some(&plan));
         assert_eq!(result.task_failures, serial_result.task_failures);
         assert_eq!(result.response_time(), serial_result.response_time());
         assert_eq!(result.output, serial_result.output);
@@ -302,7 +306,7 @@ impl Combiner for DropEveryThird {
 /// counters.
 fn reduce_plane_fingerprint(
     threads: u32,
-    faults: Option<FaultPlan>,
+    faults: Option<&ClusterFaultPlan>,
 ) -> (JobResult, Vec<TraceEvent>, ShuffleMetrics) {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(29);
@@ -321,7 +325,7 @@ fn reduce_plane_fingerprint(
     );
     rt.enable_tracing();
     if let Some(plan) = faults {
-        rt.inject_faults(plan).expect("valid plan");
+        rt.inject_cluster_faults(plan.clone()).expect("valid plan");
     }
     let job = JobSpec::builder()
         .reduces(3)
@@ -343,12 +347,14 @@ fn reduce_plane_fingerprint(
 fn reduce_plane_and_combiner_are_thread_count_invariant() {
     for faults in [
         None,
-        Some(FaultPlan {
-            probability: 0.2,
+        Some(ClusterFaultPlan {
+            map_fault_probability: 0.2,
             max_attempts: 10,
             seed: 31,
+            ..ClusterFaultPlan::default()
         }),
     ] {
+        let faults = faults.as_ref();
         let (serial_result, serial_trace, serial_shuffle) = reduce_plane_fingerprint(1, faults);
         assert!(
             serial_shuffle.combined_away() > 0,
