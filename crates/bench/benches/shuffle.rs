@@ -18,6 +18,13 @@
 //! however large the input is. The bench prints both totals so that bound
 //! is visible.
 //!
+//! A third shape, `materialised_scan`, is a full-mode select-project
+//! statement: `ScanMapper` over `L_QUANTITY <= 5` (about 10% of rows),
+//! projected to `L_ORDERKEY, L_PARTKEY, L_QUANTITY`, materialising each
+//! match as a `(r{i}, row)` pair into one reduce partition. The mapper is
+//! built fresh every iteration, as every statement compiles one, so its
+//! row-key table is rebuilt each time too.
+//!
 //! Reduce side (`shuffle/reduce_*`): `ReduceUnit::compute` over one merged
 //! partition.
 //!
@@ -44,7 +51,7 @@ use criterion::{black_box, Criterion, Throughput};
 
 use incmr_core::{SampleCombiner, SampleMode, SamplingReducer, ScanMapper};
 use incmr_data::lineitem::col;
-use incmr_data::{BatchSelection, Dataset, DatasetSpec, Predicate, SkewLevel};
+use incmr_data::{BatchSelection, CmpOp, Dataset, DatasetSpec, Predicate, SkewLevel, Value};
 use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
 use incmr_mapreduce::{
     Combiner, DatasetInputFormat, IdentityReducer, InputFormat, Key, KeyedBatch, MapResult,
@@ -190,6 +197,25 @@ fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelE
             });
         }
     }
+    let scan = || -> Arc<dyn Mapper> {
+        let predicate = Predicate::Compare {
+            column: col::QUANTITY,
+            op: CmpOp::Le,
+            literal: Value::Int(5),
+        };
+        let projection = vec![col::ORDERKEY, col::PARTKEY, col::QUANTITY];
+        Arc::new(ScanMapper::new(predicate, projection, true))
+    };
+    let materialized =
+        merge_batch(executor, map_units(ds, scan(), 1, None), 1).materialized_records();
+    println!("materialised_scan: {materialized} records materialised");
+    g.bench_function("materialised_scan", |b| {
+        b.iter(|| {
+            black_box(
+                merge_batch(executor, map_units(ds, scan(), 1, None), 1).materialized_records(),
+            )
+        })
+    });
     g.finish();
 }
 

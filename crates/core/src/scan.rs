@@ -7,8 +7,17 @@
 //! nothing downstream inspects their contents, so in planted mode they are
 //! reported unmaterialised — which is what lets a 600M-row scan job run in
 //! the simulator without holding 300k records in memory.
+//!
+//! A materialised scan (full mode) emits each returned row under its
+//! position in the split's selection: `r0`, `r1`, …, restarting at every
+//! split. Those keys are observable — they set shuffle bytes, the reduce
+//! partition (`partition_of`) and so the result's row order — so they are
+//! exactly these strings. Each mapper builds them once, into one grow-only
+//! table, and a map task clones its keys out of it: an `Arc` bump per row
+//! where formatting a `String` and interning it cost two allocations.
 
-use std::sync::Arc;
+use std::fmt::{self, Write};
+use std::sync::{Arc, Mutex};
 
 use incmr_data::{BatchSelection, Predicate};
 use incmr_mapreduce::{Key, MapResult, Mapper, SplitData};
@@ -20,6 +29,9 @@ pub struct ScanMapper {
     /// Shared, so a split's selection takes it without a copy.
     projection: Arc<[usize]>,
     materialize: bool,
+    /// The materialised path's row keys. Clones share one table; it lives
+    /// as long as the job's spec holds the mapper.
+    keys: Arc<RowKeys>,
 }
 
 impl ScanMapper {
@@ -31,25 +43,65 @@ impl ScanMapper {
             predicate,
             projection: projection.into(),
             materialize,
+            keys: Arc::default(),
         }
+    }
+}
+
+/// The row keys `r0 … r(n−1)` of a materialised scan, built once per
+/// mapper. Map tasks run on the worker pool, so the table sits behind a
+/// lock that each task takes once, never once per row.
+#[derive(Default)]
+struct RowKeys(Mutex<Arc<[Key]>>);
+
+impl RowKeys {
+    /// A table of at least `n` keys. A shorter table grows geometrically,
+    /// keeping the keys it already holds; otherwise this is one `Arc` bump.
+    fn at_least(&self, n: usize) -> Arc<[Key]> {
+        let mut keys = self
+            .0
+            .lock()
+            .expect("no map task panics holding the key table");
+        if keys.len() < n {
+            let built = keys.len();
+            // One buffer renders every new key; each key is one `Arc<str>`.
+            let mut name = String::from("r");
+            let new = (built..n.max(2 * built)).map(|i| {
+                name.truncate(1);
+                write!(name, "{i}").expect("writing to a String");
+                Key::from(name.as_str())
+            });
+            *keys = keys.iter().cloned().chain(new).collect();
+        }
+        Arc::clone(&keys)
+    }
+}
+
+/// The table is a cache of `r{i}` strings, so `Debug` omits it.
+impl fmt::Debug for RowKeys {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RowKeys").finish_non_exhaustive()
     }
 }
 
 impl Mapper for ScanMapper {
     /// Select every match of the split. Widths and counts come straight
     /// off the column vectors. Records are only built in the (small-job)
-    /// materialised path, where per-row keys force real pairs; the
-    /// simulated-load path never constructs a `Record` at all.
+    /// materialised path, where per-row keys force real pairs: row `i`
+    /// of the selection goes out under key `r{i}`, cloned from the
+    /// mapper's key table. The simulated-load path never constructs a
+    /// `Record` or a key at all.
     fn run(&self, data: SplitData) -> MapResult {
         let records_read = data.total_records();
         let (batch, sel) = data.select(&self.predicate, usize::MAX);
         let rows = BatchSelection::new(batch, sel, Arc::clone(&self.projection));
         if self.materialize {
+            let keys = self.keys.at_least(rows.len());
             MapResult {
-                pairs: rows
-                    .iter_records()
-                    .enumerate()
-                    .map(|(i, r)| (Key::from(format!("r{i}")), r))
+                pairs: keys[..rows.len()]
+                    .iter()
+                    .cloned()
+                    .zip(rows.iter_records())
                     .collect(),
                 records_read,
                 ..MapResult::default()
@@ -129,43 +181,70 @@ mod tests {
     /// Both scan modes agree with the row reference: the generator's
     /// records filtered by the scalar predicate, projected, keyed by
     /// position, and counted at `width + 8` bytes apiece when unmaterialised.
+    /// One mapper scans splits whose match counts rise and then fall, so its
+    /// key table grows over the keys it holds and then serves shorter
+    /// splits from its prefix; every split's keys must still be exactly the
+    /// formatted `r{i}`.
     #[test]
     fn batch_scan_matches_row_scan_in_both_modes() {
         let f = factory();
         let p = f.predicate();
-        let g = SplitGenerator::new(&f, SplitSpec::new(800, 13, 5));
+        let matches = [5, 13, 40, 90, 30, 0, 13];
         for projection in [vec![], vec![col::ORDERKEY, col::PARTKEY]] {
-            let rows: Vec<Record> = g
-                .full_iter()
-                .filter(|r| p.eval(r))
-                .map(|r| {
-                    if projection.is_empty() {
-                        r
-                    } else {
-                        r.project(&projection)
-                    }
-                })
-                .collect();
-            let bytes: u64 = rows.iter().map(|r| r.width() + 8).sum();
-            let pairs: Vec<(Key, Record)> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (Key::from(format!("r{i}")), r.clone()))
-                .collect();
             for materialize in [false, true] {
                 let m = ScanMapper::new(p.clone(), projection.clone(), materialize);
-                for out in [m.run(full(&g)), m.run(planted(&g))] {
-                    assert_eq!(out.records_read, 800);
-                    assert_eq!(out.total_outputs(), rows.len() as u64);
-                    if materialize {
-                        assert_eq!(out.pairs, pairs);
-                    } else {
-                        assert!(out.pairs.is_empty());
-                        assert_eq!(out.unmaterialized_bytes, bytes);
+                for (seed, &n) in matches.iter().enumerate() {
+                    let g = SplitGenerator::new(&f, SplitSpec::new(800, n, seed as u64 + 5));
+                    let rows: Vec<Record> = g
+                        .full_iter()
+                        .filter(|r| p.eval(r))
+                        .map(|r| {
+                            if projection.is_empty() {
+                                r
+                            } else {
+                                r.project(&projection)
+                            }
+                        })
+                        .collect();
+                    assert_eq!(rows.len() as u64, n);
+                    let bytes: u64 = rows.iter().map(|r| r.width() + 8).sum();
+                    let pairs: Vec<(Key, Record)> = rows
+                        .iter()
+                        .enumerate()
+                        .map(|(i, r)| (Key::from(format!("r{i}")), r.clone()))
+                        .collect();
+                    for out in [m.run(full(&g)), m.run(planted(&g))] {
+                        assert_eq!(out.records_read, 800);
+                        assert_eq!(out.total_outputs(), n);
+                        if materialize {
+                            assert_eq!(out.pairs, pairs, "{n} matches");
+                        } else {
+                            assert!(out.pairs.is_empty());
+                            assert_eq!(out.unmaterialized_bytes, bytes);
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Clones share one key table, and a task never takes the lock more
+    /// than once: the table grows geometrically and keeps its keys.
+    #[test]
+    fn key_table_grows_geometrically_and_keeps_its_keys() {
+        let m = ScanMapper::new(Predicate::True, vec![], true);
+        let first = m.keys.at_least(3);
+        assert_eq!(&*first, [Key::from("r0"), Key::from("r1"), Key::from("r2")]);
+        let clone = m.clone();
+        let grown = clone.keys.at_least(4);
+        assert_eq!(grown.len(), 6, "doubles rather than growing by one");
+        assert!(Arc::ptr_eq(&first[2], &grown[2]), "kept, not rebuilt");
+        assert!(Arc::ptr_eq(&m.keys.at_least(1), &grown), "one shared table");
+        assert_eq!(
+            format!("{m:?}").matches("r0").count(),
+            0,
+            "Debug omits keys"
+        );
     }
 
     #[test]

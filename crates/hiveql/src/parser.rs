@@ -71,6 +71,12 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
     Ok(stmt)
 }
 
+/// How an error message names a token: as it reads in the statement, or
+/// `end of input` when the statement ran out.
+fn describe(token: Option<&Token>) -> String {
+    token.map_or_else(|| "end of input".into(), Token::to_string)
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -86,9 +92,7 @@ impl Parser {
     }
 
     fn peek_desc(&self) -> String {
-        self.peek()
-            .map(|t| format!("{t:?}"))
-            .unwrap_or_else(|| "end of input".into())
+        describe(self.peek())
     }
 
     fn next(&mut self) -> Option<Token> {
@@ -129,7 +133,8 @@ impl Parser {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(ParseError::new(format!(
-                "expected an identifier, found {other:?}"
+                "expected an identifier, found {}",
+                describe(other.as_ref())
             ))),
         }
     }
@@ -147,7 +152,8 @@ impl Parser {
                 Some(Token::Float(v)) => v.to_string(),
                 other => {
                     return Err(ParseError::new(format!(
-                        "expected a value in SET, found {other:?}"
+                        "expected a value in SET, found {}",
+                        describe(other.as_ref())
                     )))
                 }
             };
@@ -243,7 +249,8 @@ impl Parser {
                 Some(Token::Int(v)) if v > 0 => Some(v as u64),
                 other => {
                     return Err(ParseError::new(format!(
-                        "LIMIT needs a positive integer, found {other:?}"
+                        "LIMIT needs a positive integer, found {}",
+                        describe(other.as_ref())
                     )))
                 }
             }
@@ -268,7 +275,8 @@ impl Parser {
             Some(Token::Int(v)) => v as f64,
             other => {
                 return Err(ParseError::new(format!(
-                    "{clause} needs a number, found {other:?}"
+                    "{clause} needs a number, found {}",
+                    describe(other.as_ref())
                 )))
             }
         };
@@ -302,7 +310,8 @@ impl Parser {
             Some(Token::Ident(c)) => Some(c),
             other => {
                 return Err(ParseError::new(format!(
-                    "expected a column or * in {func}(), found {other:?}"
+                    "expected a column or * in {func}(), found {}",
+                    describe(other.as_ref())
                 )))
             }
         };
@@ -364,7 +373,8 @@ impl Parser {
             Some(Token::Ge) => CmpOp::Ge,
             other => {
                 return Err(ParseError::new(format!(
-                    "expected a comparison operator, found {other:?}"
+                    "expected a comparison operator, found {}",
+                    describe(other.as_ref())
                 )))
             }
         };
@@ -382,7 +392,8 @@ impl Parser {
             Some(Token::Float(v)) => Ok(Literal::Float(v)),
             Some(Token::Str(s)) => Ok(Literal::Str(s)),
             other => Err(ParseError::new(format!(
-                "expected a literal, found {other:?}"
+                "expected a literal, found {}",
+                describe(other.as_ref())
             ))),
         }
     }
@@ -573,5 +584,42 @@ mod tests {
             "trailing tokens rejected"
         );
         assert!(parse("SET x").is_err());
+    }
+
+    /// Each error names the offending token as the statement spells it, or
+    /// `end of input`, never its Rust `Debug` form.
+    #[test]
+    fn errors_name_the_token_as_written() {
+        for (sql, message) in [
+            ("SELECT x FROM 5", "expected an identifier, found 5"),
+            ("SET k = (", "expected a value in SET, found ("),
+            ("SET k =", "expected a value in SET, found end of input"),
+            (
+                "SELECT COUNT(*) FROM t WHERE L_QUANTITY > 45 LIMIT 0",
+                "LIMIT needs a positive integer, found 0",
+            ),
+            (
+                "SELECT * FROM t LIMIT",
+                "LIMIT needs a positive integer, found end of input",
+            ),
+            (
+                "SELECT COUNT(*) FROM t WITH ERROR 'x'",
+                "WITH ERROR needs a number, found 'x'",
+            ),
+            (
+                "SELECT SUM(2.5) FROM t",
+                "expected a column or * in SUM(), found 2.5",
+            ),
+            (
+                "SELECT * FROM t WHERE x LIKE 5",
+                "expected a comparison operator, found LIKE",
+            ),
+            ("SELECT * FROM t WHERE x = y", "expected a literal, found y"),
+            ("SELECT * t", "expected FROM, found t"),
+            ("SELECT * FROM t x", "trailing input starting at x"),
+        ] {
+            let err = parse(sql).expect_err(sql);
+            assert_eq!(err.message, message, "{sql}");
+        }
     }
 }

@@ -92,7 +92,9 @@ pub use scheduler::{
     Assignment, Claims, FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler,
     ViewPolicy,
 };
-pub use shuffle::{fnv1a, partition_of, PartitionBuffer, PartitionedPairs, ShuffleState, ValueSeq};
+pub use shuffle::{
+    fnv1a, partition_of, KeyGroups, PartitionBuffer, PartitionedPairs, ShuffleState, ValueSeq,
+};
 pub use trace::{job_timeline, JobTimeline, TraceEvent, TraceKind};
 
 /// One-line import for framework users: `use incmr_mapreduce::prelude::*;`

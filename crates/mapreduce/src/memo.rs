@@ -21,10 +21,12 @@
 //! the dead node held and the next probe recomputes.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 
 use incmr_dfs::{BlockId, NodeId};
 
 use crate::parallel::MapTaskResult;
+use crate::shuffle::FnvHasher;
 
 /// One cached map output: the result, the block version it was computed
 /// at, and the node holding it.
@@ -157,21 +159,9 @@ impl MemoStore {
     }
 }
 
-/// 64-bit FNV-1a over a byte stream — the same stable hash the shuffle
-/// partitioner uses, applied here to job configurations.
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 /// Derive a job signature by hashing every conf `(key, value)` pair in
-/// key order plus the reduce count. Deterministic across runs and
+/// key order plus the reduce count with FNV-1a, the stable hash the
+/// shuffle partitioner uses. Deterministic across runs and
 /// processes; two submissions with identical configuration collide by
 /// construction, which is exactly the memo-sharing contract. Jobs wanting
 /// a semantic identity set [`crate::conf::keys::JOB_SIGNATURE`] instead.
@@ -179,14 +169,15 @@ pub fn signature_of_conf<'a>(
     pairs: impl Iterator<Item = (&'a str, &'a str)>,
     reduce_tasks: u32,
 ) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = FnvHasher::default();
     for (k, v) in pairs {
-        h = fnv1a(h, k.as_bytes());
-        h = fnv1a(h, &[0xFF]);
-        h = fnv1a(h, v.as_bytes());
-        h = fnv1a(h, &[0xFE]);
+        h.write(k.as_bytes());
+        h.write(&[0xFF]);
+        h.write(v.as_bytes());
+        h.write(&[0xFE]);
     }
-    fnv1a(h, &reduce_tasks.to_le_bytes())
+    h.write(&reduce_tasks.to_le_bytes());
+    h.finish()
 }
 
 #[cfg(test)]

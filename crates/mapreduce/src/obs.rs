@@ -338,12 +338,17 @@ impl MetricsRegistry {
         self.provider_eval_interval_ms.record(ms);
     }
 
-    /// Record a map task's queue wait under the named scheduler.
+    /// Record a map task's queue wait under the named scheduler. Only a
+    /// scheduler's first wait allocates its name.
     pub fn record_queue_wait(&mut self, scheduler: &str, ms: u64) {
-        self.queue_wait_ms
-            .entry(scheduler.to_string())
-            .or_default()
-            .record(ms);
+        if let Some(h) = self.queue_wait_ms.get_mut(scheduler) {
+            h.record(ms);
+        } else {
+            self.queue_wait_ms
+                .entry(scheduler.to_string())
+                .or_default()
+                .record(ms);
+        }
     }
 
     /// Record a split's wait from being added to its first dispatch.

@@ -41,7 +41,6 @@
 //! sequential PRNG stream (see `incmr-data::generator`), so the unit of
 //! parallelism is the split.
 
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -52,7 +51,7 @@ use incmr_dfs::BlockId;
 
 use crate::cluster::Parallelism;
 use crate::exec::{batches_to_pairs, Combiner, InputFormat, Key, Mapper, Reducer};
-use crate::shuffle::{PartitionedPairs, ValueSeq};
+use crate::shuffle::{KeyGroups, PartitionedPairs};
 
 /// A self-contained piece of data-plane work: consumed once, produces a
 /// sendable result. Implementations must be pure functions of their
@@ -192,7 +191,7 @@ pub struct ReduceUnit {
     /// Values per key, in arrival order. Each group is handed to
     /// [`Reducer::reduce_group`] by value, so batch segments stay
     /// zero-copy until the reducer builds the rows it outputs.
-    pub groups: HashMap<Key, ValueSeq>,
+    pub groups: KeyGroups,
 }
 
 /// What a finished reduce task hands back.
@@ -517,7 +516,7 @@ mod tests {
     fn reduce_unit_runs_groups_in_key_order() {
         let key_b = Key::from("b");
         let key_a = Key::from("a");
-        let mut groups: HashMap<Key, ValueSeq> = HashMap::new();
+        let mut groups = KeyGroups::default();
         groups.insert(
             Key::clone(&key_b),
             vec![

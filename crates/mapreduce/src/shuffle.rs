@@ -45,6 +45,7 @@
 //! fingerprint matches the fault-free run, schedule for schedule.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use incmr_data::{BatchSelection, Record};
 
@@ -53,13 +54,43 @@ use crate::exec::{Key, KeyedBatch};
 /// FNV-1a, the key-partitioning hash (Hadoop uses `key.hashCode() % R`;
 /// any stable hash serves, and FNV-1a is deterministic across platforms).
 pub fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = FnvHasher::default();
+    h.write(key.as_bytes());
+    h.finish()
 }
+
+/// The FNV-1a step as a [`Hasher`]: the crate's one key hash, for
+/// partitioning ([`fnv1a`]) and for indexing key groups ([`KeyGroups`]).
+/// Keys are short strings, which FNV-1a hashes in one multiply per byte
+/// where SipHash runs its full rounds.
+#[derive(Debug, Clone, Copy)]
+pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for FnvHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One reduce partition's values per key, indexed by FNV-1a. Nothing
+/// iterates the map — reducers visit groups in first-seen key order — so
+/// the hash can never move an output. Keys come from the job's own
+/// mappers, not from outside the program, so the map needs none of
+/// SipHash's resistance to crafted collisions.
+pub type KeyGroups = HashMap<Key, ValueSeq, BuildHasherDefault<FnvHasher>>;
 
 /// Which of `reduce_tasks` partitions `key` belongs to.
 pub fn partition_of(key: &str, reduce_tasks: u32) -> usize {
@@ -326,7 +357,7 @@ pub struct PartitionBuffer {
     pub key_order: Vec<Key>,
     /// Values per key, in arrival order — batch runs stay zero-copy until
     /// the reduce boundary.
-    pub groups: HashMap<Key, ValueSeq>,
+    pub groups: KeyGroups,
     /// Exact bytes of materialised input merged into this partition.
     pub shuffle_bytes: u64,
     /// Exact count of materialised input records merged in.
@@ -535,6 +566,15 @@ mod tests {
             assert_eq!(x.shuffle_bytes, y.shuffle_bytes);
             assert_eq!(x.input_records, y.input_records);
         }
+    }
+
+    /// The one key hash is FNV-1a 64: partitions, memo signatures and
+    /// recorded outputs depend on these exact values.
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

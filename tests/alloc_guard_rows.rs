@@ -5,9 +5,11 @@
 //! value, the reducer builds only the rows it outputs, and collecting the
 //! result moves them. Grouped aggregation likewise accumulates into one
 //! slot per group and renders each group's key once, not once per row.
-//! This test pins both with a counting global allocator: a reintroduced
-//! per-row copy or per-row key costs one allocation per row or more and
-//! trips the guard.
+//! A materialised scan clones each row's key `r{i}` out of its mapper's
+//! key table instead of formatting and interning one per row. This test
+//! pins all three with a counting global allocator: a reintroduced per-row
+//! copy or per-row key costs one allocation per row or more and trips the
+//! guard.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can perturb
 //! the counter.
@@ -105,6 +107,49 @@ fn result_rows_and_group_keys_are_built_once() {
         per_row <= 1.5,
         "a LIMIT {K} sample allocated {allocs} times ({per_row:.2} per returned row; \
          expected ≤ 1.5 — is a result row copied on its way out again?)"
+    );
+
+    // A materialised full-mode scan of three numeric columns at about 10%
+    // selectivity over 8 × 20k rows. Each returned row is one `Record`, one
+    // `Vec` of values and a share of the map and reduce output vectors; its
+    // key is an `Arc` bump. Formatting a key per row cost about 4.5
+    // allocations per row.
+    let mut ns = Namespace::new(ClusterTopology::paper_cluster());
+    let table = dataset(
+        DatasetSpec::small("lineitem", 8, 20_000, SkewLevel::Zero, 17),
+        &mut ns,
+    );
+    let runtime = MrRuntime::new(
+        ClusterConfig::paper_single_user(),
+        CostModel::paper_default(),
+        ns,
+        Box::new(FifoScheduler::new()),
+    );
+    let mut session = Session::builder()
+        .runtime(runtime)
+        .table("lineitem", table)
+        .scan_mode(ScanMode::Full)
+        .try_build()
+        .expect("a valid session");
+    let sql = "SELECT L_ORDERKEY, L_PARTKEY, L_QUANTITY FROM lineitem WHERE L_QUANTITY <= 5";
+    let mut scan = || {
+        let Submitted::Pending(handle) = session.submit(sql).expect("valid SQL") else {
+            panic!("a SELECT runs as a job")
+        };
+        let (allocs, result) = allocations_during(|| handle.wait(&mut session));
+        assert!(!result.failed);
+        assert!(result.rows.iter().all(|r| r.arity() == 3));
+        (allocs, result.rows.len() as u64)
+    };
+    scan();
+    let (allocs, rows) = scan();
+    assert!(rows > 12_000, "about 10% of 160k rows match, got {rows}");
+    let per_row = allocs as f64 / rows as f64;
+    assert!(
+        per_row <= 2.25,
+        "a materialised scan returning {rows} rows allocated {allocs} times \
+         ({per_row:.2} per returned row; expected ≤ 2.25 — is a row key \
+         formatted per row again?)"
     );
 
     // Grouped aggregation over one 20k-row batch, by an Int column with 7

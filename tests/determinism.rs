@@ -5,10 +5,12 @@
 
 use std::sync::Arc;
 
-use incmr::data::{RecordFactory, SplitGenerator};
+use incmr::core::ScanMapper;
+use incmr::data::lineitem::col;
+use incmr::data::{CmpOp, RecordFactory, SplitGenerator};
 use incmr::mapreduce::{
-    ClusterFaultPlan, DatasetInputFormat, MapResult, Mapper, ShuffleMetrics, SplitData,
-    StaticDriver, TraceEvent,
+    partition_of, ClusterFaultPlan, DatasetInputFormat, MapResult, Mapper, ShuffleMetrics,
+    SplitData, StaticDriver, TraceEvent,
 };
 use incmr::prelude::*;
 
@@ -300,13 +302,13 @@ impl Combiner for DropEveryThird {
     }
 }
 
-/// Like [`parallel_fingerprint`], but exercising the paths the sampling job
-/// does not: a combiner that actually removes records, three reduce tasks
-/// (so the reduce plane runs multiple `ReduceUnit`s), and the shuffle
-/// counters.
-fn reduce_plane_fingerprint(
+/// Run the static job `job` builds over a 24-split table (seed 29) with a
+/// given data-plane thread count and fault plan; return its result, the
+/// complete trace timeline and the shuffle counters.
+fn static_job_fingerprint(
     threads: u32,
     faults: Option<&ClusterFaultPlan>,
+    job: impl FnOnce(&Arc<Dataset>) -> JobSpec,
 ) -> (JobResult, Vec<TraceEvent>, ShuffleMetrics) {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(29);
@@ -327,17 +329,62 @@ fn reduce_plane_fingerprint(
     if let Some(plan) = faults {
         rt.inject_cluster_faults(plan.clone()).expect("valid plan");
     }
-    let job = JobSpec::builder()
-        .reduces(3)
-        .input(DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Planted))
-        .mapper(FanOutMapper)
-        .combiner(DropEveryThird)
-        .build();
     let blocks = ds.splits().iter().map(|p| p.block).collect();
-    let id = rt.submit(job, Box::new(StaticDriver::new(blocks)));
+    let id = rt.submit(job(&ds), Box::new(StaticDriver::new(blocks)));
     rt.run_until_idle();
     let shuffle = rt.metrics().shuffle();
     (rt.job_result(id).clone(), rt.take_trace(), shuffle)
+}
+
+/// Like [`parallel_fingerprint`], but exercising the paths the sampling job
+/// does not: a combiner that actually removes records, three reduce tasks
+/// (so the reduce plane runs multiple `ReduceUnit`s), and the shuffle
+/// counters.
+fn reduce_plane_fingerprint(
+    threads: u32,
+    faults: Option<&ClusterFaultPlan>,
+) -> (JobResult, Vec<TraceEvent>, ShuffleMetrics) {
+    static_job_fingerprint(threads, faults, |ds| {
+        JobSpec::builder()
+            .reduces(3)
+            .input(DatasetInputFormat::new(Arc::clone(ds), ScanMode::Planted))
+            .mapper(FanOutMapper)
+            .combiner(DropEveryThird)
+            .build()
+    })
+}
+
+/// A materialised scan (`SELECT L_ORDERKEY, L_PARTKEY, L_QUANTITY WHERE
+/// L_QUANTITY <= 5`, about 10% of rows) with three reduce tasks, so
+/// `partition_of` spreads the `r{i}` keys that every map task clones out of
+/// the mapper's one key table.
+fn materialised_scan_fingerprint(
+    threads: u32,
+    faults: Option<&ClusterFaultPlan>,
+) -> (JobResult, Vec<TraceEvent>, ShuffleMetrics) {
+    static_job_fingerprint(threads, faults, |ds| {
+        let predicate = Predicate::Compare {
+            column: col::QUANTITY,
+            op: CmpOp::Le,
+            literal: Value::Int(5),
+        };
+        let projection = vec![col::ORDERKEY, col::PARTKEY, col::QUANTITY];
+        JobSpec::builder()
+            .reduces(3)
+            .input(DatasetInputFormat::new(Arc::clone(ds), ScanMode::Full))
+            .mapper(ScanMapper::new(predicate, projection, true))
+            .build()
+    })
+}
+
+/// The fault plan the reduce-plane suites run under.
+fn reduce_plane_faults() -> ClusterFaultPlan {
+    ClusterFaultPlan {
+        map_fault_probability: 0.2,
+        max_attempts: 10,
+        seed: 31,
+        ..ClusterFaultPlan::default()
+    }
 }
 
 /// The reduce plane and the combiner run on the worker pool too; their
@@ -345,15 +392,7 @@ fn reduce_plane_fingerprint(
 /// count, with and without fault injection.
 #[test]
 fn reduce_plane_and_combiner_are_thread_count_invariant() {
-    for faults in [
-        None,
-        Some(ClusterFaultPlan {
-            map_fault_probability: 0.2,
-            max_attempts: 10,
-            seed: 31,
-            ..ClusterFaultPlan::default()
-        }),
-    ] {
+    for faults in [None, Some(reduce_plane_faults())] {
         let faults = faults.as_ref();
         let (serial_result, serial_trace, serial_shuffle) = reduce_plane_fingerprint(1, faults);
         assert!(
@@ -377,6 +416,45 @@ fn reduce_plane_and_combiner_are_thread_count_invariant() {
             );
             assert_eq!(result.response_time(), serial_result.response_time());
             assert_eq!(result.map_output_records, serial_result.map_output_records);
+            assert_eq!(result.task_failures, serial_result.task_failures);
+            assert_eq!(trace, serial_trace);
+            assert_eq!(shuffle, serial_shuffle, "shuffle counters diverged");
+        }
+    }
+}
+
+/// Map tasks share the scan mapper's key table from worker threads; the
+/// rows, their order, the trace and the shuffle counters must not depend
+/// on how many threads there are, with and without fault injection. The
+/// rows must not depend on the faults either, since maps merge in task-id
+/// order.
+#[test]
+fn materialised_scan_is_thread_count_invariant() {
+    let (fault_free, _, _) = materialised_scan_fingerprint(1, None);
+    let partitions: std::collections::BTreeSet<usize> = fault_free
+        .output
+        .iter()
+        .map(|(key, _)| partition_of(key, 3))
+        .collect();
+    assert_eq!(partitions.len(), 3, "every reduce task gets rows");
+    assert!(fault_free.output.iter().any(|(key, _)| &**key == "r400"));
+    for faults in [None, Some(reduce_plane_faults())] {
+        let faults = faults.as_ref();
+        let (serial_result, serial_trace, serial_shuffle) =
+            materialised_scan_fingerprint(1, faults);
+        assert_eq!(serial_result.output, fault_free.output);
+        if faults.is_some() {
+            assert!(serial_result.task_failures > 0);
+        }
+        for threads in [4, 8] {
+            let (result, trace, shuffle) = materialised_scan_fingerprint(threads, faults);
+            assert_eq!(
+                result.output,
+                serial_result.output,
+                "scan rows diverged at {threads} threads (faults: {})",
+                faults.is_some()
+            );
+            assert_eq!(result.response_time(), serial_result.response_time());
             assert_eq!(result.task_failures, serial_result.task_failures);
             assert_eq!(trace, serial_trace);
             assert_eq!(shuffle, serial_shuffle, "shuffle counters diverged");
