@@ -140,5 +140,4 @@ fn main() {
     // workspace root where tooling expects it.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
     c.write_json(out).expect("write BENCH_scan.json");
-    println!("wrote {out}");
 }

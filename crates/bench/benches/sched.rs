@@ -173,25 +173,27 @@ fn bench_heartbeat(c: &mut Criterion) {
     g.finish();
 }
 
-fn mean_of(c: &Criterion, name: &str) -> f64 {
+/// The mean of a row, if the run's name filter let it run.
+fn mean_of(c: &Criterion, name: &str) -> Option<f64> {
     c.results()
         .iter()
         .find(|r| r.name == name)
         .map(|r| r.mean_ns)
-        .expect("bench ran")
 }
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     bench_assign(&mut c);
     bench_heartbeat(&mut c);
-    let step_1k = mean_of(&c, "heartbeat/step_1000_queued");
-    let step_10k = mean_of(&c, "heartbeat/step_10000_queued");
-    println!(
-        "heartbeat growth 1k -> 10k queued jobs: {:.2}x (linear would be ~10x)",
-        step_10k / step_1k
-    );
+    if let (Some(step_1k), Some(step_10k)) = (
+        mean_of(&c, "heartbeat/step_1000_queued"),
+        mean_of(&c, "heartbeat/step_10000_queued"),
+    ) {
+        println!(
+            "heartbeat growth 1k -> 10k queued jobs: {:.2}x (linear would be ~10x)",
+            step_10k / step_1k
+        );
+    }
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
     c.write_json(out).expect("write BENCH_sched.json");
-    println!("wrote {out}");
 }

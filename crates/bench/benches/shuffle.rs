@@ -43,7 +43,13 @@
 //! partition into a fresh one. The `reduce_input_clone/*` rows time that
 //! clone alone; subtract them to get the reduce itself.
 //!
-//! Timings go to `BENCH_shuffle.json`.
+//! Every row builds its own input inside its closure, so a filtered run
+//! (`cargo bench --bench shuffle -- --exact shuffle/reduce_sampling_k10000`)
+//! builds only what the rows it times read, and a row can be timed in a
+//! process of its own, free of the heap state other rows leave behind.
+//!
+//! A full run writes its timings to `BENCH_shuffle.json`; a filtered run
+//! leaves the file as it is.
 
 use std::sync::Arc;
 
@@ -149,11 +155,16 @@ fn merge_batch(
     units: Vec<MapUnit>,
     reduce_tasks: u32,
 ) -> ShuffleState {
-    let mut shuffle = ShuffleState::new(reduce_tasks, u64::MAX);
+    let mut shuffle = ShuffleState::new(reduce_tasks);
     for result in executor.run(units) {
         shuffle.merge(result.pairs);
     }
     shuffle
+}
+
+/// Records merged across every reduce partition.
+fn merged_records(shuffle: &ShuffleState) -> u64 {
+    shuffle.buffers().iter().map(|b| b.input_records).sum()
 }
 
 fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelExecutor) {
@@ -163,36 +174,37 @@ fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelE
         [("wide_keys", 1_000usize, 4u32), ("dummy_key", 1, 1)]
     {
         for with_combiner in [false, true] {
-            let combiner: Option<Arc<dyn Combiner>> =
-                with_combiner.then(|| Arc::new(SampleCombiner::new(COMBINER_K)) as _);
-            let mapper = Arc::new(FanOutMapper::unprojected(distinct_keys));
-            let units = map_units(ds, mapper, reduce_tasks, combiner);
-            let materialized =
-                merge_batch(executor, units.clone(), reduce_tasks).materialized_records();
-            if with_combiner {
-                assert!(
-                    materialized <= COMBINER_K * MAPS as u64,
-                    "combiner bound violated: {materialized} > k×maps"
-                );
-            } else {
-                assert_eq!(materialized, MAPS as u64 * RECORDS_PER_SPLIT);
-            }
             let suffix = if with_combiner {
                 "combiner"
             } else {
                 "no_combiner"
             };
-            println!(
-                "{shape}/{suffix}: {materialized} records materialised \
-                 (bound: {}, k×maps = {})",
-                MAPS as u64 * RECORDS_PER_SPLIT,
-                COMBINER_K * MAPS as u64,
-            );
             g.bench_function(format!("{shape}/{suffix}"), |b| {
+                let combiner: Option<Arc<dyn Combiner>> =
+                    with_combiner.then(|| Arc::new(SampleCombiner::new(COMBINER_K)) as _);
+                let mapper = Arc::new(FanOutMapper::unprojected(distinct_keys));
+                let units = map_units(ds, mapper, reduce_tasks, combiner);
+                let merged = merged_records(&merge_batch(executor, units.clone(), reduce_tasks));
+                if with_combiner {
+                    assert!(
+                        merged <= COMBINER_K * MAPS as u64,
+                        "combiner bound violated: {merged} > k×maps"
+                    );
+                } else {
+                    assert_eq!(merged, MAPS as u64 * RECORDS_PER_SPLIT);
+                }
+                println!(
+                    "{shape}/{suffix}: {merged} records merged \
+                     (bound: {}, k×maps = {})",
+                    MAPS as u64 * RECORDS_PER_SPLIT,
+                    COMBINER_K * MAPS as u64,
+                );
                 b.iter(|| {
-                    black_box(
-                        merge_batch(executor, units.clone(), reduce_tasks).materialized_records(),
-                    )
+                    black_box(merged_records(&merge_batch(
+                        executor,
+                        units.clone(),
+                        reduce_tasks,
+                    )))
                 })
             });
         }
@@ -206,14 +218,15 @@ fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelE
         let projection = vec![col::ORDERKEY, col::PARTKEY, col::QUANTITY];
         Arc::new(ScanMapper::new(predicate, projection, true))
     };
-    let materialized =
-        merge_batch(executor, map_units(ds, scan(), 1, None), 1).materialized_records();
-    println!("materialised_scan: {materialized} records materialised");
     g.bench_function("materialised_scan", |b| {
+        let merged = merged_records(&merge_batch(executor, map_units(ds, scan(), 1, None), 1));
+        println!("materialised_scan: {merged} records merged");
         b.iter(|| {
-            black_box(
-                merge_batch(executor, map_units(ds, scan(), 1, None), 1).materialized_records(),
-            )
+            black_box(merged_records(&merge_batch(
+                executor,
+                map_units(ds, scan(), 1, None),
+                1,
+            )))
         })
     });
     g.finish();
@@ -234,58 +247,56 @@ fn bench_reduce_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut Parall
         let mut buffers = merge_batch(executor, units, 1).into_buffers();
         buffers.pop().expect("one reduce partition")
     };
-    let sample_input = one_partition(Arc::new(FanOutMapper::unprojected(1)), executor);
     let projection = vec![col::ORDERKEY, col::PARTKEY, col::SUPPKEY];
-    let sample_proj3_input = one_partition(
-        Arc::new(FanOutMapper {
-            distinct_keys: 1,
-            projection: Arc::from(projection.as_slice()),
-        }),
-        executor,
-    );
-    let scan_input = one_partition(
-        Arc::new(ScanMapper::new(Predicate::True, projection, true)),
-        executor,
-    );
+    let sample: Arc<dyn Mapper> = Arc::new(FanOutMapper::unprojected(1));
+    let sample_proj3: Arc<dyn Mapper> = Arc::new(FanOutMapper {
+        distinct_keys: 1,
+        projection: Arc::from(projection.as_slice()),
+    });
+    let scan: Arc<dyn Mapper> = Arc::new(ScanMapper::new(Predicate::True, projection, true));
     let all_rows = MAPS as usize * RECORDS_PER_SPLIT as usize;
 
-    let cases: [(&str, Arc<dyn Reducer>, &PartitionBuffer, usize); 4] = [
+    // Name, reducer, the mapper whose merged output is its input, rows out.
+    type Case = (&'static str, Arc<dyn Reducer>, Arc<dyn Mapper>, usize);
+    let cases: [Case; 4] = [
         (
             "reduce_sampling_k100",
             Arc::new(SamplingReducer::new(100, SampleMode::FirstK)),
-            &sample_input,
+            Arc::clone(&sample),
             100,
         ),
         (
             "reduce_sampling_k10000",
             Arc::new(SamplingReducer::new(10_000, SampleMode::FirstK)),
-            &sample_input,
+            Arc::clone(&sample),
             10_000,
         ),
         (
             "reduce_sampling_k10000_proj3",
             Arc::new(SamplingReducer::new(10_000, SampleMode::FirstK)),
-            &sample_proj3_input,
+            sample_proj3,
             10_000,
         ),
         (
             "reduce_identity_scan",
             Arc::new(IdentityReducer),
-            &scan_input,
+            Arc::clone(&scan),
             all_rows,
         ),
     ];
-    for (name, reducer, input, rows) in cases {
-        let out = reduce_unit(&reducer, input).compute().output;
-        assert_eq!(out.len(), rows, "{name}");
+    for (name, reducer, mapper, rows) in cases {
         c.bench_function(format!("shuffle/{name}"), |b| {
-            b.iter(|| black_box(reduce_unit(&reducer, input).compute().output.len()))
+            let input = one_partition(Arc::clone(&mapper), executor);
+            let out = reduce_unit(&reducer, &input).compute().output.len();
+            assert_eq!(out, rows, "{name}");
+            b.iter(|| black_box(reduce_unit(&reducer, &input).compute().output.len()))
         });
     }
-    for (name, input) in [("sampling", &sample_input), ("identity_scan", &scan_input)] {
+    for (name, mapper) in [("sampling", sample), ("identity_scan", scan)] {
         let reducer: Arc<dyn Reducer> = Arc::new(IdentityReducer);
         c.bench_function(format!("shuffle/reduce_input_clone/{name}"), |b| {
-            b.iter(|| black_box(reduce_unit(&reducer, input).groups.len()))
+            let input = one_partition(Arc::clone(&mapper), executor);
+            b.iter(|| black_box(reduce_unit(&reducer, &input).groups.len()))
         });
     }
 }
@@ -298,5 +309,4 @@ fn main() {
     bench_reduce_side(&mut c, &ds, &mut executor);
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shuffle.json");
     c.write_json(out).expect("write BENCH_shuffle.json");
-    println!("wrote {out}");
 }

@@ -11,6 +11,12 @@
 //!   if fewer). The footnote's "random k instead, to get more random
 //!   results" variant is [`SampleMode::RandomK`], implemented as a
 //!   reservoir sample.
+//!
+//! These two functions are the only places `k` is enforced. The shuffle
+//! hands the reducer every candidate the maps emitted, so a random-k
+//! sample keeps each of `n` candidates with probability `k/n`
+//! (`tests/sample_oracle.rs` checks this with a chi-square test over
+//! seeds).
 
 use std::sync::Arc;
 
@@ -160,13 +166,15 @@ impl Reducer for SamplingReducer {
     }
 }
 
-/// The sampling job's map-side combiner: a LIMIT push-down. No more than
-/// `k` values can ever contribute to the final sample, so anything past
-/// the first `k` pairs a map task emits is dead weight in the shuffle.
-/// [`SamplingMapper`] already caps its own emission at `k`, so for the
-/// standard sampling job this combiner is a behaviour-preserving no-op —
-/// it exists to guard uncapped mappers (and to demonstrate the combiner
-/// plumbing end to end; see `benches/shuffle.rs`).
+/// The sampling job's map-side combiner: a per-task LIMIT push-down. No
+/// task can contribute more than `k` values to the final sample, so
+/// anything past the first `k` pairs a map task emits is dead weight in
+/// the shuffle. [`SamplingMapper`] already caps its own emission at `k`,
+/// so for the standard sampling job this combiner is a
+/// behaviour-preserving no-op — it exists to guard uncapped mappers (and
+/// to demonstrate the combiner plumbing end to end; see
+/// `benches/shuffle.rs`). It bounds each task, never the job: the
+/// reducer still receives every task's candidates.
 #[derive(Debug, Clone)]
 pub struct SampleCombiner {
     k: u64,

@@ -5,13 +5,13 @@
 use std::sync::Arc;
 
 use incmr_data::lineitem::col;
-use incmr_data::Dataset;
+use incmr_data::{Dataset, Predicate};
 use incmr_mapreduce::{
     keys, DatasetInputFormat, JobConf, JobResult, JobSpec, ScanMode, StaticDriver,
-    MATERIALIZE_CAP_KEY,
 };
 
 use crate::dynamic_driver::DynamicDriver;
+use crate::input_provider::InputProvider;
 use crate::policy::Policy;
 use crate::sampling::{SampleCombiner, SampleMode, SamplingMapper, SamplingReducer};
 use crate::sampling_provider::SamplingInputProvider;
@@ -82,13 +82,9 @@ pub fn build_sampling_job(
     sample_mode: SampleMode,
     seed: u64,
 ) -> (JobSpec, Box<DynamicDriver>) {
-    let predicate = {
-        use incmr_data::generator::RecordFactory;
-        dataset.factory().predicate()
-    };
     build_sampling_job_with(
         dataset,
-        predicate,
+        planted_predicate(dataset),
         Vec::new(),
         k,
         policy,
@@ -103,7 +99,7 @@ pub fn build_sampling_job(
 #[allow(clippy::too_many_arguments)]
 pub fn build_sampling_job_with(
     dataset: &Arc<Dataset>,
-    predicate: incmr_data::Predicate,
+    predicate: Predicate,
     projection: Vec<usize>,
     k: u64,
     policy: Policy,
@@ -111,29 +107,18 @@ pub fn build_sampling_job_with(
     sample_mode: SampleMode,
     seed: u64,
 ) -> (JobSpec, Box<DynamicDriver>) {
-    let conf = JobConf::new()
-        .with(
-            keys::JOB_NAME,
-            format!("sample-{}-{}", dataset.spec().name, policy.name),
-        )
-        .with(keys::DYNAMIC_JOB, true)
-        .with(keys::DYNAMIC_JOB_POLICY, &policy.name)
-        .with(keys::DYNAMIC_INPUT_PROVIDER, "SamplingInputProvider")
-        .with(keys::SAMPLING_K, k)
-        .with(MATERIALIZE_CAP_KEY, k);
-    let spec = JobSpec::builder()
-        .conf(conf)
-        .reduces(1)
-        .input(DatasetInputFormat::new(Arc::clone(dataset), scan_mode))
-        .mapper(SamplingMapper::with_projection(predicate, k, projection))
-        .combiner(SampleCombiner::new(k))
-        .reducer(SamplingReducer::new(k, sample_mode))
-        .build();
-    let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
-    let total = blocks.len() as u32;
-    let provider = SamplingInputProvider::new(blocks, k, seed);
-    let driver = Box::new(DynamicDriver::new(Box::new(provider), policy, total));
-    (spec, driver)
+    let name = policy.name.clone();
+    sampling_job(
+        dataset,
+        predicate,
+        projection,
+        k,
+        &name,
+        scan_mode,
+        sample_mode,
+        seed,
+        |provider, total| DynamicDriver::new(provider, policy, total),
+    )
 }
 
 /// Like [`build_sampling_job`] but under the paper ladder
@@ -146,43 +131,70 @@ pub fn build_adaptive_sampling_job(
     sample_mode: SampleMode,
     seed: u64,
 ) -> (JobSpec, Box<DynamicDriver>) {
-    let predicate = {
-        use incmr_data::generator::RecordFactory;
-        dataset.factory().predicate()
-    };
+    sampling_job(
+        dataset,
+        planted_predicate(dataset),
+        Vec::new(),
+        k,
+        "adaptive",
+        scan_mode,
+        sample_mode,
+        seed,
+        DynamicDriver::paper_ladder,
+    )
+}
+
+/// The dataset's planted predicate, the one a planted-mode split can
+/// answer.
+fn planted_predicate(dataset: &Dataset) -> Predicate {
+    use incmr_data::generator::RecordFactory;
+    dataset.factory().predicate()
+}
+
+/// The one sampling-job body behind the builders above: Algorithm 1 caps
+/// each split at `k` matches and Algorithm 2 keeps `k` of the merged
+/// candidates. `policy` names the growth policy in the conf and the job
+/// name; `driver` wraps the Input Provider and the split count.
+#[allow(clippy::too_many_arguments)]
+fn sampling_job(
+    dataset: &Arc<Dataset>,
+    predicate: Predicate,
+    projection: Vec<usize>,
+    k: u64,
+    policy: &str,
+    scan_mode: ScanMode,
+    sample_mode: SampleMode,
+    seed: u64,
+    driver: impl FnOnce(Box<dyn InputProvider>, u32) -> DynamicDriver,
+) -> (JobSpec, Box<DynamicDriver>) {
     let conf = JobConf::new()
         .with(
             keys::JOB_NAME,
-            format!("sample-{}-adaptive", dataset.spec().name),
+            format!("sample-{}-{policy}", dataset.spec().name),
         )
         .with(keys::DYNAMIC_JOB, true)
-        .with(keys::DYNAMIC_JOB_POLICY, "adaptive")
+        .with(keys::DYNAMIC_JOB_POLICY, policy)
         .with(keys::DYNAMIC_INPUT_PROVIDER, "SamplingInputProvider")
-        .with(keys::SAMPLING_K, k)
-        .with(MATERIALIZE_CAP_KEY, k);
+        .with(keys::SAMPLING_K, k);
     let spec = JobSpec::builder()
         .conf(conf)
         .reduces(1)
         .input(DatasetInputFormat::new(Arc::clone(dataset), scan_mode))
-        .mapper(SamplingMapper::new(predicate, k))
+        .mapper(SamplingMapper::with_projection(predicate, k, projection))
         .combiner(SampleCombiner::new(k))
         .reducer(SamplingReducer::new(k, sample_mode))
         .build();
     let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
     let total = blocks.len() as u32;
     let provider = SamplingInputProvider::new(blocks, k, seed);
-    let driver = Box::new(DynamicDriver::paper_ladder(Box::new(provider), total));
-    (spec, driver)
+    (spec, Box::new(driver(Box::new(provider), total)))
 }
 
 /// Build the static select-project scan job (selectivity 0.05% via the
 /// dataset's planted predicate). Its outputs are unmaterialised — only
 /// counts and shuffle bytes matter for throughput experiments.
 pub fn build_scan_job(dataset: &Arc<Dataset>, scan_mode: ScanMode) -> (JobSpec, Box<StaticDriver>) {
-    let predicate = {
-        use incmr_data::generator::RecordFactory;
-        dataset.factory().predicate()
-    };
+    let predicate = planted_predicate(dataset);
     let spec = JobSpec::builder()
         .set(keys::JOB_NAME, format!("scan-{}", dataset.spec().name))
         .reduces(1)

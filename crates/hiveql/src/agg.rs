@@ -12,11 +12,6 @@
 //!
 //! Zero-match semantics (this subset has no NULL): `COUNT` and `SUM`
 //! produce 0 / 0.0; `AVG`, `MIN`, and `MAX` produce 0.0.
-//!
-//! Aggregate jobs must not set `mapred.job.materialize.cap`: the per-split
-//! partials are materialised map outputs, and a cap below the split count
-//! would silently drop partials. The compiler never sets it on aggregate
-//! plans.
 
 use std::collections::{BTreeMap, HashMap};
 

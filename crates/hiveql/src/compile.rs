@@ -119,12 +119,15 @@ impl std::error::Error for CompileError {}
 /// What kind of job a query compiled to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobPlan {
-    /// Dynamic predicate-based sampling with the given `k` and policy name.
+    /// Dynamic predicate-based sampling with the given `k`, policy name
+    /// and reducer mode.
     DynamicSampling {
         /// Required sample size.
         k: u64,
         /// Policy controlling growth.
         policy: String,
+        /// Which `k` of the candidates the reducer keeps.
+        mode: SampleMode,
     },
     /// A conventional full-input scan.
     StaticScan,
@@ -184,8 +187,13 @@ impl CompiledQuery {
     /// Human-readable plan description (the `EXPLAIN` output).
     pub fn explain(&self) -> String {
         match &self.plan {
-            JobPlan::DynamicSampling { k, policy } => format!(
-                "Dynamic MapReduce job: predicate-based sampling\n  sample size (k): {k}\n  policy: {policy}\n  input provider: SamplingInputProvider\n  map: SamplingMapper (emit ≤ k matches per split under dummy key)\n  reduce: SamplingReducer (first k of the candidate list)"
+            JobPlan::DynamicSampling { k, policy, mode } => format!(
+                "Dynamic MapReduce job: predicate-based sampling\n  sample size (k): {k}\n  policy: {policy}\n  input provider: SamplingInputProvider\n  map: SamplingMapper (emit ≤ k matches per split under dummy key)\n  reduce: SamplingReducer ({})",
+                match mode {
+                    SampleMode::FirstK => "first k of the candidate list".to_string(),
+                    SampleMode::RandomK { seed } =>
+                        format!("random k of the candidate list, reservoir seed {seed}"),
+                }
             ),
             JobPlan::StaticScan => "Static MapReduce job: full select-project scan\n  map: ScanMapper\n  reduce: identity".to_string(),
             JobPlan::AggregateScan {
@@ -428,8 +436,6 @@ pub fn compile_query(
     ];
     let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
     let total = blocks.len() as u64;
-    // NOTE: no MATERIALIZE_CAP on any aggregate plan — the per-split
-    // partials ARE the result; a cap would drop them.
     let spec = |conf: JobConf| {
         JobSpec::builder()
             .conf(conf.with(keys::AGG_TOTAL_SPLITS, total))
@@ -544,6 +550,7 @@ fn compile_scan_or_sample(
                 plan: JobPlan::DynamicSampling {
                     k,
                     policy: policy.name.clone(),
+                    mode: sample_mode,
                 },
                 projection,
             })
@@ -630,7 +637,8 @@ mod tests {
             c.plan,
             JobPlan::DynamicSampling {
                 k: 100,
-                policy: "LA".into()
+                policy: "LA".into(),
+                mode: SampleMode::FirstK,
             }
         );
         assert!(c.spec.conf.get_bool(keys::DYNAMIC_JOB));

@@ -28,7 +28,7 @@ use std::fmt;
 
 use incmr_core::{parse_policy_file, Policy, SampleMode};
 use incmr_data::Record;
-use incmr_mapreduce::{keys, JobId, MrRuntime, ScanMode};
+use incmr_mapreduce::{keys, JobError, JobId, MrRuntime, ScanMode};
 use incmr_simkit::SimDuration;
 
 use crate::ast::{ShowKind, Statement};
@@ -62,6 +62,9 @@ pub enum SessionError {
         /// The rejected value.
         value: String,
     },
+    /// The statement's job was aborted ([`Session::execute`] only; a
+    /// [`QueryHandle`] reports it as `QueryResult::failed`).
+    Job(JobError),
 }
 
 impl fmt::Display for SessionError {
@@ -91,6 +94,7 @@ impl fmt::Display for SessionError {
                     "mapred.agg.rounds must be a positive integer, got {value:?}"
                 )
             }
+            SessionError::Job(e) => write!(f, "job failed: {e}"),
         }
     }
 }
@@ -435,12 +439,16 @@ impl Session {
     }
 
     /// Execute one statement to completion (blocking shim over
-    /// [`Session::submit`] + [`QueryHandle::wait`]).
+    /// [`Session::submit`] + [`QueryHandle::wait`]). A job that was
+    /// aborted is [`SessionError::Job`], never an empty answer.
     pub fn execute(&mut self, sql: &str) -> Result<QueryOutput, SessionError> {
         match self.submit(sql)? {
             Submitted::Done(out) => Ok(out),
             Submitted::Pending(handle) => {
                 let result = handle.wait(self);
+                if let Some(error) = &self.runtime.job_result(result.job).error {
+                    return Err(SessionError::Job(error.clone()));
+                }
                 Ok(QueryOutput::Rows {
                     job: result.job,
                     rows: result.rows,
@@ -598,6 +606,22 @@ mod tests {
             panic!()
         };
         assert!(plan.contains("policy: C"), "{plan}");
+        assert!(plan.contains("first k of the candidate list"), "{plan}");
+        // A RandomK session says so, with the reservoir's seed.
+        s.state_mut()
+            .set_sample_mode(SampleMode::RandomK { seed: 11 });
+        let QueryOutput::Explained(plan) = s
+            .execute("EXPLAIN SELECT * FROM LINEITEM WHERE L_TAX = 0.77 LIMIT 5")
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert!(
+            plan.contains(
+                "reduce: SamplingReducer (random k of the candidate list, reservoir seed 11)"
+            ),
+            "{plan}"
+        );
     }
 
     #[test]
@@ -671,6 +695,30 @@ mod tests {
             panic!()
         };
         assert_eq!(rows.len(), 7, "plenty of natural records satisfy this");
+    }
+
+    #[test]
+    fn a_failed_job_is_an_error_not_an_empty_answer() {
+        let mut s = session_with(SkewLevel::High, true);
+        s.runtime_mut()
+            .inject_cluster_faults(incmr_mapreduce::ClusterFaultPlan {
+                map_fault_probability: 0.9,
+                max_attempts: 1,
+                seed: 7,
+                ..Default::default()
+            })
+            .expect("valid plan");
+        let err = s
+            .execute("SELECT COUNT(*) FROM lineitem WHERE L_QUANTITY > 10")
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SessionError::Job(JobError::TaskAttemptsExhausted { .. })
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("job failed: "), "{err}");
     }
 
     #[test]

@@ -247,8 +247,6 @@ impl JobSpecBuilder {
 pub(crate) struct ParsedConf {
     /// `mapred.reduce.tasks`, at least 1.
     pub(crate) reduce_tasks: u32,
-    /// [`crate::runtime::MATERIALIZE_CAP_KEY`] (`u64::MAX` = uncapped).
-    pub(crate) materialize_cap: u64,
     /// [`keys::PROVIDER_RETRY_BUDGET`].
     pub(crate) provider_retries: u32,
     /// [`keys::MAX_IDLE_EVALUATIONS`] (`0` disables the watchdog).
@@ -274,9 +272,6 @@ pub(crate) fn parse_conf(conf: &JobConf) -> Result<ParsedConf, JobConfigError> {
         .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
         .map_err(bad)?
         .max(1);
-    let materialize_cap = conf
-        .get_u64_or(crate::runtime::MATERIALIZE_CAP_KEY, u64::MAX)
-        .map_err(bad)?;
     let provider_retries = conf
         .get_u32_or(keys::PROVIDER_RETRY_BUDGET, 0)
         .map_err(bad)?;
@@ -316,7 +311,6 @@ pub(crate) fn parse_conf(conf: &JobConf) -> Result<ParsedConf, JobConfigError> {
     };
     Ok(ParsedConf {
         reduce_tasks,
-        materialize_cap,
         provider_retries,
         max_idle_evaluations,
         deadline_ms,
@@ -854,10 +848,10 @@ mod tests {
         let err = JobSpec::builder()
             .input(NullInput2)
             .mapper(NullMapper2)
-            .set(crate::runtime::MATERIALIZE_CAP_KEY, "-3")
+            .set(keys::JOB_DEADLINE_MS, "-3")
             .try_build()
             .err()
-            .expect("malformed materialize cap must be rejected");
+            .expect("malformed deadline must be rejected");
         assert!(matches!(err, JobConfigError::BadConf(_)));
         assert!(err.to_string().contains("not a valid u64"), "{err}");
     }

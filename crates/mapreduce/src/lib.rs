@@ -87,7 +87,7 @@ pub use obs::{
 pub use parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle, WorkUnit,
 };
-pub use runtime::{MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS, MATERIALIZE_CAP_KEY};
+pub use runtime::{MrRuntime, DEFAULT_MAX_IDLE_EVALUATIONS};
 pub use scheduler::{
     Assignment, Claims, FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler,
     ViewPolicy,
@@ -333,22 +333,6 @@ mod tests {
         assert_eq!(r.splits_processed, 10, "all drip-fed splits processed");
         // initial 3, then +3, +3, +1, then EndOfInput — at least 4 evaluations.
         assert!(calls.get() >= 4, "driver evaluated {} times", calls.get());
-    }
-
-    #[test]
-    fn materialize_cap_bounds_outputs_but_not_counters() {
-        let (mut rt, ds) = small_world(12, 2_000);
-        let (mut spec, driver) = static_job(&ds);
-        spec.conf.set(crate::MATERIALIZE_CAP_KEY, 5);
-        let id = rt.submit(spec, driver);
-        rt.run_until_idle();
-        let r = rt.job_result(id);
-        assert_eq!(r.output.len(), 5, "reduce sees only the cap");
-        assert_eq!(
-            r.map_output_records,
-            ds.total_matching(),
-            "counters see everything"
-        );
     }
 
     #[test]
@@ -809,19 +793,6 @@ mod tests {
             })
             .expect("shuffle-ready event traced");
         assert_eq!(ready, (ds.total_matching(), 24, 1));
-    }
-
-    #[test]
-    fn combiner_composes_with_materialize_cap() {
-        let (mut rt, ds) = small_world(12, 20_000);
-        let (mut spec, driver) = static_job(&ds);
-        spec.combiner = Some(Arc::new(TruncateCombiner { limit: 3 }));
-        spec.conf.set(crate::MATERIALIZE_CAP_KEY, 5);
-        let id = rt.submit(spec, driver);
-        rt.run_until_idle();
-        let r = rt.job_result(id);
-        assert_eq!(r.output.len(), 5, "cap applies after the combiner");
-        assert_eq!(r.map_output_records, 36, "3 survivors × 12 maps counted");
     }
 
     #[test]

@@ -438,7 +438,7 @@ mod tests {
     }
 
     fn flat_pairs(r: &MapTaskResult) -> Vec<(Key, Record)> {
-        let mut state = crate::shuffle::ShuffleState::new(r.pairs.reduce_tasks() as u32, u64::MAX);
+        let mut state = crate::shuffle::ShuffleState::new(r.pairs.reduce_tasks() as u32);
         state.merge(r.pairs.clone());
         let mut out = Vec::new();
         for buffer in state.into_buffers() {

@@ -74,10 +74,6 @@ use crate::shuffle::ShuffleState;
 use crate::trace::{TraceEvent, TraceKind};
 use incmr_data::Record;
 
-/// Conf key bounding how many map-output records a job materialises (the
-/// rest are tracked as counts/bytes only). Sampling jobs set this to `k`.
-pub const MATERIALIZE_CAP_KEY: &str = "mapred.job.materialize.cap";
-
 /// Default livelock-watchdog threshold: a job whose driver produces this
 /// many consecutive unproductive evaluations (no new splits) while nothing
 /// is running or pending is failed as wedged instead of spinning its
@@ -289,7 +285,7 @@ struct JobEntry {
     local_tasks: u32,
     task_failures: u32,
     /// Per-reduce shuffle buffers, merged into incrementally as maps
-    /// complete (bounded by `mapred.job.materialize.cap`).
+    /// complete.
     shuffle: ShuffleState,
     combiner_input_records: u64,
     combiner_output_records: u64,
@@ -893,7 +889,7 @@ impl MrRuntime {
             shuffle_bytes: 0,
             local_tasks: 0,
             task_failures: 0,
-            shuffle: ShuffleState::new(conf.reduce_tasks, conf.materialize_cap),
+            shuffle: ShuffleState::new(conf.reduce_tasks),
             combiner_input_records: 0,
             combiner_output_records: 0,
             reduce_tasks: conf.reduce_tasks,

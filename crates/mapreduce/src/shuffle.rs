@@ -22,14 +22,12 @@
 //! row is walked. Their rows are built only at the reduce boundary, by
 //! [`ValueSeq`], through the one row kernel in `incmr_data::batch`.
 //!
-//! The job-level materialise cap (`mapred.job.materialize.cap`) is honoured
-//! exactly as the old monolithic path did — the first `cap` pairs in
-//! (map-task, emission) order are kept. [`PartitionedPairs`] records
-//! each pair's partition index in emission order so a cap that bites
-//! mid-task keeps precisely the emission-order prefix of every partition.
-//! The proptest below pins this equivalence against a monolithic reference
-//! re-partition for arbitrary key distributions, task shapes, caps, and
-//! `reduce_tasks` counts.
+//! Every emitted record reaches its reducer: the shuffle never drops
+//! output. A sample's size is bounded where the paper bounds it, by the
+//! mapper (Algorithm 1, at most `k` matches per split) and the reducer
+//! (Algorithm 2, `k` of the merged candidates). The proptest below pins
+//! the streaming merge against a monolithic reference re-partition for
+//! arbitrary key distributions, task shapes and `reduce_tasks` counts.
 //!
 //! ## Merge order and fault tolerance
 //!
@@ -38,11 +36,11 @@
 //! runtime therefore merges through [`ShuffleState::merge_task`], which
 //! enforces **task-id order**: a map that completes ahead of a lower-id
 //! task is parked and merged only once the frontier reaches it. The merged
-//! buffers (and the exact materialise-cap prefix) are then a pure function
-//! of the task *set* and each task's output — identical whether a node
-//! died mid-job, a straggler finished last, or nothing failed at all. This
-//! is what lets `tests/chaos.rs` assert that a surviving job's output
-//! fingerprint matches the fault-free run, schedule for schedule.
+//! buffers (key order and each group's value order) are then a pure
+//! function of the task *set* and each task's output — identical whether
+//! a node died mid-job, a straggler finished last, or nothing failed at
+//! all. This is what lets `tests/chaos.rs` assert that a surviving job's
+//! output fingerprint matches the fault-free run, schedule for schedule.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -110,11 +108,6 @@ pub struct PartitionedPairs {
     /// reduce task `p`, in emission order. A run is never split across
     /// partitions — all its rows share one key.
     batch_partitions: Vec<Vec<KeyedBatch>>,
-    /// Partition index of each emitted record (pairs first, then each
-    /// batch row), in emission order. Only needed to replay a mid-task
-    /// materialise-cap cut when there is more than one partition, so it
-    /// stays empty for the common single-reducer case.
-    emission_order: Vec<u32>,
 }
 
 impl PartitionedPairs {
@@ -136,27 +129,19 @@ impl PartitionedPairs {
             return PartitionedPairs {
                 partitions: vec![pairs],
                 batch_partitions: vec![batches],
-                emission_order: Vec::new(),
             };
         }
         let mut partitions: Vec<Vec<(Key, Record)>> = (0..r).map(|_| Vec::new()).collect();
         let mut batch_partitions: Vec<Vec<KeyedBatch>> = (0..r).map(|_| Vec::new()).collect();
-        let total: usize = pairs.len() + batches.iter().map(|b| b.rows.len()).sum::<usize>();
-        let mut emission_order = Vec::with_capacity(total);
         for (key, value) in pairs {
-            let p = partition_of(&key, r);
-            emission_order.push(p as u32);
-            partitions[p].push((key, value));
+            partitions[partition_of(&key, r)].push((key, value));
         }
         for batch in batches {
-            let p = partition_of(&batch.key, r);
-            emission_order.extend(std::iter::repeat_n(p as u32, batch.rows.len()));
-            batch_partitions[p].push(batch);
+            batch_partitions[partition_of(&batch.key, r)].push(batch);
         }
         PartitionedPairs {
             partitions,
             batch_partitions,
-            emission_order,
         }
     }
 
@@ -189,30 +174,6 @@ impl PartitionedPairs {
     /// True when the task emitted nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// How many of each partition's records fall within the first `room`
-    /// records of the task in emission order.
-    fn take_counts(&self, room: usize) -> Vec<usize> {
-        if room >= self.len() {
-            return self
-                .partitions
-                .iter()
-                .zip(&self.batch_partitions)
-                .map(|(pairs, batches)| {
-                    pairs.len() + batches.iter().map(|b| b.rows.len()).sum::<usize>()
-                })
-                .collect();
-        }
-        let mut counts = vec![0usize; self.partitions.len()];
-        if self.partitions.len() == 1 {
-            counts[0] = room;
-        } else {
-            for &p in self.emission_order.iter().take(room) {
-                counts[p as usize] += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -365,10 +326,8 @@ pub struct PartitionBuffer {
 }
 
 impl PartitionBuffer {
-    /// Absorb the first `count` pairs of one map's share, in emission
-    /// order.
-    fn absorb(&mut self, mut pairs: Vec<(Key, Record)>, count: usize) {
-        pairs.truncate(count);
+    /// Absorb one map's share of pairs, in emission order.
+    fn absorb(&mut self, pairs: Vec<(Key, Record)>) {
         for (key, value) in pairs {
             self.shuffle_bytes += key.len() as u64 + value.width();
             self.input_records += 1;
@@ -380,22 +339,14 @@ impl PartitionBuffer {
         }
     }
 
-    /// Absorb up to `budget` batch rows of one map's share, run by run in
-    /// emission order, truncating the run that straddles the cap. Byte and
-    /// record accounting matches what `absorb` would charge for the
-    /// materialised pairs.
-    fn absorb_batches(&mut self, batches: Vec<KeyedBatch>, mut budget: usize) {
-        for mut kb in batches {
-            if budget == 0 {
-                return;
-            }
-            if kb.rows.len() > budget {
-                kb.rows.truncate(budget);
-            }
+    /// Absorb one map's share of batch runs, in emission order. An empty
+    /// run registers no key. Byte and record accounting matches what
+    /// `absorb` would charge for the materialised pairs.
+    fn absorb_batches(&mut self, batches: Vec<KeyedBatch>) {
+        for kb in batches {
             if kb.rows.is_empty() {
                 continue;
             }
-            budget -= kb.rows.len();
             self.shuffle_bytes += kb.shuffle_bytes();
             self.input_records += kb.rows.len() as u64;
             let group = self.groups.entry(Key::clone(&kb.key)).or_default();
@@ -408,12 +359,10 @@ impl PartitionBuffer {
 }
 
 /// Per-job streaming shuffle state: one [`PartitionBuffer`] per reduce
-/// task plus the job-wide materialise-cap budget.
+/// task and the in-order merge frontier.
 #[derive(Debug, Clone, Default)]
 pub struct ShuffleState {
     buffers: Vec<PartitionBuffer>,
-    cap: u64,
-    materialized: u64,
     /// Next task id the in-order frontier will merge.
     next_seq: u32,
     /// Completed-but-early task outputs, waiting for the frontier.
@@ -421,44 +370,32 @@ pub struct ShuffleState {
 }
 
 impl ShuffleState {
-    /// Fresh state for a job with `reduce_tasks` reducers and a
-    /// materialise cap (`u64::MAX` for none).
-    pub fn new(reduce_tasks: u32, materialize_cap: u64) -> Self {
+    /// Fresh state for a job with `reduce_tasks` reducers.
+    pub fn new(reduce_tasks: u32) -> Self {
         ShuffleState {
             buffers: (0..reduce_tasks.max(1))
                 .map(|_| PartitionBuffer::default())
                 .collect(),
-            cap: materialize_cap,
-            materialized: 0,
             next_seq: 0,
             parked: BTreeMap::new(),
         }
     }
 
-    /// Merge one completed map's partitioned output. Must be called in
-    /// map-completion order — with the cap, *which* pairs survive depends
-    /// on how many came before.
+    /// Merge one completed map's partitioned output, every partition
+    /// whole. The merge order fixes each partition's key order and each
+    /// group's value order.
     pub fn merge(&mut self, pairs: PartitionedPairs) {
         debug_assert_eq!(pairs.reduce_tasks(), self.buffers.len());
-        let room = self.cap.saturating_sub(self.materialized);
-        let take = room.min(pairs.len() as u64) as usize;
-        let counts = pairs.take_counts(take);
-        for (buffer, ((part, batches), count)) in self.buffers.iter_mut().zip(
-            pairs
-                .partitions
-                .into_iter()
-                .zip(pairs.batch_partitions)
-                .zip(counts),
-        ) {
+        for (buffer, (part, batches)) in self
+            .buffers
+            .iter_mut()
+            .zip(pairs.partitions.into_iter().zip(pairs.batch_partitions))
+        {
             // Within a partition, emission order is pairs first, then
-            // batch rows (the task-level contract), so a mid-partition cap
-            // cut takes whole pairs before any batch rows.
-            let pair_take = count.min(part.len());
-            let batch_take = count - pair_take;
-            buffer.absorb(part, pair_take);
-            buffer.absorb_batches(batches, batch_take);
+            // batch rows (the task-level contract).
+            buffer.absorb(part);
+            buffer.absorb_batches(batches);
         }
-        self.materialized += take as u64;
     }
 
     /// Merge the output of map task `seq`, enforcing task-id order: the
@@ -502,11 +439,6 @@ impl ShuffleState {
         self.parked.len()
     }
 
-    /// Materialised pairs merged so far (≤ the cap).
-    pub fn materialized_records(&self) -> u64 {
-        self.materialized
-    }
-
     /// Read access to the per-reduce buffers.
     pub fn buffers(&self) -> &[PartitionBuffer] {
         &self.buffers
@@ -529,19 +461,16 @@ mod tests {
     }
 
     /// The old monolithic path: concatenate every task's pairs in
-    /// completion order, apply the cap to the flat stream, then partition
-    /// and group in one pass.
+    /// completion order, then partition and group in one pass.
     fn reference_partition(
         tasks: &[Vec<(Key, Record)>],
         reduce_tasks: u32,
-        cap: u64,
     ) -> Vec<PartitionBuffer> {
         let r = reduce_tasks.max(1);
         let mut buffers: Vec<PartitionBuffer> =
             (0..r).map(|_| PartitionBuffer::default()).collect();
-        let flat: Vec<(Key, Record)> = tasks.iter().flatten().cloned().collect();
-        for (key, value) in flat.into_iter().take(cap.min(usize::MAX as u64) as usize) {
-            buffers[partition_of(&key, r)].absorb(vec![(key, value)], 1);
+        for (key, value) in tasks.iter().flatten().cloned() {
+            buffers[partition_of(&key, r)].absorb(vec![(key, value)]);
         }
         buffers
     }
@@ -549,9 +478,8 @@ mod tests {
     fn streaming_partition(
         tasks: &[Vec<(Key, Record)>],
         reduce_tasks: u32,
-        cap: u64,
     ) -> Vec<PartitionBuffer> {
-        let mut state = ShuffleState::new(reduce_tasks, cap);
+        let mut state = ShuffleState::new(reduce_tasks);
         for task in tasks {
             state.merge(PartitionedPairs::build(task.clone(), reduce_tasks));
         }
@@ -579,7 +507,7 @@ mod tests {
 
     #[test]
     fn single_partition_groups_in_first_seen_order() {
-        let mut state = ShuffleState::new(1, u64::MAX);
+        let mut state = ShuffleState::new(1);
         state.merge(PartitionedPairs::build(
             vec![pair("b", 1), pair("a", 2), pair("b", 3)],
             1,
@@ -593,24 +521,8 @@ mod tests {
     }
 
     #[test]
-    fn cap_cuts_mid_task_preserving_emission_order_prefix() {
-        // Two tasks of 3; cap 4 keeps task 1 entirely and task 2's first
-        // pair only — regardless of which partitions those pairs hash to.
-        let tasks = vec![
-            vec![pair("a", 0), pair("b", 1), pair("c", 2)],
-            vec![pair("d", 3), pair("e", 4), pair("f", 5)],
-        ];
-        for r in [1u32, 2, 3, 5] {
-            let streamed = streaming_partition(&tasks, r, 4);
-            let total: u64 = streamed.iter().map(|b| b.input_records).sum();
-            assert_eq!(total, 4, "reduce_tasks={r}");
-            assert_buffers_equal(&streamed, &reference_partition(&tasks, r, 4));
-        }
-    }
-
-    #[test]
     fn frontier_merge_parks_out_of_order_tasks() {
-        let mut state = ShuffleState::new(1, u64::MAX);
+        let mut state = ShuffleState::new(1);
         state.merge_task(2, PartitionedPairs::build(vec![pair("c", 2)], 1));
         state.merge_task(1, PartitionedPairs::build(vec![pair("b", 1)], 1));
         assert_eq!(state.merged_tasks(), 0, "frontier blocked on task 0");
@@ -627,21 +539,6 @@ mod tests {
             ["a", "b", "c"],
             "merged in task order, not arrival order"
         );
-    }
-
-    #[test]
-    fn frontier_cap_is_a_task_order_prefix_regardless_of_arrival() {
-        // Cap 2 must keep task 0's pairs and drop task 1's, even though
-        // task 1 arrived first.
-        let mut state = ShuffleState::new(1, 2);
-        state.merge_task(1, PartitionedPairs::build(vec![pair("late", 1)], 1));
-        state.merge_task(
-            0,
-            PartitionedPairs::build(vec![pair("x", 0), pair("y", 0)], 1),
-        );
-        let buffers = state.into_buffers();
-        let keys: Vec<&str> = buffers[0].key_order.iter().map(|k| &**k).collect();
-        assert_eq!(keys, ["x", "y"], "cap prefix follows task ids");
     }
 
     /// Build a keyed batch over a one-column Int schema, one row per value.
@@ -670,8 +567,8 @@ mod tests {
             vec![keyed_batch("a", &[4]), keyed_batch("c", &[])],
         ];
         for r in [1u32, 2, 3] {
-            let mut batched = ShuffleState::new(r, u64::MAX);
-            let mut rows = ShuffleState::new(r, u64::MAX);
+            let mut batched = ShuffleState::new(r);
+            let mut rows = ShuffleState::new(r);
             for task in &tasks {
                 batched.merge(PartitionedPairs::build_with_batches(
                     Vec::new(),
@@ -688,24 +585,23 @@ mod tests {
     }
 
     #[test]
-    fn cap_truncates_the_straddling_batch_run() {
-        // Task emits 2 pairs then a 3-row batch; cap 4 keeps the pairs and
-        // the batch's first 2 rows, and an empty batch never registers its
-        // key.
+    fn empty_batch_runs_register_no_key() {
+        // Task emits 2 pairs, a 3-row batch and an empty batch: every row
+        // arrives, and the empty batch never registers its key.
         let pairs = vec![pair("p", 0), pair("p", 1)];
         let batches = vec![keyed_batch("b", &[10, 11, 12]), keyed_batch("z", &[])];
-        let mut state = ShuffleState::new(1, 4);
+        let mut state = ShuffleState::new(1);
         state.merge(PartitionedPairs::build_with_batches(pairs, batches, 1));
         let buffers = state.into_buffers();
         let keys: Vec<&str> = buffers[0].key_order.iter().map(|k| &**k).collect();
-        assert_eq!(keys, ["p", "b"], "empty/overflow runs add no keys");
-        assert_eq!(buffers[0].groups[&Key::from("b")].len(), 2);
-        assert_eq!(buffers[0].input_records, 4);
+        assert_eq!(keys, ["p", "b"], "an empty run adds no key");
+        assert_eq!(buffers[0].groups[&Key::from("b")].len(), 3);
+        assert_eq!(buffers[0].input_records, 5);
     }
 
     #[test]
     fn zero_reduce_tasks_is_clamped_to_one() {
-        let state = ShuffleState::new(0, u64::MAX);
+        let state = ShuffleState::new(0);
         assert_eq!(state.buffers().len(), 1);
         assert_eq!(
             PartitionedPairs::build(vec![pair("x", 1)], 0).reduce_tasks(),
@@ -717,9 +613,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Streaming per-map-completion merge is byte-identical to the
-        /// monolithic re-partition of the capped flat output stream, for
-        /// arbitrary key distributions, task shapes, caps, and
-        /// `reduce_tasks` counts.
+        /// monolithic re-partition of the flat output stream, for
+        /// arbitrary key distributions, task shapes and `reduce_tasks`
+        /// counts.
         #[test]
         fn streaming_merge_matches_monolithic_reference(
             tasks in prop::collection::vec(
@@ -727,7 +623,6 @@ mod tests {
                 0..12,
             ),
             reduce_tasks in 1u32..8,
-            cap in prop::option::of(0u64..120),
         ) {
             let tasks: Vec<Vec<(Key, Record)>> = tasks
                 .iter()
@@ -737,9 +632,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let cap = cap.unwrap_or(u64::MAX);
-            let streamed = streaming_partition(&tasks, reduce_tasks, cap);
-            let reference = reference_partition(&tasks, reduce_tasks, cap);
+            let streamed = streaming_partition(&tasks, reduce_tasks);
+            let reference = reference_partition(&tasks, reduce_tasks);
             prop_assert_eq!(streamed.len(), reference.len());
             for (s, r) in streamed.iter().zip(&reference) {
                 prop_assert_eq!(&s.key_order, &r.key_order);
@@ -749,11 +643,11 @@ mod tests {
             }
             let materialized: u64 = streamed.iter().map(|b| b.input_records).sum();
             let emitted: u64 = tasks.iter().map(|t| t.len() as u64).sum();
-            prop_assert_eq!(materialized, emitted.min(cap));
+            prop_assert_eq!(materialized, emitted);
         }
 
         /// Batch-run shuffling is byte-identical to shuffling the same
-        /// rows as pairs, under arbitrary task shapes, caps, and partition
+        /// rows as pairs, under arbitrary task shapes and partition
         /// counts — the invariant that lets mappers emit selection-vector
         /// handles without perturbing anything downstream.
         #[test]
@@ -766,9 +660,7 @@ mod tests {
                 0..8,
             ),
             reduce_tasks in 1u32..6,
-            cap in prop::option::of(0u64..60),
         ) {
-            let cap = cap.unwrap_or(u64::MAX);
             let tasks: Vec<Vec<KeyedBatch>> = tasks
                 .iter()
                 .map(|t| {
@@ -777,8 +669,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let mut batched = ShuffleState::new(reduce_tasks, cap);
-            let mut rows = ShuffleState::new(reduce_tasks, cap);
+            let mut batched = ShuffleState::new(reduce_tasks);
+            let mut rows = ShuffleState::new(reduce_tasks);
             for task in &tasks {
                 batched.merge(PartitionedPairs::build_with_batches(
                     Vec::new(),
@@ -811,15 +703,13 @@ mod tests {
                 1..10,
             ),
             reduce_tasks in 1u32..6,
-            cap in prop::option::of(0u64..80),
             perm_seed in any::<u64>(),
         ) {
             let tasks: Vec<Vec<(Key, Record)>> = tasks
                 .iter()
                 .map(|t| t.iter().map(|(k, v)| pair(&format!("k{k}"), *v)).collect())
                 .collect();
-            let cap = cap.unwrap_or(u64::MAX);
-            let mut in_order = ShuffleState::new(reduce_tasks, cap);
+            let mut in_order = ShuffleState::new(reduce_tasks);
             for (seq, task) in tasks.iter().enumerate() {
                 in_order.merge_task(seq as u32, PartitionedPairs::build(task.clone(), reduce_tasks));
             }
@@ -830,7 +720,7 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 order.swap(i, (state >> 33) as usize % (i + 1));
             }
-            let mut shuffled = ShuffleState::new(reduce_tasks, cap);
+            let mut shuffled = ShuffleState::new(reduce_tasks);
             for &seq in &order {
                 shuffled.merge_task(seq as u32, PartitionedPairs::build(tasks[seq].clone(), reduce_tasks));
             }

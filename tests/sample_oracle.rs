@@ -189,6 +189,76 @@ fn random_k_samples_are_distinct_oracle_matches() {
     }
 }
 
+/// RandomK keeps each candidate with probability k/n. Under the Hadoop
+/// policy every split is read, and a predicate matching fewer than `k`
+/// rows in every split lets Algorithm 1 pass each match on, so the reducer
+/// chooses among all `n > k` of them. Every statement runs with the same
+/// provider seed, so the candidates arrive in one order and only the
+/// reservoir seed varies. Each match's inclusion count over the seeds is
+/// then Binomial(seeds, k/n): Pearson's statistic, with the binomial
+/// variance in each cell's denominator, must stay below the chi-square
+/// 99.9% quantile for `n - 1` degrees of freedom.
+#[test]
+fn random_k_keeps_each_candidate_with_probability_k_over_n() {
+    const K: usize = 20;
+    const SEEDS: u64 = 200;
+    const PROVIDER_SEED: u64 = 3;
+    let (clause, predicate) = predicates().swap_remove(1);
+    let (mut session, ds) = session(SampleMode::FirstK);
+    let oracle = oracle(&ds, &predicate);
+    assert!(
+        oracle.iter().all(|split| split.len() < K),
+        "{clause}: a split holds k matches"
+    );
+    let matches = oracle.concat();
+    let n = matches.len();
+    assert!(n > K, "{clause}: only {n} matches");
+    for (i, m) in matches.iter().enumerate() {
+        assert!(!matches[..i].contains(m), "{clause}: match {i} repeats");
+    }
+
+    session.execute("SET dynamic.job.policy = Hadoop").unwrap();
+    let sql = format!("SELECT * FROM lineitem WHERE {clause} LIMIT {K}");
+    let mut run_with = |mode: SampleMode| {
+        session.state_mut().set_seed(PROVIDER_SEED);
+        session.state_mut().set_sample_mode(mode);
+        run(&mut session, &sql)
+    };
+    let first_k = run_with(SampleMode::FirstK).rows;
+    let mut counts = vec![0u64; n];
+    let mut differs = 0;
+    for seed in 0..SEEDS {
+        let result = run_with(SampleMode::RandomK { seed });
+        assert_eq!(
+            result.splits_processed as usize,
+            oracle.len(),
+            "seed {seed}"
+        );
+        assert_eq!(result.rows.len(), K, "seed {seed}");
+        for row in &result.rows {
+            let i = matches.iter().position(|m| m == row);
+            counts[i.unwrap_or_else(|| panic!("seed {seed}: {row:?} is no match"))] += 1;
+        }
+        differs += usize::from(result.rows != first_k);
+    }
+    assert!(differs > 0, "every seed returned FirstK's rows");
+
+    let p = K as f64 / n as f64;
+    let mean = SEEDS as f64 * p;
+    let chi2: f64 = counts
+        .iter()
+        .map(|&c| (c as f64 - mean).powi(2) / (mean * (1.0 - p)))
+        .sum();
+    // Wilson–Hilferty's chi-square quantile at z = 3.09 (99.9%).
+    let df = (n - 1) as f64;
+    let h = 2.0 / (9.0 * df);
+    let bound = df * (1.0 - h + 3.09 * h.sqrt()).powi(3);
+    assert!(
+        chi2 < bound,
+        "chi-square {chi2:.1} over {n} matches exceeds {bound:.1}: {counts:?}"
+    );
+}
+
 #[test]
 fn projected_scans_return_the_oracle_matches() {
     let (mut session, ds) = session(SampleMode::FirstK);
