@@ -44,8 +44,8 @@
 //! clone alone; subtract them to get the reduce itself.
 //!
 //! Every row builds its own input inside its closure, so a filtered run
-//! (`cargo bench --bench shuffle -- --exact shuffle/reduce_sampling_k10000`)
-//! builds only what the rows it times read, and a row can be timed in a
+//! (`cargo bench --bench shuffle -- shuffle/reduce_sampling_k10000`) builds
+//! only what the rows it times read, and the first row it times runs in a
 //! process of its own, free of the heap state other rows leave behind.
 //!
 //! A full run writes its timings to `BENCH_shuffle.json`; a filtered run
