@@ -3,10 +3,12 @@
 //!
 //! Variants of the same 40 × 20k workload, all in `ScanMode::Full`:
 //!
+//! * `scan/select_40x20k/*` — the predicate kernel alone: one
+//!   `SplitData::select` per split over the 40 stored batches, for four
+//!   predicate shapes (see `bench_select`). No map unit, no executor.
 //! * `scan/full_batch_40x20k` — each split is a shared `Arc<RecordBatch>`
-//!   from the dataset's batch store, and the mapper's `SplitData::select`
-//!   runs the vectorised `eval_batch` kernel over the column vectors. The
-//!   same map units run every iteration.
+//!   from the dataset's batch store, and the mapper selects from it with
+//!   `SplitData::select`. The same map units run every iteration.
 //! * `scan/full_batch_40x20k_fresh_format` — the same wave, but every
 //!   iteration builds a new `DatasetInputFormat` over the same `Dataset`,
 //!   as every HiveQL statement does. **This is the row production
@@ -29,7 +31,8 @@ use std::sync::Arc;
 
 use criterion::{black_box, Criterion, Throughput};
 
-use incmr_data::{Dataset, DatasetSpec, RecordFactory, SkewLevel};
+use incmr_data::lineitem::col;
+use incmr_data::{CmpOp, Dataset, DatasetSpec, Predicate, RecordFactory, SkewLevel, Value};
 use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
 use incmr_mapreduce::{
     DatasetInputFormat, InputFormat, MapResult, MapUnit, Mapper, ParallelExecutor, Parallelism,
@@ -91,6 +94,71 @@ fn scan_units(ds: &Arc<Dataset>) -> Vec<MapUnit> {
 
 const RECORDS_TOTAL: u64 = 40 * 20_000;
 
+/// The predicate kernel over every split of the 40 × 20k table, once per
+/// predicate shape: an AND of three conjuncts (the first ~2% selective,
+/// one on a string), a ~2% date `BETWEEN`, an OR with a NOT, and a
+/// `LIMIT 100` sample of a ~2% predicate, which stops early. Each row
+/// reads the stored batches inside its closure, so a filtered run
+/// generates the table only for the rows it times.
+fn bench_select(c: &mut Criterion) {
+    let cmp = |column, op, literal| Predicate::Compare {
+        column,
+        op,
+        literal,
+    };
+    let and = |a, b| Predicate::And(Box::new(a), Box::new(b));
+    let and3 = and(
+        and(
+            Predicate::eq(col::QUANTITY, Value::Int(7)),
+            Predicate::eq(col::SHIPMODE, Value::Str("AIR".into())),
+        ),
+        cmp(col::DISCOUNT, CmpOp::Le, Value::Float(0.05)),
+    );
+    let date_between = Predicate::Between {
+        column: col::SHIPDATE,
+        low: Value::Date(1_000),
+        high: Value::Date(1_050),
+    };
+    let or_not = Predicate::Or(
+        Box::new(Predicate::eq(col::TAX, Value::Float(0.02))),
+        Box::new(Predicate::Not(Box::new(cmp(
+            col::QUANTITY,
+            CmpOp::Le,
+            Value::Int(47),
+        )))),
+    );
+    let sample = Predicate::eq(col::QUANTITY, Value::Int(7));
+    let rows = [
+        ("and3_str", and3, usize::MAX),
+        ("date_between", date_between, usize::MAX),
+        ("or_not", or_not, usize::MAX),
+        ("limit100", sample, 100),
+    ];
+    let mut g = c.benchmark_group("scan/select_40x20k");
+    g.throughput(Throughput::Elements(RECORDS_TOTAL));
+    for (name, predicate, limit) in rows {
+        g.bench_function(name, |b| {
+            let splits = stored_splits(&scan_dataset());
+            b.iter(|| {
+                splits
+                    .iter()
+                    .map(|split| split.clone().select(&predicate, limit).1.len())
+                    .sum::<usize>()
+            })
+        });
+    }
+    g.finish();
+}
+
+/// Every split of `ds` as a full-mode read, each batch generated once.
+fn stored_splits(ds: &Arc<Dataset>) -> Vec<SplitData> {
+    let input = DatasetInputFormat::new(Arc::clone(ds), ScanMode::Full);
+    ds.splits()
+        .iter()
+        .map(|plan| input.read(plan.block))
+        .collect()
+}
+
 fn bench_scan_wave(c: &mut Criterion, group: &str) {
     let units = scan_units(&scan_dataset());
     let mut g = c.benchmark_group(group);
@@ -117,6 +185,7 @@ fn bench_rebuilt_wave(c: &mut Criterion, group: &str, units: impl Fn() -> Vec<Ma
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
+    bench_select(&mut c);
     bench_scan_wave(&mut c, "scan/full_batch_40x20k");
     let shared = scan_dataset();
     bench_rebuilt_wave(&mut c, "scan/full_batch_40x20k_fresh_format", || {

@@ -289,7 +289,7 @@ mod tests {
         let f = factory();
         let g = SplitGenerator::new(&f, SplitSpec::new(2_000, 55, 17));
         let batch = g.full_batch();
-        let sel = f.predicate().eval_batch(&batch);
+        let sel = f.predicate().select(&batch, usize::MAX);
         let expect: Vec<u32> = g.matching_positions().iter().map(|&p| p as u32).collect();
         assert_eq!(sel, expect);
     }

@@ -8,6 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 
 use crate::batch::{ColumnData, RecordBatch, SelectionVector};
 use crate::schema::Schema;
@@ -137,149 +138,359 @@ impl Predicate {
         PredicateDisplay { pred: self, schema }
     }
 
-    /// Vectorised evaluation: the row indices of `batch` this predicate
-    /// selects, ascending.
+    /// The selection kernel: the ids of the first `limit` rows of `batch`
+    /// this predicate accepts, ascending (`usize::MAX` keeps every match).
     ///
-    /// Semantically identical to calling [`Predicate::eval`] on each
-    /// materialised row — property-tested in `tests/batch_equivalence.rs`
-    /// — but runs branch-free over whole columns: each comparison fills a
-    /// byte mask in a tight per-type loop the compiler auto-vectorises,
-    /// and connectives combine masks with `&`/`|`/`^`. NaN and
-    /// type-mismatch comparisons collapse to constant-false masks exactly
-    /// as [`Value::compare`] returning `None` does in the scalar path (in
-    /// particular `Ne` is computed as `(a < b) | (a > b)`, which is false
-    /// for NaN, *not* as `a != b`, which would be true).
-    pub fn eval_batch(&self, batch: &RecordBatch) -> SelectionVector {
-        let mut mask = vec![0u8; batch.len()];
-        self.fill_mask(batch, &mut mask);
-        mask.iter()
-            .enumerate()
-            .filter_map(|(i, &m)| (m != 0).then_some(i as u32))
-            .collect()
+    /// Selects exactly the rows [`Predicate::eval`] accepts on each
+    /// materialised row (property-tested in `tests/batch_equivalence.rs`
+    /// against [`Predicate::eval_batch_scalar`]). The predicate is resolved
+    /// against the batch once per call: each leaf binds its column's typed
+    /// values, and a string leaf compares its literal once per dictionary
+    /// entry. The walk then visits [`SELECT_CHUNK`] rows at a time. The
+    /// first conjunct of the top-level AND chain fills a chunk mask, which
+    /// is compacted into row ids; each later conjunct tests only the ids
+    /// still selected. OR and NOT fill chunk-sized masks that the call
+    /// reuses for every chunk. The walk stops after the chunk that reaches
+    /// `limit`.
+    ///
+    /// NaN and type-mismatch comparisons fail exactly as
+    /// [`Value::compare`] returning `None` does in the scalar path: `Ne`
+    /// is `(v < l) | (v > l)`, which is false for NaN, *not* `v != l`,
+    /// which would be true, and a literal no column value compares with
+    /// selects nothing.
+    pub fn select(&self, batch: &RecordBatch, limit: usize) -> SelectionVector {
+        let mut conjuncts = Vec::new();
+        Node::conjuncts(self, batch, &mut conjuncts);
+        let (first, rest) = conjuncts
+            .split_first_mut()
+            .expect("a predicate has a conjunct");
+        let mut mask = [0u8; SELECT_CHUNK];
+        let mut ids = [0u32; SELECT_CHUNK];
+        let mut sel = SelectionVector::new();
+        let mut start = 0;
+        while start < batch.len() && sel.len() < limit {
+            let rows = start..batch.len().min(start + SELECT_CHUNK);
+            first.fill(rows.clone(), &mut mask[..rows.len()]);
+            let mut kept = compact(&mask[..rows.len()], rows.start, &mut ids);
+            for conjunct in rest.iter_mut() {
+                if kept == 0 {
+                    break;
+                }
+                kept = conjunct.refine(rows.clone(), &mut ids[..kept], &mut mask);
+            }
+            sel.extend_from_slice(&ids[..kept]);
+            start = rows.end;
+        }
+        sel.truncate(limit);
+        sel
     }
 
-    /// Reference implementation of [`Predicate::eval_batch`]: materialise
-    /// each row and run the scalar evaluator. This is the fallback for
-    /// predicates outside the vectorisable AST (none exist today — every
-    /// node has a mask kernel) and the oracle the equivalence proptests
-    /// compare against.
+    /// Reference implementation of [`Predicate::select`] without a limit:
+    /// materialise each row and run the scalar evaluator. The equivalence
+    /// proptests compare the kernel against it.
     pub fn eval_batch_scalar(&self, batch: &RecordBatch) -> SelectionVector {
         (0..batch.len())
             .filter_map(|i| self.eval(&batch.record(i, &[])).then_some(i as u32))
             .collect()
     }
+}
 
-    /// Write this predicate's truth value for every row of `batch` into
-    /// `mask` (1 = selected), overwriting its contents.
-    fn fill_mask(&self, batch: &RecordBatch, mask: &mut [u8]) {
-        match self {
-            Predicate::True => mask.fill(1),
+/// Rows per chunk of [`Predicate::select`]'s walk, and so the granularity
+/// of its early stop. A chunk's ids and masks (5 KiB) stay in L1.
+pub const SELECT_CHUNK: usize = 1024;
+
+/// A predicate resolved against one batch for one [`Predicate::select`]
+/// call.
+enum Node<'a> {
+    /// One comparison leaf.
+    Test(Test<'a>),
+    /// A conjunction, with a chunk-sized scratch mask for its second
+    /// conjunct on. Only a nested AND is one: the top-level chain is the
+    /// kernel's conjunct list.
+    All(Vec<Node<'a>>, Vec<u8>),
+    /// A disjunction, with the same scratch mask.
+    Any(Vec<Node<'a>>, Vec<u8>),
+    /// A negation.
+    Not(Box<Node<'a>>),
+}
+
+impl<'a> Node<'a> {
+    /// Append `pred`'s conjuncts, resolved against `batch`, to `out`: an
+    /// AND chain flattens, and so does a BETWEEN whose bounds compare in
+    /// different types (an int column between an int and a float), which
+    /// runs as its two halves.
+    fn conjuncts(pred: &Predicate, batch: &'a RecordBatch, out: &mut Vec<Node<'a>>) {
+        let leaf = |col: usize, cmp| Node::Test(Test::resolve(batch.column(col), cmp));
+        match pred {
+            Predicate::True => out.push(Node::Test(Test::Const(true))),
             Predicate::Compare {
                 column,
                 op,
                 literal,
-            } => fill_compare_mask(batch.column(*column), *op, literal, mask),
-            // BETWEEN is evaluated exactly as the scalar path does:
-            // `v >= low AND v <= high`, each half with its own literal's
-            // type rules.
+            } => out.push(leaf(*column, Cmp::Op(*op, literal))),
+            // A BETWEEN whose bounds share no type with the column
+            // resolves constant-false; its halves may still each compare.
             Predicate::Between { column, low, high } => {
-                fill_compare_mask(batch.column(*column), CmpOp::Ge, low, mask);
-                let mut hi = vec![0u8; mask.len()];
-                fill_compare_mask(batch.column(*column), CmpOp::Le, high, &mut hi);
-                for (m, h) in mask.iter_mut().zip(&hi) {
-                    *m &= h;
+                match leaf(*column, Cmp::Between(low, high)) {
+                    Node::Test(Test::Const(false)) => {
+                        out.push(leaf(*column, Cmp::Op(CmpOp::Ge, low)));
+                        out.push(leaf(*column, Cmp::Op(CmpOp::Le, high)));
+                    }
+                    both => out.push(both),
                 }
             }
             Predicate::And(a, b) => {
-                a.fill_mask(batch, mask);
-                let mut rhs = vec![0u8; mask.len()];
-                b.fill_mask(batch, &mut rhs);
-                for (m, r) in mask.iter_mut().zip(&rhs) {
-                    *m &= r;
-                }
+                Node::conjuncts(a, batch, out);
+                Node::conjuncts(b, batch, out);
             }
-            Predicate::Or(a, b) => {
-                a.fill_mask(batch, mask);
-                let mut rhs = vec![0u8; mask.len()];
-                b.fill_mask(batch, &mut rhs);
-                for (m, r) in mask.iter_mut().zip(&rhs) {
-                    *m |= r;
-                }
+            Predicate::Or(a, b) => out.push(Node::Any(
+                vec![Node::resolve(a, batch), Node::resolve(b, batch)],
+                vec![0; SELECT_CHUNK],
+            )),
+            Predicate::Not(a) => out.push(Node::Not(Box::new(Node::resolve(a, batch)))),
+        }
+    }
+
+    /// `pred` resolved against `batch` as one node.
+    fn resolve(pred: &Predicate, batch: &'a RecordBatch) -> Node<'a> {
+        let mut conjuncts = Vec::new();
+        Node::conjuncts(pred, batch, &mut conjuncts);
+        if conjuncts.len() == 1 {
+            conjuncts.pop().expect("one conjunct")
+        } else {
+            Node::All(conjuncts, vec![0; SELECT_CHUNK])
+        }
+    }
+
+    /// Keep, at the front of `ids`, the ids of chunk `rows` this node
+    /// accepts; returns how many. A leaf tests only those rows; any other
+    /// node fills `mask` for the whole chunk first.
+    fn refine(&mut self, rows: Range<usize>, ids: &mut [u32], mask: &mut [u8]) -> usize {
+        match self {
+            Node::Test(test) => test.run(rows, Pass::Refine(ids)),
+            node => {
+                let mask = &mut mask[..rows.len()];
+                node.fill(rows.clone(), mask);
+                visit(mask, rows.start, Pass::Refine(ids), |m| m != 0)
             }
-            Predicate::Not(a) => {
-                a.fill_mask(batch, mask);
-                for m in mask.iter_mut() {
-                    *m ^= 1;
+        }
+    }
+
+    /// Write this node's verdict for every row of `rows` to `mask`, 1 for
+    /// selected.
+    fn fill(&mut self, rows: Range<usize>, mask: &mut [u8]) {
+        let all = matches!(self, Node::All(..));
+        match self {
+            Node::Test(test) => {
+                test.run(rows, Pass::Mask(mask));
+            }
+            Node::Not(inner) => {
+                inner.fill(rows, mask);
+                mask.iter_mut().for_each(|m| *m ^= 1);
+            }
+            Node::All(children, scratch) | Node::Any(children, scratch) => {
+                let (first, rest) = children.split_first_mut().expect("two children or more");
+                first.fill(rows.clone(), mask);
+                let other = &mut scratch[..mask.len()];
+                for child in rest {
+                    child.fill(rows.clone(), other);
+                    let pairs = mask.iter_mut().zip(&*other);
+                    if all {
+                        pairs.for_each(|(m, o)| *m &= o);
+                    } else {
+                        pairs.for_each(|(m, o)| *m |= o);
+                    }
                 }
             }
         }
     }
 }
 
-/// Mask kernel for one `column <op> literal` comparison. Dispatches once
-/// on (column type, literal type), then runs a tight monomorphised loop.
-/// Pairs [`Value::compare`] deems incomparable yield an all-false mask.
-fn fill_compare_mask(col: &ColumnData, op: CmpOp, literal: &Value, mask: &mut [u8]) {
-    match (col, literal) {
-        (ColumnData::Int(vals), Value::Int(lit)) => cmp_mask(vals, *lit, op, mask),
-        (ColumnData::Float(vals), Value::Float(lit)) => cmp_mask(vals, *lit, op, mask),
-        (ColumnData::Date(vals), Value::Date(lit)) => cmp_mask(vals, *lit, op, mask),
-        // Int/float mixing follows the scalar path: widen to f64.
-        (ColumnData::Int(vals), Value::Float(lit)) => {
-            cmp_mask_by(vals, *lit, op, mask, |v| v as f64)
-        }
-        (ColumnData::Float(vals), Value::Int(lit)) => cmp_mask(vals, *lit as f64, op, mask),
-        (ColumnData::Str(col), Value::Str(lit)) => {
-            // One comparison per *dictionary entry*, then a table lookup
-            // per row — string compares cost O(|dict|), not O(rows).
-            let table: Vec<u8> = col
-                .dict
-                .iter()
-                .map(|d| op.test(Some(d.as_ref().cmp(lit.as_str()))) as u8)
-                .collect();
-            for (m, &code) in mask.iter_mut().zip(&col.codes) {
-                *m = table[code as usize];
-            }
-        }
-        // Incomparable type pairs: Value::compare returns None, every
-        // CmpOp::test(None) is false.
-        _ => mask.fill(0),
+/// A leaf's comparison, with its literals in the type it runs in.
+#[derive(Clone, Copy)]
+enum Cmp<T> {
+    /// `value <op> literal`.
+    Op(CmpOp, T),
+    /// `low <= value <= high`, both bounds tested in one pass.
+    Between(T, T),
+}
+
+impl<T: Copy> Cmp<T> {
+    /// The same comparison with each literal converted by `f`, or `None`
+    /// when one does not convert.
+    fn map<U>(self, f: impl Fn(T) -> Option<U>) -> Option<Cmp<U>> {
+        Some(match self {
+            Cmp::Op(op, lit) => Cmp::Op(op, f(lit)?),
+            Cmp::Between(low, high) => Cmp::Between(f(low)?, f(high)?),
+        })
     }
 }
 
-/// Branch-free comparison loop. `Ne` is `(v < lit) | (v > lit)` rather
-/// than `v != lit` so NaN (incomparable in the scalar path) fails it;
-/// for totally ordered types the two are identical.
-fn cmp_mask<T: PartialOrd + Copy>(vals: &[T], lit: T, op: CmpOp, mask: &mut [u8]) {
-    cmp_mask_by(vals, lit, op, mask, |v| v)
+/// One comparison leaf bound to its column's typed values.
+enum Test<'a> {
+    /// Every row passes (`TRUE`) or none does (a type mismatch).
+    Const(bool),
+    /// An int column against int literals.
+    Int(&'a [i64], Cmp<i64>),
+    /// An int column against float literals: each value widens to `f64`,
+    /// as [`Value::compare`] widens it.
+    IntAsFloat(&'a [i64], Cmp<f64>),
+    /// A float column; an int literal widens to `f64`.
+    Float(&'a [f64], Cmp<f64>),
+    /// A date column against date literals.
+    Date(&'a [u32], Cmp<u32>),
+    /// A string column's codes, with the comparison's verdict per
+    /// dictionary entry: string compares cost O(|dict|) per call, not
+    /// O(rows).
+    Str(&'a [u32], Vec<bool>),
 }
 
-/// [`cmp_mask`] with a per-element conversion (int column vs float
-/// literal), kept generic so each (type, op) pair monomorphises to a
-/// vectorisable loop.
-fn cmp_mask_by<T: Copy, U: PartialOrd + Copy>(
-    vals: &[T],
-    lit: U,
-    op: CmpOp,
-    mask: &mut [u8],
-    conv: impl Fn(T) -> U + Copy,
-) {
-    macro_rules! run {
-        ($test:expr) => {
-            for (m, &v) in mask.iter_mut().zip(vals) {
-                let v = conv(v);
-                *m = $test(v) as u8;
-            }
+impl<'a> Test<'a> {
+    /// Bind `cmp` to `col`. Literals no value of the column compares with
+    /// (as [`Value::compare`] decides) make the leaf constant-false.
+    fn resolve(col: &'a ColumnData, cmp: Cmp<&Value>) -> Test<'a> {
+        let int = |lit: &Value| match lit {
+            Value::Int(i) => Some(*i),
+            _ => None,
         };
+        let float = |lit: &Value| match lit {
+            Value::Float(f) => Some(*f),
+            _ => None,
+        };
+        let test = match col {
+            ColumnData::Int(vals) => match cmp.map(int) {
+                Some(cmp) => Some(Test::Int(vals, cmp)),
+                None => cmp.map(float).map(|cmp| Test::IntAsFloat(vals, cmp)),
+            },
+            ColumnData::Float(vals) => cmp
+                .map(|lit| float(lit).or_else(|| int(lit).map(|i| i as f64)))
+                .map(|cmp| Test::Float(vals, cmp)),
+            ColumnData::Date(vals) => cmp
+                .map(|lit| match lit {
+                    Value::Date(d) => Some(*d),
+                    _ => None,
+                })
+                .map(|cmp| Test::Date(vals, cmp)),
+            ColumnData::Str(col) => cmp
+                .map(|lit| match lit {
+                    Value::Str(s) => Some(s.as_str()),
+                    _ => None,
+                })
+                .map(|cmp| {
+                    let verdict = |d: &str| match cmp {
+                        Cmp::Op(op, lit) => op.test(Some(d.cmp(lit))),
+                        Cmp::Between(low, high) => d >= low && d <= high,
+                    };
+                    Test::Str(&col.codes, col.dict.iter().map(|d| verdict(d)).collect())
+                }),
+        };
+        test.unwrap_or(Test::Const(false))
     }
-    match op {
-        CmpOp::Eq => run!(|v: U| v == lit),
-        CmpOp::Ne => run!(|v: U| (v < lit) | (v > lit)),
-        CmpOp::Lt => run!(|v: U| v < lit),
-        CmpOp::Le => run!(|v: U| v <= lit),
-        CmpOp::Gt => run!(|v: U| v > lit),
-        CmpOp::Ge => run!(|v: U| v >= lit),
+
+    /// Run the leaf over one chunk `rows`. Returns the ids kept.
+    fn run(&self, rows: Range<usize>, pass: Pass<'_>) -> usize {
+        let base = rows.start;
+        match self {
+            Test::Const(keep) => match pass {
+                Pass::Refine(ids) if *keep => ids.len(),
+                Pass::Refine(_) => 0,
+                Pass::Mask(mask) => {
+                    mask.fill(u8::from(*keep));
+                    0
+                }
+            },
+            Test::Int(vals, cmp) => compare(&vals[rows], base, *cmp, pass, |v| v),
+            Test::IntAsFloat(vals, cmp) => compare(&vals[rows], base, *cmp, pass, |v| v as f64),
+            Test::Float(vals, cmp) => compare(&vals[rows], base, *cmp, pass, |v| v),
+            Test::Date(vals, cmp) => compare(&vals[rows], base, *cmp, pass, |v| v),
+            Test::Str(codes, verdict) => visit(&codes[rows], base, pass, |c| verdict[c as usize]),
+        }
     }
+}
+
+/// How a test visits one chunk.
+enum Pass<'s> {
+    /// Keep the passing ids of the slice at its front.
+    Refine(&'s mut [u32]),
+    /// Write each row's verdict, 1 or 0, to the mask (one byte a row).
+    Mask(&'s mut [u8]),
+}
+
+/// The compare kernels: one monomorphised loop per (value type, operator),
+/// each value converted by `conv` first. `Ne` is `(v < l) | (v > l)`
+/// rather than `v != l` so NaN, which the scalar path finds incomparable,
+/// fails it; for totally ordered types the two are identical.
+fn compare<T: Copy, U: PartialOrd + Copy>(
+    vals: &[T],
+    base: usize,
+    cmp: Cmp<U>,
+    pass: Pass<'_>,
+    conv: impl Fn(T) -> U + Copy,
+) -> usize {
+    match cmp {
+        Cmp::Op(CmpOp::Eq, l) => visit(vals, base, pass, |v| conv(v) == l),
+        Cmp::Op(CmpOp::Ne, l) => visit(vals, base, pass, |v| {
+            let v = conv(v);
+            (v < l) | (v > l)
+        }),
+        Cmp::Op(CmpOp::Lt, l) => visit(vals, base, pass, |v| conv(v) < l),
+        Cmp::Op(CmpOp::Le, l) => visit(vals, base, pass, |v| conv(v) <= l),
+        Cmp::Op(CmpOp::Gt, l) => visit(vals, base, pass, |v| conv(v) > l),
+        Cmp::Op(CmpOp::Ge, l) => visit(vals, base, pass, |v| conv(v) >= l),
+        Cmp::Between(lo, hi) => visit(vals, base, pass, |v| {
+            let v = conv(v);
+            (v >= lo) & (v <= hi)
+        }),
+    }
+}
+
+/// Run `test` over one chunk, whose rows' values are `vals`, the first of
+/// them row `base`. A refine compacts branch-free: every id is written
+/// back, and the cursor advances past it only when it passes. Returns the
+/// ids kept (0 for a mask).
+#[inline(always)]
+fn visit<T: Copy>(vals: &[T], base: usize, pass: Pass<'_>, test: impl Fn(T) -> bool) -> usize {
+    match pass {
+        Pass::Refine(ids) => {
+            let mut kept = 0;
+            for j in 0..ids.len() {
+                let row = ids[j];
+                ids[kept] = row;
+                kept += usize::from(test(vals[row as usize - base]));
+            }
+            kept
+        }
+        Pass::Mask(mask) => {
+            for (m, &v) in mask.iter_mut().zip(vals) {
+                *m = u8::from(test(v));
+            }
+            0
+        }
+    }
+}
+
+/// Write the ids of the rows `mask` selects, the first of them row `base`,
+/// to the front of `ids`; returns how many. Eight rows at a time: a word
+/// of unselected rows costs one test, and within any other word every id
+/// is written and the cursor advances past it only when its row is
+/// selected, so no branch depends on a single row.
+fn compact(mask: &[u8], base: usize, ids: &mut [u32]) -> usize {
+    let mut kept = 0;
+    let mut push = |first: usize, bytes: &[u8]| {
+        for (row, &m) in (first..).zip(bytes) {
+            ids[kept] = row as u32;
+            kept += usize::from(m);
+        }
+    };
+    let words = mask.chunks_exact(8);
+    let tail = words.remainder();
+    for (w, word) in words.enumerate() {
+        if u64::from_ne_bytes(word.try_into().expect("eight bytes")) != 0 {
+            push(base + 8 * w, word);
+        }
+    }
+    push(base + mask.len() - tail.len(), tail);
+    kept
 }
 
 /// Helper for schema-aware rendering of predicates.
@@ -420,12 +631,17 @@ mod tests {
         RecordBatch::from_records(&nschema(), &records)
     }
 
+    /// Every match the kernel selects.
+    fn select_all(p: &Predicate, batch: &RecordBatch) -> SelectionVector {
+        p.select(batch, usize::MAX)
+    }
+
     /// Both paths on the same batch must agree exactly.
     fn assert_paths_agree(p: &Predicate, batch: &RecordBatch) {
         assert_eq!(
-            p.eval_batch(batch),
+            select_all(p, batch),
             p.eval_batch_scalar(batch),
-            "vectorised != scalar for {p:?}"
+            "kernel != scalar for {p:?}"
         );
     }
 
@@ -451,7 +667,7 @@ mod tests {
             let p = cmp(1, op, Value::Float(0.5));
             assert_paths_agree(&p, &batch);
             // NaN rows never appear, whatever the operator.
-            assert!(p.eval_batch(&batch).iter().all(|&i| i == 1), "{op:?}");
+            assert!(select_all(&p, &batch).iter().all(|&i| i == 1), "{op:?}");
         }
     }
 
@@ -468,13 +684,13 @@ mod tests {
         ] {
             let p = cmp(1, op, Value::Float(f64::NAN));
             assert_paths_agree(&p, &batch);
-            assert!(p.eval_batch(&batch).is_empty(), "{op:?}");
+            assert!(select_all(&p, &batch).is_empty(), "{op:?}");
         }
         // ...including through NOT, where NaN rows *do* pass (unknown
         // collapsed to false, then negated).
         let not = Predicate::Not(Box::new(cmp(1, CmpOp::Eq, Value::Float(f64::NAN))));
         assert_paths_agree(&not, &batch);
-        assert_eq!(not.eval_batch(&batch), vec![0, 1]);
+        assert_eq!(select_all(&not, &batch), vec![0, 1]);
     }
 
     #[test]
@@ -486,7 +702,7 @@ mod tests {
             high: Value::Float(0.1),
         };
         assert_paths_agree(&p, &batch);
-        assert_eq!(p.eval_batch(&batch), vec![1]);
+        assert_eq!(select_all(&p, &batch), vec![1]);
     }
 
     #[test]
@@ -495,16 +711,16 @@ mod tests {
         // Int column vs float literal widens per element.
         let p = cmp(0, CmpOp::Ge, Value::Float(2.0));
         assert_paths_agree(&p, &batch);
-        assert_eq!(p.eval_batch(&batch), vec![1, 2]);
+        assert_eq!(select_all(&p, &batch), vec![1, 2]);
         // Float column vs int literal widens the literal.
         let p = cmp(1, CmpOp::Eq, Value::Int(3));
         assert_paths_agree(&p, &batch);
-        assert_eq!(p.eval_batch(&batch), vec![2]);
+        assert_eq!(select_all(&p, &batch), vec![2]);
         // Ne over floats with an int literal stays NaN-aware.
         let nan = batch_of(&[(0, f64::NAN), (0, 4.0)]);
         let p = cmp(1, CmpOp::Ne, Value::Int(3));
         assert_paths_agree(&p, &nan);
-        assert_eq!(p.eval_batch(&nan), vec![1]);
+        assert_eq!(select_all(&p, &nan), vec![1]);
     }
 
     #[test]
@@ -513,7 +729,7 @@ mod tests {
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt] {
             let p = cmp(0, op, Value::Str("x".into()));
             assert_paths_agree(&p, &batch);
-            assert!(p.eval_batch(&batch).is_empty());
+            assert!(select_all(&p, &batch).is_empty());
         }
     }
 
@@ -525,8 +741,8 @@ mod tests {
             Box::new(Predicate::Not(Box::new(Predicate::True))),
         );
         assert_paths_agree(&p, &batch);
-        assert!(p.eval_batch(&batch).is_empty());
-        assert!(Predicate::True.eval_batch(&batch).is_empty());
+        assert!(select_all(&p, &batch).is_empty());
+        assert!(select_all(&Predicate::True, &batch).is_empty());
     }
 
     #[test]
@@ -542,12 +758,12 @@ mod tests {
             Box::new(cmp(0, CmpOp::Gt, Value::Int(1))),
         );
         assert_paths_agree(&p, &batch);
-        assert_eq!(p.eval_batch(&batch), vec![2]);
+        assert_eq!(select_all(&p, &batch), vec![2]);
         let p = Predicate::Or(
             Box::new(cmp(1, CmpOp::Lt, Value::Str("B".into()))),
             Box::new(cmp(0, CmpOp::Eq, Value::Int(2))),
         );
         assert_paths_agree(&p, &batch);
-        assert_eq!(p.eval_batch(&batch), vec![0, 1, 2]);
+        assert_eq!(select_all(&p, &batch), vec![0, 1, 2]);
     }
 }

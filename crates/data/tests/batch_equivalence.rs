@@ -3,9 +3,10 @@
 //! Two families of invariants:
 //!
 //! 1. **Predicate equivalence** — for arbitrary batches (including NaN
-//!    floats and type-mismatched literals) and arbitrary predicate trees,
-//!    `Predicate::eval_batch` selects exactly the rows the scalar
-//!    `Predicate::eval` accepts.
+//!    floats and type-mismatched literals, and lengths either side of the
+//!    kernel's chunk boundaries), arbitrary predicate trees and arbitrary
+//!    limits, `Predicate::select` selects exactly the first `limit` rows
+//!    the scalar `Predicate::eval` accepts.
 //! 2. **Generation equivalence** — for arbitrary split specs and every
 //!    sentinel kind, `SplitGenerator::full_batch` / `planted_batch` equal
 //!    the batches `RecordBatch::from_records` builds from `full_iter` /
@@ -22,7 +23,7 @@ use proptest::prelude::*;
 use incmr_data::batch::{BatchSelection, RecordBatch};
 use incmr_data::generator::{RecordFactory, SplitGenerator, SplitSpec};
 use incmr_data::lineitem::{col, LineItemFactory};
-use incmr_data::predicate::{CmpOp, Predicate};
+use incmr_data::predicate::{CmpOp, Predicate, SELECT_CHUNK};
 use incmr_data::schema::{ColumnType, Schema};
 use incmr_data::value::{Record, Value};
 
@@ -54,6 +55,32 @@ fn arb_row() -> impl Strategy<Value = (i64, f64, usize, u32)> {
         0usize..MODES.len(),
         0u32..8,
     )
+}
+
+/// Batch lengths that put the selection kernel's chunk boundaries under
+/// test: short batches, one row either side of a chunk, and several
+/// chunks.
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..80,
+        Just(0),
+        Just(1),
+        Just(SELECT_CHUNK - 1),
+        Just(SELECT_CHUNK),
+        Just(SELECT_CHUNK + 1),
+        2 * SELECT_CHUNK..4 * SELECT_CHUNK + 2,
+    ]
+}
+
+/// Limits for `Predicate::select`: none kept, one, any count up to two
+/// chunks' worth, or unbounded.
+fn arb_limit() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0),
+        Just(1),
+        0usize..2 * SELECT_CHUNK + 2,
+        Just(usize::MAX),
+    ]
 }
 
 fn to_batch(rows: &[(i64, f64, usize, u32)]) -> (RecordBatch, Vec<Record>) {
@@ -121,12 +148,14 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Vectorised evaluation selects exactly the rows scalar evaluation
-    /// accepts, for arbitrary batches and predicate trees.
+    /// The selection kernel selects exactly the first `limit` rows scalar
+    /// evaluation accepts, for arbitrary batches, predicate trees and
+    /// limits.
     #[test]
-    fn eval_batch_equals_per_record_eval(
-        rows in proptest::collection::vec(arb_row(), 0..80),
+    fn select_equals_per_record_eval(
+        rows in arb_len().prop_flat_map(|n| proptest::collection::vec(arb_row(), n)),
         pred in arb_predicate(),
+        limit in arb_limit(),
     ) {
         let (batch, records) = to_batch(&rows);
         let expect: Vec<u32> = records
@@ -134,7 +163,8 @@ proptest! {
             .enumerate()
             .filter_map(|(i, r)| pred.eval(r).then_some(i as u32))
             .collect();
-        prop_assert_eq!(pred.eval_batch(&batch), expect.clone());
+        let first = &expect[..limit.min(expect.len())];
+        prop_assert_eq!(pred.select(&batch, limit), first.to_vec());
         prop_assert_eq!(pred.eval_batch_scalar(&batch), expect);
     }
 
@@ -196,7 +226,7 @@ proptest! {
         prop_assert_eq!(batch, RecordBatch::from_records(&factory.schema(), &rows));
     }
 
-    /// ...and so do planted scans, with `eval_batch` recovering exactly
+    /// ...and so do planted scans, with `select` recovering exactly
     /// the planted positions from the full batch.
     #[test]
     fn planted_batch_and_selection_agree(
@@ -212,7 +242,7 @@ proptest! {
         let batch = g.planted_batch();
         prop_assert_eq!(batch.to_records(), planted.clone());
         prop_assert_eq!(batch, RecordBatch::from_records(&factory.schema(), &planted));
-        let sel = factory.predicate().eval_batch(&g.full_batch());
+        let sel = factory.predicate().select(&g.full_batch(), usize::MAX);
         let expect: Vec<u32> = g.matching_positions().iter().map(|&p| p as u32).collect();
         prop_assert_eq!(sel, expect);
     }

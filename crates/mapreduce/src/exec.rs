@@ -67,10 +67,13 @@ impl SplitData {
 
     /// The map side's scan (paper Algorithm 1): the first `limit` rows
     /// satisfying `predicate`, in scan order, as a selection into the
-    /// split's shared batch. A full split runs the vectorised predicate
-    /// pass. A planted split holds only matches, because the compiler
-    /// admits no other predicate in planted mode, so its selection is the
-    /// prefix `0..min(limit, n)`: O(limit) rather than O(n).
+    /// split's shared batch. A full split runs the selection kernel
+    /// ([`Predicate::select`]), which stops after the chunk that reaches
+    /// `limit`; the split still counts every record it holds
+    /// ([`SplitData::total_records`]). A planted split holds only matches,
+    /// because the compiler admits no other predicate in planted mode, so
+    /// its selection is the prefix `0..min(limit, n)`: O(limit) rather
+    /// than O(n).
     pub fn select(
         self,
         predicate: &Predicate,
@@ -78,13 +81,12 @@ impl SplitData {
     ) -> (Arc<RecordBatch>, SelectionVector) {
         match self {
             SplitData::Full(batch) => {
-                let mut sel = predicate.eval_batch(&batch);
-                sel.truncate(limit);
+                let sel = predicate.select(&batch, limit);
                 (batch, sel)
             }
             SplitData::Planted { matches, .. } => {
                 debug_assert_eq!(
-                    predicate.eval_batch(&matches).len(),
+                    predicate.select(&matches, usize::MAX).len(),
                     matches.len(),
                     "planted contract violated"
                 );
@@ -210,41 +212,33 @@ pub struct MapResult {
     pub unmaterialized_bytes: u64,
 }
 
+/// Records in a run of map output: its pairs plus its batch rows.
+pub(crate) fn output_records(pairs: &[(Key, Record)], batches: &[KeyedBatch]) -> u64 {
+    pairs.len() as u64 + batches.iter().map(|b| b.rows.len() as u64).sum::<u64>()
+}
+
+/// Shuffle bytes of a run of map output, with the same per-record
+/// `key.len() + width` model for pairs and batch rows.
+pub(crate) fn output_bytes(pairs: &[(Key, Record)], batches: &[KeyedBatch]) -> u64 {
+    let pair_bytes: u64 = pairs.iter().map(|(k, v)| k.len() as u64 + v.width()).sum();
+    pair_bytes + batches.iter().map(KeyedBatch::shuffle_bytes).sum::<u64>()
+}
+
 impl MapResult {
     /// Materialised output records (pairs plus batch rows).
     pub fn materialized_records(&self) -> u64 {
-        self.pairs.len() as u64
-            + self
-                .batches
-                .iter()
-                .map(|b| b.rows.len() as u64)
-                .sum::<u64>()
+        output_records(&self.pairs, &self.batches)
     }
 
     /// Materialised output bytes (pairs plus batch rows), computed with
     /// the same per-record `key.len() + width` model either way.
     pub fn materialized_bytes(&self) -> u64 {
-        let pair_bytes: u64 = self
-            .pairs
-            .iter()
-            .map(|(k, v)| k.len() as u64 + v.width())
-            .sum();
-        pair_bytes
-            + self
-                .batches
-                .iter()
-                .map(KeyedBatch::shuffle_bytes)
-                .sum::<u64>()
+        output_bytes(&self.pairs, &self.batches)
     }
 
     /// Total output records, materialised or not.
     pub fn total_outputs(&self) -> u64 {
         self.materialized_records() + self.unmaterialized_outputs
-    }
-
-    /// Total output bytes, materialised or not.
-    pub fn total_output_bytes(&self) -> u64 {
-        self.materialized_bytes() + self.unmaterialized_bytes
     }
 }
 
@@ -330,16 +324,21 @@ impl Reducer for IdentityReducer {
 mod tests {
     use super::*;
     use incmr_data::generator::RecordFactory;
+    use incmr_data::predicate::SELECT_CHUNK;
     use incmr_data::{ColumnType, DatasetSpec, Schema, SkewLevel, SplitGenerator, Value};
     use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
     use incmr_simkit::rng::DetRng;
 
-    fn small_dataset() -> (Namespace, Arc<Dataset>) {
+    fn dataset(splits: u32, records: u64) -> (Namespace, Arc<Dataset>) {
         let mut ns = Namespace::new(ClusterTopology::paper_cluster());
         let mut rng = DetRng::seed_from(11);
-        let spec = DatasetSpec::small("t", 8, 500, SkewLevel::Moderate, 11);
+        let spec = DatasetSpec::small("t", splits, records, SkewLevel::Moderate, 11);
         let ds = Dataset::build(&mut ns, spec, &mut EvenRoundRobin::new(), &mut rng);
         (ns, Arc::new(ds))
+    }
+
+    fn small_dataset() -> (Namespace, Arc<Dataset>) {
+        dataset(8, 500)
     }
 
     /// The rows `select` keeps, built once.
@@ -370,26 +369,36 @@ mod tests {
     /// the scalar predicate.
     #[test]
     fn select_matches_the_row_oracle_in_both_modes() {
-        let (_, ds) = small_dataset();
+        // Splits of 2,500 rows span three kernel chunks, and the negated
+        // planted predicate matches most rows, so the limits either side
+        // of a chunk boundary stop the walk there.
+        let (_, ds) = dataset(4, 2_500);
         let factory = ds.factory();
         let p = factory.predicate();
+        let not_p = Predicate::Not(Box::new(p.clone()));
+        let chunk = SELECT_CHUNK;
+        let limits = [0, 1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk, usize::MAX];
         let mut matched = 0;
-        for mode in [ScanMode::Full, ScanMode::Planted] {
+        for (mode, pred) in [
+            (ScanMode::Full, &p),
+            (ScanMode::Full, &not_p),
+            (ScanMode::Planted, &p),
+        ] {
             let input = DatasetInputFormat::new(Arc::clone(&ds), mode);
             for plan in ds.splits() {
                 let gen = SplitGenerator::new(&factory, plan.spec);
-                let oracle: Vec<Record> = gen.full_iter().filter(|r| p.eval(r)).collect();
+                let oracle: Vec<Record> = gen.full_iter().filter(|r| pred.eval(r)).collect();
                 matched += oracle.len();
-                for limit in [0, 1, 3, usize::MAX] {
+                for limit in limits {
                     let data = input.read(plan.block);
                     assert_eq!(data.total_records(), plan.spec.records, "{mode:?}");
-                    let got = selected(data, &p, limit);
+                    let got = selected(data, pred, limit);
                     let want = &oracle[..limit.min(oracle.len())];
-                    assert_eq!(got, want, "{mode:?} limit {limit}");
+                    assert_eq!(got, want, "{mode:?} {pred:?} limit {limit}");
                 }
             }
         }
-        assert!(matched > 0, "the dataset plants matches");
+        assert!(matched > 2 * chunk, "the walk crosses chunk boundaries");
     }
 
     #[test]

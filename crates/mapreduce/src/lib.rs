@@ -393,7 +393,7 @@ mod tests {
                     panic!("expected full batch mode")
                 };
                 let records_read = batch.len() as u64;
-                let sel = self.pred.eval_batch(&batch);
+                let sel = self.pred.select(&batch, usize::MAX);
                 MapResult {
                     batches: vec![crate::exec::KeyedBatch {
                         key: Key::from("k"),

@@ -99,10 +99,6 @@ pub struct MapTaskResult {
     pub pairs: PartitionedPairs,
     /// Records scanned (feeds selectivity estimation).
     pub records_read: u64,
-    /// Materialised output records (post-combine).
-    pub materialized_records: u64,
-    /// Materialised output bytes (post-combine).
-    pub materialized_bytes: u64,
     /// Output records accounted but not materialised.
     pub unmaterialized_outputs: u64,
     /// Bytes of unmaterialised output (for shuffle-volume modelling).
@@ -117,14 +113,26 @@ pub struct MapTaskResult {
 }
 
 impl MapTaskResult {
+    /// Materialised output records (post-combine): the partitions'
+    /// totals, counted while partitioning.
+    pub fn materialized_records(&self) -> u64 {
+        self.pairs.records()
+    }
+
+    /// Materialised output bytes (post-combine): the partitions' totals,
+    /// counted while partitioning.
+    pub fn materialized_bytes(&self) -> u64 {
+        self.pairs.bytes()
+    }
+
     /// Total output records, materialised or not (post-combine).
     pub fn total_outputs(&self) -> u64 {
-        self.materialized_records + self.unmaterialized_outputs
+        self.materialized_records() + self.unmaterialized_outputs
     }
 
     /// Total output bytes, materialised or not (post-combine).
     pub fn total_output_bytes(&self) -> u64 {
-        self.materialized_bytes + self.unmaterialized_bytes
+        self.materialized_bytes() + self.unmaterialized_bytes
     }
 }
 
@@ -161,8 +169,6 @@ impl WorkUnit for MapUnit {
             }
             None => (0, 0),
         };
-        let materialized_records = result.materialized_records();
-        let materialized_bytes = result.materialized_bytes();
         MapTaskResult {
             pairs: PartitionedPairs::build_with_batches(
                 result.pairs,
@@ -170,8 +176,6 @@ impl WorkUnit for MapUnit {
                 self.reduce_tasks,
             ),
             records_read: result.records_read,
-            materialized_records,
-            materialized_bytes,
             unmaterialized_outputs: result.unmaterialized_outputs,
             unmaterialized_bytes: result.unmaterialized_bytes,
             combiner_input_records,
@@ -507,9 +511,9 @@ mod tests {
         let out = ParallelExecutor::new(Parallelism::SERIAL).run(batch);
         assert_eq!(out[0].combiner_input_records, 10);
         assert_eq!(out[0].combiner_output_records, 1);
-        assert_eq!(out[0].materialized_records, 1);
+        assert_eq!(out[0].materialized_records(), 1);
         assert_eq!(out[0].total_outputs(), 1);
-        assert_eq!(out[0].pairs.len(), 1);
+        assert_eq!(out[0].pairs.iter_pairs().count(), 1);
     }
 
     #[test]

@@ -1641,8 +1641,6 @@ impl MrRuntime {
         if free_total == 0 {
             return;
         }
-        let mut free_slots = vec![0u32; self.nodes.len()];
-        free_slots[node as usize] = free_total;
         #[cfg(debug_assertions)]
         if self.jobs.len() <= 512 {
             self.debug_check_indexes();
@@ -1655,6 +1653,8 @@ impl MrRuntime {
         if runnable_total == 0 {
             return;
         }
+        let mut free_slots = vec![0u32; self.nodes.len()];
+        free_slots[node as usize] = free_total;
         let cap = free_total as usize + VIEW_JOB_SLACK;
         let selected: Vec<u32> = match self.scheduler.view_policy() {
             ViewPolicy::Complete => self.runnable_by_seq.iter().map(|&(_, i)| i).collect(),

@@ -8,12 +8,14 @@
 //! * [`PartitionedPairs`] is built *inside the map task on the data-plane
 //!   worker* (`parallel::MapUnit::compute`): emitted pairs are hashed with
 //!   [`fnv1a`] into `reduce_tasks` buckets while still on the worker
-//!   thread, so the control plane never re-walks a map's output.
+//!   thread, and each bucket's records and shuffle bytes are counted
+//!   there, once, so the control plane never re-walks a map's output.
 //! * [`ShuffleState`] lives on the control plane, one per job. As each map
 //!   completes (in scheduler-assignment order), its partitions are merged
 //!   into per-reduce [`PartitionBuffer`]s — grouping by key, recording
-//!   first-seen key order and exact byte/record shares. Reduce-begin is
-//!   then O(`reduce_tasks`): the buffers *are* the reduce inputs.
+//!   first-seen key order, and adding each partition's byte/record
+//!   totals once. Reduce-begin is then O(`reduce_tasks`): the buffers
+//!   *are* the reduce inputs.
 //!
 //! Batch runs stay selection vectors through both halves. Their bytes
 //! come from [`KeyedBatch::shuffle_bytes`], which sums a run a column at
@@ -47,7 +49,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use incmr_data::{BatchSelection, Record};
 
-use crate::exec::{Key, KeyedBatch};
+use crate::exec::{output_bytes, output_records, Key, KeyedBatch};
 
 /// FNV-1a, the key-partitioning hash (Hadoop uses `key.hashCode() % R`;
 /// any stable hash serves, and FNV-1a is deterministic across platforms).
@@ -101,13 +103,31 @@ pub fn partition_of(key: &str, reduce_tasks: u32) -> usize {
 /// batch order (matching `MapResult`'s contract).
 #[derive(Debug, Clone, Default)]
 pub struct PartitionedPairs {
-    /// `partitions[p]` holds the pairs destined for reduce task `p`, in
-    /// emission order.
-    partitions: Vec<Vec<(Key, Record)>>,
-    /// `batch_partitions[p]` holds the keyed batch runs destined for
-    /// reduce task `p`, in emission order. A run is never split across
+    /// `partitions[p]` holds the output destined for reduce task `p`.
+    partitions: Vec<Partition>,
+}
+
+/// One reduce task's share of a map task's output, with its record and
+/// byte totals, counted once while partitioning.
+#[derive(Debug, Clone, Default)]
+struct Partition {
+    /// Pairs, in emission order.
+    pairs: Vec<(Key, Record)>,
+    /// Keyed batch runs, in emission order. A run is never split across
     /// partitions — all its rows share one key.
-    batch_partitions: Vec<Vec<KeyedBatch>>,
+    batches: Vec<KeyedBatch>,
+    /// Records: pairs plus batch rows.
+    records: u64,
+    /// Shuffle bytes: each record's `key.len() + width`.
+    bytes: u64,
+}
+
+impl Partition {
+    /// Count the records and shuffle bytes the partition holds.
+    fn count(&mut self) {
+        self.records = output_records(&self.pairs, &self.batches);
+        self.bytes = output_bytes(&self.pairs, &self.batches);
+    }
 }
 
 impl PartitionedPairs {
@@ -117,32 +137,29 @@ impl PartitionedPairs {
     }
 
     /// Partition pairs and batch runs (in emission order: pairs first)
-    /// across `reduce_tasks` buckets. Batch runs move as selection-vector
-    /// handles — their rows are never materialised here.
+    /// across `reduce_tasks` buckets, counting each bucket's records and
+    /// shuffle bytes. Batch runs move as selection-vector handles — their
+    /// rows are never materialised here.
     pub fn build_with_batches(
         pairs: Vec<(Key, Record)>,
         batches: Vec<KeyedBatch>,
         reduce_tasks: u32,
     ) -> Self {
         let r = reduce_tasks.max(1);
+        let mut partitions: Vec<Partition> = (0..r).map(|_| Partition::default()).collect();
         if r == 1 {
-            return PartitionedPairs {
-                partitions: vec![pairs],
-                batch_partitions: vec![batches],
-            };
+            partitions[0].pairs = pairs;
+            partitions[0].batches = batches;
+        } else {
+            for (key, value) in pairs {
+                partitions[partition_of(&key, r)].pairs.push((key, value));
+            }
+            for batch in batches {
+                partitions[partition_of(&batch.key, r)].batches.push(batch);
+            }
         }
-        let mut partitions: Vec<Vec<(Key, Record)>> = (0..r).map(|_| Vec::new()).collect();
-        let mut batch_partitions: Vec<Vec<KeyedBatch>> = (0..r).map(|_| Vec::new()).collect();
-        for (key, value) in pairs {
-            partitions[partition_of(&key, r)].push((key, value));
-        }
-        for batch in batches {
-            batch_partitions[partition_of(&batch.key, r)].push(batch);
-        }
-        PartitionedPairs {
-            partitions,
-            batch_partitions,
-        }
+        partitions.iter_mut().for_each(Partition::count);
+        PartitionedPairs { partitions }
     }
 
     /// Number of partitions (= the job's `reduce_tasks`).
@@ -156,24 +173,17 @@ impl PartitionedPairs {
     /// plane reads a map task's per-group accumulator parts without
     /// consuming the output before the shuffle merge.
     pub fn iter_pairs(&self) -> impl Iterator<Item = &(Key, Record)> {
-        self.partitions.iter().flatten()
+        self.partitions.iter().flat_map(|p| &p.pairs)
     }
 
     /// Total records (pairs plus batch rows) across all partitions.
-    pub fn len(&self) -> usize {
-        let pairs: usize = self.partitions.iter().map(Vec::len).sum();
-        let rows: usize = self
-            .batch_partitions
-            .iter()
-            .flatten()
-            .map(|b| b.rows.len())
-            .sum();
-        pairs + rows
+    pub fn records(&self) -> u64 {
+        self.partitions.iter().map(|p| p.records).sum()
     }
 
-    /// True when the task emitted nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Total shuffle bytes across all partitions.
+    pub fn bytes(&self) -> u64 {
+        self.partitions.iter().map(|p| p.bytes).sum()
     }
 }
 
@@ -326,34 +336,33 @@ pub struct PartitionBuffer {
 }
 
 impl PartitionBuffer {
-    /// Absorb one map's share of pairs, in emission order.
-    fn absorb(&mut self, pairs: Vec<(Key, Record)>) {
-        for (key, value) in pairs {
-            self.shuffle_bytes += key.len() as u64 + value.width();
-            self.input_records += 1;
-            let group = self.groups.entry(Key::clone(&key)).or_default();
-            if group.is_empty() {
-                self.key_order.push(key);
+    /// Absorb one map task's partition, in emission order: pairs first,
+    /// then batch runs. An empty run registers no key. The partition's
+    /// totals were counted while partitioning and are added once.
+    fn absorb(&mut self, partition: Partition) {
+        self.shuffle_bytes += partition.bytes;
+        self.input_records += partition.records;
+        for (key, value) in partition.pairs {
+            self.add_to_group(key, |group| group.push(value));
+        }
+        for kb in partition.batches {
+            if !kb.rows.is_empty() {
+                self.add_to_group(kb.key, |group| group.push_batch(kb.rows));
             }
-            group.push(value);
         }
     }
 
-    /// Absorb one map's share of batch runs, in emission order. An empty
-    /// run registers no key. Byte and record accounting matches what
-    /// `absorb` would charge for the materialised pairs.
-    fn absorb_batches(&mut self, batches: Vec<KeyedBatch>) {
-        for kb in batches {
-            if kb.rows.is_empty() {
-                continue;
+    /// Add to `key`'s group, registering the key in first-seen order when
+    /// the group is new; the key is cloned only then.
+    fn add_to_group(&mut self, key: Key, add: impl FnOnce(&mut ValueSeq)) {
+        match self.groups.get_mut(&key) {
+            Some(group) => add(group),
+            None => {
+                let mut group = ValueSeq::default();
+                add(&mut group);
+                self.key_order.push(Key::clone(&key));
+                self.groups.insert(key, group);
             }
-            self.shuffle_bytes += kb.shuffle_bytes();
-            self.input_records += kb.rows.len() as u64;
-            let group = self.groups.entry(Key::clone(&kb.key)).or_default();
-            if group.is_empty() {
-                self.key_order.push(Key::clone(&kb.key));
-            }
-            group.push_batch(kb.rows);
         }
     }
 }
@@ -386,15 +395,8 @@ impl ShuffleState {
     /// group's value order.
     pub fn merge(&mut self, pairs: PartitionedPairs) {
         debug_assert_eq!(pairs.reduce_tasks(), self.buffers.len());
-        for (buffer, (part, batches)) in self
-            .buffers
-            .iter_mut()
-            .zip(pairs.partitions.into_iter().zip(pairs.batch_partitions))
-        {
-            // Within a partition, emission order is pairs first, then
-            // batch rows (the task-level contract).
-            buffer.absorb(part);
-            buffer.absorb_batches(batches);
+        for (buffer, partition) in self.buffers.iter_mut().zip(pairs.partitions) {
+            buffer.absorb(partition);
         }
     }
 
@@ -470,7 +472,13 @@ mod tests {
         let mut buffers: Vec<PartitionBuffer> =
             (0..r).map(|_| PartitionBuffer::default()).collect();
         for (key, value) in tasks.iter().flatten().cloned() {
-            buffers[partition_of(&key, r)].absorb(vec![(key, value)]);
+            let buffer = &mut buffers[partition_of(&key, r)];
+            buffer.shuffle_bytes += key.len() as u64 + value.width();
+            buffer.input_records += 1;
+            buffer.absorb(Partition {
+                pairs: vec![(key, value)],
+                ..Partition::default()
+            });
         }
         buffers
     }
