@@ -1,11 +1,12 @@
 //! Scheduler dispatch cost at multi-tenant scale.
 //!
-//! Two views of the same question — what does one scheduling decision
-//! cost when thousands of dynamic jobs are queued?
+//! Two views of the same question — what does one heartbeat's scheduling
+//! decision cost when thousands of dynamic jobs are queued?
 //!
 //! * `assign/*` — the FIFO and Fair schedulers alone, with 1k / 10k
-//!   runnable jobs queued, each handed the view the runtime builds for
-//!   it: the first `free slots + VIEW_JOB_SLACK` jobs in the order its
+//!   runnable jobs queued, each handed the view the runtime builds for it
+//!   at one node's heartbeat: the scheduler's launches per heartbeat,
+//!   offered to the first `free + VIEW_JOB_SLACK` jobs in the order its
 //!   [`ViewPolicy`] names, marked incomplete. Its cost should not depend
 //!   on how many jobs are queued behind that prefix.
 //! * `heartbeat/*` — the whole runtime: one `MrRuntime::step()` with a
@@ -14,16 +15,21 @@
 //!   query service pays per event; with the runnable-prefix views and
 //!   per-node pending indexes it must grow sub-linearly from 1k to 10k.
 //!
+//! Every row builds its input inside its closure, so a run filtered to
+//! one row (`cargo bench -p incmr-bench --bench sched --
+//! assign/fair_1000_queued`) builds only that row's input.
+//!
 //! Results are written to `BENCH_sched.json` (name, mean_ns, iterations)
 //! and the 1k→10k heartbeat growth ratio is printed for the gate.
 
 use std::sync::Arc;
 
-use criterion::{black_box, Criterion, Throughput};
+use criterion::{black_box, Criterion};
 
 use incmr_core::{build_sampling_job, Policy, SampleMode};
 use incmr_data::{Dataset, DatasetSpec, SkewLevel};
 use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
+use incmr_mapreduce::scheduler::VIEW_JOB_SLACK;
 use incmr_mapreduce::{
     ClusterConfig, CostModel, FairScheduler, FifoScheduler, JobId, MrRuntime, ScanMode, SchedJob,
     SchedView, TaskId, TaskScheduler, ViewPolicy,
@@ -33,22 +39,19 @@ use incmr_simkit::SimTime;
 
 const NODES: usize = 10;
 
-/// Jobs a prefix view holds beyond the free-slot count; the runtime's
-/// `VIEW_JOB_SLACK` (`crates/mapreduce/src/runtime.rs`).
-const VIEW_JOB_SLACK: usize = 64;
-
-/// `jobs` runnable jobs, four pending tasks each with two local
-/// replicas, over a 10-node cluster — the shape a heartbeat sees under a
-/// deep backlog.
+/// `jobs` runnable jobs, four pending tasks each with two replicas over a
+/// 10-node cluster, as node 0's heartbeat sees them under a deep backlog.
 fn synthetic_jobs(jobs: u32) -> Vec<SchedJob> {
     (0..jobs)
         .map(|j| {
             let tasks: Vec<TaskId> = (0..4).map(TaskId).collect();
-            let mut local_by_node = vec![Vec::new(); NODES];
-            for (i, &t) in tasks.iter().enumerate() {
-                local_by_node[(j as usize + i) % NODES].push(t);
-                local_by_node[(j as usize + i + 3) % NODES].push(t);
-            }
+            // Task `i` of job `j` is stored on nodes `j + i` and
+            // `j + i + 3` (mod 10): local to node 0 when `j + i` is 0 or 7.
+            let local = tasks
+                .iter()
+                .copied()
+                .filter(|t| matches!((j + t.0) as usize % NODES, 0 | 7))
+                .collect();
             SchedJob {
                 job: JobId(j),
                 submit_seq: j as u64,
@@ -56,22 +59,24 @@ fn synthetic_jobs(jobs: u32) -> Vec<SchedJob> {
                 pending_total: tasks.len() as u32,
                 head_replica_less: vec![false; tasks.len()],
                 head: tasks,
-                local_by_node,
-                banned_nodes: Vec::new(),
+                local,
+                banned: false,
             }
         })
         .collect()
 }
 
-/// The view the runtime hands `scheduler` at a heartbeat with one free
-/// slot per node: the first `free + VIEW_JOB_SLACK` jobs in submit or
-/// share order, presented in submit order.
+/// The view the runtime hands `scheduler` at a heartbeat of a node with
+/// every slot free: the scheduler's launches per heartbeat, offered to the
+/// first `free + VIEW_JOB_SLACK` jobs in submit or share order, presented
+/// in submit order.
 fn runtime_view(scheduler: &dyn TaskScheduler, mut jobs: Vec<SchedJob>) -> SchedView {
-    let free_slots = vec![1; NODES];
-    let cap = free_slots.iter().sum::<u32>() as usize + VIEW_JOB_SLACK;
+    let free = scheduler
+        .maps_per_heartbeat()
+        .unwrap_or(CostModel::paper_default().maps_per_heartbeat);
+    let cap = free as usize + VIEW_JOB_SLACK;
     let total = jobs.len();
     match scheduler.view_policy() {
-        ViewPolicy::Complete => {}
         ViewPolicy::SubmitOrder => jobs.truncate(cap),
         ViewPolicy::ShareOrder => {
             jobs.sort_by_key(|j| (j.running, j.submit_seq));
@@ -81,7 +86,7 @@ fn runtime_view(scheduler: &dyn TaskScheduler, mut jobs: Vec<SchedJob>) -> Sched
     }
     SchedView {
         now: SimTime::from_secs(30),
-        free_slots,
+        free,
         complete: jobs.len() == total,
         jobs,
     }
@@ -90,20 +95,13 @@ fn runtime_view(scheduler: &dyn TaskScheduler, mut jobs: Vec<SchedJob>) -> Sched
 fn bench_assign(c: &mut Criterion) {
     let mut g = c.benchmark_group("assign");
     for &jobs in &[1_000u32, 10_000] {
-        let mut cases: Vec<(String, Box<dyn TaskScheduler>)> = vec![
-            (
-                format!("fifo_{jobs}_queued"),
-                Box::new(FifoScheduler::new()),
-            ),
-            (
-                format!("fair_{jobs}_queued"),
-                Box::new(FairScheduler::paper_default()),
-            ),
-        ];
-        for (name, scheduler) in &mut cases {
-            let view = runtime_view(scheduler.as_ref(), synthetic_jobs(jobs));
-            g.throughput(Throughput::Elements(NODES as u64));
-            g.bench_function(name.as_str(), |b| {
+        for name in ["fifo", "fair"] {
+            g.bench_function(format!("{name}_{jobs}_queued"), |b| {
+                let mut scheduler: Box<dyn TaskScheduler> = match name {
+                    "fifo" => Box::new(FifoScheduler::new()),
+                    _ => Box::new(FairScheduler::paper_default()),
+                };
+                let view = runtime_view(scheduler.as_ref(), synthetic_jobs(jobs));
                 b.iter(|| black_box(scheduler.assign(&view).len()))
             });
         }
@@ -150,9 +148,9 @@ fn submit_one(rt: &mut MrRuntime, ds: &Arc<Dataset>, seed: u64) {
 fn bench_heartbeat(c: &mut Criterion) {
     let mut g = c.benchmark_group("heartbeat");
     for &jobs in &[1_000u32, 10_000] {
-        let (mut rt, ds) = queued_world(jobs);
-        let mut seed = jobs as u64;
         g.bench_function(format!("step_{jobs}_queued"), |b| {
+            let (mut rt, ds) = queued_world(jobs);
+            let mut seed = jobs as u64;
             b.iter(|| {
                 let progressed = rt.step();
                 // Hold the backlog at `jobs`: resubmit every completion.
@@ -162,13 +160,13 @@ fn bench_heartbeat(c: &mut Criterion) {
                     submit_one(&mut rt, &ds, seed);
                 }
                 black_box(progressed)
-            })
+            });
+            // The backlog really was held at scale throughout the run.
+            assert!(
+                rt.cluster_status().running_jobs >= jobs.saturating_sub(1),
+                "backlog drained mid-measurement"
+            );
         });
-        // The backlog really was held at scale throughout the run.
-        assert!(
-            rt.cluster_status().running_jobs >= jobs.saturating_sub(1),
-            "backlog drained mid-measurement"
-        );
     }
     g.finish();
 }

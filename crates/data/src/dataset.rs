@@ -117,20 +117,24 @@ struct PlanState {
     by_block: HashMap<BlockId, usize>,
 }
 
-/// Which generated form of a split [`Dataset::batch`] hands out.
+/// How a scan reads a split: which generated form of it
+/// [`Dataset::batch`] hands out. Either way the split is a shared columnar
+/// batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BatchKind {
-    /// Every record, in position order ([`SplitGenerator::full_batch`]).
+pub enum ScanMode {
+    /// Every record, in position order ([`SplitGenerator::full_batch`]):
+    /// the default full-scan path.
     Full,
-    /// Only the planted matches ([`SplitGenerator::planted_batch`]).
+    /// Only the planted matches ([`SplitGenerator::planted_batch`]): large
+    /// simulated runs.
     Planted,
 }
 
-/// Generated split batches keyed by `(block, kind)`, each tagged with the
+/// Generated split batches keyed by `(block, mode)`, each tagged with the
 /// plan version it was generated from.
-type BatchMap = HashMap<(BlockId, BatchKind), (u32, Arc<RecordBatch>)>;
+type BatchMap = HashMap<(BlockId, ScanMode), (u32, Arc<RecordBatch>)>;
 
-/// A dataset's generated batches: at most one per `(block, kind)`, always
+/// A dataset's generated batches: at most one per `(block, mode)`, always
 /// of the block's current version.
 #[derive(Default)]
 struct BatchStore(Mutex<BatchMap>);
@@ -329,7 +333,7 @@ impl Dataset {
     }
 
     /// The current plan of `block` and its contents as a shared columnar
-    /// batch of the given kind.
+    /// batch of the given mode.
     ///
     /// The first read of a split version generates the batch and keeps it
     /// in the dataset's store; every later read — from any job or input
@@ -341,9 +345,9 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if the block does not belong to this dataset.
-    pub fn batch(&self, block: BlockId, kind: BatchKind) -> (SplitPlan, Arc<RecordBatch>) {
+    pub fn batch(&self, block: BlockId, mode: ScanMode) -> (SplitPlan, Arc<RecordBatch>) {
         let plan = self.plan(block);
-        let key = (block, kind);
+        let key = (block, mode);
         if let Some((version, hit)) = self.batches.entries().get(&key) {
             if *version == plan.version {
                 return (plan, Arc::clone(hit));
@@ -351,9 +355,9 @@ impl Dataset {
         }
         let factory = self.factory();
         let generator = SplitGenerator::new(&factory, plan.spec);
-        let built = Arc::new(match kind {
-            BatchKind::Full => generator.full_batch(),
-            BatchKind::Planted => generator.planted_batch(),
+        let built = Arc::new(match mode {
+            ScanMode::Full => generator.full_batch(),
+            ScanMode::Planted => generator.planted_batch(),
         });
         let mut store = self.batches.entries();
         let held = store
@@ -597,14 +601,14 @@ mod tests {
         let spec = DatasetSpec::small("t", 4, 300, SkewLevel::High, 12);
         let ds = Dataset::build(&mut ns, spec, &mut EvenRoundRobin::new(), &mut rng);
         let block = ds.splits()[2].block;
-        let (_, held) = ds.batch(block, BatchKind::Full);
-        let (_, again) = ds.batch(block, BatchKind::Full);
+        let (_, held) = ds.batch(block, ScanMode::Full);
+        let (_, again) = ds.batch(block, ScanMode::Full);
         assert!(Arc::ptr_eq(&held, &again), "a repeated read is a store hit");
         drop(again);
         assert_eq!(ds.clone().stored_batches(), 0, "a clone starts empty");
 
         ds.mutate(&mut ns, &[block], &mut EvenRoundRobin::new(), &mut rng);
-        let (plan, fresh) = ds.batch(block, BatchKind::Full);
+        let (plan, fresh) = ds.batch(block, ScanMode::Full);
         assert_eq!(plan.version, 1);
         let factory = ds.factory();
         assert_eq!(

@@ -41,7 +41,7 @@ pub use batch::{
     BatchBuilder, BatchSelection, ColumnData, RecordBatch, SelectionVector, StrColumn,
 };
 pub use dataset::{
-    BatchKind, Dataset, DatasetSpec, SplitPlan, Table2Row, PARTITIONS_PER_SCALE, ROWS_PER_SCALE,
+    Dataset, DatasetSpec, ScanMode, SplitPlan, Table2Row, PARTITIONS_PER_SCALE, ROWS_PER_SCALE,
     ROW_BYTES,
 };
 pub use generator::{RecordFactory, SplitGenerator, SplitSpec};

@@ -6,7 +6,7 @@
 //! records-per-split estimate need), plus its replica locations (what the
 //! scheduler's locality logic needs).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use incmr_simkit::rng::DetRng;
@@ -60,7 +60,8 @@ pub struct Block {
     /// Disks holding a replica. Never empty at creation; node deaths (via
     /// [`Namespace::drop_node_replicas`]) can drain it to empty — the block
     /// is then *lost* until re-replicated from nowhere (it cannot be), so
-    /// readers must check [`Namespace::live_replicas`] first.
+    /// readers must handle [`DfsError::NoLiveReplica`] from
+    /// [`Namespace::primary_replica`].
     pub locations: Vec<DiskId>,
     /// Replication factor this block was placed with — the target the
     /// re-replication daemon restores towards after replica loss.
@@ -90,8 +91,9 @@ pub enum DfsError {
     DuplicateName(String),
     /// Lookup of an unknown file name.
     NoSuchFile(String),
-    /// Every replica of the block is on a dead node — the data is
-    /// unavailable (and, unless a holder rejoins, lost).
+    /// The block has no replica left: every holder's copy was dropped
+    /// with its node ([`Namespace::drop_node_replicas`]), so the data is
+    /// lost.
     NoLiveReplica(BlockId),
 }
 
@@ -298,35 +300,19 @@ impl Namespace {
             .find(|&d| self.topology.node_of(d) == node)
     }
 
-    /// The first *live* replica — the disk a remote read targets. With an
-    /// empty `dead_nodes` set this is simply the first replica (with
-    /// replication 1, the only copy).
+    /// The first replica — the disk a remote read targets (with
+    /// replication 1, the only copy). Dead holders are already gone from
+    /// `locations` ([`Namespace::drop_node_replicas`]), so this is the
+    /// first live replica.
     ///
     /// # Errors
-    /// [`DfsError::NoLiveReplica`] when every holder of the block is dead.
-    pub fn primary_replica(
-        &self,
-        block: BlockId,
-        dead_nodes: &BTreeSet<NodeId>,
-    ) -> Result<DiskId, DfsError> {
+    /// [`DfsError::NoLiveReplica`] when the block has no replica left.
+    pub fn primary_replica(&self, block: BlockId) -> Result<DiskId, DfsError> {
         self.block(block)
             .locations
-            .iter()
+            .first()
             .copied()
-            .find(|&d| !dead_nodes.contains(&self.topology.node_of(d)))
             .ok_or(DfsError::NoLiveReplica(block))
-    }
-
-    /// Replica disks of `block` on nodes *not* in `dead_nodes`, in
-    /// placement order — the locations a scheduler or failover read may
-    /// actually use. Empty when the block is unavailable.
-    pub fn live_replicas(&self, block: BlockId, dead_nodes: &BTreeSet<NodeId>) -> Vec<DiskId> {
-        self.block(block)
-            .locations
-            .iter()
-            .copied()
-            .filter(|&d| !dead_nodes.contains(&self.topology.node_of(d)))
-            .collect()
     }
 
     /// Permanently remove every replica hosted on `node`'s disks — the
@@ -360,24 +346,6 @@ impl Namespace {
         let b = &mut self.blocks[block.0 as usize];
         assert!(!b.locations.contains(&disk), "{disk} already holds {block}");
         b.locations.push(disk);
-    }
-
-    /// Blocks with fewer live replicas than their placement-time target,
-    /// given the current dead set — the re-replication daemon's work queue,
-    /// in block-id order.
-    pub fn under_replicated(&self, dead_nodes: &BTreeSet<NodeId>) -> Vec<BlockId> {
-        self.blocks
-            .iter()
-            .filter(|b| {
-                let live = b
-                    .locations
-                    .iter()
-                    .filter(|&&d| !dead_nodes.contains(&self.topology.node_of(d)))
-                    .count();
-                live < b.replication as usize
-            })
-            .map(|b| b.id)
-            .collect()
     }
 
     /// Total number of blocks across all files.
@@ -468,10 +436,7 @@ mod tests {
         assert!(ns.is_local(blocks[7], NodeId(1)));
         assert_eq!(ns.local_replica(blocks[7], NodeId(1)), Some(DiskId(7)));
         assert_eq!(ns.local_replica(blocks[7], NodeId(2)), None);
-        assert_eq!(
-            ns.primary_replica(blocks[7], &BTreeSet::new()),
-            Ok(DiskId(7))
-        );
+        assert_eq!(ns.primary_replica(blocks[7]), Ok(DiskId(7)));
     }
 
     #[test]
@@ -548,18 +513,11 @@ mod tests {
         let b = BlockId(0);
         let locs = ns.block(b).locations.clone();
         assert_eq!(locs.len(), 2);
-        let first_node = topo.node_of(locs[0]);
-        let mut dead = BTreeSet::new();
-        assert_eq!(ns.primary_replica(b, &dead), Ok(locs[0]));
-        dead.insert(first_node);
-        assert_eq!(ns.primary_replica(b, &dead), Ok(locs[1]));
-        assert_eq!(ns.live_replicas(b, &dead), vec![locs[1]]);
-        dead.insert(topo.node_of(locs[1]));
-        assert_eq!(
-            ns.primary_replica(b, &dead),
-            Err(DfsError::NoLiveReplica(b))
-        );
-        assert!(ns.live_replicas(b, &dead).is_empty());
+        assert_eq!(ns.primary_replica(b), Ok(locs[0]));
+        ns.drop_node_replicas(topo.node_of(locs[0]));
+        assert_eq!(ns.primary_replica(b), Ok(locs[1]));
+        ns.drop_node_replicas(topo.node_of(locs[1]));
+        assert_eq!(ns.primary_replica(b), Err(DfsError::NoLiveReplica(b)));
     }
 
     #[test]
@@ -582,11 +540,6 @@ mod tests {
             assert_eq!(ns.block(b).replication, 2, "target survives the loss");
             assert_eq!(ns.block(b).locations.len(), 1);
         }
-        assert_eq!(
-            ns.under_replicated(&BTreeSet::new()),
-            held,
-            "stripped blocks are below their placement-time target"
-        );
         assert!(ns.drop_node_replicas(NodeId(1)).is_empty(), "idempotent");
     }
 
@@ -599,9 +552,9 @@ mod tests {
         ns.create_file("t", &specs(1), &mut policy, &mut rng)
             .unwrap();
         ns.drop_node_replicas(NodeId(0));
-        assert_eq!(ns.under_replicated(&BTreeSet::new()), vec![BlockId(0)]);
+        let b = ns.block(BlockId(0));
+        assert!(b.locations.len() < b.replication as usize, "below target");
         ns.add_replica(BlockId(0), DiskId(0));
-        assert!(ns.under_replicated(&BTreeSet::new()).is_empty());
         assert_eq!(ns.block(BlockId(0)).locations, vec![DiskId(1), DiskId(0)]);
     }
 
@@ -611,19 +564,6 @@ mod tests {
         let (mut ns, _) = ns_with_file(1);
         let d = ns.block(BlockId(0)).locations[0];
         ns.add_replica(BlockId(0), d);
-    }
-
-    #[test]
-    fn dead_holders_count_as_under_replicated() {
-        let (ns, _) = ns_with_file(4);
-        // r = 1 round-robin: block i on disk i, node i/4 — killing node 0
-        // makes blocks 0..4 under-replicated without mutating the namespace.
-        let mut dead = BTreeSet::new();
-        dead.insert(NodeId(0));
-        assert_eq!(
-            ns.under_replicated(&dead),
-            vec![BlockId(0), BlockId(1), BlockId(2), BlockId(3)]
-        );
     }
 
     #[test]

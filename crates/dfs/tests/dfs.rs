@@ -90,10 +90,7 @@ fn locality_tracks_mutation_induced_moves() {
     );
     assert!(!ns.is_local(BlockId(0), NodeId(0)), "replica moved away");
     assert!(ns.is_local(BlockId(0), NodeId(9)), "now on the last node");
-    assert_eq!(
-        ns.primary_replica(BlockId(0), &std::collections::BTreeSet::new()),
-        Ok(DiskId(39))
-    );
+    assert_eq!(ns.primary_replica(BlockId(0)), Ok(DiskId(39)));
     assert_eq!(ns.local_replica(BlockId(0), NodeId(9)), Some(DiskId(39)));
 }
 

@@ -1,7 +1,6 @@
 //! Typed session construction, mirroring `JobSpec::builder()`: collect
-//! the runtime, catalog, policy file, scan mode, tenant identity, and
-//! quota knobs, then validate everything at once in
-//! [`SessionBuilder::try_build`].
+//! the runtime, catalog, policy file, scan and sample modes, and seed,
+//! then validate everything at once in [`SessionBuilder::try_build`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -13,8 +12,9 @@ use incmr_mapreduce::{MrRuntime, ScanMode};
 use crate::catalog::Catalog;
 use crate::session::{Session, SessionState};
 
-/// Tenant identity and quota knobs a session carries into a multi-tenant
-/// query service: its weighted fair share and its admission-control caps.
+/// Tenant identity and quota knobs a multi-tenant query service registers
+/// per tenant (`QueryService::add_tenant`): its weighted fair share and
+/// its admission-control caps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantProfile {
     /// Human-readable tenant name (also keys per-tenant metrics).
@@ -53,11 +53,6 @@ pub enum SessionConfigError {
         /// Names that are registered.
         available: Vec<String>,
     },
-    /// A quota knob was zero (`weight`, `max_in_flight`, or `queue_cap`).
-    ZeroQuota {
-        /// Which knob.
-        knob: &'static str,
-    },
 }
 
 impl fmt::Display for SessionConfigError {
@@ -75,9 +70,6 @@ impl fmt::Display for SessionConfigError {
                 "active policy {requested:?} is not registered; available: {}",
                 available.join(", ")
             ),
-            SessionConfigError::ZeroQuota { knob } => {
-                write!(f, "tenant quota knob {knob} must be at least 1")
-            }
         }
     }
 }
@@ -100,7 +92,6 @@ pub struct SessionBuilder {
     scan_mode: Option<ScanMode>,
     sample_mode: Option<SampleMode>,
     seed: Option<u64>,
-    tenant: TenantProfile,
 }
 
 impl SessionBuilder {
@@ -159,30 +150,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Tenant identity (default `"default"`).
-    pub fn tenant(mut self, name: &str) -> Self {
-        self.tenant.name = name.to_string();
-        self
-    }
-
-    /// Weighted-fair-share weight (default 1).
-    pub fn weight(mut self, weight: u32) -> Self {
-        self.tenant.weight = weight;
-        self
-    }
-
-    /// In-flight job quota (default 4).
-    pub fn max_in_flight(mut self, jobs: u32) -> Self {
-        self.tenant.max_in_flight = jobs;
-        self
-    }
-
-    /// Queue-depth cap before admission control rejects (default 16).
-    pub fn queue_cap(mut self, depth: u32) -> Self {
-        self.tenant.queue_cap = depth;
-        self
-    }
-
     /// Validate the configuration and build the session.
     pub fn try_build(self) -> Result<Session, SessionConfigError> {
         let runtime = self.runtime.ok_or(SessionConfigError::MissingRuntime)?;
@@ -211,21 +178,7 @@ impl SessionBuilder {
         if let Some(seed) = self.seed {
             state.set_seed(seed);
         }
-        for (knob, value) in [
-            ("weight", self.tenant.weight),
-            ("max_in_flight", self.tenant.max_in_flight),
-            ("queue_cap", self.tenant.queue_cap),
-        ] {
-            if value == 0 {
-                return Err(SessionConfigError::ZeroQuota { knob });
-            }
-        }
-        Ok(Session::from_parts(
-            runtime,
-            self.catalog,
-            state,
-            self.tenant,
-        ))
+        Ok(Session::from_parts(runtime, self.catalog, state))
     }
 
     /// Build, panicking on configuration errors (tests / examples).
@@ -309,42 +262,5 @@ mod tests {
             .try_build()
             .unwrap_err();
         assert!(matches!(err, SessionConfigError::PolicyFile(_)));
-    }
-
-    #[test]
-    fn zero_quota_knobs_are_rejected() {
-        for apply in [
-            (|b: SessionBuilder| b.weight(0)) as fn(SessionBuilder) -> SessionBuilder,
-            |b| b.max_in_flight(0),
-            |b| b.queue_cap(0),
-        ] {
-            let (rt, _) = runtime();
-            let err = apply(Session::builder().runtime(rt))
-                .try_build()
-                .unwrap_err();
-            assert!(matches!(err, SessionConfigError::ZeroQuota { .. }), "{err}");
-        }
-    }
-
-    #[test]
-    fn tenant_identity_and_quotas_are_carried() {
-        let (rt, _) = runtime();
-        let s = Session::builder()
-            .runtime(rt)
-            .tenant("analytics")
-            .weight(3)
-            .max_in_flight(2)
-            .queue_cap(5)
-            .try_build()
-            .unwrap();
-        assert_eq!(
-            s.tenant(),
-            &TenantProfile {
-                name: "analytics".into(),
-                weight: 3,
-                max_in_flight: 2,
-                queue_cap: 5,
-            }
-        );
     }
 }

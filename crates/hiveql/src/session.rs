@@ -32,7 +32,7 @@ use incmr_mapreduce::{keys, JobError, JobId, MrRuntime, ScanMode};
 use incmr_simkit::SimDuration;
 
 use crate::ast::{ShowKind, Statement};
-use crate::builder::{SessionBuilder, TenantProfile};
+use crate::builder::SessionBuilder;
 use crate::catalog::Catalog;
 use crate::compile::{compile_query, CompileError, CompiledQuery};
 use crate::handle::{collect_result, QueryHandle, Submitted};
@@ -329,13 +329,11 @@ pub struct Session {
     runtime: MrRuntime,
     catalog: Catalog,
     state: SessionState,
-    tenant: TenantProfile,
 }
 
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("tenant", &self.tenant)
             .field("state", &self.state)
             .finish_non_exhaustive()
     }
@@ -343,23 +341,17 @@ impl fmt::Debug for Session {
 
 impl Session {
     /// Start configuring a session: runtime, catalog/tables, policy file,
-    /// scan mode, tenant identity, and quota knobs, with typed
-    /// validation via `try_build`.
+    /// scan and sample modes, and seed, with typed validation via
+    /// `try_build`.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
     }
 
-    pub(crate) fn from_parts(
-        runtime: MrRuntime,
-        catalog: Catalog,
-        state: SessionState,
-        tenant: TenantProfile,
-    ) -> Self {
+    pub(crate) fn from_parts(runtime: MrRuntime, catalog: Catalog, state: SessionState) -> Self {
         Session {
             runtime,
             catalog,
             state,
-            tenant,
         }
     }
 
@@ -383,12 +375,6 @@ impl Session {
     /// Mutable access to the per-client state.
     pub fn state_mut(&mut self) -> &mut SessionState {
         &mut self.state
-    }
-
-    /// The tenant identity and quota knobs this session was built with
-    /// (consumed by the multi-tenant query service on registration).
-    pub fn tenant(&self) -> &TenantProfile {
-        &self.tenant
     }
 
     /// Mutable access to the underlying runtime (metrics, clock).

@@ -27,10 +27,10 @@
 
 use std::sync::Arc;
 
-use incmr_data::{
-    BatchKind, BatchSelection, Dataset, Predicate, Record, RecordBatch, SelectionVector,
-};
+use incmr_data::{BatchSelection, Dataset, Predicate, Record, RecordBatch, SelectionVector};
 use incmr_dfs::BlockId;
+
+pub use incmr_data::ScanMode;
 
 use crate::shuffle::ValueSeq;
 
@@ -97,16 +97,6 @@ impl SplitData {
     }
 }
 
-/// How a [`DatasetInputFormat`] materialises split contents. Either way
-/// the split is a shared columnar batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Every record (the default full-scan path).
-    Full,
-    /// Only the planted matches (large simulated runs).
-    Planted,
-}
-
 /// Source of split contents, keyed by DFS block. `Send + Sync` so reads can
 /// run on the data-plane worker pool.
 pub trait InputFormat: Send + Sync {
@@ -140,15 +130,13 @@ impl DatasetInputFormat {
 
 impl InputFormat for DatasetInputFormat {
     fn read(&self, block: BlockId) -> SplitData {
+        let (plan, batch) = self.dataset.batch(block, self.mode);
         match self.mode {
-            ScanMode::Full => SplitData::Full(self.dataset.batch(block, BatchKind::Full).1),
-            ScanMode::Planted => {
-                let (plan, matches) = self.dataset.batch(block, BatchKind::Planted);
-                SplitData::Planted {
-                    total_records: plan.spec.records,
-                    matches,
-                }
-            }
+            ScanMode::Full => SplitData::Full(batch),
+            ScanMode::Planted => SplitData::Planted {
+                total_records: plan.spec.records,
+                matches: batch,
+            },
         }
     }
 }

@@ -4,10 +4,10 @@
 //! ## Execution model
 //!
 //! A submitted job's [`GrowthDriver`] supplies its initial splits; each
-//! split becomes a pending map task. At every *scheduling point* (submit,
-//! input added, task finished, heartbeat) the pluggable [`TaskScheduler`]
-//! matches free map slots to pending tasks. A running map task passes
-//! through three stages, each modelled on shared resources:
+//! split becomes a pending map task. At every TaskTracker heartbeat the
+//! pluggable [`TaskScheduler`] matches that node's free map slots to
+//! pending tasks. A running map task passes through three stages, each
+//! modelled on shared resources:
 //!
 //! 1. **start-up overhead** — fixed delay (Hadoop task launch),
 //! 2. **disk read** — a flow of `split-bytes` on the source disk's
@@ -69,7 +69,7 @@ use crate::obs::{AuditDirective, AuditRecord, MetricsRegistry};
 use crate::parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle,
 };
-use crate::scheduler::{SchedJob, SchedView, TaskScheduler, ViewPolicy};
+use crate::scheduler::{SchedJob, SchedView, TaskScheduler, ViewPolicy, VIEW_JOB_SLACK};
 use crate::shuffle::ShuffleState;
 use crate::trace::{TraceEvent, TraceKind};
 use incmr_data::Record;
@@ -82,13 +82,6 @@ use incmr_data::Record;
 /// generous: an honest provider with nothing outstanding either ends its
 /// input or asks for work within a handful of evaluations.
 pub const DEFAULT_MAX_IDLE_EVALUATIONS: u32 = 256;
-
-/// Extra jobs (beyond the free-slot count) included in a prefix scheduling
-/// view (see [`ViewPolicy`]). One heartbeat launches at most `free_total`
-/// tasks, so a prefix this deep decides identically to the full walk in
-/// all but pathological blacklist patterns — while keeping the per-
-/// heartbeat view cost independent of the total queued-job count.
-const VIEW_JOB_SLACK: usize = 64;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -1637,27 +1630,23 @@ impl MrRuntime {
             .scheduler
             .maps_per_heartbeat()
             .unwrap_or(self.cost.maps_per_heartbeat);
-        let free_total = self.nodes[node as usize].free_slots.min(per_heartbeat);
-        if free_total == 0 {
+        let free = self.nodes[node as usize].free_slots.min(per_heartbeat);
+        if free == 0 {
             return;
         }
         #[cfg(debug_assertions)]
         if self.jobs.len() <= 512 {
             self.debug_check_indexes();
         }
-        // Pick which runnable jobs the scheduler sees. A `Complete` policy
-        // gets every runnable job (submission order, as before); prefix
-        // policies get the `free_total + slack` front of the matching
-        // index — O(prefix), independent of the total queued-job count.
+        // Pick which runnable jobs the scheduler sees: the `free + slack`
+        // front of the index matching its policy — O(prefix), independent
+        // of the total queued-job count.
         let runnable_total = self.runnable_by_seq.len();
         if runnable_total == 0 {
             return;
         }
-        let mut free_slots = vec![0u32; self.nodes.len()];
-        free_slots[node as usize] = free_total;
-        let cap = free_total as usize + VIEW_JOB_SLACK;
+        let cap = free as usize + VIEW_JOB_SLACK;
         let selected: Vec<u32> = match self.scheduler.view_policy() {
-            ViewPolicy::Complete => self.runnable_by_seq.iter().map(|&(_, i)| i).collect(),
             ViewPolicy::SubmitOrder => self
                 .runnable_by_seq
                 .iter()
@@ -1680,7 +1669,7 @@ impl MrRuntime {
         let complete = selected.len() == runnable_total;
         // The head window only needs enough tasks to fill every free slot;
         // the small margin keeps behaviour stable when lists race.
-        let head_cap = free_total as usize + 8;
+        let head_cap = free as usize + 8;
         let mut sched_jobs = Vec::with_capacity(selected.len());
         let namespace = &self.namespace;
         let jobs = &mut self.jobs;
@@ -1697,33 +1686,22 @@ impl MrRuntime {
                         .is_empty()
                 })
                 .collect();
-            let mut local_by_node = vec![Vec::new(); free_slots.len()];
-            for (node_idx, &free) in free_slots.iter().enumerate() {
-                if free == 0 {
-                    continue;
+            // Pop dispatched tasks off the front of this node's index,
+            // then scan (skipping mid-list stale entries) just far enough
+            // to fill its slots.
+            let list = &mut job.pending_by_node[node as usize];
+            while let Some(&t) = list.front() {
+                if job.tasks[t.0 as usize].queued {
+                    break;
                 }
-                // Pop dispatched tasks off the front of this node's index,
-                // then scan (skipping mid-list stale entries) just far
-                // enough to fill its slots.
-                let list = &mut job.pending_by_node[node_idx];
-                while let Some(&t) = list.front() {
-                    if job.tasks[t.0 as usize].queued {
-                        break;
-                    }
-                    list.pop_front();
-                }
-                let want = free as usize + 4;
-                let mut locals = Vec::with_capacity(want.min(list.len()));
-                for &t in list.iter() {
-                    if locals.len() == want {
-                        break;
-                    }
-                    if job.tasks[t.0 as usize].queued {
-                        locals.push(t);
-                    }
-                }
-                local_by_node[node_idx] = locals;
+                list.pop_front();
             }
+            let local: Vec<TaskId> = list
+                .iter()
+                .copied()
+                .filter(|t| job.tasks[t.0 as usize].queued)
+                .take(free as usize + 4)
+                .collect();
             sched_jobs.push(SchedJob {
                 job: job.id,
                 submit_seq: job.submit_seq,
@@ -1731,42 +1709,32 @@ impl MrRuntime {
                 pending_total: job.pending.len() as u32,
                 head,
                 head_replica_less,
-                local_by_node,
-                banned_nodes: if job.banned_nodes.iter().any(|&b| b) {
-                    job.banned_nodes.clone()
-                } else {
-                    Vec::new()
-                },
+                local,
+                banned: job.banned_nodes[node as usize],
             });
         }
         let view = SchedView {
             now: self.sim.now(),
-            free_slots,
+            free,
             jobs: sched_jobs,
             complete,
         };
         let assignments = self.scheduler.assign(&view);
         #[cfg(debug_assertions)]
         {
-            let mut free = view.free_slots.clone();
+            assert!(
+                assignments.len() <= free as usize,
+                "scheduler over-assigned node {node}"
+            );
             let mut seen = HashSet::new();
             for a in &assignments {
-                assert!(
-                    free[a.node.0 as usize] > 0,
-                    "scheduler over-assigned {:?}",
-                    a.node
-                );
-                free[a.node.0 as usize] -= 1;
                 assert!(seen.insert((a.job, a.task)), "duplicate assignment");
                 let job = view
                     .jobs
                     .iter()
                     .find(|j| j.job == a.job)
                     .expect("assignment references an offered job");
-                assert!(
-                    !job.banned_on(a.node),
-                    "scheduler dispatched to a blacklisted node"
-                );
+                assert!(!job.banned, "scheduler dispatched to a blacklisted node");
             }
         }
         // Data plane: submit every assigned task's map work (read + map +
@@ -1822,7 +1790,7 @@ impl MrRuntime {
                     MapWork::Computed(self.submit_map(a.job, a.task))
                 }
             };
-            self.dispatch(a.job, a.task, a.node, work, false);
+            self.dispatch(a.job, a.task, NodeId(node), work, false);
         }
     }
 
@@ -1851,14 +1819,14 @@ impl MrRuntime {
         let block = self.job(id).tasks[task.0 as usize].block;
         let local = self.namespace.is_local(block, node);
         // Under DataNode-death semantics the read source is fixed here, so
-        // a death before the read starts is an observable failover. (The
-        // dead-node set is empty by construction: `on_node_down` strips
-        // dead holders from the namespace, so `locations` is the live set.)
+        // a death before the read starts is an observable failover.
+        // (`on_node_down` strips dead holders from the namespace, so
+        // `locations` is the live set.)
         let read_disk = if self.data_loss {
             if local {
                 self.namespace.local_replica(block, node)
             } else {
-                self.namespace.primary_replica(block, &BTreeSet::new()).ok()
+                self.namespace.primary_replica(block).ok()
             }
         } else {
             None
@@ -1904,7 +1872,7 @@ impl MrRuntime {
         }
         let n = &mut self.nodes[node.0 as usize];
         // Invariants: `schedule_node`/`maybe_speculate` only offer slots
-        // on alive nodes with free capacity (proptested in scheduler.rs).
+        // on alive nodes with free capacity.
         assert!(n.alive, "dispatch to a dead node");
         assert!(n.free_slots > 0, "dispatch to a full node");
         n.free_slots -= 1;
@@ -1958,7 +1926,7 @@ impl MrRuntime {
                 // TaskTracker-death semantics: disks of dead nodes keep
                 // serving, so the head replica is always readable.
                 self.namespace
-                    .primary_replica(block, &BTreeSet::new())
+                    .primary_replica(block)
                     .expect("block has a replica")
             }
         } else {
@@ -1967,7 +1935,7 @@ impl MrRuntime {
             let intended = read_disk.filter(|d| self.namespace.block(block).locations.contains(d));
             match intended {
                 Some(d) => d,
-                None => match self.namespace.primary_replica(block, &BTreeSet::new()) {
+                None => match self.namespace.primary_replica(block) {
                     Ok(to) => {
                         if let Some(from) = read_disk {
                             self.record(TraceKind::ReadFailover {

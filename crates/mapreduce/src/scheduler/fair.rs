@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 
-use incmr_dfs::NodeId;
 use incmr_simkit::{SimDuration, SimTime};
 
 use crate::job::JobId;
@@ -64,9 +63,6 @@ impl TaskScheduler for FairScheduler {
         ViewPolicy::ShareOrder
     }
 
-    // The index is also used to mutate `free` mid-loop; an iterator would
-    // fight the borrow checker for no clarity gain.
-    #[allow(clippy::needless_range_loop)]
     fn assign(&mut self, view: &SchedView) -> Vec<Assignment> {
         // Drop wait clocks for jobs no longer contending (completed, or
         // momentarily without pending work) — otherwise the map grows with
@@ -78,76 +74,54 @@ impl TaskScheduler for FairScheduler {
                 .retain(|j, _| view.jobs.iter().any(|sj| sj.job == *j));
         }
         let mut assignments = Vec::new();
-        let mut free = view.free_slots.clone();
-        let mut running: HashMap<JobId, u32> =
-            view.jobs.iter().map(|j| (j.job, j.running)).collect();
         let mut claims = Claims::new();
 
-        // One pass over the nodes; each slot is offered to jobs in fairness
-        // order. Wait clocks only mature between scheduling points, so a
-        // single pass reaches the fixpoint for this call.
-        for node_idx in 0..free.len() {
-            while free[node_idx] > 0 {
-                let node = NodeId(node_idx as u16);
-                // Jobs with unclaimed pending work, most-starved first
-                // (ties broken by submission order for determinism).
-                let mut order: Vec<&SchedJob> = view
-                    .jobs
-                    .iter()
-                    .filter(|j| j.unclaimed(&claims) > 0)
-                    .collect();
-                if order.is_empty() {
-                    return assignments;
-                }
-                order.sort_by_key(|j| (running[&j.job], j.submit_seq));
-
-                let mut launched = false;
-                for job in order {
-                    // A blacklisted node is not a locality decline: skip
-                    // the job here without touching its wait clock.
-                    if job.banned_on(node) {
-                        continue;
-                    }
-                    // Local launch when possible; non-local only for
-                    // replica-less head tasks or once the wait clock has
-                    // exceeded the configured delay.
-                    let local = job.local_candidate(node, &claims);
-                    let task = match local {
-                        Some(t) => Some(t),
-                        None => {
-                            let head = job.head_candidate_flagged(&claims);
-                            let waited = self
-                                .waiting_since
-                                .get(&job.job)
-                                .map(|&since| view.now - since >= self.locality_delay)
-                                .unwrap_or(false);
-                            match head {
-                                Some((t, replica_less)) if replica_less || waited => Some(t),
-                                _ => None,
-                            }
+        // Each free launch is offered to jobs in fairness order. Wait
+        // clocks only mature between heartbeats, so one offer per launch
+        // reaches the fixpoint for this call.
+        'launch: for _ in 0..view.free {
+            // Jobs with unclaimed pending work, most-starved first (running
+            // tasks, counting this call's launches; ties broken by
+            // submission order for determinism). A blacklisted node is not
+            // a locality decline: a banned job is skipped without touching
+            // its wait clock.
+            let mut order: Vec<&SchedJob> = view
+                .jobs
+                .iter()
+                .filter(|j| !j.banned && j.unclaimed(&claims) > 0)
+                .collect();
+            order.sort_by_key(|j| (j.running + claims.claimed(j.job), j.submit_seq));
+            for job in order {
+                // Local launch when possible; non-local only for
+                // replica-less head tasks or once the wait clock has
+                // exceeded the configured delay.
+                let local = job.local_candidate(&claims);
+                let task = match local {
+                    Some(t) => Some(t),
+                    None => {
+                        let head = job.head_candidate_flagged(&claims);
+                        let waited = self
+                            .waiting_since
+                            .get(&job.job)
+                            .map(|&since| view.now - since >= self.locality_delay)
+                            .unwrap_or(false);
+                        match head {
+                            Some((t, replica_less)) if replica_less || waited => Some(t),
+                            _ => None,
                         }
-                    };
-                    if let Some(task) = task {
-                        claims.claim(job.job, task);
-                        assignments.push(Assignment {
-                            job: job.job,
-                            task,
-                            node,
-                        });
-                        free[node_idx] -= 1;
-                        *running.get_mut(&job.job).expect("registered") += 1;
-                        self.waiting_since.remove(&job.job);
-                        launched = true;
-                        break;
                     }
-                    // Decline: start (or continue) the wait clock.
-                    self.waiting_since.entry(job.job).or_insert(view.now);
+                };
+                if let Some(task) = task {
+                    claims.claim(job.job, task);
+                    assignments.push(Assignment { job: job.job, task });
+                    self.waiting_since.remove(&job.job);
+                    continue 'launch;
                 }
-                if !launched {
-                    // Every job declined this node; try the next one.
-                    break;
-                }
+                // Decline: start (or continue) the wait clock.
+                self.waiting_since.entry(job.job).or_insert(view.now);
             }
+            // Every job declined this launch.
+            break;
         }
         assignments
     }
@@ -155,28 +129,35 @@ impl TaskScheduler for FairScheduler {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{sched_job, validate};
-    use super::super::SchedView;
+    use super::super::testutil::{
+        sched_job, validate,
+        Locality::{Elsewhere, Here, Nowhere},
+    };
     use super::*;
     use crate::job::TaskId;
 
-    fn view(now: SimTime, free: Vec<u32>, jobs: Vec<SchedJob>) -> SchedView {
+    fn view(now: SimTime, free: u32, jobs: Vec<SchedJob>) -> SchedView {
         SchedView {
             now,
-            free_slots: free,
+            free,
             jobs,
             complete: true,
         }
+    }
+
+    /// A job whose only task is stored on another node.
+    fn remote_job() -> SchedJob {
+        sched_job(0, 0, 0, &[(0, Elsewhere)])
     }
 
     #[test]
     fn starved_job_wins_over_older_job() {
         let v = view(
             SimTime::ZERO,
-            vec![1],
+            1,
             vec![
-                sched_job(0, 0, 5, &[(0, &[0])], 1),
-                sched_job(1, 1, 0, &[(0, &[0])], 1),
+                sched_job(0, 0, 5, &[(0, Here)]),
+                sched_job(1, 1, 0, &[(0, Here)]),
             ],
         );
         let a = FairScheduler::paper_default().assign(&v);
@@ -187,12 +168,7 @@ mod tests {
 
     #[test]
     fn declines_non_local_slot_within_delay() {
-        // The job's only task is local to node 1, but only node 0 has a slot.
-        let v = view(
-            SimTime::ZERO,
-            vec![1, 0],
-            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
-        );
+        let v = view(SimTime::ZERO, 1, vec![remote_job()]);
         let mut s = FairScheduler::paper_default();
         assert!(
             s.assign(&v).is_empty(),
@@ -203,69 +179,47 @@ mod tests {
     #[test]
     fn accepts_non_local_after_delay_expires() {
         let mut s = FairScheduler::paper_default();
-        let v0 = view(
-            SimTime::ZERO,
-            vec![1, 0],
-            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
-        );
-        assert!(s.assign(&v0).is_empty());
+        assert!(s
+            .assign(&view(SimTime::ZERO, 1, vec![remote_job()]))
+            .is_empty());
         // 16 seconds later the wait exceeds the 15 s delay.
-        let v1 = view(
-            SimTime::from_secs(16),
-            vec![1, 0],
-            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
-        );
+        let v1 = view(SimTime::from_secs(16), 1, vec![remote_job()]);
         let a = s.assign(&v1);
         validate(&v1, &a);
         assert_eq!(a.len(), 1);
-        assert_eq!(a[0].node, NodeId(0));
+        assert_eq!(a[0].task, TaskId(0));
     }
 
     #[test]
     fn local_launch_resets_the_wait_clock() {
         let mut s = FairScheduler::paper_default();
         // Decline at t=0.
-        let v0 = view(
-            SimTime::ZERO,
-            vec![1, 0],
-            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
-        );
-        assert!(s.assign(&v0).is_empty());
-        // At t=3 a local slot appears; the job launches locally.
+        assert!(s
+            .assign(&view(SimTime::ZERO, 1, vec![remote_job()]))
+            .is_empty());
+        // At t=3 a node holding task 0 heartbeats; the job launches
+        // locally.
         let v1 = view(
             SimTime::from_secs(3),
-            vec![0, 1],
-            vec![sched_job(0, 0, 0, &[(0, &[1]), (1, &[1])], 2)],
+            1,
+            vec![sched_job(0, 0, 0, &[(0, Here), (1, Elsewhere)])],
         );
         let a = s.assign(&v1);
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].task, TaskId(0));
         // A new decline at t=4 restarts the clock: at t=8 only 4 s have
         // passed since the reset, so still declined.
-        let v2 = view(
-            SimTime::from_secs(4),
-            vec![1, 0],
-            vec![sched_job(0, 0, 1, &[(1, &[1])], 2)],
-        );
-        assert!(s.assign(&v2).is_empty());
-        let v3 = view(
-            SimTime::from_secs(8),
-            vec![1, 0],
-            vec![sched_job(0, 0, 1, &[(1, &[1])], 2)],
-        );
+        let rest = || vec![sched_job(0, 0, 1, &[(1, Elsewhere)])];
+        assert!(s.assign(&view(SimTime::from_secs(4), 1, rest())).is_empty());
         assert!(
-            s.assign(&v3).is_empty(),
+            s.assign(&view(SimTime::from_secs(8), 1, rest())).is_empty(),
             "clock was reset by the local launch"
         );
     }
 
     #[test]
     fn replica_less_tasks_launch_anywhere_immediately() {
-        let v = view(
-            SimTime::ZERO,
-            vec![1],
-            vec![sched_job(0, 0, 0, &[(0, &[])], 1)],
-        );
+        let v = view(SimTime::ZERO, 1, vec![sched_job(0, 0, 0, &[(0, Nowhere)])]);
         let a = FairScheduler::paper_default().assign(&v);
         validate(&v, &a);
         assert_eq!(a.len(), 1);
@@ -275,88 +229,78 @@ mod tests {
     fn local_task_preferred_over_head_of_queue() {
         let v = view(
             SimTime::ZERO,
-            vec![0, 1],
-            vec![sched_job(0, 0, 0, &[(0, &[0]), (1, &[1])], 2)],
+            1,
+            vec![sched_job(0, 0, 0, &[(0, Elsewhere), (1, Here)])],
         );
         let a = FairScheduler::paper_default().assign(&v);
         validate(&v, &a);
         assert_eq!(a.len(), 1);
-        assert_eq!(a[0].task, TaskId(1), "the node-1-local task runs on node 1");
+        assert_eq!(a[0].task, TaskId(1), "the local task runs here");
     }
 
     #[test]
     fn blacklisted_node_is_skipped_without_starting_the_wait_clock() {
         let mut s = FairScheduler::paper_default();
-        let mut banned = sched_job(0, 0, 0, &[(0, &[0])], 2);
-        banned.banned_nodes = vec![true, false];
-        let v0 = view(SimTime::ZERO, vec![1, 0], vec![banned.clone()]);
-        assert!(s.assign(&v0).is_empty(), "job may not run on node 0");
-        // Much later, node 0 is still off-limits: the skip never matured a
-        // wait clock into a non-local launch there.
-        let v1 = view(SimTime::from_secs(100), vec![1, 0], vec![banned.clone()]);
+        let mut banned = sched_job(0, 0, 0, &[(0, Here)]);
+        banned.banned = true;
+        let v0 = view(SimTime::ZERO, 1, vec![banned]);
+        assert!(s.assign(&v0).is_empty(), "job may not run on this node");
+        assert!(s.waiting_since.is_empty(), "a ban is not a decline");
+        // At t=16 an unbanned node without the job's data declines it:
+        // had the skip at t=0 started the clock, it would have matured.
+        let v1 = view(SimTime::from_secs(16), 1, vec![remote_job()]);
         assert!(s.assign(&v1).is_empty());
         // An unbanned node with the job's data serves it immediately.
-        let mut allowed = sched_job(0, 0, 0, &[(0, &[1])], 2);
-        allowed.banned_nodes = vec![true, false];
-        let v2 = view(SimTime::from_secs(100), vec![0, 1], vec![allowed]);
+        let v2 = view(
+            SimTime::from_secs(17),
+            1,
+            vec![sched_job(0, 0, 0, &[(0, Here)])],
+        );
         let a = s.assign(&v2);
         validate(&v2, &a);
         assert_eq!(a.len(), 1);
-        assert_eq!(a[0].node, NodeId(1));
     }
 
     #[test]
     fn incomplete_view_keeps_wait_clocks_alive() {
         let mut s = FairScheduler::paper_default();
         // Decline at t=0 starts job 0's wait clock.
-        let v0 = view(
-            SimTime::ZERO,
-            vec![1, 0],
-            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
-        );
-        assert!(s.assign(&v0).is_empty());
+        assert!(s
+            .assign(&view(SimTime::ZERO, 1, vec![remote_job()]))
+            .is_empty());
         // An incomplete prefix view that omits job 0 must NOT drop its
         // clock...
         let mut v1 = view(
             SimTime::from_secs(5),
-            vec![0, 0],
-            vec![sched_job(7, 7, 0, &[(0, &[0])], 2)],
+            0,
+            vec![sched_job(7, 7, 0, &[(0, Here)])],
         );
         v1.complete = false;
         let _ = s.assign(&v1);
         // ...so at t=16 the matured clock still launches non-locally.
-        let v2 = view(
-            SimTime::from_secs(16),
-            vec![1, 0],
-            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
-        );
-        let a = s.assign(&v2);
+        let a = s.assign(&view(SimTime::from_secs(16), 1, vec![remote_job()]));
         assert_eq!(a.len(), 1, "wait clock survived the incomplete view");
     }
 
     #[test]
     fn complete_view_gcs_departed_jobs() {
         let mut s = FairScheduler::paper_default();
-        let v0 = view(
-            SimTime::ZERO,
-            vec![1, 0],
-            vec![sched_job(0, 0, 0, &[(0, &[1])], 2)],
-        );
-        assert!(s.assign(&v0).is_empty());
+        assert!(s
+            .assign(&view(SimTime::ZERO, 1, vec![remote_job()]))
+            .is_empty());
         assert_eq!(s.waiting_since.len(), 1);
         // A complete view without job 0 proves it left; the clock is GCed.
-        let v1 = view(SimTime::from_secs(5), vec![0], vec![]);
-        let _ = s.assign(&v1);
+        let _ = s.assign(&view(SimTime::from_secs(5), 0, vec![]));
         assert!(s.waiting_since.is_empty(), "departed job's clock dropped");
     }
 
     #[test]
     fn spreads_slots_fairly_across_jobs() {
-        let tasks: Vec<(u32, &[u16])> = (0..4).map(|i| (i, &[0u16][..])).collect();
+        let tasks: Vec<(u32, _)> = (0..4).map(|i| (i, Here)).collect();
         let v = view(
             SimTime::ZERO,
-            vec![4],
-            vec![sched_job(0, 0, 0, &tasks, 1), sched_job(1, 1, 0, &tasks, 1)],
+            4,
+            vec![sched_job(0, 0, 0, &tasks), sched_job(1, 1, 0, &tasks)],
         );
         let a = FairScheduler::paper_default().assign(&v);
         validate(&v, &a);

@@ -1,15 +1,13 @@
 //! Hadoop's default scheduler: strict job-submission order ("slots being
 //! assigned in order of a job's submission timestamp", Section V-F).
 //!
-//! For each free slot the earliest-submitted job with pending work is
-//! served. The scheduler prefers a node-local task of that job when one
-//! exists, but will happily run a non-local task rather than leave the slot
-//! idle — which is why its locality is mediocre (the paper measured 57%)
+//! Each free launch goes to the earliest-submitted job with pending work.
+//! The scheduler prefers a node-local task of that job when one exists,
+//! but will happily run a non-local task rather than leave the slot idle
+//! — which is why its locality is mediocre (the paper measured 57%)
 //! while its slot occupancy is high (44%).
 
-use incmr_dfs::NodeId;
-
-use super::{Assignment, Claims, SchedView, TaskScheduler, ViewPolicy};
+use super::{Assignment, Claims, SchedJob, SchedView, TaskScheduler, ViewPolicy};
 
 /// The FIFO scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,74 +29,48 @@ impl TaskScheduler for FifoScheduler {
         ViewPolicy::SubmitOrder
     }
 
-    // The index is also used to mutate `free` mid-loop; an iterator would
-    // fight the borrow checker for no clarity gain.
-    #[allow(clippy::needless_range_loop)]
     fn assign(&mut self, view: &SchedView) -> Vec<Assignment> {
         let mut assignments = Vec::new();
-        let mut free = view.free_slots.clone();
         let mut claims = Claims::new();
-        let mut order: Vec<usize> = (0..view.jobs.len()).collect();
-        order.sort_by_key(|&i| view.jobs[i].submit_seq);
-
-        // Round-robin the nodes so one node does not soak up a whole job.
-        loop {
-            let mut assigned_any = false;
-            for node_idx in 0..free.len() {
-                if free[node_idx] == 0 {
-                    continue;
-                }
-                let node = NodeId(node_idx as u16);
-                if order.iter().all(|&i| view.jobs[i].unclaimed(&claims) == 0) {
-                    return assignments;
-                }
-                // Earliest job with unclaimed pending work that has not
-                // blacklisted this node (a banned job may still be served
-                // by other nodes, so only skip it here).
-                let Some(&job_idx) = order.iter().find(|&&i| {
-                    view.jobs[i].unclaimed(&claims) > 0 && !view.jobs[i].banned_on(node)
-                }) else {
-                    continue;
-                };
-                let job = &view.jobs[job_idx];
-                // Prefer a task local to this node; otherwise take the head.
-                let Some(task) = job
-                    .local_candidate(node, &claims)
-                    .or_else(|| job.head_candidate(&claims))
-                else {
-                    // The view's capped indexes are exhausted for this job
-                    // even though more tasks pend; stop this round — the
-                    // next scheduling point sees a fresh view.
-                    return assignments;
-                };
-                claims.claim(job.job, task);
-                assignments.push(Assignment {
-                    job: job.job,
-                    task,
-                    node,
-                });
-                free[node_idx] -= 1;
-                assigned_any = true;
-            }
-            if !assigned_any {
-                return assignments;
-            }
+        // A job that blacklisted this node is never served here.
+        let mut order: Vec<&SchedJob> = view.jobs.iter().filter(|j| !j.banned).collect();
+        order.sort_by_key(|j| j.submit_seq);
+        for _ in 0..view.free {
+            // Earliest job with unclaimed pending work.
+            let Some(job) = order.iter().find(|j| j.unclaimed(&claims) > 0) else {
+                break;
+            };
+            // Prefer a task local to this node; otherwise take the head.
+            let Some(task) = job
+                .local_candidate(&claims)
+                .or_else(|| job.head_candidate(&claims))
+            else {
+                // The view's capped indexes are exhausted for this job
+                // even though more tasks pend; stop — the next heartbeat
+                // sees a fresh view.
+                break;
+            };
+            claims.claim(job.job, task);
+            assignments.push(Assignment { job: job.job, task });
         }
+        assignments
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{sched_job, validate};
-    use super::super::SchedView;
+    use super::super::testutil::{
+        sched_job, validate,
+        Locality::{Elsewhere, Here, Nowhere},
+    };
     use super::*;
     use crate::job::{JobId, TaskId};
     use incmr_simkit::SimTime;
 
-    fn view(free: Vec<u32>, jobs: Vec<super::super::SchedJob>) -> SchedView {
+    fn view(free: u32, jobs: Vec<SchedJob>) -> SchedView {
         SchedView {
             now: SimTime::ZERO,
-            free_slots: free,
+            free,
             jobs,
             complete: true,
         }
@@ -107,10 +79,10 @@ mod tests {
     #[test]
     fn earliest_job_is_served_first() {
         let v = view(
-            vec![1],
+            1,
             vec![
-                sched_job(1, 10, 0, &[(0, &[0])], 1),
-                sched_job(0, 5, 0, &[(0, &[0])], 1),
+                sched_job(1, 10, 0, &[(0, Here)]),
+                sched_job(0, 5, 0, &[(0, Here)]),
             ],
         );
         let a = FifoScheduler::new().assign(&v);
@@ -121,11 +93,9 @@ mod tests {
 
     #[test]
     fn prefers_local_tasks_per_node() {
-        // Node 1 free; the job's task 1 is local to node 1.
-        let v = view(
-            vec![0, 1],
-            vec![sched_job(0, 0, 0, &[(0, &[0]), (1, &[1])], 2)],
-        );
+        // The job's task 1 is local to the offered node; task 0 heads the
+        // queue but is stored elsewhere.
+        let v = view(1, vec![sched_job(0, 0, 0, &[(0, Elsewhere), (1, Here)])]);
         let a = FifoScheduler::new().assign(&v);
         validate(&v, &a);
         assert_eq!(
@@ -133,36 +103,41 @@ mod tests {
             vec![Assignment {
                 job: JobId(0),
                 task: TaskId(1),
-                node: NodeId(1)
             }]
         );
     }
 
     #[test]
     fn falls_back_to_non_local_rather_than_idling() {
-        let v = view(vec![1], vec![sched_job(0, 0, 0, &[(0, &[5])], 6)]);
+        let v = view(1, vec![sched_job(0, 0, 0, &[(0, Elsewhere)])]);
         let a = FifoScheduler::new().assign(&v);
         validate(&v, &a);
         assert_eq!(a.len(), 1, "FIFO never leaves a slot idle while work pends");
-        assert_eq!(a[0].node, NodeId(0));
+        assert_eq!(a[0].task, TaskId(0));
     }
 
     #[test]
     fn fills_all_slots_across_nodes() {
-        let tasks: Vec<(u32, &[u16])> = (0..6).map(|i| (i, &[][..])).collect();
-        let v = view(vec![2, 2, 2], vec![sched_job(0, 0, 0, &tasks, 3)]);
-        let a = FifoScheduler::new().assign(&v);
-        validate(&v, &a);
-        assert_eq!(a.len(), 6);
+        // Three heartbeats, one per node, each offering two launches over
+        // what the earlier heartbeats left pending.
+        let mut pending: Vec<(u32, _)> = (0..6).map(|i| (i, Nowhere)).collect();
+        for _node in 0..3 {
+            let v = view(2, vec![sched_job(0, 0, 0, &pending)]);
+            let a = FifoScheduler::new().assign(&v);
+            validate(&v, &a);
+            assert_eq!(a.len(), 2, "every free launch is filled");
+            pending.retain(|(t, _)| a.iter().all(|x| x.task != TaskId(*t)));
+        }
+        assert!(pending.is_empty());
     }
 
     #[test]
     fn later_jobs_get_leftovers() {
         let v = view(
-            vec![3],
+            3,
             vec![
-                sched_job(0, 0, 0, &[(0, &[]), (1, &[])], 1),
-                sched_job(1, 1, 0, &[(0, &[])], 1),
+                sched_job(0, 0, 0, &[(0, Nowhere), (1, Nowhere)]),
+                sched_job(1, 1, 0, &[(0, Nowhere)]),
             ],
         );
         let a = FifoScheduler::new().assign(&v);
@@ -174,33 +149,25 @@ mod tests {
 
     #[test]
     fn no_work_no_assignments() {
-        let v = view(vec![4, 4], vec![]);
+        let v = view(4, vec![]);
         assert!(FifoScheduler::new().assign(&v).is_empty());
     }
 
     #[test]
     fn blacklisted_node_serves_the_next_job_instead() {
-        let mut banned = sched_job(0, 0, 0, &[(0, &[0])], 1);
-        banned.banned_nodes = vec![true];
-        let v = view(vec![2], vec![banned, sched_job(1, 1, 0, &[(0, &[])], 1)]);
+        let mut banned = sched_job(0, 0, 0, &[(0, Here), (1, Here)]);
+        banned.banned = true;
+        let v = view(2, vec![banned, sched_job(1, 1, 0, &[(0, Nowhere)])]);
         let a = FifoScheduler::new().assign(&v);
         validate(&v, &a);
-        assert_eq!(a.len(), 1, "only the unbanned job may use node 0");
+        assert_eq!(a.len(), 1, "only the unbanned job may use this node");
         assert_eq!(a[0].job, JobId(1));
     }
 
     #[test]
-    fn job_banned_everywhere_leaves_slots_idle() {
-        let mut banned = sched_job(0, 0, 0, &[(0, &[]), (1, &[])], 2);
-        banned.banned_nodes = vec![true, true];
-        let v = view(vec![1, 1], vec![banned]);
-        assert!(FifoScheduler::new().assign(&v).is_empty());
-    }
-
-    #[test]
     fn same_task_in_head_and_local_index_assigned_once() {
-        // Task 0 is both the head task and local to node 0.
-        let v = view(vec![2], vec![sched_job(0, 0, 0, &[(0, &[0])], 1)]);
+        // Task 0 is both the head task and local to the offered node.
+        let v = view(2, vec![sched_job(0, 0, 0, &[(0, Here)])]);
         let a = FifoScheduler::new().assign(&v);
         validate(&v, &a);
         assert_eq!(a.len(), 1);

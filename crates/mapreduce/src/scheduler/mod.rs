@@ -1,4 +1,5 @@
-//! Task schedulers: how free map slots are matched to pending map tasks.
+//! Task schedulers: how a heartbeat's free map slots are matched to
+//! pending map tasks.
 //!
 //! "In Hadoop, the task of assigning empty slots to the pending tasks is
 //! handled by the TaskScheduler. The default implementation provided by
@@ -10,23 +11,23 @@
 //!
 //! ## The scheduling view
 //!
-//! A throughput experiment runs hundreds of thousands of scheduling points
-//! against jobs with hundreds of queued tasks, so the view handed to
-//! schedulers is *indexed*, not flat — mirroring Hadoop's per-node task
-//! caches:
+//! As in Hadoop, the scheduler answers a TaskTracker heartbeat: a
+//! [`SchedView`] offers one live node's free launches to a prefix of the
+//! runnable jobs. A throughput experiment runs hundreds of thousands of
+//! heartbeats against jobs with hundreds of queued tasks, so each job's
+//! pending tasks are *indexed*, not flat — mirroring Hadoop's per-node
+//! task caches:
 //!
 //! * [`SchedJob::head`] — the front of the job's pending queue in addition
-//!   order (enough tasks to fill every free slot), used for non-local
+//!   order (enough tasks to fill every free launch), used for non-local
 //!   launches;
-//! * [`SchedJob::local_by_node`] — for each node that currently has free
-//!   slots, pending tasks whose input split is stored on that node, used
-//!   for data-local launches.
+//! * [`SchedJob::local`] — pending tasks whose input split is stored on
+//!   the offered node, used for data-local launches.
 //!
-//! A scheduler must never assign the same task twice or exceed a node's
-//! free slots; the runtime validates both in debug builds. Dead nodes
-//! never appear with free slots (the runtime zeroes them), and a job that
-//! has blacklisted a node flags it in [`SchedJob::banned_nodes`] — no task
-//! of that job may be assigned there.
+//! A scheduler must never assign the same task twice or more tasks than
+//! the view's free launches; the runtime validates both in debug builds.
+//! A job that has blacklisted the offered node is flagged
+//! [`SchedJob::banned`] — no task of that job may be assigned.
 
 pub mod fair;
 pub mod fifo;
@@ -38,12 +39,11 @@ pub use fifo::FifoScheduler;
 
 use std::collections::{HashMap, HashSet};
 
-use incmr_dfs::NodeId;
 use incmr_simkit::SimTime;
 
 use crate::job::{JobId, TaskId};
 
-/// Tasks claimed so far within one scheduling point, with a per-job count
+/// Tasks claimed so far within one heartbeat, with a per-job count
 /// so [`SchedJob::unclaimed`] is O(1) instead of a scan over every claim.
 ///
 /// At 10k queued jobs the old `HashSet<(JobId, TaskId)>`-only bookkeeping
@@ -86,15 +86,12 @@ impl Claims {
 /// What subset of runnable jobs a scheduler needs in its [`SchedView`].
 ///
 /// The runtime keeps every runnable job in ordered indexes; at a
-/// scheduling point it materialises only a *prefix* of the matching order
-/// — enough jobs to fill every free slot plus slack for bans — instead of
-/// the whole queue. Which order the prefix is cut from depends on the
-/// scheduler's dispatch rule.
+/// heartbeat it materialises only a *prefix* of the matching order —
+/// enough jobs to fill every free launch plus [`VIEW_JOB_SLACK`] for
+/// bans — instead of the whole queue. Which order the prefix is cut from
+/// depends on the scheduler's dispatch rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewPolicy {
-    /// Offer every runnable job (custom or test schedulers; no prefix
-    /// optimisation).
-    Complete,
     /// A prefix in submission order (FIFO-family: only the oldest jobs
     /// with pending work can win a slot).
     SubmitOrder,
@@ -102,6 +99,13 @@ pub enum ViewPolicy {
     /// only the most-starved jobs can win a slot.
     ShareOrder,
 }
+
+/// Extra jobs (beyond the free launches) included in a prefix scheduling
+/// view (see [`ViewPolicy`]). One heartbeat launches at most `free`
+/// tasks, so a prefix this deep decides identically to the full walk in
+/// all but pathological blacklist patterns — while keeping the per-
+/// heartbeat view cost independent of the total queued-job count.
+pub const VIEW_JOB_SLACK: usize = 64;
 
 /// Scheduler-visible state of one job.
 #[derive(Debug, Clone)]
@@ -119,29 +123,20 @@ pub struct SchedJob {
     /// For each head task, whether it has **no** replica anywhere (such
     /// tasks have no locality to wait for). Parallel to `head`.
     pub head_replica_less: Vec<bool>,
-    /// Per-node local pending candidates, indexed by `NodeId.0` (only
-    /// populated for nodes with free slots; capped per node).
-    pub local_by_node: Vec<Vec<TaskId>>,
-    /// Nodes this job has blacklisted, indexed by `NodeId.0` (empty when
-    /// the job bans nothing). Schedulers must skip this job on such nodes.
-    pub banned_nodes: Vec<bool>,
+    /// Pending tasks whose input split is stored on the offered node
+    /// (capped).
+    pub local: Vec<TaskId>,
+    /// Whether this job has blacklisted the offered node. Schedulers must
+    /// assign it nothing.
+    pub banned: bool,
 }
 
 impl SchedJob {
-    /// Whether this job has blacklisted `node`.
-    pub fn banned_on(&self, node: NodeId) -> bool {
-        self.banned_nodes
-            .get(node.0 as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// A pending task local to `node`, excluding those already claimed.
-    /// Allocation-free: a bounded walk over the capped per-node index with
-    /// O(1) membership checks.
-    pub fn local_candidate(&self, node: NodeId, claims: &Claims) -> Option<TaskId> {
-        self.local_by_node
-            .get(node.0 as usize)?
+    /// A pending task local to the offered node, excluding those already
+    /// claimed. Allocation-free: a bounded walk over the capped local
+    /// index with O(1) membership checks.
+    pub fn local_candidate(&self, claims: &Claims) -> Option<TaskId> {
+        self.local
             .iter()
             .copied()
             .find(|t| !claims.contains(self.job, *t))
@@ -169,13 +164,14 @@ impl SchedJob {
     }
 }
 
-/// Everything a scheduler sees at a scheduling point.
+/// Everything a scheduler sees at one node's heartbeat.
 #[derive(Debug, Clone)]
 pub struct SchedView {
     /// Current time (drives delay scheduling).
     pub now: SimTime,
-    /// Free map slots per node (indexed by `NodeId.0`).
-    pub free_slots: Vec<u32>,
+    /// Launches the offered node takes this heartbeat: its free map
+    /// slots, capped at the maps-per-heartbeat limit.
+    pub free: u32,
     /// Jobs with pending work, in submission order.
     pub jobs: Vec<SchedJob>,
     /// Whether `jobs` holds **every** runnable job, or only the prefix the
@@ -185,22 +181,13 @@ pub struct SchedView {
     pub complete: bool,
 }
 
-impl SchedView {
-    /// Total free slots across the cluster.
-    pub fn total_free(&self) -> u32 {
-        self.free_slots.iter().sum()
-    }
-}
-
-/// One slot-to-task binding decided by a scheduler.
+/// One launch on the offered node, decided by a scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// The job owning the task.
     pub job: JobId,
     /// The assigned task.
     pub task: TaskId,
-    /// The node whose slot it takes.
-    pub node: NodeId,
 }
 
 /// A task-scheduling policy.
@@ -211,7 +198,7 @@ pub trait TaskScheduler {
     /// so two runs are comparable only if their schedulers report stable
     /// names.
     fn name(&self) -> &'static str;
-    /// Decide assignments for this scheduling point.
+    /// Decide this heartbeat's launches on the offered node, in order.
     fn assign(&mut self, view: &SchedView) -> Vec<Assignment>;
     /// Scheduler-imposed cap on map launches per tracker heartbeat, if it
     /// overrides the cluster default. Hadoop's Fair Scheduler assigned one
@@ -220,37 +207,37 @@ pub trait TaskScheduler {
     fn maps_per_heartbeat(&self) -> Option<u32> {
         None
     }
-    /// Which subset of runnable jobs this scheduler needs offered in its
-    /// view. The default — every runnable job — is always correct; the
-    /// built-in schedulers declare the order their dispatch rule consumes
-    /// so the runtime can hand them an O(free slots) prefix instead of the
-    /// whole queue.
-    fn view_policy(&self) -> ViewPolicy {
-        ViewPolicy::Complete
-    }
+    /// The order this scheduler's dispatch rule consumes jobs in, from
+    /// which the runtime cuts its O(free launches) view prefix.
+    fn view_policy(&self) -> ViewPolicy;
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
 
-    /// Build a `SchedJob` from `(task, local_nodes)` pairs, computing the
-    /// head and per-node indexes the way the runtime does.
-    pub fn sched_job(
-        job: u32,
-        seq: u64,
-        running: u32,
-        tasks: &[(u32, &[u16])],
-        nodes: usize,
-    ) -> SchedJob {
-        let mut local_by_node = vec![Vec::new(); nodes];
+    /// Where a test task's split is stored, relative to the offered node.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Locality {
+        /// On the offered node.
+        Here,
+        /// Only on other nodes.
+        Elsewhere,
+        /// Nowhere: the task has no replica, so no locality to wait for.
+        Nowhere,
+    }
+
+    /// Build a `SchedJob` from `(task, locality)` pairs, computing the
+    /// head and local indexes the way the runtime does.
+    pub fn sched_job(job: u32, seq: u64, running: u32, tasks: &[(u32, Locality)]) -> SchedJob {
+        let mut local = Vec::new();
         let mut head = Vec::new();
         let mut head_replica_less = Vec::new();
-        for (task, locals) in tasks {
-            head.push(TaskId(*task));
-            head_replica_less.push(locals.is_empty());
-            for &n in *locals {
-                local_by_node[n as usize].push(TaskId(*task));
+        for &(task, locality) in tasks {
+            head.push(TaskId(task));
+            head_replica_less.push(locality == Locality::Nowhere);
+            if locality == Locality::Here {
+                local.push(TaskId(task));
             }
         }
         SchedJob {
@@ -260,57 +247,54 @@ pub(crate) mod testutil {
             pending_total: tasks.len() as u32,
             head,
             head_replica_less,
-            local_by_node,
-            banned_nodes: Vec::new(),
+            local,
+            banned: false,
         }
     }
 
-    /// Sanity-check an assignment list against a view: slot limits and
-    /// task uniqueness.
+    /// Check an assignment list against a view: at most `free` launches,
+    /// no task twice, only offered tasks, and none for a banned job.
     pub fn validate(view: &SchedView, assignments: &[Assignment]) {
-        let mut free = view.free_slots.clone();
+        assert!(
+            assignments.len() <= view.free as usize,
+            "{} launches for {} free",
+            assignments.len(),
+            view.free
+        );
         let mut seen = HashSet::new();
         for a in assignments {
-            assert!(
-                free[a.node.0 as usize] > 0,
-                "node {:?} over-assigned",
-                a.node
-            );
-            free[a.node.0 as usize] -= 1;
             assert!(seen.insert((a.job, a.task)), "task assigned twice: {a:?}");
             let job = view
                 .jobs
                 .iter()
                 .find(|j| j.job == a.job)
                 .expect("job exists");
-            let known =
-                job.head.contains(&a.task) || job.local_by_node.iter().any(|l| l.contains(&a.task));
-            assert!(known, "assigned task was not offered in the view");
             assert!(
-                !job.banned_on(a.node),
-                "task assigned to a node its job blacklisted: {a:?}"
+                job.head.contains(&a.task) || job.local.contains(&a.task),
+                "assigned task was not offered in the view"
             );
+            assert!(!job.banned, "task of a job banned here: {a:?}");
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::sched_job;
+    use super::testutil::{sched_job, Locality::Here};
     use super::*;
 
     #[test]
     fn candidates_respect_claims() {
-        let j = sched_job(0, 0, 0, &[(1, &[2]), (2, &[2])], 4);
+        let j = sched_job(0, 0, 0, &[(1, Here), (2, Here)]);
         let mut claims = Claims::new();
-        assert_eq!(j.local_candidate(NodeId(2), &claims), Some(TaskId(1)));
+        assert_eq!(j.local_candidate(&claims), Some(TaskId(1)));
         assert!(claims.claim(JobId(0), TaskId(1)));
         assert!(!claims.claim(JobId(0), TaskId(1)), "double claim rejected");
-        assert_eq!(j.local_candidate(NodeId(2), &claims), Some(TaskId(2)));
+        assert_eq!(j.local_candidate(&claims), Some(TaskId(2)));
         assert_eq!(j.head_candidate(&claims), Some(TaskId(2)));
         assert_eq!(j.unclaimed(&claims), 1);
         claims.claim(JobId(0), TaskId(2));
-        assert_eq!(j.local_candidate(NodeId(2), &claims), None);
+        assert_eq!(j.local_candidate(&claims), None);
         assert_eq!(j.unclaimed(&claims), 0);
     }
 
@@ -325,32 +309,5 @@ mod tests {
         assert_eq!(claims.claimed(JobId(5)), 0);
         assert!(claims.contains(JobId(3), TaskId(1)));
         assert!(!claims.contains(JobId(4), TaskId(1)));
-    }
-
-    #[test]
-    fn local_candidate_out_of_range_node_is_none() {
-        let j = sched_job(0, 0, 0, &[(1, &[0])], 2);
-        assert_eq!(j.local_candidate(NodeId(7), &Claims::new()), None);
-    }
-
-    #[test]
-    fn banned_on_defaults_to_open() {
-        let mut j = sched_job(0, 0, 0, &[(1, &[0])], 2);
-        assert!(!j.banned_on(NodeId(0)));
-        assert!(!j.banned_on(NodeId(9)), "out of range = not banned");
-        j.banned_nodes = vec![false, true];
-        assert!(j.banned_on(NodeId(1)));
-        assert!(!j.banned_on(NodeId(0)));
-    }
-
-    #[test]
-    fn view_total_free() {
-        let v = SchedView {
-            now: SimTime::ZERO,
-            free_slots: vec![2, 0, 3],
-            jobs: vec![],
-            complete: true,
-        };
-        assert_eq!(v.total_free(), 5);
     }
 }

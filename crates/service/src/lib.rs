@@ -108,6 +108,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "tenant weight must be at least 1")]
+    fn zero_weight_tenant_is_refused() {
+        service(ServiceConfig::default()).add_tenant(tenant("a", 0, 4, 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant max_in_flight must be at least 1")]
+    fn zero_in_flight_tenant_is_refused() {
+        service(ServiceConfig::default()).add_tenant(tenant("a", 1, 0, 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant queue_cap must be at least 1")]
+    fn zero_queue_cap_tenant_is_refused() {
+        service(ServiceConfig::default()).add_tenant(tenant("a", 1, 4, 0));
+    }
+
+    #[test]
     fn single_tenant_query_completes() {
         let mut svc = service(ServiceConfig::default());
         let a = svc.add_tenant(TenantProfile::default());

@@ -155,17 +155,32 @@ impl QueryService {
     }
 
     /// Register a tenant with default session state.
+    ///
+    /// # Panics
+    /// As [`QueryService::add_tenant_with_state`].
     pub fn add_tenant(&mut self, profile: TenantProfile) -> TenantId {
         self.add_tenant_with_state(profile, SessionState::new())
     }
 
     /// Register a tenant with a pre-configured session state (policy
     /// file already loaded, scan mode chosen, …).
+    ///
+    /// # Panics
+    /// If the profile's `weight`, `max_in_flight` or `queue_cap` is zero
+    /// (a zero weight has no fair share, and a zero quota or queue could
+    /// never run a statement).
     pub fn add_tenant_with_state(
         &mut self,
         profile: TenantProfile,
         session: SessionState,
     ) -> TenantId {
+        for (knob, value) in [
+            ("weight", profile.weight),
+            ("max_in_flight", profile.max_in_flight),
+            ("queue_cap", profile.queue_cap),
+        ] {
+            assert!(value > 0, "tenant {knob} must be at least 1");
+        }
         let id = TenantId(self.tenants.len() as u16);
         self.tenants.push(TenantState {
             profile,
