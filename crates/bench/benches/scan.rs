@@ -23,9 +23,10 @@
 //! thread count, so the only thing parallelism can buy is wall time. The
 //! fresh-format and cold rows run on one thread only.
 //! Results are written to `BENCH_scan.json` (name, mean_ns, iterations)
-//! so speedups can be compared across machines; records/sec per variant
-//! is printed for quick reading. No speedup is asserted here because the
-//! ratio is a property of the host's core count, not of the code.
+//! so speedups can be compared across machines; each row's line ends with
+//! its records/sec (the group's `Throughput::Elements`). No speedup is
+//! asserted here because the ratio is a property of the host's core
+//! count, not of the code.
 
 use std::sync::Arc;
 
@@ -201,10 +202,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!("host parallelism: {host_threads} (speedup is bounded by this)");
-    for r in c.results() {
-        let recs_per_sec = RECORDS_TOTAL as f64 / (r.mean_ns / 1e9);
-        println!("{:<56} {:>12.0} records/sec", r.name, recs_per_sec);
-    }
     // Cargo runs benches from the package dir; anchor the report at the
     // workspace root where tooling expects it.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");

@@ -21,7 +21,9 @@
 use std::sync::Arc;
 
 use incmr_data::{BatchSelection, Predicate, Record};
-use incmr_mapreduce::{Combiner, Key, KeyedBatch, MapResult, Mapper, Reducer, SplitData, ValueSeq};
+use incmr_mapreduce::{
+    Combiner, Key, KeyedBatch, MapResult, Mapper, ReduceOutput, Reducer, SplitData, ValueSeq,
+};
 use incmr_simkit::rng::DetRng;
 use rand::Rng;
 
@@ -151,18 +153,19 @@ impl Reducer for SamplingReducer {
         }
     }
 
-    /// Builds only the kept rows.
-    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
-        match self.kept(values.len()) {
+    /// Builds only the kept rows, straight into the output under one key
+    /// entry.
+    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut ReduceOutput) {
+        output.fill(key, |rows| match self.kept(values.len()) {
             Kept::Prefix(n) => {
-                output.reserve(n);
-                values.into_records(n, |v| output.push((Key::clone(key), v)));
+                rows.reserve(n);
+                values.into_records(n, |v| rows.push(v));
             }
             Kept::Picks(positions) => {
-                output.reserve(positions.len());
-                values.select(&positions, |v| output.push((Key::clone(key), v)));
+                rows.reserve(positions.len());
+                values.select(&positions, |v| rows.push(v));
             }
-        }
+        });
     }
 }
 
@@ -415,6 +418,57 @@ mod tests {
         let mut c = Vec::new();
         r2.reduce(&Key::from(DUMMY_KEY), &values, &mut c);
         assert_ne!(a, c, "different seed, different sample");
+    }
+
+    /// A reduce stores one key per run of rows, not one per row: after
+    /// `ReduceUnit::compute` over a 10,000-row dummy-key group, the
+    /// group's key is held by this test and by the output's one run. The
+    /// allocation guard cannot see this, because cloning a key bumps a
+    /// refcount and allocates nothing.
+    #[test]
+    fn a_reduce_holds_its_key_once_not_per_row() {
+        use incmr_mapreduce::{IdentityReducer, KeyGroups, ReduceUnit, WorkUnit};
+
+        const ROWS: u64 = 10_000;
+        let key = Key::from(DUMMY_KEY);
+        let SplitData::Full(batch) = full_split(ROWS, 0, 5) else {
+            unreachable!("a full split")
+        };
+        let mut group = ValueSeq::default();
+        group.push_batch(BatchSelection::new(
+            batch,
+            (0..ROWS as u32).collect(),
+            Arc::from([]),
+        ));
+        let cases: [(Arc<dyn Reducer>, usize); 3] = [
+            (
+                Arc::new(SamplingReducer::new(ROWS, SampleMode::FirstK)),
+                10_000,
+            ),
+            (
+                Arc::new(SamplingReducer::new(4_000, SampleMode::RandomK { seed: 3 })),
+                4_000,
+            ),
+            (Arc::new(IdentityReducer), 10_000),
+        ];
+        for (reducer, kept) in cases {
+            let mut groups = KeyGroups::default();
+            groups.insert(Key::clone(&key), group.clone());
+            let unit = ReduceUnit {
+                reducer,
+                key_order: vec![Key::clone(&key)],
+                groups,
+            };
+            let result = unit.compute();
+            assert_eq!(result.output.len(), kept);
+            assert!(result.output.iter().all(|(k, _)| Arc::ptr_eq(k, &key)));
+            assert_eq!(
+                Arc::strong_count(&key),
+                2,
+                "the test's key and the output's one run; a key per row reads {}",
+                kept + 1
+            );
+        }
     }
 
     #[test]

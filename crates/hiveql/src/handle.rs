@@ -5,7 +5,9 @@
 
 use incmr_core::SampleOutcome;
 use incmr_data::{Record, Value};
-use incmr_mapreduce::{decode_funcs, keys, AggKind, AggReport, JobId, MetricsRegistry, MrRuntime};
+use incmr_mapreduce::{
+    decode_funcs, keys, AggKind, AggReport, JobError, JobId, MetricsRegistry, MrRuntime,
+};
 use incmr_simkit::{SimDuration, SimTime};
 
 use crate::session::{QueryOutput, Session};
@@ -103,12 +105,15 @@ pub struct QueryResult {
     pub histograms: MetricsRegistry,
     /// True if the job was aborted.
     pub failed: bool,
+    /// Why the job was aborted (`None` for completed jobs, including
+    /// partial samples).
+    pub error: Option<JobError>,
 }
 
-/// Build a [`QueryResult`] from a completed job, moving its rows out of
-/// the runtime ([`MrRuntime::take_job_output`]): collect each job once.
-/// Shared by [`QueryHandle`] and the multi-tenant query service (which
-/// drives its own runtime).
+/// Build a [`QueryResult`] from a completed job, moving its row vector
+/// out of the runtime ([`MrRuntime::take_job_output`]): collect each job
+/// once. Shared by [`QueryHandle`] and the multi-tenant query service
+/// (which drives its own runtime).
 pub fn collect_result(
     runtime: &mut MrRuntime,
     job: JobId,
@@ -127,8 +132,7 @@ pub fn collect_result(
         }
         _ => None,
     };
-    let mut rows: Vec<Record> = Vec::with_capacity(output.len());
-    rows.extend(output.into_iter().map(|(_, r)| r));
+    let mut rows = output.into_rows();
     // Aggregate estimates cover only the sampled splits: expand SUM/COUNT
     // by the report's M/m scale (AVG is a ratio estimate and is already
     // unbiased). Exact finishes have scale 1.0, so this is a no-op there.
@@ -152,6 +156,7 @@ pub fn collect_result(
         agg: result.agg,
         histograms: result.histograms.clone(),
         failed: result.failed,
+        error: result.error.clone(),
     }
 }
 

@@ -432,8 +432,8 @@ impl Session {
             Submitted::Done(out) => Ok(out),
             Submitted::Pending(handle) => {
                 let result = handle.wait(self);
-                if let Some(error) = &self.runtime.job_result(result.job).error {
-                    return Err(SessionError::Job(error.clone()));
+                if let Some(error) = result.error {
+                    return Err(SessionError::Job(error));
                 }
                 Ok(QueryOutput::Rows {
                     job: result.job,

@@ -270,6 +270,129 @@ pub trait Combiner: Send + Sync {
     }
 }
 
+/// Reduce output: the rows in emission order, plus one key per run of
+/// rows emitted under equal keys. A reduce emits its rows group by group,
+/// so a sampling reduce's thousands of rows share one key entry and the
+/// rows leave as one vector ([`ReduceOutput::into_rows`]).
+///
+/// Runs are canonical: no run is empty and adjacent runs have different
+/// keys. Two outputs are therefore equal exactly when their `(key, row)`
+/// sequences ([`ReduceOutput::iter`]) are.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReduceOutput {
+    rows: Vec<Record>,
+    /// Each run's key and the end of its rows in `rows`.
+    runs: Vec<(Key, usize)>,
+}
+
+impl ReduceOutput {
+    /// Append one row under `key`.
+    pub fn push(&mut self, key: &Key, row: Record) {
+        self.rows.push(row);
+        self.close_run(key);
+    }
+
+    /// Append the rows `build` pushes, all under `key`, straight into the
+    /// row vector.
+    pub fn fill(&mut self, key: &Key, build: impl FnOnce(&mut Vec<Record>)) {
+        let start = self.rows.len();
+        build(&mut self.rows);
+        if self.rows.len() > start {
+            self.close_run(key);
+        }
+    }
+
+    /// Append another output after this one, merging the boundary run
+    /// when both sides' keys are equal.
+    pub fn append(&mut self, other: ReduceOutput) {
+        if self.rows.is_empty() {
+            *self = other;
+            return;
+        }
+        let offset = self.rows.len();
+        let mut rows = other.rows;
+        self.rows.append(&mut rows);
+        for (key, end) in other.runs {
+            match self.runs.last_mut() {
+                Some((last, last_end)) if *last == key => *last_end = offset + end,
+                _ => self.runs.push((key, offset + end)),
+            }
+        }
+    }
+
+    /// Extend the last run to the end of `rows`, or open a new one when
+    /// its key differs.
+    fn close_run(&mut self, key: &Key) {
+        let end = self.rows.len();
+        match self.runs.last_mut() {
+            Some((last, last_end)) if last == key => *last_end = end,
+            _ => self.runs.push((Key::clone(key), end)),
+        }
+    }
+
+    /// Rows output.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when nothing was output.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The `(key, row)` pairs in emission order.
+    pub fn iter(&self) -> ReduceOutputIter<'_> {
+        ReduceOutputIter {
+            output: self,
+            run: 0,
+            row: 0,
+        }
+    }
+
+    /// The rows in emission order, without their keys.
+    pub fn into_rows(self) -> Vec<Record> {
+        self.rows
+    }
+}
+
+impl<'a> IntoIterator for &'a ReduceOutput {
+    type Item = (&'a Key, &'a Record);
+    type IntoIter = ReduceOutputIter<'a>;
+
+    fn into_iter(self) -> ReduceOutputIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`ReduceOutput`]'s `(key, row)` pairs.
+#[derive(Debug, Clone)]
+pub struct ReduceOutputIter<'a> {
+    output: &'a ReduceOutput,
+    run: usize,
+    row: usize,
+}
+
+impl<'a> Iterator for ReduceOutputIter<'a> {
+    type Item = (&'a Key, &'a Record);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let row = self.output.rows.get(self.row)?;
+        // Runs are never empty, so this steps over at most one run end.
+        if self.output.runs[self.run].1 == self.row {
+            self.run += 1;
+        }
+        self.row += 1;
+        Some((&self.output.runs[self.run].0, row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.output.rows.len() - self.row;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for ReduceOutputIter<'_> {}
+
 /// User reduce logic. Invoked once per distinct key with all of that key's
 /// values, in map-completion order.
 ///
@@ -277,18 +400,22 @@ pub trait Combiner: Send + Sync {
 /// shuffled group by value. Its default materialises the group and calls
 /// [`Reducer::reduce`], so a reducer that implements only `reduce` works
 /// unchanged; a reducer that outputs some of its input rows overrides
-/// `reduce_group` to build only those, once.
+/// `reduce_group` to build only those, once, straight into the output.
 pub trait Reducer: Send + Sync {
     /// Produce output pairs for one key group.
     fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>);
 
-    /// Produce output pairs for one key group, owning its values. Must
-    /// output exactly what [`Reducer::reduce`] outputs for
-    /// `values.to_rows()`.
-    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
+    /// Produce output for one key group, owning its values.
+    /// `output.iter()` must then yield exactly the pairs
+    /// [`Reducer::reduce`] outputs for `values.to_rows()`.
+    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut ReduceOutput) {
         let mut rows = Vec::with_capacity(values.len());
         values.into_records(usize::MAX, |r| rows.push(r));
-        self.reduce(key, &rows, output);
+        let mut pairs = Vec::new();
+        self.reduce(key, &rows, &mut pairs);
+        for (key, row) in pairs {
+            output.push(&key, row);
+        }
     }
 }
 
@@ -301,10 +428,13 @@ impl Reducer for IdentityReducer {
         output.extend(values.iter().map(|v| (Key::clone(key), v.clone())));
     }
 
-    /// Moves materialised rows through and builds each batch row once.
-    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut Vec<(Key, Record)>) {
-        output.reserve(values.len());
-        values.into_records(usize::MAX, |v| output.push((Key::clone(key), v)));
+    /// Moves materialised rows through and builds each batch row once,
+    /// all under one key entry.
+    fn reduce_group(&self, key: &Key, values: ValueSeq, output: &mut ReduceOutput) {
+        output.fill(key, |rows| {
+            rows.reserve(values.len());
+            values.into_records(usize::MAX, |v| rows.push(v));
+        });
     }
 }
 

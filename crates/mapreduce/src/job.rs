@@ -17,9 +17,8 @@ use incmr_simkit::SimDuration;
 use crate::approx::{agg_plan_of, AggPlan};
 use crate::cluster::ClusterStatus;
 use crate::conf::{keys, ConfError, JobConf};
-use crate::exec::{Combiner, IdentityReducer, InputFormat, Key, Mapper, Reducer};
+use crate::exec::{Combiner, IdentityReducer, InputFormat, Mapper, ReduceOutput, Reducer};
 use crate::memo::signature_of_conf;
-use incmr_data::Record;
 
 /// Identifier of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -663,8 +662,8 @@ pub struct JobResult {
     /// Why the job was aborted (`None` for completed jobs, including
     /// partial-sample completions).
     pub error: Option<JobError>,
-    /// Final reduce output.
-    pub output: Vec<(Key, Record)>,
+    /// Final reduce output, in reduce order.
+    pub output: ReduceOutput,
     /// This job's latency histograms (always collected). Merging these
     /// across jobs reproduces the runtime-wide registry exactly.
     pub histograms: crate::obs::MetricsRegistry,
@@ -693,6 +692,8 @@ impl JobResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Key;
+    use incmr_data::Record;
     use incmr_simkit::SimTime;
 
     fn status() -> ClusterStatus {
@@ -1003,7 +1004,7 @@ mod tests {
             task_failures: 0,
             failed: false,
             error: None,
-            output: vec![],
+            output: ReduceOutput::default(),
             histograms: crate::obs::MetricsRegistry::new(),
             agg: None,
         };
@@ -1024,7 +1025,7 @@ mod tests {
             task_failures: 0,
             failed: false,
             error: None,
-            output: vec![],
+            output: ReduceOutput::default(),
             histograms: crate::obs::MetricsRegistry::new(),
             agg: None,
         };

@@ -65,7 +65,7 @@ pub use conf::{keys, JobConf};
 pub use cost::CostModel;
 pub use exec::{
     batches_to_pairs, Combiner, DatasetInputFormat, IdentityReducer, InputFormat, Key, KeyedBatch,
-    MapResult, Mapper, Reducer, ScanMode, SplitData,
+    MapResult, Mapper, ReduceOutput, Reducer, ScanMode, SplitData,
 };
 pub use faults::{
     ClusterFaultPlan, FaultConfigError, NodeOutage, SpecCandidate, SpeculationConfig,
@@ -743,10 +743,8 @@ mod tests {
         let blocks = ds.splits().iter().map(|p| p.block).collect();
         let id = rt.submit(spec, Box::new(StaticDriver::new(blocks)));
         rt.run_until_idle();
-        let out = &rt.job_result(id).output;
-        assert_eq!(out.len(), 2);
-        assert_eq!(&*out[0].0, "b", "first-seen key reduces first");
-        assert_eq!(&*out[1].0, "a");
+        let keys: Vec<&str> = rt.job_result(id).output.iter().map(|(k, _)| &**k).collect();
+        assert_eq!(keys, ["b", "a"], "first-seen key reduces first");
     }
 
     /// A combiner keeping at most `limit` pairs per map task.

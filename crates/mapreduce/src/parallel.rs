@@ -46,11 +46,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use incmr_data::Record;
 use incmr_dfs::BlockId;
 
 use crate::cluster::Parallelism;
-use crate::exec::{batches_to_pairs, Combiner, InputFormat, Key, Mapper, Reducer};
+use crate::exec::{batches_to_pairs, Combiner, InputFormat, Key, Mapper, ReduceOutput, Reducer};
 use crate::shuffle::{KeyGroups, PartitionedPairs};
 
 /// A self-contained piece of data-plane work: consumed once, produces a
@@ -201,8 +200,8 @@ pub struct ReduceUnit {
 /// What a finished reduce task hands back.
 #[derive(Debug, Clone, Default)]
 pub struct ReduceTaskResult {
-    /// The reducer's output pairs, in key-group order.
-    pub output: Vec<(Key, Record)>,
+    /// The reducer's output, in key-group order.
+    pub output: ReduceOutput,
     /// Host nanoseconds spent computing this unit (observability only).
     pub host_ns: u64,
 }
@@ -212,7 +211,7 @@ impl WorkUnit for ReduceUnit {
 
     fn compute(self) -> ReduceTaskResult {
         let start = Instant::now();
-        let mut output = Vec::new();
+        let mut output = ReduceOutput::default();
         let mut groups = self.groups;
         for key in &self.key_order {
             let values = groups.remove(key).expect("every ordered key has a group");

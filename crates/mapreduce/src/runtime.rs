@@ -57,7 +57,7 @@ use crate::approx::{rel_to_ppm, AggOutcome, AggProbe, AggReport, Estimator};
 use crate::cluster::{ClusterConfig, ClusterStatus};
 use crate::conf::keys;
 use crate::cost::CostModel;
-use crate::exec::Key;
+use crate::exec::ReduceOutput;
 use crate::faults::{pick_speculative, ClusterFaultPlan, FaultConfigError, SpecCandidate};
 use crate::job::{
     parse_conf, EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId,
@@ -72,7 +72,6 @@ use crate::parallel::{
 use crate::scheduler::{SchedJob, SchedView, TaskScheduler, ViewPolicy, VIEW_JOB_SLACK};
 use crate::shuffle::ShuffleState;
 use crate::trace::{TraceEvent, TraceKind};
-use incmr_data::Record;
 
 /// Default livelock-watchdog threshold: a job whose driver produces this
 /// many consecutive unproductive evaluations (no new splits) while nothing
@@ -135,9 +134,9 @@ struct AddOutcome {
     duplicates: u32,
 }
 
-/// A completed job's output pairs and, for an aggregate job, the
-/// estimator's verdict.
-type JobOutput = (Vec<(Key, Record)>, Option<AggReport>);
+/// A completed job's output and, for an aggregate job, the estimator's
+/// verdict.
+type JobOutput = (ReduceOutput, Option<AggReport>);
 
 /// Which modelled stage a running map attempt is in, holding the pending
 /// event or resource flow so the attempt can be cancelled mid-stage when
@@ -237,7 +236,7 @@ struct ReduceEntry {
     timer: Option<EventId>,
     /// Attempts consumed (counted failures; kills are free).
     attempts: u32,
-    output: Vec<(Key, Record)>,
+    output: ReduceOutput,
 }
 
 /// The armed cluster fault model: the plan plus independent deterministic
@@ -676,10 +675,13 @@ impl MrRuntime {
     }
 
     /// Record one latency sample into the cluster-wide registry and the
-    /// job's own.
+    /// job's own. A job's histograms move into its [`JobResult`] when it
+    /// completes, so no sample may arrive after that.
     fn obs_record(&mut self, id: JobId, f: impl Fn(&mut MetricsRegistry)) {
         f(&mut self.obs_registry);
-        f(&mut self.job_mut(id).hist);
+        let job = self.job_mut(id);
+        debug_assert!(job.phase != JobPhase::Done, "sample for completed {id:?}");
+        f(&mut job.hist);
     }
 
     fn audit_push(&mut self, record: AuditRecord) {
@@ -987,13 +989,13 @@ impl MrRuntime {
         self.job(id).result.as_ref().expect("job not yet complete")
     }
 
-    /// Move a completed job's output pairs out of its [`JobResult`],
-    /// leaving the output empty. The result rows are handed out once this
-    /// way instead of copied; every scalar in the result stays readable.
+    /// Move a completed job's output out of its [`JobResult`], leaving
+    /// the output empty. The result rows are handed out once this way
+    /// instead of copied; every scalar in the result stays readable.
     ///
     /// # Panics
     /// Panics if the job has not completed.
-    pub fn take_job_output(&mut self, id: JobId) -> Vec<(Key, Record)> {
+    pub fn take_job_output(&mut self, id: JobId) -> ReduceOutput {
         let result = self
             .job_mut(id)
             .result
@@ -1025,7 +1027,7 @@ impl MrRuntime {
         let job = self.job_mut(id);
         assert!(job.phase == JobPhase::Done, "cannot release a live job");
         if let Some(result) = &mut job.result {
-            result.output = Vec::new();
+            result.output = ReduceOutput::default();
         }
         job.tasks = Vec::new();
         job.pending_by_node = Vec::new();
@@ -2700,7 +2702,7 @@ impl MrRuntime {
         let failed = outcome.is_err();
         let (output, agg, error) = match outcome {
             Ok((output, agg)) => (output, agg, None),
-            Err(error) => (Vec::new(), None, Some(error)),
+            Err(error) => (ReduceOutput::default(), None, Some(error)),
         };
         job.result = Some(JobResult {
             job: id,
@@ -2714,7 +2716,7 @@ impl MrRuntime {
             failed,
             error,
             output,
-            histograms: job.hist.clone(),
+            histograms: std::mem::take(&mut job.hist),
             agg,
         });
         self.record(TraceKind::JobCompleted { job: id, failed });
@@ -2758,7 +2760,7 @@ impl MrRuntime {
                 pending: None,
                 timer: None,
                 attempts: 0,
-                output: Vec::new(),
+                output: ReduceOutput::default(),
             })
             .collect();
         // Unmaterialised output (counts/bytes only) spreads evenly.
@@ -2959,8 +2961,8 @@ impl MrRuntime {
             .iter_mut()
             .map(|e| std::mem::take(&mut e.output));
         let mut output = outputs.next().unwrap_or_default();
-        for mut more in outputs {
-            output.append(&mut more);
+        for more in outputs {
+            output.append(more);
         }
         // A sampling job that ran out of matching input (or hit a graceful
         // deadline) below its `k` still completes: the paper's answer set
@@ -3015,7 +3017,7 @@ mod tests {
 
     use super::*;
     use crate::approx::{encode_funcs, encode_group_part, AggKind};
-    use crate::exec::{DatasetInputFormat, MapResult, Mapper, ScanMode, SplitData};
+    use crate::exec::{DatasetInputFormat, Key, MapResult, Mapper, ScanMode, SplitData};
     use crate::job::{JobSpec, StaticDriver};
     use crate::scheduler::FifoScheduler;
 

@@ -309,4 +309,32 @@ mod tests {
         };
         assert_eq!(svc.wait(ticket).rows.len(), 3);
     }
+
+    /// A failed query's result says why it failed, not only that it did.
+    #[test]
+    fn a_failed_query_carries_its_error() {
+        let mut svc = service(ServiceConfig::default());
+        svc.runtime_mut()
+            .inject_cluster_faults(incmr_mapreduce::ClusterFaultPlan {
+                map_fault_probability: 0.9,
+                max_attempts: 1,
+                seed: 7,
+                ..Default::default()
+            })
+            .expect("valid plan");
+        let a = svc.add_tenant(TenantProfile::default());
+        let ServiceReply::Admitted(ticket) = svc.submit(a, SAMPLE).unwrap() else {
+            panic!()
+        };
+        let result = svc.wait(ticket);
+        assert!(result.failed && result.rows.is_empty());
+        assert!(
+            matches!(
+                result.error,
+                Some(incmr_mapreduce::JobError::TaskAttemptsExhausted { .. })
+            ),
+            "{:?}",
+            result.error
+        );
+    }
 }

@@ -14,9 +14,10 @@ use std::sync::Arc;
 
 use incmr::data::lineitem::col;
 use incmr::data::predicate::CmpOp;
+use incmr::mapreduce::ReduceOutput;
 use incmr::prelude::*;
 
-fn mean_quantity(rows: &[(Key, Record)]) -> f64 {
+fn mean_quantity(rows: &ReduceOutput) -> f64 {
     let sum: i64 = rows
         .iter()
         .map(|(_, r)| match r.get(col::QUANTITY) {

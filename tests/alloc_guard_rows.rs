@@ -2,14 +2,17 @@
 //!
 //! A sampled row should be built once: when the reducer keeps it, at the
 //! client boundary. The shuffle hands each key group to the reducer by
-//! value, the reducer builds only the rows it outputs, and collecting the
-//! result moves them. Grouped aggregation likewise accumulates into one
+//! value, the reducer builds only the rows it outputs, straight into the
+//! reduce output's row vector, and collecting the result hands that vector
+//! to the caller by move. Grouped aggregation likewise accumulates into one
 //! slot per group and renders each group's key once, not once per row.
 //! A materialised scan clones each row's key `r{i}` out of its mapper's
 //! key table instead of formatting and interning one per row. This test
 //! pins all three with a counting global allocator: a reintroduced per-row
 //! copy or per-row key costs one allocation per row or more and trips the
-//! guard.
+//! guard. Cloning the sample's shared key per row allocates nothing, so
+//! that is guarded by refcount instead
+//! (`incmr-core`'s `a_reduce_holds_its_key_once_not_per_row`).
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can perturb
 //! the counter.

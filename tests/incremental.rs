@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use incmr::core::ContinuousSampling;
-use incmr::mapreduce::{keys, MemoMetrics};
+use incmr::mapreduce::{keys, MemoMetrics, ReduceOutput};
 use incmr::prelude::*;
 
 /// Initial dataset size for the replay matrix.
@@ -422,7 +422,7 @@ fn arrivals_are_traced_and_counted_once() {
 /// thread count.
 #[test]
 fn a_standing_query_parks_and_is_woken_by_arriving_data() {
-    let outputs: Vec<(Vec<(Key, Record)>, String)> = [1u32, 4, 8]
+    let outputs: Vec<(ReduceOutput, String)> = [1u32, 4, 8]
         .iter()
         .map(|&threads| {
             let mut ns = Namespace::new(ClusterTopology::paper_cluster());

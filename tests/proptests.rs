@@ -410,14 +410,87 @@ impl incmr::mapreduce::Reducer for ReverseReducer {
     }
 }
 
+/// A reduce-only reducer that emits each row under its group key when the
+/// row's last value is even and under a key of its own when it is odd, so
+/// the default `reduce_group` splits its output into runs of random
+/// length.
+struct AlternatingReducer;
+
+impl incmr::mapreduce::Reducer for AlternatingReducer {
+    fn reduce(&self, key: &Key, values: &[Record], output: &mut Vec<(Key, Record)>) {
+        let other = Key::from("odd");
+        output.extend(values.iter().map(|r| {
+            let odd = matches!(r.values().last(), Some(Value::Int(v)) if v % 2 != 0);
+            (Key::clone(if odd { &other } else { key }), r.clone())
+        }));
+    }
+}
+
+/// Owned copies of an output's `(key, row)` pairs.
+fn pairs_of(output: &incmr::mapreduce::ReduceOutput) -> Vec<(Key, Record)> {
+    output
+        .iter()
+        .map(|(k, r)| (Key::clone(k), r.clone()))
+        .collect()
+}
+
+/// A `(key, row)` sequence over three keys, each pair's key a fresh
+/// allocation so equality cannot lean on pointer identity.
+fn keyed_rows(spec: &[(u8, i64)]) -> Vec<(Key, Record)> {
+    spec.iter()
+        .map(|&(k, v)| (Key::from(format!("k{k}")), Record::new(vec![Value::Int(v)])))
+        .collect()
+}
+
+/// Build a `ReduceOutput` holding `pairs`, cutting the sequence into
+/// chunks that enter by `push`, by the run builder (`fill`, one call per
+/// stretch of equal keys, plus an empty fill under a stray key) or as a
+/// separately built output passed to `append`.
+fn build_output(pairs: &[(Key, Record)], cuts: &[(u8, usize)]) -> incmr::mapreduce::ReduceOutput {
+    use incmr::mapreduce::ReduceOutput;
+
+    fn fill_runs(out: &mut ReduceOutput, chunk: &[(Key, Record)]) {
+        for run in chunk.chunk_by(|a, b| a.0 == b.0) {
+            out.fill(&run[0].0, |rows| {
+                rows.extend(run.iter().map(|(_, r)| r.clone()))
+            });
+        }
+        out.fill(&Key::from("stray"), |_| {});
+    }
+
+    let mut out = ReduceOutput::default();
+    let mut rest = pairs;
+    let mut cuts = cuts.iter().cycle();
+    while !rest.is_empty() {
+        let &(how, size) = cuts.next().unwrap_or(&(0, usize::MAX));
+        let (chunk, tail) = rest.split_at(size.min(rest.len()));
+        rest = tail;
+        match how {
+            0 => chunk.iter().for_each(|(k, r)| out.push(k, r.clone())),
+            1 => fill_runs(&mut out, chunk),
+            _ => {
+                let mut more = ReduceOutput::default();
+                if how == 2 {
+                    chunk.iter().for_each(|(k, r)| more.push(k, r.clone()));
+                } else {
+                    fill_runs(&mut more, chunk);
+                }
+                out.append(more);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `Reducer::reduce_group` over an owned group outputs exactly what
-    /// `reduce` outputs over the materialised group: for the identity
-    /// reducer, for first-k and random-k sampling with k below, at and
-    /// above the group size, and for a reducer that keeps the default.
-    /// The materialised group itself equals the rows built value by
+    /// The output `Reducer::reduce_group` builds from an owned group
+    /// iterates exactly the pairs `reduce` outputs over the materialised
+    /// group: for the identity reducer, for first-k and random-k sampling
+    /// with k below, at and above the group size, and for two reducers
+    /// that keep the default, one of them splitting its output across two
+    /// keys. The materialised group itself equals the rows built value by
     /// value, so the row kernel is checked against rows it did not build.
     #[test]
     fn reduce_group_matches_reduce_over_rows(
@@ -428,12 +501,15 @@ proptest! {
         projected in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        use incmr::mapreduce::{IdentityReducer, Reducer};
+        use incmr::mapreduce::{IdentityReducer, ReduceOutput, Reducer};
 
         let (seq, expect) = value_seq(&segments, projected);
         let len = seq.len() as u64;
-        let mut reducers: Vec<Box<dyn Reducer>> =
-            vec![Box::new(IdentityReducer), Box::new(ReverseReducer)];
+        let mut reducers: Vec<Box<dyn Reducer>> = vec![
+            Box::new(IdentityReducer),
+            Box::new(ReverseReducer),
+            Box::new(AlternatingReducer),
+        ];
         for k in [len.saturating_sub(1).max(1), len.max(1), len + 1] {
             reducers.push(Box::new(SamplingReducer::new(k, SampleMode::FirstK)));
             reducers.push(Box::new(SamplingReducer::new(k, SampleMode::RandomK { seed })));
@@ -442,11 +518,43 @@ proptest! {
         let rows = seq.to_rows();
         prop_assert_eq!(&rows, &expect);
         for reducer in &reducers {
-            let mut by_group = Vec::new();
+            let mut by_group = ReduceOutput::default();
             reducer.reduce_group(&key, seq.clone(), &mut by_group);
             let mut by_rows = Vec::new();
             reducer.reduce(&key, &rows, &mut by_rows);
-            prop_assert_eq!(by_group, by_rows);
+            prop_assert_eq!(by_group.len(), by_rows.len());
+            prop_assert_eq!(pairs_of(&by_group), by_rows);
         }
+    }
+
+    /// However a `(key, row)` sequence enters a `ReduceOutput` — pair by
+    /// pair, a run at a time or as appended outputs — `iter()` returns
+    /// exactly that sequence, and two outputs compare equal exactly when
+    /// their sequences do.
+    #[test]
+    fn reduce_output_holds_its_sequence_however_it_was_built(
+        a in prop::collection::vec((0u8..3, 0i64..4), 0..40),
+        edit in prop::option::of((0usize..40, 0u8..3, 0i64..4)),
+        cuts_a in prop::collection::vec((0u8..4, 1usize..8), 1..8),
+        cuts_b in prop::collection::vec((0u8..4, 1usize..8), 1..8),
+    ) {
+        let mut b = a.clone();
+        if let Some((i, k, v)) = edit {
+            match b.len() {
+                0 => b.push((k, v)),
+                n => b[i % n] = (k, v),
+            }
+        }
+        let (pairs_a, pairs_b) = (keyed_rows(&a), keyed_rows(&b));
+        let (out_a, out_b) = (build_output(&pairs_a, &cuts_a), build_output(&pairs_b, &cuts_b));
+        prop_assert_eq!(pairs_of(&out_a), pairs_a.clone());
+        prop_assert_eq!(pairs_of(&out_b), pairs_b.clone());
+        prop_assert_eq!(out_a.len(), a.len());
+        prop_assert_eq!(out_a.iter().len(), a.len());
+        prop_assert_eq!((&out_a).into_iter().count(), a.len());
+        prop_assert_eq!(out_a.is_empty(), a.is_empty());
+        prop_assert_eq!(out_a == out_b, a == b);
+        let rows: Vec<Record> = pairs_a.into_iter().map(|(_, r)| r).collect();
+        prop_assert_eq!(out_a.into_rows(), rows);
     }
 }
