@@ -23,7 +23,7 @@
 //!   `BudgetExhausted`.
 
 use incmr_dfs::BlockId;
-use incmr_mapreduce::{ClusterStatus, EvalContext, DEFAULT_AGG_ROUNDS};
+use incmr_mapreduce::{ClusterStatus, EvalContext};
 use incmr_simkit::rng::DetRng;
 use rand::Rng;
 
@@ -47,7 +47,7 @@ impl EstimatingInputProvider {
     /// Create a provider over the job's complete candidate input. `seed`
     /// drives the random split selection; `rounds_budget` bounds how many
     /// growth rounds `next_input` may spend (≥ 1; see
-    /// [`DEFAULT_AGG_ROUNDS`]).
+    /// [`DEFAULT_AGG_ROUNDS`](incmr_mapreduce::DEFAULT_AGG_ROUNDS)).
     pub fn new(all_splits: Vec<BlockId>, rounds_budget: u64, seed: u64) -> Self {
         assert!(rounds_budget >= 1, "round budget must be positive");
         EstimatingInputProvider {
@@ -57,11 +57,6 @@ impl EstimatingInputProvider {
             rounds_budget,
             rounds_used: 0,
         }
-    }
-
-    /// A provider with the default round budget.
-    pub fn with_default_budget(all_splits: Vec<BlockId>, seed: u64) -> Self {
-        Self::new(all_splits, DEFAULT_AGG_ROUNDS, seed)
     }
 
     /// Total splits handed out so far (initial grab plus every round).
@@ -96,8 +91,8 @@ impl InputProvider for EstimatingInputProvider {
 
     fn next_input(&mut self, ctx: EvalContext<'_>) -> InputResponse {
         // The runtime's probe is the sole stopping authority. A missing
-        // probe means this provider was attached to a job without the
-        // `mapred.agg.*` plan — treat it as "no statistics yet".
+        // probe means this provider was attached to a job without a
+        // bounded `AggPlan` — treat it as "no statistics yet".
         if let Some(probe) = ctx.agg {
             if probe.bound_met {
                 return InputResponse::EndOfInput;

@@ -173,21 +173,9 @@ pub enum Projection {
 
 /// The `WITH ERROR e CONFIDENCE c` clause: request an approximate answer
 /// whose per-group relative error is at most `error` with probability at
-/// least `confidence`. Both are in the open interval (0, 1); the parser
-/// rejects anything else.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ErrorBound {
-    /// Maximum relative error, e.g. `0.05`.
-    pub error: f64,
-    /// Confidence level, e.g. `0.95` (the default when the clause omits
-    /// `CONFIDENCE`).
-    pub confidence: f64,
-}
-
-impl ErrorBound {
-    /// Confidence used when the clause names only the error.
-    pub const DEFAULT_CONFIDENCE: f64 = 0.95;
-}
+/// least `confidence`. The parser rejects values outside (0, 1); the
+/// compiler puts the bound on the job's `AggPlan` as is.
+pub use incmr_mapreduce::ErrorBound;
 
 /// A parsed `SELECT` query.
 #[derive(Debug, Clone, PartialEq)]

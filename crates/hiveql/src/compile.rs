@@ -31,11 +31,11 @@ use incmr_core::{
 use incmr_data::generator::RecordFactory;
 use incmr_data::{predicate, ColumnType, Dataset, Schema, Value};
 use incmr_mapreduce::{
-    encode_funcs, keys, AggKind, GrowthDriver, JobConf, JobSpec, ScanMode, StaticDriver,
+    keys, AggKind, AggPlan, GrowthDriver, JobConf, JobSpec, ScanMode, StaticDriver,
 };
 
 use crate::agg::{GroupAggMapper, GroupAggReducer, ResolvedAgg};
-use crate::ast::{AggExpr, AggFunc, CmpOp, Expr, Literal, Projection, Query};
+use crate::ast::{AggExpr, AggFunc, CmpOp, ErrorBound, Expr, Literal, Projection, Query};
 use crate::catalog::Catalog;
 
 /// Compilation failures.
@@ -423,8 +423,8 @@ pub fn compile_query(
     // Memo identity: the semantic computation — table, predicate,
     // grouping, aggregate list (and a bound, below), rendered from
     // resolved columns so spelling variants of one query share a
-    // signature. No AGG_TOTAL_SPLITS: per-split map output does not
-    // depend on it, so the cache survives appends.
+    // signature. No split total: per-split map output does not depend on
+    // it, so the cache survives appends.
     let pred_rendered = predicate.display(&schema).to_string();
     let group_rendered = format!("{group_idx:?}");
     let aggs_rendered = format!("{resolved:?}");
@@ -435,10 +435,15 @@ pub fn compile_query(
         ("query.aggs", &aggs_rendered),
     ];
     let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
-    let total = blocks.len() as u64;
-    let spec = |conf: JobConf| {
+    let total = blocks.len() as u32;
+    let spec = |conf: JobConf, bound: Option<ErrorBound>, funcs: Vec<AggKind>| {
         JobSpec::builder()
-            .conf(conf.with(keys::AGG_TOTAL_SPLITS, total))
+            .conf(conf)
+            .agg_plan(AggPlan {
+                total_splits: total,
+                bound,
+                funcs,
+            })
             .reduces(1)
             .input(incmr_mapreduce::DatasetInputFormat::new(
                 Arc::clone(dataset),
@@ -454,7 +459,7 @@ pub fn compile_query(
             .with(keys::JOB_NAME, format!("agg-{}", query.table))
             .with(keys::JOB_SIGNATURE, semantic_signature(&identity));
         return Ok(CompiledQuery {
-            spec: spec(conf),
+            spec: spec(conf, None, Vec::new()),
             driver: Box::new(StaticDriver::new(blocks)),
             plan: JobPlan::AggregateScan {
                 aggregates: rendered,
@@ -480,18 +485,14 @@ pub fn compile_query(
         .with(keys::DYNAMIC_JOB, true)
         .with(keys::DYNAMIC_JOB_POLICY, &policy.name)
         .with(keys::DYNAMIC_INPUT_PROVIDER, "EstimatingInputProvider")
-        .with(keys::AGG_ERROR, bound.error)
-        .with(keys::AGG_CONFIDENCE, bound.confidence)
-        .with(keys::AGG_ROUNDS, agg_rounds)
-        .with(keys::AGG_FUNCS, encode_funcs(&funcs))
         .with(keys::JOB_SIGNATURE, semantic_signature(&identity));
     let provider = EstimatingInputProvider::new(blocks, agg_rounds, seed);
     Ok(CompiledQuery {
-        spec: spec(conf),
+        spec: spec(conf, Some(*bound), funcs),
         driver: Box::new(DynamicDriver::new(
             Box::new(provider),
             policy.clone(),
-            total as u32,
+            total,
         )),
         plan: JobPlan::ApproxAggregate {
             aggregates: rendered,
@@ -790,8 +791,14 @@ mod tests {
         assert!(!c.spec.conf.get_bool(keys::DYNAMIC_JOB));
         // Only estimating jobs read the function list; exact runs never
         // scale their rows.
-        assert_eq!(c.spec.conf.get(keys::AGG_FUNCS), None);
-        assert_eq!(c.spec.conf.get(keys::AGG_TOTAL_SPLITS), Some("8"));
+        assert_eq!(
+            c.spec.agg_plan,
+            Some(AggPlan {
+                total_splits: 8,
+                bound: None,
+                funcs: Vec::new(),
+            })
+        );
         assert!(c.explain().contains("group by: L_RETURNFLAG"));
     }
 
@@ -817,8 +824,17 @@ mod tests {
             c.spec.conf.get(keys::DYNAMIC_INPUT_PROVIDER),
             Some("EstimatingInputProvider")
         );
-        assert_eq!(c.spec.conf.get(keys::AGG_ERROR), Some("0.05"));
-        assert_eq!(c.spec.conf.get(keys::AGG_CONFIDENCE), Some("0.9"));
+        assert_eq!(
+            c.spec.agg_plan,
+            Some(AggPlan {
+                total_splits: 8,
+                bound: Some(ErrorBound {
+                    error: 0.05,
+                    confidence: 0.9,
+                }),
+                funcs: vec![AggKind::Avg],
+            })
+        );
         assert!(c.spec.conf.get(keys::JOB_SIGNATURE).is_some());
         assert!(c.explain().contains("EstimatingInputProvider"));
     }
@@ -880,20 +896,5 @@ mod tests {
             compile("SELECT * FROM lineitem WITH ERROR 0.05", ScanMode::Full).unwrap_err(),
             CompileError::ErrorBoundWithoutAggregates
         );
-    }
-
-    #[test]
-    fn agg_rounds_flows_into_the_estimating_conf() {
-        let c = compile_query(
-            &query("SELECT COUNT(*) FROM lineitem WITH ERROR 0.05"),
-            &catalog(),
-            &Policy::la(),
-            ScanMode::Full,
-            SampleMode::FirstK,
-            1,
-            3,
-        )
-        .unwrap();
-        assert_eq!(c.spec.conf.get(keys::AGG_ROUNDS), Some("3"));
     }
 }

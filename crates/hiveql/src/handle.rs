@@ -5,9 +5,7 @@
 
 use incmr_core::SampleOutcome;
 use incmr_data::{Record, Value};
-use incmr_mapreduce::{
-    decode_funcs, keys, AggKind, AggReport, JobError, JobId, MetricsRegistry, MrRuntime,
-};
+use incmr_mapreduce::{AggKind, AggReport, JobError, JobId, MetricsRegistry, MrRuntime};
 use incmr_simkit::{SimDuration, SimTime};
 
 use crate::session::{QueryOutput, Session};
@@ -111,15 +109,15 @@ pub struct QueryResult {
 }
 
 /// Build a [`QueryResult`] from a completed job, moving its row vector
-/// out of the runtime ([`MrRuntime::take_job_output`]): collect each job
-/// once. Shared by [`QueryHandle`] and the multi-tenant query service
-/// (which drives its own runtime).
+/// and histograms out of the runtime ([`MrRuntime::take_job_output`]):
+/// collect each job once. Shared by [`QueryHandle`] and the multi-tenant
+/// query service (which drives its own runtime).
 pub fn collect_result(
     runtime: &mut MrRuntime,
     job: JobId,
     requested_k: Option<u64>,
 ) -> QueryResult {
-    let output = runtime.take_job_output(job);
+    let (output, histograms) = runtime.take_job_output(job);
     let result = runtime.job_result(job);
     let outcome = match requested_k {
         Some(requested) if !result.failed => {
@@ -136,14 +134,8 @@ pub fn collect_result(
     // Aggregate estimates cover only the sampled splits: expand SUM/COUNT
     // by the report's M/m scale (AVG is a ratio estimate and is already
     // unbiased). Exact finishes have scale 1.0, so this is a no-op there.
-    if let Some(report) = &result.agg {
-        if let Some(funcs) = runtime
-            .job_conf(job)
-            .get(keys::AGG_FUNCS)
-            .and_then(decode_funcs)
-        {
-            scale_estimates(&mut rows, report, &funcs);
-        }
+    if let (Some(report), Some(plan)) = (&result.agg, &runtime.job_spec(job).agg_plan) {
+        scale_estimates(&mut rows, report, &plan.funcs);
     }
     QueryResult {
         job,
@@ -154,7 +146,7 @@ pub fn collect_result(
         response_time: result.response_time(),
         outcome,
         agg: result.agg,
-        histograms: result.histograms.clone(),
+        histograms,
         failed: result.failed,
         error: result.error.clone(),
     }

@@ -897,21 +897,58 @@ mod tests {
         assert_eq!(s.state().agg_rounds(), 1, "keys are case-insensitive");
         s.execute("SET mapred.agg.rounds = 5").unwrap();
         assert_eq!(s.state().agg_rounds(), 5);
+        // The budget reaches the estimating provider: one growth round
+        // stops a statement that the default budget lets grow further.
+        let splits = |rounds: Option<u64>| {
+            let mut s = session_with(SkewLevel::High, true);
+            if let Some(r) = rounds {
+                s.execute(&format!("SET mapred.agg.rounds = {r}")).unwrap();
+            }
+            let out = s
+                .execute(
+                    "SELECT SUM(L_QUANTITY), COUNT(*) FROM lineitem \
+                     WHERE L_QUANTITY > 48 WITH ERROR 0.01",
+                )
+                .unwrap();
+            let QueryOutput::Rows {
+                splits_processed, ..
+            } = out
+            else {
+                panic!("a SELECT returns rows")
+            };
+            splits_processed
+        };
+        let starved = splits(Some(1));
+        let default = splits(None);
+        assert!(
+            starved < default,
+            "{starved} splits under one round, {default} under the default budget"
+        );
+    }
+
+    #[test]
+    fn collect_moves_the_jobs_histograms() {
+        let mut s = session(SkewLevel::High);
         let Submitted::Pending(handle) = s
-            .submit("SELECT COUNT(*) FROM lineitem WITH ERROR 0.1")
+            .submit("SELECT L_ORDERKEY FROM LINEITEM WHERE L_TAX = 0.77 LIMIT 10")
             .unwrap()
         else {
-            panic!()
+            panic!("SELECT must be pending")
         };
-        assert_eq!(
-            s.runtime()
-                .job_conf(handle.job())
-                .get(incmr_mapreduce::keys::AGG_ROUNDS),
-            Some("5"),
-            "the SET budget reaches the job conf"
-        );
+        let job = handle.job();
         let result = handle.wait(&mut s);
-        assert!(!result.failed);
+        // The only job recorded every sample of the runtime-wide registry.
+        assert_eq!(&result.histograms, s.runtime().histograms());
+        assert!(result
+            .histograms
+            .families()
+            .iter()
+            .any(|(_, h)| h.count() > 0));
+        assert_eq!(
+            s.runtime().job_result(job).histograms,
+            incmr_mapreduce::MetricsRegistry::new(),
+            "the registry moved into the result; no copy stays behind"
+        );
     }
 
     #[test]

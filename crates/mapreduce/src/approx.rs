@@ -11,6 +11,12 @@
 //! configured relative-error bound already holds for *every* group and
 //! aggregate at the requested confidence.
 //!
+//! An aggregate job states what the runtime needs in one typed
+//! [`AggPlan`] on its `JobSpec`: the split total, and under a bound the
+//! [`ErrorBound`] and the estimated functions. The query compiler builds
+//! it from the parsed query; `JobSpecBuilder::try_build` and
+//! `MrRuntime::try_submit` check it.
+//!
 //! Everything here is pure arithmetic over deterministic inputs: the fold
 //! visits splits in ascending task-id order, so estimates are
 //! byte-identical across data-plane thread counts, across warm (memoized)
@@ -20,7 +26,6 @@ use std::collections::BTreeMap;
 
 use incmr_simkit::SimTime;
 
-use crate::conf::{keys, ConfError, JobConf};
 use crate::exec::Key;
 use crate::job::JobId;
 use crate::shuffle::PartitionedPairs;
@@ -31,10 +36,10 @@ use incmr_data::{Record, Value};
 /// split would otherwise stop the job immediately).
 pub const MIN_PROBE_SPLITS: u32 = 4;
 
-/// Default growth-round budget when `mapred.agg.rounds` is absent.
+/// Default growth-round budget when a session sets no `mapred.agg.rounds`.
 pub const DEFAULT_AGG_ROUNDS: u64 = 16;
 
-/// An estimable aggregate function, as carried in `mapred.agg.funcs`.
+/// An estimable aggregate function, as listed in [`AggPlan::funcs`].
 ///
 /// This deliberately mirrors the estimable subset of the HiveQL
 /// `AggFunc` — `MIN`/`MAX` have no CLT error bound and are rejected by
@@ -47,38 +52,6 @@ pub enum AggKind {
     Sum,
     /// `AVG(col)` — ratio estimator `R̂ = ΣY_i / Σn_i`.
     Avg,
-}
-
-impl AggKind {
-    /// Stable wire name used in `mapred.agg.funcs`.
-    pub fn name(self) -> &'static str {
-        match self {
-            AggKind::Count => "count",
-            AggKind::Sum => "sum",
-            AggKind::Avg => "avg",
-        }
-    }
-
-    /// Parse one wire name.
-    pub fn from_name(s: &str) -> Option<AggKind> {
-        match s {
-            "count" => Some(AggKind::Count),
-            "sum" => Some(AggKind::Sum),
-            "avg" => Some(AggKind::Avg),
-            _ => None,
-        }
-    }
-}
-
-/// Render an aggregate list for `mapred.agg.funcs` (comma separated).
-pub fn encode_funcs(funcs: &[AggKind]) -> String {
-    funcs.iter().map(|f| f.name()).collect::<Vec<_>>().join(",")
-}
-
-/// Parse `mapred.agg.funcs` back into a function list.
-pub fn decode_funcs(s: &str) -> Option<Vec<AggKind>> {
-    let funcs: Option<Vec<AggKind>> = s.split(',').map(AggKind::from_name).collect();
-    funcs.filter(|f| !f.is_empty())
 }
 
 // ---------------------------------------------------------------------------
@@ -94,7 +67,7 @@ pub struct SplitAggPart {
     pub group: Key,
     /// Matching rows of this group in this split.
     pub n: u64,
-    /// Per-aggregate split totals, aligned with `mapred.agg.funcs`.
+    /// Per-aggregate split totals, aligned with [`AggPlan::funcs`].
     pub sums: Vec<f64>,
 }
 
@@ -385,84 +358,42 @@ pub fn rel_to_ppm(rel: f64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Job-level plumbing: conf parsing, probes, reports
+// Job-level plumbing: the plan, probes, reports
 // ---------------------------------------------------------------------------
 
-/// The parsed error-bound configuration of an estimating aggregate job.
+/// A `WITH ERROR e CONFIDENCE c` bound: every group's every aggregate is
+/// within relative error `error` with probability at least `confidence`.
+/// Both lie strictly inside (0, 1); the SQL parser and the job checks
+/// reject anything else.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ErrorBound {
+    /// Maximum relative error, e.g. `0.05`.
+    pub error: f64,
+    /// Confidence level, e.g. `0.95` (the default when the clause omits
+    /// `CONFIDENCE`).
+    pub confidence: f64,
+}
+
+impl ErrorBound {
+    /// Confidence used when the clause names only the error.
+    pub const DEFAULT_CONFIDENCE: f64 = 0.95;
+}
+
+/// What the runtime needs to know about an aggregate job. Every
+/// aggregate plan carries the split total, so its result reports an
+/// [`AggReport`]; a plan with a bound also makes the job *estimating*:
+/// the runtime folds per-group accumulators from map output and probes
+/// the stopping rule before every driver evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggPlan {
-    /// Relative error bound `e` ∈ (0, 1) (`mapred.agg.error`).
-    pub error: f64,
-    /// Confidence level `c` ∈ (0, 1) (`mapred.agg.confidence`).
-    pub confidence: f64,
-    /// Growth-round budget (`mapred.agg.rounds`).
-    pub rounds: u64,
-    /// Aggregate functions, in projection order (`mapred.agg.funcs`).
-    pub funcs: Vec<AggKind>,
-    /// Candidate input size `M` (`mapred.agg.total.splits`).
+    /// Candidate input size `M`: the table's split count, which the
+    /// expansion estimator scales against. Nonzero.
     pub total_splits: u32,
-}
-
-fn bad(key: &str, value: &str, wanted: &'static str) -> ConfError {
-    ConfError {
-        key: key.to_string(),
-        value: value.to_string(),
-        wanted,
-    }
-}
-
-/// Parse and validate the error-bound keys of a conf. Returns `Ok(None)`
-/// when the job carries no `mapred.agg.error` (not an estimating job);
-/// typed [`ConfError`]s reject out-of-range `e`/`c`, a zero round budget,
-/// an unknown function name, and a missing/zero split total.
-pub fn agg_plan_of(conf: &JobConf) -> Result<Option<AggPlan>, ConfError> {
-    let Some(raw_error) = conf.get(keys::AGG_ERROR) else {
-        if let Some(raw_c) = conf.get(keys::AGG_CONFIDENCE) {
-            return Err(bad(
-                keys::AGG_CONFIDENCE,
-                raw_c,
-                "confidence without mapred.agg.error",
-            ));
-        }
-        return Ok(None);
-    };
-    let error: f64 = raw_error
-        .parse()
-        .ok()
-        .filter(|e: &f64| e.is_finite() && *e > 0.0 && *e < 1.0)
-        .ok_or_else(|| bad(keys::AGG_ERROR, raw_error, "relative error in (0, 1)"))?;
-    let raw_conf = conf.get(keys::AGG_CONFIDENCE).unwrap_or("0.95");
-    let confidence: f64 = raw_conf
-        .parse()
-        .ok()
-        .filter(|c: &f64| c.is_finite() && *c > 0.0 && *c < 1.0)
-        .ok_or_else(|| bad(keys::AGG_CONFIDENCE, raw_conf, "confidence in (0, 1)"))?;
-    let rounds = conf.get_u64_or(keys::AGG_ROUNDS, DEFAULT_AGG_ROUNDS)?;
-    if rounds == 0 {
-        return Err(bad(
-            keys::AGG_ROUNDS,
-            conf.get(keys::AGG_ROUNDS).unwrap_or("0"),
-            "growth-round budget >= 1",
-        ));
-    }
-    let raw_funcs = conf.get(keys::AGG_FUNCS).unwrap_or("");
-    let funcs = decode_funcs(raw_funcs)
-        .ok_or_else(|| bad(keys::AGG_FUNCS, raw_funcs, "comma list of count|sum|avg"))?;
-    let total_splits = conf.get_u64_or(keys::AGG_TOTAL_SPLITS, 0)?;
-    if total_splits == 0 || total_splits > u64::from(u32::MAX) {
-        return Err(bad(
-            keys::AGG_TOTAL_SPLITS,
-            conf.get(keys::AGG_TOTAL_SPLITS).unwrap_or("0"),
-            "total split count >= 1",
-        ));
-    }
-    Ok(Some(AggPlan {
-        error,
-        confidence,
-        rounds,
-        funcs,
-        total_splits: total_splits as u32,
-    }))
+    /// The `WITH ERROR` bound; `None` for an exact aggregate.
+    pub bound: Option<ErrorBound>,
+    /// The estimated functions, in projection order. Read only under a
+    /// bound, where it must not be empty.
+    pub funcs: Vec<AggKind>,
 }
 
 /// One estimator probe, as handed to the growth driver through
@@ -541,24 +472,30 @@ impl AggReport {
     }
 }
 
-/// One estimating job's estimator state inside the runtime: the plan, the
-/// group observations of every completed split, and when the last probe
-/// ran. The observations are keyed by map task id, so every fold is a
-/// pure function of the completed task set — identical across thread
-/// counts and fault schedules.
+/// One estimating job's estimator state inside the runtime: its plan's
+/// bound, functions and split total, the group observations of every
+/// completed split, and when the last probe ran. The observations are
+/// keyed by map task id, so every fold is a pure function of the
+/// completed task set — identical across thread counts and fault
+/// schedules.
 pub(crate) struct Estimator {
-    plan: AggPlan,
+    bound: ErrorBound,
+    funcs: Vec<AggKind>,
+    total_splits: u32,
     parts: BTreeMap<u32, Vec<SplitAggPart>>,
     last_probe_at: Option<SimTime>,
 }
 
 impl Estimator {
-    pub(crate) fn new(plan: AggPlan) -> Estimator {
-        Estimator {
-            plan,
+    /// The estimator of a plan with a bound; `None` for an exact plan.
+    pub(crate) fn new(plan: &AggPlan) -> Option<Estimator> {
+        Some(Estimator {
+            bound: plan.bound?,
+            funcs: plan.funcs.clone(),
+            total_splits: plan.total_splits,
             parts: BTreeMap::new(),
             last_probe_at: None,
-        }
+        })
     }
 
     /// Lift one completed map task's group parts out of its output. An
@@ -566,7 +503,7 @@ impl Estimator {
     /// group, so a part with n = 0 (the whole-table partial of a split
     /// with no match) is dropped: it is the same zero observation.
     pub(crate) fn absorb(&mut self, task: u32, pairs: &PartitionedPairs) {
-        let n_aggs = self.plan.funcs.len();
+        let n_aggs = self.funcs.len();
         let parts = pairs
             .iter_pairs()
             .filter_map(|(k, r)| decode_group_part(k, r, n_aggs))
@@ -577,14 +514,13 @@ impl Estimator {
 
     /// The stopping rule over every split absorbed so far.
     fn evaluate(&self) -> BoundEval {
-        let plan = &self.plan;
         evaluate_bound(
-            &fold_parts(&self.parts, plan.funcs.len()),
+            &fold_parts(&self.parts, self.funcs.len()),
             self.parts.len() as u32,
-            plan.total_splits,
-            &plan.funcs,
-            plan.error,
-            plan.confidence,
+            self.total_splits,
+            &self.funcs,
+            self.bound.error,
+            self.bound.confidence,
         )
     }
 
@@ -603,7 +539,7 @@ impl Estimator {
         let probe = AggProbe {
             job,
             completed: self.parts.len() as u32,
-            total: self.plan.total_splits,
+            total: self.total_splits,
             groups: eval.groups,
             bound_met: eval.bound_met,
             worst_rel: eval.worst_rel,
@@ -618,7 +554,7 @@ impl Estimator {
     pub(crate) fn report(&self) -> AggReport {
         let eval = self.evaluate();
         let completed = self.parts.len() as u32;
-        let outcome = if completed >= self.plan.total_splits {
+        let outcome = if completed >= self.total_splits {
             AggOutcome::Exact
         } else if eval.bound_met {
             AggOutcome::BoundMet
@@ -628,7 +564,7 @@ impl Estimator {
         AggReport {
             outcome,
             completed,
-            total: self.plan.total_splits,
+            total: self.total_splits,
             groups: eval.groups,
             worst_rel: eval.worst_rel,
         }
@@ -654,15 +590,6 @@ mod tests {
         assert_eq!(back.n, 7);
         assert_eq!(back.sums, vec![1.5, -2.0]);
         assert!(decode_group_part(&Key::from("g"), &rec, 3).is_none());
-    }
-
-    #[test]
-    fn funcs_encode_decode() {
-        let funcs = vec![AggKind::Count, AggKind::Sum, AggKind::Avg];
-        assert_eq!(encode_funcs(&funcs), "count,sum,avg");
-        assert_eq!(decode_funcs("count,sum,avg").unwrap(), funcs);
-        assert!(decode_funcs("count,median").is_none());
-        assert!(decode_funcs("").is_none());
     }
 
     #[test]
@@ -773,48 +700,6 @@ mod tests {
         assert!(!eval.bound_met);
         assert_eq!(eval.worst_rel, f64::INFINITY);
         assert_eq!(rel_to_ppm(eval.worst_rel), u64::MAX);
-    }
-
-    #[test]
-    fn plan_parses_and_rejects_out_of_range() {
-        let conf = JobConf::new()
-            .with(keys::AGG_ERROR, 0.05)
-            .with(keys::AGG_CONFIDENCE, 0.95)
-            .with(keys::AGG_FUNCS, "sum,avg")
-            .with(keys::AGG_TOTAL_SPLITS, 40);
-        let plan = agg_plan_of(&conf).unwrap().unwrap();
-        assert_eq!(plan.error, 0.05);
-        assert_eq!(plan.confidence, 0.95);
-        assert_eq!(plan.rounds, DEFAULT_AGG_ROUNDS);
-        assert_eq!(plan.funcs, vec![AggKind::Sum, AggKind::Avg]);
-        assert_eq!(plan.total_splits, 40);
-        // Not an estimating job at all.
-        assert_eq!(agg_plan_of(&JobConf::new()).unwrap(), None);
-        // Out-of-range / malformed values are typed errors.
-        for (key, value) in [
-            (keys::AGG_ERROR, "0"),
-            (keys::AGG_ERROR, "1"),
-            (keys::AGG_ERROR, "-0.5"),
-            (keys::AGG_ERROR, "NaN"),
-            (keys::AGG_ERROR, "abc"),
-            (keys::AGG_CONFIDENCE, "0"),
-            (keys::AGG_CONFIDENCE, "1.2"),
-            (keys::AGG_ROUNDS, "0"),
-            (keys::AGG_FUNCS, "median"),
-            (keys::AGG_TOTAL_SPLITS, "0"),
-        ] {
-            let mut conf = JobConf::new()
-                .with(keys::AGG_ERROR, 0.05)
-                .with(keys::AGG_CONFIDENCE, 0.95)
-                .with(keys::AGG_FUNCS, "sum")
-                .with(keys::AGG_TOTAL_SPLITS, 40);
-            conf.set(key, value);
-            let err = agg_plan_of(&conf).unwrap_err();
-            assert_eq!(err.key, key, "{key}={value}");
-        }
-        // Confidence without an error bound is rejected, not ignored.
-        let orphan = JobConf::new().with(keys::AGG_CONFIDENCE, 0.9);
-        assert!(agg_plan_of(&orphan).is_err());
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! extends Hadoop's parameter set with three keys, re-exported here as
 //! constants: [`keys::DYNAMIC_JOB`], [`keys::DYNAMIC_JOB_POLICY`], and
 //! [`keys::DYNAMIC_INPUT_PROVIDER`].
+//!
+//! An aggregate job's facts (split total, error bound, function list)
+//! are not conf keys: they travel typed, as the
+//! [`AggPlan`](crate::approx::AggPlan) on the job's `JobSpec`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -60,26 +64,12 @@ pub mod keys {
     /// (see `incmr_dfs`'s `ReplicatedPlacement`) — but a malformed or
     /// zero value is rejected at build/submit time.
     pub const DFS_REPLICATION: &str = "dfs.replication";
-    /// Approximate-aggregation plane: relative error bound `e` ∈ (0, 1)
-    /// for `WITH ERROR e` queries. Presence of this key makes the job an
-    /// *estimating* aggregate job: the runtime folds per-group
-    /// accumulators from map output and probes a CLT stopping rule before
-    /// every driver evaluation (see `crate::approx`).
-    pub const AGG_ERROR: &str = "mapred.agg.error";
-    /// Approximate-aggregation plane: confidence level `c` ∈ (0, 1) for
-    /// `CONFIDENCE c` (default 0.95 when only the error bound is set).
-    pub const AGG_CONFIDENCE: &str = "mapred.agg.confidence";
-    /// Approximate-aggregation plane: growth-round budget — how many
-    /// times the estimating Input Provider may draw another batch of
-    /// splits before it must stop with `BudgetExhausted`. Must be ≥ 1.
+    /// Approximate-aggregation plane: the session `SET` key for the
+    /// growth-round budget of error-bounded plans — how many times the
+    /// estimating Input Provider may draw another batch of splits before
+    /// it must stop with `BudgetExhausted`. Must be ≥ 1. The compiler
+    /// hands the value to the provider; it never enters a job conf.
     pub const AGG_ROUNDS: &str = "mapred.agg.rounds";
-    /// Approximate-aggregation plane: the aggregate function list, in
-    /// projection order, as a comma list of `count|sum|avg` (written by
-    /// the compiler; the runtime's probe needs it to pick estimators).
-    pub const AGG_FUNCS: &str = "mapred.agg.funcs";
-    /// Approximate-aggregation plane: the candidate input size `M` the
-    /// expansion estimator scales against (the dataset's split count).
-    pub const AGG_TOTAL_SPLITS: &str = "mapred.agg.total.splits";
 }
 
 /// A job's configuration: an ordered string map with typed accessors.

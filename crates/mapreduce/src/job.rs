@@ -14,7 +14,7 @@ use std::sync::Arc;
 use incmr_dfs::BlockId;
 use incmr_simkit::SimDuration;
 
-use crate::approx::{agg_plan_of, AggPlan};
+use crate::approx::AggPlan;
 use crate::cluster::ClusterStatus;
 use crate::conf::{keys, ConfError, JobConf};
 use crate::exec::{Combiner, IdentityReducer, InputFormat, Mapper, ReduceOutput, Reducer};
@@ -60,6 +60,9 @@ pub struct JobSpec {
     pub combiner: Option<Arc<dyn Combiner>>,
     /// Reduce logic.
     pub reducer: Arc<dyn Reducer>,
+    /// An aggregate job's plan: its split total and, under an error
+    /// bound, the bound and estimated functions (`None` for other jobs).
+    pub agg_plan: Option<AggPlan>,
 }
 
 impl JobSpec {
@@ -73,6 +76,7 @@ impl JobSpec {
             mapper: None,
             combiner: None,
             reducer: Arc::new(IdentityReducer),
+            agg_plan: None,
         }
     }
 }
@@ -84,6 +88,7 @@ pub struct JobSpecBuilder {
     mapper: Option<Arc<dyn Mapper>>,
     combiner: Option<Arc<dyn Combiner>>,
     reducer: Arc<dyn Reducer>,
+    agg_plan: Option<AggPlan>,
 }
 
 impl JobSpecBuilder {
@@ -189,41 +194,30 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Error-bounded approximate aggregation: grow the job only until the
-    /// relative error bound `error` holds at `confidence` for every group
-    /// and aggregate (sets [`keys::AGG_ERROR`] and
-    /// [`keys::AGG_CONFIDENCE`]; both must lie strictly inside (0, 1)).
-    /// An estimating spec also needs [`keys::AGG_FUNCS`] and
-    /// [`keys::AGG_TOTAL_SPLITS`], which the query compiler writes.
-    pub fn error_bound(mut self, error: f64, confidence: f64) -> Self {
-        self.conf.set(keys::AGG_ERROR, error);
-        self.conf.set(keys::AGG_CONFIDENCE, confidence);
-        self
-    }
-
-    /// Growth-round budget for an estimating aggregate job: how many
-    /// input-drawing rounds the provider may spend before stopping with
-    /// `AggOutcome::BudgetExhausted` (sets [`keys::AGG_ROUNDS`]; must be
-    /// ≥ 1).
-    pub fn agg_rounds(mut self, rounds: u64) -> Self {
-        self.conf.set(keys::AGG_ROUNDS, rounds);
+    /// Make this an aggregate job: its result reports an `AggReport`
+    /// over `plan.total_splits`, and a plan with a bound grows the job
+    /// only until the bound holds for every group and aggregate (see
+    /// `parse_conf` for what the plan must satisfy).
+    pub fn agg_plan(mut self, plan: AggPlan) -> Self {
+        self.agg_plan = Some(plan);
         self
     }
 
     /// Finish building, returning a typed error for incomplete or
     /// malformed specs: a missing input format or mapper, or any
-    /// configuration key [`MrRuntime::try_submit`] would reject (see
-    /// `parse_conf`).
+    /// configuration key or aggregate plan [`MrRuntime::try_submit`]
+    /// would reject (see `parse_conf`).
     ///
     /// [`MrRuntime::try_submit`]: crate::MrRuntime::try_submit
     pub fn try_build(self) -> Result<JobSpec, JobConfigError> {
-        parse_conf(&self.conf)?;
+        parse_conf(&self.conf, self.agg_plan.as_ref())?;
         Ok(JobSpec {
             conf: self.conf,
             input_format: self.input_format.ok_or(JobConfigError::MissingInput)?,
             mapper: self.mapper.ok_or(JobConfigError::MissingMapper)?,
             combiner: self.combiner,
             reducer: self.reducer,
+            agg_plan: self.agg_plan,
         })
     }
 
@@ -255,17 +249,20 @@ pub(crate) struct ParsedConf {
     /// [`keys::JOB_SIGNATURE`] when set, else a hash of the full conf (so
     /// distinct queries never share memoized map output by accident).
     pub(crate) signature: u64,
-    /// The `mapred.agg.*` plan (`Some` only for estimating jobs).
-    pub(crate) agg_plan: Option<AggPlan>,
 }
 
 /// Parse and validate every typed configuration key a job is submitted
-/// with — the one parse behind both [`JobSpecBuilder::try_build`] (which
-/// discards the values) and `MrRuntime::try_submit` (which uses them).
-/// Rejects unparseable numbers, counts wider than `u32`, a zero deadline,
-/// a malformed or zero `dfs.replication` (informational at job level, but
-/// caught here rather than mid-chaos) and a malformed `mapred.agg.*` set.
-pub(crate) fn parse_conf(conf: &JobConf) -> Result<ParsedConf, JobConfigError> {
+/// with, and its aggregate plan — the one check behind both
+/// [`JobSpecBuilder::try_build`] (which discards the values) and
+/// `MrRuntime::try_submit` (which uses them). Rejects unparseable
+/// numbers, counts wider than `u32`, a zero deadline, a malformed or zero
+/// `dfs.replication` (informational at job level, but caught here rather
+/// than mid-chaos), and a plan with a zero split total or, under a
+/// bound, an error or confidence outside (0, 1) or no functions.
+pub(crate) fn parse_conf(
+    conf: &JobConf,
+    agg_plan: Option<&AggPlan>,
+) -> Result<ParsedConf, JobConfigError> {
     let bad = JobConfigError::BadConf;
     let reduce_tasks = conf
         .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
@@ -308,13 +305,30 @@ pub(crate) fn parse_conf(conf: &JobConf) -> Result<ParsedConf, JobConfigError> {
             .map_err(|_| rejected(keys::JOB_SIGNATURE, v, "u64"))?,
         None => signature_of_conf(conf.iter(), reduce_tasks),
     };
+    if let Some(plan) = agg_plan {
+        let bad_plan = JobConfigError::BadAggPlan;
+        let open_unit = |v: f64| v > 0.0 && v < 1.0;
+        if plan.total_splits == 0 {
+            return Err(bad_plan("split total must be nonzero"));
+        }
+        if let Some(bound) = plan.bound {
+            if !open_unit(bound.error) {
+                return Err(bad_plan("error must be strictly between 0 and 1"));
+            }
+            if !open_unit(bound.confidence) {
+                return Err(bad_plan("confidence must be strictly between 0 and 1"));
+            }
+            if plan.funcs.is_empty() {
+                return Err(bad_plan("a bound needs at least one COUNT, SUM or AVG"));
+            }
+        }
+    }
     Ok(ParsedConf {
         reduce_tasks,
         provider_retries,
         max_idle_evaluations,
         deadline_ms,
         signature,
-        agg_plan: agg_plan_of(conf).map_err(bad)?,
     })
 }
 
@@ -330,6 +344,8 @@ pub enum JobConfigError {
     /// A deadline of zero milliseconds was requested — it would expire at
     /// submission; omit the key to mean "no deadline".
     ZeroDeadline,
+    /// The aggregate plan cannot run; says which rule it breaks.
+    BadAggPlan(&'static str),
 }
 
 impl fmt::Display for JobConfigError {
@@ -341,6 +357,7 @@ impl fmt::Display for JobConfigError {
             JobConfigError::ZeroDeadline => {
                 write!(f, "job deadline must be nonzero (omit the key for none)")
             }
+            JobConfigError::BadAggPlan(rule) => write!(f, "invalid aggregate plan: {rule}"),
         }
     }
 }
@@ -665,11 +682,13 @@ pub struct JobResult {
     /// Final reduce output, in reduce order.
     pub output: ReduceOutput,
     /// This job's latency histograms (always collected). Merging these
-    /// across jobs reproduces the runtime-wide registry exactly.
+    /// across jobs reproduces the runtime-wide registry exactly. A
+    /// collected job's registry has moved out with its output
+    /// (`MrRuntime::take_job_output`), leaving this one empty.
     pub histograms: crate::obs::MetricsRegistry,
-    /// For aggregate jobs (`mapred.agg.*`): how the estimator classified
-    /// the finish — bound met early, growth budget exhausted, or exact
-    /// full scan. `None` for ordinary jobs and failed jobs.
+    /// For aggregate jobs (a spec with an [`AggPlan`]): how the estimator
+    /// classified the finish — bound met early, growth budget exhausted,
+    /// or exact full scan. `None` for ordinary jobs and failed jobs.
     pub agg: Option<crate::approx::AggReport>,
 }
 
@@ -875,6 +894,69 @@ mod tests {
                 assert_eq!(e.value, "x");
             }
             other => panic!("expected BadConf, got {other:?}"),
+        }
+    }
+
+    /// `try_build` and `MrRuntime::try_submit` share the plan check:
+    /// each invalid plan gets the same typed error from both.
+    #[test]
+    fn try_build_and_try_submit_reject_invalid_agg_plans() {
+        use crate::approx::{AggKind, ErrorBound};
+        let plan = |error: f64, confidence: f64| AggPlan {
+            total_splits: 8,
+            bound: Some(ErrorBound { error, confidence }),
+            funcs: vec![AggKind::Sum],
+        };
+        let mut invalid = Vec::new();
+        for v in [0.0, 1.0, f64::NAN] {
+            invalid.push((plan(v, 0.95), "error must be strictly between 0 and 1"));
+            invalid.push((plan(0.05, v), "confidence must be strictly between 0 and 1"));
+        }
+        invalid.push((
+            AggPlan {
+                total_splits: 0,
+                ..plan(0.05, 0.95)
+            },
+            "split total must be nonzero",
+        ));
+        invalid.push((
+            AggPlan {
+                funcs: Vec::new(),
+                ..plan(0.05, 0.95)
+            },
+            "a bound needs at least one COUNT, SUM or AVG",
+        ));
+        let builder = || JobSpec::builder().input(NullInput2).mapper(NullMapper2);
+        let mut rt = crate::MrRuntime::new(
+            crate::ClusterConfig::paper_single_user(),
+            crate::CostModel::paper_default(),
+            incmr_dfs::Namespace::new(incmr_dfs::ClusterTopology::paper_cluster()),
+            Box::new(crate::FifoScheduler::new()),
+        );
+        for (bad, rule) in invalid {
+            let want = Some(JobConfigError::BadAggPlan(rule));
+            assert_eq!(
+                builder().agg_plan(bad.clone()).try_build().err(),
+                want,
+                "{bad:?}"
+            );
+            let mut spec = builder().build();
+            spec.agg_plan = Some(bad.clone());
+            let driver = Box::new(StaticDriver::new(Vec::new()));
+            assert_eq!(rt.try_submit(spec, driver).err(), want, "{bad:?}");
+        }
+        let exact = AggPlan {
+            bound: None,
+            funcs: Vec::new(),
+            ..plan(0.05, 0.95)
+        };
+        for good in [plan(0.05, 0.95), exact] {
+            let spec = builder()
+                .agg_plan(good)
+                .try_build()
+                .expect("a valid plan builds");
+            let driver = Box::new(StaticDriver::new(Vec::new()));
+            assert!(rt.try_submit(spec, driver).is_ok());
         }
     }
 

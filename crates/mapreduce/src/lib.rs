@@ -56,9 +56,9 @@ pub mod shuffle;
 pub mod trace;
 
 pub use approx::{
-    agg_plan_of, decode_funcs, decode_group_part, encode_funcs, encode_group_part, evaluate_bound,
-    fold_parts, z_quantile, AggKind, AggOutcome, AggPlan, AggProbe, AggReport, BoundEval,
-    GroupAccum, SplitAggPart, DEFAULT_AGG_ROUNDS,
+    decode_group_part, encode_group_part, evaluate_bound, fold_parts, z_quantile, AggKind,
+    AggOutcome, AggPlan, AggProbe, AggReport, BoundEval, ErrorBound, GroupAccum, SplitAggPart,
+    DEFAULT_AGG_ROUNDS,
 };
 pub use cluster::{ClusterConfig, ClusterStatus, Parallelism};
 pub use conf::{keys, JobConf};

@@ -333,7 +333,7 @@ struct JobEntry {
     /// (delivered once through `EvalContext::arrived`).
     arrived: Vec<BlockId>,
     /// Approximate-aggregation plane: `Some` only for estimating jobs
-    /// (`mapred.agg.error` set).
+    /// (an `AggPlan` with a bound).
     estimator: Option<Estimator>,
     result: Option<JobResult>,
 }
@@ -857,7 +857,8 @@ impl MrRuntime {
         driver: Box<dyn GrowthDriver>,
     ) -> Result<JobId, JobConfigError> {
         let id = JobId(self.jobs.len() as u32);
-        let conf = parse_conf(&spec.conf)?;
+        let conf = parse_conf(&spec.conf, spec.agg_plan.as_ref())?;
+        let estimator = spec.agg_plan.as_ref().and_then(Estimator::new);
         let allow_partial = spec.conf.get_bool(keys::ALLOW_PARTIAL);
         let continuous = spec.conf.get_bool(keys::CONTINUOUS);
         // Snapshot before this job is registered, so the provider's first
@@ -909,7 +910,7 @@ impl MrRuntime {
             continuous,
             parked: false,
             arrived: Vec::new(),
-            estimator: conf.agg_plan.map(Estimator::new),
+            estimator,
             result: None,
         };
         self.jobs.push(entry);
@@ -989,25 +990,29 @@ impl MrRuntime {
         self.job(id).result.as_ref().expect("job not yet complete")
     }
 
-    /// Move a completed job's output out of its [`JobResult`], leaving
-    /// the output empty. The result rows are handed out once this way
-    /// instead of copied; every scalar in the result stays readable.
+    /// Move a completed job's output and histograms out of its
+    /// [`JobResult`], leaving both empty. The result rows and the
+    /// registry are handed out once this way instead of copied; every
+    /// scalar in the result stays readable.
     ///
     /// # Panics
     /// Panics if the job has not completed.
-    pub fn take_job_output(&mut self, id: JobId) -> ReduceOutput {
+    pub fn take_job_output(&mut self, id: JobId) -> (ReduceOutput, MetricsRegistry) {
         let result = self
             .job_mut(id)
             .result
             .as_mut()
             .expect("job not yet complete");
-        std::mem::take(&mut result.output)
+        (
+            std::mem::take(&mut result.output),
+            std::mem::take(&mut result.histograms),
+        )
     }
 
-    /// A submitted job's configuration (readable for the job's whole
-    /// lifetime, including after completion).
-    pub fn job_conf(&self, id: JobId) -> &crate::conf::JobConf {
-        &self.job(id).spec.conf
+    /// A submitted job's spec (readable for the job's whole lifetime,
+    /// including after completion).
+    pub fn job_spec(&self, id: JobId) -> &JobSpec {
+        &self.job(id).spec
     }
 
     /// Whether a job has completed.
@@ -2973,23 +2978,17 @@ impl MrRuntime {
             .filter(|&(found, k)| found < k);
         // Approximate-aggregation plane: classify the finish. Estimating
         // jobs re-fold at the final task set (deterministic, so a warm
-        // re-run reports byte-identical statistics); exact aggregates
-        // (`mapred.agg.total.splits` without an error bound) are always
-        // `Exact`.
+        // re-run reports byte-identical statistics); exact aggregates (a
+        // plan without a bound) are always `Exact`.
         let agg = match &job.estimator {
             Some(estimator) => Some(estimator.report()),
-            None => job
-                .spec
-                .conf
-                .get(keys::AGG_TOTAL_SPLITS)
-                .and_then(|v| v.parse::<u32>().ok())
-                .map(|total| AggReport {
-                    outcome: AggOutcome::Exact,
-                    completed: job.completed,
-                    total,
-                    groups: output.len() as u32,
-                    worst_rel: 0.0,
-                }),
+            None => job.spec.agg_plan.as_ref().map(|plan| AggReport {
+                outcome: AggOutcome::Exact,
+                completed: job.completed,
+                total: plan.total_splits,
+                groups: output.len() as u32,
+                worst_rel: 0.0,
+            }),
         };
         if let Some((found, requested)) = partial {
             self.record(TraceKind::PartialSample {
@@ -3016,7 +3015,7 @@ mod tests {
     use incmr_dfs::{ClusterTopology, EvenRoundRobin};
 
     use super::*;
-    use crate::approx::{encode_funcs, encode_group_part, AggKind};
+    use crate::approx::{encode_group_part, AggKind, AggPlan, ErrorBound};
     use crate::exec::{DatasetInputFormat, Key, MapResult, Mapper, ScanMode, SplitData};
     use crate::job::{JobSpec, StaticDriver};
     use crate::scheduler::FifoScheduler;
@@ -3057,9 +3056,14 @@ mod tests {
         let spec = JobSpec::builder()
             .input(DatasetInputFormat::new(Arc::clone(&ds), ScanMode::Planted))
             .mapper(CountPartMapper)
-            .error_bound(0.05, 0.95)
-            .set(keys::AGG_FUNCS, encode_funcs(&[AggKind::Count]))
-            .set(keys::AGG_TOTAL_SPLITS, blocks.len())
+            .agg_plan(AggPlan {
+                total_splits: blocks.len() as u32,
+                bound: Some(ErrorBound {
+                    error: 0.05,
+                    confidence: 0.95,
+                }),
+                funcs: vec![AggKind::Count],
+            })
             .build();
         let id = rt.submit(spec, Box::new(StaticDriver::new(blocks)));
         rt.run_until_idle();

@@ -94,8 +94,6 @@ struct TenantState {
     pass: u64,
     in_flight: u32,
     stats: TenantStats,
-    /// Per-query histograms merged across this tenant's completed jobs.
-    histograms: MetricsRegistry,
 }
 
 impl TenantState {
@@ -191,7 +189,6 @@ impl QueryService {
             pass: self.vclock,
             in_flight: 0,
             stats: TenantStats::default(),
-            histograms: MetricsRegistry::new(),
         });
         id
     }
@@ -214,11 +211,6 @@ impl QueryService {
     /// A tenant's public counters.
     pub fn tenant_stats(&self, tenant: TenantId) -> &TenantStats {
         &self.tenants[tenant.0 as usize].stats
-    }
-
-    /// A tenant's merged per-query histograms.
-    pub fn tenant_histograms(&self, tenant: TenantId) -> &MetricsRegistry {
-        &self.tenants[tenant.0 as usize].histograms
     }
 
     /// Service-level metrics: the queue-wait family keyed by tenant name
@@ -335,8 +327,8 @@ impl QueryService {
         launched
     }
 
-    /// Collect finished jobs, merge their histograms, release their bulky
-    /// runtime state, and refill freed capacity. Returns jobs launched.
+    /// Collect finished jobs, release their bulky runtime state, and
+    /// refill freed capacity. Returns jobs launched.
     fn reap(&mut self) -> u32 {
         for job in self.runtime.take_completed() {
             let Some(tenant) = self.active_jobs.remove(&job) else {
@@ -348,7 +340,6 @@ impl QueryService {
             let result = collect_result(&mut self.runtime, job, active.requested_k);
             self.runtime.release_job_result(job);
             let t = &mut self.tenants[tenant.0 as usize];
-            t.histograms.merge(&result.histograms);
             t.stats.completed += 1;
             t.stats.local_tasks += result.local_tasks as u64;
             t.stats.splits_processed += result.splits_processed as u64;
