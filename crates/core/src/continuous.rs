@@ -5,7 +5,7 @@
 //! increments — with one difference at the boundary: when the unprocessed
 //! pool drains *before* the sample target `k` is met, it answers
 //! `NoInputAvailable` instead of `EndOfInput`. Under
-//! `dynamic.job.continuous`, the runtime then **parks** the job (no
+//! `settings.continuous`, the runtime then **parks** the job (no
 //! evaluation tick, no heartbeats once nothing else is active) and
 //! re-awakens it from `MrRuntime::evolve` when new blocks land in the
 //! namespace; those blocks arrive through [`EvalContext::arrived`] and are
@@ -31,7 +31,7 @@ use crate::input_provider::{InputProvider, InputResponse};
 use crate::sampling_provider::SamplingInputProvider;
 
 /// A [`SamplingInputProvider`] that stands instead of ending input when
-/// its pool drains short of `k`. Pair with `dynamic.job.continuous=true`
+/// its pool drains short of `k`. Pair with `settings.continuous = true`
 /// so the runtime parks and wakes the job rather than wedging it.
 pub struct ContinuousSampling {
     inner: SamplingInputProvider,

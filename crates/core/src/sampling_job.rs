@@ -27,9 +27,9 @@ pub fn paper_projection() -> Vec<usize> {
 ///
 /// A sampling job can legitimately finish with fewer than `k` records —
 /// the candidate input ran out of matches, or a graceful deadline
-/// (`keys::JOB_DEADLINE_MS` with `keys::ALLOW_PARTIAL`) cut input intake
-/// short. Both are *successful completions*: the sample it did gather is
-/// valid, just smaller than requested.
+/// (`JobSettings::deadline` with `JobSettings::allow_partial`) cut input
+/// intake short. Both are *successful completions*: the sample it did
+/// gather is valid, just smaller than requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleOutcome {
     /// The sample reached the requested size.
@@ -46,34 +46,38 @@ pub enum SampleOutcome {
     },
 }
 
-/// Classify a finished sampling job's result against its configured `k`.
+impl SampleOutcome {
+    /// Classify `found` rows against a requested sample size: `Partial`
+    /// below it, `Full` at or above it.
+    pub fn classify(found: u64, requested: u64) -> Self {
+        if found < requested {
+            SampleOutcome::Partial { found, requested }
+        } else {
+            SampleOutcome::Full { requested }
+        }
+    }
+}
+
+/// Classify a finished sampling job's result against its requested `k`
+/// (the job's `settings.sample_k`).
 ///
 /// Returns `None` when the job failed (a failed job has no sample at all —
-/// inspect [`JobResult::error`]) or when the conf carries no
-/// `keys::SAMPLING_K` (not a sampling job). Call this on the result while
-/// its output rows are still materialised (i.e. before
-/// `MrRuntime::release_job_result`).
-pub fn sample_outcome(conf: &JobConf, result: &JobResult) -> Option<SampleOutcome> {
+/// inspect [`JobResult::error`]) or when `k` is `None` (not a sampling
+/// job). Call this on the result while its output rows are still
+/// materialised (i.e. before `MrRuntime::release_job_result`).
+pub fn sample_outcome(k: Option<u64>, result: &JobResult) -> Option<SampleOutcome> {
     if result.failed {
         return None;
     }
-    let requested = conf
-        .get_u64_or(keys::SAMPLING_K, 0)
-        .ok()
-        .filter(|&k| k > 0)?;
-    let found = result.output.len() as u64;
-    Some(if found < requested {
-        SampleOutcome::Partial { found, requested }
-    } else {
-        SampleOutcome::Full { requested }
-    })
+    k.map(|requested| SampleOutcome::classify(result.output.len() as u64, requested))
 }
 
 /// Build a dynamic predicate-based-sampling job over `dataset`.
 ///
-/// Returns the job spec (conf + mapper + reducer) and the dynamic driver
-/// (Input Provider under `policy`). `seed` drives the provider's random
-/// split selection (vary it across runs to average, as the paper does).
+/// Returns the job spec (conf, settings with `sample_k`, mapper, reducer)
+/// and the dynamic driver (Input Provider under `policy`). `seed` drives
+/// the provider's random split selection (vary it across runs to
+/// average, as the paper does).
 pub fn build_sampling_job(
     dataset: &Arc<Dataset>,
     k: u64,
@@ -174,9 +178,8 @@ fn sampling_job(
         )
         .with(keys::DYNAMIC_JOB, true)
         .with(keys::DYNAMIC_JOB_POLICY, policy)
-        .with(keys::DYNAMIC_INPUT_PROVIDER, "SamplingInputProvider")
-        .with(keys::SAMPLING_K, k);
-    let spec = JobSpec::builder()
+        .with(keys::DYNAMIC_INPUT_PROVIDER, "SamplingInputProvider");
+    let mut spec = JobSpec::builder()
         .conf(conf)
         .reduces(1)
         .input(DatasetInputFormat::new(Arc::clone(dataset), scan_mode))
@@ -184,6 +187,7 @@ fn sampling_job(
         .combiner(SampleCombiner::new(k))
         .reducer(SamplingReducer::new(k, sample_mode))
         .build();
+    spec.settings.sample_k = Some(k);
     let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
     let total = blocks.len() as u32;
     let provider = SamplingInputProvider::new(blocks, k, seed);
@@ -365,13 +369,13 @@ mod tests {
             SampleMode::FirstK,
             1,
         );
-        assert!(spec.conf.get_bool(keys::DYNAMIC_JOB));
+        assert_eq!(spec.conf.get(keys::DYNAMIC_JOB), Some("true"));
         assert_eq!(spec.conf.get(keys::DYNAMIC_JOB_POLICY), Some("LA"));
         assert_eq!(
             spec.conf.get(keys::DYNAMIC_INPUT_PROVIDER),
             Some("SamplingInputProvider")
         );
-        assert_eq!(spec.conf.get_u64_or(keys::SAMPLING_K, 0).unwrap(), 10);
+        assert_eq!(spec.settings.sample_k, Some(10));
         assert_eq!(driver.policy().name, "LA");
     }
 }

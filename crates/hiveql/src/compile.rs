@@ -155,7 +155,7 @@ pub enum JobPlan {
 
 /// A compiled, ready-to-submit job.
 pub struct CompiledQuery {
-    /// The job spec (conf, mapper, reducer, input format).
+    /// The job spec (conf, settings, mapper, reducer, input format).
     pub spec: JobSpec,
     /// The growth driver to submit alongside.
     pub driver: Box<dyn GrowthDriver>,
@@ -436,8 +436,8 @@ pub fn compile_query(
     ];
     let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
     let total = blocks.len() as u32;
-    let spec = |conf: JobConf, bound: Option<ErrorBound>, funcs: Vec<AggKind>| {
-        JobSpec::builder()
+    let spec = |conf: JobConf, signature: u64, bound: Option<ErrorBound>, funcs: Vec<AggKind>| {
+        let mut spec = JobSpec::builder()
             .conf(conf)
             .agg_plan(AggPlan {
                 total_splits: total,
@@ -451,15 +451,15 @@ pub fn compile_query(
             ))
             .mapper(GroupAggMapper::new(predicate, group_idx, resolved.clone()))
             .reducer(GroupAggReducer::new(resolved, group_idx.is_some()))
-            .build()
+            .build();
+        spec.settings.signature = Some(signature);
+        spec
     };
 
     let Some(bound) = &query.error_bound else {
-        let conf = JobConf::new()
-            .with(keys::JOB_NAME, format!("agg-{}", query.table))
-            .with(keys::JOB_SIGNATURE, semantic_signature(&identity));
+        let conf = JobConf::new().with(keys::JOB_NAME, format!("agg-{}", query.table));
         return Ok(CompiledQuery {
-            spec: spec(conf, None, Vec::new()),
+            spec: spec(conf, semantic_signature(&identity), None, Vec::new()),
             driver: Box::new(StaticDriver::new(blocks)),
             plan: JobPlan::AggregateScan {
                 aggregates: rendered,
@@ -484,11 +484,10 @@ pub fn compile_query(
         .with(keys::JOB_NAME, format!("approx-{}", query.table))
         .with(keys::DYNAMIC_JOB, true)
         .with(keys::DYNAMIC_JOB_POLICY, &policy.name)
-        .with(keys::DYNAMIC_INPUT_PROVIDER, "EstimatingInputProvider")
-        .with(keys::JOB_SIGNATURE, semantic_signature(&identity));
+        .with(keys::DYNAMIC_INPUT_PROVIDER, "EstimatingInputProvider");
     let provider = EstimatingInputProvider::new(blocks, agg_rounds, seed);
     Ok(CompiledQuery {
-        spec: spec(conf, Some(*bound), funcs),
+        spec: spec(conf, semantic_signature(&identity), Some(*bound), funcs),
         driver: Box::new(DynamicDriver::new(
             Box::new(provider),
             policy.clone(),
@@ -544,7 +543,7 @@ fn compile_scan_or_sample(
                 ("query.projection", &proj_rendered),
                 ("query.k", &k_rendered),
             ]);
-            spec.conf.set(keys::JOB_SIGNATURE, signature);
+            spec.settings.signature = Some(signature);
             Ok(CompiledQuery {
                 spec,
                 driver,
@@ -564,15 +563,15 @@ fn compile_scan_or_sample(
                 ("query.projection", &proj_rendered),
                 ("query.materialize", &materialize.to_string()),
             ]);
-            let spec = JobSpec::builder()
+            let mut spec = JobSpec::builder()
                 .set(keys::JOB_NAME, format!("scan-{}", query.table))
-                .set(keys::JOB_SIGNATURE, signature)
                 .input(incmr_mapreduce::DatasetInputFormat::new(
                     Arc::clone(dataset),
                     scan_mode,
                 ))
                 .mapper(ScanMapper::new(predicate, projection.clone(), materialize))
                 .build();
+            spec.settings.signature = Some(signature);
             let blocks = dataset.splits().iter().map(|p| p.block).collect();
             Ok(CompiledQuery {
                 spec,
@@ -642,7 +641,7 @@ mod tests {
                 mode: SampleMode::FirstK,
             }
         );
-        assert!(c.spec.conf.get_bool(keys::DYNAMIC_JOB));
+        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), Some("true"));
         assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB_POLICY), Some("LA"));
         assert_eq!(c.projection.len(), 3);
         assert!(c.explain().contains("SamplingInputProvider"));
@@ -656,7 +655,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.plan, JobPlan::StaticScan);
-        assert!(!c.spec.conf.get_bool(keys::DYNAMIC_JOB));
+        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), None);
         assert!(c.explain().contains("full select-project scan"));
     }
 
@@ -788,7 +787,7 @@ mod tests {
                 group_by: Some("L_RETURNFLAG".into()),
             }
         );
-        assert!(!c.spec.conf.get_bool(keys::DYNAMIC_JOB));
+        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), None);
         // Only estimating jobs read the function list; exact runs never
         // scale their rows.
         assert_eq!(
@@ -819,7 +818,7 @@ mod tests {
                 confidence: 0.9,
             }
         );
-        assert!(c.spec.conf.get_bool(keys::DYNAMIC_JOB));
+        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), Some("true"));
         assert_eq!(
             c.spec.conf.get(keys::DYNAMIC_INPUT_PROVIDER),
             Some("EstimatingInputProvider")
@@ -835,7 +834,7 @@ mod tests {
                 funcs: vec![AggKind::Avg],
             })
         );
-        assert!(c.spec.conf.get(keys::JOB_SIGNATURE).is_some());
+        assert!(c.spec.settings.signature.is_some());
         assert!(c.explain().contains("EstimatingInputProvider"));
     }
 
@@ -844,19 +843,13 @@ mod tests {
         let sql = "SELECT SUM(L_QUANTITY) FROM lineitem WITH ERROR 0.1";
         let a = compile(sql, ScanMode::Full).unwrap();
         let b = compile(sql, ScanMode::Full).unwrap();
-        assert_eq!(
-            a.spec.conf.get(keys::JOB_SIGNATURE),
-            b.spec.conf.get(keys::JOB_SIGNATURE),
-        );
+        assert_eq!(a.spec.settings.signature, b.spec.settings.signature,);
         let c = compile(
             "SELECT SUM(L_QUANTITY) FROM lineitem WITH ERROR 0.2",
             ScanMode::Full,
         )
         .unwrap();
-        assert_ne!(
-            a.spec.conf.get(keys::JOB_SIGNATURE),
-            c.spec.conf.get(keys::JOB_SIGNATURE),
-        );
+        assert_ne!(a.spec.settings.signature, c.spec.settings.signature,);
     }
 
     #[test]

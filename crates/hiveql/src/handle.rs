@@ -119,17 +119,9 @@ pub fn collect_result(
 ) -> QueryResult {
     let (output, histograms) = runtime.take_job_output(job);
     let result = runtime.job_result(job);
-    let outcome = match requested_k {
-        Some(requested) if !result.failed => {
-            let found = output.len() as u64;
-            Some(if found < requested {
-                SampleOutcome::Partial { found, requested }
-            } else {
-                SampleOutcome::Full { requested }
-            })
-        }
-        _ => None,
-    };
+    let outcome = requested_k
+        .filter(|_| !result.failed)
+        .map(|requested| SampleOutcome::classify(output.len() as u64, requested));
     let mut rows = output.into_rows();
     // Aggregate estimates cover only the sampled splits: expand SUM/COUNT
     // by the report's M/m scale (AVG is a ratio estimate and is already

@@ -11,8 +11,9 @@
 //! compile to a **dynamic** MapReduce job whose `JobConf` carries
 //! `dynamic.job = true`, the configured `dynamic.job.policy`, and the
 //! sampling Input Provider — exactly the compilation path the paper adds to
-//! Hive. Queries without a `LIMIT` compile to conventional static scan
-//! jobs.
+//! Hive — and whose typed `JobSettings` carry the sample size and a
+//! semantic memo signature. Queries without a `LIMIT` compile to
+//! conventional static scan jobs.
 //!
 //! Like Hive, the policy is *not* part of the query syntax ("the Hive
 //! syntax does not allow specifying the policy as part of the query");

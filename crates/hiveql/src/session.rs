@@ -23,7 +23,6 @@
 //!   [`QueryHandle`]) or [`Session::execute`]
 //!   (blocking shim).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use incmr_core::{parse_policy_file, Policy, SampleMode};
@@ -52,10 +51,10 @@ pub enum SessionError {
         /// Names that are registered.
         available: Vec<String>,
     },
-    /// `SET dfs.replication` had a malformed or zero value.
-    BadReplication {
-        /// The rejected value.
-        value: String,
+    /// `SET` named a key no session reads; nothing changed.
+    UnknownSetting {
+        /// The key as written.
+        key: String,
     },
     /// `SET mapred.agg.rounds` had a malformed or zero value.
     BadAggRounds {
@@ -82,10 +81,12 @@ impl fmt::Display for SessionError {
                     available.join(", ")
                 )
             }
-            SessionError::BadReplication { value } => {
+            SessionError::UnknownSetting { key } => {
+                let settable: Vec<&str> = SETTABLE.iter().map(|(k, _)| *k).collect();
                 write!(
                     f,
-                    "dfs.replication must be an integer in 1..=255, got {value:?}"
+                    "unknown setting {key:?}; SET accepts {}",
+                    settable.join(", ")
                 )
             }
             SessionError::BadAggRounds { value } => {
@@ -146,15 +147,34 @@ pub enum QueryOutput {
 /// submission, or an answer computed locally from session state.
 #[derive(Debug)]
 pub enum Prepared {
-    /// A `SELECT` compiled to a submit-ready job.
-    Submit(CompiledQuery),
+    /// A `SELECT` compiled to a submit-ready job (boxed: a job spec is
+    /// several times the size of an immediate answer).
+    Submit(Box<CompiledQuery>),
     /// `SET` / `SHOW` / `EXPLAIN` completed against the session state.
     Immediate(QueryOutput),
 }
 
+/// The session's growth-round budget key for error-bounded plans: how
+/// many times the estimating Input Provider may draw another batch of
+/// splits before it stops with `BudgetExhausted`. Must be ≥ 1.
+const AGG_ROUNDS: &str = "mapred.agg.rounds";
+
+/// Applies one `SET` value to the state, or rejects it unchanged.
+type Setter = fn(&mut SessionState, &str) -> Result<(), SessionError>;
+
+/// The keys `SET` accepts — the only two a session reads — in lower
+/// case, each with how it applies a value.
+const SETTABLE: [(&str, Setter); 2] = [
+    (keys::DYNAMIC_JOB_POLICY, SessionState::set_active_policy),
+    (AGG_ROUNDS, SessionState::set_agg_rounds),
+];
+
 /// Per-client session settings, independent of any runtime: policy
-/// registry, active policy, scan/sample mode, `SET` bag, and the seed
-/// counter that differentiates successive sampling jobs.
+/// registry, active policy, scan/sample mode, the growth-round budget of
+/// error-bounded plans, and the seed counter that differentiates
+/// successive sampling jobs. `SET` changes only the active policy
+/// (`dynamic.job.policy`) and the round budget (`mapred.agg.rounds`); it
+/// rejects every other key.
 ///
 /// A [`Session`] owns one; a multi-tenant query service owns one **per
 /// tenant** over a single shared runtime.
@@ -164,7 +184,7 @@ pub struct SessionState {
     policy: Policy,
     scan_mode: ScanMode,
     sample_mode: SampleMode,
-    settings: HashMap<String, String>,
+    agg_rounds: u64,
     next_seed: u64,
 }
 
@@ -183,7 +203,7 @@ impl SessionState {
             policy: Policy::la(),
             scan_mode: ScanMode::Planted,
             sample_mode: SampleMode::FirstK,
-            settings: HashMap::new(),
+            agg_rounds: incmr_mapreduce::DEFAULT_AGG_ROUNDS,
             next_seed: 0x5E55_10F1,
         }
     }
@@ -237,10 +257,20 @@ impl SessionState {
     /// with: `SET mapred.agg.rounds` (validated at SET time), or the
     /// framework default.
     pub fn agg_rounds(&self) -> u64 {
-        self.settings
-            .get(keys::AGG_ROUNDS)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(incmr_mapreduce::DEFAULT_AGG_ROUNDS)
+        self.agg_rounds
+    }
+
+    /// `SET mapred.agg.rounds`: a positive integer, else `BadAggRounds`.
+    fn set_agg_rounds(&mut self, value: &str) -> Result<(), SessionError> {
+        match value.parse() {
+            Ok(rounds) if rounds > 0 => {
+                self.agg_rounds = rounds;
+                Ok(())
+            }
+            _ => Err(SessionError::BadAggRounds {
+                value: value.to_string(),
+            }),
+        }
     }
 
     /// Prepare one statement against a catalog: `SELECT` compiles to a
@@ -249,23 +279,16 @@ impl SessionState {
     pub fn prepare(&mut self, sql: &str, catalog: &Catalog) -> Result<Prepared, SessionError> {
         match parse(sql)? {
             Statement::Set { key, value } => {
-                // Keys are case-insensitive: store the lower-case form the
-                // lookups below and in `agg_rounds` use.
-                let key = key.to_ascii_lowercase();
-                if key == keys::DYNAMIC_JOB_POLICY {
-                    self.set_active_policy(&value)?;
-                }
-                // Replication is validated at SET time — a bad value is a
-                // typed session error, never a panic at submission.
-                if key == keys::DFS_REPLICATION && !matches!(value.parse::<u8>(), Ok(r) if r > 0) {
-                    return Err(SessionError::BadReplication { value });
-                }
-                // Same for the approximate-aggregation round budget.
-                if key == keys::AGG_ROUNDS && !matches!(value.parse::<u64>(), Ok(r) if r > 0) {
-                    return Err(SessionError::BadAggRounds { value });
-                }
-                self.settings.insert(key.clone(), value.clone());
-                Ok(Prepared::Immediate(QueryOutput::SetOk { key, value }))
+                // Keys are case-insensitive; the table holds lower case.
+                let lower = key.to_ascii_lowercase();
+                let Some((_, apply)) = SETTABLE.iter().find(|(k, _)| *k == lower) else {
+                    return Err(SessionError::UnknownSetting { key });
+                };
+                apply(self, &value)?;
+                Ok(Prepared::Immediate(QueryOutput::SetOk {
+                    key: lower,
+                    value,
+                }))
             }
             Statement::Show(kind) => {
                 let items = match kind {
@@ -303,22 +326,16 @@ impl SessionState {
             }
             Statement::Select(query) => {
                 self.next_seed = self.next_seed.wrapping_add(1);
-                let mut compiled = compile_query(
+                let compiled = compile_query(
                     &query,
                     catalog,
                     &self.policy,
                     self.scan_mode,
                     self.sample_mode,
                     self.next_seed,
-                    self.agg_rounds(),
+                    self.agg_rounds,
                 )?;
-                // Plumb the session's replication setting onto the job
-                // conf *after* compilation: the semantic JOB_SIGNATURE is
-                // already fixed, so memo identity is unaffected.
-                if let Some(r) = self.settings.get(keys::DFS_REPLICATION) {
-                    compiled.spec.conf.set(keys::DFS_REPLICATION, r);
-                }
-                Ok(Prepared::Submit(compiled))
+                Ok(Prepared::Submit(Box::new(compiled)))
             }
         }
     }
@@ -564,7 +581,7 @@ mod tests {
     fn non_select_statements_complete_immediately() {
         let mut s = session(SkewLevel::High);
         assert!(matches!(
-            s.submit("SET a.b = c").unwrap(),
+            s.submit("SET mapred.agg.rounds = 4").unwrap(),
             Submitted::Done(QueryOutput::SetOk { .. })
         ));
         assert!(matches!(
@@ -621,54 +638,39 @@ mod tests {
     }
 
     #[test]
-    fn set_replication_is_validated_and_plumbed_onto_jobs() {
+    fn set_rejects_keys_nothing_reads() {
         let mut s = session(SkewLevel::High);
-        for bad in ["0", "banana", "300"] {
-            for key in ["dfs.replication", "DFS.REPLICATION"] {
-                let err = s.execute(&format!("SET {key} = {bad}")).unwrap_err();
+        s.execute("SET dynamic.job.policy = HA").unwrap();
+        s.execute("SET mapred.agg.rounds = 3").unwrap();
+        for key in [
+            "dfs.replication",
+            "mapred.agg.error",
+            "sampling.size.k",
+            "a.b",
+        ] {
+            for key in [key.to_string(), key.to_ascii_uppercase()] {
+                let err = s.execute(&format!("SET {key} = 2")).unwrap_err();
                 assert!(
-                    matches!(err, SessionError::BadReplication { ref value } if value == bad),
-                    "{key} = {bad}: {err}"
+                    matches!(err, SessionError::UnknownSetting { key: ref k } if *k == key),
+                    "{key}: {err:?}"
                 );
+                let message = err.to_string();
+                assert!(
+                    message.contains("dynamic.job.policy") && message.contains("mapred.agg.rounds"),
+                    "the error names the settable keys: {message}"
+                );
+                assert_eq!(s.active_policy().name, "HA", "{key} changed nothing");
+                assert_eq!(s.state().agg_rounds(), 3, "{key} changed nothing");
             }
         }
-        s.execute("SET dfs.replication = 3;").unwrap();
-        // Plumbing: the setting lands on the compiled spec's conf while
-        // the semantic memo signature stays untouched.
-        let mut ns = Namespace::new(ClusterTopology::paper_cluster());
-        let mut rng = DetRng::seed_from(9);
-        let ds = Arc::new(Dataset::build(
-            &mut ns,
-            DatasetSpec::small("lineitem", 20, 2_000, SkewLevel::High, 9),
-            &mut EvenRoundRobin::new(),
-            &mut rng,
-        ));
-        let mut catalog = Catalog::new();
-        catalog.register("lineitem", ds);
-        // Keys are case-insensitive: an upper-case key is stored, echoed
-        // and plumbed as the lower-case one.
-        for key in ["dfs.replication", "DFS.Replication"] {
-            let mut state = SessionState::new();
-            let set = state.prepare(&format!("SET {key} = 2"), &catalog).unwrap();
-            let Prepared::Immediate(QueryOutput::SetOk { key, .. }) = set else {
-                panic!()
-            };
-            assert_eq!(key, keys::DFS_REPLICATION);
-            let prepared = state
-                .prepare(
-                    "SELECT * FROM LINEITEM WHERE L_TAX = 0.77 LIMIT 5",
-                    &catalog,
-                )
-                .unwrap();
-            let Prepared::Submit(compiled) = prepared else {
-                panic!()
-            };
-            assert_eq!(compiled.spec.conf.get(keys::DFS_REPLICATION), Some("2"));
-            assert!(
-                compiled.spec.conf.get(keys::JOB_SIGNATURE).is_some(),
-                "semantic signature still present"
-            );
-        }
+        // A settable key applies and echoes in lower case, however written.
+        let Submitted::Done(QueryOutput::SetOk { key, value }) =
+            s.submit("SET DYNAMIC.JOB.POLICY = MA").unwrap()
+        else {
+            panic!("SET completes immediately")
+        };
+        assert_eq!((key.as_str(), value.as_str()), ("dynamic.job.policy", "MA"));
+        assert_eq!(s.active_policy().name, "MA");
     }
 
     #[test]

@@ -16,9 +16,8 @@ use incmr_simkit::SimDuration;
 
 use crate::approx::AggPlan;
 use crate::cluster::ClusterStatus;
-use crate::conf::{keys, ConfError, JobConf};
+use crate::conf::{keys, JobConf};
 use crate::exec::{Combiner, IdentityReducer, InputFormat, Mapper, ReduceOutput, Reducer};
-use crate::memo::signature_of_conf;
 
 /// Identifier of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,17 +39,22 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// Everything needed to run a job: configuration plus the user's black-box
-/// logic. Cloning is cheap (shared `Arc`s); the `Arc`s make the spec
-/// `Send + Sync` so map work can run on the data-plane worker pool.
+/// Everything needed to run a job: its descriptive conf, the typed
+/// settings the runtime acts on, and the user's black-box logic. Cloning
+/// is cheap (shared `Arc`s); the `Arc`s make the spec `Send + Sync` so
+/// map work can run on the data-plane worker pool.
 ///
 /// Construct specs with [`JobSpec::builder`] rather than struct literals —
 /// the builder defaults the configuration and reducer and keeps call sites
 /// stable as fields are added.
 #[derive(Clone)]
 pub struct JobSpec {
-    /// Job configuration.
+    /// Descriptive configuration: the job name, the paper's `dynamic.*`
+    /// keys and the combiner class. No runtime path reads it.
     pub conf: JobConf,
+    /// What the runtime acts on: reduce count, guard rails, standing
+    /// query, memo identity and sample size.
+    pub settings: JobSettings,
     /// Source of split contents.
     pub input_format: Arc<dyn InputFormat>,
     /// Map logic.
@@ -67,11 +71,13 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Start building a job spec. Input format and mapper are mandatory;
-    /// the configuration defaults to empty, the combiner to none, and the
-    /// reducer to [`IdentityReducer`].
+    /// the configuration defaults to empty, the settings to
+    /// [`JobSettings::default`], the combiner to none, and the reducer to
+    /// [`IdentityReducer`].
     pub fn builder() -> JobSpecBuilder {
         JobSpecBuilder {
             conf: JobConf::new(),
+            settings: JobSettings::default(),
             input_format: None,
             mapper: None,
             combiner: None,
@@ -84,6 +90,7 @@ impl JobSpec {
 /// Builder for [`JobSpec`] (see [`JobSpec::builder`]).
 pub struct JobSpecBuilder {
     conf: JobConf,
+    settings: JobSettings,
     input_format: Option<Arc<dyn InputFormat>>,
     mapper: Option<Arc<dyn Mapper>>,
     combiner: Option<Arc<dyn Combiner>>,
@@ -144,75 +151,65 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Number of reduce tasks (sets [`keys::NUM_REDUCE_TASKS`]).
+    /// Number of reduce tasks (sets [`JobSettings::reduce_tasks`]).
     pub fn reduces(mut self, n: u32) -> Self {
-        self.conf.set(keys::NUM_REDUCE_TASKS, n);
+        self.settings.reduce_tasks = n;
         self
     }
 
     /// How many recoverable Input Provider failures (caught panics,
     /// invalid directives) the job absorbs before failing — each one is
     /// treated as a `Wait` and the provider is re-consulted at the next
-    /// evaluation (sets [`keys::PROVIDER_RETRY_BUDGET`]; default 0).
+    /// evaluation (sets [`JobSettings::provider_retry_budget`]).
     pub fn provider_retry_budget(mut self, retries: u32) -> Self {
-        self.conf.set(keys::PROVIDER_RETRY_BUDGET, retries);
+        self.settings.provider_retry_budget = retries;
         self
     }
 
-    /// Livelock watchdog threshold: consecutive unproductive evaluations
-    /// (no new splits, nothing running or pending) before the job is
-    /// failed as wedged. `0` disables the watchdog (sets
-    /// [`keys::MAX_IDLE_EVALUATIONS`]; the runtime defaults to
-    /// `crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS`).
+    /// Livelock watchdog threshold (sets
+    /// [`JobSettings::max_idle_evaluations`]).
     pub fn max_idle_evaluations(mut self, evaluations: u32) -> Self {
-        self.conf.set(keys::MAX_IDLE_EVALUATIONS, evaluations);
+        self.settings.max_idle_evaluations = evaluations;
         self
     }
 
     /// Simulated-time deadline, measured from submission. On expiry the
     /// job fails with `JobError::DeadlineExceeded`, or degrades to its
     /// partial output under [`JobSpecBuilder::allow_partial`] (sets
-    /// [`keys::JOB_DEADLINE_MS`]; must be nonzero).
+    /// [`JobSettings::deadline`]; must be nonzero).
     pub fn deadline(mut self, deadline: SimDuration) -> Self {
-        self.conf.set(keys::JOB_DEADLINE_MS, deadline.as_millis());
+        self.settings.deadline = Some(deadline);
         self
     }
 
     /// On deadline expiry, stop growing, abandon unstarted splits, and
     /// complete with the output gathered so far instead of failing (sets
-    /// [`keys::ALLOW_PARTIAL`]).
+    /// [`JobSettings::allow_partial`]).
     pub fn allow_partial(mut self, allow: bool) -> Self {
-        self.conf.set(keys::ALLOW_PARTIAL, allow);
-        self
-    }
-
-    /// Target replica count for the job's input dataset (sets
-    /// [`keys::DFS_REPLICATION`]; must be nonzero). Informational at the
-    /// job level — placement happens when the dataset is built.
-    pub fn replication(mut self, r: u8) -> Self {
-        self.conf.set(keys::DFS_REPLICATION, r);
+        self.settings.allow_partial = allow;
         self
     }
 
     /// Make this an aggregate job: its result reports an `AggReport`
     /// over `plan.total_splits`, and a plan with a bound grows the job
     /// only until the bound holds for every group and aggregate (see
-    /// `parse_conf` for what the plan must satisfy).
+    /// `check_settings` for what the plan must satisfy).
     pub fn agg_plan(mut self, plan: AggPlan) -> Self {
         self.agg_plan = Some(plan);
         self
     }
 
     /// Finish building, returning a typed error for incomplete or
-    /// malformed specs: a missing input format or mapper, or any
-    /// configuration key or aggregate plan [`MrRuntime::try_submit`]
-    /// would reject (see `parse_conf`).
+    /// malformed specs: a missing input format or mapper, or any setting
+    /// or aggregate plan [`MrRuntime::try_submit`] would reject (see
+    /// `check_settings`).
     ///
     /// [`MrRuntime::try_submit`]: crate::MrRuntime::try_submit
     pub fn try_build(self) -> Result<JobSpec, JobConfigError> {
-        parse_conf(&self.conf, self.agg_plan.as_ref())?;
+        check_settings(&self.settings, self.agg_plan.as_ref())?;
         Ok(JobSpec {
             conf: self.conf,
+            settings: self.settings,
             input_format: self.input_format.ok_or(JobConfigError::MissingInput)?,
             mapper: self.mapper.ok_or(JobConfigError::MissingMapper)?,
             combiner: self.combiner,
@@ -236,75 +233,68 @@ impl JobSpecBuilder {
     }
 }
 
-/// The typed values of a job's configuration, parsed by [`parse_conf`].
-pub(crate) struct ParsedConf {
-    /// `mapred.reduce.tasks`, at least 1.
-    pub(crate) reduce_tasks: u32,
-    /// [`keys::PROVIDER_RETRY_BUDGET`].
-    pub(crate) provider_retries: u32,
-    /// [`keys::MAX_IDLE_EVALUATIONS`] (`0` disables the watchdog).
-    pub(crate) max_idle_evaluations: u32,
-    /// [`keys::JOB_DEADLINE_MS`] (`u64::MAX` = no deadline; never 0).
-    pub(crate) deadline_ms: u64,
-    /// [`keys::JOB_SIGNATURE`] when set, else a hash of the full conf (so
-    /// distinct queries never share memoized map output by accident).
-    pub(crate) signature: u64,
+/// The values the runtime acts on for one job, typed. The
+/// [`JobSpecBuilder`] methods fill them; a caller may also set a field on
+/// a built spec before submitting it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct JobSettings {
+    /// Number of reduce tasks (default 1; `0` runs as 1).
+    pub reduce_tasks: u32,
+    /// Recoverable Input Provider failures the job absorbs before it
+    /// fails (default 0 — fail on the first fault).
+    pub provider_retry_budget: u32,
+    /// Livelock watchdog threshold: consecutive unproductive driver
+    /// evaluations (no new splits, nothing running or pending) before the
+    /// job fails as wedged. `0` disables the watchdog; the default is
+    /// [`DEFAULT_MAX_IDLE_EVALUATIONS`](crate::DEFAULT_MAX_IDLE_EVALUATIONS).
+    pub max_idle_evaluations: u32,
+    /// Simulated-time deadline for the whole job, from submission (`None`
+    /// = no deadline; a zero deadline is rejected).
+    pub deadline: Option<SimDuration>,
+    /// On deadline expiry or lost input, complete with the output
+    /// gathered so far instead of failing.
+    pub allow_partial: bool,
+    /// Run this dynamic job as a standing query: instead of declaring
+    /// end-of-input when the provider's pool drains, the job parks and is
+    /// woken when new blocks arrive through `MrRuntime::evolve`.
+    pub continuous: bool,
+    /// Memoization plane: stable identity of the job's computation
+    /// (mapper, predicate, projection, `k` — not the submission). Jobs
+    /// sharing a signature share memoized per-split map output. `None`
+    /// falls back to a hash of the conf entries and these settings, so
+    /// distinct jobs never collide by default.
+    pub signature: Option<u64>,
+    /// A sampling job's requested sample size `k`. A completed job with
+    /// fewer rows is traced and counted as a partial sample.
+    pub sample_k: Option<u64>,
 }
 
-/// Parse and validate every typed configuration key a job is submitted
-/// with, and its aggregate plan — the one check behind both
-/// [`JobSpecBuilder::try_build`] (which discards the values) and
-/// `MrRuntime::try_submit` (which uses them). Rejects unparseable
-/// numbers, counts wider than `u32`, a zero deadline, a malformed or zero
-/// `dfs.replication` (informational at job level, but caught here rather
-/// than mid-chaos), and a plan with a zero split total or, under a
-/// bound, an error or confidence outside (0, 1) or no functions.
-pub(crate) fn parse_conf(
-    conf: &JobConf,
-    agg_plan: Option<&AggPlan>,
-) -> Result<ParsedConf, JobConfigError> {
-    let bad = JobConfigError::BadConf;
-    let reduce_tasks = conf
-        .get_u32_or(keys::NUM_REDUCE_TASKS, 1)
-        .map_err(bad)?
-        .max(1);
-    let provider_retries = conf
-        .get_u32_or(keys::PROVIDER_RETRY_BUDGET, 0)
-        .map_err(bad)?;
-    let max_idle_evaluations = conf
-        .get_u32_or(
-            keys::MAX_IDLE_EVALUATIONS,
-            crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS,
-        )
-        .map_err(bad)?;
-    let deadline_ms = conf
-        .get_u64_or(keys::JOB_DEADLINE_MS, u64::MAX)
-        .map_err(bad)?;
-    if deadline_ms == 0 {
-        return Err(JobConfigError::ZeroDeadline);
-    }
-    let rejected = |key: &str, value: &str, wanted| {
-        JobConfigError::BadConf(ConfError {
-            key: key.to_string(),
-            value: value.to_string(),
-            wanted,
-        })
-    };
-    if let Some(v) = conf.get(keys::DFS_REPLICATION) {
-        if !matches!(v.parse::<u8>(), Ok(r) if r > 0) {
-            return Err(rejected(
-                keys::DFS_REPLICATION,
-                v,
-                "replication factor (1..=255)",
-            ));
+impl Default for JobSettings {
+    fn default() -> Self {
+        JobSettings {
+            reduce_tasks: 1,
+            provider_retry_budget: 0,
+            max_idle_evaluations: crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS,
+            deadline: None,
+            allow_partial: false,
+            continuous: false,
+            signature: None,
+            sample_k: None,
         }
     }
-    let signature = match conf.get(keys::JOB_SIGNATURE) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| rejected(keys::JOB_SIGNATURE, v, "u64"))?,
-        None => signature_of_conf(conf.iter(), reduce_tasks),
-    };
+}
+
+/// The one check behind both [`JobSpecBuilder::try_build`] and
+/// `MrRuntime::try_submit`: rejects a zero deadline, and an aggregate
+/// plan with a zero split total or, under a bound, an error or
+/// confidence outside (0, 1) or no functions.
+pub(crate) fn check_settings(
+    settings: &JobSettings,
+    agg_plan: Option<&AggPlan>,
+) -> Result<(), JobConfigError> {
+    if settings.deadline == Some(SimDuration::ZERO) {
+        return Err(JobConfigError::ZeroDeadline);
+    }
     if let Some(plan) = agg_plan {
         let bad_plan = JobConfigError::BadAggPlan;
         let open_unit = |v: f64| v > 0.0 && v < 1.0;
@@ -323,13 +313,7 @@ pub(crate) fn parse_conf(
             }
         }
     }
-    Ok(ParsedConf {
-        reduce_tasks,
-        provider_retries,
-        max_idle_evaluations,
-        deadline_ms,
-        signature,
-    })
+    Ok(())
 }
 
 /// A rejected job spec: what was missing or malformed at build time.
@@ -339,10 +323,8 @@ pub enum JobConfigError {
     MissingInput,
     /// No mapper was supplied.
     MissingMapper,
-    /// A numeric configuration key failed to parse.
-    BadConf(ConfError),
     /// A deadline of zero milliseconds was requested — it would expire at
-    /// submission; omit the key to mean "no deadline".
+    /// submission; leave it `None` to mean "no deadline".
     ZeroDeadline,
     /// The aggregate plan cannot run; says which rule it breaks.
     BadAggPlan(&'static str),
@@ -353,9 +335,8 @@ impl fmt::Display for JobConfigError {
         match self {
             JobConfigError::MissingInput => write!(f, "job spec has no input format"),
             JobConfigError::MissingMapper => write!(f, "job spec has no mapper"),
-            JobConfigError::BadConf(e) => write!(f, "{e}"),
             JobConfigError::ZeroDeadline => {
-                write!(f, "job deadline must be nonzero (omit the key for none)")
+                write!(f, "job deadline must be nonzero (leave it unset for none)")
             }
             JobConfigError::BadAggPlan(rule) => write!(f, "invalid aggregate plan: {rule}"),
         }
@@ -444,7 +425,7 @@ pub enum JobError {
         idle_evaluations: u32,
     },
     /// The job's simulated-time deadline expired without
-    /// `mapred.job.allow.partial`.
+    /// [`JobSettings::allow_partial`].
     DeadlineExceeded,
     /// A map task exhausted its attempt budget.
     TaskAttemptsExhausted {
@@ -460,7 +441,7 @@ pub enum JobError {
     AllNodesBlacklisted,
     /// Under DataNode-death semantics every replica of one or more of the
     /// job's input blocks was lost, and the job does not allow a partial
-    /// result (`mapred.job.allow.partial`).
+    /// result ([`JobSettings::allow_partial`]).
     InputLost {
         /// The unreadable blocks, in ascending id order.
         blocks: Vec<BlockId>,
@@ -765,7 +746,20 @@ mod tests {
             .reduces(3)
             .build();
         assert_eq!(spec.conf.get(keys::JOB_NAME), Some("t"));
-        assert_eq!(spec.conf.get(keys::NUM_REDUCE_TASKS), Some("3"));
+        assert_eq!(spec.conf.len(), 1, "settings stay out of the conf");
+        assert_eq!(
+            spec.settings,
+            JobSettings {
+                reduce_tasks: 3,
+                ..JobSettings::default()
+            }
+        );
+        let defaults = JobSettings::default();
+        assert_eq!(
+            (defaults.reduce_tasks, defaults.max_idle_evaluations),
+            (1, crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS),
+            "the two defaults that are not zero, false or None"
+        );
         // Default reducer is the identity; default combiner is none.
         let mut out = Vec::new();
         spec.reducer.reduce(&Key::from("k"), &[], &mut out);
@@ -849,54 +843,6 @@ mod tests {
             .is_ok());
     }
 
-    #[test]
-    fn try_build_rejects_malformed_numeric_conf() {
-        let err = JobSpec::builder()
-            .input(NullInput2)
-            .mapper(NullMapper2)
-            .set(keys::NUM_REDUCE_TASKS, "several")
-            .try_build()
-            .err()
-            .expect("malformed reduce count must be rejected");
-        match err {
-            JobConfigError::BadConf(e) => {
-                assert_eq!(e.key, keys::NUM_REDUCE_TASKS);
-                assert_eq!(e.value, "several");
-            }
-            other => panic!("expected BadConf, got {other:?}"),
-        }
-        let err = JobSpec::builder()
-            .input(NullInput2)
-            .mapper(NullMapper2)
-            .set(keys::JOB_DEADLINE_MS, "-3")
-            .try_build()
-            .err()
-            .expect("malformed deadline must be rejected");
-        assert!(matches!(err, JobConfigError::BadConf(_)));
-        assert!(err.to_string().contains("not a valid u64"), "{err}");
-    }
-
-    /// `try_build` and `MrRuntime::try_submit` share one parse, so a spec
-    /// that builds also submits: a signature `submit` would reject is
-    /// rejected here first.
-    #[test]
-    fn try_build_rejects_a_non_numeric_signature() {
-        let err = JobSpec::builder()
-            .input(NullInput2)
-            .mapper(NullMapper2)
-            .set(keys::JOB_SIGNATURE, "x")
-            .try_build()
-            .err()
-            .expect("a non-numeric signature must be rejected");
-        match err {
-            JobConfigError::BadConf(e) => {
-                assert_eq!(e.key, keys::JOB_SIGNATURE);
-                assert_eq!(e.value, "x");
-            }
-            other => panic!("expected BadConf, got {other:?}"),
-        }
-    }
-
     /// `try_build` and `MrRuntime::try_submit` share the plan check:
     /// each invalid plan gets the same typed error from both.
     #[test]
@@ -970,88 +916,32 @@ mod tests {
             .deadline(SimDuration::from_secs(30))
             .allow_partial(true)
             .build();
-        assert_eq!(spec.conf.get(keys::PROVIDER_RETRY_BUDGET), Some("3"));
-        assert_eq!(spec.conf.get(keys::MAX_IDLE_EVALUATIONS), Some("16"));
-        assert_eq!(spec.conf.get(keys::JOB_DEADLINE_MS), Some("30000"));
-        assert!(spec.conf.get_bool(keys::ALLOW_PARTIAL));
+        assert_eq!(spec.settings.provider_retry_budget, 3);
+        assert_eq!(spec.settings.max_idle_evaluations, 16);
+        assert_eq!(spec.settings.deadline, Some(SimDuration::from_secs(30)));
+        assert!(spec.settings.allow_partial);
+        assert!(spec.conf.is_empty(), "settings stay out of the conf");
 
+        // `try_build` and `MrRuntime::try_submit` share the check: a zero
+        // deadline is rejected by both.
+        let builder = || JobSpec::builder().input(NullInput2).mapper(NullMapper2);
         assert_eq!(
-            JobSpec::builder()
-                .input(NullInput2)
-                .mapper(NullMapper2)
-                .deadline(SimDuration::ZERO)
-                .try_build()
-                .err(),
+            builder().deadline(SimDuration::ZERO).try_build().err(),
             Some(JobConfigError::ZeroDeadline)
         );
-        assert!(matches!(
-            JobSpec::builder()
-                .input(NullInput2)
-                .mapper(NullMapper2)
-                .set(keys::PROVIDER_RETRY_BUDGET, "lots")
-                .try_build(),
-            Err(JobConfigError::BadConf(_))
-        ));
-        assert!(matches!(
-            JobSpec::builder()
-                .input(NullInput2)
-                .mapper(NullMapper2)
-                .set(keys::MAX_IDLE_EVALUATIONS, "-1")
-                .try_build(),
-            Err(JobConfigError::BadConf(_))
-        ));
-    }
-
-    #[test]
-    fn try_build_rejects_counts_wider_than_u32() {
-        let build = |key: &str, value: u64| {
-            JobSpec::builder()
-                .input(NullInput2)
-                .mapper(NullMapper2)
-                .set(key, value)
-                .try_build()
-        };
-        for key in [
-            keys::NUM_REDUCE_TASKS,
-            keys::PROVIDER_RETRY_BUDGET,
-            keys::MAX_IDLE_EVALUATIONS,
-        ] {
-            match build(key, 1 << 32).err() {
-                Some(JobConfigError::BadConf(e)) => {
-                    assert_eq!(e.key, key);
-                    assert_eq!(e.value, "4294967296");
-                    assert_eq!(e.wanted, "u32");
-                }
-                other => panic!("{key}: expected BadConf, got {other:?}"),
-            }
-        }
-        assert!(build(keys::MAX_IDLE_EVALUATIONS, u64::from(u32::MAX)).is_ok());
-    }
-
-    #[test]
-    fn replication_knob_lands_in_conf_and_validates() {
-        let spec = JobSpec::builder()
-            .input(NullInput2)
-            .mapper(NullMapper2)
-            .replication(3)
-            .build();
-        assert_eq!(spec.conf.get(keys::DFS_REPLICATION), Some("3"));
-        for bad in ["0", "-1", "300", "lots"] {
-            let err = JobSpec::builder()
-                .input(NullInput2)
-                .mapper(NullMapper2)
-                .set(keys::DFS_REPLICATION, bad)
-                .try_build()
-                .err()
-                .expect("bad replication must be rejected");
-            match err {
-                JobConfigError::BadConf(e) => {
-                    assert_eq!(e.key, keys::DFS_REPLICATION);
-                    assert_eq!(e.value, bad);
-                }
-                other => panic!("expected BadConf, got {other:?}"),
-            }
-        }
+        let mut rt = crate::MrRuntime::new(
+            crate::ClusterConfig::paper_single_user(),
+            crate::CostModel::paper_default(),
+            incmr_dfs::Namespace::new(incmr_dfs::ClusterTopology::paper_cluster()),
+            Box::new(crate::FifoScheduler::new()),
+        );
+        let mut spec = builder().build();
+        spec.settings.deadline = Some(SimDuration::ZERO);
+        let driver = Box::new(StaticDriver::new(Vec::new()));
+        assert_eq!(
+            rt.try_submit(spec, driver).err(),
+            Some(JobConfigError::ZeroDeadline)
+        );
     }
 
     #[test]

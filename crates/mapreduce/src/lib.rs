@@ -72,8 +72,8 @@ pub use faults::{
 };
 pub use job::{
     EvalContext, GrowthDirective, GrowthDriver, GrowthOutcome, JobConfigError, JobError, JobId,
-    JobProgress, JobResult, JobSpec, JobSpecBuilder, ProviderError, ProviderStage, StaticDriver,
-    TaskId,
+    JobProgress, JobResult, JobSettings, JobSpec, JobSpecBuilder, ProviderError, ProviderStage,
+    StaticDriver, TaskId,
 };
 pub use memo::{signature_of_conf, MemoEntry, MemoProbe, MemoStore};
 pub use metrics::{
@@ -564,7 +564,7 @@ mod tests {
         let (mut rt, ds) = small_world(12, 20_000);
         let (mut spec, driver) = static_job(&ds);
         spec.mapper = Arc::new(ManyKeyMapper);
-        spec.conf.set(crate::keys::NUM_REDUCE_TASKS, 4);
+        spec.settings.reduce_tasks = 4;
         let id = rt.submit(spec, driver);
         rt.run_until_idle();
         let r = rt.job_result(id);
@@ -595,7 +595,7 @@ mod tests {
             let (mut rt, ds) = small_world(12, 20_000);
             let (mut spec, driver) = static_job(&ds);
             spec.mapper = Arc::new(ManyKeyMapper);
-            spec.conf.set(crate::keys::NUM_REDUCE_TASKS, reduces);
+            spec.settings.reduce_tasks = reduces;
             let id = rt.submit(spec, driver);
             rt.run_until_idle();
             let r = rt.job_result(id).clone();
@@ -708,7 +708,7 @@ mod tests {
             let (mut rt, ds) = small_world(10, 3_000);
             let (mut spec, driver) = static_job(&ds);
             spec.mapper = Arc::new(ManyKeyMapper);
-            spec.conf.set(crate::keys::NUM_REDUCE_TASKS, 3);
+            spec.settings.reduce_tasks = 3;
             let id = rt.submit(spec, driver);
             rt.run_until_idle();
             let r = rt.job_result(id);

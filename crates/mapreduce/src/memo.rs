@@ -21,10 +21,12 @@
 //! the dead node held and the next probe recomputes.
 
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 use incmr_dfs::{BlockId, NodeId};
 
+use crate::conf::JobConf;
+use crate::job::JobSettings;
 use crate::parallel::MapTaskResult;
 use crate::shuffle::FnvHasher;
 
@@ -159,16 +161,32 @@ impl MemoStore {
     }
 }
 
-/// Derive a job signature by hashing every conf `(key, value)` pair in
-/// key order plus the reduce count with FNV-1a, the stable hash the
-/// shuffle partitioner uses. Deterministic across runs and
-/// processes; two submissions with identical configuration collide by
-/// construction, which is exactly the memo-sharing contract. Jobs wanting
-/// a semantic identity set [`crate::conf::keys::JOB_SIGNATURE`] instead.
+/// Derive a signature by hashing `(key, value)` pairs in order plus a
+/// reduce count with FNV-1a, the stable hash the shuffle partitioner
+/// uses. Deterministic across runs and processes; equal inputs collide by
+/// construction, which is exactly the memo-sharing contract. The HiveQL
+/// compiler hashes a plan's semantic parts this way into
+/// [`JobSettings::signature`].
 pub fn signature_of_conf<'a>(
     pairs: impl Iterator<Item = (&'a str, &'a str)>,
     reduce_tasks: u32,
 ) -> u64 {
+    let mut h = hash_pairs(pairs);
+    h.write(&reduce_tasks.to_le_bytes());
+    h.finish()
+}
+
+/// The memo identity of a job that sets no [`JobSettings::signature`]:
+/// its conf entries in key order hashed together with its settings. Two
+/// submissions with equal conf and settings share memoized map output;
+/// jobs differing in either (a sample size, a deadline) share none.
+pub(crate) fn fallback_signature(conf: &JobConf, settings: &JobSettings) -> u64 {
+    let mut h = hash_pairs(conf.iter());
+    settings.hash(&mut h);
+    h.finish()
+}
+
+fn hash_pairs<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>) -> FnvHasher {
     let mut h = FnvHasher::default();
     for (k, v) in pairs {
         h.write(k.as_bytes());
@@ -176,8 +194,7 @@ pub fn signature_of_conf<'a>(
         h.write(v.as_bytes());
         h.write(&[0xFE]);
     }
-    h.write(&reduce_tasks.to_le_bytes());
-    h.finish()
+    h
 }
 
 #[cfg(test)]

@@ -109,7 +109,7 @@ pub struct GuardrailMetrics {
     /// (`JobWedged`).
     pub jobs_wedged: u64,
     /// Jobs whose simulated-time deadline expired (failed or degraded to
-    /// a partial result, depending on `mapred.job.allow.partial`;
+    /// a partial result, depending on `settings.allow_partial`;
     /// `DeadlineExceeded`).
     pub deadlines_exceeded: u64,
     /// Sampling jobs that completed with fewer than `k` matches
@@ -164,7 +164,7 @@ pub struct ReplicaMetrics {
     /// Live-only: no event of its own.
     pub blocks_lost: u64,
     /// Jobs that hit the input-lost path (failed, or degraded to a partial
-    /// result under `mapred.job.allow.partial`; `InputLost`).
+    /// result under `settings.allow_partial`; `InputLost`).
     pub input_lost_jobs: u64,
     /// Completed maps on a dead node whose re-execution was skipped
     /// because a live replica of their input block survives (the merged

@@ -16,7 +16,7 @@
 //!    CPU resource.
 //!
 //! Map *semantics* (the user's mapper over real records, plus the optional
-//! combiner and the hash partitioning into `mapred.reduce.tasks` buckets)
+//! combiner and the hash partitioning into `settings.reduce_tasks` buckets)
 //! execute on the data-plane worker pool, submitted at dispatch; the
 //! stages only decide *when* the results land. Each completed map's
 //! pre-partitioned output is merged into the per-reduce shuffle buffers at
@@ -55,15 +55,14 @@ use incmr_simkit::{EventId, Sim, SimDuration, SimTime};
 
 use crate::approx::{rel_to_ppm, AggOutcome, AggProbe, AggReport, Estimator};
 use crate::cluster::{ClusterConfig, ClusterStatus};
-use crate::conf::keys;
 use crate::cost::CostModel;
 use crate::exec::ReduceOutput;
 use crate::faults::{pick_speculative, ClusterFaultPlan, FaultConfigError, SpecCandidate};
 use crate::job::{
-    parse_conf, EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId,
+    check_settings, EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId,
     JobProgress, JobResult, JobSpec, ProviderError, ProviderStage, TaskId,
 };
-use crate::memo::{MemoProbe, MemoStore};
+use crate::memo::{fallback_signature, MemoProbe, MemoStore};
 use crate::metrics::{ClusterMetrics, METRICS_INTERVAL};
 use crate::obs::{AuditDirective, AuditRecord, MetricsRegistry};
 use crate::parallel::{
@@ -77,9 +76,10 @@ use crate::trace::{TraceEvent, TraceKind};
 /// many consecutive unproductive evaluations (no new splits) while nothing
 /// is running or pending is failed as wedged instead of spinning its
 /// evaluation tick forever. Override per job with
-/// `dynamic.job.max.idle.evaluations` (`0` disables). The default is
-/// generous: an honest provider with nothing outstanding either ends its
-/// input or asks for work within a handful of evaluations.
+/// [`JobSettings::max_idle_evaluations`](crate::JobSettings::max_idle_evaluations)
+/// (`0` disables). The default is generous: an honest provider with
+/// nothing outstanding either ends its input or asks for work within a
+/// handful of evaluations.
 pub const DEFAULT_MAX_IDLE_EVALUATIONS: u32 = 256;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,15 +292,12 @@ struct JobEntry {
     node_failures: Vec<u32>,
     /// Nodes this job refuses to run on (Hadoop per-job blacklist).
     banned_nodes: Vec<bool>,
-    /// Recoverable provider failures this job may still absorb
-    /// (`dynamic.provider.retry.budget`).
+    /// Recoverable provider failures this job may still absorb (starts
+    /// at `settings.provider_retry_budget`).
     provider_retries_left: u32,
-    /// Livelock watchdog threshold (`0` = disabled) and its running count
-    /// of consecutive unproductive evaluations with nothing outstanding.
-    max_idle_evaluations: u32,
+    /// Consecutive unproductive evaluations with nothing outstanding,
+    /// toward `settings.max_idle_evaluations`.
     idle_evaluations: u32,
-    /// Degrade to partial output on deadline expiry instead of failing.
-    allow_partial: bool,
     /// A graceful deadline fired: input is closed and unfinished splits
     /// are abandoned rather than retried.
     deadline_hit: bool,
@@ -322,11 +319,9 @@ struct JobEntry {
     /// attempt in flight — keyed by attempt start time (oldest first).
     spec_candidates: BTreeSet<(SimTime, u32)>,
     /// Stable identity of the job's computation (memo-sharing key):
-    /// `mapred.job.signature` when set, else a hash of the full conf.
+    /// `settings.signature` when set, else a hash of the conf and
+    /// settings.
     signature: u64,
-    /// Standing query (`dynamic.job.continuous`): instead of wedging when
-    /// its provider has nothing to do, the job parks and `evolve` wakes it.
-    continuous: bool,
     /// A parked standing query: no EvalTick in flight; `evolve` re-arms.
     parked: bool,
     /// Blocks that arrived via `evolve` since the last driver consultation
@@ -557,7 +552,7 @@ impl MrRuntime {
     /// [`TraceKind::ReplicaLost`] per block), reads fail over to surviving
     /// replicas, and a block that loses its last replica makes dependent
     /// jobs fail with [`JobError::InputLost`] — or degrade to a partial
-    /// result under `mapred.job.allow.partial`. A rejoining node comes
+    /// result under `settings.allow_partial`. A rejoining node comes
     /// back *empty*; only re-replication restores its data. Off by
     /// default: the stock fault model is TaskTracker death, where disks
     /// keep serving (see DESIGN.md §14).
@@ -759,7 +754,7 @@ impl MrRuntime {
     ///
     /// If new blocks appeared, the runtime records a job-less
     /// [`TraceKind::InputArrived`] event, hands the new block ids to every
-    /// live standing query (`dynamic.job.continuous`) through
+    /// live standing query (`settings.continuous`) through
     /// [`EvalContext::arrived`], and wakes parked ones with an immediate
     /// re-evaluation. In-place mutations need no wakeup: they bump block
     /// versions, and the memo plane's next probe sees the staleness.
@@ -775,7 +770,9 @@ impl MrRuntime {
             let ids: Vec<JobId> = self
                 .jobs
                 .iter()
-                .filter(|j| j.continuous && j.phase == JobPhase::Map && !j.end_of_input)
+                .filter(|j| {
+                    j.spec.settings.continuous && j.phase == JobPhase::Map && !j.end_of_input
+                })
                 .map(|j| j.id)
                 .collect();
             let mut woke = false;
@@ -857,10 +854,13 @@ impl MrRuntime {
         driver: Box<dyn GrowthDriver>,
     ) -> Result<JobId, JobConfigError> {
         let id = JobId(self.jobs.len() as u32);
-        let conf = parse_conf(&spec.conf, spec.agg_plan.as_ref())?;
+        check_settings(&spec.settings, spec.agg_plan.as_ref())?;
+        let settings = spec.settings;
+        let reduce_tasks = settings.reduce_tasks.max(1);
+        let signature = settings
+            .signature
+            .unwrap_or_else(|| fallback_signature(&spec.conf, &settings));
         let estimator = spec.agg_plan.as_ref().and_then(Estimator::new);
-        let allow_partial = spec.conf.get_bool(keys::ALLOW_PARTIAL);
-        let continuous = spec.conf.get_bool(keys::CONTINUOUS);
         // Snapshot before this job is registered, so the provider's first
         // look at the cluster excludes its own (not yet running) job.
         let status = self.cluster_status();
@@ -885,20 +885,18 @@ impl MrRuntime {
             shuffle_bytes: 0,
             local_tasks: 0,
             task_failures: 0,
-            shuffle: ShuffleState::new(conf.reduce_tasks),
+            shuffle: ShuffleState::new(reduce_tasks),
             combiner_input_records: 0,
             combiner_output_records: 0,
-            reduce_tasks: conf.reduce_tasks,
+            reduce_tasks,
             reduces: Vec::new(),
             reduces_done: 0,
             map_ms_sum: 0,
             map_ms_count: 0,
             node_failures: vec![0; num_nodes],
             banned_nodes: vec![false; num_nodes],
-            provider_retries_left: conf.provider_retries,
-            max_idle_evaluations: conf.max_idle_evaluations,
+            provider_retries_left: settings.provider_retry_budget,
             idle_evaluations: 0,
-            allow_partial,
             deadline_hit: false,
             hist: MetricsRegistry::new(),
             last_eval_at: None,
@@ -906,8 +904,7 @@ impl MrRuntime {
             share_key: None,
             counted_pending: 0,
             spec_candidates: BTreeSet::new(),
-            signature: conf.signature,
-            continuous,
+            signature,
             parked: false,
             arrived: Vec::new(),
             estimator,
@@ -916,11 +913,9 @@ impl MrRuntime {
         self.jobs.push(entry);
         self.active_jobs += 1;
         self.record(TraceKind::JobSubmitted { job: id });
-        if conf.deadline_ms != u64::MAX {
-            self.sim.schedule_after(
-                SimDuration::from_millis(conf.deadline_ms),
-                Event::Deadline { job: id },
-            );
+        if let Some(deadline) = settings.deadline {
+            self.sim
+                .schedule_after(deadline, Event::Deadline { job: id });
         }
         // Sandboxed initial input: a panicking provider costs its job (or
         // a retry), never the runtime.
@@ -1240,7 +1235,7 @@ impl MrRuntime {
     }
 
     /// The job's simulated-time deadline expired. Without
-    /// `mapred.job.allow.partial` the job fails; with it, input is
+    /// `settings.allow_partial` the job fails; with it, input is
     /// closed, unstarted splits are abandoned, and the job completes with
     /// whatever its finished maps produced (paper semantics: the sample
     /// is still correct, just smaller).
@@ -1251,7 +1246,7 @@ impl MrRuntime {
         // A deadline is the one event that can reach a parked standing
         // query; leaving the parked state here keeps the counter exact.
         self.unpark(id);
-        let graceful = self.job(id).allow_partial;
+        let graceful = self.job(id).spec.settings.allow_partial;
         self.record(TraceKind::DeadlineExceeded { job: id, graceful });
         if !graceful {
             self.complete_job(id, Err(JobError::DeadlineExceeded));
@@ -1587,7 +1582,7 @@ impl MrRuntime {
             job.idle_evaluations = 0;
             return;
         }
-        if job.continuous {
+        if job.spec.settings.continuous {
             // A standing query with nothing to do is idle by design, not
             // wedged: it parks at the next tick and `evolve` wakes it.
             job.idle_evaluations = 0;
@@ -1595,7 +1590,8 @@ impl MrRuntime {
         }
         job.idle_evaluations += 1;
         let idle = job.idle_evaluations;
-        if job.max_idle_evaluations > 0 && idle >= job.max_idle_evaluations {
+        let threshold = job.spec.settings.max_idle_evaluations;
+        if threshold > 0 && idle >= threshold {
             self.record(TraceKind::JobWedged {
                 job: id,
                 idle_evaluations: idle,
@@ -1613,7 +1609,8 @@ impl MrRuntime {
         if job.phase != JobPhase::Map || job.end_of_input {
             return;
         }
-        if job.continuous && job.running == 0 && job.pending.is_empty() && job.arrived.is_empty() {
+        let settled = job.running == 0 && job.pending.is_empty() && job.arrived.is_empty();
+        if job.spec.settings.continuous && settled {
             // Standing query with nothing outstanding: park instead of
             // spinning the tick. `evolve` re-arms the tick when input
             // lands; with every active job parked, heartbeat chains
@@ -2573,7 +2570,7 @@ impl MrRuntime {
 
     /// Settle a job some of whose input blocks have no surviving replica:
     /// fail it with the typed [`JobError::InputLost`], or — under
-    /// `mapred.job.allow.partial` — abandon exactly the unreadable splits
+    /// `settings.allow_partial` — abandon exactly the unreadable splits
     /// (the graceful-deadline machinery) and let the rest commit.
     fn handle_lost_input(&mut self, id: JobId) {
         if self.job(id).phase == JobPhase::Done {
@@ -2605,7 +2602,7 @@ impl MrRuntime {
                 self.kill_attempt(id, t, 0, true);
             }
         }
-        let graceful = self.job(id).allow_partial;
+        let graceful = self.job(id).spec.settings.allow_partial;
         self.record(TraceKind::InputLost {
             job: id,
             blocks: blocks.len() as u32,
@@ -2973,7 +2970,10 @@ impl MrRuntime {
         // deadline) below its `k` still completes: the paper's answer set
         // is correct, just smaller. Surface that as a typed trace event
         // and counter rather than a failure.
-        let partial = sample_size_of(&job.spec.conf)
+        let partial = job
+            .spec
+            .settings
+            .sample_k
             .map(|k| (output.len() as u64, k))
             .filter(|&(found, k)| found < k);
         // Approximate-aggregation plane: classify the finish. Estimating
@@ -2999,11 +2999,6 @@ impl MrRuntime {
         }
         self.complete_job(id, Ok((output, agg)));
     }
-}
-
-/// Convenience: read the configured sample size `k` from a job's conf.
-pub fn sample_size_of(conf: &crate::conf::JobConf) -> Option<u64> {
-    conf.get(keys::SAMPLING_K).and_then(|v| v.parse().ok())
 }
 
 #[cfg(test)]
@@ -3207,7 +3202,7 @@ mod tests {
             bad_at,
         };
         let mut retrying = scan(&ds);
-        retrying.conf.set(keys::PROVIDER_RETRY_BUDGET, 1);
+        retrying.settings.provider_retry_budget = 1;
         let grows = rt.submit(retrying, Box::new(trickle(3)));
         let fails = rt.submit(scan(&ds), Box::new(trickle(1)));
         drive(&mut rt, &mut tally);

@@ -276,7 +276,7 @@ trace_kinds! {
             /// The job.
             job: JobId,
             /// True if the job degrades to a partial result
-            /// (`mapred.job.allow.partial`) instead of failing.
+            /// (`settings.allow_partial`) instead of failing.
             graceful: bool,
         },
         /// A sampling job completed with fewer than its requested `k` matches
@@ -367,7 +367,7 @@ trace_kinds! {
         },
         /// Every replica of one or more of the job's input blocks is gone. The
         /// job either fails with `JobError::InputLost` or, with
-        /// `mapred.job.allow.partial`, abandons those splits and degrades to a
+        /// `settings.allow_partial`, abandons those splits and degrades to a
         /// partial sample.
         InputLost {
             /// The job.

@@ -241,7 +241,7 @@ impl QueryService {
         let prepared = t.session.prepare(sql, &self.catalog)?;
         let compiled = match prepared {
             Prepared::Immediate(out) => return Ok(ServiceReply::Immediate(out)),
-            Prepared::Submit(compiled) => compiled,
+            Prepared::Submit(compiled) => *compiled,
         };
         let queued = t.queue.len() as u32;
         if queued >= t.profile.queue_cap {

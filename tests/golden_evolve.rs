@@ -19,7 +19,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use incmr::core::ContinuousSampling;
-use incmr::mapreduce::keys;
 use incmr::prelude::*;
 
 #[path = "support/golden_kinds.rs"]
@@ -45,11 +44,11 @@ fn requery(ds: &Arc<Dataset>, rt: &mut MrRuntime) -> JobId {
         SampleMode::FirstK,
         23,
     );
-    // `k` grows with the dataset, which would shift the conf-derived
+    // `k` grows with the dataset, which would shift the fallback
     // signature — but per-split map output is independent of `k`, so the
     // requeries pin a shared semantic signature (the override hiveql uses
     // for its compiled queries).
-    job.conf.set(keys::JOB_SIGNATURE, 7_001u64);
+    job.settings.signature = Some(7_001);
     let id = rt.submit(job, driver);
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed, "golden requery must complete");
@@ -100,7 +99,7 @@ fn run() -> Vec<TraceEvent> {
         SampleMode::FirstK,
         23,
     );
-    job.conf.set(keys::CONTINUOUS, true);
+    job.settings.continuous = true;
     let blocks: Vec<BlockId> = ds.splits().iter().map(|p| p.block).collect();
     let total = blocks.len() as u32;
     let driver = Box::new(DynamicDriver::new(

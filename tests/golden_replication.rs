@@ -13,7 +13,7 @@
 //!   leaves it under-replicated and the repair daemon recreates copies;
 //! * **InputLost (FATAL / partial)** — dataset B is unreplicated; a job
 //!   needing it after the death fails typed, and the same job with
-//!   `mapred.job.allow.partial` degrades to a partial sample.
+//!   `settings.allow_partial` degrades to a partial sample.
 //!
 //! After an *intentional* behaviour change, regenerate with:
 //!
@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use incmr::dfs::{DiskId, PinnedPlacement, ReplicatedPlacement};
-use incmr::mapreduce::{keys, ClusterFaultPlan, NodeOutage};
+use incmr::mapreduce::{ClusterFaultPlan, NodeOutage};
 use incmr::prelude::*;
 
 #[path = "support/golden_kinds.rs"]
@@ -142,7 +142,7 @@ fn run() -> Vec<TraceEvent> {
 
     // Job 2: dataset B again with allow_partial — degrades gracefully.
     let (mut job, driver) = sampling(&ds_b);
-    job.conf.set(keys::ALLOW_PARTIAL, true);
+    job.settings.allow_partial = true;
     let id = rt.submit(job, driver);
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed, "job 2 must degrade, not fail");

@@ -129,8 +129,6 @@ fn golden_kind_lists_cover_every_trace_kind() {
 // Guard-rail plane golden trace
 // ---------------------------------------------------------------------------
 
-use incmr::mapreduce::keys;
-
 fn guardrail_golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/guardrail_trace.txt")
 }
@@ -277,7 +275,7 @@ fn guardrail_run() -> Vec<TraceEvent> {
 
     // Job 1: stonewalls until the wedge watchdog fires.
     let (mut job, _) = sampling_spec(&ds);
-    job.conf.set(keys::MAX_IDLE_EVALUATIONS, 3u32);
+    job.settings.max_idle_evaluations = 3;
     let id = rt.submit(job, dyn_driver(Box::new(Stonewall)));
     rt.run_until_idle();
     assert!(rt.job_result(id).failed);
@@ -297,7 +295,7 @@ fn guardrail_run() -> Vec<TraceEvent> {
 
     // Job 3: panics once mid-flight, inside a retry budget — recovers.
     let (mut job, _) = sampling_spec(&ds);
-    job.conf.set(keys::PROVIDER_RETRY_BUDGET, 1u32);
+    job.settings.provider_retry_budget = 1;
     let id = rt.submit(
         job,
         dyn_driver(Box::new(PanicOn {
@@ -312,8 +310,8 @@ fn guardrail_run() -> Vec<TraceEvent> {
     // Job 4: graceful deadline at half the fault-free horizon — completes
     // with a partial sample.
     let (mut job, driver) = sampling_spec(&ds);
-    job.conf.set(keys::JOB_DEADLINE_MS, horizon / 2);
-    job.conf.set(keys::ALLOW_PARTIAL, true);
+    job.settings.deadline = Some(SimDuration::from_millis(horizon / 2));
+    job.settings.allow_partial = true;
     let id = rt.submit(job, driver);
     rt.run_until_idle();
     let r = rt.job_result(id);
@@ -321,7 +319,7 @@ fn guardrail_run() -> Vec<TraceEvent> {
 
     // Job 5: the same deadline without allow_partial — fatal.
     let (mut job, driver) = sampling_spec(&ds);
-    job.conf.set(keys::JOB_DEADLINE_MS, horizon / 2);
+    job.settings.deadline = Some(SimDuration::from_millis(horizon / 2));
     let id = rt.submit(job, driver);
     rt.run_until_idle();
     assert!(rt.job_result(id).failed);

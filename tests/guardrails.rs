@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use incmr::mapreduce::{
-    keys, ClusterFaultPlan, GuardrailMetrics, JobConfigError, NodeOutage, TraceEvent, TraceKind,
+    ClusterFaultPlan, GuardrailMetrics, JobConfigError, NodeOutage, TraceEvent, TraceKind,
 };
 use incmr::prelude::*;
 
@@ -44,56 +44,11 @@ fn try_submit_rejects_bad_guardrail_configuration() {
         SampleMode::FirstK,
         1,
     );
-    spec.conf.set(keys::JOB_DEADLINE_MS, 0u64);
+    spec.settings.deadline = Some(SimDuration::ZERO);
     assert!(matches!(
         rt.try_submit(spec, driver),
         Err(JobConfigError::ZeroDeadline)
     ));
-
-    // A non-numeric retry budget is rejected with the offending key/value.
-    let (mut spec, driver) = build_sampling_job(
-        &ds,
-        5,
-        Policy::ha(),
-        ScanMode::Planted,
-        SampleMode::FirstK,
-        1,
-    );
-    spec.conf.set(keys::PROVIDER_RETRY_BUDGET, "lots");
-    match rt.try_submit(spec, driver) {
-        Err(JobConfigError::BadConf(e)) => {
-            assert_eq!(e.key, keys::PROVIDER_RETRY_BUDGET);
-            assert_eq!(e.value, "lots");
-        }
-        other => panic!("expected BadConf, got {other:?}"),
-    }
-
-    // A count wider than u32 is rejected, not truncated: 2^32 reduce
-    // tasks would wrap to zero, and 2^32 idle evaluations would disable
-    // the wedge watchdog.
-    for key in [
-        keys::NUM_REDUCE_TASKS,
-        keys::PROVIDER_RETRY_BUDGET,
-        keys::MAX_IDLE_EVALUATIONS,
-    ] {
-        let (mut spec, driver) = build_sampling_job(
-            &ds,
-            5,
-            Policy::ha(),
-            ScanMode::Planted,
-            SampleMode::FirstK,
-            1,
-        );
-        spec.conf.set(key, 1u64 << 32);
-        match rt.try_submit(spec, driver) {
-            Err(JobConfigError::BadConf(e)) => {
-                assert_eq!(e.key, key);
-                assert_eq!(e.value, "4294967296");
-                assert_eq!(e.wanted, "u32");
-            }
-            other => panic!("{key}: expected BadConf, got {other:?}"),
-        }
-    }
 
     // Rejection leaves the runtime reusable: a valid job still runs, and
     // so does one at the widest idle-evaluation count.
@@ -105,7 +60,7 @@ fn try_submit_rejects_bad_guardrail_configuration() {
         SampleMode::FirstK,
         1,
     );
-    spec.conf.set(keys::MAX_IDLE_EVALUATIONS, u32::MAX);
+    spec.settings.max_idle_evaluations = u32::MAX;
     let id = rt.try_submit(spec, driver).expect("u32::MAX submits");
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed);
@@ -168,8 +123,8 @@ fn deadline_run(
         SampleMode::FirstK,
         8,
     );
-    spec.conf.set(keys::JOB_DEADLINE_MS, deadline_ms);
-    spec.conf.set(keys::ALLOW_PARTIAL, allow_partial);
+    spec.settings.deadline = Some(SimDuration::from_millis(deadline_ms));
+    spec.settings.allow_partial = allow_partial;
     let id = rt.submit(spec, driver);
     rt.run_until_idle();
     (
@@ -290,11 +245,10 @@ fn sample_outcome_classifies_full_partial_failed_and_non_sampling() {
         SampleMode::FirstK,
         7,
     );
-    let conf = spec.conf.clone();
     let id = rt.submit(spec, driver);
     rt.run_until_idle();
     assert_eq!(
-        sample_outcome(&conf, rt.job_result(id)),
+        sample_outcome(rt.job_spec(id).settings.sample_k, rt.job_result(id)),
         Some(SampleOutcome::Full { requested: 60 })
     );
 
@@ -312,13 +266,12 @@ fn sample_outcome_classifies_full_partial_failed_and_non_sampling() {
         SampleMode::FirstK,
         3,
     );
-    let conf = spec.conf.clone();
     let id = rt.submit(spec, driver);
     rt.run_until_idle();
     let r = rt.job_result(id);
     assert!(!r.failed);
     assert_eq!(
-        sample_outcome(&conf, r),
+        sample_outcome(rt.job_spec(id).settings.sample_k, r),
         Some(SampleOutcome::Partial {
             found: 10,
             requested: 500
@@ -344,19 +297,23 @@ fn sample_outcome_classifies_full_partial_failed_and_non_sampling() {
         SampleMode::FirstK,
         1,
     );
-    spec.conf.set(keys::JOB_DEADLINE_MS, 1u64); // expires before anything runs
-    let conf = spec.conf.clone();
+    spec.settings.deadline = Some(SimDuration::from_millis(1)); // expires before anything runs
     let id = rt.submit(spec, driver);
     rt.run_until_idle();
     assert!(rt.job_result(id).failed);
-    assert_eq!(sample_outcome(&conf, rt.job_result(id)), None);
+    assert_eq!(
+        sample_outcome(rt.job_spec(id).settings.sample_k, rt.job_result(id)),
+        None
+    );
 
-    // Non-sampling jobs (no SAMPLING_K) classify as None.
+    // Non-sampling jobs (no `sample_k`) classify as None.
     let (mut rt, ds) = world(1, 8, 1_000);
     let (spec, driver) = build_scan_job(&ds, ScanMode::Planted);
-    let conf = spec.conf.clone();
     let id = rt.submit(spec, driver);
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed);
-    assert_eq!(sample_outcome(&conf, rt.job_result(id)), None);
+    assert_eq!(
+        sample_outcome(rt.job_spec(id).settings.sample_k, rt.job_result(id)),
+        None
+    );
 }

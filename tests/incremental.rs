@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use incmr::core::ContinuousSampling;
-use incmr::mapreduce::{keys, MemoMetrics, ReduceOutput};
+use incmr::mapreduce::{MemoMetrics, ReduceOutput};
 use incmr::prelude::*;
 
 /// Initial dataset size for the replay matrix.
@@ -374,7 +374,7 @@ fn a_different_signature_shares_no_cached_output() {
     w.rt.run_until_idle();
     let before = w.rt.metrics().memo();
     let (mut job, driver) = requery(&w.ds);
-    job.conf.set(keys::JOB_SIGNATURE, 12_345u64);
+    job.settings.signature = Some(12_345);
     let id1 = w.rt.submit(job, driver);
     w.rt.run_until_idle();
     let d = delta(before, w.rt.metrics().memo());
@@ -384,6 +384,48 @@ fn a_different_signature_shares_no_cached_output() {
         w.rt.job_result(id1).output,
         w.rt.job_result(id0).output,
         "same computation either way"
+    );
+}
+
+/// Without a signature, a job's memo identity is the fallback hash of its
+/// conf and settings: a sampling job that differs from `requery` only in
+/// `settings.sample_k` shares nothing with it, while `requery` itself
+/// still reuses every split it computed.
+#[test]
+fn the_fallback_identity_separates_jobs_that_differ_only_in_k() {
+    let mut w = world(1);
+    w.rt.enable_memoization();
+    let (job, driver) = requery(&w.ds);
+    assert_eq!(job.settings.signature, None, "requery uses the fallback");
+    let id0 = w.rt.submit(job, driver);
+    w.rt.run_until_idle();
+    let before = w.rt.metrics().memo();
+    let (job, driver) = build_sampling_job(
+        &w.ds,
+        EVERYTHING - 1,
+        Policy::hadoop(),
+        ScanMode::Planted,
+        SampleMode::FirstK,
+        23,
+    );
+    let id1 = w.rt.submit(job, driver);
+    w.rt.run_until_idle();
+    let d = delta(before, w.rt.metrics().memo());
+    assert_eq!(d.splits_reused, 0, "another k is another identity");
+    assert_eq!(d.splits_computed, INITIAL_SPLITS as u64);
+    assert_eq!(
+        w.rt.job_result(id1).output,
+        w.rt.job_result(id0).output,
+        "both k exceed every match: the same output"
+    );
+    let before = w.rt.metrics().memo();
+    let (job, driver) = requery(&w.ds);
+    w.rt.submit(job, driver);
+    w.rt.run_until_idle();
+    let d = delta(before, w.rt.metrics().memo());
+    assert_eq!(
+        d.splits_reused, INITIAL_SPLITS as u64,
+        "same conf and settings"
     );
 }
 
@@ -448,7 +490,7 @@ fn a_standing_query_parks_and_is_woken_by_arriving_data() {
                 SampleMode::FirstK,
                 23,
             );
-            job.conf.set(keys::CONTINUOUS, true);
+            job.settings.continuous = true;
             let blocks: Vec<BlockId> = ds.splits().iter().map(|p| p.block).collect();
             let total = blocks.len() as u32;
             let driver = Box::new(DynamicDriver::new(

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use incmr::dfs::ReplicatedPlacement;
-use incmr::mapreduce::{keys, ClusterFaultPlan, FaultMetrics, NodeOutage, ReplicaMetrics};
+use incmr::mapreduce::{ClusterFaultPlan, FaultMetrics, NodeOutage, ReplicaMetrics};
 use incmr::prelude::*;
 
 #[path = "support/replay.rs"]
@@ -76,7 +76,7 @@ fn run_replicated(
         23,
     );
     if allow_partial {
-        job.conf.set(keys::ALLOW_PARTIAL, true);
+        job.settings.allow_partial = true;
     }
     let id = rt.submit(job, driver);
     rt.run_until_idle();
