@@ -96,7 +96,7 @@ impl fmt::Display for GrabLimit {
 /// A named growth policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
-    /// Name (chosen via the `dynamic.job.policy` conf key).
+    /// Name (chosen with `SET dynamic.job.policy`).
     pub name: String,
     /// Time between Input Provider evaluations.
     pub evaluation_interval: SimDuration,

@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use incmr_data::lineitem::col;
 use incmr_data::{Dataset, Predicate};
-use incmr_mapreduce::{
-    keys, DatasetInputFormat, JobConf, JobResult, JobSpec, ScanMode, StaticDriver,
-};
+use incmr_mapreduce::{DatasetInputFormat, JobResult, JobSpec, ScanMode, StaticDriver};
 
 use crate::dynamic_driver::DynamicDriver;
 use crate::input_provider::InputProvider;
@@ -74,10 +72,10 @@ pub fn sample_outcome(k: Option<u64>, result: &JobResult) -> Option<SampleOutcom
 
 /// Build a dynamic predicate-based-sampling job over `dataset`.
 ///
-/// Returns the job spec (conf, settings with `sample_k`, mapper, reducer)
-/// and the dynamic driver (Input Provider under `policy`). `seed` drives
-/// the provider's random split selection (vary it across runs to
-/// average, as the paper does).
+/// Returns the job spec (settings with `sample_k`, mapper, combiner,
+/// reducer) and the dynamic driver (Input Provider under `policy`).
+/// `seed` drives the provider's random split selection (vary it across
+/// runs to average, as the paper does).
 pub fn build_sampling_job(
     dataset: &Arc<Dataset>,
     k: u64,
@@ -111,13 +109,11 @@ pub fn build_sampling_job_with(
     sample_mode: SampleMode,
     seed: u64,
 ) -> (JobSpec, Box<DynamicDriver>) {
-    let name = policy.name.clone();
     sampling_job(
         dataset,
         predicate,
         projection,
         k,
-        &name,
         scan_mode,
         sample_mode,
         seed,
@@ -140,7 +136,6 @@ pub fn build_adaptive_sampling_job(
         planted_predicate(dataset),
         Vec::new(),
         k,
-        "adaptive",
         scan_mode,
         sample_mode,
         seed,
@@ -157,30 +152,21 @@ fn planted_predicate(dataset: &Dataset) -> Predicate {
 
 /// The one sampling-job body behind the builders above: Algorithm 1 caps
 /// each split at `k` matches and Algorithm 2 keeps `k` of the merged
-/// candidates. `policy` names the growth policy in the conf and the job
-/// name; `driver` wraps the Input Provider and the split count.
+/// candidates. `driver` wraps the Input Provider and the split count; the
+/// driver it returns is what marks the job dynamic and carries its
+/// policy.
 #[allow(clippy::too_many_arguments)]
 fn sampling_job(
     dataset: &Arc<Dataset>,
     predicate: Predicate,
     projection: Vec<usize>,
     k: u64,
-    policy: &str,
     scan_mode: ScanMode,
     sample_mode: SampleMode,
     seed: u64,
     driver: impl FnOnce(Box<dyn InputProvider>, u32) -> DynamicDriver,
 ) -> (JobSpec, Box<DynamicDriver>) {
-    let conf = JobConf::new()
-        .with(
-            keys::JOB_NAME,
-            format!("sample-{}-{policy}", dataset.spec().name),
-        )
-        .with(keys::DYNAMIC_JOB, true)
-        .with(keys::DYNAMIC_JOB_POLICY, policy)
-        .with(keys::DYNAMIC_INPUT_PROVIDER, "SamplingInputProvider");
     let mut spec = JobSpec::builder()
-        .conf(conf)
         .reduces(1)
         .input(DatasetInputFormat::new(Arc::clone(dataset), scan_mode))
         .mapper(SamplingMapper::with_projection(predicate, k, projection))
@@ -200,7 +186,6 @@ fn sampling_job(
 pub fn build_scan_job(dataset: &Arc<Dataset>, scan_mode: ScanMode) -> (JobSpec, Box<StaticDriver>) {
     let predicate = planted_predicate(dataset);
     let spec = JobSpec::builder()
-        .set(keys::JOB_NAME, format!("scan-{}", dataset.spec().name))
         .reduces(1)
         .input(DatasetInputFormat::new(Arc::clone(dataset), scan_mode))
         .mapper(ScanMapper::new(predicate, paper_projection(), false))
@@ -368,12 +353,6 @@ mod tests {
             ScanMode::Planted,
             SampleMode::FirstK,
             1,
-        );
-        assert_eq!(spec.conf.get(keys::DYNAMIC_JOB), Some("true"));
-        assert_eq!(spec.conf.get(keys::DYNAMIC_JOB_POLICY), Some("LA"));
-        assert_eq!(
-            spec.conf.get(keys::DYNAMIC_INPUT_PROVIDER),
-            Some("SamplingInputProvider")
         );
         assert_eq!(spec.settings.sample_k, Some(10));
         assert_eq!(driver.policy().name, "LA");

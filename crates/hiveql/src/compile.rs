@@ -1,9 +1,18 @@
 //! The query compiler: AST → (dynamic) MapReduce job.
 //!
-//! This is the paper's Hive modification (Section IV): "We have modified
-//! the Hive compiler so that the constructed JobConf has the dynamic.job
-//! flag set to true and the dynamic.input.provider parameter set to the
-//! class name for the class that implements the Input Provider interface."
+//! This is the paper's Hive modification (Section IV): the modified
+//! compiler's job configuration "has the dynamic.job flag set to true and
+//! the dynamic.input.provider parameter set to the class name for the
+//! class that implements the Input Provider interface".
+//!
+//! Here each of those keys, and `dynamic.job.policy`, has a typed
+//! carrier instead of a conf entry. A dynamic plan is submitted with a
+//! [`DynamicDriver`] (`dynamic.job`), which holds the session's policy
+//! ([`DynamicDriver::policy`], `dynamic.job.policy`) and the boxed Input
+//! Provider (`dynamic.input.provider`). For `EXPLAIN`, the [`JobPlan`]
+//! marks a plan dynamic and names its Input Provider, and a sampling
+//! plan's policy. The compiler also gives each plan its memo identity,
+//! `JobSettings::signature`, hashed from the plan's semantic parts.
 //!
 //! Plan selection:
 //!
@@ -22,6 +31,7 @@
 //! predicates over real records.
 
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use incmr_core::scan::ScanMapper;
@@ -30,9 +40,8 @@ use incmr_core::{
 };
 use incmr_data::generator::RecordFactory;
 use incmr_data::{predicate, ColumnType, Dataset, Schema, Value};
-use incmr_mapreduce::{
-    keys, AggKind, AggPlan, GrowthDriver, JobConf, JobSpec, ScanMode, StaticDriver,
-};
+use incmr_mapreduce::shuffle::FnvHasher;
+use incmr_mapreduce::{AggKind, AggPlan, GrowthDriver, JobSpec, ScanMode, StaticDriver};
 
 use crate::agg::{GroupAggMapper, GroupAggReducer, ResolvedAgg};
 use crate::ast::{AggExpr, AggFunc, CmpOp, ErrorBound, Expr, Literal, Projection, Query};
@@ -155,7 +164,7 @@ pub enum JobPlan {
 
 /// A compiled, ready-to-submit job.
 pub struct CompiledQuery {
-    /// The job spec (conf, settings, mapper, reducer, input format).
+    /// The job spec (settings, mapper, reducer, input format).
     pub spec: JobSpec,
     /// The growth driver to submit alongside.
     pub driver: Box<dyn GrowthDriver>,
@@ -339,12 +348,21 @@ fn resolve_aggregates(schema: &Schema, aggs: &[AggExpr]) -> Result<Vec<ResolvedA
         .collect()
 }
 
-/// The memoization plane's identity for a plan: a signature over the
-/// semantic parts of the query. Jobs sharing a signature share cached
-/// per-split map output, so `parts` must name everything the map output
-/// depends on — and nothing else, so re-plans still hit.
+/// The memoization plane's identity for a plan: FNV-1a over the semantic
+/// parts of the query, each `(name, value)` pair closed by bytes no UTF-8
+/// string contains, so `("ab", "c")` and `("a", "bc")` differ. Jobs
+/// sharing a signature share cached per-split map output, so `parts` must
+/// name everything the map output depends on — and nothing else, so
+/// re-plans still hit.
 fn semantic_signature(parts: &[(&str, &str)]) -> u64 {
-    incmr_mapreduce::signature_of_conf(parts.iter().copied(), 1)
+    let mut h = FnvHasher::default();
+    for (name, value) in parts {
+        h.write(name.as_bytes());
+        h.write(&[0xFF]);
+        h.write(value.as_bytes());
+        h.write(&[0xFE]);
+    }
+    h.finish()
 }
 
 /// Compile a query against a catalog under the session's policy, scan mode,
@@ -436,9 +454,8 @@ pub fn compile_query(
     ];
     let blocks: Vec<_> = dataset.splits().iter().map(|p| p.block).collect();
     let total = blocks.len() as u32;
-    let spec = |conf: JobConf, signature: u64, bound: Option<ErrorBound>, funcs: Vec<AggKind>| {
+    let spec = |signature: u64, bound: Option<ErrorBound>, funcs: Vec<AggKind>| {
         let mut spec = JobSpec::builder()
-            .conf(conf)
             .agg_plan(AggPlan {
                 total_splits: total,
                 bound,
@@ -457,9 +474,8 @@ pub fn compile_query(
     };
 
     let Some(bound) = &query.error_bound else {
-        let conf = JobConf::new().with(keys::JOB_NAME, format!("agg-{}", query.table));
         return Ok(CompiledQuery {
-            spec: spec(conf, semantic_signature(&identity), None, Vec::new()),
+            spec: spec(semantic_signature(&identity), None, Vec::new()),
             driver: Box::new(StaticDriver::new(blocks)),
             plan: JobPlan::AggregateScan {
                 aggregates: rendered,
@@ -480,14 +496,9 @@ pub fn compile_query(
     // statement share cached per-split map output.
     let bound_rendered = format!("{}@{}", bound.error, bound.confidence);
     identity.push(("query.bound", &bound_rendered));
-    let conf = JobConf::new()
-        .with(keys::JOB_NAME, format!("approx-{}", query.table))
-        .with(keys::DYNAMIC_JOB, true)
-        .with(keys::DYNAMIC_JOB_POLICY, &policy.name)
-        .with(keys::DYNAMIC_INPUT_PROVIDER, "EstimatingInputProvider");
     let provider = EstimatingInputProvider::new(blocks, agg_rounds, seed);
     Ok(CompiledQuery {
-        spec: spec(conf, semantic_signature(&identity), Some(*bound), funcs),
+        spec: spec(semantic_signature(&identity), Some(*bound), funcs),
         driver: Box::new(DynamicDriver::new(
             Box::new(provider),
             policy.clone(),
@@ -518,9 +529,8 @@ fn compile_scan_or_sample(
 ) -> Result<CompiledQuery, CompileError> {
     let schema = dataset.factory().schema();
     // Memoization plane: a semantic signature over the query's
-    // computation. Re-running the same query (however the
-    // submission-level conf varies) shares cached per-split map output
-    // under this identity.
+    // computation. Re-running the same query (under any policy or seed)
+    // shares cached per-split map output under this identity.
     let pred_rendered = predicate.display(&schema).to_string();
     let proj_rendered = format!("{projection:?}");
 
@@ -564,7 +574,6 @@ fn compile_scan_or_sample(
                 ("query.materialize", &materialize.to_string()),
             ]);
             let mut spec = JobSpec::builder()
-                .set(keys::JOB_NAME, format!("scan-{}", query.table))
                 .input(incmr_mapreduce::DatasetInputFormat::new(
                     Arc::clone(dataset),
                     scan_mode,
@@ -641,9 +650,8 @@ mod tests {
                 mode: SampleMode::FirstK,
             }
         );
-        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), Some("true"));
-        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB_POLICY), Some("LA"));
         assert_eq!(c.projection.len(), 3);
+        assert!(c.explain().contains("policy: LA"));
         assert!(c.explain().contains("SamplingInputProvider"));
     }
 
@@ -655,7 +663,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.plan, JobPlan::StaticScan);
-        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), None);
         assert!(c.explain().contains("full select-project scan"));
     }
 
@@ -787,7 +794,6 @@ mod tests {
                 group_by: Some("L_RETURNFLAG".into()),
             }
         );
-        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), None);
         // Only estimating jobs read the function list; exact runs never
         // scale their rows.
         assert_eq!(
@@ -818,11 +824,6 @@ mod tests {
                 confidence: 0.9,
             }
         );
-        assert_eq!(c.spec.conf.get(keys::DYNAMIC_JOB), Some("true"));
-        assert_eq!(
-            c.spec.conf.get(keys::DYNAMIC_INPUT_PROVIDER),
-            Some("EstimatingInputProvider")
-        );
         assert_eq!(
             c.spec.agg_plan,
             Some(AggPlan {
@@ -850,6 +851,21 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.spec.settings.signature, c.spec.settings.signature,);
+    }
+
+    #[test]
+    fn semantic_signature_is_stable_and_sensitive() {
+        let pairs = [("a", "1"), ("b", "2")];
+        assert_eq!(semantic_signature(&pairs), semantic_signature(&pairs));
+        assert_ne!(
+            semantic_signature(&pairs),
+            semantic_signature(&[("a", "1"), ("b", "3")])
+        );
+        // Separators keep ("ab","c") distinct from ("a","bc").
+        assert_ne!(
+            semantic_signature(&[("ab", "c")]),
+            semantic_signature(&[("a", "bc")])
+        );
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! WHERE L_TAX = 0.77 LIMIT 10000
 //! ```
 //!
-//! compile to a **dynamic** MapReduce job whose `JobConf` carries
-//! `dynamic.job = true`, the configured `dynamic.job.policy`, and the
-//! sampling Input Provider — exactly the compilation path the paper adds to
-//! Hive — and whose typed `JobSettings` carry the sample size and a
-//! semantic memo signature. Queries without a `LIMIT` compile to
-//! conventional static scan jobs.
+//! compile to a **dynamic** MapReduce job — the compilation path the
+//! paper adds to Hive. The paper marks such a job with three conf keys;
+//! here each has a typed carrier. The job is submitted with a
+//! `DynamicDriver` (`dynamic.job = true`), which holds the configured
+//! policy (`dynamic.job.policy`) and the sampling Input Provider
+//! (`dynamic.input.provider`). The job's typed `JobSettings` carry the
+//! sample size and a semantic memo signature. Queries without a `LIMIT`
+//! compile to conventional static scan jobs.
 //!
 //! Like Hive, the policy is *not* part of the query syntax ("the Hive
 //! syntax does not allow specifying the policy as part of the query");

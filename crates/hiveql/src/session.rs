@@ -27,7 +27,7 @@ use std::fmt;
 
 use incmr_core::{parse_policy_file, Policy, SampleMode};
 use incmr_data::Record;
-use incmr_mapreduce::{keys, JobError, JobId, MrRuntime, ScanMode};
+use incmr_mapreduce::{JobError, JobId, MrRuntime, ScanMode};
 use incmr_simkit::SimDuration;
 
 use crate::ast::{ShowKind, Statement};
@@ -154,6 +154,10 @@ pub enum Prepared {
     Immediate(QueryOutput),
 }
 
+/// The session's policy key (paper Section IV): which registered policy
+/// the next dynamic job runs under.
+const DYNAMIC_JOB_POLICY: &str = "dynamic.job.policy";
+
 /// The session's growth-round budget key for error-bounded plans: how
 /// many times the estimating Input Provider may draw another batch of
 /// splits before it stops with `BudgetExhausted`. Must be ≥ 1.
@@ -165,7 +169,7 @@ type Setter = fn(&mut SessionState, &str) -> Result<(), SessionError>;
 /// The keys `SET` accepts — the only two a session reads — in lower
 /// case, each with how it applies a value.
 const SETTABLE: [(&str, Setter); 2] = [
-    (keys::DYNAMIC_JOB_POLICY, SessionState::set_active_policy),
+    (DYNAMIC_JOB_POLICY, SessionState::set_active_policy),
     (AGG_ROUNDS, SessionState::set_agg_rounds),
 ];
 

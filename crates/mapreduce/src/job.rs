@@ -16,7 +16,6 @@ use incmr_simkit::SimDuration;
 
 use crate::approx::AggPlan;
 use crate::cluster::ClusterStatus;
-use crate::conf::{keys, JobConf};
 use crate::exec::{Combiner, IdentityReducer, InputFormat, Mapper, ReduceOutput, Reducer};
 
 /// Identifier of a submitted job.
@@ -39,19 +38,16 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// Everything needed to run a job: its descriptive conf, the typed
-/// settings the runtime acts on, and the user's black-box logic. Cloning
-/// is cheap (shared `Arc`s); the `Arc`s make the spec `Send + Sync` so
-/// map work can run on the data-plane worker pool.
+/// Everything needed to run a job: the typed settings the runtime acts
+/// on and the user's black-box logic. Cloning is cheap (shared `Arc`s);
+/// the `Arc`s make the spec `Send + Sync` so map work can run on the
+/// data-plane worker pool.
 ///
 /// Construct specs with [`JobSpec::builder`] rather than struct literals —
-/// the builder defaults the configuration and reducer and keeps call sites
+/// the builder defaults the settings and reducer and keeps call sites
 /// stable as fields are added.
 #[derive(Clone)]
 pub struct JobSpec {
-    /// Descriptive configuration: the job name, the paper's `dynamic.*`
-    /// keys and the combiner class. No runtime path reads it.
-    pub conf: JobConf,
     /// What the runtime acts on: reduce count, guard rails, standing
     /// query, memo identity and sample size.
     pub settings: JobSettings,
@@ -71,12 +67,10 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Start building a job spec. Input format and mapper are mandatory;
-    /// the configuration defaults to empty, the settings to
-    /// [`JobSettings::default`], the combiner to none, and the reducer to
-    /// [`IdentityReducer`].
+    /// the settings default to [`JobSettings::default`], the combiner to
+    /// none, and the reducer to [`IdentityReducer`].
     pub fn builder() -> JobSpecBuilder {
         JobSpecBuilder {
-            conf: JobConf::new(),
             settings: JobSettings::default(),
             input_format: None,
             mapper: None,
@@ -89,7 +83,6 @@ impl JobSpec {
 
 /// Builder for [`JobSpec`] (see [`JobSpec::builder`]).
 pub struct JobSpecBuilder {
-    conf: JobConf,
     settings: JobSettings,
     input_format: Option<Arc<dyn InputFormat>>,
     mapper: Option<Arc<dyn Mapper>>,
@@ -99,27 +92,9 @@ pub struct JobSpecBuilder {
 }
 
 impl JobSpecBuilder {
-    /// Replace the whole configuration (defaults to empty).
-    pub fn conf(mut self, conf: JobConf) -> Self {
-        self.conf = conf;
-        self
-    }
-
-    /// Set one configuration key (applied on top of [`JobSpecBuilder::conf`]).
-    pub fn set(mut self, key: &str, value: impl fmt::Display) -> Self {
-        self.conf.set(key, value);
-        self
-    }
-
     /// Source of split contents (mandatory).
     pub fn input(mut self, input_format: impl InputFormat + 'static) -> Self {
         self.input_format = Some(Arc::new(input_format));
-        self
-    }
-
-    /// Source of split contents from an existing shared handle.
-    pub fn input_arc(mut self, input_format: Arc<dyn InputFormat>) -> Self {
-        self.input_format = Some(input_format);
         self
     }
 
@@ -129,18 +104,8 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Map logic from an existing shared handle.
-    pub fn mapper_arc(mut self, mapper: Arc<dyn Mapper>) -> Self {
-        self.mapper = Some(mapper);
-        self
-    }
-
-    /// Map-side combiner (defaults to none). Also records the combiner
-    /// under [`keys::COMBINER_CLASS`] for observability, mirroring
-    /// Hadoop's `mapred.combiner.class`.
+    /// Map-side combiner (defaults to none).
     pub fn combiner(mut self, combiner: impl Combiner + 'static) -> Self {
-        self.conf
-            .set(keys::COMBINER_CLASS, std::any::type_name_of_val(&combiner));
         self.combiner = Some(Arc::new(combiner));
         self
     }
@@ -208,7 +173,6 @@ impl JobSpecBuilder {
     pub fn try_build(self) -> Result<JobSpec, JobConfigError> {
         check_settings(&self.settings, self.agg_plan.as_ref())?;
         Ok(JobSpec {
-            conf: self.conf,
             settings: self.settings,
             input_format: self.input_format.ok_or(JobConfigError::MissingInput)?,
             mapper: self.mapper.ok_or(JobConfigError::MissingMapper)?,
@@ -236,7 +200,7 @@ impl JobSpecBuilder {
 /// The values the runtime acts on for one job, typed. The
 /// [`JobSpecBuilder`] methods fill them; a caller may also set a field on
 /// a built spec before submitting it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSettings {
     /// Number of reduce tasks (default 1; `0` runs as 1).
     pub reduce_tasks: u32,
@@ -260,9 +224,10 @@ pub struct JobSettings {
     pub continuous: bool,
     /// Memoization plane: stable identity of the job's computation
     /// (mapper, predicate, projection, `k` — not the submission). Jobs
-    /// sharing a signature share memoized per-split map output. `None`
-    /// falls back to a hash of the conf entries and these settings, so
-    /// distinct jobs never collide by default.
+    /// sharing a signature share memoized per-split map output, so two
+    /// jobs whose map output differs must not share one. `None` (the
+    /// default) keeps the job out of the memo plane: it neither reads nor
+    /// writes cached output.
     pub signature: Option<u64>,
     /// A sampling job's requested sample size `k`. A completed job with
     /// fewer rows is traced and counted as a partial sample.
@@ -742,11 +707,8 @@ mod tests {
         let spec = JobSpec::builder()
             .input(NullInput)
             .mapper(NullMapper)
-            .set(keys::JOB_NAME, "t")
             .reduces(3)
             .build();
-        assert_eq!(spec.conf.get(keys::JOB_NAME), Some("t"));
-        assert_eq!(spec.conf.len(), 1, "settings stay out of the conf");
         assert_eq!(
             spec.settings,
             JobSettings {
@@ -765,9 +727,10 @@ mod tests {
         spec.reducer.reduce(&Key::from("k"), &[], &mut out);
         assert!(out.is_empty());
         assert!(spec.combiner.is_none());
-        assert_eq!(spec.conf.get(keys::COMBINER_CLASS), None);
     }
 
+    /// The builder records the combiner (Hadoop's combiner class) on the
+    /// spec.
     #[test]
     fn builder_records_combiner_class() {
         struct NullInput;
@@ -794,11 +757,6 @@ mod tests {
             .combiner(Passthrough)
             .build();
         assert!(spec.combiner.is_some());
-        assert!(spec
-            .conf
-            .get(keys::COMBINER_CLASS)
-            .expect("combiner class recorded")
-            .contains("Passthrough"));
     }
 
     #[test]
@@ -920,7 +878,6 @@ mod tests {
         assert_eq!(spec.settings.max_idle_evaluations, 16);
         assert_eq!(spec.settings.deadline, Some(SimDuration::from_secs(30)));
         assert!(spec.settings.allow_partial);
-        assert!(spec.conf.is_empty(), "settings stay out of the conf");
 
         // `try_build` and `MrRuntime::try_submit` share the check: a zero
         // deadline is rejected by both.

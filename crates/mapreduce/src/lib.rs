@@ -41,7 +41,6 @@
 
 pub mod approx;
 pub mod cluster;
-pub mod conf;
 pub mod cost;
 pub mod exec;
 pub mod faults;
@@ -61,7 +60,6 @@ pub use approx::{
     DEFAULT_AGG_ROUNDS,
 };
 pub use cluster::{ClusterConfig, ClusterStatus, Parallelism};
-pub use conf::{keys, JobConf};
 pub use cost::CostModel;
 pub use exec::{
     batches_to_pairs, Combiner, DatasetInputFormat, IdentityReducer, InputFormat, Key, KeyedBatch,
@@ -75,7 +73,7 @@ pub use job::{
     JobProgress, JobResult, JobSettings, JobSpec, JobSpecBuilder, ProviderError, ProviderStage,
     StaticDriver, TaskId,
 };
-pub use memo::{signature_of_conf, MemoEntry, MemoProbe, MemoStore};
+pub use memo::{MemoEntry, MemoProbe, MemoStore};
 pub use metrics::{
     ClusterMetrics, FaultMetrics, GuardrailMetrics, HostPhaseNanos, MemoMetrics, MetricsReport,
     ReplicaMetrics, ShuffleMetrics,
@@ -101,7 +99,6 @@ pub use trace::{job_timeline, JobTimeline, TraceEvent, TraceKind};
 /// brings in the types almost every job-building call site needs.
 pub mod prelude {
     pub use crate::cluster::{ClusterConfig, ClusterStatus, Parallelism};
-    pub use crate::conf::{keys, JobConf};
     pub use crate::cost::CostModel;
     pub use crate::exec::{
         Combiner, DatasetInputFormat, IdentityReducer, InputFormat, Key, KeyedBatch, MapResult,
@@ -318,8 +315,7 @@ mod tests {
     #[test]
     fn incremental_driver_is_reevaluated_until_end_of_input() {
         let (mut rt, ds) = small_world(10, 1_000);
-        let (mut spec, _) = static_job(&ds);
-        spec.conf.set("mapred.job.name", "drip");
+        let (spec, _) = static_job(&ds);
         let calls = Rc::new(Cell::new(0u32));
         let driver = Box::new(DripDriver {
             splits: ds.splits().iter().map(|p| p.block).collect(),

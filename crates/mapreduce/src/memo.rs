@@ -4,8 +4,11 @@
 //!
 //! A [`MemoStore`] remembers, for each `(signature, block)` pair, the
 //! [`MapTaskResult`] the data plane produced at a specific block version,
-//! plus the node whose local disk notionally holds that map output. A
-//! re-submitted job with the same signature probes the store per split:
+//! plus the node whose local disk notionally holds that map output. The
+//! signature is the job's
+//! [`JobSettings::signature`](crate::JobSettings::signature); a job
+//! without one never touches the store. A re-submitted job with the same
+//! signature probes the store per split:
 //!
 //! * **hit** — same version: the attempt keeps its full simulated schedule
 //!   (slot, overhead, disk, CPU stages) but skips host recomputation and
@@ -21,14 +24,10 @@
 //! the dead node held and the next probe recomputes.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use incmr_dfs::{BlockId, NodeId};
 
-use crate::conf::JobConf;
-use crate::job::JobSettings;
 use crate::parallel::MapTaskResult;
-use crate::shuffle::FnvHasher;
 
 /// One cached map output: the result, the block version it was computed
 /// at, and the node holding it.
@@ -161,42 +160,6 @@ impl MemoStore {
     }
 }
 
-/// Derive a signature by hashing `(key, value)` pairs in order plus a
-/// reduce count with FNV-1a, the stable hash the shuffle partitioner
-/// uses. Deterministic across runs and processes; equal inputs collide by
-/// construction, which is exactly the memo-sharing contract. The HiveQL
-/// compiler hashes a plan's semantic parts this way into
-/// [`JobSettings::signature`].
-pub fn signature_of_conf<'a>(
-    pairs: impl Iterator<Item = (&'a str, &'a str)>,
-    reduce_tasks: u32,
-) -> u64 {
-    let mut h = hash_pairs(pairs);
-    h.write(&reduce_tasks.to_le_bytes());
-    h.finish()
-}
-
-/// The memo identity of a job that sets no [`JobSettings::signature`]:
-/// its conf entries in key order hashed together with its settings. Two
-/// submissions with equal conf and settings share memoized map output;
-/// jobs differing in either (a sample size, a deadline) share none.
-pub(crate) fn fallback_signature(conf: &JobConf, settings: &JobSettings) -> u64 {
-    let mut h = hash_pairs(conf.iter());
-    settings.hash(&mut h);
-    h.finish()
-}
-
-fn hash_pairs<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>) -> FnvHasher {
-    let mut h = FnvHasher::default();
-    for (k, v) in pairs {
-        h.write(k.as_bytes());
-        h.write(&[0xFF]);
-        h.write(v.as_bytes());
-        h.write(&[0xFE]);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,18 +232,5 @@ mod tests {
         assert_eq!(store.probe(1, BlockId(0), 0), MemoProbe::Hit);
         assert_eq!(store.probe(1, BlockId(1), 0), MemoProbe::Miss);
         assert_eq!(store.invalidate_node(NodeId(7)), 1, "entry moved home");
-    }
-
-    #[test]
-    fn conf_signature_is_stable_and_sensitive() {
-        let pairs = [("a", "1"), ("b", "2")];
-        let sig = |ps: &[(&'static str, &'static str)], r| {
-            signature_of_conf(ps.iter().map(|&(k, v)| (k, v)), r)
-        };
-        assert_eq!(sig(&pairs, 1), sig(&pairs, 1));
-        assert_ne!(sig(&pairs, 1), sig(&pairs, 2), "reduce count matters");
-        assert_ne!(sig(&pairs, 1), sig(&[("a", "1"), ("b", "3")], 1));
-        // Separators keep ("ab","c") distinct from ("a","bc").
-        assert_ne!(sig(&[("ab", "c")], 1), sig(&[("a", "bc")], 1));
     }
 }

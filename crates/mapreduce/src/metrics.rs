@@ -129,8 +129,9 @@ pub struct MemoMetrics {
     /// Splits whose memo entry existed at a stale block version and were
     /// recomputed (`SplitDirty`).
     pub splits_dirty: u64,
-    /// Map attempts that ran the mapper for real while memoization was
-    /// enabled (new splits, dirty splits, and invalidated entries).
+    /// Map attempts of jobs with a signature that ran the mapper for real
+    /// while memoization was enabled (new splits, dirty splits, and
+    /// invalidated entries). A job without a signature is never counted.
     /// Live-only: no event of its own.
     pub splits_computed: u64,
     /// Evolve steps that delivered new blocks while jobs were live

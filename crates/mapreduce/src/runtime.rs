@@ -62,7 +62,7 @@ use crate::job::{
     check_settings, EvalContext, GrowthDirective, GrowthDriver, JobConfigError, JobError, JobId,
     JobProgress, JobResult, JobSpec, ProviderError, ProviderStage, TaskId,
 };
-use crate::memo::{fallback_signature, MemoProbe, MemoStore};
+use crate::memo::{MemoProbe, MemoStore};
 use crate::metrics::{ClusterMetrics, METRICS_INTERVAL};
 use crate::obs::{AuditDirective, AuditRecord, MetricsRegistry};
 use crate::parallel::{
@@ -318,10 +318,6 @@ struct JobEntry {
     /// Speculation candidates — tasks with exactly one non-speculative
     /// attempt in flight — keyed by attempt start time (oldest first).
     spec_candidates: BTreeSet<(SimTime, u32)>,
-    /// Stable identity of the job's computation (memo-sharing key):
-    /// `settings.signature` when set, else a hash of the conf and
-    /// settings.
-    signature: u64,
     /// A parked standing query: no EvalTick in flight; `evolve` re-arms.
     parked: bool,
     /// Blocks that arrived via `evolve` since the last driver consultation
@@ -583,7 +579,8 @@ impl MrRuntime {
     /// output keyed by `(job signature, block, version)`, and later jobs
     /// with the same signature replay cached splits instead of recomputing
     /// them (the attempt keeps its full simulated schedule, so results and
-    /// traces stay byte-identical to a cold run). See DESIGN.md §13.
+    /// traces stay byte-identical to a cold run). Only jobs that set
+    /// `JobSettings::signature` take part. See DESIGN.md §13.
     pub fn enable_memoization(&mut self) {
         if self.memo.is_none() {
             self.memo = Some(MemoStore::new());
@@ -857,9 +854,6 @@ impl MrRuntime {
         check_settings(&spec.settings, spec.agg_plan.as_ref())?;
         let settings = spec.settings;
         let reduce_tasks = settings.reduce_tasks.max(1);
-        let signature = settings
-            .signature
-            .unwrap_or_else(|| fallback_signature(&spec.conf, &settings));
         let estimator = spec.agg_plan.as_ref().and_then(Estimator::new);
         // Snapshot before this job is registered, so the provider's first
         // look at the cluster excludes its own (not yet running) job.
@@ -904,7 +898,6 @@ impl MrRuntime {
             share_key: None,
             counted_pending: 0,
             spec_candidates: BTreeSet::new(),
-            signature,
             parked: false,
             arrived: Vec::new(),
             estimator,
@@ -1748,24 +1741,28 @@ impl MrRuntime {
         // functions of the unit, so simulated state and event ordering are
         // identical at any thread count.
         //
-        // Memoization probe: with the memo plane on, a split whose cached
-        // output matches the block's current version replays the cached
-        // result instead of submitting host work. The attempt's simulated
-        // schedule is untouched either way, so warm runs stay
-        // byte-identical to cold ones.
+        // Memoization probe: with the memo plane on, a split of a job
+        // with a signature whose cached output matches the block's current
+        // version replays the cached result instead of submitting host
+        // work. The attempt's simulated schedule is untouched either way,
+        // so warm runs stay byte-identical to cold ones.
         for a in assignments {
             let (block, signature) = {
                 let job = self.job(a.job);
-                (job.tasks[a.task.0 as usize].block, job.signature)
+                (
+                    job.tasks[a.task.0 as usize].block,
+                    job.spec.settings.signature,
+                )
             };
             let version = self.namespace.version_of(block);
+            // `None`: the memo plane is off or the job has no signature.
             let probe = self
                 .memo
                 .as_ref()
-                .map(|m| m.probe(signature, block, version))
-                .unwrap_or(MemoProbe::Miss);
+                .zip(signature)
+                .map(|(m, signature)| (signature, m.probe(signature, block, version)));
             let work = match probe {
-                MemoProbe::Hit => {
+                Some((signature, MemoProbe::Hit)) => {
                     let result = self
                         .memo
                         .as_ref()
@@ -1782,13 +1779,13 @@ impl MrRuntime {
                     MapWork::Cached(result)
                 }
                 probe => {
-                    if probe == MemoProbe::Stale {
-                        self.record(TraceKind::SplitDirty {
-                            job: a.job,
-                            task: a.task,
-                        });
-                    }
-                    if self.memo.is_some() {
+                    if let Some((_, probe)) = probe {
+                        if probe == MemoProbe::Stale {
+                            self.record(TraceKind::SplitDirty {
+                                job: a.job,
+                                task: a.task,
+                            });
+                        }
                         self.metrics.memo_mut().splits_computed += 1;
                     }
                     MapWork::Computed(self.submit_map(a.job, a.task))
@@ -2128,16 +2125,16 @@ impl MrRuntime {
                 }
                 MapWork::Cached(result) => (result, true),
             };
-            if let Some(memo) = &mut self.memo {
-                let job = &self.jobs[id.0 as usize];
+            let job = &self.jobs[id.0 as usize];
+            if let (Some(memo), Some(signature)) = (&mut self.memo, job.spec.settings.signature) {
                 let block = job.tasks[task.0 as usize].block;
                 if replayed {
                     // The replaying node now holds a live copy of the map
                     // output; invalidation tracks the latest holder.
-                    memo.rehome(job.signature, block, a.node);
+                    memo.rehome(signature, block, a.node);
                 } else {
                     memo.insert(
-                        job.signature,
+                        signature,
                         block,
                         self.namespace.version_of(block),
                         a.node,

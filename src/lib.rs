@@ -79,9 +79,8 @@ pub mod prelude {
     pub use incmr_mapreduce::{
         audited_splits_added, encode_trace, parse_trace, render_audit, render_swimlanes,
         AuditDirective, AuditRecord, ClusterConfig, ClusterStatus, Combiner, CostModel,
-        EvalContext, FairScheduler, FifoScheduler, JobConf, JobError, JobId, JobResult, JobSpec,
-        Key, MetricsRegistry, MrRuntime, Parallelism, ProviderError, ScanMode, TraceEvent,
-        TraceKind,
+        EvalContext, FairScheduler, FifoScheduler, JobError, JobId, JobResult, JobSpec, Key,
+        MetricsRegistry, MrRuntime, Parallelism, ProviderError, ScanMode, TraceEvent, TraceKind,
     };
     pub use incmr_service::{
         QueryService, ServiceConfig, ServiceError, ServiceReply, TenantId, Ticket,

@@ -623,9 +623,10 @@ fn provider_observes_only_alive_node_capacity_after_a_node_dies() {
 /// A sample target no dataset here can satisfy, so the requery consumes
 /// every split (the Hadoop policy grabs the whole pool upfront) and
 /// materialises every matching row — output that actually reflects split
-/// content, unlike the unmaterialised scan.
+/// content, unlike the unmaterialised scan. Every submission shares one
+/// explicit signature, so the warm requery reuses the priming run's splits.
 fn sample_everything(ds: &Arc<Dataset>) -> (JobSpec, Box<dyn incmr::mapreduce::GrowthDriver>) {
-    let (job, driver) = build_sampling_job(
+    let (mut job, driver) = build_sampling_job(
         ds,
         1 << 40,
         Policy::hadoop(),
@@ -633,6 +634,7 @@ fn sample_everything(ds: &Arc<Dataset>) -> (JobSpec, Box<dyn incmr::mapreduce::G
         SampleMode::FirstK,
         23,
     );
+    job.settings.signature = Some(7_003);
     (job, driver)
 }
 

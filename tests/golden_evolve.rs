@@ -44,10 +44,10 @@ fn requery(ds: &Arc<Dataset>, rt: &mut MrRuntime) -> JobId {
         SampleMode::FirstK,
         23,
     );
-    // `k` grows with the dataset, which would shift the fallback
-    // signature — but per-split map output is independent of `k`, so the
-    // requeries pin a shared semantic signature (the override hiveql uses
-    // for its compiled queries).
+    // A job without a signature is not memoized. Per-split map output is
+    // independent of `k`, which grows with the dataset, so the requeries
+    // pin one shared semantic signature (as hiveql does for its compiled
+    // queries).
     job.settings.signature = Some(7_001);
     let id = rt.submit(job, driver);
     rt.run_until_idle();

@@ -23,6 +23,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use incmr::core::ContinuousSampling;
+use incmr::data::lineitem::col;
 use incmr::mapreduce::{MemoMetrics, ReduceOutput};
 use incmr::prelude::*;
 
@@ -38,9 +39,10 @@ const RECORDS: u64 = 3_000;
 const EVERYTHING: u64 = 1 << 40;
 
 /// The job the replay suite re-submits: a full-consumption sampling job,
-/// byte-deterministic and signature-stable across submissions.
+/// byte-deterministic, under one explicit signature across submissions
+/// (a job without one is never memoized).
 fn requery(ds: &Arc<Dataset>) -> (JobSpec, Box<dyn incmr::mapreduce::GrowthDriver>) {
-    let (job, driver) = build_sampling_job(
+    let (mut job, driver) = build_sampling_job(
         ds,
         EVERYTHING,
         Policy::hadoop(),
@@ -48,6 +50,7 @@ fn requery(ds: &Arc<Dataset>) -> (JobSpec, Box<dyn incmr::mapreduce::GrowthDrive
         SampleMode::FirstK,
         23,
     );
+    job.settings.signature = Some(7_002);
     (job, driver)
 }
 
@@ -387,45 +390,52 @@ fn a_different_signature_shares_no_cached_output() {
     );
 }
 
-/// Without a signature, a job's memo identity is the fallback hash of its
-/// conf and settings: a sampling job that differs from `requery` only in
-/// `settings.sample_k` shares nothing with it, while `requery` itself
-/// still reuses every split it computed.
+/// A job that sets no signature bypasses the memo plane: no probe, no
+/// insert, no memo event or counter. Two full-mode sampling jobs that
+/// differ only in their predicate therefore answer the same with the memo
+/// on as with it off; a guessed identity that ignored the predicate would
+/// serve the first job's map output to the second.
 #[test]
-fn the_fallback_identity_separates_jobs_that_differ_only_in_k() {
-    let mut w = world(1);
-    w.rt.enable_memoization();
-    let (job, driver) = requery(&w.ds);
-    assert_eq!(job.settings.signature, None, "requery uses the fallback");
-    let id0 = w.rt.submit(job, driver);
-    w.rt.run_until_idle();
-    let before = w.rt.metrics().memo();
-    let (job, driver) = build_sampling_job(
-        &w.ds,
-        EVERYTHING - 1,
-        Policy::hadoop(),
-        ScanMode::Planted,
-        SampleMode::FirstK,
-        23,
-    );
-    let id1 = w.rt.submit(job, driver);
-    w.rt.run_until_idle();
-    let d = delta(before, w.rt.metrics().memo());
-    assert_eq!(d.splits_reused, 0, "another k is another identity");
-    assert_eq!(d.splits_computed, INITIAL_SPLITS as u64);
-    assert_eq!(
-        w.rt.job_result(id1).output,
-        w.rt.job_result(id0).output,
-        "both k exceed every match: the same output"
-    );
-    let before = w.rt.metrics().memo();
-    let (job, driver) = requery(&w.ds);
-    w.rt.submit(job, driver);
-    w.rt.run_until_idle();
-    let d = delta(before, w.rt.metrics().memo());
-    assert_eq!(
-        d.splits_reused, INITIAL_SPLITS as u64,
-        "same conf and settings"
+fn a_job_without_a_signature_bypasses_the_memo_plane() {
+    let answers = |memoize: bool| {
+        let mut w = world(1);
+        if memoize {
+            w.rt.enable_memoization();
+        }
+        let outputs = ["R", "A"].map(|flag| {
+            let predicate = Predicate::eq(col::RETURNFLAG, Value::Str(flag.into()));
+            let (job, driver) = build_sampling_job_with(
+                &w.ds,
+                predicate,
+                Vec::new(),
+                EVERYTHING,
+                Policy::hadoop(),
+                ScanMode::Full,
+                SampleMode::FirstK,
+                23,
+            );
+            assert_eq!(job.settings.signature, None);
+            let id = w.rt.submit(job, driver);
+            w.rt.run_until_idle();
+            assert!(!w.rt.job_result(id).failed, "L_RETURNFLAG = '{flag}'");
+            w.rt.job_result(id).output.clone()
+        });
+        if memoize {
+            let store = w.rt.memo_store().expect("memoization enabled");
+            assert_eq!(store.len(), 0, "nothing is cached without a signature");
+            assert_eq!(w.rt.metrics().memo(), MemoMetrics::default());
+        }
+        outputs
+    };
+    let [cold_r, cold_a] = answers(false);
+    assert!(cold_r != cold_a, "the two predicates select different rows");
+    let [memo_r, memo_a] = answers(true);
+    assert!(memo_r == cold_r, "L_RETURNFLAG = 'R'");
+    assert!(
+        memo_a == cold_a,
+        "the memo served another job's map output: {} rows memoized, {} without the memo",
+        memo_a.len(),
+        cold_a.len()
     );
 }
 
@@ -558,9 +568,8 @@ fn sql_session(memoize: bool) -> Session {
         .expect("well-formed session")
 }
 
-/// Statement pairs whose map outputs differ only in what the conf alone
-/// does not name: the predicate, the grouping column, or an aggregate's
-/// column. One pair per plan shape.
+/// Statement pairs whose map outputs differ only in the predicate, the
+/// grouping column, or an aggregate's column. One pair per plan shape.
 const DISTINCT_QUESTIONS: [(&str, &str); 4] = [
     (
         "SELECT L_QUANTITY FROM lineitem WHERE L_QUANTITY < 3",
