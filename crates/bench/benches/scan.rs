@@ -88,7 +88,6 @@ fn scan_units(ds: &Arc<Dataset>) -> Vec<MapUnit> {
             mapper: Arc::clone(&mapper),
             combiner: None,
             block: plan.block,
-            reduce_tasks: 1,
         })
         .collect()
 }

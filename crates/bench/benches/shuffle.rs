@@ -1,14 +1,15 @@
-//! Shuffle micro-benchmark: the host cost of map-side partitioning, the
-//! optional combiner, the streaming merge into per-reduce buffers, and the
-//! reduce unit that turns a merged partition into output rows.
+//! Shuffle micro-benchmark: the host cost of the map side, the optional
+//! combiner, the streaming merge into a job's one reduce buffer, and the
+//! reduce unit that turns the merged buffer into output rows.
 //!
-//! Map side (`shuffle/map_partition_merge_24x5k/*`). Two workload shapes
-//! bracket the partitioning spectrum:
+//! Map side (`shuffle/map_partition_merge_24x5k/*`; the group keeps the
+//! name its rows were first recorded under). Two workload shapes bracket
+//! the key-grouping spectrum:
 //!
-//! * **wide keys** — every record under one of 1 000 distinct keys, spread
-//!   across 4 reduce partitions (the general MapReduce shape);
-//! * **dummy key** — every record under one shared key into a single
-//!   partition (the paper's sampling job shape, Algorithm 1).
+//! * **wide keys** — every record under one of 1 000 distinct keys, so the
+//!   merge keeps 1 000 groups;
+//! * **dummy key** — every record under one shared key (the paper's
+//!   sampling job shape, Algorithm 1).
 //!
 //! The mapper emits `KeyedBatch` runs — selection vectors into the split's
 //! shared batch — as `SamplingMapper` does, so these rows time the batch
@@ -21,12 +22,12 @@
 //! A third shape, `materialised_scan`, is a full-mode select-project
 //! statement: `ScanMapper` over `L_QUANTITY <= 5` (about 10% of rows),
 //! projected to `L_ORDERKEY, L_PARTKEY, L_QUANTITY`, materialising each
-//! match as a `(r{i}, row)` pair into one reduce partition. The mapper is
+//! match as a `(r{i}, row)` pair into the reduce buffer. The mapper is
 //! built fresh every iteration, as every statement compiles one, so its
 //! row-key table is rebuilt each time too.
 //!
 //! Reduce side (`shuffle/reduce_*`): `ReduceUnit::compute` over one merged
-//! partition.
+//! buffer.
 //!
 //! * `reduce_sampling_k{100,10000}` — `SamplingReducer` (first k, paper
 //!   Algorithm 2) over the dummy-key shuffle: 120k batch rows in one group,
@@ -40,7 +41,7 @@
 //!   scan (5 000 groups of 24 rows).
 //!
 //! `compute` consumes its unit, so every iteration first clones the merged
-//! partition into a fresh one. The `reduce_input_clone/*` rows time that
+//! buffer into a fresh one. The `reduce_input_clone/*` rows time that
 //! clone alone; subtract them to get the reduce itself.
 //!
 //! Every row builds its own input inside its closure, so a filtered run
@@ -62,7 +63,7 @@ use incmr_dfs::{ClusterTopology, EvenRoundRobin, Namespace};
 use incmr_mapreduce::{
     Combiner, DatasetInputFormat, IdentityReducer, InputFormat, Key, KeyedBatch, MapResult,
     MapUnit, Mapper, ParallelExecutor, Parallelism, PartitionBuffer, ReduceUnit, Reducer, ScanMode,
-    ShuffleState, SplitData, WorkUnit,
+    ShuffleState, SplitData, ValueSeq, WorkUnit,
 };
 use incmr_simkit::rng::DetRng;
 
@@ -131,7 +132,6 @@ fn dataset() -> Arc<Dataset> {
 fn map_units(
     ds: &Arc<Dataset>,
     mapper: Arc<dyn Mapper>,
-    reduce_tasks: u32,
     combiner: Option<Arc<dyn Combiner>>,
 ) -> Vec<MapUnit> {
     let input: Arc<dyn InputFormat> =
@@ -143,36 +143,34 @@ fn map_units(
             mapper: Arc::clone(&mapper),
             combiner: combiner.clone(),
             block: plan.block,
-            reduce_tasks,
         })
         .collect()
 }
 
-/// Run one batch end to end — map, combine, partition on the executor,
-/// then stream-merge every task's partitions.
-fn merge_batch(
-    executor: &mut ParallelExecutor,
-    units: Vec<MapUnit>,
-    reduce_tasks: u32,
-) -> ShuffleState {
-    let mut shuffle = ShuffleState::new(reduce_tasks);
+/// Run one batch end to end — map, combine and count on the executor,
+/// then stream-merge every task's output into one buffer.
+fn merge_batch(executor: &mut ParallelExecutor, units: Vec<MapUnit>) -> ShuffleState {
+    let mut shuffle = ShuffleState::default();
     for result in executor.run(units) {
         shuffle.merge(result.pairs);
     }
     shuffle
 }
 
-/// Records merged across every reduce partition.
+/// Records merged into the buffer, across every key group.
 fn merged_records(shuffle: &ShuffleState) -> u64 {
-    shuffle.buffers().iter().map(|b| b.input_records).sum()
+    shuffle
+        .buffer()
+        .groups
+        .values()
+        .map(ValueSeq::len)
+        .sum::<usize>() as u64
 }
 
 fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelExecutor) {
     let mut g = c.benchmark_group("shuffle/map_partition_merge_24x5k");
     g.throughput(Throughput::Elements(MAPS as u64 * RECORDS_PER_SPLIT));
-    for (shape, distinct_keys, reduce_tasks) in
-        [("wide_keys", 1_000usize, 4u32), ("dummy_key", 1, 1)]
-    {
+    for (shape, distinct_keys) in [("wide_keys", 1_000usize), ("dummy_key", 1)] {
         for with_combiner in [false, true] {
             let suffix = if with_combiner {
                 "combiner"
@@ -183,8 +181,8 @@ fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelE
                 let combiner: Option<Arc<dyn Combiner>> =
                     with_combiner.then(|| Arc::new(SampleCombiner::new(COMBINER_K)) as _);
                 let mapper = Arc::new(FanOutMapper::unprojected(distinct_keys));
-                let units = map_units(ds, mapper, reduce_tasks, combiner);
-                let merged = merged_records(&merge_batch(executor, units.clone(), reduce_tasks));
+                let units = map_units(ds, mapper, combiner);
+                let merged = merged_records(&merge_batch(executor, units.clone()));
                 if with_combiner {
                     assert!(
                         merged <= COMBINER_K * MAPS as u64,
@@ -199,13 +197,7 @@ fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelE
                     MAPS as u64 * RECORDS_PER_SPLIT,
                     COMBINER_K * MAPS as u64,
                 );
-                b.iter(|| {
-                    black_box(merged_records(&merge_batch(
-                        executor,
-                        units.clone(),
-                        reduce_tasks,
-                    )))
-                })
+                b.iter(|| black_box(merged_records(&merge_batch(executor, units.clone()))))
             });
         }
     }
@@ -219,13 +211,12 @@ fn bench_map_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelE
         Arc::new(ScanMapper::new(predicate, projection, true))
     };
     g.bench_function("materialised_scan", |b| {
-        let merged = merged_records(&merge_batch(executor, map_units(ds, scan(), 1, None), 1));
+        let merged = merged_records(&merge_batch(executor, map_units(ds, scan(), None)));
         println!("materialised_scan: {merged} records merged");
         b.iter(|| {
             black_box(merged_records(&merge_batch(
                 executor,
-                map_units(ds, scan(), 1, None),
-                1,
+                map_units(ds, scan(), None),
             )))
         })
     });
@@ -242,10 +233,8 @@ fn reduce_unit(reducer: &Arc<dyn Reducer>, buffer: &PartitionBuffer) -> ReduceUn
 }
 
 fn bench_reduce_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut ParallelExecutor) {
-    let one_partition = |mapper: Arc<dyn Mapper>, executor: &mut ParallelExecutor| {
-        let units = map_units(ds, mapper, 1, None);
-        let mut buffers = merge_batch(executor, units, 1).into_buffers();
-        buffers.pop().expect("one reduce partition")
+    let merged = |mapper: Arc<dyn Mapper>, executor: &mut ParallelExecutor| {
+        merge_batch(executor, map_units(ds, mapper, None)).into_buffer()
     };
     let projection = vec![col::ORDERKEY, col::PARTKEY, col::SUPPKEY];
     let sample: Arc<dyn Mapper> = Arc::new(FanOutMapper::unprojected(1));
@@ -286,7 +275,7 @@ fn bench_reduce_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut Parall
     ];
     for (name, reducer, mapper, rows) in cases {
         c.bench_function(format!("shuffle/{name}"), |b| {
-            let input = one_partition(Arc::clone(&mapper), executor);
+            let input = merged(Arc::clone(&mapper), executor);
             let out = reduce_unit(&reducer, &input).compute().output.len();
             assert_eq!(out, rows, "{name}");
             b.iter(|| black_box(reduce_unit(&reducer, &input).compute().output.len()))
@@ -295,7 +284,7 @@ fn bench_reduce_side(c: &mut Criterion, ds: &Arc<Dataset>, executor: &mut Parall
     for (name, mapper) in [("sampling", sample), ("identity_scan", scan)] {
         let reducer: Arc<dyn Reducer> = Arc::new(IdentityReducer);
         c.bench_function(format!("shuffle/reduce_input_clone/{name}"), |b| {
-            let input = one_partition(Arc::clone(&mapper), executor);
+            let input = merged(Arc::clone(&mapper), executor);
             b.iter(|| black_box(reduce_unit(&reducer, &input).groups.len()))
         });
     }

@@ -167,7 +167,6 @@ fn sampling_job(
     driver: impl FnOnce(Box<dyn InputProvider>, u32) -> DynamicDriver,
 ) -> (JobSpec, Box<DynamicDriver>) {
     let mut spec = JobSpec::builder()
-        .reduces(1)
         .input(DatasetInputFormat::new(Arc::clone(dataset), scan_mode))
         .mapper(SamplingMapper::with_projection(predicate, k, projection))
         .combiner(SampleCombiner::new(k))
@@ -186,7 +185,6 @@ fn sampling_job(
 pub fn build_scan_job(dataset: &Arc<Dataset>, scan_mode: ScanMode) -> (JobSpec, Box<StaticDriver>) {
     let predicate = planted_predicate(dataset);
     let spec = JobSpec::builder()
-        .reduces(1)
         .input(DatasetInputFormat::new(Arc::clone(dataset), scan_mode))
         .mapper(ScanMapper::new(predicate, paper_projection(), false))
         .build();

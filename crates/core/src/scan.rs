@@ -10,8 +10,8 @@
 //!
 //! A materialised scan (full mode) emits each returned row under its
 //! position in the split's selection: `r0`, `r1`, …, restarting at every
-//! split. Those keys are observable — they set shuffle bytes, the reduce
-//! partition (`partition_of`) and so the result's row order — so they are
+//! split. Those keys are observable — they set shuffle bytes and the
+//! reduce's key groups, and so the result's row order — so they are
 //! exactly these strings. Each mapper builds them once, into one grow-only
 //! table, and a map task clones its keys out of it: an `Arc` bump per row
 //! where formatting a `String` and interning it cost two allocations.

@@ -159,6 +159,8 @@ pub enum JobPlan {
         error: f64,
         /// Target confidence.
         confidence: f64,
+        /// Policy controlling growth.
+        policy: String,
     },
 }
 
@@ -218,8 +220,9 @@ impl CompiledQuery {
                 group_by,
                 error,
                 confidence,
+                policy,
             } => format!(
-                "Dynamic MapReduce job: error-bounded approximate aggregation\n  aggregates: {aggregates}\n  group by: {}\n  error bound: {error} at confidence {confidence}\n  input provider: EstimatingInputProvider (random splits, grown in rounds)\n  map: GroupAggMapper (one partial per group per split)\n  reduce: GroupAggReducer (merge partials; session scales by M/m)",
+                "Dynamic MapReduce job: error-bounded approximate aggregation\n  aggregates: {aggregates}\n  group by: {}\n  error bound: {error} at confidence {confidence}\n  policy: {policy}\n  input provider: EstimatingInputProvider (random splits, grown in rounds)\n  map: GroupAggMapper (one partial per group per split)\n  reduce: GroupAggReducer (merge partials; session scales by M/m)",
                 group_by.as_deref().unwrap_or("(whole table)")
             ),
         }
@@ -461,7 +464,6 @@ pub fn compile_query(
                 bound,
                 funcs,
             })
-            .reduces(1)
             .input(incmr_mapreduce::DatasetInputFormat::new(
                 Arc::clone(dataset),
                 scan_mode,
@@ -509,6 +511,7 @@ pub fn compile_query(
             group_by: query.group_by.clone(),
             error: bound.error,
             confidence: bound.confidence,
+            policy: policy.name.clone(),
         },
         projection,
     })
@@ -822,6 +825,7 @@ mod tests {
                 group_by: Some("L_RETURNFLAG".into()),
                 error: 0.05,
                 confidence: 0.9,
+                policy: "LA".into(),
             }
         );
         assert_eq!(
@@ -837,6 +841,7 @@ mod tests {
         );
         assert!(c.spec.settings.signature.is_some());
         assert!(c.explain().contains("EstimatingInputProvider"));
+        assert!(c.explain().contains("policy: LA"));
     }
 
     #[test]

@@ -632,6 +632,22 @@ mod tests {
     }
 
     #[test]
+    fn set_policy_reaches_the_bounded_explain() {
+        // An error-bounded plan grows its input under the session's
+        // policy too, and its EXPLAIN says which one.
+        let mut s = session_with(SkewLevel::High, true);
+        s.execute("SET dynamic.job.policy = HA").unwrap();
+        let QueryOutput::Explained(plan) = s
+            .execute("EXPLAIN SELECT SUM(L_QUANTITY) FROM lineitem WITH ERROR 0.05")
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert!(plan.contains("error-bounded"), "{plan}");
+        assert!(plan.contains("policy: HA"), "{plan}");
+    }
+
+    #[test]
     fn unknown_policy_lists_available() {
         let mut s = session(SkewLevel::High);
         let err = s.execute("SET dynamic.job.policy = turbo").unwrap_err();

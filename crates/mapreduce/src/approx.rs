@@ -28,7 +28,7 @@ use incmr_simkit::SimTime;
 
 use crate::exec::Key;
 use crate::job::JobId;
-use crate::shuffle::PartitionedPairs;
+use crate::shuffle::MapOutput;
 use incmr_data::{Record, Value};
 
 /// Splits a probe must see before it may declare the bound met: variance
@@ -502,7 +502,7 @@ impl Estimator {
     /// empty entry still counts the split as a zero observation for every
     /// group, so a part with n = 0 (the whole-table partial of a split
     /// with no match) is dropped: it is the same zero observation.
-    pub(crate) fn absorb(&mut self, task: u32, pairs: &PartitionedPairs) {
+    pub(crate) fn absorb(&mut self, task: u32, pairs: &MapOutput) {
         let n_aggs = self.funcs.len();
         let parts = pairs
             .iter_pairs()

@@ -29,15 +29,6 @@ impl Parallelism {
             threads: threads.max(1),
         }
     }
-
-    /// Use every core the host reports.
-    pub fn available() -> Self {
-        Parallelism::threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1),
-        )
-    }
 }
 
 impl Default for Parallelism {
@@ -94,11 +85,6 @@ impl ClusterConfig {
     /// Total map slots across the cluster (`TS`).
     pub fn total_map_slots(&self) -> u32 {
         self.topology.num_nodes() as u32 * self.map_slots_per_node
-    }
-
-    /// Total reduce slots across the cluster.
-    pub fn total_reduce_slots(&self) -> u32 {
-        self.topology.num_nodes() as u32 * self.reduce_slots_per_node
     }
 }
 

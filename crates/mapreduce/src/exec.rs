@@ -242,9 +242,9 @@ pub trait Mapper: Send + Sync {
 }
 
 /// Optional map-side aggregation, Hadoop's classic combiner: folds one map
-/// task's emitted pairs *before* they are partitioned and shuffled. Runs on
-/// the data-plane worker right after the mapper, so whatever it removes is
-/// never materialised, partitioned, or counted as shuffle volume.
+/// task's emitted pairs *before* they are shuffled. Runs on the data-plane
+/// worker right after the mapper, so whatever it removes is never
+/// materialised, merged, or counted as shuffle volume.
 ///
 /// The contract matches Hadoop's: a combiner must be an optimisation only.
 /// The reducer sees combined pairs in emission order, so for any job output
@@ -299,24 +299,6 @@ impl ReduceOutput {
         build(&mut self.rows);
         if self.rows.len() > start {
             self.close_run(key);
-        }
-    }
-
-    /// Append another output after this one, merging the boundary run
-    /// when both sides' keys are equal.
-    pub fn append(&mut self, other: ReduceOutput) {
-        if self.rows.is_empty() {
-            *self = other;
-            return;
-        }
-        let offset = self.rows.len();
-        let mut rows = other.rows;
-        self.rows.append(&mut rows);
-        for (key, end) in other.runs {
-            match self.runs.last_mut() {
-                Some((last, last_end)) if *last == key => *last_end = offset + end,
-                _ => self.runs.push((key, offset + end)),
-            }
         }
     }
 

@@ -48,15 +48,15 @@ impl fmt::Display for TaskId {
 /// stable as fields are added.
 #[derive(Clone)]
 pub struct JobSpec {
-    /// What the runtime acts on: reduce count, guard rails, standing
-    /// query, memo identity and sample size.
+    /// What the runtime acts on: guard rails, standing query, memo
+    /// identity and sample size.
     pub settings: JobSettings,
     /// Source of split contents.
     pub input_format: Arc<dyn InputFormat>,
     /// Map logic.
     pub mapper: Arc<dyn Mapper>,
     /// Optional map-side aggregation (Hadoop's combiner), applied to each
-    /// map task's output on the data plane before partitioning.
+    /// map task's output on the data plane before the shuffle.
     pub combiner: Option<Arc<dyn Combiner>>,
     /// Reduce logic.
     pub reducer: Arc<dyn Reducer>,
@@ -113,12 +113,6 @@ impl JobSpecBuilder {
     /// Reduce logic (defaults to [`IdentityReducer`]).
     pub fn reducer(mut self, reducer: impl Reducer + 'static) -> Self {
         self.reducer = Arc::new(reducer);
-        self
-    }
-
-    /// Number of reduce tasks (sets [`JobSettings::reduce_tasks`]).
-    pub fn reduces(mut self, n: u32) -> Self {
-        self.settings.reduce_tasks = n;
         self
     }
 
@@ -202,8 +196,6 @@ impl JobSpecBuilder {
 /// a built spec before submitting it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSettings {
-    /// Number of reduce tasks (default 1; `0` runs as 1).
-    pub reduce_tasks: u32,
     /// Recoverable Input Provider failures the job absorbs before it
     /// fails (default 0 — fail on the first fault).
     pub provider_retry_budget: u32,
@@ -237,7 +229,6 @@ pub struct JobSettings {
 impl Default for JobSettings {
     fn default() -> Self {
         JobSettings {
-            reduce_tasks: 1,
             provider_retry_budget: 0,
             max_idle_evaluations: crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS,
             deadline: None,
@@ -397,11 +388,8 @@ pub enum JobError {
         /// The failing task.
         task: TaskId,
     },
-    /// A reduce task exhausted its attempt budget.
-    ReduceAttemptsExhausted {
-        /// The failing reduce partition.
-        reduce: u32,
-    },
+    /// The job's reduce task exhausted its attempt budget.
+    ReduceAttemptsExhausted,
     /// Every node in the cluster is blacklisted for this job.
     AllNodesBlacklisted,
     /// Under DataNode-death semantics every replica of one or more of the
@@ -424,8 +412,8 @@ impl fmt::Display for JobError {
             JobError::TaskAttemptsExhausted { task } => {
                 write!(f, "map task {task} exhausted its attempts")
             }
-            JobError::ReduceAttemptsExhausted { reduce } => {
-                write!(f, "reduce task r{reduce} exhausted its attempts")
+            JobError::ReduceAttemptsExhausted => {
+                write!(f, "the reduce task exhausted its attempts")
             }
             JobError::AllNodesBlacklisted => write!(f, "every node is blacklisted for this job"),
             JobError::InputLost { blocks } => {
@@ -625,7 +613,7 @@ pub struct JobResult {
     /// Why the job was aborted (`None` for completed jobs, including
     /// partial-sample completions).
     pub error: Option<JobError>,
-    /// Final reduce output, in reduce order.
+    /// The reduce task's output.
     pub output: ReduceOutput,
     /// This job's latency histograms (always collected). Merging these
     /// across jobs reproduces the runtime-wide registry exactly. A
@@ -707,20 +695,19 @@ mod tests {
         let spec = JobSpec::builder()
             .input(NullInput)
             .mapper(NullMapper)
-            .reduces(3)
+            .provider_retry_budget(3)
             .build();
         assert_eq!(
             spec.settings,
             JobSettings {
-                reduce_tasks: 3,
+                provider_retry_budget: 3,
                 ..JobSettings::default()
             }
         );
-        let defaults = JobSettings::default();
         assert_eq!(
-            (defaults.reduce_tasks, defaults.max_idle_evaluations),
-            (1, crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS),
-            "the two defaults that are not zero, false or None"
+            JobSettings::default().max_idle_evaluations,
+            crate::runtime::DEFAULT_MAX_IDLE_EVALUATIONS,
+            "the one default that is not zero, false or None"
         );
         // Default reducer is the identity; default combiner is none.
         let mut out = Vec::new();

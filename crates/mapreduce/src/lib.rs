@@ -36,8 +36,10 @@
 //!   ([`job::JobError::InputLost`]), and a simulated-time re-replication
 //!   daemon ([`runtime::MrRuntime::enable_re_replication`]).
 //!
-//! What is deliberately not modelled: multi-wave reduces (the paper's jobs
-//! use a single reduce).
+//! What is deliberately not modelled: more than one reduce task per job.
+//! The paper's jobs run a single reduce (Algorithm 2 takes `k` of every
+//! candidate under one dummy key), so every job here runs exactly one, and
+//! map output is merged into one reduce input without partitioning.
 
 pub mod approx;
 pub mod cluster;
@@ -90,9 +92,7 @@ pub use scheduler::{
     Assignment, Claims, FairScheduler, FifoScheduler, SchedJob, SchedView, TaskScheduler,
     ViewPolicy,
 };
-pub use shuffle::{
-    fnv1a, partition_of, KeyGroups, PartitionBuffer, PartitionedPairs, ShuffleState, ValueSeq,
-};
+pub use shuffle::{fnv1a, KeyGroups, MapOutput, PartitionBuffer, ShuffleState, ValueSeq};
 pub use trace::{job_timeline, JobTimeline, TraceEvent, TraceKind};
 
 /// One-line import for framework users: `use incmr_mapreduce::prelude::*;`
@@ -160,6 +160,14 @@ mod tests {
     }
 
     fn small_world(partitions: u32, records: u64) -> (MrRuntime, Arc<Dataset>) {
+        world_with_cost(partitions, records, CostModel::paper_default())
+    }
+
+    fn world_with_cost(
+        partitions: u32,
+        records: u64,
+        cost: CostModel,
+    ) -> (MrRuntime, Arc<Dataset>) {
         let mut ns = Namespace::new(ClusterTopology::paper_cluster());
         let mut rng = DetRng::seed_from(5);
         let spec = DatasetSpec::small("t", partitions, records, SkewLevel::Zero, 5);
@@ -171,7 +179,7 @@ mod tests {
         ));
         let rt = MrRuntime::new(
             ClusterConfig::paper_single_user(),
-            CostModel::paper_default(),
+            cost,
             ns,
             Box::new(FifoScheduler::new()),
         );
@@ -534,75 +542,57 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A mapper spreading outputs over many keys (for multi-reduce tests).
-    struct ManyKeyMapper;
-    impl Mapper for ManyKeyMapper {
-        fn run(&self, data: SplitData) -> MapResult {
-            let records_read = data.total_records();
-            let (SplitData::Full(matches) | SplitData::Planted { matches, .. }) = data;
-            MapResult {
-                pairs: matches
-                    .to_records()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, r)| (Key::from(format!("key{}", i % 7)), r))
-                    .collect(),
-                records_read,
-                ..MapResult::default()
-            }
-        }
-    }
-
-    #[test]
-    fn multi_reduce_partitions_by_key_and_reassembles_everything() {
-        // 12 × 20k records at 0.05% → 10 matches per split: every one of
-        // the seven keys occurs.
-        let (mut rt, ds) = small_world(12, 20_000);
-        let (mut spec, driver) = static_job(&ds);
-        spec.mapper = Arc::new(ManyKeyMapper);
-        spec.settings.reduce_tasks = 4;
-        let id = rt.submit(spec, driver);
-        rt.run_until_idle();
-        let r = rt.job_result(id);
-        assert_eq!(
-            r.output.len() as u64,
-            ds.total_matching(),
-            "nothing lost across partitions"
-        );
-        // Each key's values stay together: identity-reduced pairs with the
-        // same key are contiguous in the output.
-        let mut seen = std::collections::HashSet::new();
-        let mut last: Option<&str> = None;
-        for (k, _) in &r.output {
-            if last != Some(&**k) {
-                assert!(seen.insert(k.clone()), "key {k} split across reduce groups");
-                last = Some(k);
-            }
-        }
-        assert_eq!(seen.len(), 7, "all seven keys reduced");
-    }
-
     #[test]
     fn reduce_slot_contention_serialises_excess_reduces() {
-        // 25 reduces on a 20-reduce-slot cluster launch in waves (one per
-        // node heartbeat), so the reduce phase costs real time compared to
-        // a single reduce — and everything still completes exactly.
-        let run = |reduces: u32| {
-            let (mut rt, ds) = small_world(12, 20_000);
-            let (mut spec, driver) = static_job(&ds);
-            spec.mapper = Arc::new(ManyKeyMapper);
-            spec.settings.reduce_tasks = reduces;
-            let id = rt.submit(spec, driver);
-            rt.run_until_idle();
-            let r = rt.job_result(id).clone();
-            assert_eq!(r.output.len() as u64, ds.total_matching());
-            r.response_time()
+        // 25 one-split jobs submitted at once on a 20-reduce-slot cluster,
+        // with reduces long enough to outlast the spread of the maps: a
+        // reduce launches one per node heartbeat into a free slot, so the
+        // slots fill, never overfill, and the last five reduces wait for
+        // a running one to commit — and every job still completes exactly.
+        use crate::trace::TraceKind;
+        let cost = CostModel {
+            reduce_overhead_ms: 600_000,
+            ..CostModel::paper_default()
         };
-        let one = run(1);
-        let many = run(25);
+        let (mut rt, ds) = world_with_cost(25, 20_000, cost);
+        rt.enable_tracing();
+        let jobs: Vec<_> = ds
+            .splits()
+            .iter()
+            .map(|p| {
+                let (spec, _) = static_job(&ds);
+                rt.submit(spec, Box::new(StaticDriver::new(vec![p.block])))
+            })
+            .collect();
+        rt.run_until_idle();
+        let matches: u64 = jobs
+            .iter()
+            .map(|&id| rt.job_result(id).output.len() as u64)
+            .sum();
+        assert_eq!(matches, ds.total_matching());
+        let cfg = rt.config();
+        let slots = cfg.topology.num_nodes() as u32 * cfg.reduce_slots_per_node;
+        assert_eq!(slots, 20);
+        let (mut running, mut peak, mut committed, mut waited) = (0u32, 0u32, 0u32, 0u32);
+        for event in rt.take_trace() {
+            match event.kind {
+                TraceKind::ReduceStarted { .. } => {
+                    running += 1;
+                    peak = peak.max(running);
+                    waited += u32::from(committed > 0);
+                }
+                TraceKind::ReduceFinished { .. } => {
+                    running -= 1;
+                    committed += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(committed, 25);
+        assert_eq!(peak, slots, "the reduce slots fill and never overfill");
         assert!(
-            many > one,
-            "launch pacing and overheads must cost time: 25 reduces {many} vs one {one}"
+            waited >= 25 - slots,
+            "{waited} reduces launched after another committed"
         );
     }
 
@@ -696,24 +686,6 @@ mod tests {
         assert!(trace
             .iter()
             .any(|e| matches!(e.kind, TraceKind::JobCompleted { failed: true, .. })));
-    }
-
-    #[test]
-    fn multi_reduce_results_are_deterministic() {
-        let run = || {
-            let (mut rt, ds) = small_world(10, 3_000);
-            let (mut spec, driver) = static_job(&ds);
-            spec.mapper = Arc::new(ManyKeyMapper);
-            spec.settings.reduce_tasks = 3;
-            let id = rt.submit(spec, driver);
-            rt.run_until_idle();
-            let r = rt.job_result(id);
-            (
-                r.output.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
-                r.response_time(),
-            )
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! increments behind crate-private accessors.
 //!
 //! Two extra counter families instrument the streaming shuffle:
-//! [`ShuffleMetrics`] (deterministic record/byte counters — combiner
-//! effect and partition skew) and [`HostPhaseNanos`] (host wall-clock
+//! [`ShuffleMetrics`] (deterministic record counters — the combiner's
+//! effect) and [`HostPhaseNanos`] (host wall-clock
 //! spent on the data plane per phase). Host timings never feed the trace
 //! or any simulated quantity — they vary run to run and across thread
 //! counts, while traces must not.
@@ -37,10 +37,6 @@ pub struct ShuffleMetrics {
     pub combiner_input_records: u64,
     /// Records surviving map-side combiners.
     pub combiner_output_records: u64,
-    /// Largest single-partition modeled byte share seen in any job.
-    pub max_partition_bytes: u64,
-    /// Smallest single-partition modeled byte share seen in any job.
-    pub min_partition_bytes: u64,
 }
 
 impl ShuffleMetrics {
@@ -48,13 +44,6 @@ impl ShuffleMetrics {
     pub fn combined_away(&self) -> u64 {
         self.combiner_input_records
             .saturating_sub(self.combiner_output_records)
-    }
-
-    /// Max/min partition byte ratio — 1.0 means perfectly even partitions.
-    /// Returns `None` until a job with nonempty partitions is recorded.
-    pub fn skew_ratio(&self) -> Option<f64> {
-        (self.min_partition_bytes > 0)
-            .then(|| self.max_partition_bytes as f64 / self.min_partition_bytes as f64)
     }
 }
 
@@ -178,10 +167,10 @@ pub struct ReplicaMetrics {
 /// are kept out of traces and all simulated accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostPhaseNanos {
-    /// Inside map units (read + map + combine + partition), summed across
+    /// Inside map units (read + map + combine + count), summed across
     /// workers.
     pub map_ns: u64,
-    /// Control-plane time merging completed maps into shuffle buffers.
+    /// Control-plane time merging completed maps into the shuffle.
     pub shuffle_merge_ns: u64,
     /// Inside reduce units (user reducer over groups), summed across
     /// workers.
@@ -275,19 +264,11 @@ impl ClusterMetrics {
             TraceKind::ShuffleReady {
                 combiner_in,
                 combiner_out,
-                max_partition_bytes,
-                min_partition_bytes,
                 ..
             } => {
                 let s = &mut self.shuffle;
                 s.combiner_input_records += combiner_in;
                 s.combiner_output_records += combiner_out;
-                s.max_partition_bytes = s.max_partition_bytes.max(max_partition_bytes);
-                s.min_partition_bytes = if s.jobs == 0 {
-                    min_partition_bytes
-                } else {
-                    s.min_partition_bytes.min(min_partition_bytes)
-                };
                 s.jobs += 1;
             }
             TraceKind::NodeLost { .. } => self.faults.nodes_lost += 1,
@@ -492,19 +473,16 @@ mod tests {
     #[test]
     fn shuffle_counters_aggregate_across_jobs() {
         let mut m = metrics();
-        assert_eq!(m.shuffle().skew_ratio(), None);
-        for (job, (combiner_in, combiner_out, max, min)) in
-            [(100, 10, 800, 200), (50, 50, 1000, 500)]
-                .into_iter()
-                .enumerate()
+        for (job, (combiner_in, combiner_out, bytes)) in
+            [(100, 10, 800), (50, 50, 1000)].into_iter().enumerate()
         {
             m.absorb(&TraceKind::ShuffleReady {
                 job: JobId(job as u32),
-                partitions: 2,
+                partitions: 1,
                 combiner_in,
                 combiner_out,
-                max_partition_bytes: max,
-                min_partition_bytes: min,
+                max_partition_bytes: bytes,
+                min_partition_bytes: bytes,
             });
         }
         let s = m.shuffle();
@@ -512,9 +490,6 @@ mod tests {
         assert_eq!(s.combiner_input_records, 150);
         assert_eq!(s.combiner_output_records, 60);
         assert_eq!(s.combined_away(), 90);
-        assert_eq!(s.max_partition_bytes, 1000);
-        assert_eq!(s.min_partition_bytes, 200);
-        assert!((s.skew_ratio().unwrap() - 5.0).abs() < 1e-12);
     }
 
     #[test]

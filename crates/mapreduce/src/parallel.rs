@@ -9,8 +9,8 @@
 //!   schedulers, growth-driver evaluations — stays single-threaded and
 //!   deterministic. Simulated time is a pure function of the seed.
 //! * The **data plane** — `InputFormat::read` + `Mapper::run` for each
-//!   dispatched split, combining, partitioning, and `Reducer::reduce_group`
-//!   over each partition's groups — is pure host computation whose *result*
+//!   dispatched split, combining, and `Reducer::reduce_group` over the
+//!   job's merged groups — is pure host computation whose *result*
 //!   feeds the simulation but whose *duration on the host* is irrelevant
 //!   to simulated time (task durations come from the cost model, not wall
 //!   clock).
@@ -50,7 +50,7 @@ use incmr_dfs::BlockId;
 
 use crate::cluster::Parallelism;
 use crate::exec::{batches_to_pairs, Combiner, InputFormat, Key, Mapper, ReduceOutput, Reducer};
-use crate::shuffle::{KeyGroups, PartitionedPairs};
+use crate::shuffle::{KeyGroups, MapOutput};
 
 /// A self-contained piece of data-plane work: consumed once, produces a
 /// sendable result. Implementations must be pure functions of their
@@ -64,19 +64,17 @@ pub trait WorkUnit: Send + 'static {
 }
 
 /// One map task's data-plane work: read a split, run the mapper, apply
-/// the optional combiner, and partition the output by reduce task — all
-/// on the worker, so the control plane only merges.
+/// the optional combiner, and count the output — all on the worker, so
+/// the control plane only merges.
 pub struct MapUnit {
     /// Source of the split's contents.
     pub input_format: Arc<dyn InputFormat>,
     /// Map logic to apply.
     pub mapper: Arc<dyn Mapper>,
-    /// Optional map-side aggregation applied before partitioning.
+    /// Optional map-side aggregation applied before the shuffle.
     pub combiner: Option<Arc<dyn Combiner>>,
     /// The split to process.
     pub block: BlockId,
-    /// How many reduce partitions to split the output into.
-    pub reduce_tasks: u32,
 }
 
 impl Clone for MapUnit {
@@ -86,7 +84,6 @@ impl Clone for MapUnit {
             mapper: Arc::clone(&self.mapper),
             combiner: self.combiner.as_ref().map(Arc::clone),
             block: self.block,
-            reduce_tasks: self.reduce_tasks,
         }
     }
 }
@@ -94,8 +91,8 @@ impl Clone for MapUnit {
 /// Everything a finished map task hands back to the control plane.
 #[derive(Debug, Clone, Default)]
 pub struct MapTaskResult {
-    /// Post-combine output, pre-partitioned by reduce task.
-    pub pairs: PartitionedPairs,
+    /// Post-combine output, counted on the worker.
+    pub pairs: MapOutput,
     /// Records scanned (feeds selectivity estimation).
     pub records_read: u64,
     /// Output records accounted but not materialised.
@@ -112,14 +109,12 @@ pub struct MapTaskResult {
 }
 
 impl MapTaskResult {
-    /// Materialised output records (post-combine): the partitions'
-    /// totals, counted while partitioning.
+    /// Materialised output records (post-combine), counted on the worker.
     pub fn materialized_records(&self) -> u64 {
         self.pairs.records()
     }
 
-    /// Materialised output bytes (post-combine): the partitions' totals,
-    /// counted while partitioning.
+    /// Materialised output bytes (post-combine), counted on the worker.
     pub fn materialized_bytes(&self) -> u64 {
         self.pairs.bytes()
     }
@@ -169,11 +164,7 @@ impl WorkUnit for MapUnit {
             None => (0, 0),
         };
         MapTaskResult {
-            pairs: PartitionedPairs::build_with_batches(
-                result.pairs,
-                result.batches,
-                self.reduce_tasks,
-            ),
+            pairs: MapOutput::build_with_batches(result.pairs, result.batches),
             records_read: result.records_read,
             unmaterialized_outputs: result.unmaterialized_outputs,
             unmaterialized_bytes: result.unmaterialized_bytes,
@@ -184,8 +175,8 @@ impl WorkUnit for MapUnit {
     }
 }
 
-/// One reduce task's data-plane work: run the user reducer over every key
-/// group of one partition, in first-seen key order.
+/// A job's reduce task on the data plane: run the user reducer over every
+/// key group of the merged shuffle, in first-seen key order.
 pub struct ReduceUnit {
     /// Reduce logic to apply.
     pub reducer: Arc<dyn Reducer>,
@@ -435,21 +426,19 @@ mod tests {
                 mapper: Arc::clone(&mapper),
                 combiner: None,
                 block: BlockId(b),
-                reduce_tasks: 1,
             })
             .collect()
     }
 
     fn flat_pairs(r: &MapTaskResult) -> Vec<(Key, Record)> {
-        let mut state = crate::shuffle::ShuffleState::new(r.pairs.reduce_tasks() as u32);
+        let mut state = crate::shuffle::ShuffleState::default();
         state.merge(r.pairs.clone());
+        let buffer = state.into_buffer();
+        let mut groups = buffer.groups;
         let mut out = Vec::new();
-        for buffer in state.into_buffers() {
-            let mut groups = buffer.groups;
-            for key in buffer.key_order {
-                for v in groups.remove(&key).unwrap().to_rows() {
-                    out.push((Key::clone(&key), v));
-                }
+        for key in buffer.key_order {
+            for v in groups.remove(&key).unwrap().to_rows() {
+                out.push((Key::clone(&key), v));
             }
         }
         out

@@ -16,17 +16,15 @@
 //!    CPU resource.
 //!
 //! Map *semantics* (the user's mapper over real records, plus the optional
-//! combiner and the hash partitioning into `settings.reduce_tasks` buckets)
-//! execute on the data-plane worker pool, submitted at dispatch; the
-//! stages only decide *when* the results land. Each completed map's
-//! pre-partitioned output is merged into the per-reduce shuffle buffers at
-//! its simulated completion (streaming shuffle — see [`crate::shuffle`]),
-//! so entering the reduce phase costs O(`reduce_tasks`). Dynamic jobs are
-//! re-evaluated every `EvaluationInterval`; once the driver declares
-//! end-of-input and all scheduled maps finish, the buffered reduce tasks
-//! (one for the paper's sampling jobs) queue for per-node reduce slots,
-//! run the user reducer on the data plane, and complete the job when the
-//! last one commits.
+//! combiner) execute on the data-plane worker pool, submitted at dispatch;
+//! the stages only decide *when* the results land. Each completed map's
+//! output is merged into the job's one shuffle buffer at its simulated
+//! completion (streaming shuffle — see [`crate::shuffle`]), so entering
+//! the reduce phase visits no pair. Dynamic jobs are re-evaluated every
+//! `EvaluationInterval`; once the driver declares end-of-input and all
+//! scheduled maps finish, the job's one reduce task — the paper's jobs
+//! run a single reduce — queues for a per-node reduce slot, runs the user
+//! reducer on the data plane, and completes the job when it commits.
 //!
 //! Everything — including the schedulers' tie-breaking — is deterministic,
 //! so a run is a pure function of configuration and seeds.
@@ -108,7 +106,6 @@ enum Event {
     },
     ReduceDone {
         job: JobId,
-        reduce: u32,
     },
     NodeDown {
         node: u16,
@@ -215,17 +212,13 @@ struct TaskEntry {
     spec_key: Option<SimTime>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReduceState {
-    Pending,
-    Running { node: NodeId },
-    Done,
-}
-
-/// One reduce task: its streamed-in shuffle partition (see
-/// [`crate::shuffle`]) plus its in-flight data-plane work and output.
+/// A job's one reduce task: its streamed-in shuffle buffer (see
+/// [`crate::shuffle`]) plus its in-flight data-plane work. It commits
+/// straight into the job's result, so it holds no output.
 struct ReduceEntry {
-    state: ReduceState,
+    /// The node running the current attempt (`None` while it waits for a
+    /// reduce slot).
+    node: Option<NodeId>,
     /// When the current attempt took its slot (reduce-latency histogram).
     started_at: SimTime,
     buffer: crate::shuffle::PartitionBuffer,
@@ -236,7 +229,6 @@ struct ReduceEntry {
     timer: Option<EventId>,
     /// Attempts consumed (counted failures; kills are free).
     attempts: u32,
-    output: ReduceOutput,
 }
 
 /// The armed cluster fault model: the plan plus independent deterministic
@@ -276,14 +268,12 @@ struct JobEntry {
     shuffle_bytes: u64,
     local_tasks: u32,
     task_failures: u32,
-    /// Per-reduce shuffle buffers, merged into incrementally as maps
-    /// complete.
+    /// The shuffle buffer, merged into incrementally as maps complete.
     shuffle: ShuffleState,
     combiner_input_records: u64,
     combiner_output_records: u64,
-    reduce_tasks: u32,
-    reduces: Vec<ReduceEntry>,
-    reduces_done: u32,
+    /// The reduce task, from the reduce phase until it commits.
+    reduce: Option<ReduceEntry>,
     /// Sum and count of completed-map attempt durations (ms), feeding the
     /// speculation laggard threshold.
     map_ms_sum: u64,
@@ -435,8 +425,8 @@ pub struct MrRuntime {
     spec_jobs: BTreeSet<u32>,
     /// Cluster-wide pending map tasks, kept O(1) for `cluster_status`.
     queued_map_tasks: u64,
-    /// Reduce tasks waiting for a reduce slot, in creation order.
-    pending_reduces: VecDeque<(JobId, u32)>,
+    /// Jobs whose reduce task waits for a reduce slot, in queue order.
+    pending_reduces: VecDeque<JobId>,
     metrics: ClusterMetrics,
     /// Resource totals snapshotted at the last `reset_metrics`, subtracted
     /// from cumulative counters so metrics windows restart cleanly.
@@ -682,12 +672,6 @@ impl MrRuntime {
         }
     }
 
-    /// Disarm the cluster fault model (test helper).
-    #[doc(hidden)]
-    pub fn faults_off_for_test(&mut self) {
-        self.cluster_faults = None;
-    }
-
     /// Arm the cluster-level fault model (node outages, stragglers, map and
     /// reduce attempt faults, speculation, blacklisting — see
     /// [`crate::faults`]). Must be called before any job is submitted.
@@ -853,7 +837,6 @@ impl MrRuntime {
         let id = JobId(self.jobs.len() as u32);
         check_settings(&spec.settings, spec.agg_plan.as_ref())?;
         let settings = spec.settings;
-        let reduce_tasks = settings.reduce_tasks.max(1);
         let estimator = spec.agg_plan.as_ref().and_then(Estimator::new);
         // Snapshot before this job is registered, so the provider's first
         // look at the cluster excludes its own (not yet running) job.
@@ -879,12 +862,10 @@ impl MrRuntime {
             shuffle_bytes: 0,
             local_tasks: 0,
             task_failures: 0,
-            shuffle: ShuffleState::new(reduce_tasks),
+            shuffle: ShuffleState::default(),
             combiner_input_records: 0,
             combiner_output_records: 0,
-            reduce_tasks,
-            reduces: Vec::new(),
-            reduces_done: 0,
+            reduce: None,
             map_ms_sum: 0,
             map_ms_count: 0,
             node_failures: vec![0; num_nodes],
@@ -1025,7 +1006,7 @@ impl MrRuntime {
         job.tasks = Vec::new();
         job.pending_by_node = Vec::new();
         job.known_blocks = HashSet::new();
-        job.reduces = Vec::new();
+        job.reduce = None;
         job.shuffle = ShuffleState::default();
         // Read only while the job runs and by `finalize_job`; the final
         // fold already lives in the result's `AggReport`.
@@ -1219,7 +1200,7 @@ impl MrRuntime {
             Event::NetworkDone { job, task, attempt } => self.start_cpu(job, task, attempt),
             Event::CpuWake { node } => self.on_station_wake(self.cpu_station(node)),
             Event::EvalTick { job } => self.on_eval_tick(job),
-            Event::ReduceDone { job, reduce } => self.on_reduce_done(job, reduce),
+            Event::ReduceDone { job } => self.on_reduce_done(job),
             Event::NodeDown { node } => self.on_node_down(node),
             Event::NodeUp { node } => self.on_node_up(node),
             Event::Deadline { job } => self.on_deadline(job),
@@ -1248,7 +1229,7 @@ impl MrRuntime {
         let job = self.job_mut(id);
         job.deadline_hit = true;
         if job.phase == JobPhase::Reduce {
-            // The reduce inputs are final; let the reduces commit.
+            // The reduce input is final; let the reduce commit.
             return;
         }
         job.end_of_input = true;
@@ -1266,7 +1247,7 @@ impl MrRuntime {
         // paid for; the job reduces once the last one lands.
         self.maybe_begin_reduce(id);
         // A formerly parked job may have let the heartbeat chains expire;
-        // its queued reduces need them back.
+        // its queued reduce needs them back.
         self.ensure_heartbeats();
     }
 
@@ -1803,7 +1784,6 @@ impl MrRuntime {
             mapper: std::sync::Arc::clone(&job.spec.mapper),
             combiner: job.spec.combiner.clone(),
             block: job.tasks[task.0 as usize].block,
-            reduce_tasks: job.reduce_tasks,
         };
         self.executor.submit(unit)
     }
@@ -2112,9 +2092,9 @@ impl MrRuntime {
             // Claim the result — joined from the data plane (blocks only
             // if a worker is still on it), or replayed from the memo store
             // (the attempt kept its full simulated schedule; only the host
-            // recomputation was skipped) — and merge its pre-partitioned
-            // output into the per-reduce shuffle buffers — the streaming
-            // half of the shuffle. Merging by task id keeps the merged
+            // recomputation was skipped) — and merge its output into the
+            // job's shuffle buffer — the streaming half of the shuffle.
+            // Merging by task id keeps the merged
             // content a pure function of the task set, whatever order
             // faults impose.
             let (result, replayed) = match work {
@@ -2395,9 +2375,9 @@ impl MrRuntime {
                 {
                     // Completed on the dead tracker: its map output is
                     // gone, so the task re-executes. (Once the job is
-                    // reducing, the merged buffers model output the
-                    // reducers already fetched — no re-execution, as in
-                    // Hadoop once all reducers pass the copy phase.)
+                    // reducing, the merged buffer models output the
+                    // reducer already fetched — no re-execution, as in
+                    // Hadoop once the reducer passes the copy phase.)
                     if self.data_loss && !self.namespace.block(entry.block).locations.is_empty() {
                         // Replica fast path: the task's output is already
                         // merged (the shuffle is job state), and a re-run
@@ -2423,28 +2403,18 @@ impl MrRuntime {
             if any_block_lost {
                 self.handle_lost_input(id);
             }
-            // Reduce attempts running on the node restart elsewhere; their
-            // input buffers are intact (the shuffle is job state, and
+            // A reduce attempt running on the node restarts elsewhere; its
+            // input buffer is intact (the shuffle is job state, and
             // `assign_reduce` keeps a copy under the fault model).
-            let nreduces = self.job(id).reduces.len();
-            for r in 0..nreduces {
-                let running_here = matches!(
-                    self.job(id).reduces[r].state,
-                    ReduceState::Running { node: n } if n.0 == node
-                );
-                if !running_here {
-                    continue;
-                }
-                let timer = {
-                    let entry = &mut self.job_mut(id).reduces[r];
-                    entry.state = ReduceState::Pending;
+            if let Some(entry) = &mut self.jobs[id.0 as usize].reduce {
+                if entry.node == Some(NodeId(node)) {
+                    entry.node = None;
                     entry.pending = None;
-                    entry.timer.take()
-                };
-                if let Some(timer) = timer {
-                    self.sim.cancel(timer);
+                    if let Some(timer) = entry.timer.take() {
+                        self.sim.cancel(timer);
+                    }
+                    self.pending_reduces.push_back(id);
                 }
-                self.pending_reduces.push_back((id, r as u32));
             }
             // Abandonment above (graceful deadline) can leave end-of-input
             // with nothing running or pending — enter the reduce phase now
@@ -2730,12 +2700,11 @@ impl MrRuntime {
     /// Transition to the reduce phase once end-of-input is declared and
     /// every scheduled map has finished.
     ///
-    /// The heavy lifting already happened: map output was partitioned on
-    /// the data-plane workers and merged into the per-reduce buffers at
-    /// each map's completion (`finish_map_task`). This step only spreads
-    /// the unmaterialised remainder across partitions, records skew
-    /// statistics, and queues the reduce tasks — O(`reduce_tasks`), no
-    /// map-output pair is visited.
+    /// The heavy lifting already happened: map output was counted on the
+    /// data-plane workers and merged into the job's shuffle buffer at each
+    /// map's completion (`finish_map_task`). This step only hands the
+    /// buffer to the reduce task and queues it — no map-output pair is
+    /// visited.
     fn maybe_begin_reduce(&mut self, id: JobId) {
         let job = self.job(id);
         if job.phase != JobPhase::Map
@@ -2747,46 +2716,17 @@ impl MrRuntime {
         }
         let job = self.job_mut(id);
         job.phase = JobPhase::Reduce;
-        let r = job.reduce_tasks;
-        let buffers = std::mem::take(&mut job.shuffle).into_buffers();
-        debug_assert_eq!(buffers.len(), r as usize);
-        let mut reduces: Vec<ReduceEntry> = buffers
-            .into_iter()
-            .map(|buffer| ReduceEntry {
-                state: ReduceState::Pending,
-                started_at: SimTime::ZERO,
-                buffer,
-                pending: None,
-                timer: None,
-                attempts: 0,
-                output: ReduceOutput::default(),
-            })
-            .collect();
-        // Unmaterialised output (counts/bytes only) spreads evenly.
-        let materialized_bytes: u64 = reduces.iter().map(|e| e.buffer.shuffle_bytes).sum();
-        let materialized_records: u64 = reduces.iter().map(|e| e.buffer.input_records).sum();
-        let extra_bytes = job.shuffle_bytes.saturating_sub(materialized_bytes);
-        let extra_records = job.map_output_records.saturating_sub(materialized_records);
-        for (i, entry) in reduces.iter_mut().enumerate() {
-            let i = i as u64;
-            entry.buffer.shuffle_bytes +=
-                extra_bytes / r as u64 + u64::from(i < extra_bytes % r as u64);
-            entry.buffer.input_records +=
-                extra_records / r as u64 + u64::from(i < extra_records % r as u64);
-        }
-        let max_partition_bytes = reduces
-            .iter()
-            .map(|e| e.buffer.shuffle_bytes)
-            .max()
-            .unwrap_or(0);
-        let min_partition_bytes = reduces
-            .iter()
-            .map(|e| e.buffer.shuffle_bytes)
-            .min()
-            .unwrap_or(0);
+        job.reduce = Some(ReduceEntry {
+            node: None,
+            started_at: SimTime::ZERO,
+            buffer: std::mem::take(&mut job.shuffle).into_buffer(),
+            pending: None,
+            timer: None,
+            attempts: 0,
+        });
+        let shuffle_bytes = job.shuffle_bytes;
         let combiner_in = job.combiner_input_records;
         let combiner_out = job.combiner_output_records;
-        job.reduces = reduces;
         // Shuffle-merge window: first map completion to shuffle-ready
         // (zero for a job that never ran a map).
         let merge_ms = self
@@ -2797,15 +2737,21 @@ impl MrRuntime {
         self.obs_record(id, |reg| reg.record_shuffle_merge(merge_ms));
         self.record(TraceKind::ShuffleReady {
             job: id,
-            partitions: r,
+            partitions: 1,
             combiner_in,
             combiner_out,
-            max_partition_bytes,
-            min_partition_bytes,
+            max_partition_bytes: shuffle_bytes,
+            min_partition_bytes: shuffle_bytes,
         });
-        for i in 0..r {
-            self.pending_reduces.push_back((id, i));
-        }
+        self.pending_reduces.push_back(id);
+    }
+
+    /// A reducing job's reduce task.
+    fn reduce_mut(&mut self, id: JobId) -> &mut ReduceEntry {
+        self.job_mut(id)
+            .reduce
+            .as_mut()
+            .expect("a job past its shuffle has a reduce task")
     }
 
     /// Offer one reduce launch on `node` (one per heartbeat, like maps in
@@ -2816,31 +2762,32 @@ impl MrRuntime {
             return;
         }
         // Skip stale queue entries whose job already finished (a failed
-        // job's reduces never launch).
-        let (id, r) = loop {
-            let Some((id, r)) = self.pending_reduces.pop_front() else {
+        // job's reduce never launches).
+        let id = loop {
+            let Some(id) = self.pending_reduces.pop_front() else {
                 return;
             };
             if self.job(id).phase == JobPhase::Reduce {
-                break (id, r);
+                break id;
             }
         };
         self.nodes[node as usize].free_reduce_slots -= 1;
         let now = self.sim.now();
         let cost = self.cost;
         let keep_backup = self.cluster_faults.is_some();
-        // Submit the partition's record work (the user reducer over its
+        // Submit the reduce's record work (the user reducer over its
         // groups) to the data plane now; the simulated duration below
         // models the same work, so the handle is ripe by `ReduceDone`.
         let (duration, unit) = {
             let job = self.job_mut(id);
+            // The job's totals size the reduce: they also count output
+            // the mappers accounted but never materialised.
+            let duration = cost.reduce_duration_ms(job.shuffle_bytes, job.map_output_records);
             let reducer = std::sync::Arc::clone(&job.spec.reducer);
-            let entry = &mut job.reduces[r as usize];
-            debug_assert_eq!(entry.state, ReduceState::Pending);
-            entry.state = ReduceState::Running { node: NodeId(node) };
+            let entry = self.reduce_mut(id);
+            debug_assert_eq!(entry.node, None);
+            entry.node = Some(NodeId(node));
             entry.started_at = now;
-            let duration =
-                cost.reduce_duration_ms(entry.buffer.shuffle_bytes, entry.buffer.input_records);
             // Under the cluster fault model the buffer keeps its data (a
             // clone feeds the attempt) so a failed or killed attempt can
             // re-execute from the same input; fault-free runs move it.
@@ -2862,30 +2809,25 @@ impl MrRuntime {
         let handle = self.executor.submit(unit);
         let ev = self.sim.schedule_after(
             SimDuration::from_millis(duration),
-            Event::ReduceDone { job: id, reduce: r },
+            Event::ReduceDone { job: id },
         );
-        {
-            let entry = &mut self.job_mut(id).reduces[r as usize];
-            entry.pending = Some(handle);
-            entry.timer = Some(ev);
-        }
+        let entry = self.reduce_mut(id);
+        entry.pending = Some(handle);
+        entry.timer = Some(ev);
         self.record(TraceKind::ReduceStarted {
             job: id,
-            reduce: r,
+            reduce: 0,
             node: NodeId(node),
         });
     }
 
-    fn on_reduce_done(&mut self, id: JobId, r: u32) {
+    fn on_reduce_done(&mut self, id: JobId) {
         let now = self.sim.now();
         // Claim the data-plane result (the user reducer ran on a worker,
         // submitted at slot assignment).
         let (node, handle) = {
-            let job = self.job_mut(id);
-            let entry = &mut job.reduces[r as usize];
-            let ReduceState::Running { node } = entry.state else {
-                panic!("reduce completed while not running");
-            };
+            let entry = self.reduce_mut(id);
+            let node = entry.node.expect("reduce completed while not running");
             entry.timer = None;
             // Invariant: `assign_reduce` stores the handle with the timer
             // whose expiry delivered this event; node death cancels the
@@ -2912,57 +2854,39 @@ impl MrRuntime {
                 let max = cf.plan.effective_max_attempts();
                 drop(handle);
                 let attempts = {
-                    let entry = &mut self.job_mut(id).reduces[r as usize];
-                    entry.state = ReduceState::Pending;
+                    let entry = self.reduce_mut(id);
+                    entry.node = None;
                     entry.attempts += 1;
                     entry.attempts
                 };
                 self.record(TraceKind::ReduceFailed {
                     job: id,
-                    reduce: r,
+                    reduce: 0,
                     attempt: attempts,
                 });
                 if attempts >= max {
-                    self.complete_job(id, Err(JobError::ReduceAttemptsExhausted { reduce: r }));
+                    self.complete_job(id, Err(JobError::ReduceAttemptsExhausted));
                 } else {
-                    self.pending_reduces.push_back((id, r));
+                    self.pending_reduces.push_back(id);
                 }
                 return;
             }
         }
         let result = handle.join();
         self.metrics.add_host_reduce_ns(result.host_ns);
-        let (reduce_ms, all_done) = {
-            let job = self.job_mut(id);
-            let entry = &mut job.reduces[r as usize];
-            entry.state = ReduceState::Done;
-            entry.output = result.output;
-            // Release the re-execution backup the fault model retained.
-            entry.buffer.key_order = Default::default();
-            entry.buffer.groups = Default::default();
-            let reduce_ms = (now - entry.started_at).as_millis();
-            job.reduces_done += 1;
-            (reduce_ms, job.reduces_done == job.reduce_tasks)
-        };
+        // The reduce commits; its entry goes, and with it the
+        // re-execution backup the fault model retained.
+        let started_at = self.reduce_mut(id).started_at;
+        self.job_mut(id).reduce = None;
+        let reduce_ms = (now - started_at).as_millis();
         self.obs_record(id, |reg| reg.record_reduce(reduce_ms));
-        self.record(TraceKind::ReduceFinished { job: id, reduce: r });
-        if all_done {
-            self.finalize_job(id);
-        }
+        self.record(TraceKind::ReduceFinished { job: id, reduce: 0 });
+        self.finalize_job(id, result.output);
     }
 
-    fn finalize_job(&mut self, id: JobId) {
-        let job = self.job_mut(id);
-        // Concatenate in reduce order. The first reduce's output moves as
-        // is (most jobs have one reduce); later ones append to it.
-        let mut outputs = job
-            .reduces
-            .iter_mut()
-            .map(|e| std::mem::take(&mut e.output));
-        let mut output = outputs.next().unwrap_or_default();
-        for more in outputs {
-            output.append(more);
-        }
+    /// Complete a job with its reduce's committed output.
+    fn finalize_job(&mut self, id: JobId, output: ReduceOutput) {
+        let job = self.job(id);
         // A sampling job that ran out of matching input (or hit a graceful
         // deadline) below its `k` still completes: the paper's answer set
         // is correct, just smaller. Surface that as a typed trace event
@@ -2995,6 +2919,14 @@ impl MrRuntime {
             });
         }
         self.complete_job(id, Ok((output, agg)));
+    }
+}
+
+#[cfg(test)]
+impl MrRuntime {
+    /// Disarm the cluster fault model (test helper).
+    pub(crate) fn faults_off_for_test(&mut self) {
+        self.cluster_faults = None;
     }
 }
 

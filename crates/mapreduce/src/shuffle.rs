@@ -1,21 +1,21 @@
-//! The streaming shuffle: partitioned map output and incremental merge.
+//! The streaming shuffle: one map task's counted output and the
+//! incremental merge into a job's one reduce input.
 //!
-//! Stock Hadoop partitions map output on the map side (`Partitioner.
-//! getPartition` inside the map task's sort/spill path) and reducers pull
-//! each map's finished partition as soon as the map commits. This module
-//! reproduces that shape for the simulated runtime:
+//! Stock Hadoop sorts and spills map output on the map side and the
+//! reducer pulls each map's finished output as soon as the map commits.
+//! This module reproduces that shape for the simulated runtime, with one
+//! reduce task per job, as the paper's jobs run (Algorithm 2 takes `k` of
+//! every candidate under one dummy key):
 //!
-//! * [`PartitionedPairs`] is built *inside the map task on the data-plane
-//!   worker* (`parallel::MapUnit::compute`): emitted pairs are hashed with
-//!   [`fnv1a`] into `reduce_tasks` buckets while still on the worker
-//!   thread, and each bucket's records and shuffle bytes are counted
-//!   there, once, so the control plane never re-walks a map's output.
+//! * [`MapOutput`] is built *inside the map task on the data-plane
+//!   worker* (`parallel::MapUnit::compute`): its records and shuffle bytes
+//!   are counted there, once, so the control plane never re-walks a map's
+//!   output.
 //! * [`ShuffleState`] lives on the control plane, one per job. As each map
-//!   completes (in scheduler-assignment order), its partitions are merged
-//!   into per-reduce [`PartitionBuffer`]s — grouping by key, recording
-//!   first-seen key order, and adding each partition's byte/record
-//!   totals once. Reduce-begin is then O(`reduce_tasks`): the buffers
-//!   *are* the reduce inputs.
+//!   completes (in scheduler-assignment order), its output is merged into
+//!   the job's [`PartitionBuffer`] — grouping by key and recording
+//!   first-seen key order. Reduce-begin then hands the buffer over whole:
+//!   it *is* the reduce input.
 //!
 //! Batch runs stay selection vectors through both halves. Their bytes
 //! come from [`KeyedBatch::shuffle_bytes`], which sums a run a column at
@@ -24,12 +24,12 @@
 //! row is walked. Their rows are built only at the reduce boundary, by
 //! [`ValueSeq`], through the one row kernel in `incmr_data::batch`.
 //!
-//! Every emitted record reaches its reducer: the shuffle never drops
+//! Every emitted record reaches the reducer: the shuffle never drops
 //! output. A sample's size is bounded where the paper bounds it, by the
 //! mapper (Algorithm 1, at most `k` matches per split) and the reducer
 //! (Algorithm 2, `k` of the merged candidates). The proptest below pins
-//! the streaming merge against a monolithic reference re-partition for
-//! arbitrary key distributions, task shapes and `reduce_tasks` counts.
+//! the streaming merge against a monolithic reference grouping for
+//! arbitrary key distributions and task shapes.
 //!
 //! ## Merge order and fault tolerance
 //!
@@ -38,7 +38,7 @@
 //! runtime therefore merges through [`ShuffleState::merge_task`], which
 //! enforces **task-id order**: a map that completes ahead of a lower-id
 //! task is parked and merged only once the frontier reaches it. The merged
-//! buffers (key order and each group's value order) are then a pure
+//! buffer (key order and each group's value order) is then a pure
 //! function of the task *set* and each task's output — identical whether
 //! a node died mid-job, a straggler finished last, or nothing failed at
 //! all. This is what lets `tests/chaos.rs` assert that a surviving job's
@@ -51,8 +51,8 @@ use incmr_data::{BatchSelection, Record};
 
 use crate::exec::{output_bytes, output_records, Key, KeyedBatch};
 
-/// FNV-1a, the key-partitioning hash (Hadoop uses `key.hashCode() % R`;
-/// any stable hash serves, and FNV-1a is deterministic across platforms).
+/// FNV-1a over a key's bytes: the hash [`FnvHasher`] computes,
+/// deterministic across platforms.
 pub fn fnv1a(key: &str) -> u64 {
     let mut h = FnvHasher::default();
     h.write(key.as_bytes());
@@ -60,7 +60,7 @@ pub fn fnv1a(key: &str) -> u64 {
 }
 
 /// The FNV-1a step as a [`Hasher`]: the crate's one key hash, for
-/// partitioning ([`fnv1a`]) and for indexing key groups ([`KeyGroups`]).
+/// indexing key groups ([`KeyGroups`]) and for memo signatures.
 /// Keys are short strings, which FNV-1a hashes in one multiply per byte
 /// where SipHash runs its full rounds.
 #[derive(Debug, Clone, Copy)]
@@ -85,36 +85,22 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// One reduce partition's values per key, indexed by FNV-1a. Nothing
+/// A reduce input's values per key, indexed by FNV-1a. Nothing
 /// iterates the map — reducers visit groups in first-seen key order — so
 /// the hash can never move an output. Keys come from the job's own
 /// mappers, not from outside the program, so the map needs none of
 /// SipHash's resistance to crafted collisions.
 pub type KeyGroups = HashMap<Key, ValueSeq, BuildHasherDefault<FnvHasher>>;
 
-/// Which of `reduce_tasks` partitions `key` belongs to.
-pub fn partition_of(key: &str, reduce_tasks: u32) -> usize {
-    (fnv1a(key) % u64::from(reduce_tasks.max(1))) as usize
-}
-
-/// One map task's output, pre-partitioned by reduce task on the data-plane
-/// worker. Holds classic pairs and/or zero-copy [`KeyedBatch`] runs; the
-/// task's emission order is all pairs first, then every batch's rows in
-/// batch order (matching `MapResult`'s contract).
+/// One map task's output, counted on the data-plane worker. Holds classic
+/// pairs and/or zero-copy [`KeyedBatch`] runs; the task's emission order
+/// is all pairs first, then every batch's rows in batch order (matching
+/// `MapResult`'s contract).
 #[derive(Debug, Clone, Default)]
-pub struct PartitionedPairs {
-    /// `partitions[p]` holds the output destined for reduce task `p`.
-    partitions: Vec<Partition>,
-}
-
-/// One reduce task's share of a map task's output, with its record and
-/// byte totals, counted once while partitioning.
-#[derive(Debug, Clone, Default)]
-struct Partition {
+pub struct MapOutput {
     /// Pairs, in emission order.
     pairs: Vec<(Key, Record)>,
-    /// Keyed batch runs, in emission order. A run is never split across
-    /// partitions — all its rows share one key.
+    /// Keyed batch runs, in emission order.
     batches: Vec<KeyedBatch>,
     /// Records: pairs plus batch rows.
     records: u64,
@@ -122,68 +108,41 @@ struct Partition {
     bytes: u64,
 }
 
-impl Partition {
-    /// Count the records and shuffle bytes the partition holds.
-    fn count(&mut self) {
-        self.records = output_records(&self.pairs, &self.batches);
-        self.bytes = output_bytes(&self.pairs, &self.batches);
-    }
-}
-
-impl PartitionedPairs {
-    /// Partition `pairs` (in emission order) across `reduce_tasks` buckets.
-    pub fn build(pairs: Vec<(Key, Record)>, reduce_tasks: u32) -> Self {
-        Self::build_with_batches(pairs, Vec::new(), reduce_tasks)
+impl MapOutput {
+    /// Wrap `pairs` (in emission order).
+    pub fn build(pairs: Vec<(Key, Record)>) -> Self {
+        Self::build_with_batches(pairs, Vec::new())
     }
 
-    /// Partition pairs and batch runs (in emission order: pairs first)
-    /// across `reduce_tasks` buckets, counting each bucket's records and
-    /// shuffle bytes. Batch runs move as selection-vector handles — their
-    /// rows are never materialised here.
-    pub fn build_with_batches(
-        pairs: Vec<(Key, Record)>,
-        batches: Vec<KeyedBatch>,
-        reduce_tasks: u32,
-    ) -> Self {
-        let r = reduce_tasks.max(1);
-        let mut partitions: Vec<Partition> = (0..r).map(|_| Partition::default()).collect();
-        if r == 1 {
-            partitions[0].pairs = pairs;
-            partitions[0].batches = batches;
-        } else {
-            for (key, value) in pairs {
-                partitions[partition_of(&key, r)].pairs.push((key, value));
-            }
-            for batch in batches {
-                partitions[partition_of(&batch.key, r)].batches.push(batch);
-            }
+    /// Wrap pairs and batch runs (in emission order: pairs first),
+    /// counting their records and shuffle bytes. Batch runs move as
+    /// selection-vector handles — their rows are never materialised here.
+    pub fn build_with_batches(pairs: Vec<(Key, Record)>, batches: Vec<KeyedBatch>) -> Self {
+        MapOutput {
+            records: output_records(&pairs, &batches),
+            bytes: output_bytes(&pairs, &batches),
+            pairs,
+            batches,
         }
-        partitions.iter_mut().for_each(Partition::count);
-        PartitionedPairs { partitions }
     }
 
-    /// Number of partitions (= the job's `reduce_tasks`).
-    pub fn reduce_tasks(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Visit every materialised pair across all partitions, in partition
-    /// order then emission order within a partition. Zero-copy batch runs
-    /// are not visited. This is how the runtime's approximate-aggregation
-    /// plane reads a map task's per-group accumulator parts without
-    /// consuming the output before the shuffle merge.
+    /// Visit every materialised pair in emission order. Zero-copy batch
+    /// runs are not visited. This is how the runtime's
+    /// approximate-aggregation plane reads a map task's per-group
+    /// accumulator parts without consuming the output before the shuffle
+    /// merge.
     pub fn iter_pairs(&self) -> impl Iterator<Item = &(Key, Record)> {
-        self.partitions.iter().flat_map(|p| &p.pairs)
+        self.pairs.iter()
     }
 
-    /// Total records (pairs plus batch rows) across all partitions.
+    /// Records (pairs plus batch rows).
     pub fn records(&self) -> u64 {
-        self.partitions.iter().map(|p| p.records).sum()
+        self.records
     }
 
-    /// Total shuffle bytes across all partitions.
+    /// Shuffle bytes.
     pub fn bytes(&self) -> u64 {
-        self.partitions.iter().map(|p| p.bytes).sum()
+        self.bytes
     }
 }
 
@@ -319,7 +278,7 @@ impl FromIterator<Record> for ValueSeq {
     }
 }
 
-/// One reduce task's accumulated input: the framework-side half of the
+/// A job's accumulated reduce input: the framework-side half of the
 /// shuffle, grown incrementally as maps complete.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionBuffer {
@@ -329,23 +288,16 @@ pub struct PartitionBuffer {
     /// Values per key, in arrival order — batch runs stay zero-copy until
     /// the reduce boundary.
     pub groups: KeyGroups,
-    /// Exact bytes of materialised input merged into this partition.
-    pub shuffle_bytes: u64,
-    /// Exact count of materialised input records merged in.
-    pub input_records: u64,
 }
 
 impl PartitionBuffer {
-    /// Absorb one map task's partition, in emission order: pairs first,
-    /// then batch runs. An empty run registers no key. The partition's
-    /// totals were counted while partitioning and are added once.
-    fn absorb(&mut self, partition: Partition) {
-        self.shuffle_bytes += partition.bytes;
-        self.input_records += partition.records;
-        for (key, value) in partition.pairs {
+    /// Absorb one map task's output, in emission order: pairs first,
+    /// then batch runs. An empty run registers no key.
+    fn absorb(&mut self, output: MapOutput) {
+        for (key, value) in output.pairs {
             self.add_to_group(key, |group| group.push(value));
         }
-        for kb in partition.batches {
+        for kb in output.batches {
             if !kb.rows.is_empty() {
                 self.add_to_group(kb.key, |group| group.push_batch(kb.rows));
             }
@@ -367,37 +319,22 @@ impl PartitionBuffer {
     }
 }
 
-/// Per-job streaming shuffle state: one [`PartitionBuffer`] per reduce
-/// task and the in-order merge frontier.
+/// Per-job streaming shuffle state: the job's one [`PartitionBuffer`] and
+/// the in-order merge frontier.
 #[derive(Debug, Clone, Default)]
 pub struct ShuffleState {
-    buffers: Vec<PartitionBuffer>,
+    buffer: PartitionBuffer,
     /// Next task id the in-order frontier will merge.
     next_seq: u32,
     /// Completed-but-early task outputs, waiting for the frontier.
-    parked: BTreeMap<u32, PartitionedPairs>,
+    parked: BTreeMap<u32, MapOutput>,
 }
 
 impl ShuffleState {
-    /// Fresh state for a job with `reduce_tasks` reducers.
-    pub fn new(reduce_tasks: u32) -> Self {
-        ShuffleState {
-            buffers: (0..reduce_tasks.max(1))
-                .map(|_| PartitionBuffer::default())
-                .collect(),
-            next_seq: 0,
-            parked: BTreeMap::new(),
-        }
-    }
-
-    /// Merge one completed map's partitioned output, every partition
-    /// whole. The merge order fixes each partition's key order and each
-    /// group's value order.
-    pub fn merge(&mut self, pairs: PartitionedPairs) {
-        debug_assert_eq!(pairs.reduce_tasks(), self.buffers.len());
-        for (buffer, partition) in self.buffers.iter_mut().zip(pairs.partitions) {
-            buffer.absorb(partition);
-        }
+    /// Merge one completed map's output whole. The merge order fixes the
+    /// buffer's key order and each group's value order.
+    pub fn merge(&mut self, output: MapOutput) {
+        self.buffer.absorb(output);
     }
 
     /// Merge the output of map task `seq`, enforcing task-id order: the
@@ -406,17 +343,17 @@ impl ShuffleState {
     /// merged exactly once — re-executed attempts of an already-merged task
     /// must not call this again (their output is byte-identical anyway; see
     /// the module docs on fault tolerance).
-    pub fn merge_task(&mut self, seq: u32, pairs: PartitionedPairs) {
+    pub fn merge_task(&mut self, seq: u32, output: MapOutput) {
         debug_assert!(
             seq >= self.next_seq && !self.parked.contains_key(&seq),
             "task {seq} merged twice (frontier at {})",
             self.next_seq
         );
         if seq != self.next_seq {
-            self.parked.insert(seq, pairs);
+            self.parked.insert(seq, output);
             return;
         }
-        self.merge(pairs);
+        self.merge(output);
         self.next_seq += 1;
         while let Some(parked) = self.parked.remove(&self.next_seq) {
             self.merge(parked);
@@ -441,14 +378,14 @@ impl ShuffleState {
         self.parked.len()
     }
 
-    /// Read access to the per-reduce buffers.
-    pub fn buffers(&self) -> &[PartitionBuffer] {
-        &self.buffers
+    /// Read access to the merged reduce input.
+    pub fn buffer(&self) -> &PartitionBuffer {
+        &self.buffer
     }
 
-    /// Hand the buffers over to the reduce phase.
-    pub fn into_buffers(self) -> Vec<PartitionBuffer> {
-        self.buffers
+    /// Hand the merged input over to the reduce phase.
+    pub fn into_buffer(self) -> PartitionBuffer {
+        self.buffer
     }
 }
 
@@ -462,50 +399,36 @@ mod tests {
         (Key::from(key), Record::new(vec![Value::Int(v)]))
     }
 
+    /// Records merged into a buffer, across every group.
+    fn merged_records(buffer: &PartitionBuffer) -> usize {
+        buffer.groups.values().map(ValueSeq::len).sum()
+    }
+
     /// The old monolithic path: concatenate every task's pairs in
-    /// completion order, then partition and group in one pass.
-    fn reference_partition(
-        tasks: &[Vec<(Key, Record)>],
-        reduce_tasks: u32,
-    ) -> Vec<PartitionBuffer> {
-        let r = reduce_tasks.max(1);
-        let mut buffers: Vec<PartitionBuffer> =
-            (0..r).map(|_| PartitionBuffer::default()).collect();
+    /// completion order, then group them in one pass.
+    fn reference_merge(tasks: &[Vec<(Key, Record)>]) -> PartitionBuffer {
+        let mut buffer = PartitionBuffer::default();
         for (key, value) in tasks.iter().flatten().cloned() {
-            let buffer = &mut buffers[partition_of(&key, r)];
-            buffer.shuffle_bytes += key.len() as u64 + value.width();
-            buffer.input_records += 1;
-            buffer.absorb(Partition {
-                pairs: vec![(key, value)],
-                ..Partition::default()
-            });
+            buffer.add_to_group(key, |group| group.push(value));
         }
-        buffers
+        buffer
     }
 
-    fn streaming_partition(
-        tasks: &[Vec<(Key, Record)>],
-        reduce_tasks: u32,
-    ) -> Vec<PartitionBuffer> {
-        let mut state = ShuffleState::new(reduce_tasks);
+    fn streaming_merge(tasks: &[Vec<(Key, Record)>]) -> PartitionBuffer {
+        let mut state = ShuffleState::default();
         for task in tasks {
-            state.merge(PartitionedPairs::build(task.clone(), reduce_tasks));
+            state.merge(MapOutput::build(task.clone()));
         }
-        state.into_buffers()
+        state.into_buffer()
     }
 
-    fn assert_buffers_equal(a: &[PartitionBuffer], b: &[PartitionBuffer]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.key_order, y.key_order);
-            assert_eq!(x.groups, y.groups);
-            assert_eq!(x.shuffle_bytes, y.shuffle_bytes);
-            assert_eq!(x.input_records, y.input_records);
-        }
+    fn assert_buffers_equal(a: &PartitionBuffer, b: &PartitionBuffer) {
+        assert_eq!(a.key_order, b.key_order);
+        assert_eq!(a.groups, b.groups);
     }
 
-    /// The one key hash is FNV-1a 64: partitions, memo signatures and
-    /// recorded outputs depend on these exact values.
+    /// The one key hash is FNV-1a 64: memo signatures and group indexing
+    /// depend on these exact values.
     #[test]
     fn fnv1a_matches_the_published_test_vectors() {
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
@@ -515,33 +438,34 @@ mod tests {
 
     #[test]
     fn single_partition_groups_in_first_seen_order() {
-        let mut state = ShuffleState::new(1);
-        state.merge(PartitionedPairs::build(
-            vec![pair("b", 1), pair("a", 2), pair("b", 3)],
-            1,
-        ));
-        state.merge(PartitionedPairs::build(vec![pair("a", 4)], 1));
-        let buffers = state.into_buffers();
-        let keys: Vec<&str> = buffers[0].key_order.iter().map(|k| &**k).collect();
+        let mut state = ShuffleState::default();
+        state.merge(MapOutput::build(vec![
+            pair("b", 1),
+            pair("a", 2),
+            pair("b", 3),
+        ]));
+        state.merge(MapOutput::build(vec![pair("a", 4)]));
+        let buffer = state.into_buffer();
+        let keys: Vec<&str> = buffer.key_order.iter().map(|k| &**k).collect();
         assert_eq!(keys, ["b", "a"]);
-        assert_eq!(buffers[0].groups[&Key::from("a")].len(), 2);
-        assert_eq!(buffers[0].input_records, 4);
+        assert_eq!(buffer.groups[&Key::from("a")].len(), 2);
+        assert_eq!(merged_records(&buffer), 4);
     }
 
     #[test]
     fn frontier_merge_parks_out_of_order_tasks() {
-        let mut state = ShuffleState::new(1);
-        state.merge_task(2, PartitionedPairs::build(vec![pair("c", 2)], 1));
-        state.merge_task(1, PartitionedPairs::build(vec![pair("b", 1)], 1));
+        let mut state = ShuffleState::default();
+        state.merge_task(2, MapOutput::build(vec![pair("c", 2)]));
+        state.merge_task(1, MapOutput::build(vec![pair("b", 1)]));
         assert_eq!(state.merged_tasks(), 0, "frontier blocked on task 0");
         assert!(!state.is_settled());
         assert_eq!(state.parked_tasks(), 2);
-        state.merge_task(0, PartitionedPairs::build(vec![pair("a", 0)], 1));
+        state.merge_task(0, MapOutput::build(vec![pair("a", 0)]));
         assert_eq!(state.merged_tasks(), 3, "frontier drained the parked tasks");
         assert!(state.is_settled());
         assert_eq!(state.parked_tasks(), 0);
-        let buffers = state.into_buffers();
-        let keys: Vec<&str> = buffers[0].key_order.iter().map(|k| &**k).collect();
+        let buffer = state.into_buffer();
+        let keys: Vec<&str> = buffer.key_order.iter().map(|k| &**k).collect();
         assert_eq!(
             keys,
             ["a", "b", "c"],
@@ -569,27 +493,23 @@ mod tests {
     #[test]
     fn batch_runs_group_identically_to_their_flattened_pairs() {
         // One shuffle fed batches, one fed the equivalent pairs: the
-        // buffers must agree on key order, groups, byte and record counts.
+        // outputs must agree on record and byte counts, and the buffers
+        // on key order and groups.
         let tasks: Vec<Vec<KeyedBatch>> = vec![
             vec![keyed_batch("b", &[1, 2]), keyed_batch("a", &[3])],
             vec![keyed_batch("a", &[4]), keyed_batch("c", &[])],
         ];
-        for r in [1u32, 2, 3] {
-            let mut batched = ShuffleState::new(r);
-            let mut rows = ShuffleState::new(r);
-            for task in &tasks {
-                batched.merge(PartitionedPairs::build_with_batches(
-                    Vec::new(),
-                    task.clone(),
-                    r,
-                ));
-                rows.merge(PartitionedPairs::build(
-                    crate::exec::batches_to_pairs(task.clone()),
-                    r,
-                ));
-            }
-            assert_buffers_equal(&batched.into_buffers(), &rows.into_buffers());
+        let mut batched = ShuffleState::default();
+        let mut rows = ShuffleState::default();
+        for task in &tasks {
+            let as_batches = MapOutput::build_with_batches(Vec::new(), task.clone());
+            let as_pairs = MapOutput::build(crate::exec::batches_to_pairs(task.clone()));
+            assert_eq!(as_batches.records(), as_pairs.records());
+            assert_eq!(as_batches.bytes(), as_pairs.bytes());
+            batched.merge(as_batches);
+            rows.merge(as_pairs);
         }
+        assert_buffers_equal(&batched.into_buffer(), &rows.into_buffer());
     }
 
     #[test]
@@ -598,39 +518,29 @@ mod tests {
         // arrives, and the empty batch never registers its key.
         let pairs = vec![pair("p", 0), pair("p", 1)];
         let batches = vec![keyed_batch("b", &[10, 11, 12]), keyed_batch("z", &[])];
-        let mut state = ShuffleState::new(1);
-        state.merge(PartitionedPairs::build_with_batches(pairs, batches, 1));
-        let buffers = state.into_buffers();
-        let keys: Vec<&str> = buffers[0].key_order.iter().map(|k| &**k).collect();
+        let output = MapOutput::build_with_batches(pairs, batches);
+        assert_eq!(output.records(), 5);
+        let mut state = ShuffleState::default();
+        state.merge(output);
+        let buffer = state.into_buffer();
+        let keys: Vec<&str> = buffer.key_order.iter().map(|k| &**k).collect();
         assert_eq!(keys, ["p", "b"], "an empty run adds no key");
-        assert_eq!(buffers[0].groups[&Key::from("b")].len(), 3);
-        assert_eq!(buffers[0].input_records, 5);
-    }
-
-    #[test]
-    fn zero_reduce_tasks_is_clamped_to_one() {
-        let state = ShuffleState::new(0);
-        assert_eq!(state.buffers().len(), 1);
-        assert_eq!(
-            PartitionedPairs::build(vec![pair("x", 1)], 0).reduce_tasks(),
-            1
-        );
+        assert_eq!(buffer.groups[&Key::from("b")].len(), 3);
+        assert_eq!(merged_records(&buffer), 5);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Streaming per-map-completion merge is byte-identical to the
-        /// monolithic re-partition of the flat output stream, for
-        /// arbitrary key distributions, task shapes and `reduce_tasks`
-        /// counts.
+        /// monolithic grouping of the flat output stream, for arbitrary
+        /// key distributions and task shapes.
         #[test]
         fn streaming_merge_matches_monolithic_reference(
             tasks in prop::collection::vec(
                 prop::collection::vec((0u8..12, any::<i64>()), 0..40),
                 0..12,
             ),
-            reduce_tasks in 1u32..8,
         ) {
             let tasks: Vec<Vec<(Key, Record)>> = tasks
                 .iter()
@@ -640,24 +550,19 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let streamed = streaming_partition(&tasks, reduce_tasks);
-            let reference = reference_partition(&tasks, reduce_tasks);
-            prop_assert_eq!(streamed.len(), reference.len());
-            for (s, r) in streamed.iter().zip(&reference) {
-                prop_assert_eq!(&s.key_order, &r.key_order);
-                prop_assert_eq!(&s.groups, &r.groups);
-                prop_assert_eq!(s.shuffle_bytes, r.shuffle_bytes);
-                prop_assert_eq!(s.input_records, r.input_records);
-            }
-            let materialized: u64 = streamed.iter().map(|b| b.input_records).sum();
-            let emitted: u64 = tasks.iter().map(|t| t.len() as u64).sum();
-            prop_assert_eq!(materialized, emitted);
+            let streamed = streaming_merge(&tasks);
+            let reference = reference_merge(&tasks);
+            prop_assert_eq!(&streamed.key_order, &reference.key_order);
+            prop_assert_eq!(&streamed.groups, &reference.groups);
+            let emitted: usize = tasks.iter().map(Vec::len).sum();
+            prop_assert_eq!(merged_records(&streamed), emitted);
         }
 
         /// Batch-run shuffling is byte-identical to shuffling the same
-        /// rows as pairs, under arbitrary task shapes and partition
-        /// counts — the invariant that lets mappers emit selection-vector
-        /// handles without perturbing anything downstream.
+        /// rows as pairs, under arbitrary task shapes — the invariant that
+        /// lets mappers emit selection-vector handles without perturbing
+        /// anything downstream: equal record and byte counts per task, and
+        /// equal merged buffers.
         #[test]
         fn batched_merge_matches_pair_merge(
             tasks in prop::collection::vec(
@@ -667,7 +572,6 @@ mod tests {
                 ),
                 0..8,
             ),
-            reduce_tasks in 1u32..6,
         ) {
             let tasks: Vec<Vec<KeyedBatch>> = tasks
                 .iter()
@@ -677,32 +581,25 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let mut batched = ShuffleState::new(reduce_tasks);
-            let mut rows = ShuffleState::new(reduce_tasks);
+            let mut batched = ShuffleState::default();
+            let mut rows = ShuffleState::default();
             for task in &tasks {
-                batched.merge(PartitionedPairs::build_with_batches(
-                    Vec::new(),
-                    task.clone(),
-                    reduce_tasks,
-                ));
-                rows.merge(PartitionedPairs::build(
-                    crate::exec::batches_to_pairs(task.clone()),
-                    reduce_tasks,
-                ));
+                let as_batches = MapOutput::build_with_batches(Vec::new(), task.clone());
+                let as_pairs = MapOutput::build(crate::exec::batches_to_pairs(task.clone()));
+                prop_assert_eq!(as_batches.records(), as_pairs.records());
+                prop_assert_eq!(as_batches.bytes(), as_pairs.bytes());
+                batched.merge(as_batches);
+                rows.merge(as_pairs);
             }
-            let a = batched.into_buffers();
-            let b = rows.into_buffers();
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(&x.key_order, &y.key_order);
-                prop_assert_eq!(&x.groups, &y.groups);
-                prop_assert_eq!(x.shuffle_bytes, y.shuffle_bytes);
-                prop_assert_eq!(x.input_records, y.input_records);
-            }
+            let a = batched.into_buffer();
+            let b = rows.into_buffer();
+            prop_assert_eq!(&a.key_order, &b.key_order);
+            prop_assert_eq!(&a.groups, &b.groups);
         }
 
         /// The frontier merge is completion-order invariant: feeding tasks
-        /// through `merge_task` in an arbitrary permutation produces
-        /// byte-identical buffers to the in-order merge — the property the
+        /// through `merge_task` in an arbitrary permutation produces a
+        /// byte-identical buffer to the in-order merge — the property the
         /// fault plane's re-executions and stragglers rely on.
         #[test]
         fn frontier_merge_is_arrival_order_invariant(
@@ -710,16 +607,15 @@ mod tests {
                 prop::collection::vec((0u8..10, any::<i64>()), 0..20),
                 1..10,
             ),
-            reduce_tasks in 1u32..6,
             perm_seed in any::<u64>(),
         ) {
             let tasks: Vec<Vec<(Key, Record)>> = tasks
                 .iter()
                 .map(|t| t.iter().map(|(k, v)| pair(&format!("k{k}"), *v)).collect())
                 .collect();
-            let mut in_order = ShuffleState::new(reduce_tasks);
+            let mut in_order = ShuffleState::default();
             for (seq, task) in tasks.iter().enumerate() {
-                in_order.merge_task(seq as u32, PartitionedPairs::build(task.clone(), reduce_tasks));
+                in_order.merge_task(seq as u32, MapOutput::build(task.clone()));
             }
             // A deterministic Fisher–Yates permutation of the arrival order.
             let mut order: Vec<usize> = (0..tasks.len()).collect();
@@ -728,20 +624,16 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 order.swap(i, (state >> 33) as usize % (i + 1));
             }
-            let mut shuffled = ShuffleState::new(reduce_tasks);
+            let mut shuffled = ShuffleState::default();
             for &seq in &order {
-                shuffled.merge_task(seq as u32, PartitionedPairs::build(tasks[seq].clone(), reduce_tasks));
+                shuffled.merge_task(seq as u32, MapOutput::build(tasks[seq].clone()));
             }
             prop_assert!(shuffled.is_settled());
             prop_assert_eq!(shuffled.merged_tasks(), tasks.len() as u32);
-            let a = in_order.into_buffers();
-            let b = shuffled.into_buffers();
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(&x.key_order, &y.key_order);
-                prop_assert_eq!(&x.groups, &y.groups);
-                prop_assert_eq!(x.shuffle_bytes, y.shuffle_bytes);
-                prop_assert_eq!(x.input_records, y.input_records);
-            }
+            let a = in_order.into_buffer();
+            let b = shuffled.into_buffer();
+            prop_assert_eq!(&a.key_order, &b.key_order);
+            prop_assert_eq!(&a.groups, &b.groups);
         }
     }
 }

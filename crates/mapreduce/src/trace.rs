@@ -149,28 +149,30 @@ trace_kinds! {
             /// Which attempt failed (1-based).
             attempt: u32,
         },
-        /// The shuffle closed: every map completed and the per-reduce buffers
-        /// are final. Carries only deterministic counters (records/bytes), so
-        /// traces stay thread-count-invariant.
+        /// The shuffle closed: every map completed and the job's reduce
+        /// buffer is final. Carries only deterministic counters
+        /// (records/bytes), so traces stay thread-count-invariant. A job
+        /// runs one reduce task, so `partitions` and the two byte fields
+        /// are constant; they stay for the trace schema's sake.
         ShuffleReady {
             /// The job.
             job: JobId,
-            /// Reduce partitions created.
+            /// Reduce partitions: always 1.
             partitions: u32,
             /// Records fed to the map-side combiner (0 when the job has none).
             combiner_in: u64,
             /// Records surviving the combiner.
             combiner_out: u64,
-            /// Largest modeled partition share in bytes (skew numerator).
+            /// The job's shuffle bytes (the one partition's share).
             max_partition_bytes: u64,
-            /// Smallest modeled partition share in bytes (skew denominator).
+            /// The job's shuffle bytes, equal to `max_partition_bytes`.
             min_partition_bytes: u64,
         },
         /// A reduce task started on a reduce slot.
         ReduceStarted {
             /// The job.
             job: JobId,
-            /// Reduce partition index.
+            /// Reduce task index: always 0, the job's one reduce.
             reduce: u32,
             /// Host node.
             node: NodeId,
@@ -179,7 +181,7 @@ trace_kinds! {
         ReduceFinished {
             /// The job.
             job: JobId,
-            /// Reduce partition index.
+            /// Reduce task index: always 0, the job's one reduce.
             reduce: u32,
         },
         /// The job finished (successfully or not).
@@ -193,7 +195,7 @@ trace_kinds! {
         ReduceFailed {
             /// The job.
             job: JobId,
-            /// Reduce partition index.
+            /// Reduce task index: always 0, the job's one reduce.
             reduce: u32,
             /// Which attempt failed (1-based).
             attempt: u32,

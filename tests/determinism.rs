@@ -9,8 +9,8 @@ use incmr::core::ScanMapper;
 use incmr::data::lineitem::col;
 use incmr::data::{CmpOp, RecordFactory, SplitGenerator};
 use incmr::mapreduce::{
-    partition_of, ClusterFaultPlan, DatasetInputFormat, MapResult, Mapper, ShuffleMetrics,
-    SplitData, StaticDriver, TraceEvent,
+    ClusterFaultPlan, DatasetInputFormat, MapResult, Mapper, ShuffleMetrics, SplitData,
+    StaticDriver, TraceEvent,
 };
 use incmr::prelude::*;
 
@@ -337,16 +337,14 @@ fn static_job_fingerprint(
 }
 
 /// Like [`parallel_fingerprint`], but exercising the paths the sampling job
-/// does not: a combiner that actually removes records, three reduce tasks
-/// (so the reduce plane runs multiple `ReduceUnit`s), and the shuffle
-/// counters.
+/// does not: a combiner that actually removes records, a reducer over many
+/// keys, and the shuffle counters.
 fn reduce_plane_fingerprint(
     threads: u32,
     faults: Option<&ClusterFaultPlan>,
 ) -> (JobResult, Vec<TraceEvent>, ShuffleMetrics) {
     static_job_fingerprint(threads, faults, |ds| {
         JobSpec::builder()
-            .reduces(3)
             .input(DatasetInputFormat::new(Arc::clone(ds), ScanMode::Planted))
             .mapper(FanOutMapper)
             .combiner(DropEveryThird)
@@ -355,9 +353,8 @@ fn reduce_plane_fingerprint(
 }
 
 /// A materialised scan (`SELECT L_ORDERKEY, L_PARTKEY, L_QUANTITY WHERE
-/// L_QUANTITY <= 5`, about 10% of rows) with three reduce tasks, so
-/// `partition_of` spreads the `r{i}` keys that every map task clones out of
-/// the mapper's one key table.
+/// L_QUANTITY <= 5`, about 10% of rows): the reduce groups the `r{i}` keys
+/// that every map task clones out of the mapper's one key table.
 fn materialised_scan_fingerprint(
     threads: u32,
     faults: Option<&ClusterFaultPlan>,
@@ -370,7 +367,6 @@ fn materialised_scan_fingerprint(
         };
         let projection = vec![col::ORDERKEY, col::PARTKEY, col::QUANTITY];
         JobSpec::builder()
-            .reduces(3)
             .input(DatasetInputFormat::new(Arc::clone(ds), ScanMode::Full))
             .mapper(ScanMapper::new(predicate, projection, true))
             .build()
@@ -431,12 +427,6 @@ fn reduce_plane_and_combiner_are_thread_count_invariant() {
 #[test]
 fn materialised_scan_is_thread_count_invariant() {
     let (fault_free, _, _) = materialised_scan_fingerprint(1, None);
-    let partitions: std::collections::BTreeSet<usize> = fault_free
-        .output
-        .iter()
-        .map(|(key, _)| partition_of(key, 3))
-        .collect();
-    assert_eq!(partitions.len(), 3, "every reduce task gets rows");
     assert!(fault_free.output.iter().any(|(key, _)| &**key == "r400"));
     for faults in [None, Some(reduce_plane_faults())] {
         let faults = faults.as_ref();
