@@ -285,7 +285,8 @@ pub fn unresolved_speculations(
             TraceKind::SpeculativeLaunch { job, task, .. } if !open.contains(&(job, task)) => {
                 open.push((job, task));
             }
-            TraceKind::AttemptKilled { job, task, .. } | TraceKind::MapFinished { job, task } => {
+            TraceKind::AttemptKilled { job, task, .. }
+            | TraceKind::MapFinished { job, task, .. } => {
                 open.retain(|&(j, t)| (j, t) != (job, task));
             }
             TraceKind::JobCompleted { job, .. } => {
@@ -351,6 +352,7 @@ mod tests {
                 TraceKind::MapFinished {
                     job: JobId(0),
                     task: TaskId(2),
+                    attempt_ms: 5,
                 },
             ),
             at(

@@ -81,8 +81,8 @@ pub use metrics::{
     ReplicaMetrics, ShuffleMetrics,
 };
 pub use obs::{
-    audited_splits_added, encode_event, encode_trace, kind_name, parse_event, parse_trace,
-    render_audit, render_swimlanes, AuditDirective, AuditRecord, MetricsRegistry, TraceParseError,
+    audited_splits_added, encode_event, encode_trace, parse_event, parse_trace, render_audit,
+    render_swimlanes, AuditDirective, AuditRecord, MetricsRegistry, TraceParseError,
 };
 pub use parallel::{
     MapTaskResult, MapUnit, ParallelExecutor, ReduceTaskResult, ReduceUnit, UnitHandle, WorkUnit,
@@ -752,13 +752,12 @@ mod tests {
                 TraceKind::ShuffleReady {
                     combiner_in,
                     combiner_out,
-                    partitions,
                     ..
-                } => Some((combiner_in, combiner_out, partitions)),
+                } => Some((combiner_in, combiner_out)),
                 _ => None,
             })
             .expect("shuffle-ready event traced");
-        assert_eq!(ready, (ds.total_matching(), 24, 1));
+        assert_eq!(ready, (ds.total_matching(), 24));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! cluster … averaged over the 40 cores and 40 disks" (Section V-D), plus
 //! the locality % and slot-occupancy % measurements of Section V-F.
 //!
-//! Every counter that has a trace event is a fold over the recorded
-//! events: `ClusterMetrics::absorb` is its only writer (the runtime
-//! calls it on each event it records, traced or not), and
+//! Every counter is a fold over the recorded events:
+//! `ClusterMetrics::absorb` is its only writer (the runtime calls it on
+//! each event it records, traced or not), and
 //! [`ClusterMetrics::from_trace`] replays an exported trace through the
-//! same fold. The few counters with no event of their own stay live
-//! increments behind crate-private accessors.
+//! same fold. The latency histograms are the same kind of fold
+//! ([`crate::MetricsRegistry::from_trace`]).
 //!
 //! Two extra counter families instrument the streaming shuffle:
 //! [`ShuffleMetrics`] (deterministic record counters — the combiner's
@@ -58,7 +58,7 @@ pub struct FaultMetrics {
     /// Nodes that rejoined after dying (`NodeRejoined`).
     pub nodes_rejoined: u64,
     /// Completed map tasks re-executed because their node (and its stored
-    /// map output) was lost. Live-only: no event of its own.
+    /// map output) was lost (`MapOutputLost` with `rerun`).
     pub maps_reexecuted: u64,
     /// Speculative attempts launched for laggard maps (`SpeculativeLaunch`).
     pub speculative_launched: u64,
@@ -75,14 +75,14 @@ pub struct FaultMetrics {
 /// counts for a fixed schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardrailMetrics {
-    /// Provider/driver invocations that panicked (caught by the sandbox).
-    /// Live-only: panics surface as a plain `ProviderFault`.
+    /// Provider/driver invocations that panicked (caught by the sandbox;
+    /// `ProviderFault` with `panicked`).
     pub provider_panics: u64,
     /// Provider failures of any kind, panics plus invalid directives
     /// (`ProviderFault`).
     pub provider_errors: u64,
-    /// `AddInput` directives naming a block outside the namespace.
-    /// Live-only: they surface as a plain `ProviderFault`.
+    /// `AddInput` directives naming a block outside the namespace
+    /// (`ProviderFault` with `unknown_block`).
     pub unknown_blocks: u64,
     /// Provider failures absorbed by the job's retry budget (non-fatal
     /// `ProviderFault`).
@@ -119,18 +119,18 @@ pub struct MemoMetrics {
     /// recomputed (`SplitDirty`).
     pub splits_dirty: u64,
     /// Map attempts of jobs with a signature that ran the mapper for real
-    /// while memoization was enabled (new splits, dirty splits, and
-    /// invalidated entries). A job without a signature is never counted.
-    /// Live-only: no event of its own.
+    /// while memoization was enabled (`SplitMissed` for new splits and
+    /// invalidated entries, plus `SplitDirty`). A job without a signature
+    /// is never counted.
     pub splits_computed: u64,
     /// Evolve steps that delivered new blocks while jobs were live
     /// (`InputArrived`).
     pub input_arrivals: u64,
-    /// Input records whose re-scan a memo hit avoided. Live-only:
-    /// `SplitReused` carries no record count.
+    /// Input records whose re-scan a memo hit avoided
+    /// (`SplitReused::records`).
     pub records_saved: u64,
     /// Memo entries discarded because the node holding the cached map
-    /// output died. Live-only: no event of its own.
+    /// output died (`NodeLost::memo_dropped`).
     pub entries_invalidated: u64,
 }
 
@@ -150,15 +150,15 @@ pub struct ReplicaMetrics {
     /// Map reads that failed over from their intended replica to a
     /// surviving one (`ReadFailover`).
     pub read_failovers: u64,
-    /// Blocks that lost their *last* replica (unreadable until rewritten).
-    /// Live-only: no event of its own.
+    /// Blocks that lost their *last* replica (unreadable until rewritten;
+    /// `ReplicaLost` with `last`).
     pub blocks_lost: u64,
     /// Jobs that hit the input-lost path (failed, or degraded to a partial
     /// result under `settings.allow_partial`; `InputLost`).
     pub input_lost_jobs: u64,
     /// Completed maps on a dead node whose re-execution was skipped
     /// because a live replica of their input block survives (the merged
-    /// shuffle output is retained). Live-only: no event of its own.
+    /// shuffle output is retained; `MapOutputLost` without `rerun`).
     pub reexecutions_avoided: u64,
 }
 
@@ -240,10 +240,10 @@ impl ClusterMetrics {
     }
 
     /// Replay an exported trace through `ClusterMetrics::absorb`: the
-    /// result holds exactly the event-backed counters (locality and every
-    /// counter family, live-only fields zero) a runtime that recorded
-    /// these events holds. It has no cluster capacities and no resource
-    /// series, so only its counters are meaningful.
+    /// result holds exactly the counters (locality and every counter
+    /// family) a runtime that recorded these events holds. It has no
+    /// cluster capacities and no resource series, so only its counters
+    /// are meaningful.
     pub fn from_trace(events: &[TraceEvent]) -> ClusterMetrics {
         let mut m = ClusterMetrics::new(SimTime::ZERO, 0, 0, 0, METRICS_INTERVAL);
         for e in events {
@@ -253,8 +253,8 @@ impl ClusterMetrics {
     }
 
     /// Fold one recorded event into the counters it backs — the only
-    /// writer of every counter that has an event. The runtime calls it on
-    /// each event it records, whether or not tracing is on.
+    /// writer of every counter. The runtime calls it on each event it
+    /// records, whether or not tracing is on.
     pub(crate) fn absorb(&mut self, kind: &TraceKind) {
         match *kind {
             TraceKind::MapStarted { local, .. } => {
@@ -271,14 +271,25 @@ impl ClusterMetrics {
                 s.combiner_output_records += combiner_out;
                 s.jobs += 1;
             }
-            TraceKind::NodeLost { .. } => self.faults.nodes_lost += 1,
+            TraceKind::NodeLost { memo_dropped, .. } => {
+                self.faults.nodes_lost += 1;
+                self.memo.entries_invalidated += memo_dropped;
+            }
             TraceKind::NodeRejoined { .. } => self.faults.nodes_rejoined += 1,
             TraceKind::SpeculativeLaunch { .. } => self.faults.speculative_launched += 1,
             TraceKind::ReduceFailed { .. } => self.faults.reduce_failures += 1,
             TraceKind::NodeBlacklisted { .. } => self.faults.nodes_blacklisted += 1,
-            TraceKind::ProviderFault { fatal, .. } => {
-                self.guardrails.provider_errors += 1;
-                self.guardrails.provider_retries += u64::from(!fatal);
+            TraceKind::ProviderFault {
+                fatal,
+                panicked,
+                unknown_block,
+                ..
+            } => {
+                let g = &mut self.guardrails;
+                g.provider_errors += 1;
+                g.provider_retries += u64::from(!fatal);
+                g.provider_panics += u64::from(panicked);
+                g.unknown_blocks += u64::from(unknown_block);
             }
             TraceKind::GrabLimitClamped { .. } => self.guardrails.grab_limit_clamps += 1,
             TraceKind::DuplicateInputDropped { splits, .. } => {
@@ -287,10 +298,22 @@ impl ClusterMetrics {
             TraceKind::JobWedged { .. } => self.guardrails.jobs_wedged += 1,
             TraceKind::DeadlineExceeded { .. } => self.guardrails.deadlines_exceeded += 1,
             TraceKind::PartialSample { .. } => self.guardrails.partial_samples += 1,
-            TraceKind::SplitReused { .. } => self.memo.splits_reused += 1,
-            TraceKind::SplitDirty { .. } => self.memo.splits_dirty += 1,
+            TraceKind::SplitReused { records, .. } => {
+                self.memo.splits_reused += 1;
+                self.memo.records_saved += records;
+            }
+            TraceKind::SplitDirty { .. } => {
+                self.memo.splits_dirty += 1;
+                self.memo.splits_computed += 1;
+            }
+            TraceKind::SplitMissed { .. } => self.memo.splits_computed += 1,
             TraceKind::InputArrived { .. } => self.memo.input_arrivals += 1,
-            TraceKind::ReplicaLost { .. } => self.replica.replicas_lost += 1,
+            TraceKind::MapOutputLost { rerun: true, .. } => self.faults.maps_reexecuted += 1,
+            TraceKind::MapOutputLost { rerun: false, .. } => self.replica.reexecutions_avoided += 1,
+            TraceKind::ReplicaLost { last, .. } => {
+                self.replica.replicas_lost += 1;
+                self.replica.blocks_lost += u64::from(last);
+            }
             TraceKind::ReplicaRestored { .. } => self.replica.replicas_restored += 1,
             TraceKind::ReadFailover { .. } => self.replica.read_failovers += 1,
             TraceKind::InputLost { .. } => self.replica.input_lost_jobs += 1,
@@ -342,21 +365,9 @@ impl ClusterMetrics {
         self.host
     }
 
-    /// The live-only fault counter (`maps_reexecuted`); every other field
-    /// is written by `ClusterMetrics::absorb`.
-    pub(crate) fn faults_mut(&mut self) -> &mut FaultMetrics {
-        &mut self.faults
-    }
-
     /// Fault-plane counters accumulated so far.
     pub fn faults(&self) -> FaultMetrics {
         self.faults
-    }
-
-    /// The live-only guard-rail counters (`provider_panics`,
-    /// `unknown_blocks`).
-    pub(crate) fn guardrails_mut(&mut self) -> &mut GuardrailMetrics {
-        &mut self.guardrails
     }
 
     /// Guard-rail counters accumulated so far.
@@ -364,21 +375,9 @@ impl ClusterMetrics {
         self.guardrails
     }
 
-    /// The live-only memoization counters (`splits_computed`,
-    /// `records_saved`, `entries_invalidated`).
-    pub(crate) fn memo_mut(&mut self) -> &mut MemoMetrics {
-        &mut self.memo
-    }
-
     /// Memoization counters accumulated so far.
     pub fn memo(&self) -> MemoMetrics {
         self.memo
-    }
-
-    /// The live-only replication counters (`blocks_lost`,
-    /// `reexecutions_avoided`).
-    pub(crate) fn replica_mut(&mut self) -> &mut ReplicaMetrics {
-        &mut self.replica
     }
 
     /// Replication-plane counters accumulated so far.
@@ -417,11 +416,13 @@ mod tests {
         ClusterMetrics::new(SimTime::ZERO, 4, 4, 4, SimDuration::from_secs(30))
     }
 
-    fn at(s: u64, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            time: SimTime::from_secs(s),
+    /// Replay `kinds`, in order, through `ClusterMetrics::from_trace`.
+    fn fold(kinds: Vec<TraceKind>) -> ClusterMetrics {
+        let event = |kind| TraceEvent {
+            time: SimTime::ZERO,
             kind,
-        }
+        };
+        ClusterMetrics::from_trace(&kinds.into_iter().map(event).collect::<Vec<_>>())
     }
 
     fn map_started(task: u32, local: bool) -> TraceKind {
@@ -430,6 +431,8 @@ mod tests {
             task: TaskId(task),
             node: NodeId(0),
             local,
+            queue_wait_ms: Some(0),
+            split_wait_ms: Some(0),
         }
     }
 
@@ -478,11 +481,10 @@ mod tests {
         {
             m.absorb(&TraceKind::ShuffleReady {
                 job: JobId(job as u32),
-                partitions: 1,
                 combiner_in,
                 combiner_out,
-                max_partition_bytes: bytes,
-                min_partition_bytes: bytes,
+                bytes,
+                merge_ms: 0,
             });
         }
         let s = m.shuffle();
@@ -511,38 +513,43 @@ mod tests {
 
     #[test]
     fn fault_counters_accumulate() {
-        let mut m = metrics();
-        assert_eq!(m.faults(), FaultMetrics::default());
-        m.absorb(&TraceKind::NodeLost { node: NodeId(1) });
-        m.faults_mut().maps_reexecuted += 3;
-        let f = m.faults();
-        assert_eq!(f.nodes_lost, 1);
-        assert_eq!(f.maps_reexecuted, 3);
-        assert_eq!(f.speculative_launched, 0);
+        assert_eq!(metrics().faults(), FaultMetrics::default());
+        let lost = |rerun| TraceKind::MapOutputLost {
+            job: JobId(0),
+            task: TaskId(0),
+            rerun,
+        };
+        let m = fold(vec![lost(true), lost(true), lost(false)]);
+        assert_eq!(m.faults().maps_reexecuted, 2);
+        assert_eq!(m.faults().speculative_launched, 0);
+        assert_eq!(m.replica().reexecutions_avoided, 1);
     }
 
     #[test]
     fn guardrail_counters_accumulate() {
-        let mut m = metrics();
-        assert_eq!(m.guardrails(), GuardrailMetrics::default());
-        m.guardrails_mut().provider_panics += 1;
-        for fatal in [false, true] {
-            m.absorb(&TraceKind::ProviderFault {
+        assert_eq!(metrics().guardrails(), GuardrailMetrics::default());
+        let fault = |fatal| TraceKind::ProviderFault {
+            job: JobId(0),
+            fatal,
+            panicked: fatal,
+            unknown_block: !fatal,
+        };
+        let g = fold(vec![
+            fault(false),
+            fault(true),
+            TraceKind::DuplicateInputDropped {
                 job: JobId(0),
-                fatal,
-            });
-        }
-        m.absorb(&TraceKind::DuplicateInputDropped {
-            job: JobId(0),
-            splits: 5,
-        });
-        m.absorb(&TraceKind::PartialSample {
-            job: JobId(0),
-            found: 3,
-            requested: 5,
-        });
-        let g = m.guardrails();
+                splits: 5,
+            },
+            TraceKind::PartialSample {
+                job: JobId(0),
+                found: 3,
+                requested: 5,
+            },
+        ])
+        .guardrails();
         assert_eq!(g.provider_panics, 1);
+        assert_eq!(g.unknown_blocks, 1);
         assert_eq!(g.provider_errors, 2);
         assert_eq!(g.provider_retries, 1);
         assert_eq!(g.duplicate_splits_dropped, 5);
@@ -553,48 +560,40 @@ mod tests {
     #[test]
     fn counters_recompute_from_trace_events() {
         let events = vec![
-            at(1, TraceKind::NodeLost { node: NodeId(3) }),
-            at(
-                2,
-                TraceKind::SpeculativeLaunch {
-                    job: JobId(0),
-                    task: TaskId(1),
-                    node: NodeId(2),
-                },
-            ),
-            at(2, map_started(1, false)),
-            at(3, TraceKind::NodeRejoined { node: NodeId(3) }),
-            at(
-                4,
-                TraceKind::ProviderFault {
-                    job: JobId(0),
-                    fatal: false,
-                },
-            ),
-            at(
-                5,
-                TraceKind::DuplicateInputDropped {
-                    job: JobId(0),
-                    splits: 4,
-                },
-            ),
-            at(
-                6,
-                TraceKind::ProviderFault {
-                    job: JobId(1),
-                    fatal: true,
-                },
-            ),
-            at(
-                7,
-                TraceKind::GrabLimitClamped {
-                    job: JobId(0),
-                    requested: 9,
-                    granted: 4,
-                },
-            ),
+            TraceKind::NodeLost {
+                node: NodeId(3),
+                memo_dropped: 0,
+            },
+            TraceKind::SpeculativeLaunch {
+                job: JobId(0),
+                task: TaskId(1),
+                node: NodeId(2),
+            },
+            map_started(1, false),
+            TraceKind::NodeRejoined { node: NodeId(3) },
+            TraceKind::ProviderFault {
+                job: JobId(0),
+                fatal: false,
+                panicked: false,
+                unknown_block: false,
+            },
+            TraceKind::DuplicateInputDropped {
+                job: JobId(0),
+                splits: 4,
+            },
+            TraceKind::ProviderFault {
+                job: JobId(1),
+                fatal: true,
+                panicked: false,
+                unknown_block: true,
+            },
+            TraceKind::GrabLimitClamped {
+                job: JobId(0),
+                requested: 9,
+                granted: 4,
+            },
         ];
-        let m = ClusterMetrics::from_trace(&events);
+        let m = fold(events);
         assert_eq!(
             m.faults(),
             FaultMetrics {
@@ -608,6 +607,7 @@ mod tests {
             m.guardrails(),
             GuardrailMetrics {
                 provider_errors: 2,
+                unknown_blocks: 1,
                 provider_retries: 1,
                 duplicate_splits_dropped: 4,
                 grab_limit_clamps: 1,
@@ -620,101 +620,84 @@ mod tests {
 
     #[test]
     fn memo_counters_accumulate_and_recompute_from_trace() {
-        let mut m = metrics();
-        assert_eq!(m.memo(), MemoMetrics::default());
-        m.memo_mut().records_saved += 500;
-        assert_eq!(m.memo().records_saved, 500);
-
+        assert_eq!(metrics().memo(), MemoMetrics::default());
+        let (job, task) = (JobId(0), TaskId(0));
         let events = vec![
-            at(1, TraceKind::InputArrived { splits: 3 }),
-            at(
-                2,
-                TraceKind::SplitReused {
-                    job: JobId(0),
-                    task: TaskId(0),
-                },
-            ),
-            at(
-                2,
-                TraceKind::SplitReused {
-                    job: JobId(0),
-                    task: TaskId(1),
-                },
-            ),
-            at(
-                3,
-                TraceKind::SplitDirty {
-                    job: JobId(0),
-                    task: TaskId(2),
-                },
-            ),
+            TraceKind::InputArrived { splits: 3 },
+            TraceKind::SplitReused {
+                job,
+                task,
+                records: 300,
+            },
+            TraceKind::SplitReused {
+                job,
+                task,
+                records: 200,
+            },
+            TraceKind::SplitDirty { job, task },
+            TraceKind::SplitMissed { job, task },
+            TraceKind::NodeLost {
+                node: NodeId(1),
+                memo_dropped: 3,
+            },
         ];
         assert_eq!(
-            ClusterMetrics::from_trace(&events).memo(),
+            fold(events).memo(),
             MemoMetrics {
                 splits_reused: 2,
                 splits_dirty: 1,
+                splits_computed: 2,
                 input_arrivals: 1,
-                ..MemoMetrics::default()
+                records_saved: 500,
+                entries_invalidated: 3,
             }
         );
     }
 
     #[test]
     fn replica_counters_accumulate_and_recompute_from_trace() {
-        let mut m = metrics();
-        assert_eq!(m.replica(), ReplicaMetrics::default());
-        m.replica_mut().reexecutions_avoided += 1;
-        assert_eq!(m.replica().reexecutions_avoided, 1);
-
+        assert_eq!(metrics().replica(), ReplicaMetrics::default());
         let events = vec![
-            at(
-                1,
-                TraceKind::ReplicaLost {
-                    block: BlockId(0),
-                    node: NodeId(1),
-                },
-            ),
-            at(
-                1,
-                TraceKind::ReplicaLost {
-                    block: BlockId(1),
-                    node: NodeId(1),
-                },
-            ),
-            at(
-                2,
-                TraceKind::ReadFailover {
-                    job: JobId(0),
-                    task: TaskId(3),
-                    from: DiskId(4),
-                    to: DiskId(0),
-                },
-            ),
-            at(
-                3,
-                TraceKind::ReplicaRestored {
-                    block: BlockId(0),
-                    node: NodeId(2),
-                },
-            ),
-            at(
-                4,
-                TraceKind::InputLost {
-                    job: JobId(1),
-                    blocks: 2,
-                    graceful: false,
-                },
-            ),
+            TraceKind::ReplicaLost {
+                block: BlockId(0),
+                node: NodeId(1),
+                last: false,
+            },
+            TraceKind::ReplicaLost {
+                block: BlockId(1),
+                node: NodeId(1),
+                last: true,
+            },
+            TraceKind::MapOutputLost {
+                job: JobId(0),
+                task: TaskId(2),
+                rerun: false,
+            },
+            TraceKind::ReadFailover {
+                job: JobId(0),
+                task: TaskId(3),
+                from: DiskId(4),
+                to: DiskId(0),
+            },
+            TraceKind::ReplicaRestored {
+                block: BlockId(0),
+                node: NodeId(2),
+            },
+            TraceKind::InputLost {
+                job: JobId(1),
+                blocks: 2,
+                graceful: false,
+            },
         ];
         assert_eq!(
-            ClusterMetrics::from_trace(&events).replica(),
+            fold(events).replica(),
             ReplicaMetrics {
                 replicas_lost: 2,
                 replicas_restored: 1,
                 read_failovers: 1,
+                blocks_lost: 1,
                 input_lost_jobs: 1,
-                ..ReplicaMetrics::default()
+                reexecutions_avoided: 1,
             }
         );
     }

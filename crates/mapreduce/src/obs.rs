@@ -14,7 +14,9 @@
 //!   A run's JSONL export is `encode_trace(&rt.take_trace())`.
 //! * [`MetricsRegistry`] — simulated-time latency histograms
 //!   ([`LogHistogram`]) for the seven families DESIGN.md §10 documents,
-//!   mergeable across jobs.
+//!   mergeable across jobs. Each family is the fold of one event field,
+//!   so [`MetricsRegistry::from_trace`] rebuilds a run's registry (or one
+//!   job's) from its trace.
 //! * [`AuditRecord`] — one entry per `GrowthDriver` consultation: the
 //!   inputs the driver saw (`JobProgress`, `ClusterStatus`, grab limit),
 //!   the directive it returned, and every guard-rail rewrite (clamp,
@@ -38,12 +40,6 @@ use crate::trace::{TraceEvent, TraceKind};
 // JSONL codec
 // ---------------------------------------------------------------------------
 
-/// The stable wire name of a [`TraceKind`] variant: its entry in
-/// [`TraceKind::NAMES`].
-pub fn kind_name(kind: &TraceKind) -> &'static str {
-    kind.name()
-}
-
 /// Encode one event as a single JSON object (one JSONL line, no trailing
 /// newline). Key order is fixed: `t`, `kind`, then the payload fields in
 /// declaration order, so encodings are byte-stable.
@@ -51,7 +47,7 @@ pub fn encode_event(event: &TraceEvent) -> String {
     let mut s = format!(
         "{{\"t\":{},\"kind\":\"{}\"",
         event.time.as_millis(),
-        kind_name(&event.kind)
+        event.kind.name()
     );
     event.kind.encode_payload(&mut s);
     s.push('}');
@@ -104,11 +100,12 @@ pub(crate) enum JsonValue<'a> {
     Num(u64),
     Bool(bool),
     Str(&'a str),
+    Null,
 }
 
 /// Parse the flat JSON objects [`encode_event`] emits: quoted keys mapping
-/// to unsigned integers, `true`/`false`, or strings without escapes,
-/// commas or quotes. Anything else, a repeated key included, is
+/// to unsigned integers, `true`/`false`, `null`, or strings without
+/// escapes, commas or quotes. Anything else, a repeated key included, is
 /// [`TraceParseError::Malformed`].
 fn parse_flat_object(line: &str) -> Result<Vec<(&str, JsonValue<'_>)>, TraceParseError> {
     let bad = |m: &str| malformed(m, line);
@@ -124,6 +121,7 @@ fn parse_flat_object(line: &str) -> Result<Vec<(&str, JsonValue<'_>)>, TracePars
         let value = match value {
             "true" => JsonValue::Bool(true),
             "false" => JsonValue::Bool(false),
+            "null" => JsonValue::Null,
             v if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => {
                 JsonValue::Num(v.parse().map_err(|_| bad("number overflows u64"))?)
             }
@@ -207,6 +205,24 @@ macro_rules! narrow_wire_field {
 
 narrow_wire_field!(u16, u32);
 
+/// An absent value travels as `null`, which only an `Option` field
+/// accepts.
+impl<T: WireField> WireField for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(v) => v.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn decode(value: &JsonValue<'_>) -> Option<Self> {
+        match value {
+            JsonValue::Null => Some(None),
+            v => T::decode(v).map(Some),
+        }
+    }
+}
+
 /// Id newtypes travel as their bare integer.
 macro_rules! id_wire_field {
     ($($id:ident),*) => {$(
@@ -289,18 +305,19 @@ pub fn parse_trace(jsonl: &str) -> Result<Vec<TraceEvent>, TraceParseError> {
 // Latency histograms
 // ---------------------------------------------------------------------------
 
-/// The fixed set of latency families the runtime records, all in
-/// simulated milliseconds (see DESIGN.md §10 for exact semantics):
+/// The fixed set of latency families the runtime keeps, all in
+/// simulated milliseconds (see DESIGN.md §10 for exact semantics). Each
+/// is a fold over one event field ([`MetricsRegistry::from_trace`]):
 ///
-/// | family | one observation per | measures |
-/// |--------|--------------------|----------|
-/// | `map_attempt_ms` | committed map attempt | dispatch → completion |
-/// | `shuffle_merge_ms` | job reaching shuffle-ready | first merged map output → shuffle closed |
-/// | `reduce_ms` | committed reduce attempt | reduce start → commit |
-/// | `provider_eval_interval_ms` | driver evaluation after the first | gap between consecutive evaluations |
-/// | `queue_wait_ms[scheduler]` | non-speculative map dispatch | (re)queue → dispatch, keyed by scheduler |
-/// | `split_wait_ms` | split's first dispatch | split added → first attempt dispatched |
-/// | `agg_probe_ms` | error-bound probe on an estimating job | gap since the previous probe (or submission) |
+/// | family | folds | measures |
+/// |--------|-------|----------|
+/// | `map_attempt_ms` | `MapFinished::attempt_ms` | dispatch → completion |
+/// | `shuffle_merge_ms` | `ShuffleReady::merge_ms` | first merged map output → shuffle closed |
+/// | `reduce_ms` | `ReduceFinished::reduce_ms` | reduce start → commit |
+/// | `provider_eval_interval_ms` | `ProviderEvaluated::gap_ms` | gap between consecutive driver consultations |
+/// | `queue_wait_ms[scheduler]` | `MapStarted::queue_wait_ms` | (re)queue → dispatch, keyed by scheduler |
+/// | `split_wait_ms` | `MapStarted::split_wait_ms` | split added → first attempt dispatched |
+/// | `agg_probe_ms` | `ErrorBoundProbe::gap_ms` | gap since the previous probe (or submission) |
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     map_attempt_ms: LogHistogram,
@@ -318,48 +335,52 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Record a committed map attempt's latency.
-    pub fn record_map_attempt(&mut self, ms: u64) {
-        self.map_attempt_ms.record(ms);
-    }
-
-    /// Record a job's shuffle-merge span (first merge → shuffle ready).
-    pub fn record_shuffle_merge(&mut self, ms: u64) {
-        self.shuffle_merge_ms.record(ms);
-    }
-
-    /// Record a committed reduce attempt's latency.
-    pub fn record_reduce(&mut self, ms: u64) {
-        self.reduce_ms.record(ms);
-    }
-
-    /// Record the gap between two consecutive driver evaluations.
-    pub fn record_provider_eval_interval(&mut self, ms: u64) {
-        self.provider_eval_interval_ms.record(ms);
-    }
-
-    /// Record a map task's queue wait under the named scheduler. Only a
-    /// scheduler's first wait allocates its name.
-    pub fn record_queue_wait(&mut self, scheduler: &str, ms: u64) {
-        if let Some(h) = self.queue_wait_ms.get_mut(scheduler) {
-            h.record(ms);
-        } else {
-            self.queue_wait_ms
-                .entry(scheduler.to_string())
-                .or_default()
-                .record(ms);
+    /// Replay a trace through `MetricsRegistry::absorb`, queue waits
+    /// keyed by `scheduler` (the run's `TaskScheduler::name`). The whole
+    /// trace of a run gives [`crate::MrRuntime::histograms`]; the events
+    /// whose [`TraceKind::job`] is one job give that job's
+    /// `JobResult::histograms`.
+    pub fn from_trace(events: &[TraceEvent], scheduler: &str) -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        for e in events {
+            r.absorb(&e.kind, scheduler);
         }
+        r
     }
 
-    /// Record a split's wait from being added to its first dispatch.
-    pub fn record_split_wait(&mut self, ms: u64) {
-        self.split_wait_ms.record(ms);
-    }
-
-    /// Record the gap an estimating job's error-bound probe observed since
-    /// its previous probe (or since submission, for the first one).
-    pub fn record_agg_probe(&mut self, ms: u64) {
-        self.agg_probe_ms.record(ms);
+    /// Fold one recorded event's latency fields into their families — the
+    /// only writer of every family. Only a scheduler's first queue wait
+    /// allocates its name.
+    pub(crate) fn absorb(&mut self, kind: &TraceKind, scheduler: &str) {
+        match *kind {
+            TraceKind::MapStarted {
+                queue_wait_ms,
+                split_wait_ms,
+                ..
+            } => {
+                if let Some(ms) = queue_wait_ms {
+                    match self.queue_wait_ms.get_mut(scheduler) {
+                        Some(h) => h.record(ms),
+                        None => self
+                            .queue_wait_ms
+                            .entry(scheduler.to_string())
+                            .or_default()
+                            .record(ms),
+                    }
+                }
+                if let Some(ms) = split_wait_ms {
+                    self.split_wait_ms.record(ms);
+                }
+            }
+            TraceKind::MapFinished { attempt_ms, .. } => self.map_attempt_ms.record(attempt_ms),
+            TraceKind::ShuffleReady { merge_ms, .. } => self.shuffle_merge_ms.record(merge_ms),
+            TraceKind::ReduceFinished { reduce_ms, .. } => self.reduce_ms.record(reduce_ms),
+            TraceKind::ProviderEvaluated { gap_ms, .. } => {
+                self.provider_eval_interval_ms.record(gap_ms)
+            }
+            TraceKind::ErrorBoundProbe { gap_ms, .. } => self.agg_probe_ms.record(gap_ms),
+            _ => {}
+        }
     }
 
     /// Committed-map-attempt latencies.
@@ -634,7 +655,7 @@ struct OpenAttempt {
 fn collect_spans(events: &[TraceEvent]) -> (Vec<Span>, Vec<(NodeId, SimTime, SimTime)>) {
     let mut spans = Vec::new();
     let mut open_maps: BTreeMap<(u32, u32), Vec<OpenAttempt>> = BTreeMap::new();
-    let mut open_reduces: BTreeMap<(u32, u32), OpenAttempt> = BTreeMap::new();
+    let mut open_reduces: BTreeMap<u32, OpenAttempt> = BTreeMap::new();
     let mut down_since: BTreeMap<u16, SimTime> = BTreeMap::new();
     let mut downs: Vec<(NodeId, SimTime, SimTime)> = Vec::new();
     let mut pending_spec: Option<(u32, u32)> = None;
@@ -679,16 +700,16 @@ fn collect_spans(events: &[TraceEvent]) -> (Vec<Span>, Vec<(NodeId, SimTime, Sim
                     }
                 }
             }
-            TraceKind::MapFinished { job, task } | TraceKind::MapFailed { job, task, .. } => {
+            TraceKind::MapFinished { job, task, .. } | TraceKind::MapFailed { job, task, .. } => {
                 if let Some(attempts) = open_maps.get_mut(&(job.0, task.0)) {
                     if !attempts.is_empty() {
                         close(&mut spans, attempts.remove(0), e.time, LaneKind::Map);
                     }
                 }
             }
-            TraceKind::ReduceStarted { job, reduce, node } => {
+            TraceKind::ReduceStarted { job, node } => {
                 open_reduces.insert(
-                    (job.0, *reduce),
+                    job.0,
                     OpenAttempt {
                         node: *node,
                         start: e.time,
@@ -696,13 +717,12 @@ fn collect_spans(events: &[TraceEvent]) -> (Vec<Span>, Vec<(NodeId, SimTime, Sim
                     },
                 );
             }
-            TraceKind::ReduceFinished { job, reduce }
-            | TraceKind::ReduceFailed { job, reduce, .. } => {
-                if let Some(a) = open_reduces.remove(&(job.0, *reduce)) {
+            TraceKind::ReduceFinished { job, .. } | TraceKind::ReduceFailed { job, .. } => {
+                if let Some(a) = open_reduces.remove(&job.0) {
                     close(&mut spans, a, e.time, LaneKind::Reduce);
                 }
             }
-            TraceKind::NodeLost { node } => {
+            TraceKind::NodeLost { node, .. } => {
                 down_since.insert(node.0, e.time);
                 // Map attempts on a dead node get explicit AttemptKilled
                 // events; reduces are restarted without one, so close any
@@ -853,14 +873,36 @@ mod tests {
                 task: TaskId(12),
                 node: NodeId(3),
                 local: false,
+                queue_wait_ms: Some(40),
+                split_wait_ms: None,
             },
         );
         let line = encode_event(&e);
         assert_eq!(
             line,
-            "{\"t\":1234,\"kind\":\"MapStarted\",\"job\":7,\"task\":12,\"node\":3,\"local\":false}"
+            "{\"t\":1234,\"kind\":\"MapStarted\",\"job\":7,\"task\":12,\"node\":3,\"local\":false,\"queue_wait_ms\":40,\"split_wait_ms\":null}"
         );
         assert_eq!(parse_event(&line).unwrap(), e);
+    }
+
+    #[test]
+    fn null_decodes_only_into_an_option_field() {
+        let line = "{\"t\":1,\"kind\":\"MapFinished\",\"job\":0,\"task\":1,\"attempt_ms\":null}";
+        assert!(matches!(
+            parse_event(line),
+            Err(TraceParseError::MissingField {
+                field: "attempt_ms",
+                ..
+            })
+        ));
+        let line = "{\"t\":1,\"kind\":\"MapStarted\",\"job\":0,\"task\":1,\"node\":2,\"local\":true,\"queue_wait_ms\":true,\"split_wait_ms\":null}";
+        assert!(matches!(
+            parse_event(line),
+            Err(TraceParseError::MissingField {
+                field: "queue_wait_ms",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -878,14 +920,19 @@ mod tests {
                 5,
                 TraceKind::ShuffleReady {
                     job: JobId(0),
-                    partitions: 2,
                     combiner_in: 100,
                     combiner_out: 10,
-                    max_partition_bytes: 4096,
-                    min_partition_bytes: 512,
+                    bytes: 4096,
+                    merge_ms: 3,
                 },
             ),
-            ev(9, TraceKind::NodeLost { node: NodeId(5) }),
+            ev(
+                9,
+                TraceKind::NodeLost {
+                    node: NodeId(5),
+                    memo_dropped: 2,
+                },
+            ),
             ev(
                 11,
                 TraceKind::JobCompleted {
@@ -907,6 +954,7 @@ mod tests {
                 TraceKind::ReplicaLost {
                     block: BlockId(7),
                     node: NodeId(1),
+                    last: false,
                 },
             ),
             ev(
@@ -936,7 +984,7 @@ mod tests {
         ];
         let jsonl = encode_trace(&events);
         assert_eq!(parse_trace(&jsonl).unwrap(), events);
-        assert!(jsonl.contains("\"kind\":\"ReplicaLost\",\"block\":7,\"node\":1"));
+        assert!(jsonl.contains("\"kind\":\"ReplicaLost\",\"block\":7,\"node\":1,\"last\":false"));
         assert!(jsonl.contains("\"kind\":\"InputLost\",\"job\":1,\"blocks\":3,\"graceful\":false"));
     }
 
@@ -966,16 +1014,43 @@ mod tests {
 
     #[test]
     fn registry_families_render_and_merge() {
-        let mut a = MetricsRegistry::new();
-        a.record_map_attempt(1000);
-        a.record_queue_wait("fifo", 30);
-        let mut b = MetricsRegistry::new();
-        b.record_map_attempt(2000);
-        b.record_queue_wait("fair", 99);
-        b.record_split_wait(5);
+        let (job, task, node) = (JobId(0), TaskId(0), NodeId(0));
+        let waits = |queue_wait_ms, split_wait_ms| TraceKind::MapStarted {
+            job,
+            task,
+            node,
+            local: true,
+            queue_wait_ms,
+            split_wait_ms,
+        };
+        let events = [
+            waits(Some(30), Some(30)),
+            waits(None, None),
+            TraceKind::MapFinished {
+                job,
+                task,
+                attempt_ms: 1000,
+            },
+            TraceKind::ProviderEvaluated { job, gap_ms: 4000 },
+            TraceKind::ReduceFinished {
+                job,
+                reduce_ms: 900,
+            },
+        ]
+        .map(|kind| ev(0, kind));
+        let a = MetricsRegistry::from_trace(&events, "fifo");
+        assert_eq!(a.queue_wait("fifo").unwrap().sum(), 30);
+        assert_eq!(a.queue_wait_total().count(), 1, "a backup never queued");
+        assert_eq!(a.split_wait().count(), 1);
+        assert_eq!(a.map_attempt().sum(), 1000);
+        assert_eq!(a.provider_eval_interval().sum(), 4000);
+        assert_eq!(a.reduce().sum(), 900);
+        assert!(a.shuffle_merge().is_empty() && a.agg_probe().is_empty());
+        let b = MetricsRegistry::from_trace(&events[2..3], "fair");
+        assert!(b.queue_wait("fair").is_none(), "no wait, no family");
+        let b = MetricsRegistry::from_trace(&events[..1], "fair");
         let mut merged = a.clone();
         merged.merge(&b);
-        assert_eq!(merged.map_attempt().count(), 2);
         assert_eq!(merged.queue_wait("fifo").unwrap().count(), 1);
         assert_eq!(merged.queue_wait("fair").unwrap().count(), 1);
         assert_eq!(merged.queue_wait_total().count(), 2);
@@ -1071,6 +1146,8 @@ mod tests {
                     task: TaskId(0),
                     node: NodeId(1),
                     local: true,
+                    queue_wait_ms: Some(0),
+                    split_wait_ms: Some(0),
                 },
             ),
             ev(
@@ -1088,6 +1165,8 @@ mod tests {
                     task: TaskId(0),
                     node: NodeId(2),
                     local: false,
+                    queue_wait_ms: None,
+                    split_wait_ms: None,
                 },
             ),
             ev(
@@ -1103,19 +1182,31 @@ mod tests {
                 TraceKind::MapFinished {
                     job,
                     task: TaskId(0),
+                    attempt_ms: 200,
                 },
             ),
-            ev(300, TraceKind::NodeLost { node: NodeId(1) }),
+            ev(
+                300,
+                TraceKind::NodeLost {
+                    node: NodeId(1),
+                    memo_dropped: 0,
+                },
+            ),
             ev(400, TraceKind::NodeRejoined { node: NodeId(1) }),
             ev(
                 500,
                 TraceKind::ReduceStarted {
                     job,
-                    reduce: 0,
                     node: NodeId(3),
                 },
             ),
-            ev(600, TraceKind::ReduceFinished { job, reduce: 0 }),
+            ev(
+                600,
+                TraceKind::ReduceFinished {
+                    job,
+                    reduce_ms: 100,
+                },
+            ),
             ev(600, TraceKind::JobCompleted { job, failed: false }),
         ];
         let chart = render_swimlanes(&events, 12);

@@ -180,15 +180,13 @@ struct MapAttempt {
 
 struct TaskEntry {
     block: BlockId,
-    /// When the split was first admitted (drives the wait-to-dispatch
-    /// histogram, measured once per task).
+    /// When the split was first admitted (its first dispatch reports the
+    /// wait since, `MapStarted::split_wait_ms`).
     added_at: SimTime,
     /// When the task last entered the pending queue (admission or requeue;
-    /// drives the per-scheduler queue-wait histogram, measured per
-    /// non-speculative dispatch).
+    /// each non-speculative dispatch reports the wait since,
+    /// `MapStarted::queue_wait_ms`).
     enqueued_at: SimTime,
-    /// The wait-to-dispatch sample was already taken for this task.
-    first_dispatched: bool,
     /// In the job's pending queue, waiting for a slot.
     queued: bool,
     /// Completed (a non-done, non-queued task has ≥ 1 running attempt).
@@ -274,10 +272,6 @@ struct JobEntry {
     combiner_output_records: u64,
     /// The reduce task, from the reduce phase until it commits.
     reduce: Option<ReduceEntry>,
-    /// Sum and count of completed-map attempt durations (ms), feeding the
-    /// speculation laggard threshold.
-    map_ms_sum: u64,
-    map_ms_count: u32,
     /// Counted attempt failures per node, toward the blacklist threshold.
     node_failures: Vec<u32>,
     /// Nodes this job refuses to run on (Hadoop per-job blacklist).
@@ -291,10 +285,12 @@ struct JobEntry {
     /// A graceful deadline fired: input is closed and unfinished splits
     /// are abandoned rather than retried.
     deadline_hit: bool,
-    /// Per-job latency histograms (see [`crate::obs`]).
+    /// Per-job latency histograms: the fold of this job's events (see
+    /// [`crate::obs`]). Its `map_attempt_ms` also feeds the speculation
+    /// laggard threshold.
     hist: MetricsRegistry,
-    /// Last driver consultation (submission counts), feeding the
-    /// provider-evaluation-interval histogram.
+    /// Last driver consultation (submission counts), timing the next
+    /// `ProviderEvaluated`.
     last_eval_at: Option<SimTime>,
     /// First map completion — start of the streaming shuffle-merge window
     /// closed at `ShuffleReady`.
@@ -627,43 +623,55 @@ impl MrRuntime {
         }
     }
 
-    /// The cluster-wide latency histograms, merged across every job
-    /// (always collected — simulated-time arithmetic only, so the cost is
-    /// a few integer increments per task).
+    /// The cluster-wide latency histograms: the fold of every recorded
+    /// event (always collected — simulated-time arithmetic only, so the
+    /// cost is a few integer increments per task).
     pub fn histograms(&self) -> &MetricsRegistry {
         &self.obs_registry
     }
 
-    /// Record a trace event on behalf of an embedding layer (a query
-    /// service front end, a workload harness): the event lands in the
-    /// runtime's trace buffer and counters exactly like the runtime's
-    /// own, so admission decisions interleave with task events in one
-    /// timeline.
+    /// Record an admission decision on behalf of a query front end: the
+    /// event lands in the runtime's trace buffer and counters exactly like
+    /// the runtime's own, so admission decisions interleave with task
+    /// events in one timeline.
+    ///
+    /// # Panics
+    /// Panics unless `kind` is `QueryAdmitted`, `QueryRejected` or
+    /// `QuotaDeferred`. Every other kind is the runtime's own, and every
+    /// counter and histogram folds it: a forged one would corrupt them.
     pub fn record_event(&mut self, kind: TraceKind) {
+        assert!(
+            matches!(
+                kind,
+                TraceKind::QueryAdmitted { .. }
+                    | TraceKind::QueryRejected { .. }
+                    | TraceKind::QuotaDeferred { .. }
+            ),
+            "record_event takes only admission events, not {}",
+            kind.name()
+        );
         self.record(kind);
     }
 
     /// Record one event: fold it into the counters
-    /// (`ClusterMetrics::absorb`, the only writer of every event-backed
-    /// counter) and, when tracing is on, append it to the trace.
+    /// (`ClusterMetrics::absorb`), the runtime-wide histograms and its
+    /// job's (`MetricsRegistry::absorb`) — the only writer of each — and,
+    /// when tracing is on, append it to the trace. A job's histograms
+    /// move into its [`JobResult`] when it completes; no event after that
+    /// carries a sample.
     fn record(&mut self, kind: TraceKind) {
         self.metrics.absorb(&kind);
+        let scheduler = self.scheduler.name();
+        self.obs_registry.absorb(&kind, scheduler);
+        if let Some(job) = kind.job().and_then(|id| self.jobs.get_mut(id.0 as usize)) {
+            job.hist.absorb(&kind, scheduler);
+        }
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent {
                 time: self.sim.now(),
                 kind,
             });
         }
-    }
-
-    /// Record one latency sample into the cluster-wide registry and the
-    /// job's own. A job's histograms move into its [`JobResult`] when it
-    /// completes, so no sample may arrive after that.
-    fn obs_record(&mut self, id: JobId, f: impl Fn(&mut MetricsRegistry)) {
-        f(&mut self.obs_registry);
-        let job = self.job_mut(id);
-        debug_assert!(job.phase != JobPhase::Done, "sample for completed {id:?}");
-        f(&mut job.hist);
     }
 
     fn audit_push(&mut self, record: AuditRecord) {
@@ -866,8 +874,6 @@ impl MrRuntime {
             combiner_input_records: 0,
             combiner_output_records: 0,
             reduce: None,
-            map_ms_sum: 0,
-            map_ms_count: 0,
             node_failures: vec![0; num_nodes],
             banned_nodes: vec![false; num_nodes],
             provider_retries_left: settings.provider_retry_budget,
@@ -1321,7 +1327,6 @@ impl MrRuntime {
     ) -> Result<AddOutcome, ProviderError> {
         let num_blocks = self.namespace.num_blocks();
         if let Some(&bad) = blocks.iter().find(|b| b.0 as usize >= num_blocks) {
-            self.metrics.guardrails_mut().unknown_blocks += 1;
             return Err(ProviderError::UnknownBlock { block: bad });
         }
         let mut clamped = false;
@@ -1371,7 +1376,6 @@ impl MrRuntime {
                 block,
                 added_at: now,
                 enqueued_at: now,
-                first_dispatched: false,
                 queued: false,
                 done: false,
                 merged: false,
@@ -1402,21 +1406,17 @@ impl MrRuntime {
     /// evaluation is treated as a `Wait` and the provider is re-consulted
     /// at the next tick; otherwise the job fails with the typed error.
     fn provider_failed(&mut self, id: JobId, err: ProviderError) {
-        if matches!(err, ProviderError::Panicked { .. }) {
-            self.metrics.guardrails_mut().provider_panics += 1;
-        }
-        if self.job(id).provider_retries_left > 0 {
-            self.job_mut(id).provider_retries_left -= 1;
-            self.record(TraceKind::ProviderFault {
-                job: id,
-                fatal: false,
-            });
-        } else {
-            self.record(TraceKind::ProviderFault {
-                job: id,
-                fatal: true,
-            });
+        let fatal = self.job(id).provider_retries_left == 0;
+        self.record(TraceKind::ProviderFault {
+            job: id,
+            fatal,
+            panicked: matches!(err, ProviderError::Panicked { .. }),
+            unknown_block: matches!(err, ProviderError::UnknownBlock { .. }),
+        });
+        if fatal {
             self.complete_job(id, Err(JobError::Provider(err)));
+        } else {
+            self.job_mut(id).provider_retries_left -= 1;
         }
     }
 
@@ -1453,11 +1453,10 @@ impl MrRuntime {
         // the limit their provider actually saw.
         let limit = self.job(id).driver.grab_limit(&status);
         let now = self.sim.now();
-        if let Some(last) = self.job(id).last_eval_at {
-            let interval = (now - last).as_millis();
-            self.obs_record(id, |r| r.record_provider_eval_interval(interval));
+        if let Some(last) = self.job_mut(id).last_eval_at.replace(now) {
+            let gap_ms = (now - last).as_millis();
+            self.record(TraceKind::ProviderEvaluated { job: id, gap_ms });
         }
-        self.job_mut(id).last_eval_at = Some(now);
         let mut added = AddOutcome::default();
         let applied = match outcome {
             Ok(GrowthDirective::EndOfInput) => {
@@ -1526,14 +1525,14 @@ impl MrRuntime {
             .estimator
             .as_mut()
             .map(|e| e.probe(id, now, job.submit_time));
-        if let Some((p, gap)) = &probe {
-            self.obs_record(id, |r| r.record_agg_probe(*gap));
+        if let Some((p, gap_ms)) = &probe {
             self.record(TraceKind::ErrorBoundProbe {
                 job: id,
                 completed: p.completed,
                 groups: p.groups,
                 worst_ppm: rel_to_ppm(p.worst_rel),
                 bound_met: p.bound_met,
+                gap_ms: *gap_ms,
             });
         }
         let probe = probe.map(|(p, _)| p);
@@ -1755,21 +1754,20 @@ impl MrRuntime {
                     self.record(TraceKind::SplitReused {
                         job: a.job,
                         task: a.task,
+                        records: result.records_read,
                     });
-                    self.metrics.memo_mut().records_saved += result.records_read;
                     MapWork::Cached(result)
                 }
                 probe => {
-                    if let Some((_, probe)) = probe {
-                        if probe == MemoProbe::Stale {
-                            self.record(TraceKind::SplitDirty {
-                                job: a.job,
-                                task: a.task,
-                            });
+                    let (job, task) = (a.job, a.task);
+                    match probe {
+                        Some((_, MemoProbe::Stale)) => {
+                            self.record(TraceKind::SplitDirty { job, task })
                         }
-                        self.metrics.memo_mut().splits_computed += 1;
+                        Some(_) => self.record(TraceKind::SplitMissed { job, task }),
+                        None => {}
                     }
-                    MapWork::Computed(self.submit_map(a.job, a.task))
+                    MapWork::Computed(self.submit_map(job, task))
                 }
             };
             self.dispatch(a.job, a.task, NodeId(node), work, false);
@@ -1836,21 +1834,14 @@ impl MrRuntime {
             // (speculative backups never queued); split wait is measured
             // once, admission to first dispatch.
             let queue_wait = (!speculative).then(|| (now - entry.enqueued_at).as_millis());
-            let split_wait = (!entry.first_dispatched).then(|| (now - entry.added_at).as_millis());
-            entry.first_dispatched = true;
+            let split_wait =
+                (entry.attempts_started == 0).then(|| (now - entry.added_at).as_millis());
             let aid = entry.attempts_started;
             entry.attempts_started += 1;
             job.running += 1;
             (aid, queue_wait, split_wait)
         };
         self.refresh_sched_index(id);
-        let sched = self.scheduler.name();
-        if let Some(ms) = queue_wait {
-            self.obs_record(id, |reg| reg.record_queue_wait(sched, ms));
-        }
-        if let Some(ms) = split_wait {
-            self.obs_record(id, |reg| reg.record_split_wait(ms));
-        }
         let n = &mut self.nodes[node.0 as usize];
         // Invariants: `schedule_node`/`maybe_speculate` only offer slots
         // on alive nodes with free capacity.
@@ -1863,6 +1854,8 @@ impl MrRuntime {
             task,
             node,
             local,
+            queue_wait_ms: queue_wait,
+            split_wait_ms: split_wait,
         });
         let ev = self.sim.schedule_after(
             SimDuration::from_millis(self.cost.map_task_overhead_ms),
@@ -2065,7 +2058,6 @@ impl MrRuntime {
         // and the work is only taken here, at its single completion.
         let work = a.result.expect("work submitted at dispatch");
         let attempt_ms = (now - a.started).as_millis();
-        self.obs_record(id, |reg| reg.record_map_attempt(attempt_ms));
         if self.job(id).first_merge_at.is_none() {
             self.job_mut(id).first_merge_at = Some(now);
         }
@@ -2076,8 +2068,6 @@ impl MrRuntime {
             entry.completed_node = Some(a.node);
             job.running -= 1;
             job.completed += 1;
-            job.map_ms_sum += attempt_ms;
-            job.map_ms_count += 1;
             entry.merged
         };
         self.refresh_spec_candidate(id, task);
@@ -2148,7 +2138,11 @@ impl MrRuntime {
         while !self.job(id).tasks[task.0 as usize].running.is_empty() {
             self.kill_attempt(id, task, 0, true);
         }
-        self.record(TraceKind::MapFinished { job: id, task });
+        self.record(TraceKind::MapFinished {
+            job: id,
+            task,
+            attempt_ms,
+        });
         self.maybe_begin_reduce(id);
         // Note: no scheduling here. As in Hadoop, freed slots are re-assigned
         // at the next TaskTracker heartbeat, so slots are observably free in
@@ -2295,51 +2289,53 @@ impl MrRuntime {
             return;
         }
         self.nodes[node as usize].alive = false;
-        self.record(TraceKind::NodeLost { node: NodeId(node) });
         // DataNode-death semantics: the node's replicas die with it. Strip
-        // them from the namespace (keeping `locations` the live set), tally
-        // blocks now under-replicated or gone, and arm the repair daemon.
-        let mut any_block_lost = false;
-        if self.data_loss {
-            let affected = self.namespace.drop_node_replicas(NodeId(node));
-            for &block in &affected {
-                self.record(TraceKind::ReplicaLost {
-                    block,
-                    node: NodeId(node),
-                });
-                let b = self.namespace.block(block);
-                if b.locations.is_empty() {
-                    self.metrics.replica_mut().blocks_lost += 1;
-                    any_block_lost = true;
-                } else if (b.locations.len() as u8) < b.replication {
-                    self.under_replicated.insert(block);
-                }
-            }
-            self.schedule_repair();
-        }
-        if let Some(memo) = &mut self.memo {
-            if self.data_loss {
-                // A cached map output can be re-derived by any surviving
-                // holder of its input block: re-home the entry instead of
-                // recomputing; drop it only when no replica survives.
+        // them from the namespace, keeping `locations` the live set.
+        let affected = if self.data_loss {
+            self.namespace.drop_node_replicas(NodeId(node))
+        } else {
+            Vec::new()
+        };
+        let memo_dropped = match &mut self.memo {
+            // A cached map output can be re-derived by any surviving
+            // holder of its input block: re-home the entry instead of
+            // recomputing; drop it only when no replica survives.
+            Some(memo) if self.data_loss => {
                 let namespace = &self.namespace;
-                let (_, dropped) = memo.rehome_or_drop_node(NodeId(node), |b| {
-                    namespace
-                        .block(b)
-                        .locations
-                        .first()
-                        .map(|&d| namespace.topology().node_of(d))
-                });
-                self.metrics.memo_mut().entries_invalidated += dropped;
-            } else {
-                // Cached map output lives on the node that produced (or
-                // last replayed) it and dies with the tracker — drop its
-                // memo entries so later probes recompute instead of
-                // replaying lost output.
-                let dropped = memo.invalidate_node(NodeId(node));
-                self.metrics.memo_mut().entries_invalidated += dropped;
+                let new_home = |b| {
+                    let first = namespace.block(b).locations.first();
+                    first.map(|&d| namespace.topology().node_of(d))
+                };
+                memo.rehome_or_drop_node(NodeId(node), new_home).1
             }
+            // Cached map output lives on the node that produced (or last
+            // replayed) it and dies with the tracker — drop its memo
+            // entries so later probes recompute instead of replaying lost
+            // output.
+            Some(memo) => memo.invalidate_node(NodeId(node)),
+            None => 0,
+        };
+        self.record(TraceKind::NodeLost {
+            node: NodeId(node),
+            memo_dropped,
+        });
+        // Tally blocks now under-replicated or gone, and arm the repair
+        // daemon.
+        let mut any_block_lost = false;
+        for block in affected {
+            let b = self.namespace.block(block);
+            let last = b.locations.is_empty();
+            if !last && (b.locations.len() as u8) < b.replication {
+                self.under_replicated.insert(block);
+            }
+            any_block_lost |= last;
+            self.record(TraceKind::ReplicaLost {
+                block,
+                node: NodeId(node),
+                last,
+            });
         }
+        self.schedule_repair();
         let job_ids: Vec<JobId> = self.jobs.iter().map(|j| j.id).collect();
         for id in job_ids {
             let ntasks = self.job(id).tasks.len();
@@ -2378,21 +2374,24 @@ impl MrRuntime {
                     // reducing, the merged buffer models output the
                     // reducer already fetched — no re-execution, as in
                     // Hadoop once the reducer passes the copy phase.)
-                    if self.data_loss && !self.namespace.block(entry.block).locations.is_empty() {
-                        // Replica fast path: the task's output is already
-                        // merged (the shuffle is job state), and a re-run
-                        // from a surviving replica would only reproduce
-                        // bytes the dup-merge guard drops — skip it.
-                        self.metrics.replica_mut().reexecutions_avoided += 1;
-                    } else {
-                        {
-                            let job = self.job_mut(id);
-                            let e = &mut job.tasks[t];
-                            e.done = false;
-                            e.completed_node = None;
-                            job.completed -= 1;
-                        }
-                        self.metrics.faults_mut().maps_reexecuted += 1;
+                    // Replica fast path: under DataNode-death semantics
+                    // the task's output is already merged (the shuffle is
+                    // job state), and a re-run from a surviving replica
+                    // would only reproduce bytes the dup-merge guard
+                    // drops — skip it.
+                    let rerun =
+                        !self.data_loss || self.namespace.block(entry.block).locations.is_empty();
+                    self.record(TraceKind::MapOutputLost {
+                        job: id,
+                        task,
+                        rerun,
+                    });
+                    if rerun {
+                        let job = self.job_mut(id);
+                        let e = &mut job.tasks[t];
+                        e.done = false;
+                        e.completed_node = None;
+                        job.completed -= 1;
                         self.enqueue_task(id, task);
                     }
                 }
@@ -2618,10 +2617,12 @@ impl MrRuntime {
         for &idx in &self.spec_jobs {
             let job = &self.jobs[idx as usize];
             debug_assert!(job.phase == JobPhase::Map && job.pending.is_empty());
-            if job.banned_nodes[node as usize] || job.map_ms_count < cfg.min_completed {
+            let maps = job.hist.map_attempt();
+            let completed = u32::try_from(maps.count()).unwrap_or(u32::MAX);
+            if job.banned_nodes[node as usize] || completed < cfg.min_completed {
                 continue;
             }
-            let mean = job.map_ms_sum as f64 / job.map_ms_count as f64;
+            let mean = maps.sum() as f64 / maps.count() as f64;
             // Membership in `spec_candidates` already guarantees exactly
             // one non-speculative attempt; only the per-heartbeat "not on
             // this node" filter remains.
@@ -2636,7 +2637,7 @@ impl MrRuntime {
                     started,
                 })
                 .collect();
-            if let Some(task) = pick_speculative(&candidates, now, mean, job.map_ms_count, &cfg) {
+            if let Some(task) = pick_speculative(&candidates, now, mean, completed, &cfg) {
                 launch = Some((job.id, TaskId(task)));
                 break;
             }
@@ -2734,14 +2735,12 @@ impl MrRuntime {
             .first_merge_at
             .map(|t0| (self.sim.now() - t0).as_millis())
             .unwrap_or(0);
-        self.obs_record(id, |reg| reg.record_shuffle_merge(merge_ms));
         self.record(TraceKind::ShuffleReady {
             job: id,
-            partitions: 1,
             combiner_in,
             combiner_out,
-            max_partition_bytes: shuffle_bytes,
-            min_partition_bytes: shuffle_bytes,
+            bytes: shuffle_bytes,
+            merge_ms,
         });
         self.pending_reduces.push_back(id);
     }
@@ -2816,7 +2815,6 @@ impl MrRuntime {
         entry.timer = Some(ev);
         self.record(TraceKind::ReduceStarted {
             job: id,
-            reduce: 0,
             node: NodeId(node),
         });
     }
@@ -2861,7 +2859,6 @@ impl MrRuntime {
                 };
                 self.record(TraceKind::ReduceFailed {
                     job: id,
-                    reduce: 0,
                     attempt: attempts,
                 });
                 if attempts >= max {
@@ -2878,9 +2875,10 @@ impl MrRuntime {
         // re-execution backup the fault model retained.
         let started_at = self.reduce_mut(id).started_at;
         self.job_mut(id).reduce = None;
-        let reduce_ms = (now - started_at).as_millis();
-        self.obs_record(id, |reg| reg.record_reduce(reduce_ms));
-        self.record(TraceKind::ReduceFinished { job: id, reduce: 0 });
+        self.record(TraceKind::ReduceFinished {
+            job: id,
+            reduce_ms: (now - started_at).as_millis(),
+        });
         self.finalize_job(id, result.output);
     }
 
@@ -2998,6 +2996,20 @@ mod tests {
         rt.release_job_result(id);
         assert!(rt.job(id).estimator.is_none(), "parts released");
         assert_eq!(rt.job_result(id).agg, Some(report), "report kept");
+    }
+
+    /// A forged runtime event would move every counter and histogram that
+    /// folds it (here, the speculation count), so only admission events
+    /// may come from outside.
+    #[test]
+    #[should_panic(expected = "only admission events")]
+    fn record_event_refuses_a_runtime_kind() {
+        let ns = Namespace::new(ClusterTopology::paper_cluster());
+        runtime(ns).record_event(TraceKind::SpeculativeLaunch {
+            job: JobId(0),
+            task: TaskId(0),
+            node: NodeId(1),
+        });
     }
 
     /// Deliver every queued event by hand, tallying deliveries per

@@ -1,11 +1,15 @@
 //! Execution tracing: a timeline of scheduling decisions and task
 //! lifecycles, for debugging policies and visualising runs.
 //!
-//! Tracing is off by default (hot paths stay allocation-free); enable it
-//! with [`crate::MrRuntime::enable_tracing`] and collect the events with
-//! [`crate::MrRuntime::take_trace`]. [`JobTimeline`] summarises one job's
-//! phases; [`crate::obs::render_swimlanes`] draws the per-node occupancy
-//! chart.
+//! The events are also the runtime's one source of numbers: every
+//! counter ([`crate::ClusterMetrics`]) and every latency histogram
+//! ([`crate::MetricsRegistry`]) is a fold over them, run on each event as
+//! it is recorded, so each value a view reports travels on an event.
+//! Buffering them is off by default (hot paths stay allocation-free);
+//! enable it with [`crate::MrRuntime::enable_tracing`] and collect the
+//! events with [`crate::MrRuntime::take_trace`]. [`JobTimeline`]
+//! summarises one job's phases; [`crate::obs::render_swimlanes`] draws
+//! the per-node occupancy chart.
 
 use std::fmt;
 
@@ -30,8 +34,9 @@ pub struct TraceEvent {
 /// payload's `JobId` field, if it has one), and the JSONL payload codec
 /// behind [`crate::obs::encode_event`] and [`crate::obs::parse_event`]
 /// (fields in declaration order, each written and read by its
-/// [`WireField`] impl). Adding a kind is one entry here plus its
-/// `Display` arm.
+/// [`WireField`] impl), and the compact `Display` line given after each
+/// variant's `=>` (a format string over its fields). Adding a kind is one
+/// entry here.
 macro_rules! trace_kinds {
     (
         $(#[$meta:meta])*
@@ -40,7 +45,7 @@ macro_rules! trace_kinds {
                 $(#[$variant_meta:meta])*
                 $variant:ident {
                     $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )*
-                },
+                } => $fmt:literal $(, $arg:expr)*;
             )*
         }
     ) => {
@@ -66,8 +71,8 @@ macro_rules! trace_kinds {
                 }
             }
 
-            /// This kind's entry in [`TraceKind::NAMES`].
-            pub(crate) fn name(&self) -> &'static str {
+            /// This kind's stable wire name: its entry in [`TraceKind::NAMES`].
+            pub fn name(&self) -> &'static str {
                 match self {
                     $(TraceKind::$variant { .. } => stringify!($variant),)*
                 }
@@ -98,6 +103,15 @@ macro_rules! trace_kinds {
                 })
             }
         }
+
+        /// One compact line per event, as the golden traces hold them.
+        impl fmt::Display for TraceKind {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $(TraceKind::$variant { $($field),* } => write!(f, $fmt $(, $arg)*),)*
+                }
+            }
+        }
     };
 }
 
@@ -109,19 +123,19 @@ trace_kinds! {
         JobSubmitted {
             /// The job.
             job: JobId,
-        },
+        } => "{job} submitted";
         /// A growth driver added input splits.
         InputAdded {
             /// The job.
             job: JobId,
             /// Number of splits added in this step.
             splits: u32,
-        },
+        } => "{job} +{splits} splits";
         /// The driver declared end-of-input.
         EndOfInput {
             /// The job.
             job: JobId,
-        },
+        } => "{job} end-of-input";
         /// A map attempt was dispatched to a slot.
         MapStarted {
             /// The job.
@@ -132,14 +146,25 @@ trace_kinds! {
             node: NodeId,
             /// Whether the read is data-local.
             local: bool,
-        },
+            /// Time since the task last entered the pending queue (`None`
+            /// for a speculative backup, which never queued).
+            queue_wait_ms: Option<u64>,
+            /// Time since the split was added (`None` after the task's
+            /// first dispatch).
+            split_wait_ms: Option<u64>,
+        } => "{job}/{task} -> {node}{}{}{}",
+            if *local { "" } else { " (remote)" },
+            queue_wait_ms.map(|ms| format!(" queued {ms}ms")).unwrap_or_default(),
+            split_wait_ms.map(|ms| format!(" split-wait {ms}ms")).unwrap_or_default();
         /// A map attempt completed successfully.
         MapFinished {
             /// The job.
             job: JobId,
             /// The task.
             task: TaskId,
-        },
+            /// The winning attempt's dispatch-to-completion time.
+            attempt_ms: u64,
+        } => "{job}/{task} done in {attempt_ms}ms";
         /// A map attempt failed (fault injection).
         MapFailed {
             /// The job.
@@ -148,69 +173,65 @@ trace_kinds! {
             task: TaskId,
             /// Which attempt failed (1-based).
             attempt: u32,
-        },
+        } => "{job}/{task} FAILED (attempt {attempt})";
         /// The shuffle closed: every map completed and the job's reduce
         /// buffer is final. Carries only deterministic counters
-        /// (records/bytes), so traces stay thread-count-invariant. A job
-        /// runs one reduce task, so `partitions` and the two byte fields
-        /// are constant; they stay for the trace schema's sake.
+        /// (records/bytes), so traces stay thread-count-invariant.
         ShuffleReady {
             /// The job.
             job: JobId,
-            /// Reduce partitions: always 1.
-            partitions: u32,
             /// Records fed to the map-side combiner (0 when the job has none).
             combiner_in: u64,
             /// Records surviving the combiner.
             combiner_out: u64,
-            /// The job's shuffle bytes (the one partition's share).
-            max_partition_bytes: u64,
-            /// The job's shuffle bytes, equal to `max_partition_bytes`.
-            min_partition_bytes: u64,
-        },
-        /// A reduce task started on a reduce slot.
+            /// The job's shuffle bytes: its one reduce's input.
+            bytes: u64,
+            /// First map completion to now (0 for a job that ran no map).
+            merge_ms: u64,
+        } => "{job} shuffle ready: {bytes} B, combiner {combiner_in}->{combiner_out}, \
+             merged over {merge_ms}ms";
+        /// The job's reduce task started on a reduce slot.
         ReduceStarted {
             /// The job.
             job: JobId,
-            /// Reduce task index: always 0, the job's one reduce.
-            reduce: u32,
             /// Host node.
             node: NodeId,
-        },
-        /// A reduce task committed.
+        } => "{job} reduce -> {node}";
+        /// The job's reduce task committed.
         ReduceFinished {
             /// The job.
             job: JobId,
-            /// Reduce task index: always 0, the job's one reduce.
-            reduce: u32,
-        },
+            /// The committed attempt's slot-to-commit time.
+            reduce_ms: u64,
+        } => "{job} reduce done in {reduce_ms}ms";
         /// The job finished (successfully or not).
         JobCompleted {
             /// The job.
             job: JobId,
             /// True if the job was aborted.
             failed: bool,
-        },
+        } => "{job} {}", if *failed { "FAILED" } else { "completed" };
         /// A reduce attempt failed (fault injection).
         ReduceFailed {
             /// The job.
             job: JobId,
-            /// Reduce task index: always 0, the job's one reduce.
-            reduce: u32,
             /// Which attempt failed (1-based).
             attempt: u32,
-        },
+        } => "{job} reduce FAILED (attempt {attempt})";
         /// A node (TaskTracker) died; its slots, running attempts, and stored
         /// map output are gone.
         NodeLost {
             /// The dead node.
             node: NodeId,
-        },
+            /// Memo entries dropped because their cached output died with
+            /// the node (0 without the memo plane).
+            memo_dropped: u64,
+        } => "{node} LOST, {memo_dropped} memo entries dropped";
         /// A dead node rejoined the cluster with fresh slots.
         NodeRejoined {
             /// The recovered node.
             node: NodeId,
-        },
+        } => "{node} rejoined";
         /// A speculative attempt of a laggard map task was launched.
         SpeculativeLaunch {
             /// The job.
@@ -219,7 +240,7 @@ trace_kinds! {
             task: TaskId,
             /// The node hosting the backup attempt.
             node: NodeId,
-        },
+        } => "{job}/{task} speculative -> {node}";
         /// A running attempt was killed (node death or losing a speculative
         /// race) — killed, not failed: it does not count against the task's
         /// attempt budget.
@@ -230,14 +251,14 @@ trace_kinds! {
             task: TaskId,
             /// The node the attempt was running on.
             node: NodeId,
-        },
+        } => "{job}/{task} killed on {node}";
         /// A job blacklisted a node after repeated counted failures on it.
         NodeBlacklisted {
             /// The job.
             job: JobId,
             /// The banned node.
             node: NodeId,
-        },
+        } => "{job} blacklists {node}";
         /// The job's Input Provider (or growth driver) misbehaved — a caught
         /// panic or an invalid directive. Non-fatal occurrences consumed one
         /// unit of the job's retry budget; fatal ones failed the job.
@@ -246,7 +267,14 @@ trace_kinds! {
             job: JobId,
             /// True if the fault failed the job (retry budget exhausted).
             fatal: bool,
-        },
+            /// The provider panicked (caught by the sandbox).
+            panicked: bool,
+            /// An `AddInput` directive named a block outside the namespace.
+            unknown_block: bool,
+        } => "{job} provider fault{}{}{}",
+            if *panicked { ": panic" } else { "" },
+            if *unknown_block { ": unknown block" } else { "" },
+            if *fatal { " (FATAL)" } else { " (retrying)" };
         /// An `AddInput` directive exceeded the driver's grab limit and was
         /// truncated to it.
         GrabLimitClamped {
@@ -256,7 +284,7 @@ trace_kinds! {
             requested: u32,
             /// Splits actually granted (the grab limit).
             granted: u32,
-        },
+        } => "{job} grab clamped {requested}->{granted}";
         /// `AddInput` entries naming splits the job already claimed were
         /// dropped (dedup within and across directives).
         DuplicateInputDropped {
@@ -264,7 +292,7 @@ trace_kinds! {
             job: JobId,
             /// Number of duplicate entries dropped.
             splits: u32,
-        },
+        } => "{job} dropped {splits} duplicate splits";
         /// The livelock watchdog terminated the job: too many consecutive
         /// unproductive evaluations with nothing running or pending.
         JobWedged {
@@ -272,7 +300,7 @@ trace_kinds! {
             job: JobId,
             /// Consecutive idle evaluations observed at termination.
             idle_evaluations: u32,
-        },
+        } => "{job} WEDGED after {idle_evaluations} idle evaluations";
         /// The job's simulated-time deadline expired.
         DeadlineExceeded {
             /// The job.
@@ -280,7 +308,7 @@ trace_kinds! {
             /// True if the job degrades to a partial result
             /// (`settings.allow_partial`) instead of failing.
             graceful: bool,
-        },
+        } => "{job} deadline exceeded{}", if *graceful { " (partial)" } else { " (FATAL)" };
         /// A sampling job completed with fewer than its requested `k` matches
         /// (paper semantics: the answer set is still correct, just smaller).
         PartialSample {
@@ -290,7 +318,7 @@ trace_kinds! {
             found: u64,
             /// The configured sample size `k`.
             requested: u64,
-        },
+        } => "{job} partial sample {found}/{requested}";
         /// A query service admitted a tenant's query to the cluster (recorded
         /// by the front end via [`crate::MrRuntime::record_event`]).
         QueryAdmitted {
@@ -298,7 +326,9 @@ trace_kinds! {
             tenant: u32,
             /// The job it became.
             job: JobId,
-        },
+            /// Time the query waited in its tenant's queue.
+            wait_ms: u64,
+        } => "tenant{tenant} admitted -> {job} after {wait_ms}ms";
         /// Admission control rejected a tenant's query: its per-tenant queue
         /// was already at its depth cap.
         QueryRejected {
@@ -306,7 +336,7 @@ trace_kinds! {
             tenant: u32,
             /// Queue depth observed at rejection (the cap).
             queued: u32,
-        },
+        } => "tenant{tenant} REJECTED (queue at {queued})";
         /// A tenant's query was accepted but parked in its queue — the tenant
         /// is at its in-flight quota (or the service at its global cap) and
         /// must wait for the weighted-fair release.
@@ -315,7 +345,7 @@ trace_kinds! {
             tenant: u32,
             /// Queue depth after parking this query.
             depth: u32,
-        },
+        } => "tenant{tenant} deferred (queue depth {depth})";
         /// The memo store satisfied a map task from cached output: the attempt
         /// kept its simulated schedule but skipped host recomputation.
         SplitReused {
@@ -323,7 +353,9 @@ trace_kinds! {
             job: JobId,
             /// The reused task.
             task: TaskId,
-        },
+            /// Input records whose re-scan the hit avoided.
+            records: u64,
+        } => "{job}/{task} reused from memo ({records} records)";
         /// A memo entry for this split existed but at a stale block version —
         /// the split was rewritten since it was cached and must recompute.
         SplitDirty {
@@ -331,14 +363,14 @@ trace_kinds! {
             job: JobId,
             /// The dirty task.
             task: TaskId,
-        },
+        } => "{job}/{task} dirty (stale memo version)";
         /// New blocks landed on the DFS while the cluster was live; parked
         /// standing queries were woken to consider them. Cluster-level: the
         /// arrival precedes any job claiming the splits.
         InputArrived {
             /// Number of blocks that arrived in this evolve step.
             splits: u32,
-        },
+        } => "+{splits} blocks arrived";
         /// A node death destroyed a stored replica of a block (data-loss mode).
         /// Cluster-level: replica loss precedes any job-level consequence.
         ReplicaLost {
@@ -346,7 +378,10 @@ trace_kinds! {
             block: BlockId,
             /// The dead node that hosted it.
             node: NodeId,
-        },
+            /// It was the block's last replica: the block is unreadable
+            /// until rewritten.
+            last: bool,
+        } => "{block} replica on {node} LOST{}", if *last { " (last replica)" } else { "" };
         /// The re-replication daemon restored a copy of an under-replicated
         /// block onto a live node. Cluster-level.
         ReplicaRestored {
@@ -354,7 +389,7 @@ trace_kinds! {
             block: BlockId,
             /// The node now hosting the new replica.
             node: NodeId,
-        },
+        } => "{block} re-replicated -> {node}";
         /// A dispatched map attempt's intended replica died before the read
         /// began; the read failed over to a surviving replica.
         ReadFailover {
@@ -366,7 +401,7 @@ trace_kinds! {
             from: DiskId,
             /// The live replica the read failed over to.
             to: DiskId,
-        },
+        } => "{job}/{task} read failover {from} -> {to}";
         /// Every replica of one or more of the job's input blocks is gone. The
         /// job either fails with `JobError::InputLost` or, with
         /// `settings.allow_partial`, abandons those splits and degrades to a
@@ -378,7 +413,8 @@ trace_kinds! {
             blocks: u32,
             /// True if the job degrades to a partial result instead of failing.
             graceful: bool,
-        },
+        } => "{job} input lost: {blocks} block(s){}",
+            if *graceful { " (partial)" } else { " (FATAL)" };
         /// Estimating aggregate job: the runtime folded per-group accumulators
         /// from completed map output and probed the CLT stopping rule ahead of
         /// a driver evaluation.
@@ -394,7 +430,12 @@ trace_kinds! {
             worst_ppm: u64,
             /// True if every group and aggregate met the error bound.
             bound_met: bool,
-        },
+            /// Time since the previous probe (or since submission, for the
+            /// first).
+            gap_ms: u64,
+        } => "{job} error-bound probe: {completed} splits, {groups} groups, \
+             worst {worst_ppm} ppm{}, {gap_ms}ms since last",
+            if *bound_met { " (met)" } else { "" };
         /// Estimating aggregate job: the error bound held at the requested
         /// confidence, so the provider stopped growing the job early.
         BoundMet {
@@ -404,174 +445,42 @@ trace_kinds! {
             completed: u32,
             /// Candidate splits a full scan would have processed.
             total: u32,
-        },
+        } => "{job} bound met at {completed}/{total} splits";
+        /// The job's growth driver was consulted again, every
+        /// `EvaluationInterval` (paper Section III-A). The consultation at
+        /// submission, which has no predecessor, records none.
+        ProviderEvaluated {
+            /// The job.
+            job: JobId,
+            /// Time since the previous consultation.
+            gap_ms: u64,
+        } => "{job} provider evaluated, {gap_ms}ms since last";
+        /// The memo store had no entry for this split under the job's
+        /// signature: the mapper runs and its output is cached.
+        SplitMissed {
+            /// The job.
+            job: JobId,
+            /// The task.
+            task: TaskId,
+        } => "{job}/{task} memo miss";
+        /// A completed map's stored output died with its node while the job
+        /// was still mapping.
+        MapOutputLost {
+            /// The job.
+            job: JobId,
+            /// The task.
+            task: TaskId,
+            /// True if the task re-executes; false if a live replica of its
+            /// input block survives and the merged output is kept.
+            rerun: bool,
+        } => "{job}/{task} output lost with its node{}",
+            if *rerun { ", re-executing" } else { "; a replica survives" };
     }
 }
 
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ", self.time)?;
-        match &self.kind {
-            TraceKind::JobSubmitted { job } => write!(f, "{job} submitted"),
-            TraceKind::InputAdded { job, splits } => write!(f, "{job} +{splits} splits"),
-            TraceKind::EndOfInput { job } => write!(f, "{job} end-of-input"),
-            TraceKind::MapStarted {
-                job,
-                task,
-                node,
-                local,
-            } => {
-                write!(
-                    f,
-                    "{job}/{task} -> {node}{}",
-                    if *local { "" } else { " (remote)" }
-                )
-            }
-            TraceKind::MapFinished { job, task } => write!(f, "{job}/{task} done"),
-            TraceKind::MapFailed { job, task, attempt } => {
-                write!(f, "{job}/{task} FAILED (attempt {attempt})")
-            }
-            TraceKind::ShuffleReady {
-                job,
-                partitions,
-                combiner_in,
-                combiner_out,
-                max_partition_bytes,
-                min_partition_bytes,
-            } => {
-                write!(
-                    f,
-                    "{job} shuffle ready: {partitions} partitions \
-                     ({min_partition_bytes}..{max_partition_bytes} B), \
-                     combiner {combiner_in}->{combiner_out}"
-                )
-            }
-            TraceKind::ReduceStarted { job, reduce, node } => {
-                write!(f, "{job}/r{reduce} -> {node}")
-            }
-            TraceKind::ReduceFinished { job, reduce } => write!(f, "{job}/r{reduce} done"),
-            TraceKind::JobCompleted { job, failed } => {
-                write!(f, "{job} {}", if *failed { "FAILED" } else { "completed" })
-            }
-            TraceKind::ReduceFailed {
-                job,
-                reduce,
-                attempt,
-            } => {
-                write!(f, "{job}/r{reduce} FAILED (attempt {attempt})")
-            }
-            TraceKind::NodeLost { node } => write!(f, "{node} LOST"),
-            TraceKind::NodeRejoined { node } => write!(f, "{node} rejoined"),
-            TraceKind::SpeculativeLaunch { job, task, node } => {
-                write!(f, "{job}/{task} speculative -> {node}")
-            }
-            TraceKind::AttemptKilled { job, task, node } => {
-                write!(f, "{job}/{task} killed on {node}")
-            }
-            TraceKind::NodeBlacklisted { job, node } => {
-                write!(f, "{job} blacklists {node}")
-            }
-            TraceKind::ProviderFault { job, fatal } => {
-                write!(
-                    f,
-                    "{job} provider fault{}",
-                    if *fatal { " (FATAL)" } else { " (retrying)" }
-                )
-            }
-            TraceKind::GrabLimitClamped {
-                job,
-                requested,
-                granted,
-            } => {
-                write!(f, "{job} grab clamped {requested}->{granted}")
-            }
-            TraceKind::DuplicateInputDropped { job, splits } => {
-                write!(f, "{job} dropped {splits} duplicate splits")
-            }
-            TraceKind::JobWedged {
-                job,
-                idle_evaluations,
-            } => {
-                write!(f, "{job} WEDGED after {idle_evaluations} idle evaluations")
-            }
-            TraceKind::DeadlineExceeded { job, graceful } => {
-                write!(
-                    f,
-                    "{job} deadline exceeded{}",
-                    if *graceful { " (partial)" } else { " (FATAL)" }
-                )
-            }
-            TraceKind::PartialSample {
-                job,
-                found,
-                requested,
-            } => {
-                write!(f, "{job} partial sample {found}/{requested}")
-            }
-            TraceKind::QueryAdmitted { tenant, job } => {
-                write!(f, "tenant{tenant} admitted -> {job}")
-            }
-            TraceKind::QueryRejected { tenant, queued } => {
-                write!(f, "tenant{tenant} REJECTED (queue at {queued})")
-            }
-            TraceKind::QuotaDeferred { tenant, depth } => {
-                write!(f, "tenant{tenant} deferred (queue depth {depth})")
-            }
-            TraceKind::SplitReused { job, task } => {
-                write!(f, "{job}/{task} reused from memo")
-            }
-            TraceKind::SplitDirty { job, task } => {
-                write!(f, "{job}/{task} dirty (stale memo version)")
-            }
-            TraceKind::InputArrived { splits } => {
-                write!(f, "+{splits} blocks arrived")
-            }
-            TraceKind::ReplicaLost { block, node } => {
-                write!(f, "{block} replica on {node} LOST")
-            }
-            TraceKind::ReplicaRestored { block, node } => {
-                write!(f, "{block} re-replicated -> {node}")
-            }
-            TraceKind::ReadFailover {
-                job,
-                task,
-                from,
-                to,
-            } => {
-                write!(f, "{job}/{task} read failover {from} -> {to}")
-            }
-            TraceKind::InputLost {
-                job,
-                blocks,
-                graceful,
-            } => {
-                write!(
-                    f,
-                    "{job} input lost: {blocks} block(s){}",
-                    if *graceful { " (partial)" } else { " (FATAL)" }
-                )
-            }
-            TraceKind::ErrorBoundProbe {
-                job,
-                completed,
-                groups,
-                worst_ppm,
-                bound_met,
-            } => {
-                write!(
-                    f,
-                    "{job} error-bound probe: {completed} splits, {groups} groups, worst {worst_ppm} ppm{}",
-                    if *bound_met { " (met)" } else { "" }
-                )
-            }
-            TraceKind::BoundMet {
-                job,
-                completed,
-                total,
-            } => {
-                write!(f, "{job} bound met at {completed}/{total} splits")
-            }
-        }
+        write!(f, "{} {}", self.time, self.kind)
     }
 }
 
@@ -655,6 +564,8 @@ mod tests {
                     task: TaskId(0),
                     node: NodeId(0),
                     local: true,
+                    queue_wait_ms: Some(100),
+                    split_wait_ms: Some(100),
                 },
             ),
             ev(
@@ -664,6 +575,8 @@ mod tests {
                     task: TaskId(1),
                     node: NodeId(1),
                     local: false,
+                    queue_wait_ms: Some(100),
+                    split_wait_ms: Some(100),
                 },
             ),
             ev(
@@ -679,6 +592,7 @@ mod tests {
                 TraceKind::MapFinished {
                     job,
                     task: TaskId(0),
+                    attempt_ms: 500,
                 },
             ),
             ev(700, TraceKind::EndOfInput { job }),
@@ -689,6 +603,8 @@ mod tests {
                     task: TaskId(1),
                     node: NodeId(2),
                     local: false,
+                    queue_wait_ms: Some(200),
+                    split_wait_ms: None,
                 },
             ),
             ev(
@@ -696,17 +612,23 @@ mod tests {
                 TraceKind::MapFinished {
                     job,
                     task: TaskId(1),
+                    attempt_ms: 200,
                 },
             ),
             ev(
                 1000,
                 TraceKind::ReduceStarted {
                     job,
-                    reduce: 0,
                     node: NodeId(0),
                 },
             ),
-            ev(1500, TraceKind::ReduceFinished { job, reduce: 0 }),
+            ev(
+                1500,
+                TraceKind::ReduceFinished {
+                    job,
+                    reduce_ms: 500,
+                },
+            ),
             ev(1500, TraceKind::JobCompleted { job, failed: false }),
         ]
     }
@@ -736,11 +658,13 @@ mod tests {
                 task: TaskId(2),
                 node: NodeId(3),
                 local: false,
+                queue_wait_ms: Some(40),
+                split_wait_ms: None,
             },
         );
         assert_eq!(
             e.to_string(),
-            "t+0.100s job_0001/m_000002 -> node3 (remote)"
+            "t+0.100s job_0001/m_000002 -> node3 (remote) queued 40ms"
         );
         let e = ev(
             0,

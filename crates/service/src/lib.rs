@@ -16,7 +16,8 @@
 //! * **weighted fair dispatch** — start-time fair queueing over an
 //!   indexed run queue, `O(log tenants)` per decision;
 //! * **full observability** — `QueryAdmitted` / `QueryRejected` /
-//!   `QuotaDeferred` trace events and per-tenant queue-wait histograms.
+//!   `QuotaDeferred` trace events and a queue-wait histogram in each
+//!   tenant's [`TenantStats`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -275,19 +276,20 @@ mod tests {
             max_in_flight_jobs: 1,
         });
         let a = svc.add_tenant(tenant("analytics", 1, 4, 16));
+        let idle = svc.add_tenant(tenant("idle", 1, 4, 16));
         for _ in 0..4 {
             svc.submit(a, SAMPLE).unwrap();
         }
         svc.run_until_idle();
-        let families = svc.metrics().families();
-        let (name, hist) = families
-            .iter()
-            .find(|(name, _)| name.contains("analytics"))
-            .expect("per-tenant queue-wait family");
-        assert!(name.contains("queue_wait"), "{name}");
+        let hist = &svc.tenant_stats(a).queue_wait;
         assert_eq!(hist.count(), 4);
         // With capacity 1, later queries waited a nonzero time.
         assert!(hist.max() > 0);
+        assert!(svc.tenant_stats(idle).queue_wait.is_empty());
+        assert!(
+            svc.runtime().histograms().queue_wait("analytics").is_none(),
+            "the scheduler-keyed family holds no tenant"
+        );
     }
 
     #[test]

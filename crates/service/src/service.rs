@@ -20,10 +20,10 @@
 //! 3. **The cluster scheduler** — admitted jobs compete for map slots
 //!    under whichever `TaskScheduler` the runtime was built with.
 //!
-//! Every admission decision is observable: `QueryAdmitted` /
-//! `QueryRejected` / `QuotaDeferred` trace events on the runtime's trace
-//! plane, and per-tenant queue-wait histograms (time from submission to
-//! job launch) in the service's metrics registry.
+//! Every admission decision is observable: `QueryAdmitted` (carrying the
+//! query's queue wait, submission to job launch) / `QueryRejected` /
+//! `QuotaDeferred` trace events on the runtime's trace plane, and each
+//! tenant's queue-wait histogram in its [`TenantStats`].
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -33,7 +33,8 @@ use incmr_hiveql::{
     collect_result, Catalog, CompiledQuery, Prepared, QueryOutput, QueryResult, SessionState,
     TenantProfile,
 };
-use incmr_mapreduce::{JobId, MetricsRegistry, MrRuntime, TraceKind};
+use incmr_mapreduce::{JobId, MrRuntime, TraceKind};
+use incmr_simkit::stats::LogHistogram;
 use incmr_simkit::SimTime;
 
 use crate::config::{ServiceConfig, ServiceError, TenantId, Ticket};
@@ -81,6 +82,9 @@ pub struct TenantStats {
     pub local_tasks: u64,
     /// Sum of splits processed across completed queries.
     pub splits_processed: u64,
+    /// Submission-to-launch wait of every launched query, in simulated
+    /// ms (the `wait_ms` of its `QueryAdmitted`).
+    pub queue_wait: LogHistogram,
 }
 
 struct TenantState {
@@ -119,8 +123,6 @@ pub struct QueryService {
     /// going from idle to backlogged restart here, not at their stale
     /// pass, so an idle tenant cannot bank credit.
     vclock: u64,
-    /// Per-tenant queue-wait histograms, keyed by tenant name.
-    metrics: MetricsRegistry,
 }
 
 impl QueryService {
@@ -143,7 +145,6 @@ impl QueryService {
             in_flight_total: 0,
             next_seq: 0,
             vclock: 0,
-            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -211,12 +212,6 @@ impl QueryService {
     /// A tenant's public counters.
     pub fn tenant_stats(&self, tenant: TenantId) -> &TenantStats {
         &self.tenants[tenant.0 as usize].stats
-    }
-
-    /// Service-level metrics: the queue-wait family keyed by tenant name
-    /// (submission-to-launch latency).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Jobs currently running across all tenants.
@@ -301,7 +296,7 @@ impl QueryService {
             let requested_k = q.compiled.requested_k();
             let job = self.runtime.submit(q.compiled.spec, q.compiled.driver);
             let wait_ms = self.runtime.now().since(q.enqueued_at).as_millis();
-            self.metrics.record_queue_wait(&t.profile.name, wait_ms);
+            t.stats.queue_wait.record(wait_ms);
             t.active.insert(
                 job,
                 ActiveQuery {
@@ -318,6 +313,7 @@ impl QueryService {
             self.runtime.record_event(TraceKind::QueryAdmitted {
                 tenant: tid as u32,
                 job,
+                wait_ms,
             });
             if eligible {
                 self.run_queue.insert((new_pass, tid));

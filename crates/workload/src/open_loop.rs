@@ -282,11 +282,7 @@ pub fn run_open_loop(spec: &OpenLoopSpec, runtime: MrRuntime) -> OpenLoopReport 
                 response_secs,
                 splits_per_query,
                 locality,
-                queue_wait: svc
-                    .metrics()
-                    .queue_wait(&class.profile.name)
-                    .cloned()
-                    .unwrap_or_default(),
+                queue_wait: stats.queue_wait,
             }
         })
         .collect();

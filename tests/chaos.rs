@@ -12,13 +12,12 @@
 //!    every job that *survives* its schedule produces exactly the
 //!    fault-free output; doomed jobs fail identically everywhere.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use incmr::mapreduce::faults::unresolved_speculations;
 use incmr::mapreduce::{
-    ClusterFaultPlan, ClusterMetrics, FaultMetrics, MemoMetrics, NodeOutage, SpeculationConfig,
-    TaskId, TraceEvent, TraceKind,
+    ClusterFaultPlan, FaultMetrics, MemoMetrics, NodeOutage, SpeculationConfig, TraceEvent,
+    TraceKind,
 };
 use incmr::prelude::*;
 
@@ -88,7 +87,7 @@ fn run_sized(
     let result = rt.job_result(id).clone();
     let events = rt.take_trace();
     let faults = rt.metrics().faults();
-    assert_obs_invariants(&result, &events, rt.metrics(), rt.histograms());
+    assert_obs_invariants(&result, &events, &rt);
     (result, events, faults)
 }
 
@@ -98,17 +97,10 @@ fn run_sized(
 /// * trace timestamps never go backwards;
 /// * every `SpeculativeLaunch` resolves — an `AttemptKilled` on the task,
 ///   the task's `MapFinished` commit, or the job's completion;
-/// * every event-backed counter replayed from the exported trace equals
-///   the runtime's live counter;
-/// * histogram sample counts recomputed from the trace equal the
-///   `MetricsRegistry` snapshot, and the job's own registry equals the
-///   runtime-wide one (these runs hold a single job).
-fn assert_obs_invariants(
-    result: &JobResult,
-    events: &[TraceEvent],
-    live: &ClusterMetrics,
-    registry: &MetricsRegistry,
-) {
+/// * every counter and every histogram replayed from the exported trace
+///   equals the runtime's live one;
+/// * the job's own registry is the fold of the job's own events.
+fn assert_obs_invariants(result: &JobResult, events: &[TraceEvent], rt: &MrRuntime) {
     for w in events.windows(2) {
         assert!(
             w[0].time <= w[1].time,
@@ -122,55 +114,16 @@ fn assert_obs_invariants(
         Vec::new(),
         "an exported trace must leave no speculative race unresolved"
     );
-    assert_replay_matches_live(events, live);
-
-    let mut map_started = 0u64;
-    let mut map_finished = 0u64;
-    let mut speculative = 0u64;
-    let mut shuffles = 0u64;
-    let mut reduce_finished = 0u64;
-    let mut started_tasks: BTreeSet<(JobId, TaskId)> = BTreeSet::new();
-    for e in events {
-        match e.kind {
-            TraceKind::MapStarted { job, task, .. } => {
-                map_started += 1;
-                started_tasks.insert((job, task));
-            }
-            TraceKind::MapFinished { .. } => map_finished += 1,
-            TraceKind::SpeculativeLaunch { .. } => speculative += 1,
-            TraceKind::ShuffleReady { .. } => shuffles += 1,
-            TraceKind::ReduceFinished { .. } => reduce_finished += 1,
-            _ => {}
-        }
-    }
+    assert_replay_matches_live(events, rt, "fifo");
+    let own: Vec<TraceEvent> = events
+        .iter()
+        .filter(|e| e.kind.job() == Some(result.job))
+        .cloned()
+        .collect();
     assert_eq!(
-        registry.map_attempt().count(),
-        map_finished,
-        "one map-attempt latency sample per MapFinished commit"
-    );
-    assert_eq!(
-        registry.queue_wait_total().count(),
-        map_started - speculative,
-        "one queue-wait sample per non-speculative dispatch"
-    );
-    assert_eq!(
-        registry.split_wait().count(),
-        started_tasks.len() as u64,
-        "one split-wait sample per task's first dispatch"
-    );
-    assert_eq!(
-        registry.shuffle_merge().count(),
-        shuffles,
-        "one shuffle-merge latency sample per ShuffleReady"
-    );
-    assert_eq!(
-        registry.reduce().count(),
-        reduce_finished,
-        "one reduce latency sample per ReduceFinished commit"
-    );
-    assert_eq!(
-        &result.histograms, registry,
-        "a single-job run's per-job registry must equal the runtime's"
+        MetricsRegistry::from_trace(&own, "fifo"),
+        result.histograms,
+        "a job's registry is the fold of its own events"
     );
 }
 
@@ -309,7 +262,7 @@ fn losing_a_node_after_its_maps_complete_forces_reexecution() {
     );
     assert!(trace
         .iter()
-        .any(|e| matches!(e.kind, TraceKind::NodeLost { node } if node == NodeId(3))));
+        .any(|e| matches!(e.kind, TraceKind::NodeLost { node, .. } if node == NodeId(3))));
     assert_eq!(
         r.output, baseline.output,
         "re-execution must reproduce the fault-free output exactly"
@@ -690,7 +643,7 @@ fn run_incremental(
     let result = rt.job_result(warm).clone();
     let primed = !rt.job_result(prime).failed;
     let events = rt.take_trace();
-    assert_replay_matches_live(&events, rt.metrics());
+    assert_replay_matches_live(&events, &rt, "fifo");
     (
         result,
         primed,

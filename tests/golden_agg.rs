@@ -78,7 +78,7 @@ fn submit_and_wait(s: &mut Session, sql: &str) -> AggReport {
 }
 
 /// One traced session, two estimating jobs: a bound-met finish and a
-/// budget-exhausted one. Every event-backed counter must replay from the
+/// budget-exhausted one. Every counter and histogram must replay from the
 /// trace.
 fn run() -> Vec<TraceEvent> {
     let mut s = session_over(SkewLevel::High, 41);
@@ -117,7 +117,7 @@ fn run() -> Vec<TraceEvent> {
     );
 
     let events = s.runtime_mut().take_trace();
-    assert_replay_matches_live(&events, s.runtime().metrics());
+    assert_replay_matches_live(&events, s.runtime(), "fifo");
     events
 }
 

@@ -55,8 +55,8 @@ fn requery(ds: &Arc<Dataset>, rt: &mut MrRuntime) -> JobId {
     id
 }
 
-/// The fixed-seed evolve timeline; every event-backed counter must replay
-/// from it.
+/// The fixed-seed evolve timeline; every counter and histogram must
+/// replay from it.
 fn run() -> Vec<TraceEvent> {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
     let mut rng = DetRng::seed_from(23);
@@ -117,7 +117,7 @@ fn run() -> Vec<TraceEvent> {
     assert_eq!(rt.job_result(id).output.len() as u64, k);
 
     let events = rt.take_trace();
-    assert_replay_matches_live(&events, rt.metrics());
+    assert_replay_matches_live(&events, &rt, "fifo");
     events
 }
 

@@ -99,7 +99,7 @@ fn render_run_at(threads: u32) -> GoldenRun {
     );
 
     let events = rt.take_trace();
-    assert_replay_matches_live(&events, rt.metrics());
+    assert_replay_matches_live(&events, &rt, "fifo");
     let audit = rt.audit_log();
     let report = format!(
         "{}\nPROVIDER DECISIONS ({} evaluations)\n{}\n{}",

@@ -42,7 +42,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/replication_trace.txt")
 }
 
-/// The fixed replication scenario's trace; every event-backed counter
+/// The fixed replication scenario's trace; every counter and histogram
 /// must replay from it.
 fn run() -> Vec<TraceEvent> {
     let topology = ClusterTopology::paper_cluster().with_racks(2);
@@ -148,7 +148,7 @@ fn run() -> Vec<TraceEvent> {
     assert!(!rt.job_result(id).failed, "job 2 must degrade, not fail");
 
     let events = rt.take_trace();
-    assert_replay_matches_live(&events, rt.metrics());
+    assert_replay_matches_live(&events, &rt, "fifo");
     events
 }
 

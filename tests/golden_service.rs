@@ -81,7 +81,7 @@ fn render_run_at(threads: u32) -> String {
     }
     svc.run_until_idle();
     let events = svc.runtime_mut().take_trace();
-    assert_replay_matches_live(&events, svc.runtime().metrics());
+    assert_replay_matches_live(&events, svc.runtime(), "fair");
     let events: Vec<TraceEvent> = events
         .into_iter()
         .filter(|e| {

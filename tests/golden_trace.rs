@@ -55,7 +55,7 @@ fn render(events: &[TraceEvent]) -> String {
     events.iter().map(|e| format!("{e}\n")).collect()
 }
 
-/// The golden fault-plane run's trace; every event-backed counter must
+/// The golden fault-plane run's trace; every counter and histogram must
 /// replay from it.
 fn run() -> Vec<TraceEvent> {
     let mut ns = Namespace::new(ClusterTopology::paper_cluster());
@@ -83,7 +83,7 @@ fn run() -> Vec<TraceEvent> {
     rt.run_until_idle();
     assert!(!rt.job_result(id).failed, "the golden run must complete");
     let events = rt.take_trace();
-    assert_replay_matches_live(&events, rt.metrics());
+    assert_replay_matches_live(&events, &rt, "fifo");
     events
 }
 
@@ -325,7 +325,7 @@ fn guardrail_run() -> Vec<TraceEvent> {
     assert!(rt.job_result(id).failed);
 
     let events = rt.take_trace();
-    assert_replay_matches_live(&events, rt.metrics());
+    assert_replay_matches_live(&events, &rt, "fifo");
     events
 }
 

@@ -182,9 +182,9 @@ fn expect(ops: &[Op]) -> Expect {
 
 /// Normalize one job's slice of a trace for warm-vs-cold comparison:
 /// keep only that job's events, rebase times to its first event, rewrite
-/// the job id to 0, and strip the memo-plane annotations (`SplitReused` /
-/// `SplitDirty`) — those *describe* how the run was produced, while
-/// everything left *is* the run.
+/// the job id to 0, and strip the memo-plane annotations (`SplitReused`,
+/// `SplitDirty`, `SplitMissed`) — those *describe* how the run was
+/// produced, while everything left *is* the run.
 fn fingerprint(events: &[TraceEvent], job: JobId) -> String {
     let filtered: Vec<TraceEvent> = events
         .iter()
@@ -192,7 +192,9 @@ fn fingerprint(events: &[TraceEvent], job: JobId) -> String {
         .filter(|e| {
             !matches!(
                 e.kind,
-                TraceKind::SplitReused { .. } | TraceKind::SplitDirty { .. }
+                TraceKind::SplitReused { .. }
+                    | TraceKind::SplitDirty { .. }
+                    | TraceKind::SplitMissed { .. }
             )
         })
         .cloned()

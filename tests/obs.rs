@@ -10,14 +10,15 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use incmr::mapreduce::{encode_event, kind_name, parse_event, TaskId, TraceParseError};
+use incmr::mapreduce::{encode_event, parse_event, TaskId, TraceParseError};
 use incmr::prelude::*;
 use incmr::simkit::stats::LogHistogram;
 
 use incmr::dfs::DiskId;
 
 /// Build the kind named `TraceKind::NAMES[which]` with payloads drawn
-/// from four arbitrary words, covering every field's full width.
+/// from four arbitrary words, covering every field's full width and both
+/// states of an `Option` field.
 fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
     let job = JobId(a as u32);
     let task = TaskId(b as u32);
@@ -35,8 +36,14 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
             task,
             node,
             local: flag,
+            queue_wait_ms: flag.then_some(c),
+            split_wait_ms: (!flag).then_some(d),
         },
-        4 => TraceKind::MapFinished { job, task },
+        4 => TraceKind::MapFinished {
+            job,
+            task,
+            attempt_ms: c,
+        },
         5 => TraceKind::MapFailed {
             job,
             task,
@@ -44,33 +51,32 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
         },
         6 => TraceKind::ShuffleReady {
             job,
-            partitions: b as u32,
             combiner_in: c,
             combiner_out: d,
-            max_partition_bytes: a | b,
-            min_partition_bytes: c | d,
+            bytes: a | b,
+            merge_ms: b,
         },
-        7 => TraceKind::ReduceStarted {
-            job,
-            reduce: b as u32,
-            node,
-        },
-        8 => TraceKind::ReduceFinished {
-            job,
-            reduce: b as u32,
-        },
+        7 => TraceKind::ReduceStarted { job, node },
+        8 => TraceKind::ReduceFinished { job, reduce_ms: b },
         9 => TraceKind::JobCompleted { job, failed: flag },
         10 => TraceKind::ReduceFailed {
             job,
-            reduce: b as u32,
             attempt: c as u32,
         },
-        11 => TraceKind::NodeLost { node },
+        11 => TraceKind::NodeLost {
+            node,
+            memo_dropped: d,
+        },
         12 => TraceKind::NodeRejoined { node },
         13 => TraceKind::SpeculativeLaunch { job, task, node },
         14 => TraceKind::AttemptKilled { job, task, node },
         15 => TraceKind::NodeBlacklisted { job, node },
-        16 => TraceKind::ProviderFault { job, fatal: flag },
+        16 => TraceKind::ProviderFault {
+            job,
+            fatal: flag,
+            panicked: flag,
+            unknown_block: !flag,
+        },
         17 => TraceKind::GrabLimitClamped {
             job,
             requested: b as u32,
@@ -96,6 +102,7 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
         22 => TraceKind::QueryAdmitted {
             tenant: b as u32,
             job,
+            wait_ms: c,
         },
         23 => TraceKind::QueryRejected {
             tenant: b as u32,
@@ -105,12 +112,17 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
             tenant: b as u32,
             depth: c as u32,
         },
-        25 => TraceKind::SplitReused { job, task },
+        25 => TraceKind::SplitReused {
+            job,
+            task,
+            records: c,
+        },
         26 => TraceKind::SplitDirty { job, task },
         27 => TraceKind::InputArrived { splits: b as u32 },
         28 => TraceKind::ReplicaLost {
             block: BlockId(b as u32),
             node,
+            last: flag,
         },
         29 => TraceKind::ReplicaRestored {
             block: BlockId(b as u32),
@@ -133,11 +145,19 @@ fn kind_from(which: usize, a: u64, b: u64, c: u64, d: u64) -> TraceKind {
             groups: c as u32,
             worst_ppm: d,
             bound_met: flag,
+            gap_ms: a,
         },
         33 => TraceKind::BoundMet {
             job,
             completed: b as u32,
             total: c as u32,
+        },
+        34 => TraceKind::ProviderEvaluated { job, gap_ms: d },
+        35 => TraceKind::SplitMissed { job, task },
+        36 => TraceKind::MapOutputLost {
+            job,
+            task,
+            rerun: flag,
         },
         other => panic!("kind_from cannot build {}", TraceKind::NAMES[other]),
     }
@@ -149,7 +169,7 @@ fn all_kinds_are_generated_distinct_and_round_trip() {
     // every generated kind distinct.
     for (which, &name) in TraceKind::NAMES.iter().enumerate() {
         let kind = kind_from(which, 7, 11, 3, 2);
-        assert_eq!(kind_name(&kind), name, "generator covers index {which}");
+        assert_eq!(kind.name(), name, "generator covers index {which}");
         let event = TraceEvent {
             time: SimTime::from_millis(1_000 * which as u64 + 1),
             kind,
@@ -314,24 +334,25 @@ proptest! {
     }
 
     /// Registry merging commutes across all seven families, including the
-    /// scheduler-keyed queue-wait map.
+    /// scheduler-keyed queue-wait map. Each registry is the fold of
+    /// arbitrary events, half of them under each of two scheduler names.
     #[test]
     fn registry_merge_is_commutative(
-        xs in prop::collection::vec((0u8..7, any::<u64>(), any::<bool>()), 0..120),
-        ys in prop::collection::vec((0u8..7, any::<u64>(), any::<bool>()), 0..120),
+        xs in prop::collection::vec((0..TraceKind::NAMES.len(), any::<u64>(), any::<bool>()), 0..120),
+        ys in prop::collection::vec((0..TraceKind::NAMES.len(), any::<u64>(), any::<bool>()), 0..120),
     ) {
-        let fill = |entries: &[(u8, u64, bool)]| {
+        let fill = |entries: &[(usize, u64, bool)]| {
             let mut r = MetricsRegistry::new();
-            for &(family, v, sched) in entries {
-                match family {
-                    0 => r.record_map_attempt(v),
-                    1 => r.record_shuffle_merge(v),
-                    2 => r.record_reduce(v),
-                    3 => r.record_provider_eval_interval(v),
-                    4 => r.record_queue_wait(if sched { "fifo" } else { "fair" }, v),
-                    5 => r.record_agg_probe(v),
-                    _ => r.record_split_wait(v),
-                }
+            for (scheduler, fifo) in [("fifo", true), ("fair", false)] {
+                let events: Vec<TraceEvent> = entries
+                    .iter()
+                    .filter(|e| e.2 == fifo)
+                    .map(|&(which, v, _)| TraceEvent {
+                        time: SimTime::ZERO,
+                        kind: kind_from(which, v, v, v, v),
+                    })
+                    .collect();
+                r.merge(&MetricsRegistry::from_trace(&events, scheduler));
             }
             r
         };

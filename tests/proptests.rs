@@ -230,7 +230,7 @@ proptest! {
         let mut splits_added = 0u64;
         let mut started = BTreeSet::new();
         let mut finished = BTreeSet::new();
-        let mut reduces_started = BTreeSet::new();
+        let mut reduce_started = false;
         let mut shuffle_ready_at: Option<SimTime> = None;
         let mut completions = 0usize;
         for w in trace.windows(2) {
@@ -267,13 +267,13 @@ proptest! {
                     prop_assert!(!finished.is_empty());
                     shuffle_ready_at = Some(e.time);
                 }
-                TraceKind::ReduceStarted { reduce, .. } => {
+                TraceKind::ReduceStarted { .. } => {
                     let ready = shuffle_ready_at.expect("reduce before ShuffleReady");
                     prop_assert!(e.time >= ready);
-                    reduces_started.insert(reduce);
+                    reduce_started = true;
                 }
-                TraceKind::ReduceFinished { reduce, .. } => {
-                    prop_assert!(reduces_started.contains(&reduce), "commit before start");
+                TraceKind::ReduceFinished { .. } => {
+                    prop_assert!(reduce_started, "commit before start");
                 }
                 TraceKind::JobCompleted { .. } => completions += 1,
                 _ => {}
@@ -303,7 +303,7 @@ proptest! {
         let mut maps_on: BTreeMap<u16, u32> = BTreeMap::new();
         let mut task_node = BTreeMap::new();
         let mut reduces_on: BTreeMap<u16, u32> = BTreeMap::new();
-        let mut reduce_node = BTreeMap::new();
+        let mut reduce_node = None;
         let mut dispatches = 0u64;
         for e in &trace {
             match e.kind {
@@ -322,14 +322,14 @@ proptest! {
                     let node = task_node.get(&task).expect("finish before start");
                     *maps_on.get_mut(&node.0).unwrap() -= 1;
                 }
-                TraceKind::ReduceStarted { reduce, node, .. } => {
-                    prop_assert!(reduce_node.insert(reduce, node).is_none());
+                TraceKind::ReduceStarted { node, .. } => {
+                    prop_assert!(reduce_node.replace(node).is_none());
                     let n = reduces_on.entry(node.0).or_insert(0);
                     *n += 1;
                     prop_assert!(*n <= 2, "node {} over its 2 reduce slots", node.0);
                 }
-                TraceKind::ReduceFinished { reduce, .. } => {
-                    let node = reduce_node.get(&reduce).expect("commit before start");
+                TraceKind::ReduceFinished { .. } => {
+                    let node = reduce_node.expect("commit before start");
                     *reduces_on.get_mut(&node.0).unwrap() -= 1;
                 }
                 TraceKind::MapFailed { .. }

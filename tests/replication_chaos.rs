@@ -90,7 +90,7 @@ fn run_replicated(
             "trace timestamps must be nondecreasing"
         );
     }
-    assert_replay_matches_live(&events, rt.metrics());
+    assert_replay_matches_live(&events, &rt, "fifo");
     (result, events, replica, faults)
 }
 

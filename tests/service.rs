@@ -261,15 +261,18 @@ fn weighted_share_converges_to_three_to_one_under_saturation() {
     }
     assert_eq!(svc.backlog(), 59); // one launched immediately
     svc.run_until_idle();
-    let admitted: Vec<u32> = svc
+    let waits: Vec<(u32, u64)> = svc
         .runtime_mut()
         .take_trace()
         .into_iter()
         .filter_map(|e| match e.kind {
-            TraceKind::QueryAdmitted { tenant, .. } => Some(tenant),
+            TraceKind::QueryAdmitted {
+                tenant, wait_ms, ..
+            } => Some((tenant, wait_ms)),
             _ => None,
         })
         .collect();
+    let admitted: Vec<u32> = waits.iter().map(|&(t, _)| t).collect();
     assert_eq!(admitted.len(), 60, "every admitted query launches");
     let heavy_share = admitted
         .iter()
@@ -283,11 +286,17 @@ fn weighted_share_converges_to_three_to_one_under_saturation() {
     // Once the heavy backlog drains the light tenant gets everything.
     assert_eq!(svc.tenant_stats(heavy).completed, 30);
     assert_eq!(svc.tenant_stats(light).completed, 30);
-    // Queue waits were recorded under each tenant's own key.
+    // Each tenant's queue waits are the `wait_ms` of its admissions.
     let mean = |h: &LogHistogram| h.sum() as f64 / h.count() as f64;
-    let heavy_wait = svc.metrics().queue_wait("heavy").expect("heavy family");
-    let light_wait = svc.metrics().queue_wait("light").expect("light family");
+    let heavy_wait = &svc.tenant_stats(heavy).queue_wait;
+    let light_wait = &svc.tenant_stats(light).queue_wait;
     assert_eq!(heavy_wait.count() + light_wait.count(), 60);
+    let traced_sum = |tenant: TenantId| -> u64 {
+        let admits = waits.iter().filter(|&&(t, _)| t == tenant.0 as u32);
+        admits.map(|&(_, ms)| ms).sum()
+    };
+    assert_eq!(heavy_wait.sum(), traced_sum(heavy));
+    assert_eq!(light_wait.sum(), traced_sum(light));
     assert!(
         mean(light_wait) > mean(heavy_wait),
         "the weight-1 tenant queues longer: {:.0}ms !> {:.0}ms",

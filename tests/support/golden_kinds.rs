@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use incmr::mapreduce::{kind_name, TraceEvent};
+use incmr::mapreduce::TraceEvent;
 
 /// `(plane, kinds its golden scenario produces)`.
 pub const GOLDEN_KINDS: &[(&str, &[&str])] = &[
@@ -31,6 +31,7 @@ pub const GOLDEN_KINDS: &[(&str, &[&str])] = &[
             "SpeculativeLaunch",
             "AttemptKilled",
             "NodeBlacklisted",
+            "MapOutputLost",
         ],
     ),
     (
@@ -42,9 +43,13 @@ pub const GOLDEN_KINDS: &[(&str, &[&str])] = &[
             "JobWedged",
             "DeadlineExceeded",
             "PartialSample",
+            "ProviderEvaluated",
         ],
     ),
-    ("evolve", &["SplitReused", "SplitDirty", "InputArrived"]),
+    (
+        "evolve",
+        &["SplitReused", "SplitDirty", "SplitMissed", "InputArrived"],
+    ),
     (
         "replication",
         &[
@@ -69,7 +74,7 @@ pub fn assert_plane_kinds(plane: &str, events: &[TraceEvent]) {
         .iter()
         .find(|(p, _)| *p == plane)
         .unwrap_or_else(|| panic!("no golden kind list for plane {plane:?}"));
-    let seen: BTreeSet<&str> = events.iter().map(|e| kind_name(&e.kind)).collect();
+    let seen: BTreeSet<&str> = events.iter().map(|e| e.kind.name()).collect();
     for kind in *kinds {
         assert!(
             seen.contains(kind),

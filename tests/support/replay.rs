@@ -1,62 +1,30 @@
-//! Replay check shared by the golden and chaos suites: every
-//! event-backed counter is the fold of the recorded trace.
+//! Replay check shared by the golden and chaos suites: every counter and
+//! every latency histogram is the fold of the recorded trace.
 
-use incmr::mapreduce::{
-    ClusterMetrics, FaultMetrics, GuardrailMetrics, MemoMetrics, ReplicaMetrics, TraceEvent,
-};
+use incmr::mapreduce::{ClusterMetrics, MetricsRegistry, MrRuntime, TraceEvent};
 
-/// Replaying `events` through `ClusterMetrics::from_trace` reproduces the
-/// runtime's live counters on every event-backed field — locality and all
-/// five counter families. The eight live-only counters, which have no
-/// event of their own, are masked here.
-pub fn assert_replay_matches_live(events: &[TraceEvent], live: &ClusterMetrics) {
-    let replay = ClusterMetrics::from_trace(events);
-    assert_eq!(
-        replay.faults(),
-        FaultMetrics {
-            maps_reexecuted: 0,
-            ..live.faults()
-        },
-        "fault counters replayed from the trace must match the runtime"
-    );
+/// Replaying `events`, the whole trace of `rt`'s run, reproduces the
+/// runtime's live state: `ClusterMetrics::from_trace` gives locality and
+/// all five counter families, and `MetricsRegistry::from_trace` (queue
+/// waits keyed by `scheduler`, the run's `TaskScheduler::name`) gives
+/// every histogram family.
+pub fn assert_replay_matches_live(events: &[TraceEvent], rt: &MrRuntime, scheduler: &str) {
+    let (replay, live) = (ClusterMetrics::from_trace(events), rt.metrics());
+    assert_eq!(replay.faults(), live.faults(), "fault counters");
     assert_eq!(
         replay.guardrails(),
-        GuardrailMetrics {
-            provider_panics: 0,
-            unknown_blocks: 0,
-            ..live.guardrails()
-        },
-        "guard-rail counters replayed from the trace must match the runtime"
+        live.guardrails(),
+        "guard-rail counters"
     );
-    assert_eq!(
-        replay.memo(),
-        MemoMetrics {
-            splits_computed: 0,
-            records_saved: 0,
-            entries_invalidated: 0,
-            ..live.memo()
-        },
-        "memo counters replayed from the trace must match the runtime"
-    );
-    assert_eq!(
-        replay.replica(),
-        ReplicaMetrics {
-            blocks_lost: 0,
-            reexecutions_avoided: 0,
-            ..live.replica()
-        },
-        "replica counters replayed from the trace must match the runtime"
-    );
-    assert_eq!(
-        replay.shuffle(),
-        live.shuffle(),
-        "shuffle counters replayed from the trace must match the runtime"
-    );
+    assert_eq!(replay.memo(), live.memo(), "memo counters");
+    assert_eq!(replay.replica(), live.replica(), "replica counters");
+    assert_eq!(replay.shuffle(), live.shuffle(), "shuffle counters");
     assert_eq!(replay.assignments(), live.assignments());
     let locality = |m: &ClusterMetrics| m.report(m.start()).locality_pct;
+    assert_eq!(locality(&replay), locality(live), "locality");
     assert_eq!(
-        locality(&replay),
-        locality(live),
-        "locality replayed from the trace must match the runtime"
+        MetricsRegistry::from_trace(events, scheduler),
+        *rt.histograms(),
+        "histograms replayed from the trace must match the runtime's"
     );
 }
